@@ -32,9 +32,9 @@ vet:
 bench: bench-migrate
 	$(GO) test -run '^$$' -bench 'Parallel|Multi|ServerThroughput' -benchmem -cpu 4 ./internal/cache/ ./internal/server/
 
-## bench-migrate: the migration data-plane comparison — JSON stop-and-wait
-## vs binary pipelined streaming, with and without 5ms injected RTT; the
-## regression bar is ≥3× pairs/s for the binary plane at 5ms
+## bench-migrate: the migration data plane — pairs/s of one binary
+## pipelined push, with and without 5ms injected RTT (EXPERIMENTS.md keeps
+## the historical JSON-vs-binary A/B that retired the JSON plane)
 bench-migrate:
 	$(GO) test -run '^$$' -bench MigrateDataPlane -benchtime 1s ./internal/agentrpc/
 
@@ -86,9 +86,11 @@ allocs:
 chaos:
 	$(GO) run ./cmd/elmem-chaos -seeds $(SEEDS)
 
-## fuzz: time-boxed native fuzzing of the memcached protocol parser
+## fuzz: time-boxed native fuzzing of the decoders that read bytes off a
+## socket — the memcached protocol parser and the migration frame decoder
 fuzz:
 	$(GO) test -fuzz FuzzParser -fuzztime $(FUZZTIME) ./internal/memproto/
+	$(GO) test -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/agentrpc/
 
 ## e2e: the process-level end-to-end suite — real elmem-node/-master/
 ## -loadgen binaries driven through scripted failure scenarios (crash-

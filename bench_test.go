@@ -342,11 +342,11 @@ func BenchmarkMetadataVsFullTransfer(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			bytesMoved = 0
 			for _, id := range classes {
-				kvs, err := c.FetchTop(id, items, nil)
+				metas, err := c.TopMeta(id, items, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				for _, kv := range kvs {
+				for _, kv := range c.AppendPairs(nil, metas) {
 					bytesMoved += int64(len(kv.Key)) + int64(len(kv.Value)) + 10
 				}
 			}

@@ -44,8 +44,12 @@ type Peer interface {
 	// node: per slab class, the sender's items that hash to this peer, in
 	// MRU order.
 	OfferMetadata(ctx context.Context, from string, metas map[int][]cache.ItemMeta) error
-	// ImportData delivers phase-3 KV pairs in MRU order (hottest first).
-	ImportData(ctx context.Context, from string, pairs []cache.KV) error
+	// OpenImport opens the phase-3 import stream for a (sender, plan)
+	// identified by epoch and fingerprint. Reopening with the same identity
+	// resumes: the returned session's HighWater reports what already
+	// landed. A different fingerprint under the same sender resets the
+	// stream state. window is the sender's max batches in flight (advisory).
+	OpenImport(ctx context.Context, from string, epoch, fingerprint uint64, window int) (ImportSession, error)
 }
 
 // Transport resolves peers by node name.
@@ -134,7 +138,7 @@ type batchSizeOption int
 
 func (o batchSizeOption) apply(opts *options) { opts.batchSize = int(o) }
 
-// WithTransferBatchSize bounds how many KV pairs one ImportData push
+// WithTransferBatchSize bounds how many KV pairs one migration batch
 // carries (default 2048). Smaller batches cap per-frame memory and give
 // the paper's "regulated data movement over the network" a knob; larger
 // batches reduce round trips.
@@ -455,14 +459,14 @@ func (a *Agent) SendData(ctx context.Context, target string, takes map[int]int, 
 		classes = append(classes, classID)
 	}
 	sort.Ints(classes)
-	plan := make([]classSel, 0, len(classes))
+	plan := make([][]cache.ItemMeta, 0, len(classes))
 	for _, classID := range classes {
 		metas, err := a.cache.TopMeta(classID, takes[classID], filter)
 		if err != nil {
 			return SendStats{}, fmt.Errorf("send data class %d: %w", classID, err)
 		}
 		if len(metas) > 0 {
-			plan = append(plan, classSel{classID: classID, metas: metas})
+			plan = append(plan, metas)
 		}
 	}
 	if len(plan) == 0 {
@@ -531,16 +535,6 @@ func (a *Agent) filterStale(pairs []cache.KV) []cache.KV {
 	return kept
 }
 
-// ImportData receives a phase-3 push (Peer implementation): pairs arrive
-// hottest-first per class, so reverse import ends with the hottest at the
-// MRU head. Pairs that cannot obtain a chunk are dropped, as a real
-// memcached set fails under slab exhaustion. Pairs for segments this node
-// no longer accepts under the announced ownership epoch are dropped too.
-func (a *Agent) ImportData(_ context.Context, _ string, pairs []cache.KV) error {
-	_, err := a.cache.BatchImport(a.filterStale(pairs), true)
-	return err
-}
-
 // HashSplit implements the scale-out migration (Section III-D4), run on an
 // existing node: under the scaled-out membership, stream every local KV
 // pair that now hashes to one of the new nodes, then drop it locally.
@@ -573,14 +567,14 @@ func (a *Agent) HashSplit(ctx context.Context, newMembers []string, fullMembersh
 	}
 	targetPages := int(a.cache.Capacity() / cache.PageSize)
 	chunkSizes := a.cache.ChunkSizes()
-	plans := make(map[string][]classSel, len(newMembers))
+	plans := make(map[string][][]cache.ItemMeta, len(newMembers))
 	for _, classID := range a.cache.PopulatedClasses() {
 		limit := targetPages * (cache.PageSize / chunkSizes[classID]) / existing
 		if limit < 1 {
 			limit = 1
 		}
 		sentPer := make(map[string]int, len(newMembers))
-		metas, err := a.cache.TopMeta(classID, a.cache.ClassLen(classID), a.andOwned(func(key string) bool {
+		metas, err := a.cache.DumpClass(classID, a.andOwned(func(key string) bool {
 			owner, err := ring.Get(key)
 			if err != nil {
 				return false
@@ -605,7 +599,7 @@ func (a *Agent) HashSplit(ctx context.Context, newMembers []string, fullMembersh
 		}
 		// PopulatedClasses ascends, so each target's plan stays sorted.
 		for owner, ms := range sel {
-			plans[owner] = append(plans[owner], classSel{classID: classID, metas: ms})
+			plans[owner] = append(plans[owner], ms)
 		}
 	}
 
@@ -633,8 +627,8 @@ func (a *Agent) HashSplit(ctx context.Context, newMembers []string, fullMembersh
 			stats.Duration = time.Since(start)
 			return stats, fmt.Errorf("hash split to %s: %w", tgt, err)
 		}
-		for _, cs := range plans[tgt] {
-			for _, m := range cs.metas {
+		for _, sel := range plans[tgt] {
+			for _, m := range sel {
 				// Local drop only after the whole target stream landed, so
 				// a mid-stream failure loses nothing and a retry is safe.
 				_ = a.cache.Delete(m.Key)
@@ -713,7 +707,6 @@ func (r *Registry) Nodes() []string {
 }
 
 var (
-	_ Peer       = (*Agent)(nil)
-	_ StreamPeer = (*Agent)(nil)
-	_ Transport  = (*Registry)(nil)
+	_ Peer      = (*Agent)(nil)
+	_ Transport = (*Registry)(nil)
 )

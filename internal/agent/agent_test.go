@@ -627,7 +627,7 @@ func TestWithRingReplicasChangesTargeting(t *testing.T) {
 	}
 }
 
-// countingTransport counts ImportData deliveries.
+// countingTransport counts import batch deliveries (session Sends).
 type countingTransport struct {
 	inner   Transport
 	imports int
@@ -650,9 +650,15 @@ func (p *countingPeer) OfferMetadata(ctx context.Context, from string, metas map
 	return p.inner.OfferMetadata(ctx, from, metas)
 }
 
-func (p *countingPeer) ImportData(ctx context.Context, from string, pairs []cache.KV) error {
-	p.t.imports++
-	return p.inner.ImportData(ctx, from, pairs)
+func (p *countingPeer) OpenImport(ctx context.Context, from string, epoch, fp uint64, window int) (ImportSession, error) {
+	sess, err := p.inner.OpenImport(ctx, from, epoch, fp, window)
+	if err != nil {
+		return nil, err
+	}
+	return hookSession{sess, func(uint64) error {
+		p.t.imports++
+		return nil
+	}}, nil
 }
 
 // TestSendDataBatchesPreserveMRUOrder: with a small batch size, migration

@@ -15,7 +15,7 @@ type flakyTransport struct {
 	inner      Transport
 	failPeers  int // Peer() calls to fail
 	failOffers int // OfferMetadata deliveries to fail
-	failImport int // ImportData deliveries to fail
+	failImport int // import batch deliveries (session Sends) to fail
 }
 
 type flakyPeer struct {
@@ -45,12 +45,32 @@ func (p *flakyPeer) OfferMetadata(ctx context.Context, from string, metas map[in
 	return p.inner.OfferMetadata(ctx, from, metas)
 }
 
-func (p *flakyPeer) ImportData(ctx context.Context, from string, pairs []cache.KV) error {
-	if p.t.failImport > 0 {
-		p.t.failImport--
-		return errInjected
+func (p *flakyPeer) OpenImport(ctx context.Context, from string, epoch, fp uint64, window int) (ImportSession, error) {
+	sess, err := p.inner.OpenImport(ctx, from, epoch, fp, window)
+	if err != nil {
+		return nil, err
 	}
-	return p.inner.ImportData(ctx, from, pairs)
+	return hookSession{sess, func(uint64) error {
+		if p.t.failImport > 0 {
+			p.t.failImport--
+			return errInjected
+		}
+		return nil
+	}}, nil
+}
+
+// hookSession runs before ahead of every Send of the wrapped session — the
+// seam the package's peer doubles use to count or fail batch deliveries.
+type hookSession struct {
+	ImportSession
+	before func(seq uint64) error
+}
+
+func (s hookSession) Send(ctx context.Context, seq uint64, pairs []cache.KV) error {
+	if err := s.before(seq); err != nil {
+		return err
+	}
+	return s.ImportSession.Send(ctx, seq, pairs)
 }
 
 // newFlakyNode builds an agent whose outbound transport is flaky while it

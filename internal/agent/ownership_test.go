@@ -1,7 +1,6 @@
 package agent
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -69,8 +68,9 @@ func TestStaleImportDropped(t *testing.T) {
 		{Key: stableKey, Value: []byte("s"), LastAccess: clk.Now()},
 	}
 	// Mid-handover both land: n1 is still an acceptable owner.
-	if err := recv.ImportData(context.Background(), "n3", pairs); err != nil {
-		t.Fatal(err)
+	recv.ImportOpen("n3", 6, 98)
+	if _, n, err := recv.ImportFrame("n3", 6, 1, pairs); err != nil || n != 2 {
+		t.Fatalf("mid-handover frame = (%d, %v), want 2 imports", n, err)
 	}
 	if _, ok := recv.Cache().Peek(movingKey); !ok {
 		t.Fatal("in-flight pair rejected on a still-acceptable owner")

@@ -2,7 +2,6 @@ package agent
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -12,13 +11,12 @@ import (
 	"repro/internal/cache"
 )
 
-// Streaming phase-3 data plane. The original push materialized the whole
-// per-target hot set via FetchTop and shipped it stop-and-wait, one
-// ImportData RPC per batch. The streaming path instead:
+// Streaming phase-3 data plane — the only one. A push:
 //
-//   - selects by metadata only (cache.TopMeta) and fetches values one
-//     bounded batch at a time (cache.AppendPairs), so the retiring node's
-//     extra memory is O(window × batch) rather than O(hot set);
+//   - selects by metadata only (cache.TopMeta), cuts the selection into
+//     bounded batches (cache.CutBatches) and fetches values one batch at a
+//     time (cache.AppendPairs), so the retiring node's extra memory is
+//     O(window × batch) rather than O(hot set);
 //   - opens one ImportSession per target and keeps up to W
 //     sequence-numbered batches in flight (windowed pipelining; TCP
 //     preserves order, the receiver applies in arrival order, which stays
@@ -27,13 +25,6 @@ import (
 //     high-water mark, and a retried send over the same plan skips every
 //     batch at or below it. The fresher-copy idempotence of BatchImport
 //     remains the safety net underneath.
-//
-// Peers that do not implement StreamPeer (old wire versions, test
-// doubles) fall back to the legacy per-batch ImportData push.
-
-// ErrStreamUnsupported signals that a peer cannot accept a streaming
-// import session; the sender falls back to per-batch ImportData.
-var ErrStreamUnsupported = errors.New("agent: peer does not support streaming import")
 
 // SendStats reports what one phase-3 push (SendData or HashSplit) moved.
 type SendStats struct {
@@ -99,17 +90,6 @@ type ImportSession interface {
 	Close(ctx context.Context) (ImportSummary, error)
 	// Abort releases the session without draining (after an error).
 	Abort()
-}
-
-// StreamPeer is a Peer that accepts streaming import sessions.
-type StreamPeer interface {
-	Peer
-	// OpenImport opens a session for a (sender, plan) identified by epoch
-	// and fingerprint. Reopening with the same identity resumes: the
-	// returned session's HighWater reports what already landed. A
-	// different fingerprint under the same sender resets the stream
-	// state. window is the sender's max batches in flight (advisory).
-	OpenImport(ctx context.Context, from string, epoch, fingerprint uint64, window int) (ImportSession, error)
 }
 
 // importState is the receiver-side memory of one sender's stream.
@@ -184,7 +164,7 @@ type localSession struct {
 	imported int
 }
 
-// OpenImport makes *Agent a StreamPeer for in-process transports.
+// OpenImport implements Peer for in-process transports.
 func (a *Agent) OpenImport(_ context.Context, from string, epoch, fingerprint uint64, _ int) (ImportSession, error) {
 	hw := a.ImportOpen(from, epoch, fingerprint)
 	return &localSession{recv: a, from: from, epoch: epoch, hw: hw}, nil
@@ -207,29 +187,14 @@ func (s *localSession) Close(context.Context) (ImportSummary, error) {
 
 func (s *localSession) Abort() {}
 
-// classSel is one class's selected metadata, hottest-first — a slice of
-// the push plan.
-type classSel struct {
-	classID int
-	metas   []cache.ItemMeta
-}
-
-// planPairs sums a plan's pair count.
-func planPairs(plan []classSel) int {
-	n := 0
-	for _, cs := range plan {
-		n += len(cs.metas)
-	}
-	return n
-}
-
-// planFingerprint identifies a push plan: operation kind, target, and
-// every selected (key, timestamp, size) in order. A retry of the same
+// planFingerprint identifies a push plan — one non-empty selection per
+// slab class, hottest-first, classes ascending — by operation kind, target,
+// and every selected (key, timestamp, size) in order. A retry of the same
 // logical push reproduces it exactly — that, plus metadata-derived batch
 // boundaries, is what makes skipping acknowledged sequences sound. A new
 // round that selects anything different fingerprints differently and
 // resets the receiver's stream state.
-func planFingerprint(kind, target string, plan []classSel) uint64 {
+func planFingerprint(kind, target string, plan [][]cache.ItemMeta) uint64 {
 	h := fnv.New64a()
 	var scratch [8]byte
 	putU64 := func(v uint64) {
@@ -242,10 +207,10 @@ func planFingerprint(kind, target string, plan []classSel) uint64 {
 	h.Write([]byte{0})
 	h.Write([]byte(target))
 	h.Write([]byte{0})
-	for _, cs := range plan {
-		putU64(uint64(cs.classID))
-		putU64(uint64(len(cs.metas)))
-		for _, m := range cs.metas {
+	for _, sel := range plan {
+		putU64(uint64(sel[0].ClassID))
+		putU64(uint64(len(sel)))
+		for _, m := range sel {
 			h.Write([]byte(m.Key))
 			h.Write([]byte{0})
 			putU64(uint64(m.LastAccess.UnixNano()))
@@ -279,16 +244,11 @@ type sendMemo struct {
 	epoch uint64
 }
 
-// pushPlan streams a plan to a peer: windowed, resumable when the peer is
-// a StreamPeer, legacy per-batch ImportData otherwise. Emission order is
-// classes ascending, coldest-first within each class; batch boundaries
-// are computed from the selection metadata alone so a retry re-produces
-// identical sequence numbering.
-func (a *Agent) pushPlan(ctx context.Context, peer Peer, target, kind string, plan []classSel) (SendStats, error) {
-	sp, ok := peer.(StreamPeer)
-	if !ok {
-		return a.pushPlanFallback(ctx, peer, plan)
-	}
+// pushPlan streams a plan to a peer, windowed and resumable. Emission order
+// is classes ascending, coldest-first within each class; batch boundaries
+// come from cache.CutBatches — the selection metadata alone — so a retry
+// re-produces identical sequence numbering.
+func (a *Agent) pushPlan(ctx context.Context, peer Peer, target, kind string, plan [][]cache.ItemMeta) (SendStats, error) {
 	fp := planFingerprint(kind, target, plan)
 	if t := a.ownership.Load(); t != nil {
 		// Tag the stream with the ownership table version: a plan retried
@@ -298,11 +258,8 @@ func (a *Agent) pushPlan(ctx context.Context, peer Peer, target, kind string, pl
 		fp ^= t.Version() * 0x9e3779b97f4a7c15
 	}
 	epoch := a.epochFor(target, fp)
-	sess, err := sp.OpenImport(ctx, a.node, epoch, fp, a.maxInflight)
+	sess, err := peer.OpenImport(ctx, a.node, epoch, fp, a.maxInflight)
 	if err != nil {
-		if errors.Is(err, ErrStreamUnsupported) {
-			return a.pushPlanFallback(ctx, peer, plan)
-		}
 		return SendStats{}, err
 	}
 	var stats SendStats
@@ -315,65 +272,41 @@ func (a *Agent) pushPlan(ctx context.Context, peer Peer, target, kind string, pl
 	hw := sess.HighWater()
 
 	var (
-		seq        uint64
-		batch      []cache.ItemMeta
-		batchBytes int
-		buf        []cache.KV
+		seq uint64
+		buf []cache.KV
 		// window tracks the payload bytes of the last maxInflight sent
 		// batches — the upper bound on unacknowledged sender-side memory.
 		window   []int
 		inflight int64
 	)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
+	err = cache.CutBatches(plan, a.batchSize, a.batchBytes, func(batch []cache.ItemMeta, batchBytes int) error {
 		seq++
 		if seq <= hw {
 			// Already applied by the receiver in a previous attempt.
-			stats.Batches++
-			stats.Pairs += len(batch)
 			stats.Resumed += len(batch)
-			stats.BytesMoved += int64(batchBytes)
-			batch, batchBytes = batch[:0], 0
-			return nil
-		}
-		buf = a.cache.AppendPairs(buf[:0], batch)
-		inflight += int64(batchBytes)
-		if inflight > stats.PeakInflightBytes {
-			stats.PeakInflightBytes = inflight
-		}
-		if err := sess.Send(ctx, seq, buf); err != nil {
-			// The batch never covered: a failed Send aborts the push, so
-			// its pairs are not counted — the retry re-covers them.
-			return err
+		} else {
+			buf = a.cache.AppendPairs(buf[:0], batch)
+			inflight += int64(batchBytes)
+			if inflight > stats.PeakInflightBytes {
+				stats.PeakInflightBytes = inflight
+			}
+			if err := sess.Send(ctx, seq, buf); err != nil {
+				// A failed Send aborts the push, so the batch is not counted
+				// as covered — the retry re-covers it.
+				return err
+			}
+			window = append(window, batchBytes)
+			if len(window) > a.maxInflight {
+				inflight -= int64(window[0])
+				window = window[1:]
+			}
 		}
 		stats.Batches++
 		stats.Pairs += len(batch)
 		stats.BytesMoved += int64(batchBytes)
-		window = append(window, batchBytes)
-		if len(window) > a.maxInflight {
-			inflight -= int64(window[0])
-			window = window[1:]
-		}
-		batch, batchBytes = batch[:0], 0
 		return nil
-	}
-	for _, cs := range plan {
-		for i := len(cs.metas) - 1; i >= 0; i-- { // coldest-first
-			m := cs.metas[i]
-			sz := len(m.Key) + m.ValueSize
-			if len(batch) > 0 &&
-				(len(batch) >= a.batchSize || (a.batchBytes > 0 && batchBytes+sz > a.batchBytes)) {
-				if err := flush(); err != nil {
-					return stats, err
-				}
-			}
-			batch = append(batch, m)
-			batchBytes += sz
-		}
-	}
-	if err := flush(); err != nil {
+	})
+	if err != nil {
 		return stats, err
 	}
 	sum, err := sess.Close(ctx)
@@ -382,59 +315,6 @@ func (a *Agent) pushPlan(ctx context.Context, peer Peer, target, kind string, pl
 		return stats, err
 	}
 	stats.WireBytes = sum.WireBytes
-	return stats, nil
-}
-
-// pushPlanFallback is the legacy stop-and-wait path for peers without
-// streaming support: one ImportData per batch, batches coldest-first,
-// each batch reversed to hottest-first as the old wire format expects.
-func (a *Agent) pushPlanFallback(ctx context.Context, peer Peer, plan []classSel) (SendStats, error) {
-	var stats SendStats
-	var (
-		batch      []cache.ItemMeta
-		batchBytes int
-		buf        []cache.KV
-	)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		buf = a.cache.AppendPairs(buf[:0], batch)
-		for i, j := 0, len(buf)-1; i < j; i, j = i+1, j-1 {
-			buf[i], buf[j] = buf[j], buf[i] // hottest-first for ImportData
-		}
-		if int64(batchBytes) > stats.PeakInflightBytes {
-			stats.PeakInflightBytes = int64(batchBytes)
-		}
-		if err := peer.ImportData(ctx, a.node, buf); err != nil {
-			return err
-		}
-		stats.Batches++
-		stats.Pairs += len(buf)
-		stats.BytesMoved += int64(batchBytes)
-		batch, batchBytes = batch[:0], 0
-		return nil
-	}
-	for _, cs := range plan {
-		for i := len(cs.metas) - 1; i >= 0; i-- {
-			m := cs.metas[i]
-			sz := len(m.Key) + m.ValueSize
-			if len(batch) > 0 &&
-				(len(batch) >= a.batchSize || (a.batchBytes > 0 && batchBytes+sz > a.batchBytes)) {
-				if err := flush(); err != nil {
-					return stats, err
-				}
-			}
-			batch = append(batch, m)
-			batchBytes += sz
-		}
-	}
-	if err := flush(); err != nil {
-		return stats, err
-	}
 	return stats, nil
 }
 

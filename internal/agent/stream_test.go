@@ -122,38 +122,19 @@ func (p *breakingPeer) OfferMetadata(ctx context.Context, from string, metas map
 	return p.inner.OfferMetadata(ctx, from, metas)
 }
 
-func (p *breakingPeer) ImportData(ctx context.Context, from string, pairs []cache.KV) error {
-	return p.inner.ImportData(ctx, from, pairs)
-}
-
 func (p *breakingPeer) OpenImport(ctx context.Context, from string, epoch, fp uint64, window int) (ImportSession, error) {
-	sp := p.inner.(StreamPeer)
-	sess, err := sp.OpenImport(ctx, from, epoch, fp, window)
+	sess, err := p.inner.OpenImport(ctx, from, epoch, fp, window)
 	if err != nil {
 		return nil, err
 	}
-	return &breakingSession{inner: sess, t: p.t}, nil
+	return hookSession{sess, func(seq uint64) error {
+		if !p.t.used && seq == p.t.failAtSeq {
+			p.t.used = true
+			return errors.New("injected stream failure")
+		}
+		return nil
+	}}, nil
 }
-
-type breakingSession struct {
-	inner ImportSession
-	t     *breakingTransport
-}
-
-func (s *breakingSession) HighWater() uint64 { return s.inner.HighWater() }
-
-func (s *breakingSession) Send(ctx context.Context, seq uint64, pairs []cache.KV) error {
-	if !s.t.used && seq == s.t.failAtSeq {
-		s.t.used = true
-		return errors.New("injected stream failure")
-	}
-	return s.inner.Send(ctx, seq, pairs)
-}
-
-func (s *breakingSession) Close(ctx context.Context) (ImportSummary, error) {
-	return s.inner.Close(ctx)
-}
-func (s *breakingSession) Abort() { s.inner.Abort() }
 
 // TestStreamResumeAfterFailure: when a push dies mid-stream, the retry
 // must reopen the same (epoch, fingerprint) stream, learn the receiver's
@@ -218,7 +199,7 @@ func TestPlanFingerprintAndEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := []classSel{{classID: classID, metas: metas}}
+	plan := [][]cache.ItemMeta{metas}
 
 	fp := planFingerprint("data", "t1", plan)
 	if planFingerprint("data", "t1", plan) != fp {
@@ -230,7 +211,7 @@ func TestPlanFingerprintAndEpochs(t *testing.T) {
 	if planFingerprint("data", "t2", plan) == fp {
 		t.Fatal("target not fingerprinted")
 	}
-	smaller := []classSel{{classID: classID, metas: metas[1:]}}
+	smaller := [][]cache.ItemMeta{metas[1:]}
 	if planFingerprint("data", "t1", smaller) == fp {
 		t.Fatal("selection not fingerprinted")
 	}

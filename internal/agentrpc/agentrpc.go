@@ -1,9 +1,10 @@
-// Package agentrpc carries ElMem's control-plane traffic over TCP:
-// Master → Agent commands (scoring, migration phases, hash split) and
-// Agent → Agent pushes (metadata offers, data imports). The paper pipes
-// metadata and data between nodes over ssh (Section III-D1); we use
-// persistent TCP connections with newline-delimited JSON frames, which
-// preserves the phase structure while staying dependency-free.
+// Package agentrpc carries ElMem's migration traffic over TCP: Master →
+// Agent commands (scoring, migration phases, hash split) and Agent → Agent
+// pushes (metadata offers, data imports). The paper pipes metadata and
+// data between nodes over ssh (Section III-D1); we use persistent TCP
+// connections, newline-delimited JSON for the control ops and binary
+// frames (frame.go) for the phase-3 import streams, which preserves the
+// phase structure while staying dependency-free.
 //
 // The same wire protocol serves both directions: the Server exposes a
 // node's *agent.Agent, the Client implements core.MasterAgent and
@@ -41,12 +42,7 @@ const (
 	OpSendData      Op = "send_data"
 	OpHashSplit     Op = "hash_split"
 	OpOfferMetadata Op = "offer_metadata"
-	OpImportData    Op = "import_data"
 )
-
-// OpImportOpen names the binary stream-open exchange; it never appears in
-// a JSON frame but gives the fault-injection layer a handle on it.
-const OpImportOpen Op = "import_open"
 
 // ErrRemote wraps an error string returned by the remote agent.
 var ErrRemote = errors.New("agentrpc: remote error")
@@ -67,10 +63,9 @@ type request struct {
 	// HashSplit.
 	NewMembers []string `json:"newMembers,omitempty"`
 	Full       []string `json:"full,omitempty"`
-	// OfferMetadata / ImportData.
+	// OfferMetadata.
 	From  string                   `json:"from,omitempty"`
 	Metas map[int][]cache.ItemMeta `json:"metas,omitempty"`
-	Pairs []cache.KV               `json:"pairs,omitempty"`
 }
 
 // response is one wire frame back.
@@ -227,10 +222,6 @@ func (s *Server) serveConn(conn net.Conn) {
 // serveFrame handles one binary frame; false tears the connection down.
 func (s *Server) serveFrame(imp *importApplier, bw *bufio.Writer, wmu *sync.Mutex, typ byte, payload []byte) bool {
 	switch typ {
-	case ftHello:
-		putBuf(payload)
-		imp.barrier()
-		return writeFrameLocked(wmu, bw, ftHelloAck, nil) == nil
 	case ftImportOpen:
 		imp.barrier()
 		from, epoch, fp, _, derr := decodeImportOpen(payload)
@@ -381,11 +372,6 @@ func (s *Server) dispatch(req *request) *response {
 			return errResponse(err)
 		}
 		return &response{OK: true}
-	case OpImportData:
-		if err := s.agent.ImportData(ctx, req.From, req.Pairs); err != nil {
-			return errResponse(err)
-		}
-		return &response{OK: true}
 	default:
 		return &response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}
@@ -395,25 +381,18 @@ func errResponse(err error) *response {
 	return &response{Error: err.Error()}
 }
 
-// Client talks to one remote Agent. It implements core.MasterAgent,
-// agent.Peer and agent.StreamPeer over a single persistent connection
-// with serialized calls, redialling transparently after failures. On the
-// first dial it negotiates the binary stream protocol with a hello
-// frame; a server that rejects it (an old JSON-only build drops the
-// connection) pins the client to JSON, and streaming opens report
-// agent.ErrStreamUnsupported so senders fall back to per-batch
-// ImportData.
+// Client talks to one remote Agent. It implements core.MasterAgent and
+// agent.Peer over a single persistent connection with serialized calls,
+// redialling transparently after failures.
 type Client struct {
 	node        string
 	addr        string
 	dialTimeout time.Duration
 
-	mu       sync.Mutex
-	conn     net.Conn
-	br       *bufio.Reader
-	bw       *bufio.Writer
-	binary   bool // this connection negotiated binary framing
-	jsonOnly bool // sticky: never attempt binary negotiation again
+	mu   sync.Mutex
+	conn net.Conn
+	br   *bufio.Reader
+	bw   *bufio.Writer
 }
 
 // NewClient creates a client for the agent of node (its name) at addr.
@@ -424,15 +403,6 @@ func NewClient(node, addr string) *Client {
 // Node returns the remote node's name.
 func (c *Client) Node() string { return c.node }
 
-// ForceJSON pins the client to the JSON wire protocol: streaming opens
-// report agent.ErrStreamUnsupported, so data pushes take the legacy
-// stop-and-wait path. For benchmarks and mixed-version deployments.
-func (c *Client) ForceJSON() {
-	c.mu.Lock()
-	c.jsonOnly = true
-	c.mu.Unlock()
-}
-
 // Close drops the connection.
 func (c *Client) Close() {
 	c.mu.Lock()
@@ -440,9 +410,8 @@ func (c *Client) Close() {
 	c.dropLocked()
 }
 
-// ensureConnLocked dials if no connection is up. Fresh connections speak
-// JSON until negotiateLocked upgrades them.
-func (c *Client) ensureConnLocked(ctx context.Context) error {
+// ensureConnLocked dials if no connection is up.
+func (c *Client) ensureConnLocked() error {
 	if c.conn != nil {
 		return nil
 	}
@@ -453,41 +422,7 @@ func (c *Client) ensureConnLocked(ctx context.Context) error {
 	c.conn = conn
 	c.br = bufio.NewReaderSize(conn, 1<<20)
 	c.bw = bufio.NewWriterSize(conn, 64<<10)
-	c.binary = false
 	return nil
-}
-
-// negotiateLocked upgrades the current connection to binary framing with a
-// hello round trip. It runs lazily, on the first OpenImport rather than at
-// dial time, so pure-JSON control traffic against any server never pays
-// for (or trips over) negotiation. A server that fails to ack — an old
-// JSON-only build chokes on the magic byte and drops the connection — pins
-// the client to JSON permanently; senders then fall back to the legacy
-// per-batch path. Bounded by the dial timeout (or the caller's earlier
-// deadline) so a silent peer cannot wedge us.
-func (c *Client) negotiateLocked(ctx context.Context) {
-	if c.binary || c.jsonOnly {
-		return
-	}
-	deadline := time.Now().Add(c.dialTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	_ = c.conn.SetDeadline(deadline)
-	negotiated := false
-	if err := writeFrame(c.bw, ftHello, []byte(c.node)); err == nil {
-		if typ, payload, err := readFrame(c.br); err == nil {
-			putBuf(payload)
-			negotiated = typ == ftHelloAck
-		}
-	}
-	if !negotiated {
-		c.dropLocked()
-		c.jsonOnly = true
-		return
-	}
-	_ = c.conn.SetDeadline(time.Time{})
-	c.binary = true
 }
 
 // call performs one serialized RPC round trip. The context's deadline is
@@ -502,7 +437,7 @@ func (c *Client) call(ctx context.Context, req *request) (*response, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.ensureConnLocked(ctx); err != nil {
+	if err := c.ensureConnLocked(); err != nil {
 		return nil, err
 	}
 	if deadline, ok := ctx.Deadline(); ok {
@@ -561,7 +496,6 @@ func (c *Client) dropLocked() {
 		_ = c.conn.Close()
 		c.conn = nil
 		c.br, c.bw = nil, nil
-		c.binary = false
 	}
 }
 
@@ -628,16 +562,12 @@ func (c *Client) OfferMetadata(ctx context.Context, from string, metas map[int][
 	return err
 }
 
-// ImportData implements agent.Peer.
-func (c *Client) ImportData(ctx context.Context, from string, pairs []cache.KV) error {
-	_, err := c.call(ctx, &request{Op: OpImportData, From: from, Pairs: pairs})
-	return err
-}
-
-// OpenImport implements agent.StreamPeer: it opens a windowed binary
-// import stream on the persistent connection. The client mutex is held
-// for the whole session (sessions and control calls are serialized, as
-// before), released by Close or Abort.
+// OpenImport implements agent.Peer: it opens a windowed binary import
+// stream on the persistent connection. The client mutex is held for the
+// whole session (sessions and control calls are serialized), released by
+// Close or Abort. A peer that cannot answer the open frame — unreachable,
+// or not speaking this frame version — surfaces as an ordinary retryable
+// transport error and the connection is dropped.
 func (c *Client) OpenImport(ctx context.Context, from string, epoch, fingerprint uint64, window int) (agent.ImportSession, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -652,15 +582,8 @@ func (c *Client) OpenImport(ctx context.Context, from string, epoch, fingerprint
 			c.mu.Unlock()
 		}
 	}()
-	if c.jsonOnly {
-		return nil, agent.ErrStreamUnsupported
-	}
-	if err := c.ensureConnLocked(ctx); err != nil {
+	if err := c.ensureConnLocked(); err != nil {
 		return nil, err
-	}
-	c.negotiateLocked(ctx)
-	if !c.binary {
-		return nil, agent.ErrStreamUnsupported
 	}
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = c.conn.SetDeadline(deadline)
@@ -823,10 +746,7 @@ func (s *importSession) finishSession(drop bool) {
 	s.c.mu.Unlock()
 }
 
-var (
-	_ agent.Peer       = (*Client)(nil)
-	_ agent.StreamPeer = (*Client)(nil)
-)
+var _ agent.Peer = (*Client)(nil)
 
 // AddressBook maps node names to their agent RPC addresses. It implements
 // agent.Transport (peer dialling for Agents) and serves as the Master's

@@ -1,25 +1,22 @@
 package agentrpc
 
-// Binary bulk framing for the phase-3 data plane. JSON stays on the wire
-// for the low-volume control ops (score, metadata, takes, legacy
-// ImportData), but bulk KV movement pays ~33% base64 inflation plus
-// per-pair marshalling there, so import streams switch to length-prefixed
-// binary frames:
+// Binary framing for the phase-3 data plane. JSON stays on the wire for the
+// low-volume control ops (score, metadata, takes), but bulk KV movement
+// would pay ~33% base64 inflation plus per-pair marshalling there, so
+// import streams are length-prefixed binary frames:
 //
-//	frame   = magic(0xEB) version(1) type(1) payloadLen(u32 BE) payload
-//	pair    = keyLen(uvarint) key valLen(uvarint) val flags(u32 BE) ts(i64 BE)
+//	frame = magic(0xEB) version(2) type(1) payloadLen(u32 BE) payload
 //
-// 0xEB can never start a JSON value, so a server can peek one byte and
-// dispatch either protocol on the same connection; a client negotiates by
-// sending a hello frame after dialling — an old JSON-only server fails to
-// parse it and drops the connection, and the client redials in JSON-only
-// mode. Frame payload buffers are pooled (sync.Pool) on both sides, and
-// decoded values alias the frame buffer (BatchImport copies into slab
-// chunks), so a steady-state stream allocates only keys.
+// 0xEB can never start a JSON value, so the server peeks one byte and
+// dispatches either protocol on the same connection. Pairs inside a batch
+// frame are cache.AppendPair records — the layout snapshot files share;
+// version 2 is the first whose pairs carry the expiry deadline, and a
+// version-1 frame is refused. Frame payload buffers are pooled (sync.Pool)
+// on both sides, and decoded values alias the frame buffer (BatchImport
+// copies into slab chunks), so a steady-state stream allocates only keys.
 //
 // Frame types:
 //
-//	hello       c→s  sender node name; answered by helloAck (empty)
 //	importOpen  c→s  from, epoch, fingerprint, window
 //	openAck     s→c  status, highWater | error
 //	importBatch c→s  from, epoch, seq, pairs (coldest-first)
@@ -34,37 +31,33 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
-	"time"
 
 	"repro/internal/cache"
 )
 
 const (
 	frameMagic     = 0xEB
-	frameVersion   = 1
+	frameVersion   = 2
 	frameHeaderLen = 7 // magic + version + type + u32 payload length
 
 	// maxFramePayload is a sanity cap protecting both sides from a
 	// corrupt or hostile length prefix. Batches are bounded far below it
 	// (WithBatchBytes, default 256 KiB).
 	maxFramePayload = 64 << 20
+
+	// minPairLen is the smallest pair record: two empty length prefixes,
+	// flags, and the two timestamps.
+	minPairLen = 2 + 4 + 8 + 8
 )
 
 // The frame types.
 const (
-	ftHello byte = iota + 1
-	ftHelloAck
-	ftImportOpen
+	ftImportOpen byte = iota + 1
 	ftOpenAck
 	ftImportBatch
 	ftBatchAck
 )
-
-// tsZeroSentinel encodes time.Time{} on the wire; any real MRU timestamp
-// is a plausible UnixNano.
-const tsZeroSentinel = math.MinInt64
 
 var errFrameTruncated = errors.New("agentrpc: truncated frame payload")
 
@@ -268,16 +261,7 @@ func appendImportBatch(b []byte, from string, epoch, seq uint64, pairs []cache.K
 	b = binary.AppendUvarint(b, seq)
 	b = binary.AppendUvarint(b, uint64(len(pairs)))
 	for i := range pairs {
-		p := &pairs[i]
-		b = appendStr(b, p.Key)
-		b = binary.AppendUvarint(b, uint64(len(p.Value)))
-		b = append(b, p.Value...)
-		b = binary.BigEndian.AppendUint32(b, p.Flags)
-		ts := int64(tsZeroSentinel)
-		if !p.LastAccess.IsZero() {
-			ts = p.LastAccess.UnixNano()
-		}
-		b = binary.BigEndian.AppendUint64(b, uint64(ts))
+		b = cache.AppendPair(b, &pairs[i])
 	}
 	return b
 }
@@ -300,39 +284,15 @@ func decodeImportBatch(payload []byte) (from string, epoch, seq uint64, pairs []
 	if err != nil {
 		return
 	}
-	if n > uint64(len(c.b)) { // each pair costs >= 1 byte: cheap sanity cap
+	if n > uint64(len(c.b))/minPairLen { // sanity cap before allocating
 		err = errFrameTruncated
 		return
 	}
-	pairs = make([]cache.KV, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var p cache.KV
-		if p.Key, err = c.str(); err != nil {
+	pairs = make([]cache.KV, n)
+	for i := range pairs {
+		if pairs[i], c.b, err = cache.DecodePair(c.b); err != nil {
 			return
 		}
-		vlen, verr := c.uvarint()
-		if verr != nil {
-			err = verr
-			return
-		}
-		if p.Value, err = c.take(int(vlen)); err != nil {
-			return
-		}
-		fb, ferr := c.take(4)
-		if ferr != nil {
-			err = ferr
-			return
-		}
-		p.Flags = binary.BigEndian.Uint32(fb)
-		tb, terr := c.take(8)
-		if terr != nil {
-			err = terr
-			return
-		}
-		if ts := int64(binary.BigEndian.Uint64(tb)); ts != tsZeroSentinel {
-			p.LastAccess = time.Unix(0, ts)
-		}
-		pairs = append(pairs, p)
 	}
 	return
 }

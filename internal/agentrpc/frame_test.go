@@ -1,8 +1,8 @@
 package agentrpc
 
 // Unit tests for the binary frame codec: header round trips, payload
-// encodings, the zero-timestamp sentinel, and rejection of truncated or
-// corrupt input at every decode boundary.
+// encodings, the zero-time sentinel, and rejection of truncated, corrupt or
+// old-version input at every decode boundary.
 
 import (
 	"bufio"
@@ -38,17 +38,26 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// corruptHeaders is the header rejection corpus (also seeds FuzzDecodeFrame).
+var corruptHeaders = map[string][]byte{
+	"bad magic":    {0x7B, frameVersion, ftImportOpen, 0, 0, 0, 0},
+	"bad version":  {frameMagic, 99, ftImportOpen, 0, 0, 0, 0},
+	"version 1":    {frameMagic, 1, ftImportOpen, 0, 0, 0, 0},
+	"huge payload": {frameMagic, frameVersion, ftImportOpen, 0xFF, 0xFF, 0xFF, 0xFF},
+	"truncated":    {frameMagic, frameVersion, ftImportOpen, 0, 0, 0, 5, 'a', 'b'},
+}
+
 func TestReadFrameRejectsCorruptHeaders(t *testing.T) {
-	cases := map[string][]byte{
-		"bad magic":    {0x7B, frameVersion, ftHello, 0, 0, 0, 0},
-		"bad version":  {frameMagic, 99, ftHello, 0, 0, 0, 0},
-		"huge payload": {frameMagic, frameVersion, ftHello, 0xFF, 0xFF, 0xFF, 0xFF},
-		"truncated":    {frameMagic, frameVersion, ftHello, 0, 0, 0, 5, 'a', 'b'},
-	}
-	for name, raw := range cases {
+	for name, raw := range corruptHeaders {
 		if _, _, err := readFrame(bytes.NewReader(raw)); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
+	}
+	// Version 1 pairs carry no expiry: such a frame is refused outright, not
+	// mis-decoded.
+	_, _, err := readFrame(bytes.NewReader(corruptHeaders["version 1"]))
+	if err == nil || !strings.Contains(err.Error(), "unsupported frame version 1") {
+		t.Fatalf("version-1 frame: err = %v, want unsupported frame version", err)
 	}
 }
 
@@ -108,8 +117,8 @@ func TestAckRoundTrips(t *testing.T) {
 func TestImportBatchRoundTrip(t *testing.T) {
 	ts := time.Unix(1_700_000_123, 456)
 	pairs := []cache.KV{
-		{Key: "alpha", Value: []byte("value-1"), Flags: 7, LastAccess: ts},
-		{Key: "beta", Value: nil, Flags: 0},                     // zero time → sentinel
+		{Key: "alpha", Value: []byte("value-1"), Flags: 7, LastAccess: ts, Expiry: ts.Add(time.Hour)},
+		{Key: "beta", Value: nil, Flags: 0},                     // zero times → sentinel
 		{Key: strings.Repeat("k", 300), Value: make([]byte, 5)}, // multi-byte varint key length
 	}
 	b := appendImportBatch(getBuf(), "sender", 3, 11, pairs)
@@ -130,6 +139,9 @@ func TestImportBatchRoundTrip(t *testing.T) {
 		if !got[i].LastAccess.Equal(pairs[i].LastAccess) {
 			t.Fatalf("pair %d timestamp %v, want %v", i, got[i].LastAccess, pairs[i].LastAccess)
 		}
+		if !got[i].Expiry.Equal(pairs[i].Expiry) || got[i].Expiry.IsZero() != pairs[i].Expiry.IsZero() {
+			t.Fatalf("pair %d expiry %v, want %v", i, got[i].Expiry, pairs[i].Expiry)
+		}
 	}
 	// Every truncation point must fail loudly, never mis-decode.
 	for cut := 0; cut < len(b); cut++ {
@@ -149,7 +161,7 @@ func TestImportBatchValueAliasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[len(b)-13] ^= 0xFF // flip a byte inside the encoded value region
+	b[len(b)-21] ^= 0xFF // the value's last byte: flags + two timestamps trail it
 	if bytes.Equal(got[0].Value, []byte("immutable")) {
 		t.Fatal("decoded value did not alias the payload — the zero-copy path regressed")
 	}

@@ -1,0 +1,112 @@
+package agentrpc
+
+import (
+	"bufio"
+	"bytes"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/cache"
+)
+
+// FuzzDecodeFrame feeds arbitrary bytes to the frame reader and, when a
+// frame comes out, to that frame type's payload decoder — everything the
+// server runs on bytes straight off a socket. The contract:
+//
+//   - nothing panics, whatever the input;
+//   - readFrame consumes exactly the header plus the declared payload, and
+//     decoded values stay inside that payload (they alias it);
+//   - whatever decodes re-encodes to a frame that decodes to the same
+//     fields (encode∘decode is the identity on valid inputs).
+//
+// Run `go test -fuzz FuzzDecodeFrame ./internal/agentrpc` (or `make fuzz`)
+// to explore beyond the seeds.
+func FuzzDecodeFrame(f *testing.F) {
+	frame := func(typ byte, payload []byte) []byte {
+		var buf bytes.Buffer
+		if err := writeFrame(bufio.NewWriter(&buf), typ, payload); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	ts := time.Unix(1_700_000_123, 456)
+	batch := appendImportBatch(nil, "sender", 3, 11, []cache.KV{
+		{Key: "alpha", Value: []byte("value-1"), Flags: 7, LastAccess: ts, Expiry: ts.Add(time.Hour)},
+		{Key: "beta"},
+	})
+	f.Add(frame(ftImportOpen, appendImportOpen(nil, "node-a", 7, 0xDEADBEEF, 16)))
+	f.Add(frame(ftOpenAck, appendOpenAck(nil, 42, "")))
+	f.Add(frame(ftOpenAck, appendOpenAck(nil, 0, "kaboom")))
+	f.Add(frame(ftBatchAck, appendBatchAck(nil, 9, 9, 128, "")))
+	f.Add(frame(ftBatchAck, appendBatchAck(nil, 3, 0, 0, "gap")))
+	for cut := 0; cut <= len(batch); cut++ {
+		// Every truncation of the batch payload behind an honest header: the
+		// payload decoder must notice. The last one is the intact frame.
+		f.Add(frame(ftImportBatch, batch[:cut]))
+	}
+	for _, raw := range corruptHeaders {
+		f.Add(raw)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		typ, payload, err := readFrame(r)
+		if err != nil {
+			return
+		}
+		defer putBuf(payload)
+		if consumed := len(data) - r.Len(); consumed != frameHeaderLen+len(payload) {
+			t.Fatalf("readFrame consumed %d bytes for a %d-byte payload", consumed, len(payload))
+		}
+		switch typ {
+		case ftImportOpen:
+			from, epoch, fp, window, err := decodeImportOpen(payload)
+			if err != nil {
+				return
+			}
+			from2, epoch2, fp2, window2, err := decodeImportOpen(appendImportOpen(nil, from, epoch, fp, window))
+			if err != nil || from2 != from || epoch2 != epoch || fp2 != fp || window2 != window {
+				t.Fatalf("importOpen round trip: (%q %d %d %d) → (%q %d %d %d, %v)",
+					from, epoch, fp, window, from2, epoch2, fp2, window2, err)
+			}
+		case ftOpenAck:
+			hw, remoteErr, err := decodeOpenAck(payload)
+			if err != nil || (remoteErr == "" && payload[0] == 0) {
+				// Undecodable, or an error ack with no message: the encoder
+				// cannot produce one (the server's errors always carry text).
+				return
+			}
+			hw2, remoteErr2, err := decodeOpenAck(appendOpenAck(nil, hw, remoteErr))
+			if err != nil || hw2 != hw || remoteErr2 != remoteErr {
+				t.Fatalf("openAck round trip: (%d %q) → (%d %q, %v)", hw, remoteErr, hw2, remoteErr2, err)
+			}
+		case ftBatchAck:
+			seq, hw, imported, remoteErr, err := decodeBatchAck(payload)
+			if err != nil || (remoteErr == "" && payload[0] == 0) {
+				return // as for openAck
+			}
+			seq2, hw2, imported2, remoteErr2, err := decodeBatchAck(appendBatchAck(nil, seq, hw, imported, remoteErr))
+			if err != nil || seq2 != seq || hw2 != hw || imported2 != imported || remoteErr2 != remoteErr {
+				t.Fatalf("batchAck round trip: (%d %d %d %q) → (%d %d %d %q, %v)",
+					seq, hw, imported, remoteErr, seq2, hw2, imported2, remoteErr2, err)
+			}
+		case ftImportBatch:
+			from, epoch, seq, pairs, err := decodeImportBatch(payload)
+			if err != nil {
+				return
+			}
+			total := 0
+			for _, p := range pairs {
+				total += len(p.Key) + len(p.Value)
+			}
+			if total > len(payload) {
+				t.Fatalf("decoded %d key+value bytes out of a %d-byte payload", total, len(payload))
+			}
+			from2, epoch2, seq2, pairs2, err := decodeImportBatch(appendImportBatch(nil, from, epoch, seq, pairs))
+			if err != nil || from2 != from || epoch2 != epoch || seq2 != seq || !reflect.DeepEqual(pairs2, pairs) {
+				t.Fatalf("importBatch round trip diverged (err %v):\n%+v\n%+v", err, pairs, pairs2)
+			}
+		}
+	})
+}

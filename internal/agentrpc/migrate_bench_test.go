@@ -1,20 +1,13 @@
 package agentrpc
 
-// BenchmarkMigrateDataPlane is the acceptance benchmark for the streaming
-// data plane: one full SendData push of the sender's hot set, measured as
-// migrated pairs per second, across
+// BenchmarkMigrateDataPlane measures the streaming data plane: one full
+// SendData push of the sender's hot set over the framed stream with the
+// default in-flight window, as migrated pairs per second at rtt=0 and
+// rtt=5ms. The RTT is injected by a userspace proxy that delays each
+// direction by rtt/2, modeling propagation (not bandwidth): pipelined
+// batches overlap the latency.
 //
-//	{json-stopwait, binary-pipelined} × {rtt=0, rtt=5ms}
-//
-// json-stopwait is the legacy path (Client.ForceJSON pins the line
-// protocol; every ImportData batch is one blocking round trip).
-// binary-pipelined is the framed stream with the default in-flight window.
-// The RTT is injected by a userspace proxy that delays each direction by
-// rtt/2, modeling propagation (not bandwidth): pipelined batches overlap
-// the latency, stop-and-wait pays it per batch.
-//
-// Run via `make bench-migrate`. The issue's bar is ≥3× pairs/s for the
-// binary plane at rtt=5ms.
+// Run via `make bench-migrate`; EXPERIMENTS.md records the numbers.
 
 import (
 	"context"
@@ -100,66 +93,61 @@ func BenchmarkMigrateDataPlane(b *testing.B) {
 		valLen    = 256
 		batchSize = 64 // 32 batches per push
 	)
-	for _, mode := range []string{"json-stopwait", "binary-pipelined"} {
-		for _, rtt := range []time.Duration{0, 5 * time.Millisecond} {
-			b.Run(fmt.Sprintf("%s/rtt=%s", mode, rtt), func(b *testing.B) {
-				clk := newTestClock()
-				recvCache, err := cache.New(8*cache.PageSize, cache.WithClock(clk.Now))
-				if err != nil {
-					b.Fatal(err)
-				}
-				recv, err := agent.New("recv", recvCache, NewAddressBook())
-				if err != nil {
-					b.Fatal(err)
-				}
-				srv, err := Serve("127.0.0.1:0", recv, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer srv.Close()
+	for _, rtt := range []time.Duration{0, 5 * time.Millisecond} {
+		b.Run(fmt.Sprintf("rtt=%s", rtt), func(b *testing.B) {
+			clk := newTestClock()
+			recvCache, err := cache.New(8*cache.PageSize, cache.WithClock(clk.Now))
+			if err != nil {
+				b.Fatal(err)
+			}
+			recv, err := agent.New("recv", recvCache, NewAddressBook())
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv, err := Serve("127.0.0.1:0", recv, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
 
-				cl := NewClient("recv", delayProxy(b, srv.Addr(), rtt/2))
-				defer cl.Close()
-				if mode == "json-stopwait" {
-					cl.ForceJSON()
-				}
-				sendCache, err := cache.New(8*cache.PageSize, cache.WithClock(clk.Now))
-				if err != nil {
-					b.Fatal(err)
-				}
-				sender, err := agent.New("sender", sendCache, clientTransport{cl},
-					agent.WithTransferBatchSize(batchSize))
-				if err != nil {
-					b.Fatal(err)
-				}
-				populateSized(b, sender, pairs, valLen)
+			cl := NewClient("recv", delayProxy(b, srv.Addr(), rtt/2))
+			defer cl.Close()
+			sendCache, err := cache.New(8*cache.PageSize, cache.WithClock(clk.Now))
+			if err != nil {
+				b.Fatal(err)
+			}
+			sender, err := agent.New("sender", sendCache, clientTransport{cl},
+				agent.WithTransferBatchSize(batchSize))
+			if err != nil {
+				b.Fatal(err)
+			}
+			populateSized(b, sender, pairs, valLen)
 
-				ctx := context.Background()
-				total := 0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					// Touch one fresh key so the plan fingerprint changes:
-					// each iteration is a new epoch, never an ack-resume of
-					// the previous push.
-					b.StopTimer()
-					if err := sender.Cache().Set(fmt.Sprintf("bust-%09d", i), []byte("x")); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					stats, err := sender.SendData(ctx, "recv", takesFor(sender), []string{"recv"})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if stats.Pairs < pairs {
-						b.Fatalf("push covered %d pairs, want ≥ %d", stats.Pairs, pairs)
-					}
-					if stats.Resumed != 0 {
-						b.Fatalf("push resumed %d pairs; the fingerprint bust failed", stats.Resumed)
-					}
-					total += stats.Pairs
+			ctx := context.Background()
+			total := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Touch one fresh key so the plan fingerprint changes:
+				// each iteration is a new epoch, never an ack-resume of
+				// the previous push.
+				b.StopTimer()
+				if err := sender.Cache().Set(fmt.Sprintf("bust-%09d", i), []byte("x")); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "pairs/s")
-			})
-		}
+				b.StartTimer()
+				stats, err := sender.SendData(ctx, "recv", takesFor(sender), []string{"recv"})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if stats.Pairs < pairs {
+					b.Fatalf("push covered %d pairs, want ≥ %d", stats.Pairs, pairs)
+				}
+				if stats.Resumed != 0 {
+					b.Fatalf("push resumed %d pairs; the fingerprint bust failed", stats.Resumed)
+				}
+				total += stats.Pairs
+			}
+			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "pairs/s")
+		})
 	}
 }

@@ -1,23 +1,26 @@
 package agentrpc
 
 // Integration tests for the binary streaming data plane over real TCP:
-// windowed pipelined import end-to-end, negotiation fallback against a
-// JSON-only server, ack-based resume across a severed connection, and
+// windowed pipelined import end-to-end, the retryable failure against a
+// server that does not speak frames, TTL carriage, ack-based resume across
+// a severed connection, and
 // concurrent streams from several senders (the -race target for this
 // package).
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/agent"
 	"repro/internal/cache"
+	"repro/internal/taskgroup"
 )
 
 // clientTransport resolves every peer name to one fixed client.
@@ -93,16 +96,69 @@ func TestStreamImportOverTCP(t *testing.T) {
 			}
 		}
 	}
-	// Control ops still work on the same negotiated connection.
+	// Control ops still work on the same connection.
 	if rep := cl.Score(context.Background()); rep.Items != 500 {
 		t.Fatalf("post-stream score = %+v", rep)
 	}
 }
 
-// jsonOnlyServer mimics an old build: newline-delimited JSON only. Any
-// line that fails to parse (the client's binary hello) kills that
-// connection, like the real server's json.Unmarshal failure path did.
-func jsonOnlyServer(t *testing.T, a *agent.Agent) string {
+// TestStreamCarriesTTLOverTCP: an item set with a TTL keeps its deadline
+// across a real migration — the receiver reports the same Expiry and the
+// item dies on schedule instead of turning immortal on its new owner.
+func TestStreamCarriesTTLOverTCP(t *testing.T) {
+	book := NewAddressBook()
+	defer book.Close()
+	clk := newTestClock()
+	recv := startNode(t, book, "recv", 4, clk)
+
+	cl := NewClient("recv", recv.server.Addr())
+	defer cl.Close()
+	sender := newStreamSender(t, "sender", cl, clk)
+	deadline := clk.Now().Add(time.Minute)
+	if err := sender.Cache().SetExpiring("mortal", []byte("v"), deadline); err != nil {
+		t.Fatal(err)
+	}
+	if err := sender.Cache().Set("immortal", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+
+	stats, err := sender.SendData(context.Background(), "recv", takesFor(sender), []string{"recv"})
+	if err != nil || stats.Pairs != 2 {
+		t.Fatalf("send = %+v, %v; want 2 pairs", stats, err)
+	}
+	rc := recv.agent.Cache()
+	classID := rc.PopulatedClasses()[0]
+	metas, err := rc.TopMeta(classID, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]time.Time)
+	for _, p := range rc.AppendPairs(nil, metas) {
+		got[p.Key] = p.Expiry
+	}
+	if exp, ok := got["mortal"]; !ok || !exp.Equal(deadline) {
+		t.Fatalf("receiver's expiry for the TTL'd item = %v (present %v), want %v", exp, ok, deadline)
+	}
+	if exp, ok := got["immortal"]; !ok || !exp.IsZero() {
+		t.Fatalf("receiver's expiry for the plain item = %v (present %v), want none", exp, ok)
+	}
+
+	clk.mu.Lock()
+	clk.t = deadline.Add(time.Second)
+	clk.mu.Unlock()
+	if _, err := rc.Get("mortal"); !errors.Is(err, cache.ErrNotFound) {
+		t.Fatalf("TTL'd item after its deadline: err = %v, want ErrNotFound", err)
+	}
+	if _, err := rc.Get("immortal"); err != nil {
+		t.Fatalf("plain item after the deadline: %v", err)
+	}
+}
+
+// nonFramingServer speaks only the newline-delimited JSON control protocol
+// (it answers `score`) and, like any peer that does not know this frame
+// version, drops the connection on bytes it cannot parse. accepted counts
+// the connections it has seen.
+func nonFramingServer(t *testing.T, a *agent.Agent, accepted *atomic.Int32) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -115,34 +171,21 @@ func jsonOnlyServer(t *testing.T, a *agent.Agent) string {
 			if err != nil {
 				return
 			}
+			accepted.Add(1)
 			go func(conn net.Conn) {
 				defer conn.Close()
-				br := bufio.NewReader(conn)
+				dec, enc := json.NewDecoder(conn), json.NewEncoder(conn)
 				for {
-					line, err := br.ReadBytes('\n')
-					if err != nil {
-						return
-					}
 					var req request
-					if err := json.Unmarshal(line, &req); err != nil {
-						return // old servers drop the connection on garbage
+					if err := dec.Decode(&req); err != nil {
+						return // 0xEB is not JSON: hang up
 					}
-					var resp response
-					switch req.Op {
-					case OpImportData:
-						if err := a.ImportData(context.Background(), req.From, req.Pairs); err != nil {
-							resp.Error = err.Error()
-						} else {
-							resp.OK = true
-						}
-					default:
-						resp.Error = fmt.Sprintf("unsupported op %q", req.Op)
+					resp := response{Error: fmt.Sprintf("unsupported op %q", req.Op)}
+					if req.Op == OpScore {
+						rep := a.Score(context.Background())
+						resp = response{OK: true, Score: &rep}
 					}
-					data, err := json.Marshal(&resp)
-					if err != nil {
-						return
-					}
-					if _, err := conn.Write(append(data, '\n')); err != nil {
+					if err := enc.Encode(&resp); err != nil {
 						return
 					}
 				}
@@ -152,10 +195,11 @@ func jsonOnlyServer(t *testing.T, a *agent.Agent) string {
 	return ln.Addr().String()
 }
 
-// TestStreamFallsBackToJSONOnlyServer: against an old server the hello
-// frame dies, the client pins itself to JSON, and the push completes over
-// the legacy per-batch path — mixed-version clusters keep migrating.
-func TestStreamFallsBackToJSONOnlyServer(t *testing.T) {
+// TestOpenImportAgainstNonFramingServerFails: there is one data plane and
+// no downgrade. A peer that cannot answer the open frame is an ordinary
+// transport failure — retryable, not Permanent, nothing applied — and the
+// client recovers by redialling, not by pinning itself to another protocol.
+func TestOpenImportAgainstNonFramingServerFails(t *testing.T) {
 	clk := newTestClock()
 	recvCache, err := cache.New(4*cache.PageSize, cache.WithClock(clk.Now))
 	if err != nil {
@@ -165,30 +209,35 @@ func TestStreamFallsBackToJSONOnlyServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := jsonOnlyServer(t, recv)
-
-	cl := NewClient("recv", addr)
+	var accepted atomic.Int32
+	cl := NewClient("recv", nonFramingServer(t, recv, &accepted))
 	defer cl.Close()
 	sender := newStreamSender(t, "sender", cl, clk, agent.WithTransferBatchSize(32))
 	populate(t, sender, 200)
 
-	stats, err := sender.SendData(context.Background(), "recv", takesFor(sender), []string{"recv"})
-	if err != nil {
-		t.Fatal(err)
+	for attempt := 1; attempt <= 2; attempt++ {
+		_, err := sender.SendData(context.Background(), "recv", takesFor(sender), []string{"recv"})
+		if err == nil {
+			t.Fatalf("attempt %d: push to a non-framing server succeeded", attempt)
+		}
+		if taskgroup.IsPermanent(err) || errors.Is(err, ErrRemote) {
+			t.Fatalf("attempt %d: err = %v, want a retryable transport error", attempt, err)
+		}
+		// Each attempt dials afresh: the failed connection was dropped, and
+		// nothing sticky short-circuits the retry.
+		if got := accepted.Load(); int(got) != attempt {
+			t.Fatalf("attempt %d: server saw %d connections", attempt, got)
+		}
 	}
-	if stats.Pairs != 200 {
-		t.Fatalf("fallback moved %d pairs, want 200", stats.Pairs)
+	if got := recv.Cache().Len(); got != 0 {
+		t.Fatalf("receiver holds %d pairs after failed opens, want none", got)
 	}
-	if stats.WireBytes != 0 {
-		t.Fatalf("fallback path reported wire bytes %d; only the binary plane measures them", stats.WireBytes)
+	// Control ops still work: the client redials and speaks JSON as ever.
+	if rep := cl.Score(context.Background()); rep.Node != "recv" {
+		t.Fatalf("score after failed opens = %+v", rep)
 	}
-	if got := recv.Cache().Len(); got != 200 {
-		t.Fatalf("receiver holds %d, want 200", got)
-	}
-	// The failed negotiation must be sticky: a streaming open now reports
-	// unsupported immediately instead of re-probing.
-	if _, err := cl.OpenImport(context.Background(), "sender", 1, 1, 4); !errors.Is(err, agent.ErrStreamUnsupported) {
-		t.Fatalf("OpenImport after JSON pinning = %v, want ErrStreamUnsupported", err)
+	if got := accepted.Load(); got != 3 {
+		t.Fatalf("server saw %d connections, want 3 (two failed opens + one redial)", got)
 	}
 }
 
@@ -274,8 +323,8 @@ func TestStreamResumeOverTCP(t *testing.T) {
 	clk := newTestClock()
 	recv := startNode(t, book, "recv", 4, clk)
 
-	// Cut the first connection ~20 KiB in: negotiation and a few batches
-	// land, then the stream dies.
+	// Cut the first connection ~20 KiB in: the open and a few batches land,
+	// then the stream dies.
 	cl := NewClient("recv", cutProxy(t, recv.server.Addr(), 20<<10))
 	defer cl.Close()
 	sender := newStreamSender(t, "sender", cl, clk,

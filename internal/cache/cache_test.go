@@ -398,25 +398,6 @@ func TestCapacity(t *testing.T) {
 	}
 }
 
-func TestKeys(t *testing.T) {
-	c, _ := newTestCache(t, 1)
-	want := map[string]bool{"a": true, "b": true, "c": true}
-	for k := range want {
-		if err := c.Set(k, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := c.Keys()
-	if len(got) != len(want) {
-		t.Fatalf("Keys() returned %d keys, want %d", len(got), len(want))
-	}
-	for _, k := range got {
-		if !want[k] {
-			t.Fatalf("unexpected key %q", k)
-		}
-	}
-}
-
 func TestWithGrowthFactor(t *testing.T) {
 	c, err := New(PageSize, WithGrowthFactor(2.0))
 	if err != nil {

@@ -73,10 +73,7 @@ func TestExpiredItemsExcludedFromDumpAndFetch(t *testing.T) {
 	if len(metas) != 1 || metas[0].Key != "live" {
 		t.Fatalf("dump = %v, want only live", metas)
 	}
-	kvs, err := c.FetchTop(0, 10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	kvs := topPairs(t, c, 0, 10, nil)
 	if len(kvs) != 1 || kvs[0].Key != "live" {
 		t.Fatalf("fetch = %v, want only live", kvs)
 	}

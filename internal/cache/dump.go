@@ -3,6 +3,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 )
@@ -18,7 +19,7 @@ import (
 //     (Section III-C).
 //
 // On the sharded engine every query here aggregates across shards: dumps
-// and FetchTop k-way merge the per-shard MRU runs by timestamp, medians
+// and selections k-way merge the per-shard MRU runs by timestamp, medians
 // and capacities gather-and-reduce, and the batch import fans its writes
 // out per shard so each shard lock is taken once per batch. The serving
 // path on other shards keeps running while a dump snapshots one shard.
@@ -70,53 +71,33 @@ func (sh *shard) eachClassSlab(classID int, fn func(sl *slab)) {
 	}
 }
 
-// dumpClass snapshots one shard's metadata for the class; callers sort and
-// merge the runs.
-func (sh *shard) dumpClass(classID int, nowNano int64, filter func(key string) bool) []ItemMeta {
+// walkClass visits one shard's live chunks of the class in MRU order, slab
+// by slab, under the shard lock. take reports whether it selected the
+// chunk; each slab contributes at most limit selections. Expired chunks are
+// never offered: dead items are neither migration candidates nor scoring
+// inputs. This is the only export-side list walk — dumps, selections,
+// snapshots and medians all read through it.
+func (sh *shard) walkClass(classID, limit int, nowNano int64, take func(ch []byte) bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	var out []ItemMeta
 	sh.eachClassSlab(classID, func(sl *slab) {
-		if sl.list.size == 0 {
-			return
-		}
-		if out == nil {
-			out = make([]ItemMeta, 0, sl.list.size)
-		}
-		sl.list.each(&sh.owner.pool, func(ref itemRef, ch []byte) bool {
-			if chExpired(ch, nowNano) {
-				return true // dead items are not migration candidates
+		taken := 0
+		sl.list.each(&sh.owner.pool, func(_ itemRef, ch []byte) bool {
+			if chExpired(ch, nowNano) || !take(ch) {
+				return true
 			}
-			m := metaOf(ch, classID)
-			if filter == nil || filter(m.Key) {
-				out = append(out, m)
-			}
-			return true
+			taken++
+			return taken < limit
 		})
 	})
-	return out
 }
 
 // DumpClass returns the metadata of every item in the slab class, globally
-// in MRU order (hottest first): the per-shard MRU runs are k-way merged by
-// timestamp, so the output is non-increasing in LastAccess exactly as the
-// paper's single-list dump is. If filter is non-nil only items whose key
-// passes are included — retiring Agents filter by consistent-hash target.
+// in MRU order (hottest first) — TopMeta without a limit. If filter is
+// non-nil only items whose key passes are included — retiring Agents filter
+// by consistent-hash target.
 func (c *Cache) DumpClass(classID int, filter func(key string) bool) ([]ItemMeta, error) {
-	if classID < 0 || classID >= len(c.classes) {
-		return nil, fmt.Errorf("cache: slab class %d out of range", classID)
-	}
-	nowNano := c.nowNano()
-	runs := make([][]ItemMeta, 0, len(c.shards))
-	for _, sh := range c.shards {
-		run := sh.dumpClass(classID, nowNano, filter)
-		if len(run) == 0 {
-			continue
-		}
-		sortRun(run)
-		runs = append(runs, run)
-	}
-	return mergeRuns(runs), nil
+	return c.TopMeta(classID, math.MaxInt, filter)
 }
 
 // DumpAll returns the timestamp dump of every populated slab class, keyed
@@ -162,24 +143,21 @@ func (c *Cache) ClassOrderByShard(classID int) ([][]ItemMeta, error) {
 	return out, nil
 }
 
-// MedianTimestamp returns the MRU timestamp of the median item (by global
-// MRU position across shards) of the slab class. The boolean is false when
-// the class is empty. The Master compares these medians across nodes to
-// score retiring candidates (Section III-C).
+// MedianTimestamp returns the MRU timestamp of the median live item (by
+// global MRU position across shards) of the slab class. The boolean is
+// false when the class holds no live item. The Master compares these
+// medians across nodes to score retiring candidates (Section III-C).
 func (c *Cache) MedianTimestamp(classID int) (time.Time, bool) {
 	if classID < 0 || classID >= len(c.classes) {
 		return time.Time{}, false
 	}
+	nowNano := c.nowNano()
 	var stamps []int64
 	for _, sh := range c.shards {
-		sh.mu.Lock()
-		sh.eachClassSlab(classID, func(sl *slab) {
-			sl.list.each(&c.pool, func(ref itemRef, ch []byte) bool {
-				stamps = append(stamps, chAccess(ch))
-				return true
-			})
+		sh.walkClass(classID, math.MaxInt, nowNano, func(ch []byte) bool {
+			stamps = append(stamps, chAccess(ch))
+			return true
 		})
-		sh.mu.Unlock()
 	}
 	if len(stamps) == 0 {
 		return time.Time{}, false
@@ -278,94 +256,6 @@ func (c *Cache) ClassAbsorbCapacity(classID int) int {
 	}
 	chunksPerPage := PageSize / c.classes[classID]
 	return c.pool.free()*chunksPerPage + c.ClassCapacity(classID)
-}
-
-// KV is a key/value/timestamp tuple shipped in migration phase 3.
-type KV struct {
-	// Key and Value carry the pair.
-	Key   string `json:"key"`
-	Value []byte `json:"value"`
-	// Flags are the opaque client flags stored with the item; shipping them
-	// keeps `set` flag semantics intact across a migration.
-	Flags uint32 `json:"flags,omitempty"`
-	// LastAccess preserves the MRU timestamp across the move so merged
-	// hotness stays meaningful.
-	LastAccess time.Time `json:"lastAccess"`
-	// Expiry is the item's absolute expiry deadline (zero = never). Carrying
-	// it keeps TTLs intact across migrations and warm-restart snapshots; the
-	// binary migration frames predate the field and ship it as zero, which
-	// matches their historical drop-the-TTL behavior.
-	Expiry time.Time `json:"expiresAt,omitempty"`
-}
-
-// fetchTop snapshots up to count matching pairs of one shard in MRU order,
-// copying values; callers sort and merge the runs.
-func (sh *shard) fetchTop(classID, count int, nowNano int64, filter func(key string) bool) []KV {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var out []KV
-	sh.eachClassSlab(classID, func(sl *slab) {
-		if sl.list.size == 0 {
-			return
-		}
-		if out == nil {
-			out = make([]KV, 0, count)
-		}
-		// Each slab contributes at most count pairs; the caller sorts the
-		// concatenated run by timestamp before the cross-shard merge.
-		taken := 0
-		sl.list.each(&sh.owner.pool, func(ref itemRef, ch []byte) bool {
-			if chExpired(ch, nowNano) {
-				return true // never ship dead items
-			}
-			key := string(chKey(ch))
-			if filter == nil || filter(key) {
-				v := chValue(ch)
-				out = append(out, KV{
-					Key:        key,
-					Value:      append(make([]byte, 0, len(v)), v...),
-					Flags:      chFlags(ch),
-					LastAccess: fromNano(chAccess(ch)),
-					Expiry:     fromNano(chExpire(ch)),
-				})
-				taken++
-				if taken == count {
-					return false
-				}
-			}
-			return true
-		})
-	})
-	return out
-}
-
-// FetchTop returns the globally hottest count items of the class in MRU
-// order whose keys pass filter (nil = all): each shard contributes its own
-// top run and the runs are merged by timestamp. Retiring Agents call this
-// in phase 3 with the per-list take counts FuseCache computed.
-func (c *Cache) FetchTop(classID, count int, filter func(key string) bool) ([]KV, error) {
-	if classID < 0 || classID >= len(c.classes) {
-		return nil, fmt.Errorf("cache: slab class %d out of range", classID)
-	}
-	if count <= 0 {
-		return nil, nil
-	}
-	nowNano := c.nowNano()
-	runs := make([][]KV, 0, len(c.shards))
-	for _, sh := range c.shards {
-		// A shard never contributes more than count items to the global top.
-		run := sh.fetchTop(classID, count, nowNano, filter)
-		if len(run) == 0 {
-			continue
-		}
-		sortRun(run)
-		runs = append(runs, run)
-	}
-	merged := mergeRuns(runs)
-	if len(merged) > count {
-		merged = merged[:count]
-	}
-	return merged, nil
 }
 
 // BatchImport writes migrated KV pairs into the cache by prepending them at
@@ -496,59 +386,4 @@ func (sh *shard) importOneLocked(p KV) error {
 	ts.items++
 	ts.bytes += int64(sl.chunkSize)
 	return nil
-}
-
-// EvictColdest drops the n globally coldest items of a class (tail-first
-// across shards: each round evicts the coldest shard tail); used by tests
-// and by policies that emulate naive migration's evictions. It returns the
-// number actually evicted.
-func (c *Cache) EvictColdest(classID, n int) int {
-	if classID < 0 || classID >= len(c.classes) {
-		return 0
-	}
-	evicted := 0
-	for evicted < n {
-		var victim *shard
-		var victimTS int64
-		for _, sh := range c.shards {
-			sh.mu.Lock()
-			if sl := sh.slabs[classID]; sl != nil && sl.list.tail != nilRef {
-				ts := chAccess(c.pool.chunkAt(sl.list.tail))
-				if victim == nil || ts < victimTS {
-					victim, victimTS = sh, ts
-				}
-			}
-			sh.mu.Unlock()
-		}
-		if victim == nil {
-			return evicted
-		}
-		victim.mu.Lock()
-		if sl := victim.slabs[classID]; sl != nil && sl.list.tail != nilRef {
-			victim.evictLocked(sl)
-			evicted++
-		}
-		victim.mu.Unlock()
-	}
-	return evicted
-}
-
-// Keys returns every resident key in no particular order. Intended for
-// tests and the scale-out hash split, not hot paths.
-func (c *Cache) Keys() []string {
-	out := make([]string, 0, c.Len())
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for _, sl := range sh.slabs {
-			if sl == nil {
-				continue
-			}
-			sl.list.each(&c.pool, func(ref itemRef, ch []byte) bool {
-				out = append(out, string(chKey(ch)))
-				return true
-			})
-		}
-		sh.mu.Unlock()
-	}
-	return out
 }

@@ -143,6 +143,42 @@ func TestMedianTimestampEmpty(t *testing.T) {
 	}
 }
 
+// TestMedianTimestampSkipsExpired: the node score must not be dragged
+// colder by dead items — the median is taken over the live items the dump
+// would offer, and a class holding only expired items has no median.
+func TestMedianTimestampSkipsExpired(t *testing.T) {
+	c, clk := newTestCache(t, 1)
+	deadline := clk.Now().Add(time.Second)
+	for i := 0; i < 4; i++ { // the older half carries a TTL
+		if err := c.SetExpiring(fmt.Sprintf("dying-%d", i), []byte("val"), deadline); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expire := func() {
+		clk.mu.Lock()
+		clk.t = deadline.Add(time.Minute)
+		clk.mu.Unlock()
+	}
+	expire()
+	if ts, ok := c.MedianTimestamp(0); ok {
+		t.Fatalf("median %v reported for a class holding only expired items", ts)
+	}
+
+	fill(t, c, 5, "live")
+	median, ok := c.MedianTimestamp(0)
+	if !ok {
+		t.Fatal("median missing for a class with live items")
+	}
+	live, err := c.DumpClass(0, nil)
+	if err != nil || len(live) != 5 {
+		t.Fatalf("dump = %v, %v; want the 5 live items", live, err)
+	}
+	if !median.Equal(live[2].LastAccess) {
+		t.Fatalf("median = %v, want the live half's median %v (coldest live is %v)",
+			median, live[2].LastAccess, live[4].LastAccess)
+	}
+}
+
 func TestSlabPageWeightsSumToOne(t *testing.T) {
 	c, _ := newTestCache(t, 8)
 	fill(t, c, 100, "small")
@@ -204,66 +240,6 @@ func TestClassCapacity(t *testing.T) {
 	}
 	if got := c.ClassCapacity(5000); got != 0 {
 		t.Fatalf("ClassCapacity(out of range) = %d, want 0", got)
-	}
-}
-
-func TestFetchTop(t *testing.T) {
-	c, _ := newTestCache(t, 1)
-	fill(t, c, 10, "key")
-	kvs, err := c.FetchTop(0, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kvs) != 3 {
-		t.Fatalf("FetchTop returned %d, want 3", len(kvs))
-	}
-	if kvs[0].Key != "key-0009" || kvs[2].Key != "key-0007" {
-		t.Fatalf("FetchTop order wrong: %q ... %q", kvs[0].Key, kvs[2].Key)
-	}
-}
-
-func TestFetchTopFiltered(t *testing.T) {
-	c, _ := newTestCache(t, 1)
-	fill(t, c, 10, "keep")
-	fill(t, c, 10, "drop")
-	kvs, err := c.FetchTop(0, 5, func(k string) bool { return strings.HasPrefix(k, "keep") })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kvs) != 5 {
-		t.Fatalf("FetchTop returned %d, want 5", len(kvs))
-	}
-	for _, kv := range kvs {
-		if !strings.HasPrefix(kv.Key, "keep") {
-			t.Fatalf("filter leaked %q", kv.Key)
-		}
-	}
-}
-
-func TestFetchTopCopiesValues(t *testing.T) {
-	c, _ := newTestCache(t, 1)
-	if err := c.Set("k", []byte("orig")); err != nil {
-		t.Fatal(err)
-	}
-	kvs, err := c.FetchTop(0, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kvs[0].Value[0] = 'X'
-	got, _ := c.Peek("k")
-	if string(got) != "orig" {
-		t.Fatal("FetchTop exposed internal value storage")
-	}
-}
-
-func TestFetchTopEdgeCases(t *testing.T) {
-	c, _ := newTestCache(t, 1)
-	if _, err := c.FetchTop(-1, 1, nil); err == nil {
-		t.Fatal("want error for bad class")
-	}
-	kvs, err := c.FetchTop(0, 0, nil)
-	if err != nil || kvs != nil {
-		t.Fatalf("FetchTop(0 count) = %v, %v; want nil, nil", kvs, err)
 	}
 }
 
@@ -381,25 +357,5 @@ func TestBatchImportRejectsEmptyKeyAndHugeValue(t *testing.T) {
 	}
 	if _, err := c.BatchImport([]KV{{Key: "k", Value: make([]byte, PageSize+1)}}, true); err == nil {
 		t.Fatal("want error for oversized value")
-	}
-}
-
-func TestEvictColdest(t *testing.T) {
-	c, _ := newTestCache(t, 1)
-	fill(t, c, 10, "key")
-	if got := c.EvictColdest(0, 3); got != 3 {
-		t.Fatalf("evicted %d, want 3", got)
-	}
-	// The three oldest inserts are gone.
-	for i := 0; i < 3; i++ {
-		if c.Contains(fmt.Sprintf("key-%04d", i)) {
-			t.Fatalf("key-%04d survived EvictColdest", i)
-		}
-	}
-	if got := c.EvictColdest(0, 100); got != 7 {
-		t.Fatalf("evicted %d, want the remaining 7", got)
-	}
-	if got := c.EvictColdest(500, 1); got != 0 {
-		t.Fatalf("evicted %d from bogus class, want 0", got)
 	}
 }

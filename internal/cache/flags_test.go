@@ -90,9 +90,9 @@ func TestFlagsSurviveMigration(t *testing.T) {
 	}
 
 	// Phase 3: fetch carries the flags.
-	pairs, err := src.FetchTop(classID, 1, nil)
-	if err != nil || len(pairs) != 1 {
-		t.Fatalf("FetchTop = %+v, %v", pairs, err)
+	pairs := topPairs(t, src, classID, 1, nil)
+	if len(pairs) != 1 {
+		t.Fatalf("top pairs = %+v", pairs)
 	}
 	if pairs[0].Flags != 1234 {
 		t.Fatalf("fetched flags = %d, want 1234", pairs[0].Flags)

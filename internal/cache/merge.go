@@ -1,9 +1,6 @@
 package cache
 
-import (
-	"sort"
-	"time"
-)
+import "sort"
 
 // K-way merge of per-shard MRU runs. The sharded engine stores each slab
 // class as one MRU list per shard; the ElMem dump command must still emit
@@ -15,24 +12,17 @@ import (
 // original timestamps but land at the head), and merged through a small
 // binary heap keyed on the run heads.
 
-// tsItem is anything carrying an MRU timestamp; ItemMeta and KV both do.
-type tsItem interface{ ts() time.Time }
-
-func (m ItemMeta) ts() time.Time { return m.LastAccess }
-
-func (p KV) ts() time.Time { return p.LastAccess }
-
 // sortRun normalizes one shard's snapshot to non-increasing timestamp
 // order. The stable sort keeps list order for equal timestamps, so a
 // single-shard cache dumps exactly its MRU list.
-func sortRun[T tsItem](run []T) {
-	sort.SliceStable(run, func(i, j int) bool { return run[i].ts().After(run[j].ts()) })
+func sortRun(run []ItemMeta) {
+	sort.SliceStable(run, func(i, j int) bool { return run[i].LastAccess.After(run[j].LastAccess) })
 }
 
 // mergeRuns k-way merges runs — each non-increasing in timestamp — into
 // one globally non-increasing slice. Ties break toward the lower run index
 // for determinism. O(N log k) for N total items over k runs.
-func mergeRuns[T tsItem](runs [][]T) []T {
+func mergeRuns(runs [][]ItemMeta) []ItemMeta {
 	live := runs[:0]
 	total := 0
 	for _, r := range runs {
@@ -48,7 +38,7 @@ func mergeRuns[T tsItem](runs [][]T) []T {
 		return live[0]
 	}
 
-	out := make([]T, 0, total)
+	out := make([]ItemMeta, 0, total)
 	pos := make([]int, len(live))
 	// h is a max-heap of run indices ordered by each run's current head.
 	h := make([]int, len(live))
@@ -56,7 +46,7 @@ func mergeRuns[T tsItem](runs [][]T) []T {
 		h[i] = i
 	}
 	hotter := func(a, b int) bool {
-		ta, tb := live[a][pos[a]].ts(), live[b][pos[b]].ts()
+		ta, tb := live[a][pos[a]].LastAccess, live[b][pos[b]].LastAccess
 		if ta.Equal(tb) {
 			return a < b
 		}

@@ -170,7 +170,7 @@ func TestShardedMedianTimestamp(t *testing.T) {
 	}
 }
 
-func TestShardedFetchTopGlobalHottest(t *testing.T) {
+func TestShardedTopMetaGlobalHottest(t *testing.T) {
 	c, _ := newShardedCache(t, 64, 8)
 	for i := 0; i < 90; i++ {
 		if err := c.Set(fmt.Sprintf("cold-%02d", i), []byte("v")); err != nil {
@@ -182,17 +182,14 @@ func TestShardedFetchTopGlobalHottest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	kvs, err := c.FetchTop(0, 10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	kvs := topPairs(t, c, 0, 10, nil)
 	if len(kvs) != 10 {
-		t.Fatalf("FetchTop returned %d, want 10", len(kvs))
+		t.Fatalf("top pairs returned %d, want 10", len(kvs))
 	}
 	for i, kv := range kvs {
 		want := fmt.Sprintf("hot-%d", 9-i)
 		if kv.Key != want {
-			t.Fatalf("FetchTop[%d] = %q, want %q (global recency order)", i, kv.Key, want)
+			t.Fatalf("top[%d] = %q, want %q (global recency order)", i, kv.Key, want)
 		}
 	}
 }
@@ -347,33 +344,6 @@ func TestShardDistributionSumsToLen(t *testing.T) {
 	}
 	if items != st.Items || sets != st.Sets {
 		t.Fatalf("per-shard sums items=%d sets=%d, want %d/%d", items, sets, st.Items, st.Sets)
-	}
-}
-
-func TestShardedEvictColdestIsGlobal(t *testing.T) {
-	c, _ := newShardedCache(t, 64, 4)
-	for i := 0; i < 40; i++ {
-		if err := c.Set(fmt.Sprintf("key-%02d", i), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := c.EvictColdest(0, 10); got != 10 {
-		t.Fatalf("evicted %d, want 10", got)
-	}
-	// The globally coldest ten are the first ten inserts, wherever they
-	// hashed to.
-	for i := 0; i < 10; i++ {
-		if c.Contains(fmt.Sprintf("key-%02d", i)) {
-			t.Fatalf("key-%02d survived global EvictColdest", i)
-		}
-	}
-	for i := 10; i < 40; i++ {
-		if !c.Contains(fmt.Sprintf("key-%02d", i)) {
-			t.Fatalf("key-%02d lost: EvictColdest dropped a hot item", i)
-		}
-	}
-	if st := c.Stats(); st.Evictions != 10 {
-		t.Fatalf("evictions = %d, want 10", st.Evictions)
 	}
 }
 

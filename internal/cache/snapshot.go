@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 )
@@ -18,11 +19,9 @@ import (
 // both ends:
 //
 //   - the dump side walks each slab class with the phase-3 streaming
-//     producer (TopMeta selection + AppendPairs batches, FetchTopStream),
-//     emitting items coldest-first so peak extra memory is one batch;
-//   - records use the agentrpc frame codec's varint layout (uvarint
-//     key/value lengths, big-endian u32 flags and i64 nanos with the
-//     MinInt64 zero-time sentinel);
+//     producer (FetchTopStream), emitting items coldest-first so peak
+//     extra memory is one batch;
+//   - records are the migration frames' pair record (AppendPair);
 //   - the restore side feeds batches straight into BatchImport, whose
 //     head-prepend of a coldest-first stream reproduces the MRU order
 //     exactly, timestamps and TTLs preserved.
@@ -32,9 +31,7 @@ import (
 //	header  = magic "ELMS" version(1)
 //	class   = uvarint(classID+1) batch* uvarint(0)   — classID 0 is real,
 //	          so the class marker is shifted by one and 0 terminates
-//	batch   = uvarint(pairCount>0) pair*
-//	pair    = keyLen(uvarint) key valLen(uvarint) val flags(u32 BE)
-//	          access(i64 BE) expire(i64 BE)
+//	batch   = uvarint(pairCount>0) pair*       — pair as AppendPair writes it
 //	trailer = uvarint(0) totalPairs(u64 BE) crc32(u32 BE)
 //
 // The CRC covers every byte before it (IEEE polynomial), so truncation and
@@ -101,43 +98,22 @@ func (c *Cache) WriteSnapshot(w io.Writer) (int, error) {
 		return err
 	}
 	total := 0
+	var rec []byte // one encoded pair record, reused
 	for _, classID := range c.PopulatedClasses() {
-		// The selection cap must cover the whole class; Len() bounds any
-		// class's population even while items churn underneath.
-		count := c.Len()
-		if count == 0 {
-			continue
-		}
 		if err := writeUvarint(uint64(classID) + 1); err != nil {
 			return total, err
 		}
-		_, err := c.FetchTopStream(classID, count, nil, snapshotBatchPairs, snapshotBatchBytes, func(b StreamBatch) error {
+		_, err := c.FetchTopStream(classID, math.MaxInt, nil, snapshotBatchPairs, snapshotBatchBytes, func(b StreamBatch) error {
 			if err := writeUvarint(uint64(len(b.Pairs))); err != nil {
 				return err
 			}
 			for i := range b.Pairs {
-				p := &b.Pairs[i]
-				if err := writeUvarint(uint64(len(p.Key))); err != nil {
+				rec = AppendPair(rec[:0], &b.Pairs[i])
+				if _, err := bw.Write(rec); err != nil {
 					return err
 				}
-				if _, err := bw.WriteString(p.Key); err != nil {
-					return err
-				}
-				if err := writeUvarint(uint64(len(p.Value))); err != nil {
-					return err
-				}
-				if _, err := bw.Write(p.Value); err != nil {
-					return err
-				}
-				var fixed [20]byte
-				binary.BigEndian.PutUint32(fixed[0:], p.Flags)
-				binary.BigEndian.PutUint64(fixed[4:], uint64(toNano(p.LastAccess)))
-				binary.BigEndian.PutUint64(fixed[12:], uint64(toNano(p.Expiry)))
-				if _, err := bw.Write(fixed[:]); err != nil {
-					return err
-				}
-				total++
 			}
+			total += len(b.Pairs)
 			return nil
 		})
 		if err != nil {
@@ -298,7 +274,8 @@ func (c *Cache) RestoreSnapshot(r io.Reader) (int, error) {
 	return total, nil
 }
 
-// readSnapshotPair decodes one pair record.
+// readSnapshotPair decodes one AppendPair record off the checksummed
+// stream, enforcing the restore-side length caps before it allocates.
 func readSnapshotPair(sr *snapReader) (KV, error) {
 	var p KV
 	klen, err := sr.uvarint()

@@ -4,63 +4,26 @@ import (
 	"fmt"
 )
 
-// Streaming migration producer (phase 3 data plane). The original
-// FetchTop materializes every selected pair — values included — before
-// the first byte leaves the node, so a retiring node's memory spike is
-// O(hot set). The streaming producer splits selection from fetching:
+// Streaming migration producer (phase 3 data plane). Selection is split
+// from fetching so a retiring node's extra memory is O(batch), not
+// O(hot set):
 //
 //   - TopMeta picks the top-count items of a class by metadata only
-//     (keys + timestamps, no values), exactly the FetchTop merge without
-//     the value copies;
-//   - AppendPairs materializes the values for one bounded batch of metas,
-//     taking each touched shard's lock once and reusing the caller's
-//     value buffers, so the live value footprint is O(batch);
-//   - FetchTopStream composes the two: it walks a class's selection
-//     coldest-first in batches bounded by both pair count and bytes and
-//     hands each batch to a callback that may retain nothing.
-//
-// Batch boundaries are computed from the metadata alone (key + value
-// sizes known at selection time), so a retried stream over the same
-// selection re-produces identical batches — the property the resumable
-// windowed sender relies on to skip already-acknowledged sequences.
+//     (keys + timestamps, no values);
+//   - CutBatches cuts a selection coldest-first into batches bounded by
+//     pair count and payload bytes, from the metadata alone;
+//   - AppendPairs materializes the values for one such batch, taking each
+//     touched shard's lock once and reusing the caller's value buffers;
+//   - FetchTopStream composes the three and hands each batch to a callback
+//     that may retain nothing.
 
-// topMeta snapshots up to count matching metas of one shard in MRU order;
-// callers sort and merge the runs.
-func (sh *shard) topMeta(classID, count int, nowNano int64, filter func(key string) bool) []ItemMeta {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var out []ItemMeta
-	sh.eachClassSlab(classID, func(sl *slab) {
-		if sl.list.size == 0 {
-			return
-		}
-		if out == nil {
-			out = make([]ItemMeta, 0, min(count, sl.list.size))
-		}
-		taken := 0
-		sl.list.each(&sh.owner.pool, func(ref itemRef, ch []byte) bool {
-			if chExpired(ch, nowNano) {
-				return true // dead items are not migration candidates
-			}
-			m := metaOf(ch, classID)
-			if filter == nil || filter(m.Key) {
-				out = append(out, m)
-				taken++
-				if taken == count {
-					return false
-				}
-			}
-			return true
-		})
-	})
-	return out
-}
-
-// TopMeta returns the metadata of the globally hottest count items of the
-// class whose keys pass filter (nil = all), in MRU order — FetchTop's
-// selection without materializing a single value. A shard never
-// contributes more than count entries, so the transient selection cost is
-// O(shards × count) metas, each ~40 bytes plus the key.
+// TopMeta returns the metadata of the globally hottest count live items of
+// the class whose keys pass filter (nil = all), in MRU order, without
+// materializing a single value. Each shard contributes its own MRU run —
+// never more than count entries per slab, so the transient selection cost
+// is O(shards × count) metas, each ~40 bytes plus the key — and the runs
+// are k-way merged by timestamp: the output is non-increasing in
+// LastAccess exactly as the paper's single-list dump is.
 func (c *Cache) TopMeta(classID, count int, filter func(key string) bool) ([]ItemMeta, error) {
 	if classID < 0 || classID >= len(c.classes) {
 		return nil, fmt.Errorf("cache: slab class %d out of range", classID)
@@ -71,7 +34,15 @@ func (c *Cache) TopMeta(classID, count int, filter func(key string) bool) ([]Ite
 	nowNano := c.nowNano()
 	runs := make([][]ItemMeta, 0, len(c.shards))
 	for _, sh := range c.shards {
-		run := sh.topMeta(classID, count, nowNano, filter)
+		var run []ItemMeta
+		sh.walkClass(classID, count, nowNano, func(ch []byte) bool {
+			m := metaOf(ch, classID)
+			if filter != nil && !filter(m.Key) {
+				return false
+			}
+			run = append(run, m)
+			return true
+		})
 		if len(run) == 0 {
 			continue
 		}
@@ -83,6 +54,42 @@ func (c *Cache) TopMeta(classID, count int, filter func(key string) bool) ([]Ite
 		merged = merged[:count]
 	}
 	return merged, nil
+}
+
+// CutBatches cuts selections — each hottest-first, as TopMeta returns
+// them — into batches and hands them to emit in order: selections in slice
+// order, coldest-first within each, a batch closing once it holds maxPairs
+// pairs or the next pair would push its payload (key + value sizes as
+// selected) past maxBytes. A bound <= 0 is off; a single oversized pair
+// still forms its own batch; a batch may span selections. The batch slice
+// is reused across calls to emit.
+//
+// Boundaries depend on the selection metadata alone, so cutting the same
+// selections again yields identical batches — the property a resumable
+// sender relies on to skip already-acknowledged sequence numbers.
+func CutBatches(sels [][]ItemMeta, maxPairs, maxBytes int, emit func(batch []ItemMeta, bytes int) error) error {
+	var batch []ItemMeta
+	bytes := 0
+	for _, sel := range sels {
+		for i := len(sel) - 1; i >= 0; i-- {
+			m := sel[i]
+			sz := len(m.Key) + m.ValueSize
+			if len(batch) > 0 &&
+				((maxPairs > 0 && len(batch) >= maxPairs) ||
+					(maxBytes > 0 && bytes+sz > maxBytes)) {
+				if err := emit(batch, bytes); err != nil {
+					return err
+				}
+				batch, bytes = batch[:0], 0
+			}
+			batch = append(batch, m)
+			bytes += sz
+		}
+	}
+	if len(batch) == 0 {
+		return nil
+	}
+	return emit(batch, bytes)
 }
 
 // AppendPairs materializes the current values for metas, appending one KV
@@ -168,50 +175,25 @@ type StreamBatch struct {
 	Bytes int
 }
 
-// FetchTopStream selects the hottest count items of the class (like
-// FetchTop) and streams them to emit coldest-first in batches bounded by
-// maxPairs pairs and maxBytes payload bytes (<=0 means unbounded; a
-// single oversized pair still forms its own batch). Values are fetched
-// per batch, so the caller's peak extra memory is one batch, not the
-// whole selection. It returns the total number of pairs emitted.
+// FetchTopStream selects the hottest count items of the class (TopMeta)
+// and streams them to emit coldest-first in CutBatches batches. Values are
+// fetched per batch, so the caller's peak extra memory is one batch, not
+// the whole selection. It returns the total number of pairs emitted.
 func (c *Cache) FetchTopStream(classID, count int, filter func(key string) bool, maxPairs, maxBytes int, emit func(StreamBatch) error) (int, error) {
 	metas, err := c.TopMeta(classID, count, filter)
 	if err != nil {
 		return 0, err
 	}
-	total := 0
 	var (
+		total int
 		buf   []KV
-		batch []ItemMeta
-		bytes int
 		seq   uint64
 	)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
+	err = CutBatches([][]ItemMeta{metas}, maxPairs, maxBytes, func(batch []ItemMeta, bytes int) error {
 		seq++
 		buf = c.AppendPairs(buf[:0], batch)
-		err := emit(StreamBatch{Seq: seq, Pairs: buf, Bytes: bytes})
 		total += len(buf)
-		batch, bytes = batch[:0], 0
-		return err
-	}
-	for i := len(metas) - 1; i >= 0; i-- { // coldest-first
-		m := metas[i]
-		sz := len(m.Key) + m.ValueSize
-		if len(batch) > 0 &&
-			((maxPairs > 0 && len(batch) >= maxPairs) ||
-				(maxBytes > 0 && bytes+sz > maxBytes)) {
-			if err := flush(); err != nil {
-				return total, err
-			}
-		}
-		batch = append(batch, m)
-		bytes += sz
-	}
-	if err := flush(); err != nil {
-		return total, err
-	}
-	return total, nil
+		return emit(StreamBatch{Seq: seq, Pairs: buf, Bytes: bytes})
+	})
+	return total, err
 }

@@ -1,13 +1,16 @@
 package cache
 
-// Tests for the streaming migration producer: TopMeta must reproduce
-// FetchTop's selection without touching values, AppendPairs must
-// materialize batches with buffer reuse and skip vanished keys, and
-// FetchTopStream must respect both batch bounds while preserving the
-// coldest-first emission order the resumable sender depends on.
+// Tests for the streaming migration producer: TopMeta must select the
+// globally hottest items without touching values, AppendPairs must
+// materialize batches with buffer reuse and skip vanished keys, CutBatches
+// must cut identically every time, and FetchTopStream must respect both
+// batch bounds while preserving the coldest-first emission order the
+// resumable sender depends on.
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -23,57 +26,171 @@ func populateStream(t *testing.T, c *Cache, n, valLen int) {
 	}
 }
 
-func TestTopMetaMatchesFetchTopSelection(t *testing.T) {
-	c, _ := newTestCache(t, 2)
-	populateStream(t, c, 500, 10)
-	classID := c.PopulatedClasses()[0]
-
-	for _, count := range []int{1, 7, 250, 500, 1000} {
-		metas, err := c.TopMeta(classID, count, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kvs, err := c.FetchTop(classID, count, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(metas) != len(kvs) {
-			t.Fatalf("count %d: TopMeta %d entries, FetchTop %d", count, len(metas), len(kvs))
-		}
-		for i := range metas {
-			if metas[i].Key != kvs[i].Key {
-				t.Fatalf("count %d: selection diverges at %d: %q vs %q", count, i, metas[i].Key, kvs[i].Key)
-			}
-			if !metas[i].LastAccess.Equal(kvs[i].LastAccess) {
-				t.Fatalf("count %d: timestamp diverges for %q", count, metas[i].Key)
-			}
-			if metas[i].ValueSize != len(kvs[i].Value) {
-				t.Fatalf("count %d: ValueSize %d, value is %d bytes", count, metas[i].ValueSize, len(kvs[i].Value))
-			}
-		}
+// topPairs is the phase-3 read path in one call: TopMeta selection, then
+// AppendPairs materialization — the hottest count pairs, hottest first.
+func topPairs(t *testing.T, c *Cache, classID, count int, filter func(string) bool) []KV {
+	t.Helper()
+	metas, err := c.TopMeta(classID, count, filter)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return c.AppendPairs(nil, metas)
 }
 
-func TestTopMetaHonorsFilter(t *testing.T) {
+// TestTopMetaAppendPairs: the selection is the hottest min(count, matching)
+// items in MRU order, and the materialized pairs agree with it entry for
+// entry — key, timestamp, and ValueSize == len(Value).
+func TestTopMetaAppendPairs(t *testing.T) {
 	c, _ := newTestCache(t, 2)
-	populateStream(t, c, 100, 10)
+	populateStream(t, c, 500, 10)
 	classID := c.PopulatedClasses()[0]
 	even := func(key string) bool {
 		var n int
 		fmt.Sscanf(key, "stream-key-%d", &n)
 		return n%2 == 0
 	}
-	metas, err := c.TopMeta(classID, 100, even)
-	if err != nil {
+	for _, tc := range []struct {
+		name   string
+		count  int
+		filter func(string) bool
+		want   int
+		step   int // key index distance between consecutive selections
+	}{
+		{"one", 1, nil, 1, 1},
+		{"seven", 7, nil, 7, 1},
+		{"half", 250, nil, 250, 1},
+		{"exact", 500, nil, 500, 1},
+		{"over", 1000, nil, 500, 1},
+		{"filtered", 5, even, 5, 2},
+		{"filtered-all", 1000, even, 250, 2},
+	} {
+		metas, err := c.TopMeta(classID, tc.count, tc.filter)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(metas) != tc.want {
+			t.Fatalf("%s: selected %d, want %d", tc.name, len(metas), tc.want)
+		}
+		hottest := 499
+		if tc.filter != nil {
+			hottest = 498
+		}
+		pairs := c.AppendPairs(nil, metas)
+		if len(pairs) != len(metas) {
+			t.Fatalf("%s: %d pairs for %d metas", tc.name, len(pairs), len(metas))
+		}
+		for i, m := range metas {
+			if want := fmt.Sprintf("stream-key-%05d", hottest-i*tc.step); m.Key != want {
+				t.Fatalf("%s: selection[%d] = %q, want %q", tc.name, i, m.Key, want)
+			}
+			if pairs[i].Key != m.Key || !pairs[i].LastAccess.Equal(m.LastAccess) {
+				t.Fatalf("%s: pair %d = %q@%v, meta %q@%v", tc.name, i, pairs[i].Key, pairs[i].LastAccess, m.Key, m.LastAccess)
+			}
+			if m.ValueSize != len(pairs[i].Value) {
+				t.Fatalf("%s: ValueSize %d, value is %d bytes", tc.name, m.ValueSize, len(pairs[i].Value))
+			}
+		}
+	}
+
+	// Edge cases: a non-positive count selects nothing, a bad class errors.
+	if metas, err := c.TopMeta(classID, 0, nil); err != nil || metas != nil {
+		t.Fatalf("TopMeta(0 count) = %v, %v; want nil, nil", metas, err)
+	}
+	if _, err := c.TopMeta(-1, 1, nil); err == nil {
+		t.Fatal("want error for bad class")
+	}
+	if got := c.AppendPairs(nil, nil); got != nil {
+		t.Fatalf("AppendPairs(no metas) = %v, want nil", got)
+	}
+}
+
+// TestAppendPairsCopiesValues: materialized values never alias live cache
+// memory.
+func TestAppendPairsCopiesValues(t *testing.T) {
+	c, _ := newTestCache(t, 1)
+	if err := c.Set("k", []byte("orig")); err != nil {
 		t.Fatal(err)
 	}
-	if len(metas) != 50 {
-		t.Fatalf("filtered selection %d, want 50", len(metas))
+	kvs := topPairs(t, c, 0, 1, nil)
+	if len(kvs) != 1 || string(kvs[0].Value) != "orig" {
+		t.Fatalf("pairs = %+v", kvs)
 	}
-	for _, m := range metas {
-		if !even(m.Key) {
-			t.Fatalf("filter leaked %q", m.Key)
+	kvs[0].Value[0] = 'X'
+	got, _ := c.Peek("k")
+	if string(got) != "orig" {
+		t.Fatal("AppendPairs exposed internal value storage")
+	}
+}
+
+// TestCutBatches pins the batch cutter: both bounds, the oversized-pair
+// rule, selections cut coldest-first with batches spanning them, and — the
+// resume-critical property — identical cuts on a second call.
+func TestCutBatches(t *testing.T) {
+	// sel builds a hottest-first selection whose i-th coldest item has a
+	// 2-byte key and sizes[i]-2 value bytes, i.e. sizes[i] payload bytes.
+	sel := func(prefix string, sizes ...int) []ItemMeta {
+		out := make([]ItemMeta, len(sizes))
+		for i, sz := range sizes {
+			out[len(sizes)-1-i] = ItemMeta{Key: fmt.Sprintf("%s%d", prefix, i), ValueSize: sz - 2}
 		}
+		return out
+	}
+	for _, tc := range []struct {
+		name               string
+		sels               [][]ItemMeta
+		maxPairs, maxBytes int
+		want               []string // each batch as "keys…/bytes"
+	}{
+		{"pair bound", [][]ItemMeta{sel("a", 10, 10, 10, 10, 10)}, 2, 0,
+			[]string{"a0 a1/20", "a2 a3/20", "a4/10"}},
+		{"byte bound", [][]ItemMeta{sel("a", 10, 10, 10, 10, 10)}, 0, 25,
+			[]string{"a0 a1/20", "a2 a3/20", "a4/10"}},
+		{"byte bound exact fit", [][]ItemMeta{sel("a", 10, 10, 10)}, 0, 20,
+			[]string{"a0 a1/20", "a2/10"}},
+		{"both bounds, tighter wins", [][]ItemMeta{sel("a", 10, 10, 30, 5, 5, 5, 5, 5)}, 3, 35,
+			[]string{"a0 a1/20", "a2 a3/35", "a4 a5 a6/15", "a7/5"}},
+		{"single oversized pair", [][]ItemMeta{sel("a", 5, 100, 5)}, 0, 20,
+			[]string{"a0/5", "a1/100", "a2/5"}},
+		{"unbounded", [][]ItemMeta{sel("a", 10, 10, 10)}, 0, 0,
+			[]string{"a0 a1 a2/30"}},
+		{"batch spans selections", [][]ItemMeta{sel("a", 10, 10, 10), nil, sel("b", 10, 10)}, 2, 0,
+			[]string{"a0 a1/20", "a2 b0/20", "b1/10"}},
+		{"empty selection", [][]ItemMeta{nil, {}}, 2, 20, nil},
+		{"no selections", nil, 2, 20, nil},
+	} {
+		cut := func() []string {
+			var got []string
+			err := CutBatches(tc.sels, tc.maxPairs, tc.maxBytes, func(batch []ItemMeta, bytes int) error {
+				keys := make([]string, len(batch))
+				for i, m := range batch {
+					keys[i] = m.Key
+				}
+				got = append(got, fmt.Sprintf("%s/%d", strings.Join(keys, " "), bytes))
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			return got
+		}
+		first := cut()
+		if !reflect.DeepEqual(first, tc.want) {
+			t.Fatalf("%s: cut %q, want %q", tc.name, first, tc.want)
+		}
+		if again := cut(); !reflect.DeepEqual(again, first) {
+			t.Fatalf("%s: second cut %q differs from first %q", tc.name, again, first)
+		}
+	}
+
+	// An emit error stops the cut and is returned as-is.
+	stop := fmt.Errorf("stop")
+	calls := 0
+	err := CutBatches([][]ItemMeta{sel("a", 10, 10, 10)}, 1, 0, func([]ItemMeta, int) error {
+		calls++
+		return stop
+	})
+	if err != stop || calls != 1 {
+		t.Fatalf("emit error: got %v after %d calls, want the emit error after 1", err, calls)
 	}
 }
 

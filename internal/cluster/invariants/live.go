@@ -138,7 +138,7 @@ func (ls *liveStage) write(phase string) {
 		}
 		for _, node := range targets {
 			pair := []cache.KV{{Key: key, Value: val, Flags: 7, LastAccess: ts}}
-			if n, err := ls.caches[node].BatchImport(pair, true); err != nil || n != 1 {
+			if n, err := ls.caches[node].BatchImport(pair, false); err != nil || n != 1 {
 				ls.violations = append(ls.violations, fmt.Sprintf("L1: write %s to %s at %s: n=%d err=%v", key, node, phase, n, err))
 			}
 		}

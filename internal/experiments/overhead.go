@@ -111,7 +111,15 @@ func overheadPopulated(book *agentrpc.AddressBook, members []string, ring *hashr
 		if err != nil {
 			return nil, err
 		}
-		if err := cl.ImportData(context.Background(), "seed", pairs); err != nil {
+		// pairs are in insertion (coldest-first) order, as a session expects.
+		sess, err := cl.OpenImport(context.Background(), "seed", 1, 0, 1)
+		if err != nil {
+			return nil, err
+		}
+		if err := sess.Send(context.Background(), 1, pairs); err != nil {
+			return nil, err
+		}
+		if _, err := sess.Close(context.Background()); err != nil {
 			return nil, err
 		}
 	}

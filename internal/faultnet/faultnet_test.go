@@ -161,7 +161,7 @@ func TestApplySemantics(t *testing.T) {
 	}
 }
 
-// TestWrappedTransportDuplicateIsIdempotent: a duplicated ImportData
+// TestWrappedTransportDuplicateIsIdempotent: a duplicated import batch
 // through the wrapped transport must leave the receiver exactly as one
 // delivery would — the replay-safety property the batch import guarantees.
 func TestWrappedTransportDuplicateIsIdempotent(t *testing.T) {
@@ -191,17 +191,25 @@ func TestWrappedTransportDuplicateIsIdempotent(t *testing.T) {
 		reg.Register(agB)
 
 		base := time.Unix(1_700_000_000, 0)
-		pairs := []cache.KV{
-			{Key: "hot", Value: []byte("v1"), LastAccess: base.Add(3 * time.Second)},
-			{Key: "warm", Value: []byte("v2"), LastAccess: base.Add(2 * time.Second)},
+		pairs := []cache.KV{ // coldest-first, as a session ships them
 			{Key: "mild", Value: []byte("v3"), LastAccess: base.Add(time.Second)},
+			{Key: "warm", Value: []byte("v2"), LastAccess: base.Add(2 * time.Second)},
+			{Key: "hot", Value: []byte("v1"), LastAccess: base.Add(3 * time.Second)},
 		}
 		peer, err := WrapTransport(n, "A", reg).Peer("B")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := peer.ImportData(context.Background(), "A", pairs); err != nil {
+		ctx := context.Background()
+		sess, err := peer.OpenImport(ctx, "A", 1, 1, 1)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if err := sess.Send(ctx, 1, pairs); err != nil {
+			t.Fatal(err)
+		}
+		if sum, err := sess.Close(ctx); err != nil || sum.Imported != len(pairs) {
+			t.Fatalf("close = %+v, %v; want %d imported once", sum, err, len(pairs))
 		}
 		return cB
 	}

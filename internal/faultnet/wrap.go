@@ -92,29 +92,18 @@ func (p *faultyPeer) OfferMetadata(ctx context.Context, from string, metas map[i
 	})
 }
 
-// ImportData implements agent.Peer.
-func (p *faultyPeer) ImportData(ctx context.Context, from string, pairs []cache.KV) error {
-	return p.net.apply(ctx, p.from, p.to, OpImportData, func() error {
-		return p.inner.ImportData(ctx, from, pairs)
-	})
-}
-
-// OpenImport implements agent.StreamPeer: the open handshake runs under
-// the OpImportOpen schedule entry and each batch Send under OpImportData,
-// so schedules targeting the data phase hit the streaming plane too. A
-// faulted Send poisons the session — a lost or duplicated frame leaves a
-// real framed stream desynchronized, so the sender must reopen and resume
-// from the receiver's acked high-water mark, which is exactly the path
-// the chaos harness needs to exercise.
+// OpenImport implements agent.Peer: the open handshake runs under the
+// OpImportOpen schedule entry and each batch Send under OpImportData (the
+// op string predates the streaming plane and is kept so seeded schedules
+// replay unchanged). A faulted Send poisons the session — a lost or
+// duplicated frame leaves a real framed stream desynchronized, so the
+// sender must reopen and resume from the receiver's acked high-water mark,
+// which is exactly the path the chaos harness needs to exercise.
 func (p *faultyPeer) OpenImport(ctx context.Context, from string, epoch, fingerprint uint64, window int) (agent.ImportSession, error) {
-	sp, ok := p.inner.(agent.StreamPeer)
-	if !ok {
-		return nil, agent.ErrStreamUnsupported
-	}
 	var sess agent.ImportSession
 	err := p.net.apply(ctx, p.from, p.to, OpImportOpen, func() error {
 		var ierr error
-		sess, ierr = sp.OpenImport(ctx, from, epoch, fingerprint, window)
+		sess, ierr = p.inner.OpenImport(ctx, from, epoch, fingerprint, window)
 		return ierr
 	})
 	if err != nil {
@@ -160,7 +149,7 @@ func (s *faultySession) Close(ctx context.Context) (agent.ImportSummary, error) 
 
 func (s *faultySession) Abort() { s.inner.Abort() }
 
-var _ agent.StreamPeer = (*faultyPeer)(nil)
+var _ agent.Peer = (*faultyPeer)(nil)
 
 // Transport wraps an agent.Transport so every peer resolved through it
 // injects the schedule's faults for the (from → peer) link. Each agent

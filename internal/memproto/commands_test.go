@@ -1,7 +1,6 @@
 package memproto
 
 import (
-	"bufio"
 	"bytes"
 	"strings"
 	"testing"
@@ -100,13 +99,13 @@ func TestParseIncrErrors(t *testing.T) {
 	}
 }
 
-func TestWriteValueCASRoundTrip(t *testing.T) {
+func TestValueCASRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := WriteValueCAS(w, "k", 7, []byte("vv"), 99); err != nil {
+	w := NewReplyWriter(&buf)
+	if err := w.ValueCAS([]byte("k"), 7, []byte("vv"), 99); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteEnd(w); err != nil {
+	if err := w.End(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -150,13 +149,13 @@ func TestParseValueLineErrors(t *testing.T) {
 	}
 }
 
-func TestWriteExistsAndNumber(t *testing.T) {
+func TestReplyWriterExistsAndNumber(t *testing.T) {
 	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := WriteExists(w); err != nil {
+	w := NewReplyWriter(&buf)
+	if err := w.Exists(); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteNumber(w, 123); err != nil {
+	if err := w.Number(123); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {

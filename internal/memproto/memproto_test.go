@@ -1,7 +1,6 @@
 package memproto
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -255,14 +254,14 @@ func TestRoundTripSetProperty(t *testing.T) {
 
 func TestReplyReaderValues(t *testing.T) {
 	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := WriteValue(w, "a", 1, []byte("va")); err != nil {
+	w := NewReplyWriter(&buf)
+	if err := w.Value([]byte("a"), 1, []byte("va")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteValue(w, "b", 2, []byte("vbb")); err != nil {
+	if err := w.Value([]byte("b"), 2, []byte("vbb")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteEnd(w); err != nil {
+	if err := w.End(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {

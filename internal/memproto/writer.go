@@ -190,136 +190,3 @@ func (rw *ReplyWriter) ServerError(msg string) error {
 	_, err := rw.w.WriteString("\r\n")
 	return err
 }
-
-// Legacy free-function writers over a caller-owned bufio.Writer. The node
-// server runs on ReplyWriter; these remain for tests and ad-hoc tools.
-// They avoid fmt but may allocate for number formatting.
-
-// WriteValue writes one VALUE block of a get response.
-func WriteValue(w *bufio.Writer, key string, flags uint32, value []byte) error {
-	var num [20]byte
-	_, _ = w.WriteString("VALUE ")
-	_, _ = w.WriteString(key)
-	_ = w.WriteByte(' ')
-	_, _ = w.Write(strconv.AppendUint(num[:0], uint64(flags), 10))
-	_ = w.WriteByte(' ')
-	_, _ = w.Write(strconv.AppendInt(num[:0], int64(len(value)), 10))
-	_, _ = w.WriteString("\r\n")
-	_, _ = w.Write(value)
-	_, err := w.WriteString("\r\n")
-	return err
-}
-
-// WriteValueCAS writes one VALUE block of a gets response, including the
-// item's CAS token.
-func WriteValueCAS(w *bufio.Writer, key string, flags uint32, value []byte, casToken uint64) error {
-	var num [20]byte
-	_, _ = w.WriteString("VALUE ")
-	_, _ = w.WriteString(key)
-	_ = w.WriteByte(' ')
-	_, _ = w.Write(strconv.AppendUint(num[:0], uint64(flags), 10))
-	_ = w.WriteByte(' ')
-	_, _ = w.Write(strconv.AppendInt(num[:0], int64(len(value)), 10))
-	_ = w.WriteByte(' ')
-	_, _ = w.Write(strconv.AppendUint(num[:0], casToken, 10))
-	_, _ = w.WriteString("\r\n")
-	_, _ = w.Write(value)
-	_, err := w.WriteString("\r\n")
-	return err
-}
-
-// WriteExists reports a cas conflict.
-func WriteExists(w *bufio.Writer) error {
-	_, err := w.WriteString("EXISTS\r\n")
-	return err
-}
-
-// WriteNumber reports an incr/decr result.
-func WriteNumber(w *bufio.Writer, v uint64) error {
-	var num [20]byte
-	_, _ = w.Write(strconv.AppendUint(num[:0], v, 10))
-	_, err := w.WriteString("\r\n")
-	return err
-}
-
-// WriteEnd terminates a get or stats response.
-func WriteEnd(w *bufio.Writer) error {
-	_, err := w.WriteString("END\r\n")
-	return err
-}
-
-// WriteStored acknowledges a set.
-func WriteStored(w *bufio.Writer) error {
-	_, err := w.WriteString("STORED\r\n")
-	return err
-}
-
-// WriteNotStored reports a failed conditional store.
-func WriteNotStored(w *bufio.Writer) error {
-	_, err := w.WriteString("NOT_STORED\r\n")
-	return err
-}
-
-// WriteDeleted acknowledges a delete.
-func WriteDeleted(w *bufio.Writer) error {
-	_, err := w.WriteString("DELETED\r\n")
-	return err
-}
-
-// WriteNotFound reports a missing key for delete/touch.
-func WriteNotFound(w *bufio.Writer) error {
-	_, err := w.WriteString("NOT_FOUND\r\n")
-	return err
-}
-
-// WriteTouched acknowledges a touch.
-func WriteTouched(w *bufio.Writer) error {
-	_, err := w.WriteString("TOUCHED\r\n")
-	return err
-}
-
-// WriteOK acknowledges flush_all.
-func WriteOK(w *bufio.Writer) error {
-	_, err := w.WriteString("OK\r\n")
-	return err
-}
-
-// WriteVersion reports the server version.
-func WriteVersion(w *bufio.Writer, version string) error {
-	_, _ = w.WriteString("VERSION ")
-	_, _ = w.WriteString(version)
-	_, err := w.WriteString("\r\n")
-	return err
-}
-
-// WriteStat writes one STAT line.
-func WriteStat(w *bufio.Writer, name, value string) error {
-	_, _ = w.WriteString("STAT ")
-	_, _ = w.WriteString(name)
-	_ = w.WriteByte(' ')
-	_, _ = w.WriteString(value)
-	_, err := w.WriteString("\r\n")
-	return err
-}
-
-// WriteClientError reports a client-caused failure.
-func WriteClientError(w *bufio.Writer, msg string) error {
-	_, _ = w.WriteString("CLIENT_ERROR ")
-	_, _ = w.WriteString(msg)
-	_, err := w.WriteString("\r\n")
-	return err
-}
-
-// WriteServerError reports a server-side failure.
-func WriteServerError(w *bufio.Writer, msg string) error {
-	_, _ = w.WriteString("SERVER_ERROR ")
-	_, _ = w.WriteString(msg)
-	_, err := w.WriteString("\r\n")
-	return err
-}
-
-// WriteError reports an unknown command.
-func WriteError(w *bufio.Writer) error {
-	_, err := w.WriteString("ERROR\r\n")
-	return err
-}

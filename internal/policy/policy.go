@@ -85,7 +85,7 @@ func PickRandomRetiring(rng *rand.Rand, members []string, x int) ([]string, erro
 // NaiveScaleIn migrates the top fraction of every retiring node's items to
 // their hash targets among the retained nodes. fraction is typically
 // (n−x)/n for a scale-in of x out of n nodes. Items are pushed with
-// ImportData, so on a full receiver they evict the receiver's MRU tail —
+// SendData, so on a full receiver they evict the receiver's MRU tail —
 // even when that tail is hotter, which is exactly Naive's flaw. Returns
 // the number of migrated items.
 func NaiveScaleIn(ctx context.Context, reg *agent.Registry, retiring, retained []string, fraction float64) (int, error) {
@@ -119,14 +119,14 @@ func NaiveScaleIn(ctx context.Context, reg *agent.Registry, retiring, retained [
 			if take == 0 {
 				continue
 			}
-			kvs, err := cc.FetchTop(classID, take, nil)
+			metas, err := cc.TopMeta(classID, take, nil)
 			if err != nil {
 				return migrated, err
 			}
-			// Group consecutive by owner, preserving MRU order per target.
+			// Count the head items per owner; SendData re-selects them.
 			byOwner := make(map[string]int)
-			for _, kv := range kvs {
-				owner, err := ring.Get(kv.Key)
+			for _, m := range metas {
+				owner, err := ring.Get(m.Key)
 				if err != nil {
 					continue
 				}
