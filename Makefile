@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 E2E_DIR ?= /tmp/elmem-e2e
 SCENARIOS ?=
 
-.PHONY: build test race vet bench bench-hot bench-migrate bench-skew bench-serve bench-gc bench-tenant allocs chaos fuzz e2e examples check
+.PHONY: build test benchmark-test race vet bench bench-hot bench-migrate bench-skew bench-serve bench-gc bench-tenant allocs chaos fuzz e2e examples check
 
 ## build: compile every package
 build:
@@ -13,6 +13,12 @@ build:
 ## test: run the full test suite
 test:
 	$(GO) test ./...
+
+## benchmark-test: the nested benchmark/ module's own tests. It is outside
+## `go test ./...` but imports memproto, client and cluster, so a signature
+## break must fail here, not in the acceptance run
+benchmark-test:
+	cd benchmark && $(GO) test .
 
 ## race: run the concurrency stress tests under the race detector — the
 ## data plane (cache/server/agentrpc) and the control plane (taskgroup/
@@ -75,9 +81,12 @@ bench-tenant:
 bench-hot:
 	$(GO) test -run '^$$' -bench 'HotPath|ServerPipelined' -benchmem ./internal/server/
 
-## allocs: the zero-allocation regression gate for the data-path hot path
+## allocs: the allocation regression gates — zero allocs/op on the server's
+## data-path hot path, and the cluster client's per-request budget (Get,
+## Set, single-owner MultiGet)
 allocs:
 	$(GO) test -run TestHotPathAllocs -count 1 -v ./internal/server/
+	$(GO) test -run TestClientAllocs -count 1 -v ./internal/client/
 
 ## chaos: the deterministic fault-injection sweep — SEEDS seeds, each run
 ## twice under faults plus once fault-free, checking the five migration
@@ -87,9 +96,11 @@ chaos:
 	$(GO) run ./cmd/elmem-chaos -seeds $(SEEDS)
 
 ## fuzz: time-boxed native fuzzing of the decoders that read bytes off a
-## socket — the memcached protocol parser and the migration frame decoder
+## socket — the memcached request parser, the client-side reply reader and
+## the migration frame decoder
 fuzz:
 	$(GO) test -fuzz FuzzParser -fuzztime $(FUZZTIME) ./internal/memproto/
+	$(GO) test -fuzz FuzzReplyReader -fuzztime $(FUZZTIME) ./internal/memproto/
 	$(GO) test -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/agentrpc/
 
 ## e2e: the process-level end-to-end suite — real elmem-node/-master/
@@ -108,4 +119,4 @@ examples:
 	$(GO) run ./examples/fusecache-demo
 
 ## check: everything the CI gate runs
-check: build vet test race allocs chaos fuzz examples e2e
+check: build vet test benchmark-test race allocs chaos fuzz examples e2e

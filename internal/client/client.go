@@ -3,6 +3,11 @@
 // consistent hashing, fans multi-gets out per owner node, and swaps its
 // membership when the ElMem Master announces a scaling action. The client
 // — not the servers — decides which node owns a key.
+//
+// Every exchange with one target node runs start to finish on the calling
+// goroutine, encoding into and decoding from scratch owned by the pooled
+// connection; goroutines are spent only on a multi-get that spans several
+// owners, and then only for the owners beyond the first.
 package client
 
 import (
@@ -41,9 +46,11 @@ type Cluster struct {
 	// handover waves from the master) and MembershipChanged (legacy flip).
 	table atomic.Pointer[hashring.Table]
 
-	mu     sync.RWMutex
-	pools  map[string]*pool
-	closed bool
+	mu    sync.RWMutex
+	pools map[string]*pool
+	// closed is set under mu (so no pool is created after Close) and read
+	// without it by Owner; every exchange learns it from pool().
+	closed atomic.Bool
 
 	// Hot-key routing state (see hotkeys.go). hotCount gates the read path
 	// so clusters with no promotions pay one atomic load per read.
@@ -243,17 +250,19 @@ func sameMembers(a, b []string) bool {
 // Conditional ops (cas/add/replace/counters/touch) route here so their
 // read-modify-write semantics stay anchored to one node per epoch.
 func (c *Cluster) Owner(key string) (string, error) {
-	c.mu.RLock()
-	if c.closed {
-		c.mu.RUnlock()
+	if c.closed.Load() {
 		return "", ErrClosed
 	}
-	c.mu.RUnlock()
 	owner, err := c.table.Load().Owner(key)
+	return owner, routeErr(err)
+}
+
+// routeErr maps the ring's empty-membership error to the client's.
+func routeErr(err error) error {
 	if errors.Is(err, hashring.ErrEmptyRing) {
-		return "", ErrNoMembers
+		return ErrNoMembers
 	}
-	return owner, err
+	return err
 }
 
 // Get fetches one key. A miss returns (nil, false, nil).
@@ -261,14 +270,34 @@ func (c *Cluster) Get(key string) ([]byte, bool, error) {
 	return c.GetContext(context.Background(), key)
 }
 
-// GetContext is Get bounded by ctx's deadline.
+// GetContext is Get bounded by ctx's deadline. It is one exchange on the
+// calling goroutine; a miss costs a second one only where another node may
+// still hold the key.
 func (c *Cluster) GetContext(ctx context.Context, key string) ([]byte, bool, error) {
-	values, err := c.MultiGetContext(ctx, []string{key})
+	t := c.table.Load()
+	node, fallback, err := c.routeRead(t, key)
 	if err != nil {
 		return nil, false, err
 	}
-	v, ok := values[key]
-	return v, ok, nil
+	value, _, hit, err := c.getOn(ctx, node, key)
+	if err == nil && !hit && fallback != "" {
+		// The key's segment is mid-handover and its migration frame may not
+		// have landed yet: forward the miss to the retiring owner.
+		node = fallback
+		value, _, hit, err = c.getOn(ctx, node, key)
+	}
+	if err == nil && !hit && c.hotCount.Load() > 0 {
+		// A replica that has not received its copy yet (promotion push in
+		// flight, or the copy was evicted) misses where the home would hit.
+		if owner, ownerErr := t.Owner(key); ownerErr == nil && owner != node {
+			node = owner
+			value, _, hit, err = c.getOn(ctx, node, key)
+		}
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("get from %s: %w", node, err)
+	}
+	return value, hit, nil
 }
 
 // MultiGet fetches many keys with one round trip per owner node,
@@ -278,8 +307,14 @@ func (c *Cluster) MultiGet(keys []string) (map[string][]byte, error) {
 	return c.MultiGetContext(context.Background(), keys)
 }
 
-// MultiGetContext is MultiGet bounded by ctx's deadline; per-owner fetches
-// still fan out concurrently.
+// route is where one key of a multi-get is read: node first, then, for a
+// key whose segment is mid-handover, the retiring owner.
+type route struct {
+	node, fallback string
+}
+
+// MultiGetContext is MultiGet bounded by ctx's deadline. Keys that share an
+// owner travel in one exchange; different owners are fetched concurrently.
 func (c *Cluster) MultiGetContext(ctx context.Context, keys []string) (map[string][]byte, error) {
 	if len(keys) == 0 {
 		return nil, nil
@@ -287,119 +322,140 @@ func (c *Cluster) MultiGetContext(ctx context.Context, keys []string) (map[strin
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	t := c.table.Load()
 	hotRouting := c.hotCount.Load() > 0
-	byNode := make(map[string][]string)
-	var routed map[string]string // key → node it was read from (hot routing only)
-	if hotRouting {
-		routed = make(map[string]string, len(keys))
-	}
-	var fallbacks map[string]string // key → retiring owner (mid-handover only)
+	var routeBuf [16]route // a web-tier multi-get routes without allocating
+	routes := routeBuf[:0]
+	forwardable := false
 	for _, key := range keys {
-		node, fallback, err := c.routeRead(key)
+		node, fallback, err := c.routeRead(t, key)
 		if err != nil {
 			return nil, err
 		}
-		byNode[node] = append(byNode[node], key)
-		if hotRouting {
-			routed[key] = node
-		}
-		if fallback != "" {
-			if fallbacks == nil {
-				fallbacks = make(map[string]string)
-			}
-			fallbacks[key] = fallback
-		}
+		routes = append(routes, route{node: node, fallback: fallback})
+		forwardable = forwardable || fallback != ""
 	}
 
 	out := make(map[string][]byte, len(keys))
-	if err := c.fanOut(ctx, byNode, out); err != nil {
+	missed := func(i int) bool {
+		_, ok := out[keys[i]]
+		return !ok
+	}
+	err := c.fetch(ctx, keys, out, func(i int) string { return routes[i].node })
+	if err == nil && forwardable {
+		// Misses on in-flight segments go to the retiring owner before they
+		// are reported, as in GetContext.
+		err = c.fetch(ctx, keys, out, func(i int) string {
+			if !missed(i) {
+				return ""
+			}
+			return routes[i].fallback
+		})
+	}
+	if err == nil && hotRouting {
+		// Replica misses are re-read from the ring owner; a key that was
+		// read there already is a true miss.
+		err = c.fetch(ctx, keys, out, func(i int) string {
+			owner, ownerErr := t.Owner(keys[i])
+			if ownerErr != nil || !missed(i) || owner == routes[i].node || owner == routes[i].fallback {
+				return ""
+			}
+			return owner
+		})
+	}
+	if err != nil {
 		return nil, err
-	}
-
-	if fallbacks != nil {
-		// Keys on in-flight segments that missed at the incoming owner may
-		// still live only on the retiring owner (their migration frame has
-		// not landed yet): forward the miss before reporting it.
-		var retry map[string][]string
-		for key, fb := range fallbacks {
-			if _, ok := out[key]; ok {
-				continue
-			}
-			if retry == nil {
-				retry = make(map[string][]string)
-			}
-			retry[fb] = append(retry[fb], key)
-		}
-		if retry != nil {
-			if err := c.fanOut(ctx, retry, out); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	if hotRouting {
-		// A replica that has not received its copy yet (promotion push in
-		// flight, or the copy was evicted) misses where the home would hit:
-		// re-fetch such keys from their ring owner before reporting a miss.
-		var retry map[string][]string
-		for _, key := range keys {
-			if _, ok := out[key]; ok {
-				continue
-			}
-			owner, err := c.Owner(key)
-			if err != nil {
-				return nil, err
-			}
-			if routed[key] == owner {
-				continue // missed at the home: a true miss
-			}
-			if retry == nil {
-				retry = make(map[string][]string)
-			}
-			retry[owner] = append(retry[owner], key)
-		}
-		if retry != nil {
-			if err := c.fanOut(ctx, retry, out); err != nil {
-				return nil, err
-			}
-		}
 	}
 	return out, nil
 }
 
-// fanOut issues one concurrent multi-get per node and merges the hits
-// into out.
-func (c *Cluster) fanOut(ctx context.Context, byNode map[string][]string, out map[string][]byte) error {
+// ownerGroup is the keys of a multi-get that one node serves.
+type ownerGroup struct {
+	node string
+	keys []string
+}
+
+// fetch reads every keys[i] whose target(i) is non-empty from that node and
+// merges the hits into out. Members are a handful, so groups are found by
+// a linear scan.
+func (c *Cluster) fetch(ctx context.Context, keys []string, out map[string][]byte, target func(i int) string) error {
+	single := target(0)
+	for i := 1; i < len(keys) && single != ""; i++ {
+		if target(i) != single {
+			single = ""
+		}
+	}
+	if single != "" {
+		return c.getInto(ctx, ownerGroup{node: single, keys: keys}, out) // no regrouping: keys as they came
+	}
+	var groupBuf [4]ownerGroup
+	groups := groupBuf[:0]
+	for i, key := range keys {
+		node := target(i)
+		if node == "" {
+			continue
+		}
+		g := 0
+		for g < len(groups) && groups[g].node != node {
+			g++
+		}
+		if g == len(groups) {
+			groups = append(groups, ownerGroup{node: node, keys: make([]string, 0, len(keys)-i)})
+		}
+		groups[g].keys = append(groups[g].keys, key)
+	}
+	if len(groups) == 0 {
+		return nil
+	}
+	return c.fanOut(ctx, groups, out)
+}
+
+// getInto runs one group's multi-get on the calling goroutine, storing the
+// hits straight into out.
+func (c *Cluster) getInto(ctx context.Context, g ownerGroup, out map[string][]byte) error {
+	err := c.getFromNode(ctx, g.node, g.keys, func(key string, _ uint32, value []byte) {
+		out[key] = value
+	})
+	if err != nil {
+		return fmt.Errorf("multi-get from %s: %w", g.node, err)
+	}
+	return nil
+}
+
+// fanOut overlaps the exchanges of a multi-get's owner groups: the first
+// runs on the calling goroutine, each other one (if any) on its own, and
+// their hits are merged into out once all have returned.
+func (c *Cluster) fanOut(ctx context.Context, groups []ownerGroup, out map[string][]byte) error {
+	type hit struct {
+		key   string
+		value []byte
+	}
 	type result struct {
 		hits []hit
 		err  error
 	}
-	nodes := make([]string, 0, len(byNode))
-	for n := range byNode {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	results := make([]result, len(nodes))
+	results := make([]result, len(groups)-1)
 	var wg sync.WaitGroup
-	for i, node := range nodes {
+	for i, g := range groups[1:] {
 		wg.Add(1)
-		go func(i int, node string) {
+		go func(r *result, g ownerGroup) {
 			defer wg.Done()
-			hits, err := c.getFromNode(ctx, node, byNode[node])
-			results[i] = result{hits: hits, err: err}
-		}(i, node)
+			r.err = c.getFromNode(ctx, g.node, g.keys, func(key string, _ uint32, value []byte) {
+				r.hits = append(r.hits, hit{key: key, value: value})
+			})
+		}(&results[i], g)
 	}
+	err := c.getInto(ctx, groups[0], out)
 	wg.Wait()
-
 	for i, r := range results {
-		if r.err != nil {
-			return fmt.Errorf("multi-get from %s: %w", nodes[i], r.err)
+		if r.err != nil && err == nil {
+			err = fmt.Errorf("multi-get from %s: %w", groups[i+1].node, r.err)
 		}
 		for _, h := range r.hits {
 			out[h.key] = h.value
 		}
 	}
-	return nil
+	return err
 }
 
 // Set stores the value on the key's owner node.
@@ -427,7 +483,8 @@ func (c *Cluster) SetContext(ctx context.Context, key string, value []byte) erro
 
 func (c *Cluster) setOn(ctx context.Context, node, key string, value []byte) error {
 	return c.withConnCtx(ctx, node, func(conn *poolConn) error {
-		if err := conn.write(memproto.FormatSet(key, 0, 0, value, false)); err != nil {
+		conn.wbuf = memproto.AppendSet(conn.wbuf[:0], key, 0, 0, value, false)
+		if err := conn.write(conn.wbuf); err != nil {
 			return err
 		}
 		line, err := conn.reply.ReadSimple()
@@ -443,17 +500,8 @@ func (c *Cluster) setOn(ctx context.Context, node, key string, value []byte) err
 
 // writePlan resolves the key's write targets under the current table.
 func (c *Cluster) writePlan(key string) (primary, second string, err error) {
-	c.mu.RLock()
-	if c.closed {
-		c.mu.RUnlock()
-		return "", "", ErrClosed
-	}
-	c.mu.RUnlock()
 	primary, second, err = c.table.Load().WritePlan(key)
-	if errors.Is(err, hashring.ErrEmptyRing) {
-		return "", "", ErrNoMembers
-	}
-	return primary, second, err
+	return primary, second, routeErr(err)
 }
 
 // Delete removes the key from its owner node; deleting a missing key is
@@ -484,7 +532,8 @@ func (c *Cluster) DeleteContext(ctx context.Context, key string) (bool, error) {
 func (c *Cluster) deleteOn(ctx context.Context, node, key string) (bool, error) {
 	deleted := false
 	err := c.withConnCtx(ctx, node, func(conn *poolConn) error {
-		if err := conn.write(memproto.FormatDelete(key, false)); err != nil {
+		conn.wbuf = memproto.AppendDelete(conn.wbuf[:0], key, false)
+		if err := conn.write(conn.wbuf); err != nil {
 			return err
 		}
 		line, err := conn.reply.ReadSimple()
@@ -528,11 +577,11 @@ func (c *Cluster) StatsAll() (map[string]map[string]string, error) {
 // Close releases every pooled connection and stops the hot-key poller.
 func (c *Cluster) Close() {
 	c.mu.Lock()
-	if c.closed {
+	if c.closed.Load() {
 		c.mu.Unlock()
 		return
 	}
-	c.closed = true
+	c.closed.Store(true)
 	pools := make([]*pool, 0, len(c.pools))
 	for _, p := range c.pools {
 		pools = append(pools, p)
@@ -550,43 +599,43 @@ func (c *Cluster) Close() {
 	}
 }
 
-// hit is one returned key/value of a node multi-get.
-type hit struct {
-	key   string
-	value []byte
+// getOn issues one single-key get on node: the one exchange Get, its miss
+// forwarding and the lease forward path share.
+func (c *Cluster) getOn(ctx context.Context, node, key string) (value []byte, flags uint32, hit bool, err error) {
+	err = c.getFromNode(ctx, node, []string{key}, func(_ string, f uint32, v []byte) {
+		value, flags, hit = v, f, true
+	})
+	return value, flags, hit, err
 }
 
-// getFromNode issues one multi-get to a node. The server emits VALUE
-// blocks in request order — an ordered subsequence of keys — so hits are
-// matched positionally while streaming through ReadValuesFunc: no per-node
-// result map and no re-allocated key strings, just one value copy per hit.
-func (c *Cluster) getFromNode(ctx context.Context, addr string, keys []string) ([]hit, error) {
-	hits := make([]hit, 0, len(keys))
-	err := c.withConnCtx(ctx, addr, func(conn *poolConn) error {
-		hits = hits[:0]
-		if err := conn.write(memproto.FormatGet(keys)); err != nil {
+// getFromNode issues one (multi-)get to a node and calls emit for every
+// hit with the caller's key string and a fresh copy of the value. The
+// server emits VALUE blocks in request order — an ordered subsequence of
+// keys — so hits are matched positionally while they stream in: no
+// per-node result map and no re-allocated key strings, just one value
+// copy per hit.
+func (c *Cluster) getFromNode(ctx context.Context, addr string, keys []string, emit func(key string, flags uint32, value []byte)) error {
+	return c.withConnCtx(ctx, addr, func(conn *poolConn) error {
+		conn.wbuf = memproto.AppendGet(conn.wbuf[:0], keys)
+		if err := conn.write(conn.wbuf); err != nil {
 			return err
 		}
 		j := 0
-		return conn.reply.ReadValuesFunc(func(key string, _ uint32, value []byte, _ uint64) error {
-			for j < len(keys) && keys[j] != key {
+		for {
+			key, value, flags, _, more, err := conn.reply.ReadValue()
+			if err != nil || !more {
+				return err
+			}
+			for j < len(keys) && keys[j] != string(key) {
 				j++ // keys[j] missed: no VALUE block was emitted for it
 			}
 			if j == len(keys) {
-				return fmt.Errorf("client: unexpected key %q in multi-get reply", key)
+				return fmt.Errorf("client: unexpected key %q in get reply", key)
 			}
-			hits = append(hits, hit{
-				key:   keys[j],
-				value: append(make([]byte, 0, len(value)), value...),
-			})
+			emit(keys[j], flags, append(make([]byte, 0, len(value)), value...))
 			j++
-			return nil
-		})
+		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return hits, nil
 }
 
 // withConn runs fn with a pooled connection to addr, discarding the
@@ -595,9 +644,12 @@ func (c *Cluster) withConn(addr string, fn func(*poolConn) error) error {
 	return c.withConnCtx(context.Background(), addr, fn)
 }
 
-// withConnCtx is withConn under a context: the connection deadline is the
-// tighter of the op timeout and ctx's deadline, and live cancellation
-// closes the connection so a blocked exchange aborts immediately.
+// withConnCtx is withConn under a context. The connection deadline — the
+// tighter of the op timeout and ctx's deadline — is armed once per
+// exchange; every checkout re-arms it, so nothing clears it on the way
+// back. A context that can be cancelled additionally gets a watcher that
+// closes the connection, so a blocked exchange aborts immediately;
+// context.Background and friends skip it.
 func (c *Cluster) withConnCtx(ctx context.Context, addr string, fn func(*poolConn) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -618,10 +670,13 @@ func (c *Cluster) withConnCtx(ctx context.Context, addr string, fn func(*poolCon
 		deadline = d
 	}
 	_ = conn.nc.SetDeadline(deadline)
-	stop := context.AfterFunc(ctx, func() { _ = conn.nc.Close() })
+	stop := func() bool { return true } // nothing to cancel: never fired
+	if ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, func() { _ = conn.nc.Close() })
+	}
 	err = fn(conn)
 	if !stop() || err != nil {
-		conn.discard()
+		_ = conn.nc.Close()
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return ctxErr
 		}
@@ -634,18 +689,14 @@ func (c *Cluster) withConnCtx(ctx context.Context, addr string, fn func(*poolCon
 // pool returns (creating if needed) the pool for addr.
 func (c *Cluster) pool(addr string) (*pool, error) {
 	c.mu.RLock()
-	if c.closed {
-		c.mu.RUnlock()
-		return nil, ErrClosed
-	}
 	p, ok := c.pools[addr]
 	c.mu.RUnlock()
 	if ok {
-		return p, nil
+		return p, nil // Close empties the map, so a hit means still open
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed.Load() {
 		return nil, ErrClosed
 	}
 	if p, ok := c.pools[addr]; ok {
@@ -658,62 +709,80 @@ func (c *Cluster) pool(addr string) (*pool, error) {
 
 // pool is a small idle-connection pool for one node.
 type pool struct {
-	addr string
-	idle chan *poolConn
+	addr    string
+	maxIdle int
+
+	mu     sync.Mutex
+	idle   []*poolConn // most recently used last
+	closed bool
 }
 
 func newPool(addr string, maxIdle int) *pool {
 	if maxIdle < 1 {
 		maxIdle = 1
 	}
-	return &pool{addr: addr, idle: make(chan *poolConn, maxIdle)}
+	return &pool{addr: addr, maxIdle: maxIdle}
 }
 
-// poolConn is one pooled connection.
+// maxScratch bounds the encode buffer a pooled connection keeps between
+// requests; a larger one (a big set) is dropped on the way back.
+const maxScratch = 64 << 10
+
+// poolConn is one pooled connection with the scratch its exchanges use:
+// the reply reader's buffers and wbuf, the request encode buffer
+// (conn.wbuf = memproto.Append*(conn.wbuf[:0], …), then write it).
 type poolConn struct {
 	nc    net.Conn
 	reply *memproto.ReplyReader
-	owner *pool
+	wbuf  []byte
 }
 
 func (p *pool) get(dialTimeout time.Duration) (*poolConn, error) {
-	select {
-	case conn := <-p.idle:
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 {
+		conn := p.idle[n-1]
+		p.idle = p.idle[:n-1]
+		p.mu.Unlock()
 		return conn, nil
-	default:
 	}
+	p.mu.Unlock()
 	nc, err := net.DialTimeout("tcp", p.addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", p.addr, err)
 	}
-	return &poolConn{nc: nc, reply: memproto.NewReplyReader(nc), owner: p}, nil
+	return &poolConn{nc: nc, reply: memproto.NewReplyReader(nc)}, nil
 }
 
+// put parks a healthy connection for reuse. A pool that was closed while
+// the connection was checked out — its node left the membership, or the
+// client closed — closes it instead: nothing would ever drain it.
 func (p *pool) put(conn *poolConn) {
-	_ = conn.nc.SetDeadline(time.Time{})
-	select {
-	case p.idle <- conn:
-	default:
-		_ = conn.nc.Close()
+	if cap(conn.wbuf) > maxScratch {
+		conn.wbuf = nil
 	}
+	p.mu.Lock()
+	if !p.closed && len(p.idle) < p.maxIdle {
+		p.idle = append(p.idle, conn)
+		p.mu.Unlock()
+		return
+	}
+	p.mu.Unlock()
+	_ = conn.nc.Close()
 }
 
+// close closes the idle connections and makes every later put close its
+// connection too.
 func (p *pool) close() {
-	for {
-		select {
-		case conn := <-p.idle:
-			_ = conn.nc.Close()
-		default:
-			return
-		}
+	p.mu.Lock()
+	idle := p.idle
+	p.idle, p.closed = nil, true
+	p.mu.Unlock()
+	for _, conn := range idle {
+		_ = conn.nc.Close()
 	}
 }
 
 func (conn *poolConn) write(b []byte) error {
 	_, err := conn.nc.Write(b)
 	return err
-}
-
-func (conn *poolConn) discard() {
-	_ = conn.nc.Close()
 }

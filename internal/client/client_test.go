@@ -294,7 +294,7 @@ func TestClusterOptions(t *testing.T) {
 
 func TestPoolClampsMaxIdle(t *testing.T) {
 	p := newPool("addr", 0)
-	if cap(p.idle) != 1 {
-		t.Fatalf("idle cap = %d, want clamp to 1", cap(p.idle))
+	if p.maxIdle != 1 {
+		t.Fatalf("maxIdle = %d, want clamp to 1", p.maxIdle)
 	}
 }

@@ -63,6 +63,11 @@ func TestHandoverForwardOnMiss(t *testing.T) {
 	if err != nil || !ok || string(v) != "pre-handover" {
 		t.Fatalf("forward-on-miss Get = %q, %v, %v", v, ok, err)
 	}
+	// The multi-get path forwards the same miss, next to a true one.
+	got, err := cl.MultiGet([]string{"never-set", key})
+	if err != nil || len(got) != 1 || string(got[key]) != "pre-handover" {
+		t.Fatalf("forward-on-miss MultiGet = %v, %v", got, err)
+	}
 
 	// Writes are now dual-applied: after commit+settle (retiring owner
 	// drops out of the plan) the value must still be served.
@@ -160,7 +165,7 @@ func TestLeaseForwardWarmsIncomingOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, _, hit2, _, err := cl.getPlainOn(context.Background(), primary, key)
+	v2, _, hit2, err := cl.getOn(context.Background(), primary, key)
 	if err != nil || !hit2 || string(v2) != "warm-me" {
 		t.Fatalf("incoming owner after warm fill = %q hit=%v err=%v", v2, hit2, err)
 	}

@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"repro/internal/hashring"
@@ -93,12 +92,12 @@ func (c *Cluster) HotKeyTable() (map[string][]string, map[string]uint64) {
 	return table, versions
 }
 
-// routeRead picks the node to read key from: a promoted key rotates
-// through its serving set (cheap splitmix shuffle over a shared counter),
-// everything else follows the ownership table's read plan. fallback is
-// the retiring owner to forward a miss to when the key's segment is
-// mid-handover, empty otherwise.
-func (c *Cluster) routeRead(key string) (node, fallback string, err error) {
+// routeRead picks the node to read key from under table snapshot t: a
+// promoted key rotates through its serving set (cheap splitmix shuffle
+// over a shared counter), everything else follows the ownership table's
+// read plan. fallback is the retiring owner to forward a miss to when the
+// key's segment is mid-handover, empty otherwise.
+func (c *Cluster) routeRead(t *hashring.Table, key string) (node, fallback string, err error) {
 	if c.hotCount.Load() > 0 {
 		c.hotMu.RLock()
 		nodes := c.hotByKey[key]
@@ -111,19 +110,13 @@ func (c *Cluster) routeRead(key string) (node, fallback string, err error) {
 			return target, "", nil
 		}
 	}
-	return c.readPlan(key)
+	return readPlan(t, key)
 }
 
-// readPlan resolves the key's read route under the current table.
-func (c *Cluster) readPlan(key string) (primary, fallback string, err error) {
-	primary, fallback, err = c.table.Load().ReadPlan(key)
-	if errors.Is(err, hashring.ErrEmptyRing) {
-		return "", "", ErrNoMembers
-	}
-	if err != nil {
-		return "", "", err
-	}
-	return primary, fallback, nil
+// readPlan resolves the key's read route under table t.
+func readPlan(t *hashring.Table, key string) (primary, fallback string, err error) {
+	primary, fallback, err = t.ReadPlan(key)
+	return primary, fallback, routeErr(err)
 }
 
 // mix64 is the splitmix64 finalizer: it turns the sequential routing

@@ -33,7 +33,7 @@ func (c *Cluster) LeaseGet(key string) (value []byte, token uint64, hit bool, er
 // owner before granting a token; a forwarded hit warms the incoming
 // owner with a best-effort lease fill.
 func (c *Cluster) LeaseGetContext(ctx context.Context, key string) (value []byte, token uint64, hit bool, err error) {
-	primary, fallback, err := c.readPlan(key)
+	primary, fallback, err := readPlan(c.table.Load(), key)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -47,7 +47,7 @@ func (c *Cluster) LeaseGetContext(ctx context.Context, key string) (value []byte
 	// Miss with a granted token, retiring owner available: forward the
 	// read. On a hit, spend our token warming the incoming owner so the
 	// next reader hits locally; the value we return either way.
-	fv, fflags, fhit, _, ferr := c.getPlainOn(ctx, fallback, key)
+	fv, fflags, fhit, ferr := c.getOn(ctx, fallback, key)
 	if ferr != nil || !fhit {
 		return nil, token, false, nil // keep the fill right; caller loads the store
 	}
@@ -63,7 +63,7 @@ func (c *Cluster) LeaseSet(key string, value []byte, token uint64) error {
 
 // LeaseSetContext is LeaseSet bounded by ctx's deadline.
 func (c *Cluster) LeaseSetContext(ctx context.Context, key string, value []byte, token uint64) error {
-	primary, _, err := c.readPlan(key)
+	primary, _, err := readPlan(c.table.Load(), key)
 	if err != nil {
 		return err
 	}
@@ -73,7 +73,8 @@ func (c *Cluster) LeaseSetContext(ctx context.Context, key string, value []byte,
 // leaseGetOn issues one lget on node.
 func (c *Cluster) leaseGetOn(ctx context.Context, node, key string) (value []byte, flags uint32, hit bool, token uint64, err error) {
 	err = c.withConnCtx(ctx, node, func(conn *poolConn) error {
-		if err := conn.write(memproto.FormatLeaseGet(key)); err != nil {
+		conn.wbuf = memproto.AppendLeaseGet(conn.wbuf[:0], key)
+		if err := conn.write(conn.wbuf); err != nil {
 			return err
 		}
 		var err error
@@ -83,27 +84,12 @@ func (c *Cluster) leaseGetOn(ctx context.Context, node, key string) (value []byt
 	return value, flags, hit, token, err
 }
 
-// getPlainOn issues one plain get on node (used for miss forwarding).
-func (c *Cluster) getPlainOn(ctx context.Context, node, key string) (value []byte, flags uint32, hit bool, token uint64, err error) {
-	err = c.withConnCtx(ctx, node, func(conn *poolConn) error {
-		if err := conn.write(memproto.FormatGet([]string{key})); err != nil {
-			return err
-		}
-		return conn.reply.ReadValuesFunc(func(k string, f uint32, v []byte, _ uint64) error {
-			value = append(make([]byte, 0, len(v)), v...)
-			flags = f
-			hit = true
-			return nil
-		})
-	})
-	return value, flags, hit, 0, err
-}
-
 // leaseSetOn issues one lset on node, mapping NOT_STORED to
 // ErrLeaseRejected.
 func (c *Cluster) leaseSetOn(ctx context.Context, node, key string, value []byte, flags uint32, token uint64) error {
 	return c.withConnCtx(ctx, node, func(conn *poolConn) error {
-		if err := conn.write(memproto.FormatLeaseSet(key, flags, 0, value, token, false)); err != nil {
+		conn.wbuf = memproto.AppendLeaseSet(conn.wbuf[:0], key, flags, 0, value, token, false)
+		if err := conn.write(conn.wbuf); err != nil {
 			return err
 		}
 		line, err := conn.reply.ReadSimple()

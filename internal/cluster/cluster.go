@@ -70,6 +70,41 @@ type node struct {
 	rpc    *agentrpc.Server
 	hot    *hotkey.Replicator
 	pusher *hotkey.NetPusher
+
+	// unsubscribe drops the node's listeners from the Master. Listener
+	// lifetime is node lifetime: a retired node left subscribed would be
+	// pinned (arena, index and all) and called on every announcement.
+	unsubscribe []func()
+}
+
+// subscribe registers the node's listeners with the Master: servers gate
+// lease fills into the gutter and agents gate stale imports off the
+// per-segment ownership table; the hot-key replicator follows membership.
+func (n *node) subscribe(master *core.Master) {
+	n.unsubscribe = append(n.unsubscribe,
+		master.SubscribeOwnership(n.server),
+		master.SubscribeOwnership(n.agent))
+	if n.hot != nil {
+		n.unsubscribe = append(n.unsubscribe, master.Subscribe(n.hot))
+	}
+}
+
+// stop unsubscribes the node and closes everything it runs.
+func (n *node) stop() error {
+	for _, cancel := range n.unsubscribe {
+		cancel()
+	}
+	if n.hot != nil {
+		n.hot.Stop()
+	}
+	if n.pusher != nil {
+		n.pusher.Close()
+	}
+	err := n.server.Close()
+	if rpcErr := n.rpc.Close(); err == nil {
+		err = rpcErr
+	}
+	return err
 }
 
 // Cluster is a running local ElMem deployment.
@@ -120,13 +155,7 @@ func StartLocal(cfg Config) (*Cluster, error) {
 	c.mu.Unlock()
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].name < nodes[j].name })
 	for _, n := range nodes {
-		// Servers gate lease fills into the gutter and agents gate stale
-		// imports off the per-segment ownership table.
-		master.SubscribeOwnership(n.server)
-		master.SubscribeOwnership(n.agent)
-		if c.cfg.HotKeys != nil {
-			master.Subscribe(n.hot)
-		}
+		n.subscribe(master)
 	}
 
 	cl, err := client.New(members)
@@ -162,23 +191,17 @@ func (c *Cluster) startNode() (*node, error) {
 	}
 	c.book.Register(name, rpc.Addr())
 	n := &node{name: name, cache: cc, agent: ag, server: srv, rpc: rpc}
-	if c.master != nil {
-		// Scale-out path: the initial StartLocal loop runs before the
-		// Master exists and subscribes there instead.
-		c.master.SubscribeOwnership(n.server)
-		c.master.SubscribeOwnership(n.agent)
-	}
 	if c.cfg.HotKeys != nil {
 		n.pusher = hotkey.NewNetPusher(0, 0)
 		n.hot = hotkey.New(name, cc, n.pusher, *c.cfg.HotKeys)
 		n.hot.Start()
 		srv.SetHotKeys(n.hot)
 		ag.SetOwnedFilter(n.hot.OwnedFilter())
-		if c.master != nil {
-			// Scale-out path: the initial StartLocal loop runs before the
-			// Master exists and subscribes there instead.
-			c.master.Subscribe(n.hot)
-		}
+	}
+	if c.master != nil {
+		// Scale-out path: the initial StartLocal loop runs before the
+		// Master exists and subscribes there instead.
+		n.subscribe(c.master)
 	}
 	c.mu.Lock()
 	c.nodes[name] = n
@@ -187,8 +210,9 @@ func (c *Cluster) startNode() (*node, error) {
 	return n, nil
 }
 
-// stopNode is the Master's node stopper: close the retired node's servers
-// and drop it from the book.
+// stopNode is the Master's node stopper (and the ScaleOut-abort teardown):
+// drop the node from the book and the Master's listeners, and close its
+// servers.
 func (c *Cluster) stopNode(name string) error {
 	c.mu.Lock()
 	n, ok := c.nodes[name]
@@ -198,16 +222,7 @@ func (c *Cluster) stopNode(name string) error {
 		return nil
 	}
 	c.book.Deregister(name)
-	if n.hot != nil {
-		n.hot.Stop()
-	}
-	if n.pusher != nil {
-		n.pusher.Close()
-	}
-	err := n.server.Close()
-	if rpcErr := n.rpc.Close(); err == nil {
-		err = rpcErr
-	}
+	err := n.stop()
 	c.cfg.Logger.Printf("cluster: node %s retired", name)
 	return err
 }
@@ -335,16 +350,7 @@ func (c *Cluster) Close() error {
 	}
 	var firstErr error
 	for _, n := range nodes {
-		if n.hot != nil {
-			n.hot.Stop()
-		}
-		if n.pusher != nil {
-			n.pusher.Close()
-		}
-		if err := n.server.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if err := n.rpc.Close(); err != nil && firstErr == nil {
+		if err := n.stop(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -173,3 +173,38 @@ func TestNodeLookup(t *testing.T) {
 		t.Fatal("ghost node found")
 	}
 }
+
+// scaleCycles runs n ScaleIn(1) → ScaleOut(1) cycles with a write before
+// each, calling afterEach (when non-nil) once the membership is whole again.
+func scaleCycles(t *testing.T, c *Cluster, n int, afterEach func()) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := c.Client().Set(fmt.Sprintf("key-%d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ScaleIn(context.Background(), 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ScaleOut(context.Background(), 1); err != nil {
+			t.Fatal(err)
+		}
+		if afterEach != nil {
+			afterEach()
+		}
+	}
+}
+
+// TestRetiredNodeIsUnsubscribed: listener lifetime is node lifetime. After
+// five in→out cycles the Master holds exactly one server and one agent
+// listener per live node, plus the client — not also those of the five
+// retired nodes, which it would pin and keep announcing to.
+func TestRetiredNodeIsUnsubscribed(t *testing.T) {
+	c := startTest(t, 3)
+	scaleCycles(t, c, 5, nil)
+	live := len(c.Members())
+	membership, ownership := c.Master().ListenerCounts()
+	if want := 2*live + 1; ownership != want || membership != 1 {
+		t.Fatalf("Master holds %d ownership and %d membership listeners for %d live nodes, want %d and 1",
+			ownership, membership, live, want)
+	}
+}

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -202,9 +203,18 @@ type Master struct {
 
 	mu           sync.Mutex
 	members      []string
-	listeners    []MembershipListener
 	table        *hashring.Table
-	ownListeners []OwnershipListener
+	nextSub      uint64
+	listeners    []subscription[MembershipListener]
+	ownListeners []subscription[OwnershipListener]
+}
+
+// subscription is one registered listener. The id is what its cancel func
+// removes it by: listener values need not be comparable (MembershipFunc
+// is a func).
+type subscription[L any] struct {
+	id uint64
+	l  L
 }
 
 // Option configures a Master.
@@ -319,23 +329,44 @@ func (m *Master) Members() []string {
 
 // Subscribe registers a membership listener and immediately delivers the
 // current membership. A listener that also implements OwnershipListener
-// is additionally subscribed to ownership-table announcements.
-func (m *Master) Subscribe(l MembershipListener) {
+// is additionally subscribed to ownership-table announcements. The
+// returned cancel drops the listener again: the Master holds (and keeps
+// calling) a listener until then, so whatever goes away before the Master
+// does — a retired node — must cancel.
+func (m *Master) Subscribe(l MembershipListener) (cancel func()) {
 	m.mu.Lock()
-	m.listeners = append(m.listeners, l)
+	m.nextSub++
+	id := m.nextSub
+	m.listeners = append(m.listeners, subscription[MembershipListener]{id, l})
 	members := make([]string, len(m.members))
 	copy(members, m.members)
 	t := m.table
-	var ol OwnershipListener
-	if o, ok := l.(OwnershipListener); ok {
-		m.ownListeners = append(m.ownListeners, o)
-		ol = o
+	ol, _ := l.(OwnershipListener)
+	if ol != nil {
+		m.ownListeners = append(m.ownListeners, subscription[OwnershipListener]{id, ol})
 	}
 	m.mu.Unlock()
 	l.MembershipChanged(members)
 	if ol != nil {
 		ol.OwnershipChanged(t)
 	}
+	return func() { m.unsubscribe(id) }
+}
+
+// unsubscribe drops the listener(s) registered under id.
+func (m *Master) unsubscribe(id uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.listeners = slices.DeleteFunc(m.listeners, func(s subscription[MembershipListener]) bool { return s.id == id })
+	m.ownListeners = slices.DeleteFunc(m.ownListeners, func(s subscription[OwnershipListener]) bool { return s.id == id })
+}
+
+// ListenerCounts reports how many membership and ownership listeners are
+// subscribed (observability; tests pin listener lifetime with it).
+func (m *Master) ListenerCounts() (membership, ownership int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.listeners), len(m.ownListeners)
 }
 
 // ScoreNodes queries every member's Agent concurrently and returns scores
@@ -749,12 +780,11 @@ func (m *Master) setMembers(members []string) {
 	m.mu.Lock()
 	m.members = append(m.members[:0:0], members...)
 	sort.Strings(m.members)
-	notify := make([]MembershipListener, len(m.listeners))
-	copy(notify, m.listeners)
+	notify := slices.Clone(m.listeners)
 	snapshot := make([]string, len(m.members))
 	copy(snapshot, m.members)
 	m.mu.Unlock()
-	for _, l := range notify {
-		l.MembershipChanged(snapshot)
+	for _, s := range notify {
+		s.l.MembershipChanged(snapshot)
 	}
 }

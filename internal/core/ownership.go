@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hashring"
 )
@@ -74,13 +75,17 @@ func (m *Master) OwnershipTable() *hashring.Table {
 }
 
 // SubscribeOwnership registers an ownership-only listener and immediately
-// delivers the current table.
-func (m *Master) SubscribeOwnership(l OwnershipListener) {
+// delivers the current table. Like Subscribe it returns the cancel that
+// drops the listener.
+func (m *Master) SubscribeOwnership(l OwnershipListener) (cancel func()) {
 	m.mu.Lock()
-	m.ownListeners = append(m.ownListeners, l)
+	m.nextSub++
+	id := m.nextSub
+	m.ownListeners = append(m.ownListeners, subscription[OwnershipListener]{id, l})
 	t := m.table
 	m.mu.Unlock()
 	l.OwnershipChanged(t)
+	return func() { m.unsubscribe(id) }
 }
 
 // setTable installs a new table and announces it to every ownership
@@ -88,11 +93,10 @@ func (m *Master) SubscribeOwnership(l OwnershipListener) {
 func (m *Master) setTable(t *hashring.Table) {
 	m.mu.Lock()
 	m.table = t
-	notify := make([]OwnershipListener, len(m.ownListeners))
-	copy(notify, m.ownListeners)
+	notify := slices.Clone(m.ownListeners)
 	m.mu.Unlock()
-	for _, l := range notify {
-		l.OwnershipChanged(t)
+	for _, s := range notify {
+		s.l.OwnershipChanged(t)
 	}
 }
 

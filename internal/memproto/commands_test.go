@@ -143,7 +143,7 @@ func TestParseValueLineErrors(t *testing.T) {
 		"VALUE k 0 99999999", // oversized
 		"VALUE k 0 2 x",      // bad cas
 	} {
-		if _, _, _, _, err := parseValueLine(line); err == nil {
+		if _, _, _, _, err := parseValueLine([]byte(line)); err == nil {
 			t.Fatalf("parseValueLine(%q) succeeded, want error", line)
 		}
 	}

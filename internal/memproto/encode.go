@@ -1,0 +1,127 @@
+package memproto
+
+import "strconv"
+
+// Client-side request encoders. Each Append* form writes the request after
+// dst and returns the extended slice, so a caller that keeps one buffer per
+// connection (the cluster client does) encodes a steady request stream
+// without allocating; Format* is the same encoder over a fresh buffer, for
+// one-off callers.
+
+// appendStore appends a storage-shaped request:
+// "<verb> <key> <flags> <exptime> <bytes>[ <extra>...][ noreply]\r\n<value>\r\n".
+// extra carries the numeric fields some verbs put after the byte count
+// (the lease token of lset).
+func appendStore(dst []byte, verb, key string, flags uint32, exptime int64, value []byte, noreply bool, extra ...uint64) []byte {
+	dst = append(dst, verb...)
+	dst = append(dst, ' ')
+	dst = append(dst, key...)
+	dst = append(dst, ' ')
+	dst = strconv.AppendUint(dst, uint64(flags), 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, exptime, 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(len(value)), 10)
+	for _, x := range extra {
+		dst = append(dst, ' ')
+		dst = strconv.AppendUint(dst, x, 10)
+	}
+	if noreply {
+		dst = append(dst, " noreply"...)
+	}
+	dst = append(dst, "\r\n"...)
+	dst = append(dst, value...)
+	return append(dst, "\r\n"...)
+}
+
+// storeLen is an upper bound on a storage-shaped request's encoded size,
+// so Format* allocates once.
+func storeLen(key string, value []byte) int { return len(key) + len(value) + 80 }
+
+// appendKeyLine appends "<verb> <key>[ noreply]\r\n".
+func appendKeyLine(dst []byte, verb, key string, noreply bool) []byte {
+	dst = append(dst, verb...)
+	dst = append(dst, ' ')
+	dst = append(dst, key...)
+	if noreply {
+		dst = append(dst, " noreply"...)
+	}
+	return append(dst, "\r\n"...)
+}
+
+// AppendGet appends a (multi-)get request line.
+func AppendGet(dst []byte, keys []string) []byte {
+	dst = append(dst, "get"...)
+	for _, k := range keys {
+		dst = append(dst, ' ')
+		dst = append(dst, k...)
+	}
+	return append(dst, "\r\n"...)
+}
+
+// FormatGet renders a (multi-)get request line.
+func FormatGet(keys []string) []byte {
+	n := len("get\r\n")
+	for _, k := range keys {
+		n += 1 + len(k)
+	}
+	return AppendGet(make([]byte, 0, n), keys)
+}
+
+// AppendSet appends a set request header + payload.
+func AppendSet(dst []byte, key string, flags uint32, exptime int64, value []byte, noreply bool) []byte {
+	return appendStore(dst, "set", key, flags, exptime, value, noreply)
+}
+
+// FormatSet renders a set request header + payload.
+func FormatSet(key string, flags uint32, exptime int64, value []byte, noreply bool) []byte {
+	return AppendSet(make([]byte, 0, storeLen(key, value)), key, flags, exptime, value, noreply)
+}
+
+// AppendDelete appends a delete request line.
+func AppendDelete(dst []byte, key string, noreply bool) []byte {
+	return appendKeyLine(dst, "delete", key, noreply)
+}
+
+// FormatDelete renders a delete request line.
+func FormatDelete(key string, noreply bool) []byte { return AppendDelete(nil, key, noreply) }
+
+// AppendLeaseGet appends an lget request line.
+func AppendLeaseGet(dst []byte, key string) []byte {
+	return appendKeyLine(dst, "lget", key, false)
+}
+
+// FormatLeaseGet renders an lget request line.
+func FormatLeaseGet(key string) []byte { return AppendLeaseGet(nil, key) }
+
+// AppendLeaseSet appends an lset request header + payload: a fill gated by
+// the lease token handed out by the miss.
+func AppendLeaseSet(dst []byte, key string, flags uint32, exptime int64, value []byte, token uint64, noreply bool) []byte {
+	return appendStore(dst, "lset", key, flags, exptime, value, noreply, token)
+}
+
+// FormatLeaseSet renders an lset request header + payload.
+func FormatLeaseSet(key string, flags uint32, exptime int64, value []byte, token uint64, noreply bool) []byte {
+	return AppendLeaseSet(make([]byte, 0, storeLen(key, value)), key, flags, exptime, value, token, noreply)
+}
+
+// FormatHKPut renders a replica value push.
+func FormatHKPut(key string, flags uint32, exptime int64, value []byte, noreply bool) []byte {
+	return appendStore(make([]byte, 0, storeLen(key, value)), "hkput", key, flags, exptime, value, noreply)
+}
+
+// FormatHKDel renders a replica invalidation.
+func FormatHKDel(key string, noreply bool) []byte {
+	return appendKeyLine(nil, "hkdel", key, noreply)
+}
+
+// FormatHKTouch renders a replica TTL refresh.
+func FormatHKTouch(key string, exptime int64, noreply bool) []byte {
+	dst := append([]byte("hktouch "), key...)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, exptime, 10)
+	if noreply {
+		dst = append(dst, " noreply"...)
+	}
+	return append(dst, "\r\n"...)
+}

@@ -6,42 +6,114 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // ErrServer wraps SERVER_ERROR / CLIENT_ERROR / ERROR responses on the
 // client side.
 var ErrServer = errors.New("memproto: server reported error")
 
+// replyBufSize is the ReplyReader's read buffer; no reply line (VALUE,
+// STAT, HK …) legitimately comes near it, so a longer one is a protocol
+// error rather than something to buffer without bound.
+const replyBufSize = 16 << 10
+
 // ReplyReader parses server responses on the client side.
 type ReplyReader struct {
 	r   *bufio.Reader
-	val []byte // value scratch reused by ReadValuesFunc
+	key []byte // key scratch: the line buffer is recycled by the value read
+	val []byte // value scratch reused across blocks
 }
 
 // NewReplyReader wraps a reader.
 func NewReplyReader(r io.Reader) *ReplyReader {
-	return &ReplyReader{r: bufio.NewReaderSize(r, 16<<10)}
+	return &ReplyReader{r: bufio.NewReaderSize(r, replyBufSize)}
 }
 
-// readLine reads one CRLF-terminated line without the terminator.
-func (rr *ReplyReader) readLine() (string, error) {
-	line, err := rr.r.ReadString('\n')
+// readLine reads one line without its terminator (the newline and any
+// carriage returns before it). The slice aliases the read buffer and is
+// valid until the next read.
+func (rr *ReplyReader) readLine() ([]byte, error) {
+	line, err := rr.r.ReadSlice('\n')
 	if err != nil {
-		return "", err
+		if err == bufio.ErrBufferFull {
+			return nil, fmt.Errorf("%w: reply line exceeds %d bytes", ErrProtocol, replyBufSize)
+		}
+		return nil, err
 	}
-	return strings.TrimRight(line, "\r\n"), nil
+	n := len(line) - 1
+	for n > 0 && line[n-1] == '\r' {
+		n--
+	}
+	return line[:n], nil
+}
+
+// hasPrefix is bytes.HasPrefix against a string, without converting it.
+func hasPrefix(line []byte, prefix string) bool {
+	return len(line) >= len(prefix) && string(line[:len(prefix)]) == prefix
 }
 
 // errorFromLine converts an error response line to an error, or nil.
-func errorFromLine(line string) error {
+func errorFromLine(line []byte) error {
 	switch {
-	case line == "ERROR":
+	case string(line) == "ERROR":
 		return fmt.Errorf("%w: ERROR", ErrServer)
-	case strings.HasPrefix(line, "CLIENT_ERROR "),
-		strings.HasPrefix(line, "SERVER_ERROR "):
+	case hasPrefix(line, "CLIENT_ERROR "), hasPrefix(line, "SERVER_ERROR "):
 		return fmt.Errorf("%w: %s", ErrServer, line)
+	}
+	return nil
+}
+
+// ReadValue reads the next VALUE block of a get/gets response; more is
+// false once END was consumed instead. key and value alias scratch buffers
+// reused by the next read: copy them to retain them. This is the
+// allocation-free decode the cluster client's gets run on.
+func (rr *ReplyReader) ReadValue() (key, value []byte, flags uint32, casToken uint64, more bool, err error) {
+	line, err := rr.readLine()
+	if err != nil {
+		return nil, nil, 0, 0, false, err
+	}
+	if string(line) == "END" {
+		return nil, nil, 0, 0, false, nil
+	}
+	if err := errorFromLine(line); err != nil {
+		return nil, nil, 0, 0, false, err
+	}
+	key, flags, size, casToken, err := parseValueLine(line)
+	if err != nil {
+		return nil, nil, 0, 0, false, err
+	}
+	rr.key = append(rr.key[:0], key...)
+	value, err = rr.readBody(size)
+	if err != nil {
+		return nil, nil, 0, 0, false, err
+	}
+	return rr.key, value, flags, casToken, true, nil
+}
+
+// readBody reads a block's value and its trailing CRLF into the scratch.
+func (rr *ReplyReader) readBody(size int) ([]byte, error) {
+	need := size + 2
+	if cap(rr.val) < need {
+		rr.val = make([]byte, need)
+	}
+	body := rr.val[:need]
+	if _, err := io.ReadFull(rr.r, body); err != nil {
+		return nil, fmt.Errorf("%w: short value: %v", ErrProtocol, err)
+	}
+	if body[size] != '\r' || body[size+1] != '\n' {
+		return nil, fmt.Errorf("%w: bad value terminator", ErrProtocol)
+	}
+	return body[:size], nil
+}
+
+// expectEnd consumes the END that closes a single-block response.
+func (rr *ReplyReader) expectEnd(after string) error {
+	line, err := rr.readLine()
+	if err != nil {
+		return err
+	}
+	if string(line) != "END" {
+		return fmt.Errorf("%w: expected END after %s, got %q", ErrProtocol, after, line)
 	}
 	return nil
 }
@@ -49,37 +121,14 @@ func errorFromLine(line string) error {
 // ReadValuesFunc consumes a get/gets response — zero or more VALUE blocks
 // followed by END — invoking fn for each block in arrival order. The value
 // slice aliases a scratch buffer reused across blocks: copy it to retain
-// it past fn's return. This is the allocation-light path the cluster
-// client's positional multi-get matching runs on.
+// it past fn's return.
 func (rr *ReplyReader) ReadValuesFunc(fn func(key string, flags uint32, value []byte, casToken uint64) error) error {
 	for {
-		line, err := rr.readLine()
-		if err != nil {
+		key, value, flags, casToken, more, err := rr.ReadValue()
+		if err != nil || !more {
 			return err
 		}
-		if line == "END" {
-			return nil
-		}
-		if err := errorFromLine(line); err != nil {
-			return err
-		}
-		key, flags, size, casToken, err := parseValueLine(line)
-		if err != nil {
-			return err
-		}
-		// Read value and trailing \r\n in one ReadFull into the scratch.
-		need := size + 2
-		if cap(rr.val) < need {
-			rr.val = make([]byte, need)
-		}
-		body := rr.val[:need]
-		if _, err := io.ReadFull(rr.r, body); err != nil {
-			return fmt.Errorf("%w: short value: %v", ErrProtocol, err)
-		}
-		if !bytes.Equal(body[size:], []byte("\r\n")) {
-			return fmt.Errorf("%w: bad value terminator", ErrProtocol)
-		}
-		if err := fn(key, flags, body[:size], casToken); err != nil {
+		if err := fn(string(key), flags, value, casToken); err != nil {
 			return err
 		}
 	}
@@ -124,29 +173,28 @@ func (rr *ReplyReader) ReadValuesCAS() (map[string]ValueCAS, error) {
 	return out, nil
 }
 
-// parseValueLine parses "VALUE <key> <flags> <bytes> [<cas>]".
-func parseValueLine(line string) (key string, flags uint32, size int, casToken uint64, err error) {
-	fields := strings.Fields(line)
-	if len(fields) < 4 || len(fields) > 5 || fields[0] != "VALUE" {
-		return "", 0, 0, 0, fmt.Errorf("%w: bad VALUE line %q", ErrProtocol, line)
+// parseValueLine parses "VALUE <key> <flags> <bytes> [<cas>]". key aliases
+// line.
+func parseValueLine(line []byte) (key []byte, flags uint32, size int, casToken uint64, err error) {
+	var buf [6][]byte
+	fields := splitFields(line, buf[:0])
+	if len(fields) < 4 || len(fields) > 5 || string(fields[0]) != "VALUE" {
+		return nil, 0, 0, 0, fmt.Errorf("%w: bad VALUE line %q", ErrProtocol, line)
 	}
-	key = fields[1]
-	f64, err := strconv.ParseUint(fields[2], 10, 32)
-	if err != nil {
-		return "", 0, 0, 0, fmt.Errorf("%w: bad flags in %q", ErrProtocol, line)
+	flags, ok := parseUint32(fields[2])
+	if !ok {
+		return nil, 0, 0, 0, fmt.Errorf("%w: bad flags in %q", ErrProtocol, line)
 	}
-	flags = uint32(f64)
-	size, err = strconv.Atoi(fields[3])
-	if err != nil || size < 0 || size > MaxValueLen {
-		return "", 0, 0, 0, fmt.Errorf("%w: bad size in %q", ErrProtocol, line)
+	n, ok := parseUint64(fields[3])
+	if !ok || n > MaxValueLen {
+		return nil, 0, 0, 0, fmt.Errorf("%w: bad size in %q", ErrProtocol, line)
 	}
 	if len(fields) == 5 {
-		casToken, err = strconv.ParseUint(fields[4], 10, 64)
-		if err != nil {
-			return "", 0, 0, 0, fmt.Errorf("%w: bad cas in %q", ErrProtocol, line)
+		if casToken, ok = parseUint64(fields[4]); !ok {
+			return nil, 0, 0, 0, fmt.Errorf("%w: bad cas in %q", ErrProtocol, line)
 		}
 	}
-	return key, flags, size, casToken, nil
+	return fields[1], flags, int(n), casToken, nil
 }
 
 // ReadLeaseGet consumes an lget response: either one VALUE block followed
@@ -158,17 +206,13 @@ func (rr *ReplyReader) ReadLeaseGet() (value []byte, flags uint32, hit bool, tok
 	if err != nil {
 		return nil, 0, false, 0, err
 	}
-	if rest, ok := strings.CutPrefix(line, "LEASE "); ok {
-		token, err = strconv.ParseUint(rest, 10, 64)
-		if err != nil {
+	if hasPrefix(line, "LEASE ") {
+		token, ok := parseUint64(line[len("LEASE "):])
+		if !ok {
 			return nil, 0, false, 0, fmt.Errorf("%w: bad LEASE token %q", ErrProtocol, line)
 		}
-		end, err := rr.readLine()
-		if err != nil {
+		if err := rr.expectEnd("LEASE"); err != nil {
 			return nil, 0, false, 0, err
-		}
-		if end != "END" {
-			return nil, 0, false, 0, fmt.Errorf("%w: expected END after LEASE, got %q", ErrProtocol, end)
 		}
 		return nil, 0, false, token, nil
 	}
@@ -179,30 +223,20 @@ func (rr *ReplyReader) ReadLeaseGet() (value []byte, flags uint32, hit bool, tok
 	if err != nil {
 		return nil, 0, false, 0, err
 	}
-	need := size + 2
-	if cap(rr.val) < need {
-		rr.val = make([]byte, need)
-	}
-	body := rr.val[:need]
-	if _, err := io.ReadFull(rr.r, body); err != nil {
-		return nil, 0, false, 0, fmt.Errorf("%w: short value: %v", ErrProtocol, err)
-	}
-	if !bytes.Equal(body[size:], []byte("\r\n")) {
-		return nil, 0, false, 0, fmt.Errorf("%w: bad value terminator", ErrProtocol)
-	}
-	value = append(make([]byte, 0, size), body[:size]...)
-	end, err := rr.readLine()
+	body, err := rr.readBody(size)
 	if err != nil {
 		return nil, 0, false, 0, err
 	}
-	if end != "END" {
-		return nil, 0, false, 0, fmt.Errorf("%w: expected END after VALUE, got %q", ErrProtocol, end)
+	value = append(make([]byte, 0, size), body...)
+	if err := rr.expectEnd("VALUE"); err != nil {
+		return nil, 0, false, 0, err
 	}
 	return value, flags, true, 0, nil
 }
 
 // ReadSimple consumes a one-line response (STORED, DELETED, NOT_FOUND,
-// OK, TOUCHED, VERSION …) and returns it.
+// OK, TOUCHED, VERSION …) and returns it. The fixed replies come back as
+// constants, so matching one costs no allocation.
 func (rr *ReplyReader) ReadSimple() (string, error) {
 	line, err := rr.readLine()
 	if err != nil {
@@ -211,7 +245,23 @@ func (rr *ReplyReader) ReadSimple() (string, error) {
 	if err := errorFromLine(line); err != nil {
 		return "", err
 	}
-	return line, nil
+	switch string(line) {
+	case "STORED":
+		return "STORED", nil
+	case "NOT_STORED":
+		return "NOT_STORED", nil
+	case "EXISTS":
+		return "EXISTS", nil
+	case "NOT_FOUND":
+		return "NOT_FOUND", nil
+	case "DELETED":
+		return "DELETED", nil
+	case "TOUCHED":
+		return "TOUCHED", nil
+	case "OK":
+		return "OK", nil
+	}
+	return string(line), nil
 }
 
 // ReadStats consumes a stats response into a name → value map.
@@ -222,21 +272,20 @@ func (rr *ReplyReader) ReadStats() (map[string]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		if line == "END" {
+		if string(line) == "END" {
 			return out, nil
 		}
 		if err := errorFromLine(line); err != nil {
 			return nil, err
 		}
-		rest, ok := strings.CutPrefix(line, "STAT ")
+		if !hasPrefix(line, "STAT ") {
+			return nil, fmt.Errorf("%w: bad STAT line %q", ErrProtocol, line)
+		}
+		name, value, ok := bytes.Cut(line[len("STAT "):], []byte(" "))
 		if !ok {
 			return nil, fmt.Errorf("%w: bad STAT line %q", ErrProtocol, line)
 		}
-		name, value, ok := strings.Cut(rest, " ")
-		if !ok {
-			return nil, fmt.Errorf("%w: bad STAT line %q", ErrProtocol, line)
-		}
-		out[name] = value
+		out[string(name)] = string(value)
 	}
 }
 
@@ -257,135 +306,31 @@ func (rr *ReplyReader) ReadHotKeys() (uint64, []HotKeyTableEntry, error) {
 	if err := errorFromLine(line); err != nil {
 		return 0, nil, err
 	}
-	rest, ok := strings.CutPrefix(line, "HOTKEYS ")
-	if !ok {
+	if !hasPrefix(line, "HOTKEYS ") {
 		return 0, nil, fmt.Errorf("%w: bad HOTKEYS header %q", ErrProtocol, line)
 	}
-	version, err := strconv.ParseUint(rest, 10, 64)
-	if err != nil {
+	version, ok := parseUint64(line[len("HOTKEYS "):])
+	if !ok {
 		return 0, nil, fmt.Errorf("%w: bad HOTKEYS version %q", ErrProtocol, line)
 	}
 	var entries []HotKeyTableEntry
+	var fields [][]byte
 	for {
 		line, err := rr.readLine()
 		if err != nil {
 			return 0, nil, err
 		}
-		if line == "END" {
+		if string(line) == "END" {
 			return version, entries, nil
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 3 || fields[0] != "HK" {
+		fields = splitFields(line, fields[:0])
+		if len(fields) < 3 || string(fields[0]) != "HK" {
 			return 0, nil, fmt.Errorf("%w: bad HK line %q", ErrProtocol, line)
 		}
-		entries = append(entries, HotKeyTableEntry{Key: fields[1], Nodes: fields[2:]})
+		nodes := make([]string, len(fields)-2)
+		for i, f := range fields[2:] {
+			nodes[i] = string(f)
+		}
+		entries = append(entries, HotKeyTableEntry{Key: string(fields[1]), Nodes: nodes})
 	}
-}
-
-// FormatHKPut renders a replica value push.
-func FormatHKPut(key string, flags uint32, exptime int64, value []byte, noreply bool) []byte {
-	var b bytes.Buffer
-	b.Grow(len(key) + len(value) + 48)
-	b.WriteString("hkput ")
-	b.WriteString(key)
-	b.WriteByte(' ')
-	b.WriteString(strconv.FormatUint(uint64(flags), 10))
-	b.WriteByte(' ')
-	b.WriteString(strconv.FormatInt(exptime, 10))
-	b.WriteByte(' ')
-	b.WriteString(strconv.Itoa(len(value)))
-	if noreply {
-		b.WriteString(" noreply")
-	}
-	b.WriteString("\r\n")
-	b.Write(value)
-	b.WriteString("\r\n")
-	return b.Bytes()
-}
-
-// FormatHKDel renders a replica invalidation.
-func FormatHKDel(key string, noreply bool) []byte {
-	if noreply {
-		return []byte("hkdel " + key + " noreply\r\n")
-	}
-	return []byte("hkdel " + key + "\r\n")
-}
-
-// FormatHKTouch renders a replica TTL refresh.
-func FormatHKTouch(key string, exptime int64, noreply bool) []byte {
-	line := "hktouch " + key + " " + strconv.FormatInt(exptime, 10)
-	if noreply {
-		line += " noreply"
-	}
-	return []byte(line + "\r\n")
-}
-
-// FormatSet renders a set request header + payload.
-func FormatSet(key string, flags uint32, exptime int64, value []byte, noreply bool) []byte {
-	var b bytes.Buffer
-	b.Grow(len(key) + len(value) + 48)
-	b.WriteString("set ")
-	b.WriteString(key)
-	b.WriteByte(' ')
-	b.WriteString(strconv.FormatUint(uint64(flags), 10))
-	b.WriteByte(' ')
-	b.WriteString(strconv.FormatInt(exptime, 10))
-	b.WriteByte(' ')
-	b.WriteString(strconv.Itoa(len(value)))
-	if noreply {
-		b.WriteString(" noreply")
-	}
-	b.WriteString("\r\n")
-	b.Write(value)
-	b.WriteString("\r\n")
-	return b.Bytes()
-}
-
-// FormatLeaseGet renders an lget request line.
-func FormatLeaseGet(key string) []byte {
-	return []byte("lget " + key + "\r\n")
-}
-
-// FormatLeaseSet renders an lset request header + payload: a fill gated
-// by the lease token handed out by the miss.
-func FormatLeaseSet(key string, flags uint32, exptime int64, value []byte, token uint64, noreply bool) []byte {
-	var b bytes.Buffer
-	b.Grow(len(key) + len(value) + 64)
-	b.WriteString("lset ")
-	b.WriteString(key)
-	b.WriteByte(' ')
-	b.WriteString(strconv.FormatUint(uint64(flags), 10))
-	b.WriteByte(' ')
-	b.WriteString(strconv.FormatInt(exptime, 10))
-	b.WriteByte(' ')
-	b.WriteString(strconv.Itoa(len(value)))
-	b.WriteByte(' ')
-	b.WriteString(strconv.FormatUint(token, 10))
-	if noreply {
-		b.WriteString(" noreply")
-	}
-	b.WriteString("\r\n")
-	b.Write(value)
-	b.WriteString("\r\n")
-	return b.Bytes()
-}
-
-// FormatGet renders a (multi-)get request line.
-func FormatGet(keys []string) []byte {
-	var b bytes.Buffer
-	b.WriteString("get")
-	for _, k := range keys {
-		b.WriteByte(' ')
-		b.WriteString(k)
-	}
-	b.WriteString("\r\n")
-	return b.Bytes()
-}
-
-// FormatDelete renders a delete request line.
-func FormatDelete(key string, noreply bool) []byte {
-	if noreply {
-		return []byte("delete " + key + " noreply\r\n")
-	}
-	return []byte("delete " + key + "\r\n")
 }
