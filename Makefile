@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 E2E_DIR ?= /tmp/elmem-e2e
 SCENARIOS ?=
 
-.PHONY: build test benchmark-test race vet bench bench-hot bench-migrate bench-skew bench-serve bench-gc bench-tenant allocs chaos fuzz e2e examples check
+.PHONY: build test benchmark-test race vet bench bench-hot bench-migrate bench-skew bench-serve bench-tenant allocs chaos fuzz e2e examples check
 
 ## build: compile every package
 build:
@@ -59,14 +59,6 @@ bench-skew:
 bench-serve:
 	$(GO) run ./cmd/elmem-bench -experiment serve
 
-## bench-gc: the arena-vs-pointer GC cost experiment — both engines loaded
-## to 2M resident items, then an identical seeded get/set mix with forced
-## collections; the regression bar is a ≥5× reduction in GC CPU fraction
-## (or total pause) for the arena engine at equal residency, results in
-## BENCH_gc.json (see EXPERIMENTS.md)
-bench-gc:
-	$(GO) run ./cmd/elmem-bench -experiment gc
-
 ## bench-tenant: the multi-tenant memory arbitration experiment — a
 ## noisy-neighbor tenant mix run unpartitioned, statically split, and
 ## under the MRC arbiter; the regression bars are a ≥15% aggregate
@@ -96,12 +88,13 @@ chaos:
 	$(GO) run ./cmd/elmem-chaos -seeds $(SEEDS)
 
 ## fuzz: time-boxed native fuzzing of the decoders that read bytes off a
-## socket — the memcached request parser, the client-side reply reader and
-## the migration frame decoder
+## socket or a file — the memcached request parser, the client-side reply
+## reader, the migration frame decoder and the snapshot reader
 fuzz:
 	$(GO) test -fuzz FuzzParser -fuzztime $(FUZZTIME) ./internal/memproto/
 	$(GO) test -fuzz FuzzReplyReader -fuzztime $(FUZZTIME) ./internal/memproto/
 	$(GO) test -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/agentrpc/
+	$(GO) test -fuzz FuzzRestoreSnapshot -fuzztime $(FUZZTIME) ./internal/cache/
 
 ## e2e: the process-level end-to-end suite — real elmem-node/-master/
 ## -loadgen binaries driven through scripted failure scenarios (crash-

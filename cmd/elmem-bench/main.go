@@ -14,7 +14,6 @@
 //	elmem-bench -experiment headroom    # II-C: elasticity headroom
 //	elmem-bench -experiment skew        # hot-key replication load spread
 //	elmem-bench -experiment serve       # serve-through scaling: leases vs plain fills
-//	elmem-bench -experiment gc          # arena vs pointer engine GC cost (writes BENCH_gc.json)
 //	elmem-bench -experiment all         # everything
 //
 // -fast shrinks the simulations ~4x for a quick pass.
@@ -65,7 +64,6 @@ func run(w io.Writer) error {
 		"autoscale": runAutoScale,
 		"skew":      runSkew,
 		"serve":     runServe,
-		"gc":        runGC,
 		"tenant":    runTenant,
 	}
 	if *experiment == "all" {
@@ -267,33 +265,6 @@ func runServe(w io.Writer, fast bool) error {
 		opts.Keys = 1024
 	}
 	return cluster.RenderServe(w, opts)
-}
-
-// runGC compares the collector's cost of cache residency between the
-// arena-backed engine and a pointer-based reference engine at equal item
-// count, and writes the machine-readable result to BENCH_gc.json.
-func runGC(w io.Writer, fast bool) error {
-	cfg := experiments.DefaultGCBenchConfig()
-	if fast {
-		cfg.Items = 200_000
-		cfg.TimedOps = 400_000
-		cfg.GCEvery = 50_000
-	}
-	res, err := experiments.GCBench(cfg)
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	f, err := os.Create("BENCH_gc.json")
-	if err != nil {
-		return err
-	}
-	defer func() { _ = f.Close() }()
-	if err := res.WriteJSON(f); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "\nwrote BENCH_gc.json")
-	return nil
 }
 
 // runTenant compares the MRC-driven memory arbiter against a static even

@@ -202,13 +202,23 @@ func run() error {
 		debugsrv.Publish("elmem_cache", func() any {
 			st := c.Stats()
 			return map[string]any{
-				"items":      c.Len(),
-				"memoryMB":   *memoryMB,
-				"arenaBytes": st.ArenaBytes,
-				"slabs":      st.Slabs,
+				"items":             c.Len(),
+				"memoryMB":          *memoryMB,
+				"arenaBytes":        st.ArenaBytes,
+				"arenaTouchedBytes": st.ArenaTouchedBytes,
+				"slabs":             st.Slabs,
 			}
 		})
-		debugsrv.Publish("elmem_gc", func() any { return metrics.ReadGC() })
+		// The arena lives outside the Go heap, so the GC view carries it
+		// alongside heapAllocBytes: RSS ≈ heap + arenaTouchedBytes.
+		debugsrv.Publish("elmem_gc", func() any {
+			st := c.Stats()
+			return struct {
+				metrics.GCSnapshot
+				ArenaBytes        int64 `json:"arenaBytes"`
+				ArenaTouchedBytes int64 `json:"arenaTouchedBytes"`
+			}{metrics.ReadGC(), st.ArenaBytes, st.ArenaTouchedBytes}
+		})
 		if *tenantsFlag != "" {
 			debugsrv.Publish("elmem_tenants", func() any { return c.TenantStats() })
 		}

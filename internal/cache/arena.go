@@ -2,20 +2,31 @@ package cache
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Arena-backed item storage. The paper's 1 MiB slab pages (Section II-A)
-// are real memory here: the page pool owns a fixed table of lazily
-// allocated 1 MiB []byte arenas, each carved into fixed-size chunks by the
-// slab class it is assigned to, and every cached item lives *entirely
-// inside its chunk* — header, key bytes, and value bytes. No per-item Go
-// object exists, so the GC's mark phase scans O(pages + index slots)
-// instead of O(items): at millions of resident items the difference is the
-// whole latency budget (see DESIGN.md, "Arena-backed slabs", and
-// `make bench-gc`).
+// are real memory here: the page pool reserves the whole budget as one
+// []byte outside the Go heap (arena_mmap.go), page id is
+// mem[id*PageSize:(id+1)*PageSize], each page is carved into fixed-size
+// chunks by the slab class it is assigned to, and every cached item lives
+// *entirely inside its chunk* — header, key bytes, and value bytes. No
+// per-item Go object exists and no page is a heap object, so the GC neither
+// scans nor paces against the resident set, and the kernel backs only the
+// chunks the slabs have written (see DESIGN.md, "Arena-backed slabs").
+//
+// Lifetime rule. The mapping is released by a finalizer once the owning
+// Cache is unreachable, and nothing the GC can see points into it. That is
+// safe because (a) every arena access happens between sh.mu.Lock and
+// Unlock of a shard whose owner is the Cache, which keeps the pool's
+// arenaMem reachable for the whole access; and (b) no arena byte escapes a
+// call: every read API copies out (Get, GetWithCAS, Peek*, GetMulti*,
+// GetInto, TopMeta, AppendPairs, DumpClass, snapshots). A slice of the
+// arena held past its Cache faults; TestArenaReadsOutliveCache pins (b).
 //
 // Items are addressed by a packed itemRef (page index, chunk index)
 // instead of a pointer. MRU lists chain refs through prev/next fields in
@@ -69,6 +80,9 @@ const (
 
 	// maxArenaPages bounds the page table so page+1 fits a packed link.
 	maxArenaPages = 1<<(32-linkChunkBits) - 2
+
+	// maxKeyLen is the longest key the 16-bit keyLen header field holds.
+	maxKeyLen = math.MaxUint16
 )
 
 // packLink compresses an itemRef into the 32-bit header-link form. The zero
@@ -132,6 +146,15 @@ type tenantPages struct {
 	steals   uint64
 }
 
+// arenaMem owns the page memory. It is a leaf that only the pool points
+// at, so it becomes unreachable together with its Cache, and mapArena's
+// finalizer (if any) can release the memory then.
+type arenaMem struct{ b []byte }
+
+// liveArenas counts mapped arenas not yet released by their finalizer;
+// tests poll it instead of sleeping.
+var liveArenas atomic.Int64
+
 // pagePool is the shared page allocator: the global 1 MiB page budget plus
 // the arena memory itself. Classic memcached never returns a page; here a
 // page *can* leave a slab — but only through the tenant arbiter's explicit
@@ -139,40 +162,49 @@ type tenantPages struct {
 // through freeIDs. Serving paths still never release pages, so for a
 // single-tenant cache assignment remains the classic high-water counter.
 //
-// The pages and chunkSizes tables are sized at construction; a slot is
-// (re)written only under the pool lock before the page ID is handed to a
-// shard, and the acquiring shard's release-to-reacquire path also passes
-// through this lock, so cross-shard page reuse is properly ordered and
-// chunk resolution itself never takes the pool lock.
+// The chunkSizes table is sized at construction; a slot is (re)written
+// only under the pool lock before the page ID is handed to a shard, and
+// the acquiring shard's release-to-reacquire path also passes through this
+// lock, so cross-shard page reuse is properly ordered and chunk resolution
+// itself never takes the pool lock.
 type pagePool struct {
 	mu        sync.Mutex
 	max       int
-	highWater int      // pages ever allocated (dense table prefix)
+	highWater int      // pages ever handed out (dense page-ID prefix)
 	assigned  int      // pages currently held by any slab
 	freeIDs   []uint32 // stolen pages awaiting reassignment
 
-	pages      [][]byte
+	mem        []byte    // the whole budget; page id at mem[id*PageSize:]
+	arena      *arenaMem // keeps mem mapped while the pool is reachable
 	chunkSizes []uint32
 	owner      []uint16      // page ID → owning tenant, valid while assigned
 	tenants    []tenantPages // index = tenant ID; 0 is the default tenant
 }
 
-func newPagePool(max int) pagePool {
+func newPagePool(max int) (pagePool, error) {
 	// Header links address at most maxArenaPages pages (256 GiB); a budget
 	// beyond that is clamped rather than refused — no realistic node gets
 	// anywhere near it.
 	if max > maxArenaPages {
 		max = maxArenaPages
 	}
+	if max > math.MaxInt/PageSize {
+		return pagePool{}, fmt.Errorf("cache: %d-page arena exceeds the address space", max)
+	}
+	arena, err := mapArena(max * PageSize)
+	if err != nil {
+		return pagePool{}, err
+	}
 	return pagePool{
 		max:        max,
-		pages:      make([][]byte, max),
+		mem:        arena.b,
+		arena:      arena,
 		chunkSizes: make([]uint32, max),
 		owner:      make([]uint16, max),
 		// The default tenant starts with the whole budget; registration
 		// carves quotas out for named tenants.
 		tenants: []tenantPages{{quota: max, cap: max}},
-	}
+	}, nil
 }
 
 // ensureTenantLocked grows the tenant table through tid; callers hold p.mu.
@@ -185,9 +217,9 @@ func (p *pagePool) ensureTenantLocked(tid uint16) *tenantPages {
 	return &p.tenants[tid]
 }
 
-// tryAcquire claims one page for tenant tid's slab of the given chunk size,
-// allocating its arena on first use. It returns the page ID; false means
-// the tenant is at quota or the global budget is exhausted.
+// tryAcquire claims one page for tenant tid's slab of the given chunk size.
+// It returns the page ID; false means the tenant is at quota or the global
+// budget is exhausted.
 func (p *pagePool) tryAcquire(tid uint16, chunkSize int) (uint32, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -215,7 +247,6 @@ func (p *pagePool) tryAcquire(tid uint16, chunkSize int) (uint32, bool) {
 		p.freeIDs = p.freeIDs[:len(p.freeIDs)-1]
 	case p.highWater < p.max:
 		id = uint32(p.highWater)
-		p.pages[id] = make([]byte, PageSize)
 		p.highWater++
 	default:
 		return 0, false
@@ -241,9 +272,9 @@ func (p *pagePool) release(id uint32) {
 // chunkAt resolves a ref to its chunk bytes (header + key + value + slack).
 func (p *pagePool) chunkAt(ref itemRef) []byte {
 	pg := ref.page()
-	cs := p.chunkSizes[pg]
-	off := ref.chunk() * cs
-	return p.pages[pg][off : off+cs : off+cs]
+	cs := uint(p.chunkSizes[pg])
+	off := uint(pg)*PageSize + uint(ref.chunk())*cs
+	return p.mem[off : off+cs : off+cs]
 }
 
 // assignedCount reports pages handed out so far.

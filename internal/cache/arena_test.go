@@ -164,8 +164,15 @@ func TestPackedLinkEncoding(t *testing.T) {
 				c.page, c.chunk, got.page(), got.chunk())
 		}
 	}
-	// The pool clamps its table to what links can address.
-	pool := newPagePool(maxArenaPages + 100)
+	// The pool clamps its budget to what links can address. Only the
+	// mapped arena can reserve 256 GiB without committing it.
+	if !arenaOffHeap {
+		return
+	}
+	pool, err := newPagePool(maxArenaPages + 100)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pool.max != maxArenaPages {
 		t.Errorf("pool max = %d, want clamped to %d", pool.max, maxArenaPages)
 	}
@@ -202,7 +209,10 @@ func TestNanoSentinel(t *testing.T) {
 // TestPagePoolAssignment checks the fixed-table page allocator: IDs are
 // dense, chunk sizes stick, and the budget is a hard cap.
 func TestPagePoolAssignment(t *testing.T) {
-	pool := newPagePool(3)
+	pool, err := newPagePool(3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sizes := []int{128, 256, 1024}
 	for i, cs := range sizes {
 		id, ok := pool.tryAcquire(0, cs)

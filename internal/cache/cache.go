@@ -19,13 +19,14 @@
 // per-class MRU lists, while the 1 MiB page budget stays global behind a
 // separate allocator lock.
 //
-// Storage is arena-backed (bigcache/freecache lineage): pages are real
-// 1 MiB []byte arenas, every item lives entirely inside its fixed-size
-// chunk (header + key + value), items are addressed by packed itemRefs
-// rather than pointers, and the per-shard key table is a pointer-free
-// open-addressing index. The resident set is therefore invisible to the
-// garbage collector — GC mark work is O(pages + index slots), not
-// O(items) — while the ElMem-visible semantics are unchanged: timestamp
+// Storage is arena-backed (bigcache/freecache/fastcache lineage): the page
+// budget is one mapping outside the Go heap, carved into real 1 MiB pages;
+// every item lives entirely inside its fixed-size chunk (header + key +
+// value), items are addressed by packed itemRefs rather than pointers, and
+// the per-shard key table is a pointer-free open-addressing index. The
+// resident set is therefore invisible to the garbage collector — GC mark
+// work is O(index slots), not O(items), and the heap goal excludes the
+// arena — while the ElMem-visible semantics are unchanged: timestamp
 // dumps k-way-merge the per-shard MRU runs into one globally
 // recency-ordered list, and Item/ItemMeta/KV copies are materialized only
 // at dump/stream boundaries (see DESIGN.md, "Arena-backed slabs").
@@ -89,6 +90,11 @@ type Stats struct {
 	BytesUsed int64 `json:"bytesUsed"`
 	// ArenaBytes is the total arena memory backing assigned pages.
 	ArenaBytes int64 `json:"arenaBytes"`
+	// ArenaTouchedBytes is the arena memory the slabs have ever written:
+	// per slab, the chunks its bump cursor has handed out × chunk size.
+	// Untouched pages cost only address space, so this — not ArenaBytes —
+	// is what the node's RSS follows.
+	ArenaTouchedBytes int64 `json:"arenaTouchedBytes"`
 	// AssignedPages and MaxPages describe page-pool usage.
 	AssignedPages int `json:"assignedPages"`
 	MaxPages      int `json:"maxPages"`
@@ -176,9 +182,10 @@ func (o tenantPrefixOption) apply(opts *cacheOptions) { opts.tenantPrefix = byte
 func WithTenantPrefix(delim byte) Option { return tenantPrefixOption(delim) }
 
 // New creates a Cache with the given memory budget in bytes. The budget is
-// rounded down to whole pages and must cover at least one page. Arena
-// pages are allocated lazily as slabs claim them, so an idle Cache costs
-// only its page table.
+// rounded down to whole pages and must cover at least one page. The arena
+// is reserved up front but costs only address space until slabs write
+// chunks, so an idle Cache costs only its page tables; an arena that cannot
+// be reserved is an error.
 func New(memoryBytes int64, opts ...Option) (*Cache, error) {
 	options := cacheOptions{growthFactor: DefaultGrowthFactor}
 	for _, o := range opts {
@@ -197,8 +204,11 @@ func New(memoryBytes int64, opts ...Option) (*Cache, error) {
 	c := &Cache{
 		classes:     sizeClasses(options.growthFactor),
 		mask:        uint64(shardCount - 1),
-		pool:        newPagePool(maxPages),
 		prefixDelim: options.tenantPrefix,
+	}
+	var err error
+	if c.pool, err = newPagePool(maxPages); err != nil {
+		return nil, err
 	}
 	c.reg.Store(&tenantRegistry{names: []string{""}, byName: map[string]uint16{}})
 	if options.now != nil {
@@ -420,8 +430,8 @@ func (c *Cache) Capacity() int64 {
 func (c *Cache) Stats() Stats {
 	st := Stats{MaxPages: c.pool.max}
 	type classAgg struct {
-		pages, items, used int
-		evictions          uint64
+		pages, items, used, touched int
+		evictions                   uint64
 	}
 	agg := make([]classAgg, len(c.classes))
 	for i, sh := range c.shards {
@@ -442,6 +452,7 @@ func (c *Cache) Stats() Stats {
 			agg[classID].pages += sl.pages()
 			agg[classID].items += sl.list.size
 			agg[classID].used += sl.used
+			agg[classID].touched += sl.touchedChunks()
 			agg[classID].evictions += sl.evictions
 		}
 		st.Shards = append(st.Shards, ShardStat{
@@ -461,6 +472,7 @@ func (c *Cache) Stats() Stats {
 			continue
 		}
 		st.BytesUsed += int64(a.used) * int64(c.classes[classID])
+		st.ArenaTouchedBytes += int64(a.touched) * int64(c.classes[classID])
 		st.Slabs = append(st.Slabs, SlabStats{
 			ClassID:    classID,
 			ChunkSize:  c.classes[classID],

@@ -338,6 +338,9 @@ func (sh *shard) importOneLocked(p KV) error {
 	if p.Key == "" {
 		return ErrEmptyKey
 	}
+	if len(p.Key) > maxKeyLen {
+		return fmt.Errorf("import: %d-byte key exceeds %d", len(p.Key), maxKeyLen)
+	}
 	c := sh.owner
 	need := len(p.Key) + len(p.Value) + ItemOverhead
 	classID := classForSize(c.classes, need)

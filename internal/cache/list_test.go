@@ -21,7 +21,11 @@ type listHarness struct {
 func newListHarness(t *testing.T) *listHarness {
 	t.Helper()
 	const chunkSize = 256
-	h := &listHarness{pool: newPagePool(8), cpp: PageSize / chunkSize}
+	h := &listHarness{cpp: PageSize / chunkSize}
+	var err error
+	if h.pool, err = newPagePool(8); err != nil {
+		t.Fatal(err)
+	}
 	pageID, ok := h.pool.tryAcquire(0, chunkSize)
 	if !ok {
 		t.Fatal("tryAcquire failed on fresh pool")

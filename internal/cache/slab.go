@@ -66,6 +66,9 @@ type slab struct {
 	// never-used chunk is pageIDs[bumpPage] chunk bumpChunk.
 	bumpPage  int
 	bumpChunk uint32
+	// touched is the bump cursor's high-water mark in chunks, saved when
+	// the cursor rewinds; see touchedChunks.
+	touched int
 
 	// freeHead chains recycled chunks (delete, expiry, class-change
 	// reinsert) through their next fields.
@@ -125,10 +128,17 @@ func (s *slab) takeChunk(p *pagePool) (itemRef, bool) {
 	return nilRef, false
 }
 
+// touchedChunks is how many chunks the bump cursor has ever handed out —
+// the chunks of this slab the kernel has had to back with memory.
+func (s *slab) touchedChunks() int {
+	return max(s.touched, s.bumpPage*int(s.chunksPerPage)+int(s.bumpChunk))
+}
+
 // resetChunks drops every resident item, keeping the assigned pages
 // (FlushAll): the bump cursor rewinds, the free list empties, and the MRU
 // list resets.
 func (s *slab) resetChunks() {
+	s.touched = s.touchedChunks()
 	s.bumpPage = 0
 	s.bumpChunk = 0
 	s.freeHead = nilRef

@@ -54,7 +54,7 @@ const (
 // snapshot record sanity caps, protecting restore from a corrupt length
 // prefix allocating gigabytes.
 const (
-	snapshotMaxKeyLen = 1 << 16
+	snapshotMaxKeyLen = maxKeyLen
 	snapshotMaxValLen = PageSize
 )
 

@@ -2,13 +2,17 @@ package cache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io/fs"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -405,4 +409,196 @@ func TestSnapshotRestoreSmallerBudget(t *testing.T) {
 			t.Fatalf("hot item budget-%04d lost in smaller-budget restore: %v", i, err)
 		}
 	}
+}
+
+// buildSnapshot frames pairs as one class of a well-formed snapshot, with
+// a valid trailer and checksum, so seeds can carry records that only the
+// record decoder — not the CRC — must reject.
+func buildSnapshot(pairs []KV) []byte {
+	b := append(snapshotMagic[:], snapshotVersion)
+	b = binary.AppendUvarint(b, 1) // class 0
+	b = binary.AppendUvarint(b, uint64(len(pairs)))
+	for i := range pairs {
+		b = AppendPair(b, &pairs[i])
+	}
+	b = binary.AppendUvarint(b, 0) // class end
+	b = binary.AppendUvarint(b, 0) // classes end
+	b = binary.BigEndian.AppendUint64(b, uint64(len(pairs)))
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// decodeSnapshotPairs is an independent reading of the snapshot layout,
+// stopping at the first malformed record and ignoring the checksum: every
+// pair a successful restore can have imported, by key.
+func decodeSnapshotPairs(b []byte) (map[string][]KV, int) {
+	out := map[string][]KV{}
+	total := 0
+	if len(b) < 5 {
+		return out, 0
+	}
+	b = b[5:]
+	next := func() (uint64, bool) {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			return 0, false
+		}
+		b = b[n:]
+		return v, true
+	}
+	for {
+		if mark, ok := next(); !ok || mark == 0 {
+			return out, total
+		}
+		for {
+			count, ok := next()
+			if !ok {
+				return out, total
+			}
+			if count == 0 {
+				break
+			}
+			for ; count > 0; count-- {
+				p, rest, err := DecodePair(b)
+				if err != nil {
+					return out, total
+				}
+				b = rest
+				out[p.Key] = append(out[p.Key], p)
+				total++
+			}
+		}
+	}
+}
+
+// TestSnapshotKeyLengthCap: a well-formed snapshot whose key fills the
+// chunk header's 16-bit length field restores; one byte longer is refused
+// — by the snapshot reader and by BatchImport — rather than stored with a
+// wrapped length (which left a key-less item).
+func TestSnapshotKeyLengthCap(t *testing.T) {
+	for _, tc := range []struct {
+		keyLen int
+		ok     bool
+	}{{maxKeyLen, true}, {maxKeyLen + 1, false}} {
+		c, err := New(8*PageSize, WithShards(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := strings.Repeat("K", tc.keyLen)
+		snap := buildSnapshot([]KV{{Key: key, Value: []byte("v"), LastAccess: time.Unix(1_700_000_000, 0)}})
+		n, err := c.RestoreSnapshot(bytes.NewReader(snap))
+		if !tc.ok {
+			if !errors.Is(err, ErrSnapshotCorrupt) || c.Len() != 0 {
+				t.Fatalf("%d-byte key: restored n=%d len=%d err=%v, want a corrupt-snapshot refusal", tc.keyLen, n, c.Len(), err)
+			}
+			continue
+		}
+		if err != nil || n != 1 {
+			t.Fatalf("%d-byte key: n=%d err=%v", tc.keyLen, n, err)
+		}
+		if v, ok := c.Peek(key); !ok || string(v) != "v" {
+			t.Fatalf("%d-byte key not readable after restore", tc.keyLen)
+		}
+	}
+	// The import path migration frames feed refuses it as well.
+	c, err := New(8*PageSize, WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.BatchImport([]KV{{Key: strings.Repeat("K", maxKeyLen+1), Value: []byte("v")}}, false); err == nil || c.Len() != 0 {
+		t.Fatalf("BatchImport of a %d-byte key: err=%v len=%d, want a refusal", maxKeyLen+1, err, c.Len())
+	}
+}
+
+// FuzzRestoreSnapshot feeds arbitrary bytes to the snapshot reader, which
+// writes decoded pairs straight into the arena. It must never panic;
+// either it fails and leaves the cache empty, or every resident item is
+// byte-for-byte one of the pairs the file decodes to — and the arena never
+// holds more pages than the budget.
+func FuzzRestoreSnapshot(f *testing.F) {
+	now := time.Unix(1_700_000_000, 0)
+	src, err := New(32*PageSize, WithClock(func() time.Time { return now }), WithShards(2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Few, small items across three classes: the fuzzer's minimizer is
+	// quadratic in input length, so a large seed stalls it for seconds.
+	for i := 0; i < 6; i++ {
+		expire := time.Time{}
+		if i%3 == 0 {
+			expire = now.Add(time.Hour)
+		}
+		if err := src.SetExpiringFlags("s"+strconv.Itoa(i), bytes.Repeat([]byte{byte(i)}, 1+i*i*4), uint32(i), expire); err != nil {
+			f.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := src.WriteSnapshot(&buf); err != nil {
+		f.Fatal(err)
+	}
+	good := buf.Bytes()
+	f.Add(good)
+	for _, cut := range []int{0, 5, 6, len(good) / 2, len(good) - 4, len(good) - 1} {
+		f.Add(good[:cut])
+	}
+	for _, pos := range []int{5, 7, len(good) / 3, len(good) - 2} {
+		flipped := append([]byte(nil), good...)
+		flipped[pos] ^= 0x40
+		f.Add(flipped)
+	}
+	f.Add(buildSnapshot([]KV{{Key: "k", Value: []byte("v"), LastAccess: now}}))
+	// Oversized length prefixes — a key one past the chunk header's 16-bit
+	// length field, a value claiming a terabyte, a batch claiming 2^64
+	// pairs. These stay short too (full-length keys are
+	// TestSnapshotKeyLengthCap's job).
+	hdr := append(snapshotMagic[:], snapshotVersion, 1, 1)
+	f.Add(binary.AppendUvarint(bytes.Clone(hdr), maxKeyLen+1))
+	f.Add(binary.AppendUvarint(append(bytes.Clone(hdr), 1, 'k'), 1<<40))
+	f.Add(binary.AppendUvarint(append(snapshotMagic[:], snapshotVersion, 1), math.MaxUint64))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := New(8*PageSize, WithShards(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, rerr := c.RestoreSnapshot(bytes.NewReader(data))
+		st := c.Stats()
+		if st.AssignedPages > st.MaxPages || st.ArenaTouchedBytes > st.ArenaBytes {
+			t.Fatalf("arena over budget: %d/%d pages, %d touched of %d bytes",
+				st.AssignedPages, st.MaxPages, st.ArenaTouchedBytes, st.ArenaBytes)
+		}
+		if rerr != nil {
+			if !errors.Is(rerr, ErrSnapshotCorrupt) || n != 0 || c.Len() != 0 {
+				t.Fatalf("failed restore left n=%d len=%d (err %v)", n, c.Len(), rerr)
+			}
+			return
+		}
+		decoded, total := decodeSnapshotPairs(data)
+		if n > total || c.Len() > n {
+			t.Fatalf("restored %d pairs, %d resident, from %d decoded", n, c.Len(), total)
+		}
+		for _, classID := range c.PopulatedClasses() {
+			metas, err := c.DumpClass(classID, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range metas {
+				versions, ok := decoded[m.Key]
+				if !ok {
+					t.Fatalf("resident key %q (%d bytes) was never in the file", m.Key, len(m.Key))
+				}
+				v, flags, expiry, live := c.PeekFull(m.Key)
+				if !live {
+					continue // expired between the dump and the peek
+				}
+				match := false
+				for _, p := range versions {
+					match = match || (bytes.Equal(p.Value, v) && p.Flags == flags &&
+						toNano(p.Expiry) == toNano(expiry) && toNano(p.LastAccess) == toNano(m.LastAccess))
+				}
+				if !match {
+					t.Fatalf("resident %q = %q flags=%d is none of its %d decoded versions", m.Key, v, flags, len(versions))
+				}
+			}
+		}
+	})
 }

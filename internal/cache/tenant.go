@@ -340,6 +340,7 @@ func (sh *shard) removePageLocked(sl *slab, pageID uint32) int {
 	}
 	sl.bumpPage = len(sl.pageIDs)
 	sl.bumpChunk = 0
+	sl.touched = 0 // every surviving chunk goes on the free list: all touched
 	sl.freeHead = nilRef
 	for _, ref := range free {
 		sl.pushFree(pool, ref)

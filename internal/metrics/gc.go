@@ -6,9 +6,10 @@ import (
 )
 
 // GC/heap observability for the arena-backed cache. The whole point of
-// pointer-free slab storage is that the collector's mark work stops
-// scaling with resident items; these numbers are how that claim is
-// checked in production (stats / expvar) and in `make bench-gc`.
+// off-heap slab storage is that the collector's mark work and heap goal
+// stop scaling with resident items; these numbers are how that claim is
+// checked in production (stats / expvar) and in the benchmark ledger.
+// The arena itself is not heap: HeapAllocBytes excludes it.
 
 // GCSnapshot is one reading of the runtime's GC counters.
 type GCSnapshot struct {
@@ -26,9 +27,9 @@ type GCSnapshot struct {
 	NumGC uint32 `json:"numGC"`
 	// HeapObjects is the number of live (or not-yet-swept) heap objects —
 	// the direct measure of mark-phase work. A pointer-based cache holds
-	// several objects per item; the arena engine holds O(pages).
+	// several objects per item; the arena engine holds a few per shard.
 	HeapObjects uint64 `json:"heapObjects"`
-	// HeapAllocBytes is the live heap size.
+	// HeapAllocBytes is the live heap size (the cache arena excluded).
 	HeapAllocBytes uint64 `json:"heapAllocBytes"`
 }
 

@@ -828,11 +828,14 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 			{"bytes", uint64(st.BytesUsed)},
 			{"total_pages", uint64(st.MaxPages)},
 			{"assigned_pages", uint64(st.AssignedPages)},
+			// arena_bytes is the assigned pages; arena_touched_bytes is
+			// the chunks ever written, which is what RSS follows — the
+			// arena is mapped outside the Go heap, so heap_alloc_bytes
+			// below no longer includes it.
 			{"arena_bytes", uint64(st.ArenaBytes)},
-			// GC load of the whole process, for verifying the arena
-			// engine's O(pages) mark cost in live deployments. The CPU
-			// fraction is scaled to parts-per-million (stats values are
-			// integers on the wire).
+			{"arena_touched_bytes", uint64(st.ArenaTouchedBytes)},
+			// GC load of the whole process. The CPU fraction is scaled to
+			// parts-per-million (stats values are integers on the wire).
 			{"gc_cpu_ppm", uint64(gc.GCCPUFraction * 1e6)},
 			{"gc_pause_total_ns", gc.PauseTotalNs},
 			{"gc_cycles", uint64(gc.NumGC)},
