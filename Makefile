@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 E2E_DIR ?= /tmp/elmem-e2e
 SCENARIOS ?=
 
-.PHONY: build test benchmark-test race vet bench bench-hot bench-migrate bench-skew bench-serve bench-tenant allocs chaos fuzz e2e examples check
+.PHONY: build test benchmark-test race vet bench bench-skew bench-serve bench-tenant allocs chaos fuzz e2e examples check
 
 ## build: compile every package
 build:
@@ -33,16 +33,14 @@ race:
 vet:
 	$(GO) vet ./...
 
-## bench: run the lock-striping and server throughput benchmarks
-## (single-lock vs sharded sub-benchmarks) plus the paper-figure benches
-bench: bench-migrate
-	$(GO) test -run '^$$' -bench 'Parallel|Multi|ServerThroughput' -benchmem -cpu 4 ./internal/cache/ ./internal/server/
-
-## bench-migrate: the migration data plane — pairs/s of one binary
-## pipelined push, with and without 5ms injected RTT (EXPERIMENTS.md keeps
-## the historical JSON-vs-binary A/B that retired the JSON plane)
-bench-migrate:
-	$(GO) test -run '^$$' -bench MigrateDataPlane -benchtime 1s ./internal/agentrpc/
+## bench: every go-test benchmark in one run — cache lock striping and
+## server throughput (single-lock vs sharded sub-benchmarks), the server
+## hot path (in-process parse/handle/write, allocs/op must read 0) and
+## loopback pipelining at depth 1/8/64, and the migration data plane's
+## pairs/s with and without 5ms injected RTT (EXPERIMENTS.md keeps the
+## historical JSON-vs-binary A/B that retired the JSON plane)
+bench:
+	$(GO) test -run '^$$' -bench . -benchmem -cpu 4 ./internal/cache/ ./internal/server/ ./internal/agentrpc/
 
 ## bench-skew: the hot-key replication load-spread experiment — a 4-node
 ## in-process cluster under adversarial Zipf θ=1.2 and flash-crowd reads;
@@ -67,11 +65,6 @@ bench-serve:
 ## BENCH_tenant.json (see EXPERIMENTS.md)
 bench-tenant:
 	$(GO) run ./cmd/elmem-bench -experiment tenant
-
-## bench-hot: hot-path benchmarks — in-process parse/handle/write cost
-## (allocs/op must read 0) and loopback pipelining at depth 1/8/64
-bench-hot:
-	$(GO) test -run '^$$' -bench 'HotPath|ServerPipelined' -benchmem ./internal/server/
 
 ## allocs: the allocation regression gates — zero allocs/op on the server's
 ## data-path hot path, and the cluster client's per-request budget (Get,

@@ -31,6 +31,7 @@ import (
 	"repro/internal/agentrpc"
 	"repro/internal/cache"
 	"repro/internal/debugsrv"
+	"repro/internal/hashring"
 	"repro/internal/hotkey"
 	"repro/internal/metrics"
 	"repro/internal/server"
@@ -182,7 +183,11 @@ func run() error {
 				members = append(members, m)
 			}
 		}
-		rep.MembershipChanged(members)
+		table, err := hashring.NewTable(members)
+		if err != nil {
+			return err
+		}
+		rep.OwnershipChanged(table)
 		srv.SetHotKeys(rep)
 		ag.SetOwnedFilter(rep.OwnedFilter())
 		rep.Start()

@@ -654,12 +654,12 @@ func (s *importSession) Send(ctx context.Context, seq uint64, pairs []cache.KV) 
 		return errors.New("agentrpc: import session is closed")
 	}
 	if err := ctx.Err(); err != nil {
-		s.fail()
+		s.end(true)
 		return err
 	}
 	for s.outstanding >= s.window {
 		if err := s.readAck(); err != nil {
-			s.fail()
+			s.end(true)
 			return err
 		}
 	}
@@ -669,7 +669,7 @@ func (s *importSession) Send(ctx context.Context, seq uint64, pairs []cache.KV) 
 	s.wire += int64(len(buf) + frameHeaderLen)
 	putBuf(buf)
 	if err != nil {
-		s.fail()
+		s.end(true)
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return ctxErr
 		}
@@ -708,14 +708,14 @@ func (s *importSession) Close(ctx context.Context) (agent.ImportSummary, error) 
 	}
 	for s.outstanding > 0 {
 		if err := s.readAck(); err != nil {
-			s.fail()
+			s.end(true)
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return agent.ImportSummary{}, ctxErr
 			}
 			return agent.ImportSummary{}, err
 		}
 	}
-	s.finish(false)
+	s.end(false)
 	return agent.ImportSummary{HighWater: s.hw, Imported: s.imported, WireBytes: s.wire}, nil
 }
 
@@ -723,17 +723,14 @@ func (s *importSession) Abort() {
 	if !s.done {
 		// The stream may hold unacknowledged frames; the connection is no
 		// longer in a known state, so drop it.
-		s.fail()
+		s.end(true)
 	}
 }
 
-// fail tears the session down dropping the connection (it may be
-// desynchronized); finish releases it cleanly.
-func (s *importSession) fail() { s.finishSession(true) }
-
-func (s *importSession) finish(drop bool) { s.finishSession(drop) }
-
-func (s *importSession) finishSession(drop bool) {
+// end tears the session down and releases the client: drop discards the
+// connection (after a failure it may be desynchronized); otherwise it is
+// kept for the next exchange.
+func (s *importSession) end(drop bool) {
 	s.done = true
 	if !s.stop() {
 		drop = true // ctx fired: the socket was closed under us

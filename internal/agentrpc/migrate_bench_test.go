@@ -7,7 +7,7 @@ package agentrpc
 // direction by rtt/2, modeling propagation (not bandwidth): pipelined
 // batches overlap the latency.
 //
-// Run via `make bench-migrate`; EXPERIMENTS.md records the numbers.
+// Run via `make bench`; EXPERIMENTS.md records the numbers.
 
 import (
 	"context"

@@ -331,6 +331,63 @@ func TestClassForItem(t *testing.T) {
 	}
 }
 
+// TestKeyLengthCapOnEveryStorePath: a key that fills the chunk header's
+// 16-bit length field is stored and readable through every store path;
+// one byte longer is refused by each of them, rather than stored with a
+// wrapped length that leaves the item resident but unreachable.
+func TestKeyLengthCapOnEveryStorePath(t *testing.T) {
+	v := []byte("v")
+	paths := []struct {
+		name  string
+		store func(c *Cache, key string) error
+		want  string
+	}{
+		{"Set", func(c *Cache, key string) error { return c.Set(key, v) }, "v"},
+		{"SetBytes", func(c *Cache, key string) error { return c.SetBytes([]byte(key), v, 0, time.Time{}) }, "v"},
+		{"SetBatch", func(c *Cache, key string) error {
+			_, err := c.SetBatch([]SetItem{{Key: key, Value: v}})
+			return err
+		}, "v"},
+		{"Add", func(c *Cache, key string) error { return c.Add(key, v, time.Time{}) }, "v"},
+		{"Replace", func(c *Cache, key string) error {
+			_ = c.Set(key, []byte("old"))
+			return c.Replace(key, v, time.Time{})
+		}, "v"},
+		{"Append", func(c *Cache, key string) error {
+			_ = c.Set(key, v)
+			return c.Append(key, []byte("w"))
+		}, "vw"},
+		{"Prepend", func(c *Cache, key string) error {
+			_ = c.Set(key, v)
+			return c.Prepend(key, []byte("w"))
+		}, "wv"},
+		{"BatchImport", func(c *Cache, key string) error {
+			_, err := c.BatchImport([]KV{{Key: key, Value: v}}, false)
+			return err
+		}, "v"},
+	}
+	for _, p := range paths {
+		for _, keyLen := range []int{maxKeyLen, maxKeyLen + 1} {
+			c, err := New(8*PageSize, WithShards(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := strings.Repeat("k", keyLen)
+			err = p.store(c, key)
+			got, ok := c.Peek(key)
+			if keyLen > maxKeyLen {
+				if err == nil || ok || c.Len() != 0 {
+					t.Errorf("%s of a %d-byte key: err=%.80v readable=%v len=%d, want a refusal", p.name, keyLen, err, ok, c.Len())
+				}
+				continue
+			}
+			if err != nil || !ok || string(got) != p.want || c.Len() != 1 {
+				t.Errorf("%s of a %d-byte key: err=%.80v value=%q readable=%v len=%d, want %q stored", p.name, keyLen, err, got, ok, c.Len(), p.want)
+			}
+		}
+	}
+}
+
 func TestChunkSizesLadder(t *testing.T) {
 	c, _ := newTestCache(t, 1)
 	sizes := c.ChunkSizes()

@@ -338,16 +338,12 @@ func (sh *shard) importOneLocked(p KV) error {
 	if p.Key == "" {
 		return ErrEmptyKey
 	}
-	if len(p.Key) > maxKeyLen {
-		return fmt.Errorf("import: %d-byte key exceeds %d", len(p.Key), maxKeyLen)
-	}
 	c := sh.owner
-	need := len(p.Key) + len(p.Value) + ItemOverhead
-	classID := classForSize(c.classes, need)
-	if classID < 0 {
-		return &ValueTooLargeError{Key: p.Key, Need: need}
-	}
 	kb := sbytes(p.Key)
+	classID, err := c.classFor(kb, len(p.Value))
+	if err != nil {
+		return err
+	}
 	// Imports resolve the tenant from the key alone: prefix-mode keys land
 	// back in their namespace, everything else in the default one.
 	tid := c.resolveTenant(0, kb)

@@ -246,10 +246,9 @@ func (sh *shard) peekLocked(h uint64, tid uint16, key []byte, nowNano int64) ([]
 // second lookup.
 func (sh *shard) setLocked(h uint64, tid uint16, key, value []byte, flags uint32, tsNano int64) ([]byte, error) {
 	c := sh.owner
-	need := len(key) + len(value) + ItemOverhead
-	classID := classForSize(c.classes, need)
-	if classID < 0 {
-		return nil, &ValueTooLargeError{Key: string(key), Need: need}
+	classID, err := c.classFor(key, len(value))
+	if err != nil {
+		return nil, err
 	}
 
 	cas := c.casSeq.Add(1)

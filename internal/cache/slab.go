@@ -179,6 +179,21 @@ func classForSize(classes []int, need int) int {
 	return -1
 }
 
+// classFor sizes an item of key and valueLen payload bytes into its slab
+// class. Every store path — set and import alike — sizes through it, so a
+// key longer than the chunk header's 16-bit keyLen holds is refused here
+// rather than stored resident but unreachable.
+func (c *Cache) classFor(key []byte, valueLen int) (int, error) {
+	if len(key) > maxKeyLen {
+		return -1, fmt.Errorf("cache: %d-byte key exceeds %d", len(key), maxKeyLen)
+	}
+	need := len(key) + valueLen + ItemOverhead
+	if id := classForSize(c.classes, need); id >= 0 {
+		return id, nil
+	}
+	return -1, &ValueTooLargeError{Key: string(key), Need: need}
+}
+
 // ErrValueTooLarge is wrapped by Set when an item exceeds the page size.
 type ValueTooLargeError struct {
 	Key  string

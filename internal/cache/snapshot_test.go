@@ -472,8 +472,9 @@ func decodeSnapshotPairs(b []byte) (map[string][]KV, int) {
 
 // TestSnapshotKeyLengthCap: a well-formed snapshot whose key fills the
 // chunk header's 16-bit length field restores; one byte longer is refused
-// — by the snapshot reader and by BatchImport — rather than stored with a
-// wrapped length (which left a key-less item).
+// by the snapshot reader rather than stored with a wrapped length (which
+// left a key-less item). TestKeyLengthCapOnEveryStorePath covers the
+// store paths, BatchImport included.
 func TestSnapshotKeyLengthCap(t *testing.T) {
 	for _, tc := range []struct {
 		keyLen int
@@ -498,14 +499,6 @@ func TestSnapshotKeyLengthCap(t *testing.T) {
 		if v, ok := c.Peek(key); !ok || string(v) != "v" {
 			t.Fatalf("%d-byte key not readable after restore", tc.keyLen)
 		}
-	}
-	// The import path migration frames feed refuses it as well.
-	c, err := New(8*PageSize, WithShards(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.BatchImport([]KV{{Key: strings.Repeat("K", maxKeyLen+1), Value: []byte("v")}}, false); err == nil || c.Len() != 0 {
-		t.Fatalf("BatchImport of a %d-byte key: err=%v len=%d, want a refusal", maxKeyLen+1, err, c.Len())
 	}
 }
 

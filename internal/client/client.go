@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,7 +42,7 @@ type Cluster struct {
 	// lock-free atomic pointer: every op loads it once and works against
 	// that immutable snapshot, so a concurrent handover announcement never
 	// tears a half-routed operation. Updated by OwnershipChanged (epoch'd
-	// handover waves from the master) and MembershipChanged (legacy flip).
+	// handover waves from the master).
 	table atomic.Pointer[hashring.Table]
 
 	mu    sync.RWMutex
@@ -155,38 +154,12 @@ func (c *Cluster) Members() []string {
 	return c.table.Load().Members()
 }
 
-// MembershipChanged swaps the membership (core.MembershipListener). When
-// the master drove a per-segment handover, the ownership table already
-// settled on exactly these members (Settle is announced first) and this
-// is a no-op; a bare flip from some other source rebuilds a settled
-// table. Pools for departed members are closed lazily.
-func (c *Cluster) MembershipChanged(members []string) {
-	if len(members) == 0 {
-		return // an empty announcement would black-hole all traffic
-	}
-	for {
-		cur := c.table.Load()
-		if cur.Settled() && sameMembers(cur.Members(), members) {
-			break // the handover already routed us here
-		}
-		next, err := cur.RebuildSettled(members)
-		if err != nil {
-			return
-		}
-		if c.table.CompareAndSwap(cur, next) {
-			break
-		}
-	}
-	c.prunePools(members)
-	// Promotions referencing departed nodes must stop routing to them
-	// immediately; the next poll repopulates entries that survived.
-	c.rebuildHotTable()
-}
-
 // OwnershipChanged installs a newer per-segment ownership table
 // (core.OwnershipListener). Stale announcements — version at or below the
 // installed table's — are dropped, so listener delivery order can never
-// regress routing.
+// regress routing. Pools for departed members are closed, and promotions
+// referencing them stop routing there at once; the next hot-key poll
+// repopulates entries that survived.
 func (c *Cluster) OwnershipChanged(t *hashring.Table) {
 	if t == nil {
 		return
@@ -227,22 +200,6 @@ func (c *Cluster) prunePools(members []string) {
 	for _, p := range stale {
 		p.close()
 	}
-}
-
-// sameMembers reports whether a and b hold the same addresses. a must be
-// sorted (Table.Members is); b may be in any order.
-func sameMembers(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	sorted := append([]string(nil), b...)
-	sort.Strings(sorted)
-	for i := range a {
-		if a[i] != sorted[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Owner reports which member authoritatively owns the key: the outgoing

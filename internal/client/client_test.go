@@ -38,6 +38,26 @@ func testCluster(t *testing.T, n int) (*Cluster, []*server.Server) {
 	return cl, servers
 }
 
+// announceSettled walks the client's table through a one-wave handover
+// toward members — BeginHandover, CommitSegments, Settle — and announces
+// the settled table, as a Master's last announcement of an action would.
+func announceSettled(t *testing.T, cl *Cluster, members []string) {
+	t.Helper()
+	inFlight, moving, err := cl.table.Load().BeginHandover(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed, err := inFlight.CommitSegments(moving)
+	if err != nil {
+		t.Fatal(err)
+	}
+	settled, err := committed.Settle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.OwnershipChanged(settled)
+}
+
 func TestSetGetRoundTrip(t *testing.T) {
 	cl, _ := testCluster(t, 3)
 	if err := cl.Set("hello", []byte("world")); err != nil {
@@ -140,7 +160,7 @@ func TestKeysRouteToOwner(t *testing.T) {
 	}
 }
 
-func TestMembershipChangedRelocatesRouting(t *testing.T) {
+func TestOwnershipChangedRelocatesRouting(t *testing.T) {
 	cl, servers := testCluster(t, 3)
 	// Drop one node from the membership: no key may route to it anymore.
 	removed := servers[0].Addr()
@@ -148,7 +168,7 @@ func TestMembershipChangedRelocatesRouting(t *testing.T) {
 	for _, s := range servers[1:] {
 		kept = append(kept, s.Addr())
 	}
-	cl.MembershipChanged(kept)
+	announceSettled(t, cl, kept)
 	if len(cl.Members()) != 2 {
 		t.Fatalf("members = %v", cl.Members())
 	}
@@ -167,14 +187,6 @@ func TestMembershipChangedRelocatesRouting(t *testing.T) {
 	}
 	if _, ok, err := cl.Get("after"); err != nil || !ok {
 		t.Fatalf("Get after membership change = %v, %v", ok, err)
-	}
-}
-
-func TestMembershipChangedIgnoresEmpty(t *testing.T) {
-	cl, _ := testCluster(t, 2)
-	cl.MembershipChanged(nil)
-	if len(cl.Members()) != 2 {
-		t.Fatal("empty membership announcement was applied")
 	}
 }
 

@@ -104,12 +104,6 @@ func TestStaleOwnershipIgnored(t *testing.T) {
 	if got := cl.OwnershipVersion(); got != inFlight.Version() {
 		t.Fatalf("version = %d, want %d", got, inFlight.Version())
 	}
-	// MembershipChanged with the mid-handover union must not clobber the
-	// in-flight table either... but a *different* set rebuilds (legacy flip).
-	cl.MembershipChanged(members[:1])
-	if cur := cl.table.Load(); !cur.Settled() {
-		t.Fatal("legacy flip did not settle the table")
-	}
 }
 
 // TestLeaseGetSetThroughCluster drives the client lease ops end to end.
@@ -172,8 +166,7 @@ func TestLeaseForwardWarmsIncomingOwner(t *testing.T) {
 }
 
 // TestRoutingRaceUnderChurn is the membership-change race regression: many
-// goroutines hammer Get/Set/MultiGet while tables and memberships churn
-// concurrently. Run under -race (make race) it fails on any torn routing
+// goroutines hammer Get/Set/MultiGet while tables churn concurrently. Run under -race (make race) it fails on any torn routing
 // state; in all modes it fails on unexpected errors.
 func TestRoutingRaceUnderChurn(t *testing.T) {
 	cl, _ := testCluster(t, 4)
@@ -182,15 +175,15 @@ func TestRoutingRaceUnderChurn(t *testing.T) {
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 
-	// Churner: walk the table through handover lifecycles and legacy
-	// flips as fast as possible.
+	// Churner: walk the table through handover lifecycles as fast as
+	// possible.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; !stop.Load(); i++ {
 			cur := cl.table.Load()
 			if !cur.Settled() {
-				cl.MembershipChanged(members)
+				cl.OwnershipChanged(cur.Rollback())
 				continue
 			}
 			var target []string
@@ -219,7 +212,6 @@ func TestRoutingRaceUnderChurn(t *testing.T) {
 				continue
 			}
 			cl.OwnershipChanged(settled)
-			cl.MembershipChanged(settled.Members())
 		}
 	}()
 

@@ -278,7 +278,7 @@ func TestPrunedPoolClosesReturnedConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.MembershipChanged(members[:1]) // prunes victim's pool mid-exchange
+	announceSettled(t, cl, members[:1]) // prunes victim's pool mid-exchange
 	p.put(conn)
 
 	_ = conn.nc.SetReadDeadline(time.Now().Add(time.Second))
@@ -315,8 +315,8 @@ func TestNoConnectionLeakUnderChurn(t *testing.T) {
 		for seen := gets.Load(); gets.Load() < seen+32 && !t.Failed(); {
 			time.Sleep(100 * time.Microsecond)
 		}
-		cl.MembershipChanged(members[:2])
-		cl.MembershipChanged(members)
+		announceSettled(t, cl, members[:2])
+		announceSettled(t, cl, members)
 	}
 	stop.Store(true)
 	wg.Wait()

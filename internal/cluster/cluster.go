@@ -1,11 +1,14 @@
 // Package cluster wires a complete local ElMem deployment with one call:
 // N Memcached nodes served over TCP, their Agents and RPC endpoints, a
-// Master, and a consistent-hashing client whose membership follows the
+// Master, and a consistent-hashing client whose routing follows the
 // Master's scaling actions. It is the embedding API a downstream user
 // starts from, and what the examples and integration tests build on.
 //
-// Node names are their client-facing cache addresses, so the Master's
-// membership announcements feed the client directly.
+// The Master announces membership one way: versioned ownership tables,
+// delivered to everything subscribed through Master.Subscribe — the
+// client, and every node's server, agent and (with hot keys on)
+// replicator. Node names are their client-facing cache addresses, so the
+// tables feed the client directly.
 package cluster
 
 import (
@@ -77,13 +80,13 @@ type node struct {
 	unsubscribe []func()
 }
 
-// subscribe registers the node's listeners with the Master: servers gate
-// lease fills into the gutter and agents gate stale imports off the
-// per-segment ownership table; the hot-key replicator follows membership.
+// subscribe registers the node's listeners with the Master's ownership
+// table: servers gate lease fills into the gutter, agents gate stale
+// imports, and the hot-key replicator follows each settled membership.
 func (n *node) subscribe(master *core.Master) {
 	n.unsubscribe = append(n.unsubscribe,
-		master.SubscribeOwnership(n.server),
-		master.SubscribeOwnership(n.agent))
+		master.Subscribe(n.server),
+		master.Subscribe(n.agent))
 	if n.hot != nil {
 		n.unsubscribe = append(n.unsubscribe, master.Subscribe(n.hot))
 	}
@@ -256,7 +259,7 @@ func (c *Cluster) HotKeys(name string) *hotkey.Replicator {
 }
 
 // Client returns the consistent-hashing client, already subscribed to
-// membership changes.
+// the Master's ownership tables.
 func (c *Cluster) Client() *client.Cluster { return c.client }
 
 // Master returns the ElMem Master.
@@ -277,8 +280,8 @@ func (c *Cluster) Node(name string) (*cache.Cache, error) {
 }
 
 // ScaleIn retires x nodes with the full ElMem migration and shuts them
-// down; the client's membership follows automatically. Cancelling ctx
-// aborts the migration before the membership flip.
+// down; the client's routing follows automatically. Cancelling ctx
+// aborts the migration before the table settles on the retained nodes.
 func (c *Cluster) ScaleIn(ctx context.Context, x int) (*core.ScaleReport, error) {
 	c.mu.Lock()
 	closed := c.closed
@@ -290,8 +293,9 @@ func (c *Cluster) ScaleIn(ctx context.Context, x int) (*core.ScaleReport, error)
 }
 
 // ScaleOut boots x fresh nodes, migrates their hash share to them, and
-// flips the membership. On migration failure the freshly booted nodes are
-// torn down again so the cluster returns to its pre-call state.
+// settles the ownership table on the grown membership. On migration
+// failure the freshly booted nodes are torn down again so the cluster
+// returns to its pre-call state.
 func (c *Cluster) ScaleOut(ctx context.Context, x int) (*core.ScaleReport, error) {
 	c.mu.Lock()
 	closed := c.closed

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/hotkey"
 )
 
 func startTest(t *testing.T, nodes int) *Cluster {
@@ -196,15 +197,26 @@ func scaleCycles(t *testing.T, c *Cluster, n int, afterEach func()) {
 
 // TestRetiredNodeIsUnsubscribed: listener lifetime is node lifetime. After
 // five in→out cycles the Master holds exactly one server and one agent
-// listener per live node, plus the client — not also those of the five
-// retired nodes, which it would pin and keep announcing to.
+// listener per live node — and one hot-key replicator with hot keys on —
+// plus the client; not also those of the five retired nodes, which it
+// would pin and keep announcing to.
 func TestRetiredNodeIsUnsubscribed(t *testing.T) {
-	c := startTest(t, 3)
-	scaleCycles(t, c, 5, nil)
-	live := len(c.Members())
-	membership, ownership := c.Master().ListenerCounts()
-	if want := 2*live + 1; ownership != want || membership != 1 {
-		t.Fatalf("Master holds %d ownership and %d membership listeners for %d live nodes, want %d and 1",
-			ownership, membership, live, want)
+	for _, hot := range []bool{false, true} {
+		cfg := Config{Nodes: 3, NodeMemory: 4 * cache.PageSize}
+		perNode := 2
+		if hot {
+			cfg.HotKeys = &hotkey.Config{}
+			perNode = 3
+		}
+		c, err := StartLocal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		scaleCycles(t, c, 5, nil)
+		live := len(c.Members())
+		if got, want := c.Master().ListenerCounts(), perNode*live+1; got != want {
+			t.Fatalf("hot keys %v: Master holds %d listeners for %d live nodes, want %d", hot, got, live, want)
+		}
 	}
 }

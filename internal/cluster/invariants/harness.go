@@ -208,7 +208,7 @@ func Run(cfg Config) (*Result, error) {
 		if err := addNode(added); err != nil {
 			return nil, err
 		}
-		hot.addNode(added, caches[added], agents[added], names)
+		hot.addNode(added, caches[added], agents[added])
 	}
 
 	// Snapshot the pre-state and compute the oracle expectation from it.
@@ -242,9 +242,9 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The flip must reach the replicators: Subscribe delivers the current
-	// membership immediately (a no-op recompute) and the commit-time flip
-	// later. Sorted order keeps delivery deterministic.
+	// The settled table must reach the replicators: Subscribe delivers the
+	// current one immediately (already seen, so ignored) and the settled
+	// successor later. Sorted order keeps delivery deterministic.
 	for _, name := range hot.nodeNames() {
 		m.Subscribe(hot.reps[name])
 	}
@@ -256,9 +256,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 	sort.Strings(agentNames)
 	for _, name := range agentNames {
-		m.SubscribeOwnership(agents[name])
+		m.Subscribe(agents[name])
 	}
-	m.SubscribeOwnership(live)
+	m.Subscribe(live)
 
 	netw.SetEnabled(cfg.Faults)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

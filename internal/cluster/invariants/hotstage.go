@@ -18,6 +18,8 @@ import (
 type hotStage struct {
 	reps   map[string]*hotkey.Replicator
 	pusher *hotkey.LocalPusher
+	// table is the pre-action ownership table every replicator starts on.
+	table *hashring.Table
 	// survive maps promoted key → home node whose promotion must outlive
 	// the flip (the home stays a member and keeps owning the key).
 	survive map[string]string
@@ -43,14 +45,19 @@ const hotPromotionsPerKind = 2
 // its owned copy and must drop the promotion at the flip).
 func stageHotKeys(names []string, caches map[string]*cache.Cache, agents map[string]*agent.Agent,
 	scaleOut bool, victim, added string, totalItems int) (*hotStage, error) {
+	table, err := hashring.NewTable(names)
+	if err != nil {
+		return nil, err
+	}
 	hs := &hotStage{
 		reps:    make(map[string]*hotkey.Replicator, len(names)+1),
 		pusher:  hotkey.NewLocalPusher(),
+		table:   table,
 		survive: make(map[string]string),
 		dropped: make(map[string]string),
 	}
 	for _, name := range names {
-		hs.addNode(name, caches[name], agents[name], names)
+		hs.addNode(name, caches[name], agents[name])
 	}
 
 	ring, err := hashring.New(names)
@@ -133,11 +140,11 @@ func stageHotKeys(names []string, caches map[string]*cache.Cache, agents map[str
 }
 
 // addNode wires one node into the stage: a replicator over the node's
-// cache, a pusher registration so it can receive replica copies, and the
-// owned-filter on its agent.
-func (hs *hotStage) addNode(name string, c *cache.Cache, ag *agent.Agent, members []string) {
+// cache on the pre-action table, a pusher registration so it can receive
+// replica copies, and the owned-filter on its agent.
+func (hs *hotStage) addNode(name string, c *cache.Cache, ag *agent.Agent) {
 	rep := hotkey.New(name, c, hs.pusher, hotkey.Config{Replicas: 2})
-	rep.MembershipChanged(members)
+	rep.OwnershipChanged(hs.table)
 	hs.pusher.Register(name, hotkey.LocalNode{Store: c, Rep: rep})
 	ag.SetOwnedFilter(rep.OwnedFilter())
 	hs.reps[name] = rep

@@ -1,8 +1,9 @@
 // Package core implements the ElMem Master (Section III-A): the
 // lightweight central controller that receives autoscaling hints, scores
 // nodes to pick which to retire (Section III-C), orchestrates the
-// three-phase pre-scaling data migration (Section III-D), and flips the
-// client-visible membership once migration completes.
+// three-phase pre-scaling data migration (Section III-D), and hands the
+// client-visible ownership table over to the new membership as migration
+// completes.
 //
 // Migration is orchestrated as a concurrent, context-aware pipeline: the
 // phase barriers of the paper are kept (phase k+1 starts only after every
@@ -75,19 +76,6 @@ type RegistryDirectory struct {
 func (d RegistryDirectory) Agent(node string) (MasterAgent, error) {
 	return d.Registry.Get(node)
 }
-
-// MembershipListener observes membership flips — in the paper, the Master
-// "informs the clients on the web servers about the change in Memcached
-// membership".
-type MembershipListener interface {
-	MembershipChanged(members []string)
-}
-
-// MembershipFunc adapts a function to MembershipListener.
-type MembershipFunc func(members []string)
-
-// MembershipChanged implements MembershipListener.
-func (f MembershipFunc) MembershipChanged(members []string) { f(members) }
 
 // NodeScore is one node's III-C score: the page-weighted average of its
 // per-slab median MRU timestamps. Colder (older) scores sort first, so the
@@ -201,20 +189,18 @@ type Master struct {
 	waves        int
 	phaseHook    func(phase string)
 
-	mu           sync.Mutex
-	members      []string
-	table        *hashring.Table
-	nextSub      uint64
-	listeners    []subscription[MembershipListener]
-	ownListeners []subscription[OwnershipListener]
+	mu        sync.Mutex
+	members   []string
+	table     *hashring.Table
+	nextSub   uint64
+	listeners []subscription
 }
 
 // subscription is one registered listener. The id is what its cancel func
-// removes it by: listener values need not be comparable (MembershipFunc
-// is a func).
-type subscription[L any] struct {
+// removes it by: listener values need not be comparable.
+type subscription struct {
 	id uint64
-	l  L
+	l  OwnershipListener
 }
 
 // Option configures a Master.
@@ -327,46 +313,36 @@ func (m *Master) Members() []string {
 	return out
 }
 
-// Subscribe registers a membership listener and immediately delivers the
-// current membership. A listener that also implements OwnershipListener
-// is additionally subscribed to ownership-table announcements. The
-// returned cancel drops the listener again: the Master holds (and keeps
-// calling) a listener until then, so whatever goes away before the Master
-// does — a retired node — must cancel.
-func (m *Master) Subscribe(l MembershipListener) (cancel func()) {
+// Subscribe registers an ownership listener and immediately delivers the
+// current table — in the paper, the Master "informs the clients on the web
+// servers about the change in Memcached membership", and the table is how.
+// The returned cancel drops the listener again: the Master holds (and
+// keeps calling) a listener until then, so whatever goes away before the
+// Master does — a retired node — must cancel.
+func (m *Master) Subscribe(l OwnershipListener) (cancel func()) {
 	m.mu.Lock()
 	m.nextSub++
 	id := m.nextSub
-	m.listeners = append(m.listeners, subscription[MembershipListener]{id, l})
-	members := make([]string, len(m.members))
-	copy(members, m.members)
+	m.listeners = append(m.listeners, subscription{id, l})
 	t := m.table
-	ol, _ := l.(OwnershipListener)
-	if ol != nil {
-		m.ownListeners = append(m.ownListeners, subscription[OwnershipListener]{id, ol})
-	}
 	m.mu.Unlock()
-	l.MembershipChanged(members)
-	if ol != nil {
-		ol.OwnershipChanged(t)
-	}
+	l.OwnershipChanged(t)
 	return func() { m.unsubscribe(id) }
 }
 
-// unsubscribe drops the listener(s) registered under id.
+// unsubscribe drops the listener registered under id.
 func (m *Master) unsubscribe(id uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.listeners = slices.DeleteFunc(m.listeners, func(s subscription[MembershipListener]) bool { return s.id == id })
-	m.ownListeners = slices.DeleteFunc(m.ownListeners, func(s subscription[OwnershipListener]) bool { return s.id == id })
+	m.listeners = slices.DeleteFunc(m.listeners, func(s subscription) bool { return s.id == id })
 }
 
-// ListenerCounts reports how many membership and ownership listeners are
-// subscribed (observability; tests pin listener lifetime with it).
-func (m *Master) ListenerCounts() (membership, ownership int) {
+// ListenerCounts reports how many listeners are subscribed
+// (observability; tests pin listener lifetime with it).
+func (m *Master) ListenerCounts() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.listeners), len(m.ownListeners)
+	return len(m.listeners)
 }
 
 // ScoreNodes queries every member's Agent concurrently and returns scores
@@ -659,8 +635,8 @@ func (m *Master) ScaleInNodes(ctx context.Context, retiring []string) (*ScaleRep
 	}
 	m.callHook("data")
 
-	// Commit the moving segments wave by wave, settle the table, then run
-	// the legacy membership flip and shut the retiring nodes down.
+	// Commit the moving segments wave by wave and settle the table, then
+	// adopt the retained membership and shut the retiring nodes down.
 	t5 := m.now()
 	waves, err := m.commitAndSettle(moving)
 	report.HandoverWaves = waves
@@ -674,7 +650,7 @@ func (m *Master) ScaleInNodes(ctx context.Context, retiring []string) (*ScaleRep
 	m.callHook("handover")
 
 	t4 := m.now()
-	m.setMembers(retained)
+	m.adoptMembers(retained)
 	report.Members = append([]string(nil), retained...)
 	if m.stop != nil {
 		for _, node := range retiring {
@@ -769,22 +745,16 @@ func (m *Master) ScaleOut(ctx context.Context, newNodes []string) (*ScaleReport,
 	m.callHook("handover")
 
 	t2 := m.now()
-	m.setMembers(full)
+	m.adoptMembers(full)
 	report.Members = full
 	report.Timings = append(report.Timings, PhaseTiming{Phase: "membership", Duration: m.now().Sub(t2)})
 	return report, nil
 }
 
-// setMembers swaps the membership and notifies listeners.
-func (m *Master) setMembers(members []string) {
+// adoptMembers records the membership a settled action produced. The
+// listeners already learned it from the settled table.
+func (m *Master) adoptMembers(members []string) {
 	m.mu.Lock()
 	m.members = append(m.members[:0:0], members...)
-	sort.Strings(m.members)
-	notify := slices.Clone(m.listeners)
-	snapshot := make([]string, len(m.members))
-	copy(snapshot, m.members)
 	m.mu.Unlock()
-	for _, s := range notify {
-		s.l.MembershipChanged(snapshot)
-	}
 }

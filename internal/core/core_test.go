@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -128,13 +129,29 @@ func TestMembersSortedCopy(t *testing.T) {
 	}
 }
 
+// tableLog is an ownership listener recording every announced table.
+type tableLog []*hashring.Table
+
+func (l *tableLog) OwnershipChanged(t *hashring.Table) { *l = append(*l, t) }
+
+// settled returns the settled tables among the announcements, in order.
+func (l tableLog) settled() []*hashring.Table {
+	var out []*hashring.Table
+	for _, t := range l {
+		if t.Settled() {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
 func TestSubscribeDeliversCurrentMembership(t *testing.T) {
 	c := newCluster(t, names(3), 1)
 	m := newTestMaster(t, c, names(3))
-	var got []string
-	m.Subscribe(MembershipFunc(func(members []string) { got = members }))
-	if len(got) != 3 {
-		t.Fatalf("listener got %v on subscribe", got)
+	var got tableLog
+	m.Subscribe(&got)
+	if len(got) != 1 || got[0] != m.OwnershipTable() || len(got[0].Members()) != 3 {
+		t.Fatalf("listener got %d tables on subscribe, want the current 3-member one", len(got))
 	}
 }
 
@@ -186,10 +203,8 @@ func TestScaleInMigratesAndFlipsMembership(t *testing.T) {
 		stopped[n] = true
 		return nil
 	}))
-	var flips [][]string
-	m.Subscribe(MembershipFunc(func(ms []string) {
-		flips = append(flips, ms)
-	}))
+	var tables tableLog
+	m.Subscribe(&tables)
 
 	report, err := m.ScaleIn(context.Background(), 1)
 	if err != nil {
@@ -201,14 +216,20 @@ func TestScaleInMigratesAndFlipsMembership(t *testing.T) {
 	if report.ItemsMigrated == 0 {
 		t.Fatal("no items migrated")
 	}
-	if len(m.Members()) != 3 {
-		t.Fatalf("membership size %d, want 3", len(m.Members()))
+	if len(report.Members) != 3 || !slices.Equal(report.Members, m.Members()) {
+		t.Fatalf("report.Members = %v, Members() = %v, want the same 3", report.Members, m.Members())
 	}
 	if !stopped[report.Retiring[0]] {
 		t.Fatal("retiring node not stopped")
 	}
-	if len(flips) != 2 { // initial + post-scale
-		t.Fatalf("listener saw %d flips, want 2", len(flips))
+	settled := tables.settled()
+	if len(settled) != 2 { // initial + post-scale
+		t.Fatalf("listener saw %d settled tables, want 2", len(settled))
+	}
+	if final := settled[1]; final != tables[len(tables)-1] ||
+		final.Version() != report.OwnershipVersion || !slices.Equal(final.Members(), report.Members) {
+		t.Fatalf("last announcement v%d over %v, want the settled v%d over %v",
+			final.Version(), final.Members(), report.OwnershipVersion, report.Members)
 	}
 
 	// Every key must be resident on its post-scale owner.

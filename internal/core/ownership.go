@@ -21,9 +21,6 @@ import (
 //	  │
 //	  ▼
 //	Settle                              announce settled table
-//	  │
-//	  ▼
-//	setMembers (legacy flip)            a no-op for table-aware listeners
 //
 // Any phase failure announces Rollback instead, restoring the old
 // routing in one version bump.
@@ -74,26 +71,12 @@ func (m *Master) OwnershipTable() *hashring.Table {
 	return m.table
 }
 
-// SubscribeOwnership registers an ownership-only listener and immediately
-// delivers the current table. Like Subscribe it returns the cancel that
-// drops the listener.
-func (m *Master) SubscribeOwnership(l OwnershipListener) (cancel func()) {
-	m.mu.Lock()
-	m.nextSub++
-	id := m.nextSub
-	m.ownListeners = append(m.ownListeners, subscription[OwnershipListener]{id, l})
-	t := m.table
-	m.mu.Unlock()
-	l.OwnershipChanged(t)
-	return func() { m.unsubscribe(id) }
-}
-
-// setTable installs a new table and announces it to every ownership
-// listener, outside the lock.
+// setTable installs a new table and announces it to every listener,
+// outside the lock.
 func (m *Master) setTable(t *hashring.Table) {
 	m.mu.Lock()
 	m.table = t
-	notify := slices.Clone(m.ownListeners)
+	notify := slices.Clone(m.listeners)
 	m.mu.Unlock()
 	for _, s := range notify {
 		s.l.OwnershipChanged(t)

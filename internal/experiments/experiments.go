@@ -132,9 +132,9 @@ func (r *ComparisonResult) Render(w io.Writer) {
 				d.MeanP95.Round(time.Microsecond), d.RestorationTime.Round(time.Second))
 		}
 	}
-	for kind, reductions := range r.ReductionPercent {
-		for i, red := range reductions {
-			fmt.Fprintf(w, "reduction vs baseline: policy=%s action=%d %.1f%%\n", kind, i+1, red)
+	for _, run := range r.Runs[1:] { // run order, not map order: output is deterministic
+		for i, red := range r.ReductionPercent[run.Policy] {
+			fmt.Fprintf(w, "reduction vs baseline: policy=%s action=%d %.1f%%\n", run.Policy, i+1, red)
 		}
 	}
 	fmt.Fprintln(w, "second hitrate_first p95_first hitrate_last p95_last")

@@ -118,26 +118,6 @@ func NewTable(members []string, opts ...TableOption) (*Table, error) {
 	return t, nil
 }
 
-// RebuildSettled returns a settled successor table routing over members,
-// carrying the receiver's version (+1) and per-segment epochs forward. It
-// is the legacy-flip escape hatch: a bare membership announcement (no
-// per-segment handover) still yields a table that version-ordered
-// listeners will accept.
-func (t *Table) RebuildSettled(members []string) (*Table, error) {
-	ring, err := New(members, WithReplicas(t.old.replicas))
-	if err != nil {
-		return nil, err
-	}
-	nt := t.clone()
-	nt.old = ring
-	nt.next = ring
-	nt.settled = true
-	for i := range nt.phase {
-		nt.phase[i] = SegSettled
-	}
-	return nt, nil
-}
-
 // Version returns the table's monotone version.
 func (t *Table) Version() uint64 { return t.version }
 

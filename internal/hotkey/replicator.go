@@ -113,9 +113,9 @@ type promoEntry struct {
 // Replicator owns one node's hot-key state: the detector, the set of keys
 // this node has promoted (it is their home), and the set of replica copies
 // it holds for other homes. Writes to a promoted key fan out to its
-// replicas through the Pusher; membership flips adjust state only and
-// defer re-pushes to the next Tick, so a flip in the middle of a migration
-// never moves data by itself.
+// replicas through the Pusher; a settled ownership table adjusts state only
+// and defers re-pushes to the next Tick, so a membership change in the
+// middle of a migration never moves data by itself.
 type Replicator struct {
 	cfg    Config
 	node   string
@@ -137,11 +137,12 @@ type Replicator struct {
 	pushErrs   atomic.Int64
 	repReads   atomic.Int64
 
-	mu          sync.RWMutex
-	members     []string
-	ring        *hashring.Ring
-	promoted    map[string]*promoEntry
-	replicaHeld map[string]struct{}
+	mu           sync.RWMutex
+	tableVersion uint64 // version of the last settled table acted on
+	members      []string
+	ring         *hashring.Ring
+	promoted     map[string]*promoEntry
+	replicaHeld  map[string]struct{}
 
 	tickStop chan struct{}
 	tickWG   sync.WaitGroup
@@ -324,23 +325,30 @@ func (r *Replicator) IsOwned(key string) bool {
 // OwnedFilter returns IsOwned as a free function for Agent.SetOwnedFilter.
 func (r *Replicator) OwnedFilter() func(string) bool { return r.IsOwned }
 
-// MembershipChanged implements core.MembershipListener. It adjusts state
-// only — promotions whose home moved away are dropped, surviving replica
-// sets are recomputed and marked dirty for the next Tick to re-push, and
-// replica-held keys that now hash here become owned. No value moves during
-// the flip itself, so the flip composes with a concurrent migration's
-// data plane.
-func (r *Replicator) MembershipChanged(members []string) {
-	if len(members) == 0 {
+// OwnershipChanged implements core.OwnershipListener. Only a settled table
+// newer than the last one seen acts; an in-flight or stale one changes
+// nothing. Acting adjusts state only — promotions whose home moved away
+// are dropped, surviving replica sets are recomputed and marked dirty for
+// the next Tick to re-push, and replica-held keys that now hash here
+// become owned. No value moves when the table settles, so settling
+// composes with a concurrent migration's data plane.
+func (r *Replicator) OwnershipChanged(t *hashring.Table) {
+	if t == nil || !t.Settled() {
 		return
 	}
+	members := t.Members()
 	ring, err := hashring.New(members, hashring.WithReplicas(r.cfg.RingReplicas))
 	if err != nil {
 		return
 	}
 	changed := false
 	r.mu.Lock()
-	r.members = append([]string(nil), members...)
+	if t.Version() <= r.tableVersion {
+		r.mu.Unlock()
+		return
+	}
+	r.tableVersion = t.Version()
+	r.members = members
 	r.ring = ring
 	for key, e := range r.promoted {
 		owner, err := ring.Get(key)
@@ -426,7 +434,7 @@ func (r *Replicator) Promote(key string) error {
 // window: keys whose sampled share crosses the threshold (and that this
 // node homes) are promoted up to TopK, promoted keys cold for
 // CooldownTicks are demoted with a delete fan-out, and dirty replica sets
-// left by a membership flip are re-pushed. Deterministic given the
+// left by a settled ownership table are re-pushed. Deterministic given the
 // operation history: all push orders are key-sorted.
 func (r *Replicator) Tick() {
 	top, total := r.det.Top(r.cfg.Capacity)

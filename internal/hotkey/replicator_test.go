@@ -1,6 +1,7 @@
 package hotkey
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 // LocalPusher connecting them.
 type trio struct {
 	names  []string
+	table  *hashring.Table
 	caches map[string]*cache.Cache
 	reps   map[string]*Replicator
 }
@@ -35,10 +37,42 @@ func newTrio(t *testing.T, cfg Config) *trio {
 		tr.caches[name] = cc
 		tr.reps[name] = rep
 	}
+	table, err := hashring.NewTable(names)
+	if err != nil {
+		t.Fatalf("hashring.NewTable: %v", err)
+	}
+	tr.table = table
 	for _, rep := range tr.reps {
-		rep.MembershipChanged(names)
+		rep.OwnershipChanged(table)
 	}
 	return tr
+}
+
+// handover walks cur through a one-wave handover toward members the way
+// the Master announces it, returning the in-flight table and the settled
+// successor.
+func handover(t *testing.T, cur *hashring.Table, members []string) (inFlight, settled *hashring.Table) {
+	t.Helper()
+	inFlight, moving, err := cur.BeginHandover(members)
+	if err != nil {
+		t.Fatalf("BeginHandover: %v", err)
+	}
+	committed, err := inFlight.CommitSegments(moving)
+	if err != nil {
+		t.Fatalf("CommitSegments: %v", err)
+	}
+	settled, err = committed.Settle()
+	if err != nil {
+		t.Fatalf("Settle: %v", err)
+	}
+	return inFlight, settled
+}
+
+// settle returns the settled table that moves the trio to members.
+func (tr *trio) settle(t *testing.T, members []string) *hashring.Table {
+	t.Helper()
+	_, settled := handover(t, tr.table, members)
+	return settled
 }
 
 // keyOwnedBy finds a key homed on the wanted node under the trio's ring.
@@ -226,7 +260,7 @@ func TestMembershipFlipIsStateOnly(t *testing.T) {
 	// A flip that removes this node's ownership must drop the promotion
 	// without pushing anything (pushes during a flip would race the
 	// migration data plane).
-	repA.MembershipChanged([]string{"b", "c"})
+	repA.OwnershipChanged(tr.settle(t, []string{"b", "c"}))
 	after := repA.Snapshot()
 	if after.ReplicaPushes != before.ReplicaPushes {
 		t.Fatalf("flip pushed data: %d → %d", before.ReplicaPushes, after.ReplicaPushes)
@@ -262,7 +296,7 @@ func TestFlipRecomputesReplicasAndResyncsOnTick(t *testing.T) {
 			survivors = append(survivors, n)
 		}
 	}
-	repA.MembershipChanged(survivors)
+	repA.OwnershipChanged(tr.settle(t, survivors))
 	if got := repA.Promoted(); len(got) != 1 || got[0] != key {
 		t.Fatalf("promotion dropped by flip: %v", got)
 	}
@@ -305,12 +339,69 @@ func TestFlipUnmarksNowOwnedReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ring.Get: %v", err)
 	}
-	repR.MembershipChanged(survivors)
+	repR.OwnershipChanged(tr.settle(t, survivors))
 	if owner == replica && !repR.IsOwned(key) {
 		t.Fatalf("flip left the now-owned key marked as replica")
 	}
 	if owner != replica && repR.IsOwned(key) {
 		t.Fatalf("flip cleared a mark for a key still homed elsewhere")
+	}
+}
+
+// TestOwnershipChangedActsOnlyOnNewerSettledTables: an in-flight table
+// and a table no newer than the last settled one change nothing; a newer
+// settled table recomputes the serving set from its members, and one
+// that moves the key away drops the promotion.
+func TestOwnershipChangedActsOnlyOnNewerSettledTables(t *testing.T) {
+	tr := newTrio(t, testConfig())
+	key := tr.keyOwnedBy(t, "a")
+	oldReplica := tr.replicaOf(t, key)
+	repA := tr.reps["a"]
+	if err := repA.Promote(key); err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	var survivors []string // drop the replica; a keeps homing the key
+	for _, n := range tr.names {
+		if n != oldReplica {
+			survivors = append(survivors, n)
+		}
+	}
+	inFlight, settled := handover(t, tr.table, survivors)
+
+	unchanged := func(stage string) {
+		t.Helper()
+		before := repA.Snapshot()
+		_, beforeEntries := repA.Table()
+		for _, ignored := range []*hashring.Table{inFlight, tr.table} {
+			repA.OwnershipChanged(ignored)
+			if got := repA.Snapshot(); got != before {
+				t.Fatalf("%s: v%d table changed counters: %+v → %+v", stage, ignored.Version(), before, got)
+			}
+			if _, entries := repA.Table(); !reflect.DeepEqual(entries, beforeEntries) {
+				t.Fatalf("%s: v%d table changed the hot table: %+v → %+v", stage, ignored.Version(), beforeEntries, entries)
+			}
+		}
+	}
+	unchanged("before settle")
+
+	repA.OwnershipChanged(settled)
+	ring, err := hashring.New(survivors)
+	if err != nil {
+		t.Fatalf("hashring.New: %v", err)
+	}
+	want, err := ring.GetN(key, 2)
+	if err != nil {
+		t.Fatalf("GetN: %v", err)
+	}
+	if _, entries := repA.Table(); len(entries) != 1 || !reflect.DeepEqual(entries[0].Nodes, want) {
+		t.Fatalf("serving set after settle = %+v, want %v", entries, want)
+	}
+	unchanged("after settle")
+
+	_, gone := handover(t, settled, []string{want[1]})
+	repA.OwnershipChanged(gone)
+	if cs := repA.Snapshot(); cs.FlipDrops != 1 || cs.Promoted != 0 {
+		t.Fatalf("settled table without the home left %+v, want the promotion dropped", cs)
 	}
 }
 

@@ -270,12 +270,6 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	s.master = master
-	master.Subscribe(core.MembershipFunc(func(ms []string) {
-		s.members = append([]string(nil), ms...)
-		if r, err := hashring.New(ms); err == nil {
-			s.ring = r
-		}
-	}))
 
 	maxVal := cfg.MaxValueSize
 	if maxVal <= 0 {
@@ -566,6 +560,7 @@ func (s *simulation) decideScaleIn(x int) error {
 				if err != nil {
 					return err
 				}
+				s.route(report.Members)
 				s.result.Actions = append(s.result.Actions, ExecutedAction{
 					DecisionAt:    decisionAt,
 					ExecutedAt:    s.clk.t.Sub(s.start),
@@ -663,6 +658,7 @@ func (s *simulation) decideScaleOut(x int) error {
 				if err != nil {
 					return err
 				}
+				s.route(report.Members)
 				s.result.Actions = append(s.result.Actions, ExecutedAction{
 					DecisionAt:    decisionAt,
 					ExecutedAt:    s.clk.t.Sub(s.start),
@@ -710,14 +706,21 @@ func (s *simulation) autoscaleTick() error {
 }
 
 // flipMembership applies a membership change outside the Master's flow
-// (the Master handles its own flips for ElMem/Baseline).
+// (ElMem's actions run through the Master, which keeps its own).
 func (s *simulation) flipMembership(members []string) {
 	sort.Strings(members)
+	s.route(members)
+	s.syncMaster(members)
+}
+
+// route points request routing at members. ElMem's exec closures call it
+// with the Master's report once the action returns: the simulation is
+// single-threaded, so no request is served in between.
+func (s *simulation) route(members []string) {
 	s.members = append([]string(nil), members...)
 	if r, err := hashring.New(members); err == nil {
 		s.ring = r
 	}
-	s.syncMaster(members)
 }
 
 // syncMaster rebuilds the Master over the new membership so later actions
@@ -732,12 +735,6 @@ func (s *simulation) syncMaster(members []string) {
 		return
 	}
 	s.master = master
-	master.Subscribe(core.MembershipFunc(func(ms []string) {
-		s.members = append([]string(nil), ms...)
-		if r, err := hashring.New(ms); err == nil {
-			s.ring = r
-		}
-	}))
 }
 
 // subtract returns members minus drop, preserving order.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/client"
+	"repro/internal/hashring"
 	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -152,14 +153,41 @@ func TestRTReflectsDBLatency(t *testing.T) {
 	}
 }
 
+// settledTable walks a fresh table over members through a one-wave
+// handover toward next — BeginHandover, CommitSegments, Settle — and
+// returns the settled table a Master announces last. Its version is above
+// a fresh client's.
+func settledTable(t *testing.T, members, next []string) *hashring.Table {
+	t.Helper()
+	cur, err := hashring.NewTable(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inFlight, moving, err := cur.BeginHandover(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed, err := inFlight.CommitSegments(moving)
+	if err != nil {
+		t.Fatal(err)
+	}
+	settled, err := committed.Settle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return settled
+}
+
 func TestHandleSurvivesMembershipChange(t *testing.T) {
 	h, cl := newHandler(t, 3)
 	keys := []string{workload.KeyName(1)}
 	if _, err := h.Handle(keys); err != nil {
 		t.Fatal(err)
 	}
-	members := cl.Members()
-	cl.MembershipChanged(members[:2])
+	cl.OwnershipChanged(settledTable(t, cl.Members(), cl.Members()[:2]))
+	if got := cl.Members(); len(got) != 2 {
+		t.Fatalf("members after the settled table = %v, want 2", got)
+	}
 	for i := 0; i < 20; i++ {
 		if _, err := h.Handle([]string{workload.KeyName(uint64(i))}); err != nil {
 			t.Fatalf("request %d after membership change: %v", i, err)
