@@ -66,9 +66,8 @@ func run() error {
 		hotSample    = flag.Int("hotkey-sample", 32, "sample one in N operations into the hot-key sketch")
 		hotTick      = flag.Duration("hotkey-tick", 2*time.Second, "promotion/demotion evaluation interval")
 
-		tenantsFlag  = flag.String("tenants", "", "named tenants sharing this node: name[:reserved_pages[:max_pages]],...")
-		tenantPrefix = flag.String("tenant-prefix", "", "single-character delimiter routing \"<tenant><delim>key\" keys to tenants (empty disables prefix routing)")
-		arbTick      = flag.Duration("arbiter", 0, "MRC memory-arbitration cycle interval (0 disables; requires -tenants)")
+		tenantsFlag = flag.String("tenants", "", "named tenants sharing this node, each serving its \"<name>/key\" keys: name[:reserved_pages[:max_pages]],...")
+		arbTick     = flag.Duration("arbiter", 0, "MRC memory-arbitration cycle interval (0 disables; requires -tenants)")
 	)
 	flag.Parse()
 
@@ -86,11 +85,10 @@ func run() error {
 			return mono().Add(skew)
 		}))
 	}
-	if *tenantPrefix != "" {
-		if len(*tenantPrefix) != 1 {
-			return fmt.Errorf("-tenant-prefix must be a single character, got %q", *tenantPrefix)
-		}
-		cacheOpts = append(cacheOpts, cache.WithTenantPrefix((*tenantPrefix)[0]))
+	if *tenantsFlag != "" {
+		// A tenant is named by its key prefix: "<name>/key", the shape
+		// elmem-loadgen -tenants writes.
+		cacheOpts = append(cacheOpts, cache.WithTenantPrefix('/'))
 	}
 	c, err := cache.New(int64(*memoryMB)<<20, cacheOpts...)
 	if err != nil {

@@ -76,7 +76,6 @@ type Agent struct {
 	node        string
 	cache       *cache.Cache
 	transport   Transport
-	replicas    int
 	batchSize   int
 	batchBytes  int
 	maxInflight int
@@ -120,19 +119,10 @@ type Option interface {
 }
 
 type options struct {
-	replicas    int
 	batchSize   int
 	batchBytes  int
 	maxInflight int
 }
-
-type replicasOption int
-
-func (o replicasOption) apply(opts *options) { opts.replicas = int(o) }
-
-// WithRingReplicas sets the consistent-hashing virtual-node count the
-// Agent uses when computing key targets; it must match the client ring.
-func WithRingReplicas(n int) Option { return replicasOption(n) }
 
 type batchSizeOption int
 
@@ -184,7 +174,6 @@ func New(node string, c *cache.Cache, transport Transport, opts ...Option) (*Age
 		return nil, errors.New("agent: nil transport")
 	}
 	o := options{
-		replicas:    hashring.DefaultReplicas,
 		batchSize:   DefaultTransferBatchSize,
 		batchBytes:  DefaultBatchBytes,
 		maxInflight: DefaultMaxInflight,
@@ -202,7 +191,6 @@ func New(node string, c *cache.Cache, transport Transport, opts ...Option) (*Age
 		node:        node,
 		cache:       c,
 		transport:   transport,
-		replicas:    o.replicas,
 		batchSize:   o.batchSize,
 		batchBytes:  o.batchBytes,
 		maxInflight: o.maxInflight,
@@ -264,7 +252,7 @@ func (a *Agent) SendMetadata(ctx context.Context, retained []string) error {
 	if len(retained) == 0 {
 		return errors.New("agent: no retained nodes to send metadata to")
 	}
-	ring, err := hashring.New(retained, hashring.WithReplicas(a.replicas))
+	ring, err := hashring.New(retained)
 	if err != nil {
 		return fmt.Errorf("send metadata: %w", err)
 	}
@@ -446,7 +434,7 @@ func (a *Agent) SendData(ctx context.Context, target string, takes map[int]int, 
 	if len(retained) == 0 {
 		return SendStats{}, errors.New("agent: no retained membership for data transfer")
 	}
-	ring, err := hashring.New(retained, hashring.WithReplicas(a.replicas))
+	ring, err := hashring.New(retained)
 	if err != nil {
 		return SendStats{}, fmt.Errorf("send data: %w", err)
 	}
@@ -550,7 +538,7 @@ func (a *Agent) HashSplit(ctx context.Context, newMembers []string, fullMembersh
 	if len(newMembers) == 0 {
 		return SendStats{}, nil
 	}
-	ring, err := hashring.New(fullMembership, hashring.WithReplicas(a.replicas))
+	ring, err := hashring.New(fullMembership)
 	if err != nil {
 		return SendStats{}, fmt.Errorf("hash split: %w", err)
 	}

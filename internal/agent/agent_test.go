@@ -611,22 +611,6 @@ func TestHashSplitCapTruncates(t *testing.T) {
 	}
 }
 
-func TestWithRingReplicasChangesTargeting(t *testing.T) {
-	reg := NewRegistry()
-	clk := newTestClock()
-	c, err := cache.New(cache.PageSize, cache.WithClock(clk.Now))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := New("n1", c, reg, WithRingReplicas(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.replicas != 16 {
-		t.Fatalf("replicas = %d, want 16", a.replicas)
-	}
-}
-
 // countingTransport counts import batch deliveries (session Sends).
 type countingTransport struct {
 	inner   Transport

@@ -6,16 +6,17 @@ import (
 	"time"
 )
 
-// driveTenant runs `ops` read-through accesses over a tenant's keyspace so
-// the sample buffers and hit counters carry a recognizable reuse pattern.
-func driveTenant(t *testing.T, v Tenancy, keys, ops int, rng func() int) {
+// driveTenant runs `ops` read-through accesses over a tenant's "name/"
+// keyspace so the sample buffers and hit counters carry a recognizable reuse
+// pattern.
+func driveTenant(t *testing.T, c *Cache, name string, keys, ops int, rng func() int) {
 	t.Helper()
 	val := make([]byte, 700)
 	var buf [1024]byte
 	for i := 0; i < ops; i++ {
-		k := []byte(fmt.Sprintf("w-%06d", rng()%keys))
-		if _, _, _, hit := v.GetInto(k, buf[:0]); !hit {
-			if err := v.SetBytes(k, val, 0, time.Time{}); err != nil {
+		k := []byte(fmt.Sprintf("%s/w-%06d", name, rng()%keys))
+		if _, _, _, hit := c.GetInto(k, buf[:0]); !hit {
+			if err := c.SetBytes(k, val, 0, time.Time{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -27,7 +28,7 @@ func driveTenant(t *testing.T, v Tenancy, keys, ops int, rng func() int) {
 // deterministic RunOnce cycles. The arbiter must move pages toward the hot
 // tenant, never break the floor, and account its moves.
 func TestArbiterMovesTowardGain(t *testing.T) {
-	c, err := New(8*PageSize, WithShards(1))
+	c, err := New(8*PageSize, WithShards(1), WithTenantPrefix('/'))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,8 +46,8 @@ func TestArbiterMovesTowardGain(t *testing.T) {
 	hotNext := func() int { hseed = hseed*1664525 + 1013904223; return int(hseed % 8000) }
 	coldNext := func() int { cseed++; return cseed }
 	for round := 0; round < 12; round++ {
-		driveTenant(t, c.T(hot), 8000, 6000, hotNext)
-		driveTenant(t, c.T(cold), 1<<30, 2000, coldNext)
+		driveTenant(t, c, "hot", 8000, 6000, hotNext)
+		driveTenant(t, c, "cold", 1<<30, 2000, coldNext)
 		arb.RunOnce()
 	}
 
@@ -77,7 +78,7 @@ func TestArbiterMovesTowardGain(t *testing.T) {
 // TestArbiterIdleNoMoves checks the hysteresis guard: with no traffic there
 // are no gradients, and the arbiter must leave the partition alone.
 func TestArbiterIdleNoMoves(t *testing.T) {
-	c, err := New(4*PageSize, WithShards(1))
+	c, err := New(4*PageSize, WithShards(1), WithTenantPrefix('/'))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestArbiterIdleNoMoves(t *testing.T) {
 // TestArbiterStartStop exercises the ticker loop end to end: a running
 // arbiter must complete cycles on its own and Stop must be idempotent.
 func TestArbiterStartStop(t *testing.T) {
-	c, err := New(4*PageSize, WithShards(1))
+	c, err := New(4*PageSize, WithShards(1), WithTenantPrefix('/'))
 	if err != nil {
 		t.Fatal(err)
 	}

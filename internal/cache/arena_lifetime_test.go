@@ -95,8 +95,6 @@ func readEveryAPI(t *testing.T) []aliasCheck {
 		add("PeekFull", func() bool { return bytes.Equal(pf, want(i)) && pflags == uint32(i) })
 		gi, _, _, _ := c.GetInto([]byte(key), nil)
 		add("GetInto", func() bool { return bytes.Equal(gi, want(i)) })
-		tv, _ := c.T(0).Get(key)
-		add("Tenancy.Get", func() bool { return bytes.Equal(tv, want(i)) })
 	}
 
 	keys := []string{lifetimeKey(1), lifetimeKey(2), lifetimeKey(300)}

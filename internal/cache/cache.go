@@ -232,14 +232,10 @@ func New(memoryBytes int64, opts ...Option) (*Cache, error) {
 // nowNano reads the clock as a stored-timestamp nanosecond count.
 func (c *Cache) nowNano() int64 { return c.nanos() }
 
-// resolveTenant maps an operation to its tenant: a non-default connection
-// tenant (set by the `namespace` verb) wins; otherwise, when prefix mode is
-// on, the key's prefix is looked up in the registry. Unknown prefixes and
+// resolveTenant maps a key to its tenant: when prefix mode is on, the key's
+// "name<delim>" prefix is looked up in the registry. Unknown prefixes and
 // bare keys stay in the default namespace. Allocation-free.
-func (c *Cache) resolveTenant(conn uint16, key []byte) uint16 {
-	if conn != 0 {
-		return conn
-	}
+func (c *Cache) resolveTenant(key []byte) uint16 {
 	if c.prefixDelim == 0 {
 		return 0
 	}
@@ -250,22 +246,22 @@ func (c *Cache) resolveTenant(conn uint16, key []byte) uint16 {
 	return c.reg.Load().byName[string(key[:i])]
 }
 
-// route resolves an operation's tenant, routing hash, and lock stripe.
-func (c *Cache) route(conn uint16, key []byte) (uint16, uint64, *shard) {
-	tid := c.resolveTenant(conn, key)
+// route resolves a key's tenant, routing hash, and lock stripe.
+func (c *Cache) route(key []byte) (uint16, uint64, *shard) {
+	tid := c.resolveTenant(key)
 	h := shardHashT(tid, key)
 	return tid, h, c.shards[h&c.mask]
 }
 
-// shardFor routes a default-namespace key to its lock stripe.
+// shardFor routes a key to its lock stripe.
 func (c *Cache) shardFor(key string) *shard {
-	_, _, sh := c.route(0, sbytes(key))
+	_, _, sh := c.route(sbytes(key))
 	return sh
 }
 
 // shardIndexFor returns the stripe index for a key.
 func (c *Cache) shardIndexFor(key string) int {
-	_, h, _ := c.route(0, sbytes(key))
+	_, h, _ := c.route(sbytes(key))
 	return int(h & c.mask)
 }
 
@@ -290,7 +286,7 @@ func (c *Cache) ShardDistribution() []int {
 // GetInto, which also reports the item's flags and CAS token.
 func (c *Cache) Get(key string) ([]byte, error) {
 	kb := sbytes(key)
-	tid, h, sh := c.route(0, kb)
+	tid, h, sh := c.route(kb)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	nowNano := c.nowNano()
@@ -314,7 +310,7 @@ func (c *Cache) Get(key string) ([]byte, error) {
 // not perturb hotness.
 func (c *Cache) Peek(key string) ([]byte, bool) {
 	kb := sbytes(key)
-	tid, h, sh := c.route(0, kb)
+	tid, h, sh := c.route(kb)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	ch, ok := sh.peekLocked(h, tid, kb, c.nowNano())
@@ -331,7 +327,7 @@ func (c *Cache) Peek(key string) ([]byte, bool) {
 // replicas with the original store metadata intact.
 func (c *Cache) PeekFull(key string) (value []byte, flags uint32, expiresAt time.Time, ok bool) {
 	kb := sbytes(key)
-	tid, h, sh := c.route(0, kb)
+	tid, h, sh := c.route(kb)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	ch, found := sh.peekLocked(h, tid, kb, c.nowNano())
@@ -345,7 +341,7 @@ func (c *Cache) PeekFull(key string) (value []byte, flags uint32, expiresAt time
 // Contains reports key residence without touching recency.
 func (c *Cache) Contains(key string) bool {
 	kb := sbytes(key)
-	tid, h, sh := c.route(0, kb)
+	tid, h, sh := c.route(kb)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	_, ok := sh.peekLocked(h, tid, kb, c.nowNano())
@@ -360,7 +356,7 @@ func (c *Cache) Set(key string, value []byte) error {
 		return ErrEmptyKey
 	}
 	kb := sbytes(key)
-	tid, h, sh := c.route(0, kb)
+	tid, h, sh := c.route(kb)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	_, err := sh.setLocked(h, tid, kb, value, 0, c.nowNano())
@@ -368,11 +364,9 @@ func (c *Cache) Set(key string, value []byte) error {
 }
 
 // Delete removes key, or returns ErrNotFound.
-func (c *Cache) Delete(key string) error { return c.deleteT(0, key) }
-
-func (c *Cache) deleteT(conn uint16, key string) error {
+func (c *Cache) Delete(key string) error {
 	kb := sbytes(key)
-	tid, h, sh := c.route(conn, kb)
+	tid, h, sh := c.route(kb)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	// lookupLocked lazily reclaims an expired resident item and reports a

@@ -13,9 +13,7 @@ import (
 // get/set plus the migration extensions, but the testbed is meant to be a
 // drop-in Memcached stand-in, and expiration interacts with migration
 // (expired items must not be offered or shipped). Every command here is
-// single-key, so each takes exactly one shard lock. Each command has a
-// conn-tenant-parameterized core shared by the default-namespace exported
-// method and the Tenancy view (tenant.go).
+// single-key, so each takes exactly one shard lock.
 var (
 	// ErrExists is returned by CompareAndSwap when the item changed since
 	// the token was issued (memcached's EXISTS).
@@ -35,15 +33,11 @@ func (c *Cache) SetExpiring(key string, value []byte, expiresAt time.Time) error
 // SetExpiringFlags stores the value with client flags and an absolute
 // expiry (zero = never). This is the full memcached "set".
 func (c *Cache) SetExpiringFlags(key string, value []byte, flags uint32, expiresAt time.Time) error {
-	return c.setExpiringFlags(0, key, value, flags, expiresAt)
-}
-
-func (c *Cache) setExpiringFlags(conn uint16, key string, value []byte, flags uint32, expiresAt time.Time) error {
 	if key == "" {
 		return ErrEmptyKey
 	}
 	kb := sbytes(key)
-	tid, h, sh := c.route(conn, kb)
+	tid, h, sh := c.route(kb)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	ch, err := sh.setLocked(h, tid, kb, value, flags, c.nowNano())
@@ -57,12 +51,8 @@ func (c *Cache) setExpiringFlags(conn uint16, key string, value []byte, flags ui
 // GetWithCAS returns a copy of the value, the item's client flags, and its
 // CAS token (memcached's gets), refreshing recency.
 func (c *Cache) GetWithCAS(key string) (value []byte, flags uint32, casToken uint64, err error) {
-	return c.getWithCAS(0, key)
-}
-
-func (c *Cache) getWithCAS(conn uint16, key string) (value []byte, flags uint32, casToken uint64, err error) {
 	kb := sbytes(key)
-	tid, h, sh := c.route(conn, kb)
+	tid, h, sh := c.route(kb)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	nowNano := c.nowNano()
@@ -88,15 +78,11 @@ func (c *Cache) Add(key string, value []byte, expiresAt time.Time) error {
 
 // AddFlags is Add carrying client flags.
 func (c *Cache) AddFlags(key string, value []byte, flags uint32, expiresAt time.Time) error {
-	return c.addFlags(0, key, value, flags, expiresAt)
-}
-
-func (c *Cache) addFlags(conn uint16, key string, value []byte, flags uint32, expiresAt time.Time) error {
 	if key == "" {
 		return ErrEmptyKey
 	}
 	kb := sbytes(key)
-	tid, h, sh := c.route(conn, kb)
+	tid, h, sh := c.route(kb)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	nowNano := c.nowNano()
@@ -118,15 +104,11 @@ func (c *Cache) Replace(key string, value []byte, expiresAt time.Time) error {
 
 // ReplaceFlags is Replace carrying client flags.
 func (c *Cache) ReplaceFlags(key string, value []byte, flags uint32, expiresAt time.Time) error {
-	return c.replaceFlags(0, key, value, flags, expiresAt)
-}
-
-func (c *Cache) replaceFlags(conn uint16, key string, value []byte, flags uint32, expiresAt time.Time) error {
 	if key == "" {
 		return ErrEmptyKey
 	}
 	kb := sbytes(key)
-	tid, h, sh := c.route(conn, kb)
+	tid, h, sh := c.route(kb)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	nowNano := c.nowNano()
@@ -149,15 +131,11 @@ func (c *Cache) CompareAndSwap(key string, value []byte, expiresAt time.Time, ca
 
 // CompareAndSwapFlags is CompareAndSwap carrying client flags.
 func (c *Cache) CompareAndSwapFlags(key string, value []byte, flags uint32, expiresAt time.Time, casToken uint64) error {
-	return c.compareAndSwapFlags(0, key, value, flags, expiresAt, casToken)
-}
-
-func (c *Cache) compareAndSwapFlags(conn uint16, key string, value []byte, flags uint32, expiresAt time.Time, casToken uint64) error {
 	if key == "" {
 		return ErrEmptyKey
 	}
 	kb := sbytes(key)
-	tid, h, sh := c.route(conn, kb)
+	tid, h, sh := c.route(kb)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	nowNano := c.nowNano()
@@ -179,11 +157,7 @@ func (c *Cache) compareAndSwapFlags(conn uint16, key string, value []byte, flags
 // Append concatenates data after the existing value (memcached's append).
 // The expiry and flags of the existing item are preserved.
 func (c *Cache) Append(key string, data []byte) error {
-	return c.appendT(0, key, data)
-}
-
-func (c *Cache) appendT(conn uint16, key string, data []byte) error {
-	return c.edit(conn, key, func(old []byte) []byte {
+	return c.edit(key, func(old []byte) []byte {
 		out := make([]byte, 0, len(old)+len(data))
 		out = append(out, old...)
 		return append(out, data...)
@@ -192,11 +166,7 @@ func (c *Cache) appendT(conn uint16, key string, data []byte) error {
 
 // Prepend concatenates data before the existing value.
 func (c *Cache) Prepend(key string, data []byte) error {
-	return c.prependT(0, key, data)
-}
-
-func (c *Cache) prependT(conn uint16, key string, data []byte) error {
-	return c.edit(conn, key, func(old []byte) []byte {
+	return c.edit(key, func(old []byte) []byte {
 		out := make([]byte, 0, len(old)+len(data))
 		out = append(out, data...)
 		return append(out, old...)
@@ -207,12 +177,12 @@ func (c *Cache) prependT(conn uint16, key string, data []byte) error {
 // flags. fn must return a freshly allocated slice: old is a view into the
 // item's live chunk, and setLocked rewrites that chunk, so returning a
 // view of old would overlap the copy.
-func (c *Cache) edit(conn uint16, key string, fn func(old []byte) []byte) error {
+func (c *Cache) edit(key string, fn func(old []byte) []byte) error {
 	if key == "" {
 		return ErrEmptyKey
 	}
 	kb := sbytes(key)
-	tid, h, sh := c.route(conn, kb)
+	tid, h, sh := c.route(kb)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	nowNano := c.nowNano()
@@ -232,12 +202,12 @@ func (c *Cache) edit(conn uint16, key string, fn func(old []byte) []byte) error 
 // Incr adds delta to a decimal-uint64 value (memcached's incr), returning
 // the new value. Overflow wraps, as in memcached.
 func (c *Cache) Incr(key string, delta uint64) (uint64, error) {
-	return c.arith(0, key, func(v uint64) uint64 { return v + delta })
+	return c.arith(key, func(v uint64) uint64 { return v + delta })
 }
 
 // Decr subtracts delta, clamping at zero (memcached's decr semantics).
 func (c *Cache) Decr(key string, delta uint64) (uint64, error) {
-	return c.arith(0, key, func(v uint64) uint64 {
+	return c.arith(key, func(v uint64) uint64 {
 		if delta > v {
 			return 0
 		}
@@ -245,12 +215,12 @@ func (c *Cache) Decr(key string, delta uint64) (uint64, error) {
 	})
 }
 
-func (c *Cache) arith(conn uint16, key string, fn func(uint64) uint64) (uint64, error) {
+func (c *Cache) arith(key string, fn func(uint64) uint64) (uint64, error) {
 	if key == "" {
 		return 0, ErrEmptyKey
 	}
 	kb := sbytes(key)
-	tid, h, sh := c.route(conn, kb)
+	tid, h, sh := c.route(kb)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	nowNano := c.nowNano()
@@ -274,12 +244,8 @@ func (c *Cache) arith(conn uint16, key string, fn func(uint64) uint64) (uint64, 
 
 // TouchExpiry updates an item's expiry and recency (memcached's touch).
 func (c *Cache) TouchExpiry(key string, expiresAt time.Time) error {
-	return c.touchExpiry(0, key, expiresAt)
-}
-
-func (c *Cache) touchExpiry(conn uint16, key string, expiresAt time.Time) error {
 	kb := sbytes(key)
-	tid, h, sh := c.route(conn, kb)
+	tid, h, sh := c.route(kb)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	nowNano := c.nowNano()

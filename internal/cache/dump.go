@@ -53,21 +53,15 @@ func metaOf(ch []byte, classID int) ItemMeta {
 	}
 }
 
-// eachClassSlab visits every migratable slab of the class — the default
-// namespace always, plus named tenants when key-prefix resolution is on
-// (prefix keys re-resolve to the same tenant on the importing node).
-// Tenants reachable only through the `namespace` verb are node-local: their
-// bare keys would land in the importer's default namespace, so their slabs
-// are invisible to dumps and migration. Callers hold sh.mu.
+// eachClassSlab visits every slab of the class, one per tenant. Tenants are
+// named by key prefix, so a dumped key re-resolves to the same tenant on the
+// importing node. Callers hold sh.mu.
 func (sh *shard) eachClassSlab(classID int, fn func(sl *slab)) {
 	nc := len(sh.owner.classes)
-	prefixOn := sh.owner.prefixDelim != 0
 	for slot := classID; slot < len(sh.slabs); slot += nc {
-		sl := sh.slabs[slot]
-		if sl == nil || (sl.tenant != 0 && !prefixOn) {
-			continue
+		if sl := sh.slabs[slot]; sl != nil {
+			fn(sl)
 		}
-		fn(sl)
 	}
 }
 
@@ -344,9 +338,9 @@ func (sh *shard) importOneLocked(p KV) error {
 	if err != nil {
 		return err
 	}
-	// Imports resolve the tenant from the key alone: prefix-mode keys land
-	// back in their namespace, everything else in the default one.
-	tid := c.resolveTenant(0, kb)
+	// The key's prefix names its tenant, so an import lands back in the
+	// namespace it was dumped from.
+	tid := c.resolveTenant(kb)
 	h := shardHashT(tid, kb)
 	pNano := toNano(p.LastAccess)
 	if ref, ch, ok := sh.idx.lookup(h, tid, kb, &c.pool); ok {

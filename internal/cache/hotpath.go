@@ -9,22 +9,13 @@ import "time"
 // appended into caller-provided scratch that the server pools per
 // connection. The convenience string-keyed API (Get/Set/GetMulti) stays for
 // everything that is not serving sockets.
-//
-// Every entry point has an unexported tenant-parameterized core; the
-// exported methods serve the default namespace (conn tenant 0, so key-
-// prefix resolution still applies) and the Tenancy view (tenant.go) serves
-// a fixed namespace. Neither wrapper adds allocations.
 
 // GetInto looks up key, refreshing recency, and appends a copy of the value
 // to dst. It returns the extended slice together with the item's client
 // flags and CAS token; hit is false on miss (dst is returned unchanged).
 // It never allocates when dst has capacity for the value.
 func (c *Cache) GetInto(key []byte, dst []byte) (out []byte, flags uint32, casToken uint64, hit bool) {
-	return c.getInto(0, key, dst)
-}
-
-func (c *Cache) getInto(conn uint16, key []byte, dst []byte) (out []byte, flags uint32, casToken uint64, hit bool) {
-	tid, h, sh := c.route(conn, key)
+	tid, h, sh := c.route(key)
 	sh.mu.Lock()
 	nowNano := c.nanos()
 	sh.sampleAccess(tid, h)
@@ -52,14 +43,10 @@ func (c *Cache) getInto(conn uint16, key []byte, dst []byte) (out []byte, flags 
 // ever created, so even first stores are allocation-free once the slab's
 // pages and the index have warmed up.
 func (c *Cache) SetBytes(key, value []byte, flags uint32, expiresAt time.Time) error {
-	return c.setBytes(0, key, value, flags, expiresAt)
-}
-
-func (c *Cache) setBytes(conn uint16, key, value []byte, flags uint32, expiresAt time.Time) error {
 	if len(key) == 0 {
 		return ErrEmptyKey
 	}
-	tid, h, sh := c.route(conn, key)
+	tid, h, sh := c.route(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	ch, err := sh.setLocked(h, tid, key, value, flags, c.nanos())
@@ -100,10 +87,6 @@ const getMultiScratchKeys = 64
 // dst and arena have warmed up to the workload's batch shape (batches over
 // 64 keys pay one hash-scratch allocation).
 func (c *Cache) GetMultiInto(keys [][]byte, dst []MultiItem, arena []byte) ([]MultiItem, []byte) {
-	return c.getMultiInto(0, keys, dst, arena)
-}
-
-func (c *Cache) getMultiInto(conn uint16, keys [][]byte, dst []MultiItem, arena []byte) ([]MultiItem, []byte) {
 	dst, arena = dst[:0], arena[:0]
 	if len(keys) == 0 {
 		return dst, arena
@@ -125,7 +108,7 @@ func (c *Cache) getMultiInto(conn uint16, keys [][]byte, dst []MultiItem, arena 
 		hs, tids, done = hs[:len(keys)], tids[:len(keys)], done[:len(keys)]
 	}
 	for i, key := range keys {
-		tids[i] = c.resolveTenant(conn, key)
+		tids[i] = c.resolveTenant(key)
 		hs[i] = shardHashT(tids[i], key)
 	}
 	for i := range keys {

@@ -61,7 +61,7 @@ func (c *Cache) eachShardGroup(keys []string, fn func(sh *shard, i int, tid uint
 	tids := make([]uint16, len(keys))
 	done := make([]bool, len(keys))
 	for i, key := range keys {
-		tids[i] = c.resolveTenant(0, sbytes(key))
+		tids[i] = c.resolveTenant(sbytes(key))
 		hs[i] = shardHashT(tids[i], sbytes(key))
 	}
 	for i := range keys {

@@ -133,7 +133,7 @@ func (c *Cache) AppendPairs(dst []KV, metas []ItemMeta) []KV {
 		for _, i := range idxs {
 			key := metas[i].Key
 			kb := sbytes(key)
-			tid := c.resolveTenant(0, kb)
+			tid := c.resolveTenant(kb)
 			ch, ok := sh.peekLocked(shardHashT(tid, kb), tid, kb, nowNano)
 			if !ok {
 				out[i].Key = "" // vanished since selection

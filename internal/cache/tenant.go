@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 )
 
 // Multi-tenant namespaces over one arena (Memshare's sharing model): every
@@ -14,18 +13,19 @@ import (
 // default namespace — untagged keys live there and its behavior is
 // bit-identical to the pre-tenancy engine.
 //
-// Two resolution modes compose:
-//   - key-prefix mode (WithTenantPrefix): "name<delim>rest" routes by the
-//     registered prefix, so tenancy survives migration and snapshots;
-//   - connection mode (the `namespace` wire verb → Tenancy view): every op
-//     on the connection is served from that tenant, bare keys included.
-//     These tenants are node-local: dumps and migration skip their slabs.
+// A tenant is named by its key prefix and by nothing else: on a cache built
+// WithTenantPrefix, "name<delim>rest" routes to the registered tenant
+// "name". The key alone carries the tenant, so dumps, migration and
+// snapshots move every tenant's items and the importer re-resolves them.
 
 var (
 	// ErrTenantName is returned by RegisterTenant for unusable names.
 	ErrTenantName = errors.New("cache: invalid tenant name")
 	// ErrTenantLimit is returned when the 16-bit tenant ID space is full.
 	ErrTenantLimit = errors.New("cache: too many tenants")
+	// ErrTenantNoPrefix is returned by RegisterTenant on a cache built
+	// without WithTenantPrefix: no key could ever name the tenant.
+	ErrTenantNoPrefix = errors.New("cache: tenants need a key prefix delimiter (WithTenantPrefix)")
 )
 
 // TenantConfig sizes a tenant's slice of the page budget.
@@ -42,11 +42,14 @@ type TenantConfig struct {
 // ID. Registration is cheap and idempotent by name; it pre-grows per-shard
 // tables so the serving path never allocates for a registered tenant.
 func (c *Cache) RegisterTenant(name string, cfg TenantConfig) (uint16, error) {
+	if c.prefixDelim == 0 {
+		return 0, ErrTenantNoPrefix
+	}
 	if name == "" || len(name) > 64 {
 		return 0, fmt.Errorf("%w: %q", ErrTenantName, name)
 	}
 	for i := 0; i < len(name); i++ {
-		if name[i] <= ' ' || name[i] == 0x7f || (c.prefixDelim != 0 && name[i] == c.prefixDelim) {
+		if name[i] <= ' ' || name[i] == 0x7f || name[i] == c.prefixDelim {
 			return 0, fmt.Errorf("%w: %q", ErrTenantName, name)
 		}
 	}
@@ -93,16 +96,6 @@ func (c *Cache) RegisterTenant(name string, cfg TenantConfig) (uint16, error) {
 		sh.mu.Unlock()
 	}
 	return id, nil
-}
-
-// TenantID resolves a registered tenant name; ok is false for unknown
-// names. The default namespace is ID 0 with the empty name.
-func (c *Cache) TenantID(name string) (uint16, bool) {
-	if name == "" {
-		return 0, true
-	}
-	id, ok := c.reg.Load().byName[name]
-	return id, ok
 }
 
 // SetTenantQuota sets a tenant's current page allowance, clamped to
@@ -375,116 +368,4 @@ func (c *Cache) drainSamples(fn func(tid uint16, h uint64)) int {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// Tenancy is a fixed-namespace view of a Cache: every operation is served
-// from the given tenant regardless of key shape. The server binds one to a
-// connection when it handles the `namespace` verb. The zero-cost wrappers
-// delegate to the same conn-tenant-parameterized cores as the default API,
-// so the view adds no allocations.
-type Tenancy struct {
-	c  *Cache
-	id uint16
-}
-
-// T returns the fixed-namespace view for a tenant ID (0 = default).
-func (c *Cache) T(id uint16) Tenancy { return Tenancy{c: c, id: id} }
-
-// ID reports the view's tenant ID.
-func (t Tenancy) ID() uint16 { return t.id }
-
-// GetInto is Cache.GetInto within the tenant.
-func (t Tenancy) GetInto(key []byte, dst []byte) ([]byte, uint32, uint64, bool) {
-	return t.c.getInto(t.id, key, dst)
-}
-
-// SetBytes is Cache.SetBytes within the tenant.
-func (t Tenancy) SetBytes(key, value []byte, flags uint32, expiresAt time.Time) error {
-	return t.c.setBytes(t.id, key, value, flags, expiresAt)
-}
-
-// GetMultiInto is Cache.GetMultiInto within the tenant.
-func (t Tenancy) GetMultiInto(keys [][]byte, dst []MultiItem, arena []byte) ([]MultiItem, []byte) {
-	return t.c.getMultiInto(t.id, keys, dst, arena)
-}
-
-// Get is Cache.Get within the tenant.
-func (t Tenancy) Get(key string) ([]byte, error) {
-	v, _, _, hit := t.c.getInto(t.id, sbytes(key), nil)
-	if !hit {
-		return nil, fmt.Errorf("get %q: %w", key, ErrNotFound)
-	}
-	return v, nil
-}
-
-// Set is Cache.Set within the tenant.
-func (t Tenancy) Set(key string, value []byte) error {
-	if key == "" {
-		return ErrEmptyKey
-	}
-	return t.c.setBytes(t.id, sbytes(key), value, 0, time.Time{})
-}
-
-// SetExpiringFlags is Cache.SetExpiringFlags within the tenant.
-func (t Tenancy) SetExpiringFlags(key string, value []byte, flags uint32, expiresAt time.Time) error {
-	return t.c.setExpiringFlags(t.id, key, value, flags, expiresAt)
-}
-
-// GetWithCAS is Cache.GetWithCAS within the tenant.
-func (t Tenancy) GetWithCAS(key string) ([]byte, uint32, uint64, error) {
-	return t.c.getWithCAS(t.id, key)
-}
-
-// AddFlags is Cache.AddFlags within the tenant.
-func (t Tenancy) AddFlags(key string, value []byte, flags uint32, expiresAt time.Time) error {
-	return t.c.addFlags(t.id, key, value, flags, expiresAt)
-}
-
-// ReplaceFlags is Cache.ReplaceFlags within the tenant.
-func (t Tenancy) ReplaceFlags(key string, value []byte, flags uint32, expiresAt time.Time) error {
-	return t.c.replaceFlags(t.id, key, value, flags, expiresAt)
-}
-
-// CompareAndSwapFlags is Cache.CompareAndSwapFlags within the tenant.
-func (t Tenancy) CompareAndSwapFlags(key string, value []byte, flags uint32, expiresAt time.Time, casToken uint64) error {
-	return t.c.compareAndSwapFlags(t.id, key, value, flags, expiresAt, casToken)
-}
-
-// Append is Cache.Append within the tenant.
-func (t Tenancy) Append(key string, data []byte) error { return t.c.appendT(t.id, key, data) }
-
-// Prepend is Cache.Prepend within the tenant.
-func (t Tenancy) Prepend(key string, data []byte) error { return t.c.prependT(t.id, key, data) }
-
-// Incr is Cache.Incr within the tenant.
-func (t Tenancy) Incr(key string, delta uint64) (uint64, error) {
-	return t.c.arith(t.id, key, func(v uint64) uint64 { return v + delta })
-}
-
-// Decr is Cache.Decr within the tenant.
-func (t Tenancy) Decr(key string, delta uint64) (uint64, error) {
-	return t.c.arith(t.id, key, func(v uint64) uint64 {
-		if delta > v {
-			return 0
-		}
-		return v - delta
-	})
-}
-
-// Delete is Cache.Delete within the tenant.
-func (t Tenancy) Delete(key string) error { return t.c.deleteT(t.id, key) }
-
-// TouchExpiry is Cache.TouchExpiry within the tenant.
-func (t Tenancy) TouchExpiry(key string, expiresAt time.Time) error {
-	return t.c.touchExpiry(t.id, key, expiresAt)
-}
-
-// Contains is Cache.Contains within the tenant.
-func (t Tenancy) Contains(key string) bool {
-	kb := sbytes(key)
-	tid, h, sh := t.c.route(t.id, kb)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.peekLocked(h, tid, kb, t.c.nowNano())
-	return ok
 }

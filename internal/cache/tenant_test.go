@@ -5,14 +5,39 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
 
+// newTenantCache builds a '/'-prefix cache: "name/rest" keys route to the
+// registered tenant "name".
+func newTenantCache(t *testing.T, pages int, opts ...Option) *Cache {
+	t.Helper()
+	clk := newFakeClock()
+	c, err := New(int64(pages)*PageSize, append([]Option{WithClock(clk.Now), WithTenantPrefix('/')}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// statsOf returns one tenant's row of TenantStats.
+func statsOf(t *testing.T, c *Cache, id uint16) TenantStats {
+	t.Helper()
+	for _, st := range c.TenantStats() {
+		if st.ID == id {
+			return st
+		}
+	}
+	t.Fatalf("tenant %d missing from stats", id)
+	return TenantStats{}
+}
+
 // --- registration and resolution ---
 
 func TestTenantRegisterResolve(t *testing.T) {
-	c, _ := newTestCache(t, 8)
+	c := newTenantCache(t, 8)
 	idA, err := c.RegisterTenant("alpha", TenantConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -29,35 +54,35 @@ func TestTenantRegisterResolve(t *testing.T) {
 	if err != nil || again != idA {
 		t.Fatalf("re-register alpha = (%d, %v), want (%d, nil)", again, err, idA)
 	}
-	if id, ok := c.TenantID("beta"); !ok || id != idB {
-		t.Fatalf("TenantID(beta) = (%d, %v)", id, ok)
-	}
-	if id, ok := c.TenantID(""); !ok || id != 0 {
-		t.Fatalf("TenantID(\"\") = (%d, %v), want (0, true)", id, ok)
-	}
-	if _, ok := c.TenantID("nobody"); ok {
-		t.Fatal("TenantID(nobody) resolved")
-	}
 	for _, bad := range []string{"", "has space", "ctl\x01"} {
 		if _, err := c.RegisterTenant(bad, TenantConfig{}); !errors.Is(err, ErrTenantName) {
 			t.Errorf("RegisterTenant(%q) err = %v, want ErrTenantName", bad, err)
 		}
 	}
-	// Registered quota state is visible in TenantStats.
-	for _, st := range c.TenantStats() {
-		if st.Name == "beta" {
-			if st.Reserved != 2 || st.MaxPages != 4 || st.Quota != 4 {
-				t.Fatalf("beta quota state = %+v", st)
-			}
-		}
+	// Registered names and quota state are visible in TenantStats.
+	if st := statsOf(t, c, idB); st.Name != "beta" || st.Reserved != 2 || st.MaxPages != 4 || st.Quota != 4 {
+		t.Fatalf("beta row = %+v", st)
+	}
+	if st := statsOf(t, c, 0); st.Name != "" {
+		t.Fatalf("default namespace named %q", st.Name)
+	}
+}
+
+// TestRegisterTenantNeedsPrefix: without a key-prefix delimiter no key can
+// name a tenant, so registration is refused rather than creating a tenant
+// whose items nothing could reach, migrate or snapshot.
+func TestRegisterTenantNeedsPrefix(t *testing.T) {
+	c, _ := newTestCache(t, 8)
+	if _, err := c.RegisterTenant("acme", TenantConfig{}); !errors.Is(err, ErrTenantNoPrefix) {
+		t.Fatalf("RegisterTenant on a prefix-less cache: err = %v, want ErrTenantNoPrefix", err)
+	}
+	if n := len(c.TenantStats()); n != 1 {
+		t.Fatalf("refused registration left %d tenant rows, want the default only", n)
 	}
 }
 
 func TestTenantPrefixDelimRejectedInName(t *testing.T) {
-	c, err := New(8*PageSize, WithTenantPrefix('/'))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newTenantCache(t, 8)
 	if _, err := c.RegisterTenant("a/b", TenantConfig{}); !errors.Is(err, ErrTenantName) {
 		t.Fatalf("name containing the delimiter registered: %v", err)
 	}
@@ -65,93 +90,81 @@ func TestTenantPrefixDelimRejectedInName(t *testing.T) {
 
 // --- namespace isolation ---
 
-// TestTenantIsolationSameKey stores the same key in three namespaces and
-// checks that reads, overwrites, and deletes never cross.
+// TestTenantIsolationSameKey stores the same key suffix in three namespaces
+// and checks that each lands in its own tenant and that reads, overwrites,
+// and deletes never cross.
 func TestTenantIsolationSameKey(t *testing.T) {
-	c, _ := newTestCache(t, 8)
+	c := newTenantCache(t, 8)
 	a, _ := c.RegisterTenant("a", TenantConfig{})
 	b, _ := c.RegisterTenant("b", TenantConfig{})
 
-	views := []Tenancy{c.T(0), c.T(a), c.T(b)}
-	for i, v := range views {
-		if err := v.Set("shared-key", []byte(fmt.Sprintf("value-%d", i))); err != nil {
+	keys := []string{"shared-key", "a/shared-key", "b/shared-key"}
+	for i, k := range keys {
+		if err := c.Set(k, []byte(fmt.Sprintf("value-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i, v := range views {
-		got, err := v.Get("shared-key")
+	for i, k := range keys {
+		got, err := c.Get(k)
 		if err != nil || string(got) != fmt.Sprintf("value-%d", i) {
-			t.Fatalf("tenant %d: get = (%q, %v)", i, got, err)
+			t.Fatalf("%s: get = (%q, %v)", k, got, err)
 		}
 	}
-	if err := c.T(a).Delete("shared-key"); err != nil {
+	for _, id := range []uint16{0, a, b} {
+		if st := statsOf(t, c, id); st.Items != 1 {
+			t.Fatalf("tenant %d holds %d items, want 1", id, st.Items)
+		}
+	}
+	if err := c.Delete("a/shared-key"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.T(a).Get("shared-key"); err == nil {
+	if _, err := c.Get("a/shared-key"); err == nil {
 		t.Fatal("deleted key still visible in its own namespace")
 	}
-	if _, err := c.T(0).Get("shared-key"); err != nil {
+	if _, err := c.Get("shared-key"); err != nil {
 		t.Fatal("delete in tenant a removed the default-namespace copy")
 	}
-	if _, err := c.T(b).Get("shared-key"); err != nil {
+	if _, err := c.Get("b/shared-key"); err != nil {
 		t.Fatal("delete in tenant a removed tenant b's copy")
 	}
 	c.checkShardInvariants(t)
 }
 
 // TestTenantPrefixRouting checks key-prefix resolution: registered prefixes
-// route, unknown prefixes and bare keys stay in the default namespace, and
-// a connection-bound tenant overrides the prefix.
+// route to their tenant, unknown prefixes and bare keys stay in the default
+// namespace.
 func TestTenantPrefixRouting(t *testing.T) {
-	clk := newFakeClock()
-	c, err := New(8*PageSize, WithClock(clk.Now), WithTenantPrefix('/'))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newTenantCache(t, 8)
 	a, _ := c.RegisterTenant("acct", TenantConfig{})
 
-	// A prefixed key and the same key through the tenant view are the same
-	// item.
-	if err := c.Set("acct/user", []byte("via-prefix")); err != nil {
-		t.Fatal(err)
+	for _, k := range []string{"acct/user", "ghost/user", "user", "/user"} {
+		if err := c.Set(k, []byte(k)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := c.Get(k); err != nil || string(got) != k {
+			t.Fatalf("get %q = (%q, %v)", k, got, err)
+		}
 	}
-	got, err := c.T(a).Get("acct/user")
-	if err != nil || string(got) != "via-prefix" {
-		t.Fatalf("tenant view read of prefixed key = (%q, %v)", got, err)
+	if st := statsOf(t, c, a); st.Items != 1 || st.Hits != 1 {
+		t.Fatalf("acct row = %+v, want the one prefixed item and its hit", st)
 	}
-
-	// Unknown prefix and bare keys are default-namespace items.
-	if err := c.Set("ghost/user", []byte("default")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.T(0).Get("ghost/user"); err != nil {
-		t.Fatal("unknown prefix left the default namespace")
-	}
-
-	// Connection tenant wins over the prefix: the key keeps its literal
-	// shape inside the bound namespace.
-	if err := c.T(a).Set("ghost/user", []byte("in-a")); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := c.T(a).Get("ghost/user"); string(got) != "in-a" {
-		t.Fatalf("conn-tenant read = %q", got)
-	}
-	if got, _ := c.T(0).Get("ghost/user"); string(got) != "default" {
-		t.Fatalf("default copy clobbered by conn-tenant write: %q", got)
+	if st := statsOf(t, c, 0); st.Items != 3 {
+		t.Fatalf("default namespace holds %d items, want the 3 unprefixed", st.Items)
 	}
 	c.checkShardInvariants(t)
 }
 
 // --- quotas, floors, and stealing ---
 
-// fillTenant stores count items of ~valSize bytes into the tenant view,
-// returning how many sets succeeded.
-func fillTenant(t *testing.T, v Tenancy, prefix string, count, valSize int) int {
+// fillTenant stores count items of ~valSize bytes under "<prefix>-NNNNN"
+// keys (prefix "name/x" lands them in tenant "name"), returning how many
+// sets succeeded.
+func fillTenant(t *testing.T, c *Cache, prefix string, count, valSize int) int {
 	t.Helper()
 	val := bytes.Repeat([]byte("x"), valSize)
 	ok := 0
 	for i := 0; i < count; i++ {
-		if err := v.Set(fmt.Sprintf("%s-%05d", prefix, i), val); err == nil {
+		if err := c.Set(fmt.Sprintf("%s-%05d", prefix, i), val); err == nil {
 			ok++
 		} else if !errors.Is(err, ErrOutOfMemory) {
 			t.Fatal(err)
@@ -163,24 +176,16 @@ func fillTenant(t *testing.T, v Tenancy, prefix string, count, valSize int) int 
 // TestTenantQuotaCapsPages fills a capped tenant far past its allowance and
 // checks it never holds more pages than its cap, evicting only itself.
 func TestTenantQuotaCapsPages(t *testing.T) {
-	c, _ := newTestCache(t, 8)
+	c := newTenantCache(t, 8)
 	a, _ := c.RegisterTenant("capped", TenantConfig{MaxPages: 2})
 
 	// A resident bystander that must survive the capped tenant's churn.
-	before := fillTenant(t, c.T(0), "bystander", 100, 900)
+	before := fillTenant(t, c, "bystander", 100, 900)
 	// ~1000 B/item → one page holds ~1100 items; 5000 items is ~5 pages of
 	// demand against a 2-page cap.
-	fillTenant(t, c.T(a), "hog", 5000, 900)
+	fillTenant(t, c, "capped/hog", 5000, 900)
 
-	var hogStats, defStats TenantStats
-	for _, st := range c.TenantStats() {
-		switch st.ID {
-		case a:
-			hogStats = st
-		case 0:
-			defStats = st
-		}
-	}
+	hogStats, defStats := statsOf(t, c, a), statsOf(t, c, 0)
 	if hogStats.Pages > 2 {
 		t.Fatalf("capped tenant holds %d pages, cap 2", hogStats.Pages)
 	}
@@ -191,7 +196,7 @@ func TestTenantQuotaCapsPages(t *testing.T) {
 		t.Fatalf("bystander evicted %d items by another tenant's churn", defStats.Evictions)
 	}
 	for i := 0; i < before; i++ {
-		if _, err := c.T(0).Get(fmt.Sprintf("bystander-%05d", i)); err != nil {
+		if _, err := c.Get(fmt.Sprintf("bystander-%05d", i)); err != nil {
 			t.Fatalf("bystander item %d lost", i)
 		}
 	}
@@ -202,23 +207,19 @@ func TestTenantQuotaCapsPages(t *testing.T) {
 // arbiter ever runs: another tenant filling the node cannot take pages the
 // floor still lacks.
 func TestTenantReservedFloorHolds(t *testing.T) {
-	c, _ := newTestCache(t, 8)
+	c := newTenantCache(t, 8)
 	res, _ := c.RegisterTenant("reserved", TenantConfig{ReservedPages: 3})
 	hog, _ := c.RegisterTenant("hog", TenantConfig{})
 
 	// The hog floods an empty node; it may take everything except the floor.
-	fillTenant(t, c.T(hog), "flood", 20000, 900)
-	for _, st := range c.TenantStats() {
-		if st.ID == hog && st.Pages > 8-3 {
-			t.Fatalf("hog holds %d pages, leaving the 3-page floor unmeetable", st.Pages)
-		}
+	fillTenant(t, c, "hog/flood", 20000, 900)
+	if st := statsOf(t, c, hog); st.Pages > 8-3 {
+		t.Fatalf("hog holds %d pages, leaving the 3-page floor unmeetable", st.Pages)
 	}
 	// The reserved tenant can still claim its floor.
-	fillTenant(t, c.T(res), "late", 5000, 900)
-	for _, st := range c.TenantStats() {
-		if st.ID == res && st.Pages < 3 {
-			t.Fatalf("reserved tenant got %d pages, floor 3", st.Pages)
-		}
+	fillTenant(t, c, "reserved/late", 5000, 900)
+	if st := statsOf(t, c, res); st.Pages < 3 {
+		t.Fatalf("reserved tenant got %d pages, floor 3", st.Pages)
 	}
 	c.checkShardInvariants(t)
 }
@@ -226,19 +227,10 @@ func TestTenantReservedFloorHolds(t *testing.T) {
 // TestStealPageSemantics exercises the arbiter's primitive directly:
 // allowance-only moves, physical reclaims, and the refusal conditions.
 func TestStealPageSemantics(t *testing.T) {
-	c, _ := newTestCache(t, 8)
+	c := newTenantCache(t, 8)
 	a, _ := c.RegisterTenant("donor", TenantConfig{ReservedPages: 1})
 	b, _ := c.RegisterTenant("recv", TenantConfig{MaxPages: 3})
-
-	stats := func(id uint16) TenantStats {
-		for _, st := range c.TenantStats() {
-			if st.ID == id {
-				return st
-			}
-		}
-		t.Fatalf("tenant %d missing from stats", id)
-		return TenantStats{}
-	}
+	stats := func(id uint16) TenantStats { return statsOf(t, c, id) }
 
 	// Narrow both quotas to a known partition: donor 4, recv 2.
 	c.SetTenantQuota(a, 4)
@@ -261,7 +253,7 @@ func TestStealPageSemantics(t *testing.T) {
 	}
 
 	// Load the donor to its full quota, then steal with reclaim.
-	fillTenant(t, c.T(a), "load", 4000, 900)
+	fillTenant(t, c, "donor/load", 4000, 900)
 	loaded := stats(a)
 	if loaded.Pages != 3 {
 		t.Fatalf("donor loaded to %d pages, want quota 3", loaded.Pages)
@@ -299,41 +291,30 @@ func TestStealPageSemantics(t *testing.T) {
 // resident items/bytes immediately and counted as that tenant's expiration.
 func TestTenantLazyExpiryAccounting(t *testing.T) {
 	clk := &holdClock{t: time.Unix(1_700_000_000, 0)}
-	c, err := New(8*PageSize, WithClock(clk.Now))
+	c, err := New(8*PageSize, WithClock(clk.Now), WithTenantPrefix('/'))
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, _ := c.RegisterTenant("ephem", TenantConfig{})
 
-	v := c.T(a)
-	if err := v.SetExpiringFlags("dies", bytes.Repeat([]byte("v"), 100), 0, clk.t.Add(time.Millisecond)); err != nil {
+	if err := c.SetExpiringFlags("ephem/dies", bytes.Repeat([]byte("v"), 100), 0, clk.t.Add(time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Set("lives", []byte("keep")); err != nil {
+	if err := c.Set("ephem/lives", []byte("keep")); err != nil {
 		t.Fatal(err)
 	}
 
-	var st TenantStats
-	find := func() TenantStats {
-		for _, s := range c.TenantStats() {
-			if s.ID == a {
-				return s
-			}
-		}
-		t.Fatal("tenant missing")
-		return TenantStats{}
-	}
-	st = find()
+	st := statsOf(t, c, a)
 	if st.Items != 2 || st.Bytes == 0 {
 		t.Fatalf("pre-expiry stats: %+v", st)
 	}
 	bytesBefore := st.Bytes
 
 	clk.advance(10 * time.Millisecond)
-	if _, err := v.Get("dies"); err == nil {
+	if _, err := c.Get("ephem/dies"); err == nil {
 		t.Fatal("expired item still served")
 	}
-	st = find()
+	st = statsOf(t, c, a)
 	if st.Items != 1 {
 		t.Fatalf("lazy expiry left items = %d, want 1", st.Items)
 	}
@@ -347,16 +328,118 @@ func TestTenantLazyExpiryAccounting(t *testing.T) {
 		t.Fatalf("expired get counted as %d misses, want 1", st.Misses)
 	}
 	// The crawler path debits identically.
-	if err := v.SetExpiringFlags("dies2", []byte("x"), 0, clk.t.Add(time.Millisecond)); err != nil {
+	if err := c.SetExpiringFlags("ephem/dies2", []byte("x"), 0, clk.t.Add(time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	clk.advance(10 * time.Millisecond)
 	c.CrawlExpired()
-	st = find()
+	st = statsOf(t, c, a)
 	if st.Items != 1 || st.Expirations != 2 {
 		t.Fatalf("crawler expiry accounting: %+v", st)
 	}
 	c.checkShardInvariants(t)
+}
+
+// --- tenants across dump, migration and snapshot ---
+
+// TestTenantItemsMigrateAndSnapshot checks that a tenant's items leave the
+// node with everyone else's: the dump and the top-N selection include them,
+// a FetchTopStream → BatchImport migration lands them in the importer's
+// tenant of the same name, and so does a snapshot round trip. A tenant with
+// a reserved floor is the case a scale-in must not silently drop.
+func TestTenantItemsMigrateAndSnapshot(t *testing.T) {
+	const perTenant = 200
+	build := func() (*Cache, uint16) {
+		c := newTenantCache(t, 64, WithShards(2))
+		id, err := c.RegisterTenant("acme", TenantConfig{ReservedPages: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, id
+	}
+	src, acme := build()
+	for i := 0; i < perTenant; i++ {
+		if err := src.Set(fmt.Sprintf("acme/k-%04d", i), []byte(fmt.Sprintf("acme-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.Set(fmt.Sprintf("k-%04d", i), []byte(fmt.Sprintf("dflt-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, st := src.Len(), statsOf(t, src, acme); n != 2*perTenant || st.Items != perTenant {
+		t.Fatalf("Len = %d with %d acme items, want %d with %d", n, st.Items, 2*perTenant, perTenant)
+	}
+
+	// Dump and top-N selection see every resident item, tenants included.
+	dumped, tenantDumped := 0, 0
+	var classes []int
+	for class, metas := range src.DumpAll(nil) {
+		dumped += len(metas)
+		for _, m := range metas {
+			if strings.HasPrefix(m.Key, "acme/") {
+				tenantDumped++
+			}
+		}
+		classes = append(classes, class)
+	}
+	if dumped != src.Len() || tenantDumped != perTenant {
+		t.Fatalf("DumpAll = %d items (%d acme), want Len %d (%d acme)", dumped, tenantDumped, src.Len(), perTenant)
+	}
+	top := 0
+	for _, class := range classes {
+		metas, err := src.TopMeta(class, 2*perTenant, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		top += len(metas)
+	}
+	if top != src.Len() {
+		t.Fatalf("TopMeta selected %d items, want %d", top, src.Len())
+	}
+
+	check := func(how string, dst *Cache, dstAcme uint16) {
+		t.Helper()
+		if st := statsOf(t, dst, dstAcme); st.Items != perTenant {
+			t.Fatalf("%s: importer's acme tenant holds %d items, want %d", how, st.Items, perTenant)
+		}
+		if st := statsOf(t, dst, 0); st.Items != perTenant {
+			t.Fatalf("%s: importer's default namespace holds %d items, want %d", how, st.Items, perTenant)
+		}
+		for i := 0; i < perTenant; i += 37 {
+			k := fmt.Sprintf("acme/k-%04d", i)
+			if got, err := dst.Get(k); err != nil || string(got) != fmt.Sprintf("acme-%d", i) {
+				t.Fatalf("%s: get %q = (%q, %v)", how, k, got, err)
+			}
+		}
+		dst.checkShardInvariants(t)
+	}
+
+	// Migration: stream each class's top items into a second prefix cache.
+	dst, dstAcme := build()
+	for _, class := range classes {
+		if _, err := src.FetchTopStream(class, 2*perTenant, nil, 64, 1<<20, func(b StreamBatch) error {
+			_, err := dst.BatchImport(b.Pairs, false)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("migration", dst, dstAcme)
+
+	// Warm restart: the snapshot carries every item, tenants included.
+	var buf bytes.Buffer
+	written, err := src.WriteSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if written != src.Len() {
+		t.Fatalf("WriteSnapshot wrote %d items, want Len %d", written, src.Len())
+	}
+	restored, restoredAcme := build()
+	if n, err := restored.RestoreSnapshot(&buf); err != nil || n != written {
+		t.Fatalf("RestoreSnapshot = (%d, %v), want (%d, nil)", n, err, written)
+	}
+	check("snapshot", restored, restoredAcme)
 }
 
 // --- the tenant differential sweep (CI gate) ---
@@ -365,12 +448,12 @@ func TestTenantLazyExpiryAccounting(t *testing.T) {
 //
 //  1. Equivalence — a cache with named tenants registered, driven entirely
 //     through the default namespace, must behave bit-identically to a plain
-//     cache: same hits, same misses, same values. Tenancy must be free when
-//     unused.
-//  2. Isolation — three tenants interleaving the same key names through
-//     prefix routing and tenant views, each checked against its own oracle
-//     map. Any crosstalk (a value or expiry leaking across namespaces)
-//     diverges from an oracle.
+//     cache: same hits, same misses, same values. Unused tenants cost
+//     nothing.
+//  2. Isolation — three tenants interleaving the same key suffixes through
+//     prefix routing, each checked against its own oracle map and its own
+//     resident count. Any crosstalk (a value, expiry or item leaking across
+//     namespaces) diverges from an oracle.
 func TestTenantDifferential(t *testing.T) {
 	// Every (shard, tenant, class) slab holds at least one page once
 	// touched, so the budget must cover 2 shards × 4 namespaces × the
@@ -391,14 +474,12 @@ func TestTenantDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := []string{"red", "green", "blue"}
-	views := make([]Tenancy, len(names))
+	ids := make([]uint16, len(names))
 	oracles := make([]map[string]*oracleItem, len(names))
 	for i, n := range names {
-		id, err := tenanted.RegisterTenant(n, TenantConfig{})
-		if err != nil {
+		if ids[i], err = tenanted.RegisterTenant(n, TenantConfig{}); err != nil {
 			t.Fatal(err)
 		}
-		views[i] = tenanted.T(id)
 		oracles[i] = map[string]*oracleItem{}
 	}
 
@@ -455,40 +536,34 @@ func TestTenantDifferential(t *testing.T) {
 			if (perr == nil) != (terr == nil) {
 				t.Fatalf("op %d: delete %q diverged: %v vs %v", op, k, perr, terr)
 			}
-		case r < 87: // tenant op through prefix or view, against its oracle
+		case r < 87: // tenant op through its key prefix, against its oracle
 			ti := rng.Intn(len(names))
-			k, o := key(), oracles[ti]
+			k, o := names[ti]+"/"+key(), oracles[ti]
 			switch rng.Intn(4) {
-			case 0: // set via prefix routing on the exported API
+			case 0: // string-keyed set
 				v, exp := val(), ttl()
-				pk := names[ti] + "/" + k
-				if err := tenanted.SetExpiringFlags(pk, v, 0, exp); err != nil {
+				if err := tenanted.SetExpiringFlags(k, v, 0, exp); err != nil {
 					t.Fatalf("op %d: prefixed set: %v", op, err)
 				}
-				// Prefix mode stores the full literal key.
-				o[pk] = &oracleItem{value: append([]byte(nil), v...), expire: exp}
-			case 1: // set via the tenant view (conn-style), bare key
+				o[k] = &oracleItem{value: append([]byte(nil), v...), expire: exp}
+			case 1: // the wire hot path's byte-keyed set
 				v, exp := val(), ttl()
-				if err := views[ti].SetExpiringFlags(k, v, 0, exp); err != nil {
-					t.Fatalf("op %d: view set: %v", op, err)
+				if err := tenanted.SetBytes([]byte(k), v, 0, exp); err != nil {
+					t.Fatalf("op %d: prefixed SetBytes: %v", op, err)
 				}
 				o[k] = &oracleItem{value: append([]byte(nil), v...), expire: exp}
-			case 2: // get via the view; prefix- and view-stored keys both live here
-				rk := k
-				if rng.Intn(2) == 0 {
-					rk = names[ti] + "/" + k
-				}
-				got, err := views[ti].Get(rk)
-				want := live(o, rk)
+			case 2:
+				got, err := tenanted.Get(k)
+				want := live(o, k)
 				if want == nil {
 					if err == nil {
-						t.Fatalf("op %d: tenant %s get %q hit, oracle dead", op, names[ti], rk)
+						t.Fatalf("op %d: tenant %s get %q hit, oracle dead", op, names[ti], k)
 					}
 				} else if err != nil || !bytes.Equal(got, want.value) {
-					t.Fatalf("op %d: tenant %s get %q diverged (err %v)", op, names[ti], rk, err)
+					t.Fatalf("op %d: tenant %s get %q diverged (err %v)", op, names[ti], k, err)
 				}
-			default: // delete via the view
-				err := views[ti].Delete(k)
+			default:
+				err := tenanted.Delete(k)
 				if want := live(o, k); want == nil {
 					if err == nil {
 						t.Fatalf("op %d: tenant %s deleted a dead key", op, names[ti])
@@ -519,15 +594,20 @@ func TestTenantDifferential(t *testing.T) {
 		pst.Items != tst.Items || pst.Bytes != tst.Bytes {
 		t.Fatalf("default-namespace counters diverged: plain %+v vs tenanted %+v", pst, tst)
 	}
-	// ...and every tenant's view matches its oracle exactly.
+	// ...and every tenant matches its oracle exactly, value by value and in
+	// resident count once the crawler has reclaimed the dead.
+	tenanted.CrawlExpired()
 	for i, o := range oracles {
 		for k := range o {
 			if want := live(o, k); want != nil {
-				got, err := views[i].Get(k)
+				got, err := tenanted.Get(k)
 				if err != nil || !bytes.Equal(got, want.value) {
 					t.Fatalf("final: tenant %s key %q diverged (err %v)", names[i], k, err)
 				}
 			}
+		}
+		if st := statsOf(t, tenanted, ids[i]); st.Items != len(o) {
+			t.Fatalf("final: tenant %s holds %d items, oracle %d", names[i], st.Items, len(o))
 		}
 	}
 	if ev := tenanted.Stats().Evictions; ev != 0 {

@@ -36,7 +36,6 @@ type Cluster struct {
 	dialTimeout time.Duration
 	opTimeout   time.Duration
 	maxIdle     int
-	replicas    int
 
 	// table is the per-segment ownership table the client routes by. A
 	// lock-free atomic pointer: every op loads it once and works against
@@ -59,8 +58,6 @@ type Cluster struct {
 	hotVersions map[string]uint64
 	hotCount    atomic.Int64
 	hotRR       atomic.Uint64
-	hotStop     chan struct{}
-	hotWG       sync.WaitGroup
 }
 
 // Option configures a Cluster.
@@ -72,8 +69,6 @@ type options struct {
 	dialTimeout time.Duration
 	opTimeout   time.Duration
 	maxIdle     int
-	replicas    int
-	hotPoll     time.Duration
 }
 
 type dialTimeoutOption time.Duration
@@ -97,35 +92,17 @@ func (o maxIdleOption) apply(opts *options) { opts.maxIdle = int(o) }
 // WithMaxIdleConns bounds pooled idle connections per node (default 4).
 func WithMaxIdleConns(n int) Option { return maxIdleOption(n) }
 
-type replicasOption int
-
-func (o replicasOption) apply(opts *options) { opts.replicas = int(o) }
-
-// WithRingReplicas sets the consistent-hash virtual-node count; it must
-// match the Agents' setting.
-func WithRingReplicas(n int) Option { return replicasOption(n) }
-
-type hotPollOption time.Duration
-
-func (o hotPollOption) apply(opts *options) { opts.hotPoll = time.Duration(o) }
-
-// WithHotKeyPolling refreshes the hot-key routing table from every member
-// in the background at the given interval. Without it, the table only
-// updates on explicit RefreshHotKeys calls.
-func WithHotKeyPolling(interval time.Duration) Option { return hotPollOption(interval) }
-
 // New creates a cluster client over the given member addresses.
 func New(members []string, opts ...Option) (*Cluster, error) {
 	o := options{
 		dialTimeout: 2 * time.Second,
 		opTimeout:   5 * time.Second,
 		maxIdle:     4,
-		replicas:    hashring.DefaultReplicas,
 	}
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
-	table, err := hashring.NewTable(members, hashring.WithTableReplicas(o.replicas))
+	table, err := hashring.NewTable(members)
 	if err != nil {
 		return nil, err
 	}
@@ -133,18 +110,12 @@ func New(members []string, opts ...Option) (*Cluster, error) {
 		dialTimeout: o.dialTimeout,
 		opTimeout:   o.opTimeout,
 		maxIdle:     o.maxIdle,
-		replicas:    o.replicas,
 		pools:       make(map[string]*pool),
 		hotByHome:   make(map[string][]memproto.HotKeyTableEntry),
 		hotByKey:    make(map[string][]string),
 		hotVersions: make(map[string]uint64),
 	}
 	c.table.Store(table)
-	if o.hotPoll > 0 {
-		c.hotStop = make(chan struct{})
-		c.hotWG.Add(1)
-		go c.pollHotKeys(o.hotPoll)
-	}
 	return c, nil
 }
 
@@ -531,7 +502,7 @@ func (c *Cluster) StatsAll() (map[string]map[string]string, error) {
 	return out, nil
 }
 
-// Close releases every pooled connection and stops the hot-key poller.
+// Close releases every pooled connection.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	if c.closed.Load() {
@@ -544,13 +515,7 @@ func (c *Cluster) Close() {
 		pools = append(pools, p)
 	}
 	c.pools = make(map[string]*pool)
-	stop := c.hotStop
-	c.hotStop = nil
 	c.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		c.hotWG.Wait()
-	}
 	for _, p := range pools {
 		p.close()
 	}

@@ -290,7 +290,6 @@ func TestClusterOptions(t *testing.T) {
 		WithDialTimeout(time.Second),
 		WithOpTimeout(2*time.Second),
 		WithMaxIdleConns(2),
-		WithRingReplicas(32),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -299,8 +298,8 @@ func TestClusterOptions(t *testing.T) {
 	if cl.dialTimeout != time.Second || cl.opTimeout != 2*time.Second {
 		t.Fatalf("timeouts = %v/%v", cl.dialTimeout, cl.opTimeout)
 	}
-	if cl.maxIdle != 2 || cl.replicas != 32 {
-		t.Fatalf("maxIdle/replicas = %d/%d", cl.maxIdle, cl.replicas)
+	if cl.maxIdle != 2 {
+		t.Fatalf("maxIdle = %d", cl.maxIdle)
 	}
 }
 

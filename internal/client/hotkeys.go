@@ -2,14 +2,13 @@ package client
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/hashring"
 	"repro/internal/memproto"
 )
 
-// Hot-key adaptive routing: the client polls each node's versioned hot-key
-// table (the `hotkeys` command) and, for promoted keys, spreads reads
+// Hot-key adaptive routing: RefreshHotKeys polls each node's versioned
+// hot-key table (the `hotkeys` command) and, for promoted keys, spreads reads
 // across the key's serving set instead of hammering the consistent-hash
 // owner. Writes always go to the owner — the home node fans them out to
 // replicas — so the client's write path is untouched.
@@ -126,21 +125,4 @@ func mix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// pollHotKeys is the background refresher started by WithHotKeyPolling.
-func (c *Cluster) pollHotKeys(interval time.Duration) {
-	defer c.hotWG.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			ctx, cancel := context.WithTimeout(context.Background(), interval)
-			_ = c.RefreshHotKeys(ctx)
-			cancel()
-		case <-c.hotStop:
-			return
-		}
-	}
 }

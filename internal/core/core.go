@@ -215,7 +215,6 @@ type masterOptions struct {
 	retry        taskgroup.Backoff
 	phaseTimeout time.Duration
 	waves        int
-	ringReplicas int
 	phaseHook    func(phase string)
 }
 
@@ -272,11 +271,10 @@ func NewMaster(dir Directory, members []string, opts ...Option) (*Master, error)
 		return nil, fmt.Errorf("%w: empty initial membership", ErrBadScale)
 	}
 	o := masterOptions{
-		now:          time.Now,
-		workers:      DefaultWorkerLimit,
-		retry:        taskgroup.Backoff{Attempts: 3, Delay: 10 * time.Millisecond},
-		waves:        DefaultHandoverWaves,
-		ringReplicas: hashring.DefaultReplicas,
+		now:     time.Now,
+		workers: DefaultWorkerLimit,
+		retry:   taskgroup.Backoff{Attempts: 3, Delay: 10 * time.Millisecond},
+		waves:   DefaultHandoverWaves,
 	}
 	for _, opt := range opts {
 		opt.apply(&o)
@@ -296,7 +294,7 @@ func NewMaster(dir Directory, members []string, opts ...Option) (*Master, error)
 	}
 	m.members = append(m.members, members...)
 	sort.Strings(m.members)
-	table, err := hashring.NewTable(m.members, hashring.WithTableReplicas(o.ringReplicas))
+	table, err := hashring.NewTable(m.members)
 	if err != nil {
 		return nil, fmt.Errorf("core: ownership table: %w", err)
 	}

@@ -44,15 +44,6 @@ func (o segmentWavesOption) apply(opts *masterOptions) { opts.waves = int(o) }
 // DefaultHandoverWaves; 1 commits everything at once).
 func WithSegmentWaves(n int) Option { return segmentWavesOption(n) }
 
-type ringReplicasOption int
-
-func (o ringReplicasOption) apply(opts *masterOptions) { opts.ringReplicas = int(o) }
-
-// WithRingReplicas sets the virtual-node count of the ownership table's
-// rings (default hashring.DefaultReplicas). It must match the replica
-// count the agents and clients use for placement.
-func WithRingReplicas(n int) Option { return ringReplicasOption(n) }
-
 type phaseHookOption struct{ hook func(phase string) }
 
 func (o phaseHookOption) apply(opts *masterOptions) { opts.phaseHook = o.hook }

@@ -28,6 +28,9 @@ import (
 // nothing. The headline numbers are the aggregate hit-rate gain of
 // arbitration over the static split, and how close the reserved tenant
 // stays to its isolated baseline while the neighbor churns.
+//
+// Tenants are named the one way the cache knows: every key is
+// "<tenant>/<key>" on a WithTenantPrefix('/') node.
 
 // TenantBenchConfig sizes the benchmark.
 type TenantBenchConfig struct {
@@ -168,7 +171,7 @@ func (d *tenantDriver) next() (int, string) {
 
 // runTenantMode runs the shared schedule under one memory policy.
 func runTenantMode(cfg TenantBenchConfig, mode string) (TenantModeResult, error) {
-	c, err := cache.New(int64(cfg.Pages)*cache.PageSize, cache.WithShards(1))
+	c, err := cache.New(int64(cfg.Pages)*cache.PageSize, cache.WithShards(1), cache.WithTenantPrefix('/'))
 	if err != nil {
 		return TenantModeResult{}, err
 	}
@@ -216,10 +219,10 @@ func runTenantMode(cfg TenantBenchConfig, mode string) (TenantModeResult, error)
 		return TenantModeResult{}, err
 	}
 	value := make([]byte, cfg.ValueSize)
-	var buf []byte
+	var buf, kb []byte
 	var warm [3]cache.TenantStats
 
-	snapshot := func() ([3]cache.TenantStats, error) {
+	snapshot := func() [3]cache.TenantStats {
 		var out [3]cache.TenantStats
 		for _, ts := range c.TenantStats() {
 			for i, name := range tenantNames {
@@ -228,22 +231,19 @@ func runTenantMode(cfg TenantBenchConfig, mode string) (TenantModeResult, error)
 				}
 			}
 		}
-		return out, nil
+		return out
 	}
 
 	totalOps := cfg.WarmupOps + cfg.MeasuredOps
 	for op := 0; op < totalOps; op++ {
 		if op == cfg.WarmupOps {
-			if warm, err = snapshot(); err != nil {
-				return TenantModeResult{}, err
-			}
+			warm = snapshot()
 		}
 		ti, key := d.next()
-		t := c.T(ids[ti])
-		kb := []byte(key)
+		kb = append(append(append(kb[:0], tenantNames[ti]...), '/'), key...)
 		var hit bool
-		if buf, _, _, hit = t.GetInto(kb, buf[:0]); !hit {
-			if err := t.SetBytes(kb, value, 0, time.Time{}); err != nil {
+		if buf, _, _, hit = c.GetInto(kb, buf[:0]); !hit {
+			if err := c.SetBytes(kb, value, 0, time.Time{}); err != nil {
 				return TenantModeResult{}, fmt.Errorf("mode %s: tenant %s: %w", mode, tenantNames[ti], err)
 			}
 		}
@@ -251,10 +251,7 @@ func runTenantMode(cfg TenantBenchConfig, mode string) (TenantModeResult, error)
 			arb.RunOnce()
 		}
 	}
-	final, err := snapshot()
-	if err != nil {
-		return TenantModeResult{}, err
-	}
+	final := snapshot()
 
 	res := TenantModeResult{Mode: mode}
 	if arb != nil {
@@ -279,7 +276,8 @@ func runTenantMode(cfg TenantBenchConfig, mode string) (TenantModeResult, error)
 }
 
 // runIsolatedRes measures the res tenant alone in a cache of its reserved
-// size — what a hard partition would give it.
+// size — what a hard partition would give it. Its keys are the same
+// "res/<key>" bytes the mixed schedule sends.
 func runIsolatedRes(cfg TenantBenchConfig) (float64, error) {
 	c, err := cache.New(int64(cfg.ResReserved)*cache.PageSize, cache.WithShards(1))
 	if err != nil {
@@ -299,7 +297,7 @@ func runIsolatedRes(cfg TenantBenchConfig) (float64, error) {
 	var buf []byte
 	var hits, ops uint64
 	for op := 0; op < warmup+measured; op++ {
-		kb := []byte(gen.Next().Key)
+		kb := []byte(tenantNames[0] + "/" + gen.Next().Key)
 		var hit bool
 		buf, _, _, hit = c.GetInto(kb, buf[:0])
 		if !hit {

@@ -73,8 +73,7 @@ type Table struct {
 type TableOption func(*tableOptions)
 
 type tableOptions struct {
-	bits     uint
-	replicas int
+	bits uint
 }
 
 // WithSegmentBits sets the number of segment index bits (2^bits segments).
@@ -82,23 +81,17 @@ func WithSegmentBits(bits uint) TableOption {
 	return func(o *tableOptions) { o.bits = bits }
 }
 
-// WithTableReplicas sets the virtual-node count of the rings the table
-// builds.
-func WithTableReplicas(n int) TableOption {
-	return func(o *tableOptions) { o.replicas = n }
-}
-
 // NewTable builds a settled table at version 1 with every segment at
 // epoch 1 and both rings over members.
 func NewTable(members []string, opts ...TableOption) (*Table, error) {
-	o := tableOptions{bits: DefaultSegmentBits, replicas: DefaultReplicas}
+	o := tableOptions{bits: DefaultSegmentBits}
 	for _, fn := range opts {
 		fn(&o)
 	}
 	if o.bits < 1 || o.bits > 20 {
 		return nil, fmt.Errorf("hashring: segment bits %d out of range [1,20]", o.bits)
 	}
-	ring, err := New(members, WithReplicas(o.replicas))
+	ring, err := New(members)
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +262,7 @@ func (t *Table) BeginHandover(newMembers []string) (*Table, []int, error) {
 	if !t.settled {
 		return nil, nil, fmt.Errorf("hashring: handover already in progress (version %d)", t.version)
 	}
-	next, err := New(newMembers, WithReplicas(t.old.replicas))
+	next, err := New(newMembers)
 	if err != nil {
 		return nil, nil, err
 	}

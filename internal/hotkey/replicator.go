@@ -49,9 +49,6 @@ type Config struct {
 	// between Start and Stop. Zero leaves ticking to the caller
 	// (deterministic tests and benchmarks drive Tick directly).
 	TickInterval time.Duration
-	// RingReplicas is the consistent-hash virtual-node count; it must
-	// match the client and agent rings (default hashring.DefaultReplicas).
-	RingReplicas int
 }
 
 func (c Config) withDefaults() Config {
@@ -75,9 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CooldownTicks <= 0 {
 		c.CooldownTicks = 3
-	}
-	if c.RingReplicas <= 0 {
-		c.RingReplicas = hashring.DefaultReplicas
 	}
 	return c
 }
@@ -337,7 +331,7 @@ func (r *Replicator) OwnershipChanged(t *hashring.Table) {
 		return
 	}
 	members := t.Members()
-	ring, err := hashring.New(members, hashring.WithReplicas(r.cfg.RingReplicas))
+	ring, err := hashring.New(members)
 	if err != nil {
 		return
 	}

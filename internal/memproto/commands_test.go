@@ -228,39 +228,3 @@ func TestParserNeverPanicsOnMutatedCommands(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestParseNamespace(t *testing.T) {
-	req, err := parseOne(t, "namespace tenant-a\r\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Command != CmdNamespace {
-		t.Fatalf("command = %v, want CmdNamespace", req.Command)
-	}
-	if len(req.Keys) != 1 || string(req.Keys[0]) != "tenant-a" {
-		t.Fatalf("keys = %q", req.Keys)
-	}
-	if req.NoReply {
-		t.Fatal("noreply set without the token")
-	}
-
-	req, err = parseOne(t, "namespace default noreply\r\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !req.NoReply {
-		t.Fatal("noreply token ignored")
-	}
-}
-
-func TestParseNamespaceErrors(t *testing.T) {
-	for _, input := range []string{
-		"namespace\r\n",       // missing name
-		"namespace a b c\r\n", // too many args
-		"namespace " + strings.Repeat("x", 251) + "\r\n", // name over key limit
-	} {
-		if _, err := parseOne(t, input); err == nil {
-			t.Errorf("parse(%q) succeeded, want error", input)
-		}
-	}
-}

@@ -129,6 +129,9 @@ func FuzzParser(f *testing.F) {
 		"delete k noreply\r\n",
 		"touch k 300\r\n",
 		"touch k 0 noreply\r\n",
+		"lget k\r\n",
+		"lset k 0 60 2 7\r\nhi\r\n",
+		"lset k 3 0 0 9 noreply\r\n\r\n",
 		"stats\r\n",
 		"flush_all\r\n",
 		"flush_all noreply\r\n",
@@ -151,6 +154,9 @@ func FuzzParser(f *testing.F) {
 		"get\r\n", // no keys
 		"set k 0 0 5\r\nhelloXX",
 		"\x00\x01\x02\r\nversion\r\n",
+		"lget a b\r\nget ok\r\n",       // lget takes exactly one key
+		"lset k 0 0 2\r\nhi\r\n",       // lset without its token
+		"namespace acme\r\nget ok\r\n", // not a verb: unknown command, resync
 	}
 	for _, s := range valid {
 		f.Add([]byte(s))

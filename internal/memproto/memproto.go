@@ -39,13 +39,12 @@ const (
 	CmdFlushAll
 	CmdVersion
 	CmdQuit
-	CmdHotKeys   // hot-key table poll
-	CmdHKPut     // home→replica value push (storage-shaped)
-	CmdHKDel     // home→replica invalidation
-	CmdHKTouch   // home→replica TTL refresh
-	CmdLeaseGet  // lease get: a miss hands out a fill token
-	CmdLeaseSet  // lease set: a fill accepted only with a valid token
-	CmdNamespace // bind the connection to a named tenant
+	CmdHotKeys  // hot-key table poll
+	CmdHKPut    // home→replica value push (storage-shaped)
+	CmdHKDel    // home→replica invalidation
+	CmdHKTouch  // home→replica TTL refresh
+	CmdLeaseGet // lease get: a miss hands out a fill token
+	CmdLeaseSet // lease set: a fill accepted only with a valid token
 )
 
 // Protocol limits mirroring memcached's.
@@ -202,8 +201,6 @@ func (p *Parser) Next() (*Request, error) {
 		return p.parseGet(args, CmdLeaseGet)
 	case "lset":
 		return p.parseStore(args, CmdLeaseSet)
-	case "namespace":
-		return p.parseNamespace(args)
 	case "stats":
 		req.Command = CmdStats
 		return req, nil
@@ -478,25 +475,6 @@ func (p *Parser) parseTouch(args [][]byte, cmd Command) (*Request, error) {
 	req.Keys = append(req.Keys, args[0])
 	req.Exptime = exptime
 	req.NoReply = hasNoReply(args[2:])
-	return req, nil
-}
-
-// parseNamespace handles: namespace <name> [noreply]
-//
-// The name is validated like a key (non-empty, ≤250 bytes, no control or
-// space bytes); the server maps it to a registered tenant and binds the
-// connection to it for subsequent requests.
-func (p *Parser) parseNamespace(args [][]byte) (*Request, error) {
-	if len(args) < 1 || len(args) > 2 {
-		return nil, fmt.Errorf("%w: namespace requires 1 name", ErrProtocol)
-	}
-	if err := validateKey(args[0]); err != nil {
-		return nil, err
-	}
-	req := &p.req
-	req.Command = CmdNamespace
-	req.Keys = append(req.Keys, args[0])
-	req.NoReply = hasNoReply(args[1:])
 	return req, nil
 }
 

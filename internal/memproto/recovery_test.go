@@ -12,20 +12,23 @@ import (
 // answer CLIENT_ERROR and keep serving — real memcached's resync behavior.
 
 func TestRecoverAfterUnknownCommand(t *testing.T) {
-	p := NewParser(strings.NewReader("bogus nonsense\r\nget ok\r\n"))
-	_, err := p.Next()
-	if !errors.Is(err, ErrProtocol) {
-		t.Fatalf("err = %v, want ErrProtocol", err)
-	}
-	if !IsRecoverable(err) {
-		t.Fatalf("unknown command not recoverable: %v", err)
-	}
-	req, err := p.Next()
-	if err != nil {
-		t.Fatalf("next request after bad line: %v", err)
-	}
-	if req.Command != CmdGet || string(req.Keys[0]) != "ok" {
-		t.Fatalf("req = %+v", req)
+	// "namespace" is not a verb: tenants are named by key prefix only.
+	for _, line := range []string{"bogus nonsense", "namespace acme"} {
+		p := NewParser(strings.NewReader(line + "\r\nget ok\r\n"))
+		_, err := p.Next()
+		if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), "unknown command") {
+			t.Fatalf("%q: err = %v, want unknown-command ErrProtocol", line, err)
+		}
+		if !IsRecoverable(err) {
+			t.Fatalf("%q: unknown command not recoverable: %v", line, err)
+		}
+		req, err := p.Next()
+		if err != nil {
+			t.Fatalf("%q: next request after bad line: %v", line, err)
+		}
+		if req.Command != CmdGet || string(req.Keys[0]) != "ok" {
+			t.Fatalf("%q: req = %+v", line, req)
+		}
 	}
 }
 

@@ -182,8 +182,8 @@ type hotPathHarness struct {
 	r  *bytes.Reader
 }
 
-func newHotPathHarness(t testing.TB) *hotPathHarness {
-	c, err := cache.New(4 * cache.PageSize)
+func newHotPathHarness(t testing.TB, opts ...cache.Option) *hotPathHarness {
+	c, err := cache.New(4*cache.PageSize, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,28 +252,30 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 }
 
-// TestHotPathAllocsWithTenancy re-runs the alloc gate on a connection
-// bound to a named tenant (the `namespace` verb path) with sampling armed,
-// as an arbiter-supervised node runs it: tenant routing, per-tenant stats,
-// and the access-sample append must all stay allocation-free.
+// TestHotPathAllocsWithTenancy re-runs the alloc gate on a '/'-prefix node
+// serving a named tenant's keys with sampling armed, as an
+// arbiter-supervised node runs it: prefix resolution, per-tenant stats, and
+// the access-sample append must all stay allocation-free.
 func TestHotPathAllocsWithTenancy(t *testing.T) {
-	h := newHotPathHarness(t)
+	h := newHotPathHarness(t, cache.WithTenantPrefix('/'))
 	id, err := h.s.cache.RegisterTenant("acme", cache.TenantConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache.NewArbiter(h.s.cache, cache.ArbiterConfig{}) // arms sampling
-	h.st.tenant = id
 
-	setReq := []byte("set hot 11 0 5\r\nhello\r\n")
-	getReq := []byte("get hot\r\n")
-	getsReq := []byte("gets hot\r\n")
-	multiReq := []byte("get hot hot hot miss\r\n")
+	setReq := []byte("set acme/hot 11 0 5\r\nhello\r\n")
+	getReq := []byte("get acme/hot\r\n")
+	getsReq := []byte("gets acme/hot\r\n")
+	multiReq := []byte("get acme/hot acme/hot acme/hot acme/miss\r\n")
 	for i := 0; i < 3; i++ {
 		h.serve(t, setReq)
 		h.serve(t, getReq)
 		h.serve(t, getsReq)
 		h.serve(t, multiReq)
+	}
+	if st := h.s.cache.TenantStats()[id]; st.Items != 1 || st.Hits == 0 {
+		t.Fatalf("acme/hot not served from tenant acme: %+v", st)
 	}
 
 	for _, tc := range []struct {

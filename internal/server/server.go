@@ -368,11 +368,6 @@ type connState struct {
 	// counter (observe when hotOps&mask == 0): the sampled-out fast path
 	// costs an increment and a branch, no shared atomics.
 	hotOps uint64
-
-	// tenant is the connection's bound namespace (the `namespace` verb),
-	// 0 until bound. Verb-bound tenants are node-local: their items are
-	// invisible to dumps and migration, unlike key-prefix tenancy.
-	tenant uint16
 }
 
 var connStatePool = sync.Pool{
@@ -398,7 +393,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.connsTotal.Add(1)
 
 	st := connStatePool.Get().(*connState)
-	st.tenant = 0 // namespace bindings never survive pool reuse
 	st.in = countingReader{r: conn, n: &s.bytesRead}
 	st.out = countingWriter{w: conn, n: &s.bytesWritten}
 	st.parser.Reset(&st.in)
@@ -479,10 +473,6 @@ func expiryFromExptime(exptime int64, now time.Time) time.Time {
 // convert keys to strings and go through the convenience cache API.
 func (s *Server) handle(req *memproto.Request, st *connState) error {
 	rw := st.rw
-	// tc scopes data-path commands to the connection's bound namespace.
-	// Unbound connections get tenant 0, whose view is bit-identical to the
-	// plain cache API (key-prefix tenancy, if configured, still applies).
-	tc := s.cache.T(st.tenant)
 	switch req.Command {
 	case memproto.CmdGet:
 		hot := s.hot.Load()
@@ -495,7 +485,7 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 			}
 			var flags uint32
 			var hit bool
-			st.val, flags, _, hit = tc.GetInto(key, st.val[:0])
+			st.val, flags, _, hit = s.cache.GetInto(key, st.val[:0])
 			if !hit && s.gutterCount.Load() != 0 {
 				// Miss on a possibly mid-handover segment: the gutter pool
 				// may hold a lease fill parked during the handover.
@@ -519,7 +509,7 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 				}
 			}
 		}
-		st.multi, st.arena = tc.GetMultiInto(req.Keys, st.multi, st.arena)
+		st.multi, st.arena = s.cache.GetMultiInto(req.Keys, st.multi, st.arena)
 		for i, m := range st.multi {
 			if !m.Hit {
 				continue // miss: omit the VALUE block
@@ -542,7 +532,7 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 			var flags uint32
 			var casToken uint64
 			var hit bool
-			st.val, flags, casToken, hit = tc.GetInto(key, st.val[:0])
+			st.val, flags, casToken, hit = s.cache.GetInto(key, st.val[:0])
 			if hit {
 				if err := rw.ValueCAS(key, flags, st.val, casToken); err != nil {
 					return err
@@ -557,7 +547,7 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 				}
 			}
 		}
-		st.multi, st.arena = tc.GetMultiInto(req.Keys, st.multi, st.arena)
+		st.multi, st.arena = s.cache.GetMultiInto(req.Keys, st.multi, st.arena)
 		for i, m := range st.multi {
 			if !m.Hit {
 				continue
@@ -573,7 +563,7 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 			s.leases.invalidate(req.Keys[0])
 		}
 		expiry := expiryFromExptime(req.Exptime, time.Now())
-		err := tc.SetBytes(req.Keys[0], req.Value, req.Flags, expiry)
+		err := s.cache.SetBytes(req.Keys[0], req.Value, req.Flags, expiry)
 		if hot := s.hot.Load(); hot != nil {
 			if st.hotOps++; st.hotOps&hot.SampleMask() == 0 {
 				hot.ObserveWrite(req.Keys[0])
@@ -597,9 +587,9 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 		expiry := expiryFromExptime(req.Exptime, time.Now())
 		var err error
 		if req.Command == memproto.CmdAdd {
-			err = tc.AddFlags(string(req.Keys[0]), req.Value, req.Flags, expiry)
+			err = s.cache.AddFlags(string(req.Keys[0]), req.Value, req.Flags, expiry)
 		} else {
-			err = tc.ReplaceFlags(string(req.Keys[0]), req.Value, req.Flags, expiry)
+			err = s.cache.ReplaceFlags(string(req.Keys[0]), req.Value, req.Flags, expiry)
 		}
 		if hot := s.hot.Load(); hot != nil && err == nil {
 			hot.OnWrite(req.Keys[0], req.Value, req.Flags, expiry)
@@ -621,9 +611,9 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 		}
 		var err error
 		if req.Command == memproto.CmdAppend {
-			err = tc.Append(string(req.Keys[0]), req.Value)
+			err = s.cache.Append(string(req.Keys[0]), req.Value)
 		} else {
-			err = tc.Prepend(string(req.Keys[0]), req.Value)
+			err = s.cache.Prepend(string(req.Keys[0]), req.Value)
 		}
 		if hot := s.hot.Load(); hot != nil && err == nil {
 			hot.OnMutate(req.Keys[0])
@@ -644,7 +634,7 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 			s.leases.invalidate(req.Keys[0])
 		}
 		expiry := expiryFromExptime(req.Exptime, time.Now())
-		err := tc.CompareAndSwapFlags(string(req.Keys[0]), req.Value, req.Flags,
+		err := s.cache.CompareAndSwapFlags(string(req.Keys[0]), req.Value, req.Flags,
 			expiry, req.CAS)
 		if hot := s.hot.Load(); hot != nil {
 			if st.hotOps++; st.hotOps&hot.SampleMask() == 0 {
@@ -677,9 +667,9 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 			err error
 		)
 		if req.Command == memproto.CmdIncr {
-			v, err = tc.Incr(string(req.Keys[0]), req.Delta)
+			v, err = s.cache.Incr(string(req.Keys[0]), req.Delta)
 		} else {
-			v, err = tc.Decr(string(req.Keys[0]), req.Delta)
+			v, err = s.cache.Decr(string(req.Keys[0]), req.Delta)
 		}
 		if hot := s.hot.Load(); hot != nil && err == nil {
 			hot.OnMutate(req.Keys[0])
@@ -702,7 +692,7 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 		if s.leaseCount.Load() != 0 {
 			s.leases.invalidate(req.Keys[0])
 		}
-		err := tc.Delete(string(req.Keys[0]))
+		err := s.cache.Delete(string(req.Keys[0]))
 		if hot := s.hot.Load(); hot != nil && err == nil {
 			hot.OnDelete(req.Keys[0])
 		}
@@ -719,7 +709,7 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 
 	case memproto.CmdTouch:
 		expiry := expiryFromExptime(req.Exptime, time.Now())
-		err := tc.TouchExpiry(string(req.Keys[0]), expiry)
+		err := s.cache.TouchExpiry(string(req.Keys[0]), expiry)
 		if hot := s.hot.Load(); hot != nil && err == nil {
 			hot.OnTouch(req.Keys[0], expiry)
 		}
@@ -749,7 +739,7 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 		}
 		var flags uint32
 		var hit bool
-		st.val, flags, _, hit = tc.GetInto(key, st.val[:0])
+		st.val, flags, _, hit = s.cache.GetInto(key, st.val[:0])
 		if !hit && s.gutterCount.Load() != 0 {
 			if st.val, flags, hit = s.gutter.get(key, st.val[:0]); hit {
 				s.gutterHits.Add(1)
@@ -793,7 +783,7 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 			return rw.Stored()
 		}
 		expiry := expiryFromExptime(req.Exptime, time.Now())
-		err := tc.SetBytes(key, req.Value, req.Flags, expiry)
+		err := s.cache.SetBytes(key, req.Value, req.Flags, expiry)
 		if hot := s.hot.Load(); hot != nil && err == nil {
 			hot.OnWrite(key, req.Value, req.Flags, expiry)
 		}
@@ -1008,28 +998,6 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 			return rw.Touched()
 		}
 		return rw.NotFound()
-
-	case memproto.CmdNamespace:
-		// Bind the connection to a registered tenant. "default" unbinds
-		// (back to tenant 0). Unknown names are rejected without changing
-		// the current binding so a typo cannot silently cross tenants.
-		name := string(req.Keys[0])
-		if name == "default" {
-			st.tenant = 0
-		} else {
-			id, ok := s.cache.TenantID(name)
-			if !ok {
-				if req.NoReply {
-					return nil
-				}
-				return rw.ClientError("unknown namespace")
-			}
-			st.tenant = id
-		}
-		if req.NoReply {
-			return nil
-		}
-		return rw.OK()
 
 	case memproto.CmdFlushAll:
 		s.cache.FlushAll()

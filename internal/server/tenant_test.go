@@ -28,59 +28,10 @@ func newTenantServer(t *testing.T) *Server {
 	return s
 }
 
-// TestNamespaceVerbBindsConnection drives the namespace verb end to end:
-// binding, per-connection isolation, unbinding, and rejection of unknown
-// names without disturbing the current binding.
-func TestNamespaceVerbBindsConnection(t *testing.T) {
-	s := newTenantServer(t)
-	a := dialRaw(t, s.Addr())
-	b := dialRaw(t, s.Addr())
-
-	a.send(t, "namespace acme\r\n")
-	if line, err := a.reply.ReadSimple(); err != nil || line != "OK" {
-		t.Fatalf("namespace reply = %q, %v", line, err)
-	}
-
-	// The same bare key is a different item per namespace.
-	a.send(t, "set user 0 0 6\r\nin-a  \r\n")
-	if line, _ := a.reply.ReadSimple(); line != "STORED" {
-		t.Fatalf("tenant set reply = %q", line)
-	}
-	b.send(t, "get user\r\n")
-	if values, err := b.reply.ReadValues(); err != nil || len(values) != 0 {
-		t.Fatalf("default-namespace conn sees tenant item: %v, %v", values, err)
-	}
-	a.send(t, "get user\r\n")
-	if values, err := a.reply.ReadValues(); err != nil || string(values["user"]) != "in-a  " {
-		t.Fatalf("bound conn get = %q, %v", values["user"], err)
-	}
-
-	// Unknown namespace: rejected, binding unchanged. (ReadSimple surfaces
-	// CLIENT_ERROR lines as errors.)
-	a.send(t, "namespace nobody\r\n")
-	if _, err := a.reply.ReadSimple(); err == nil || !strings.Contains(err.Error(), "unknown namespace") {
-		t.Fatalf("unknown namespace err = %v", err)
-	}
-	a.send(t, "get user\r\n")
-	if values, _ := a.reply.ReadValues(); string(values["user"]) != "in-a  " {
-		t.Fatal("failed rebind disturbed the existing binding")
-	}
-
-	// "default" unbinds.
-	a.send(t, "namespace default\r\n")
-	if line, _ := a.reply.ReadSimple(); line != "OK" {
-		t.Fatalf("unbind reply = %q", line)
-	}
-	a.send(t, "get user\r\n")
-	if values, _ := a.reply.ReadValues(); len(values) != 0 {
-		t.Fatal("unbound conn still sees the tenant item")
-	}
-}
-
-// TestTenantPrefixOverWire checks prefix routing and the namespace verb
-// agree: an item stored as "acme/k" by an unbound connection is the same
-// item a bound connection reads as "acme/k" — the conn binding changes the
-// namespace, not the key bytes.
+// TestTenantPrefixOverWire checks prefix routing over the wire: "acme/k"
+// lands in tenant acme, an unknown prefix stays in the default namespace,
+// and a `namespace` line is an unknown command that leaves the connection
+// serving.
 func TestTenantPrefixOverWire(t *testing.T) {
 	s := newTenantServer(t)
 	rc := dialRaw(t, s.Addr())
@@ -99,6 +50,25 @@ func TestTenantPrefixOverWire(t *testing.T) {
 	if err != nil || string(values["acme/cfg"]) != "ok" || string(values["ghost/cfg"]) != "def" {
 		t.Fatalf("prefixed multi-get = %v, %v", values, err)
 	}
+	rc.send(t, "stats\r\n")
+	stats, err := rc.reply.ReadStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats["tenant:acme:curr_items"] != "1" || stats["tenant:default:curr_items"] != "1" {
+		t.Fatalf("curr_items acme/default = %s/%s, want 1/1",
+			stats["tenant:acme:curr_items"], stats["tenant:default:curr_items"])
+	}
+
+	// ReadSimple surfaces CLIENT_ERROR lines as errors.
+	rc.send(t, "namespace acme\r\n")
+	if _, err := rc.reply.ReadSimple(); err == nil || !strings.Contains(err.Error(), "unknown command") {
+		t.Fatalf("namespace line: err = %v, want unknown command", err)
+	}
+	rc.send(t, "get acme/cfg\r\n")
+	if values, err := rc.reply.ReadValues(); err != nil || string(values["acme/cfg"]) != "ok" {
+		t.Fatalf("get after namespace line = %v, %v", values, err)
+	}
 }
 
 // TestStatsPerTenantRows checks the stats verb emits per-tenant rows once
@@ -107,15 +77,11 @@ func TestStatsPerTenantRows(t *testing.T) {
 	s := newTenantServer(t)
 	rc := dialRaw(t, s.Addr())
 
-	rc.send(t, "namespace acme\r\n")
-	if line, _ := rc.reply.ReadSimple(); line != "OK" {
-		t.Fatal("bind failed")
-	}
-	rc.send(t, "set hit 0 0 1\r\nx\r\n")
+	rc.send(t, "set acme/hit 0 0 1\r\nx\r\n")
 	if line, _ := rc.reply.ReadSimple(); line != "STORED" {
 		t.Fatal("set failed")
 	}
-	rc.send(t, "get hit\r\nget miss\r\n")
+	rc.send(t, "get acme/hit\r\nget acme/miss\r\n")
 	if _, err := rc.reply.ReadValues(); err != nil {
 		t.Fatal(err)
 	}
