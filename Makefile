@@ -67,11 +67,15 @@ bench-tenant:
 	$(GO) run ./cmd/elmem-bench -experiment tenant
 
 ## allocs: the allocation regression gates — zero allocs/op on the server's
-## data-path hot path, and the cluster client's per-request budget (Get,
-## Set, single-owner MultiGet)
+## data-path hot path, the cluster client's per-request budget (Get, Set,
+## single-owner MultiGet), and phase-1 metadata: a fixed allocation budget
+## per (target, class) whatever the item count, at most 4 wire bytes per
+## offered item over TCP
 allocs:
 	$(GO) test -run TestHotPathAllocs -count 1 -v ./internal/server/
 	$(GO) test -run TestClientAllocs -count 1 -v ./internal/client/
+	$(GO) test -run TestSendMetadataAllocsPerTargetClass -count 1 -v ./internal/agent/
+	$(GO) test -run TestOfferWireBytesPerItem -count 1 -v ./internal/agentrpc/
 
 ## chaos: the deterministic fault-injection sweep — SEEDS seeds, each run
 ## twice under faults plus once fault-free, checking the five migration

@@ -209,6 +209,7 @@ func run() error {
 				"memoryMB":          *memoryMB,
 				"arenaBytes":        st.ArenaBytes,
 				"arenaTouchedBytes": st.ArenaTouchedBytes,
+				"importRefused":     st.ImportRefused,
 				"slabs":             st.Slabs,
 			}
 		})

@@ -3,7 +3,8 @@
 // three-phase migration (Section III-D):
 //
 //	phase 1 — a retiring Agent hashes its keys against the *retained*
-//	membership and streams (key, timestamp) metadata to each target Agent;
+//	membership and sends each target Agent, per slab class, the MRU
+//	timestamps of the items it would receive;
 //	phase 2 — each retained Agent runs FuseCache per slab class over the
 //	received lists plus its own, yielding per-sender take counts;
 //	phase 3 — retiring Agents stream the chosen KV pairs, and receivers
@@ -23,6 +24,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/fusecache"
@@ -41,9 +43,10 @@ var (
 // and cancellation to the wire.
 type Peer interface {
 	// OfferMetadata delivers phase-1 metadata from a retiring/existing
-	// node: per slab class, the sender's items that hash to this peer, in
-	// MRU order.
-	OfferMetadata(ctx context.Context, from string, metas map[int][]cache.ItemMeta) error
+	// node: per slab class, the MRU timestamps of the sender's items that
+	// hash to this peer, hottest first. Phase 2 reads hotness only, so no
+	// keys travel; the sender re-selects its items by count in phase 3.
+	OfferMetadata(ctx context.Context, from string, lists map[int]fusecache.List) error
 	// OpenImport opens the phase-3 import stream for a (sender, plan)
 	// identified by epoch and fingerprint. Reopening with the same identity
 	// resumes: the returned session's HighWater reports what already
@@ -94,7 +97,7 @@ type Agent struct {
 	ownership atomic.Pointer[hashring.Table]
 
 	mu     sync.Mutex
-	offers map[string]map[int][]cache.ItemMeta // sender → class → MRU metadata
+	offers map[string]map[int]fusecache.List // sender → class → MRU timestamps
 
 	// imports tracks receiver-side stream state per sender; sendMemo and
 	// epochSeq assign sender-side stream epochs (see stream.go).
@@ -194,7 +197,7 @@ func New(node string, c *cache.Cache, transport Transport, opts ...Option) (*Age
 		batchSize:   o.batchSize,
 		batchBytes:  o.batchBytes,
 		maxInflight: o.maxInflight,
-		offers:      make(map[string]map[int][]cache.ItemMeta),
+		offers:      make(map[string]map[int]fusecache.List),
 		imports:     make(map[string]*importState),
 		sendMemo:    make(map[string]sendMemo),
 	}, nil
@@ -202,7 +205,9 @@ func New(node string, c *cache.Cache, transport Transport, opts ...Option) (*Age
 
 // SetOwnedFilter installs (or, with nil behavior kept by passing a filter
 // that always reports true, effectively clears) the ownership predicate
-// applied to every migration selection.
+// applied to every migration selection. The phase-1 export hands f a view
+// of key bytes in cache memory, valid only for the call: f tests the key
+// and must not retain it.
 func (a *Agent) SetOwnedFilter(f func(string) bool) {
 	if f == nil {
 		f = func(string) bool { return true }
@@ -214,6 +219,13 @@ func (a *Agent) SetOwnedFilter(f func(string) bool) {
 func (a *Agent) owned(key string) bool {
 	f, _ := a.ownedFilter.Load().(func(string) bool)
 	return f == nil || f(key)
+}
+
+// ownedBytes is owned for key bytes in cache memory: the filter sees a
+// string view of them rather than a per-item copy (see SetOwnedFilter).
+func (a *Agent) ownedBytes(key []byte) bool {
+	f, _ := a.ownedFilter.Load().(func(string) bool)
+	return f == nil || f(unsafe.String(unsafe.SliceData(key), len(key)))
 }
 
 // andOwned composes the owned predicate with another key filter.
@@ -244,10 +256,10 @@ func (a *Agent) Score(_ context.Context) ScoreReport {
 	return report
 }
 
-// SendMetadata is phase 1, run on a retiring node: split every slab
-// class's MRU metadata by consistent-hash target over the retained
-// membership and push each split to its peer. Cancelling ctx aborts
-// between per-target pushes.
+// SendMetadata is phase 1, run on a retiring node: route every item once,
+// by consistent hash over the retained membership, into per-target
+// per-class MRU timestamp lists, and push each target its lists.
+// Cancelling ctx aborts between classes and between per-target pushes.
 func (a *Agent) SendMetadata(ctx context.Context, retained []string) error {
 	if len(retained) == 0 {
 		return errors.New("agent: no retained nodes to send metadata to")
@@ -256,24 +268,51 @@ func (a *Agent) SendMetadata(ctx context.Context, retained []string) error {
 	if err != nil {
 		return fmt.Errorf("send metadata: %w", err)
 	}
-	// One pass per target: the dump filter keeps only keys owned by it.
-	for _, target := range retained {
-		target := target
+	index := make(map[string]int, len(retained))
+	for i, target := range retained {
+		index[target] = i
+	}
+	route := func(key []byte) int {
+		if !a.ownedBytes(key) {
+			return -1
+		}
+		owner, err := ring.GetHash(hashring.KeyHashBytes(key))
+		if err != nil {
+			return -1
+		}
+		return index[owner]
+	}
+	offers := make([]map[int]fusecache.List, len(retained))
+	for _, classID := range a.cache.PopulatedClasses() {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("send metadata: %w", err)
 		}
-		metas := a.cache.DumpAll(a.andOwned(func(key string) bool {
-			owner, err := ring.Get(key)
-			return err == nil && owner == target
-		}))
-		if len(metas) == 0 {
+		lists, err := a.cache.RouteStamps(classID, len(retained), route)
+		if err != nil {
+			return fmt.Errorf("send metadata class %d: %w", classID, err)
+		}
+		for i, l := range lists {
+			if len(l) == 0 {
+				continue
+			}
+			if offers[i] == nil {
+				offers[i] = make(map[int]fusecache.List)
+			}
+			offers[i][classID] = l
+		}
+	}
+	for i, target := range retained {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("send metadata: %w", err)
+		}
+		if len(offers[i]) == 0 {
 			continue
 		}
 		peer, err := a.transport.Peer(target)
 		if err != nil {
 			return fmt.Errorf("send metadata to %s: %w", target, err)
 		}
-		if err := peer.OfferMetadata(ctx, a.node, metas); err != nil {
+		if err := peer.OfferMetadata(ctx, a.node, offers[i]); err != nil {
 			return fmt.Errorf("send metadata to %s: %w", target, err)
 		}
 	}
@@ -281,13 +320,13 @@ func (a *Agent) SendMetadata(ctx context.Context, retained []string) error {
 }
 
 // OfferMetadata receives a phase-1 push (Peer implementation).
-func (a *Agent) OfferMetadata(_ context.Context, from string, metas map[int][]cache.ItemMeta) error {
+func (a *Agent) OfferMetadata(_ context.Context, from string, lists map[int]fusecache.List) error {
 	if from == "" {
 		return errors.New("agent: metadata offer without sender")
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.offers[from] = metas
+	a.offers[from] = lists
 	a.lastTakes = nil // a new round invalidates any memoized result
 	return nil
 }
@@ -304,7 +343,7 @@ type Takes map[string]map[int]int
 func (a *Agent) ComputeTakes(ctx context.Context) (_ Takes, retErr error) {
 	a.mu.Lock()
 	offers := a.offers
-	a.offers = make(map[string]map[int][]cache.ItemMeta)
+	a.offers = make(map[string]map[int]fusecache.List)
 	if len(offers) == 0 {
 		// No fresh offers: either nothing hashed to this node, or this is a
 		// retry whose first reply was lost after the offers were drained.
@@ -364,20 +403,25 @@ func (a *Agent) ComputeTakes(ctx context.Context) (_ Takes, retErr error) {
 		// Build the k lists: senders first, own list last (Section IV-A).
 		lists := make([]fusecache.List, 0, len(senders)+1)
 		for _, s := range senders {
-			lists = append(lists, metasToList(offers[s][classID]))
+			lists = append(lists, offers[s][classID])
 		}
-		ownMetas, err := a.cache.DumpClass(classID, a.andOwned(func(string) bool { return true }))
+		own, err := a.cache.RouteStamps(classID, 1, func(key []byte) int {
+			if a.ownedBytes(key) {
+				return 0
+			}
+			return -1
+		})
 		if err != nil {
 			return nil, fmt.Errorf("compute takes class %d: %w", classID, err)
 		}
-		lists = append(lists, metasToList(ownMetas))
+		lists = append(lists, own[0])
 
 		// n = the most items of this class the node can end up holding:
 		// assigned-page capacity plus unassigned pages (at least the
 		// current population, which by construction fits).
 		n := a.cache.ClassAbsorbCapacity(classID)
-		if n < len(ownMetas) {
-			n = len(ownMetas)
+		if n < len(own[0]) {
+			n = len(own[0])
 		}
 		res, err := fusecache.TopN(lists, n)
 		if err != nil {
@@ -411,15 +455,6 @@ func (t Takes) clone() Takes {
 		out[sender] = m
 	}
 	return out
-}
-
-// metasToList projects dump metadata onto FuseCache hotness values.
-func metasToList(metas []cache.ItemMeta) fusecache.List {
-	l := make(fusecache.List, len(metas))
-	for i, m := range metas {
-		l[i] = m.LastAccess.UnixNano()
-	}
-	return l
 }
 
 // SendData is phase 3, run on a retiring node: for the given target and

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/fusecache"
 	"repro/internal/hashring"
 )
 
@@ -630,8 +631,8 @@ func (c *countingTransport) Peer(node string) (Peer, error) {
 	return &countingPeer{inner: p, t: c}, nil
 }
 
-func (p *countingPeer) OfferMetadata(ctx context.Context, from string, metas map[int][]cache.ItemMeta) error {
-	return p.inner.OfferMetadata(ctx, from, metas)
+func (p *countingPeer) OfferMetadata(ctx context.Context, from string, lists map[int]fusecache.List) error {
+	return p.inner.OfferMetadata(ctx, from, lists)
 }
 
 func (p *countingPeer) OpenImport(ctx context.Context, from string, epoch, fp uint64, window int) (ImportSession, error) {

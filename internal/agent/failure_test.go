@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/fusecache"
 )
 
 // flakyTransport fails a configurable number of Peer resolutions or
@@ -37,12 +38,12 @@ func (f *flakyTransport) Peer(node string) (Peer, error) {
 	return &flakyPeer{inner: p, t: f}, nil
 }
 
-func (p *flakyPeer) OfferMetadata(ctx context.Context, from string, metas map[int][]cache.ItemMeta) error {
+func (p *flakyPeer) OfferMetadata(ctx context.Context, from string, lists map[int]fusecache.List) error {
 	if p.t.failOffers > 0 {
 		p.t.failOffers--
 		return errInjected
 	}
-	return p.inner.OfferMetadata(ctx, from, metas)
+	return p.inner.OfferMetadata(ctx, from, lists)
 }
 
 func (p *flakyPeer) OpenImport(ctx context.Context, from string, epoch, fp uint64, window int) (ImportSession, error) {

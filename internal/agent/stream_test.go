@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/fusecache"
 )
 
 // populateSized inserts n keys with valLen-byte values and strictly
@@ -118,8 +119,8 @@ func (bt *breakingTransport) Peer(node string) (Peer, error) {
 	return &breakingPeer{inner: p, t: bt}, nil
 }
 
-func (p *breakingPeer) OfferMetadata(ctx context.Context, from string, metas map[int][]cache.ItemMeta) error {
-	return p.inner.OfferMetadata(ctx, from, metas)
+func (p *breakingPeer) OfferMetadata(ctx context.Context, from string, lists map[int]fusecache.List) error {
+	return p.inner.OfferMetadata(ctx, from, lists)
 }
 
 func (p *breakingPeer) OpenImport(ctx context.Context, from string, epoch, fp uint64, window int) (ImportSession, error) {

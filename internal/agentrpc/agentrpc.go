@@ -3,8 +3,9 @@
 // pushes (metadata offers, data imports). The paper pipes metadata and
 // data between nodes over ssh (Section III-D1); we use persistent TCP
 // connections, newline-delimited JSON for the control ops and binary
-// frames (frame.go) for the phase-3 import streams, which preserves the
-// phase structure while staying dependency-free.
+// frames (frame.go) for the phase-1 metadata offers and the phase-3 import
+// streams, which preserves the phase structure while staying
+// dependency-free.
 //
 // The same wire protocol serves both directions: the Server exposes a
 // node's *agent.Agent, the Client implements core.MasterAgent and
@@ -28,6 +29,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/fusecache"
 	"repro/internal/taskgroup"
 )
 
@@ -36,12 +38,11 @@ type Op string
 
 // The control-plane operations.
 const (
-	OpScore         Op = "score"
-	OpSendMetadata  Op = "send_metadata"
-	OpComputeTakes  Op = "compute_takes"
-	OpSendData      Op = "send_data"
-	OpHashSplit     Op = "hash_split"
-	OpOfferMetadata Op = "offer_metadata"
+	OpScore        Op = "score"
+	OpSendMetadata Op = "send_metadata"
+	OpComputeTakes Op = "compute_takes"
+	OpSendData     Op = "send_data"
+	OpHashSplit    Op = "hash_split"
 )
 
 // ErrRemote wraps an error string returned by the remote agent.
@@ -63,9 +64,6 @@ type request struct {
 	// HashSplit.
 	NewMembers []string `json:"newMembers,omitempty"`
 	Full       []string `json:"full,omitempty"`
-	// OfferMetadata.
-	From  string                   `json:"from,omitempty"`
-	Metas map[int][]cache.ItemMeta `json:"metas,omitempty"`
 }
 
 // response is one wire frame back.
@@ -173,6 +171,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	var wmu sync.Mutex
 	imp := importApplier{agent: s.agent, bw: bw, wmu: &wmu}
 	defer imp.stopApplier()
+	var offer offerDecoder
 	for {
 		first, err := br.Peek(1)
 		if err != nil {
@@ -184,7 +183,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				s.log.Printf("agentrpc: bad frame: %v", err)
 				return
 			}
-			if !s.serveFrame(&imp, bw, &wmu, typ, payload) {
+			if !s.serveFrame(&imp, &offer, bw, &wmu, typ, payload) {
 				return
 			}
 			continue
@@ -220,8 +219,26 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // serveFrame handles one binary frame; false tears the connection down.
-func (s *Server) serveFrame(imp *importApplier, bw *bufio.Writer, wmu *sync.Mutex, typ byte, payload []byte) bool {
+func (s *Server) serveFrame(imp *importApplier, offer *offerDecoder, bw *bufio.Writer, wmu *sync.Mutex, typ byte, payload []byte) bool {
 	switch typ {
+	case ftOfferMeta:
+		final, derr := offer.frame(payload)
+		putBuf(payload) // the decoded stamps are copies
+		if derr == nil && !final {
+			return true
+		}
+		imp.barrier()
+		remoteErr := ""
+		if derr != nil {
+			remoteErr = derr.Error()
+		} else if err := s.agent.OfferMetadata(context.Background(), offer.from, offer.lists); err != nil {
+			remoteErr = err.Error()
+		}
+		*offer = offerDecoder{}
+		ack := appendOfferAck(getBuf(), remoteErr)
+		err := writeFrameLocked(wmu, bw, ftOfferAck, ack)
+		putBuf(ack)
+		return err == nil && derr == nil
 	case ftImportOpen:
 		imp.barrier()
 		from, epoch, fp, _, derr := decodeImportOpen(payload)
@@ -367,11 +384,6 @@ func (s *Server) dispatch(req *request) *response {
 			return errResponse(err)
 		}
 		return &response{OK: true, Stats: &stats}
-	case OpOfferMetadata:
-		if err := s.agent.OfferMetadata(ctx, req.From, req.Metas); err != nil {
-			return errResponse(err)
-		}
-		return &response{OK: true}
 	default:
 		return &response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}
@@ -444,14 +456,8 @@ func (c *Client) call(ctx context.Context, req *request) (*response, error) {
 		if remaining := time.Until(deadline); remaining > 0 {
 			req.TimeoutMS = int64(remaining / time.Millisecond)
 		}
-		_ = c.conn.SetDeadline(deadline)
-	} else {
-		_ = c.conn.SetDeadline(time.Time{})
 	}
-	// Unblock the round trip on cancellation by closing the socket: the
-	// pending write/read fails and the connection is redialled later.
-	conn := c.conn
-	stop := context.AfterFunc(ctx, func() { _ = conn.Close() })
+	stop := c.armLocked(ctx)
 	defer func() {
 		if !stop() {
 			c.dropLocked()
@@ -489,6 +495,17 @@ func (c *Client) call(ctx context.Context, req *request) (*response, error) {
 		return nil, taskgroup.Permanent(fmt.Errorf("%w: %s", ErrRemote, resp.Error))
 	}
 	return &resp, nil
+}
+
+// armLocked applies ctx's deadline (or none) to the connection and
+// arranges for cancellation to close it, so a blocked write or read aborts
+// at once and the connection is redialled later. stop reports false once
+// that has happened. Callers hold c.mu with a connection up.
+func (c *Client) armLocked(ctx context.Context) (stop func() bool) {
+	deadline, _ := ctx.Deadline()
+	_ = c.conn.SetDeadline(deadline)
+	conn := c.conn
+	return context.AfterFunc(ctx, func() { _ = conn.Close() })
 }
 
 func (c *Client) dropLocked() {
@@ -556,10 +573,60 @@ func (c *Client) HashSplit(ctx context.Context, newMembers, fullMembership []str
 	return *resp.Stats, nil
 }
 
-// OfferMetadata implements agent.Peer.
-func (c *Client) OfferMetadata(ctx context.Context, from string, metas map[int][]cache.ItemMeta) error {
-	_, err := c.call(ctx, &request{Op: OpOfferMetadata, From: from, Metas: metas})
-	return err
+// OfferMetadata implements agent.Peer: the lists go out as offerMeta
+// frames and the receiver answers the final one with an offerAck. Like a
+// JSON call, a transport failure is retryable and an error the remote
+// agent reported is taskgroup.Permanent.
+func (c *Client) OfferMetadata(ctx context.Context, from string, lists map[int]fusecache.List) error {
+	return c.offer(ctx, from, lists, maxFramePayload)
+}
+
+// offer is OfferMetadata with the frame size cap as a parameter, so tests
+// can force an offer across several frames.
+func (c *Client) offer(ctx context.Context, from string, lists map[int]fusecache.List, maxPayload int) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.ensureConnLocked(); err != nil {
+		return err
+	}
+	stop := c.armLocked(ctx)
+	defer func() {
+		if !stop() {
+			c.dropLocked()
+		}
+	}()
+	fail := func(err error) error {
+		c.dropLocked()
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return ctxErr
+		}
+		return fmt.Errorf("agentrpc: offer metadata to %s: %w", c.addr, err)
+	}
+	err := offerFrames(from, lists, maxPayload, func(payload []byte) error {
+		return writeFrame(c.bw, ftOfferMeta, payload)
+	})
+	if err != nil {
+		return fail(err)
+	}
+	typ, payload, err := readFrame(c.br)
+	if err != nil {
+		return fail(err)
+	}
+	remoteErr, err := decodeOfferAck(payload)
+	putBuf(payload)
+	if err == nil && typ != ftOfferAck {
+		err = fmt.Errorf("unexpected frame type %d", typ)
+	}
+	if err != nil {
+		return fail(err)
+	}
+	if remoteErr != "" {
+		return taskgroup.Permanent(fmt.Errorf("%w: %s", ErrRemote, remoteErr))
+	}
+	return nil
 }
 
 // OpenImport implements agent.Peer: it opens a windowed binary import
@@ -585,13 +652,7 @@ func (c *Client) OpenImport(ctx context.Context, from string, epoch, fingerprint
 	if err := c.ensureConnLocked(); err != nil {
 		return nil, err
 	}
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = c.conn.SetDeadline(deadline)
-	} else {
-		_ = c.conn.SetDeadline(time.Time{})
-	}
-	conn := c.conn
-	stop := context.AfterFunc(ctx, func() { _ = conn.Close() })
+	stop := c.armLocked(ctx)
 	fail := func(err error) error {
 		stop()
 		c.dropLocked() // the stream state is unknown: start clean next time

@@ -1,17 +1,24 @@
 package agentrpc
 
 // Unit tests for the binary frame codec: header round trips, payload
-// encodings, the zero-time sentinel, and rejection of truncated, corrupt or
-// old-version input at every decode boundary.
+// encodings, the zero-time sentinel, offers split across frames, and
+// rejection of truncated, corrupt, hostile or old-version input at every
+// decode boundary.
 
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/fusecache"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -164,5 +171,175 @@ func TestImportBatchValueAliasing(t *testing.T) {
 	b[len(b)-21] ^= 0xFF // the value's last byte: flags + two timestamps trail it
 	if bytes.Equal(got[0].Value, []byte("immutable")) {
 		t.Fatal("decoded value did not alias the payload — the zero-copy path regressed")
+	}
+}
+
+// offerFixture is a multi-class offer with the awkward stamps: equal runs,
+// a negative stamp, the zero-time sentinel (math.MinInt64) and a list long
+// enough to need multi-byte deltas.
+func offerFixture() map[int]fusecache.List {
+	long := make(fusecache.List, 2000)
+	ts := int64(1_700_000_000_000_000_000)
+	for i := range long {
+		long[i] = ts
+		ts -= int64(i%5) * 977
+	}
+	return map[int]fusecache.List{
+		0:  {1_700_000_000_000_000_900, 1_700_000_000_000_000_900, 1_700_000_000_000_000_100},
+		3:  long,
+		7:  {42},
+		12: {5, -5, math.MinInt64},
+		40: {}, // empty lists are not sent
+	}
+}
+
+// encodeOffer runs offerFrames and returns a copy of every payload.
+func encodeOffer(t *testing.T, from string, lists map[int]fusecache.List, maxPayload int) [][]byte {
+	t.Helper()
+	var frames [][]byte
+	if err := offerFrames(from, lists, maxPayload, func(p []byte) error {
+		frames = append(frames, append([]byte(nil), p...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return frames
+}
+
+// decodeOffer feeds payloads to one offerDecoder, requiring only the last
+// to be final.
+func decodeOffer(payloads [][]byte) (offerDecoder, error) {
+	var d offerDecoder
+	for i, p := range payloads {
+		final, err := d.frame(p)
+		if err != nil {
+			return d, err
+		}
+		if final != (i == len(payloads)-1) {
+			return d, fmt.Errorf("frame %d/%d final = %v", i, len(payloads), final)
+		}
+	}
+	return d, nil
+}
+
+// TestOfferRoundTrip: an offer decodes to the lists it was built from,
+// whether it fits one frame or is split across many by a small frame cap;
+// every truncation of an encoded frame fails loudly.
+func TestOfferRoundTrip(t *testing.T) {
+	lists := offerFixture()
+	want := make(map[int]fusecache.List)
+	for id, l := range lists {
+		if len(l) > 0 {
+			want[id] = l
+		}
+	}
+	for _, maxPayload := range []int{maxFramePayload, 4096, 64, 48} {
+		frames := encodeOffer(t, "node-a", lists, maxPayload)
+		if maxPayload < 4096 && len(frames) < 3 {
+			t.Fatalf("cap %d: %d frames, want the long list split", maxPayload, len(frames))
+		}
+		for i, f := range frames {
+			if len(f) > maxPayload {
+				t.Fatalf("cap %d: frame %d is %d bytes", maxPayload, i, len(f))
+			}
+		}
+		d, err := decodeOffer(frames)
+		if err != nil {
+			t.Fatalf("cap %d: %v", maxPayload, err)
+		}
+		if d.from != "node-a" || !reflect.DeepEqual(d.lists, want) {
+			t.Fatalf("cap %d: decoded %q %v", maxPayload, d.from, d.lists)
+		}
+		for cut := 0; cut < len(frames[0]); cut++ {
+			var d offerDecoder
+			if _, err := d.frame(frames[0][:cut]); err == nil {
+				t.Fatalf("cap %d: truncation at %d/%d decoded without error", maxPayload, cut, len(frames[0]))
+			}
+		}
+	}
+	// The empty offer is one final frame with no classes.
+	d, err := decodeOffer(encodeOffer(t, "node-a", nil, maxFramePayload))
+	if err != nil || len(d.lists) != 0 {
+		t.Fatalf("empty offer decoded to %v, %v", d.lists, err)
+	}
+	if err := offerFrames("n", map[int]fusecache.List{1: {1, 2}}, maxFramePayload, func([]byte) error { return nil }); !errors.Is(err, fusecache.ErrUnsorted) {
+		t.Fatalf("unsorted list: err = %v, want ErrUnsorted", err)
+	}
+	if err := offerFrames("n", map[int]fusecache.List{1: {1}}, 16, func([]byte) error { return nil }); err == nil {
+		t.Fatal("a frame cap too small for one stamp encoded without error")
+	}
+	if err := offerFrames("n", map[int]fusecache.List{maxOfferClass + 1: {1}}, maxFramePayload, func([]byte) error { return nil }); err == nil {
+		t.Fatal("an out-of-range class encoded without error")
+	}
+}
+
+// offerPayload hand-builds an offerMeta payload: from, flag, class count,
+// then raw segment bytes.
+func offerPayload(from string, final byte, segs uint32, body ...byte) []byte {
+	b := appendStr(nil, from)
+	b = append(b, final)
+	b = binary.BigEndian.AppendUint32(b, segs)
+	return append(b, body...)
+}
+
+// seg hand-builds one class segment: the class ID, a stamp count, then
+// raw stamp bytes.
+func seg(id uint64, cnt uint32, stamps ...byte) []byte {
+	b := binary.AppendUvarint(nil, id)
+	b = binary.BigEndian.AppendUint32(b, cnt)
+	return append(b, stamps...)
+}
+
+// TestOfferDecoderRefusesHostileInput: each payload below is something an
+// honest encoder never produces; the decoder must refuse it before trusting
+// a count or a stamp, never allocate by a count the payload cannot back.
+func TestOfferDecoderRefusesHostileInput(t *testing.T) {
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	minStamp := binary.AppendVarint(nil, math.MinInt64+5)
+	cases := map[string][][]byte{
+		"count beyond payload":    {offerPayload("s", 1, 1, seg(3, 1<<31, 2, 0, 0)...)},
+		"class count beyond":      {offerPayload("s", 1, 1<<30, seg(3, 1, 2)...)},
+		"zero count":              {offerPayload("s", 1, 1, seg(3, 0, 2)...)},
+		"duplicate class":         {offerPayload("s", 1, 2, cat(seg(3, 1, 2), seg(3, 1, 2))...)},
+		"descending classes":      {offerPayload("s", 1, 2, cat(seg(5, 1, 2), seg(3, 1, 2))...)},
+		"class out of range":      {offerPayload("s", 1, 1, seg(maxOfferClass+1, 1, 2)...)},
+		"truncated count":         {offerPayload("s", 1, 1, 3, 0, 0)},
+		"truncated varint":        {offerPayload("s", 1, 1, seg(3, 2, 2, 0x80)...)},
+		"overlong varint":         {offerPayload("s", 1, 1, seg(3, 2, 2, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01)...)},
+		"stray bytes":             {offerPayload("s", 1, 1, seg(3, 1, 2, 9)...)},
+		"bad flag":                {offerPayload("s", 2, 0)},
+		"delta underflow":         {offerPayload("s", 1, 1, seg(3, 2, append(minStamp, 6)...)...)},
+		"interleaved sender":      {offerPayload("a", 0, 1, seg(3, 1, 2)...), offerPayload("b", 1, 0)},
+		"rising continuation":     {offerPayload("s", 0, 1, seg(3, 1, 2)...), offerPayload("s", 1, 1, seg(3, 1, 4)...)},
+		"revisited earlier class": {offerPayload("s", 0, 2, cat(seg(1, 1, 2), seg(3, 1, 2))...), offerPayload("s", 1, 1, seg(1, 1, 2)...)},
+	}
+	for name, frames := range cases {
+		var d offerDecoder
+		var err error
+		for _, f := range frames {
+			if _, err = d.frame(f); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	// A continuation that does not rise is a split list, not an attack.
+	d, err := decodeOffer([][]byte{offerPayload("s", 0, 1, seg(3, 1, 4)...), offerPayload("s", 1, 1, seg(3, 1, 2)...)})
+	if err != nil || !reflect.DeepEqual(d.lists, map[int]fusecache.List{3: {2, 1}}) {
+		t.Fatalf("split list decoded to %v, %v", d.lists, err)
+	}
+}
+
+func TestOfferAckRoundTrip(t *testing.T) {
+	for _, remote := range []string{"", "agent: metadata offer without sender"} {
+		got, err := decodeOfferAck(appendOfferAck(nil, remote))
+		if err != nil || got != remote {
+			t.Fatalf("offer ack %q decoded to %q, %v", remote, got, err)
+		}
+	}
+	if _, err := decodeOfferAck(nil); err == nil {
+		t.Fatal("empty offer ack decoded")
 	}
 }

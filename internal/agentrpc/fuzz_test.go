@@ -16,7 +16,8 @@ import (
 //
 //   - nothing panics, whatever the input;
 //   - readFrame consumes exactly the header plus the declared payload, and
-//     decoded values stay inside that payload (they alias it);
+//     decoded values stay inside that payload (pairs alias it; an offer
+//     never decodes more stamps than it has bytes);
 //   - whatever decodes re-encodes to a frame that decodes to the same
 //     fields (encode∘decode is the identity on valid inputs).
 //
@@ -45,6 +46,24 @@ func FuzzDecodeFrame(f *testing.F) {
 		// payload decoder must notice. The last one is the intact frame.
 		f.Add(frame(ftImportBatch, batch[:cut]))
 	}
+	var offers [][]byte
+	for _, maxPayload := range []int{maxFramePayload, 64} {
+		if err := offerFrames("sender", offerFixture(), maxPayload, func(p []byte) error {
+			offers = append(offers, append([]byte(nil), p...))
+			return nil
+		}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for cut := 0; cut <= len(offers[0]); cut++ {
+		// The intact one-frame offer and every truncation of it.
+		f.Add(frame(ftOfferMeta, offers[0][:cut]))
+	}
+	for _, p := range offers[1:4] {
+		f.Add(frame(ftOfferMeta, p)) // frames of a split offer
+	}
+	f.Add(frame(ftOfferAck, appendOfferAck(nil, "")))
+	f.Add(frame(ftOfferAck, appendOfferAck(nil, "no sender")))
 	for _, raw := range corruptHeaders {
 		f.Add(raw)
 	}
@@ -106,6 +125,37 @@ func FuzzDecodeFrame(f *testing.F) {
 			from2, epoch2, seq2, pairs2, err := decodeImportBatch(appendImportBatch(nil, from, epoch, seq, pairs))
 			if err != nil || from2 != from || epoch2 != epoch || seq2 != seq || !reflect.DeepEqual(pairs2, pairs) {
 				t.Fatalf("importBatch round trip diverged (err %v):\n%+v\n%+v", err, pairs, pairs2)
+			}
+		case ftOfferMeta:
+			var d offerDecoder
+			if _, err := d.frame(payload); err != nil {
+				return
+			}
+			stamps := 0
+			for _, l := range d.lists {
+				stamps += len(l)
+			}
+			if stamps > len(payload) {
+				t.Fatalf("decoded %d stamps out of a %d-byte payload", stamps, len(payload))
+			}
+			// Re-encode whole and split small: both decode to the same offer.
+			for _, maxPayload := range []int{maxFramePayload, len(d.from) + 64} {
+				var d2 offerDecoder
+				err := offerFrames(d.from, d.lists, maxPayload, func(p []byte) error {
+					_, err := d2.frame(p)
+					return err
+				})
+				if err != nil || d2.from != d.from || !reflect.DeepEqual(d2.lists, d.lists) {
+					t.Fatalf("offer round trip (cap %d) diverged (err %v):\n%v\n%v", maxPayload, err, d.lists, d2.lists)
+				}
+			}
+		case ftOfferAck:
+			remoteErr, err := decodeOfferAck(payload)
+			if err != nil || (remoteErr == "" && payload[0] == 0) {
+				return // as for openAck
+			}
+			if remoteErr2, err := decodeOfferAck(appendOfferAck(nil, remoteErr)); err != nil || remoteErr2 != remoteErr {
+				t.Fatalf("offerAck round trip: %q → %q, %v", remoteErr, remoteErr2, err)
 			}
 		}
 	})

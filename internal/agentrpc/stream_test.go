@@ -242,14 +242,16 @@ func TestOpenImportAgainstNonFramingServerFails(t *testing.T) {
 }
 
 // cutProxy relays TCP to target but severs the first connection after
-// limit client→server bytes; later connections pass through untouched.
-func cutProxy(t *testing.T, target string, limit int) string {
+// limit client→server bytes (0: never); later connections pass through
+// untouched. sent counts the client→server bytes relayed.
+func cutProxy(t *testing.T, target string, limit int) (addr string, sent *atomic.Int64) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = ln.Close() })
+	sent = new(atomic.Int64)
 	first := true
 	go func() {
 		for {
@@ -279,6 +281,7 @@ func cutProxy(t *testing.T, target string, limit int) string {
 							if _, werr := up.Write(buf[:n]); werr != nil {
 								break
 							}
+							sent.Add(int64(n))
 							relayed += n
 							if cut > 0 && relayed >= cut {
 								break // sever mid-stream
@@ -310,7 +313,7 @@ func cutProxy(t *testing.T, target string, limit int) string {
 			}(conn, cut)
 		}
 	}()
-	return ln.Addr().String()
+	return ln.Addr().String(), sent
 }
 
 // TestStreamResumeOverTCP is the kill-and-retry path end to end: the
@@ -325,7 +328,8 @@ func TestStreamResumeOverTCP(t *testing.T) {
 
 	// Cut the first connection ~20 KiB in: the open and a few batches land,
 	// then the stream dies.
-	cl := NewClient("recv", cutProxy(t, recv.server.Addr(), 20<<10))
+	addr, _ := cutProxy(t, recv.server.Addr(), 20<<10)
+	cl := NewClient("recv", addr)
 	defer cl.Close()
 	sender := newStreamSender(t, "sender", cl, clk,
 		agent.WithTransferBatchSize(16), agent.WithMaxInflight(4))

@@ -84,6 +84,10 @@ type Stats struct {
 	Evictions uint64 `json:"evictions"`
 	// Expirations counts items reclaimed by TTL expiry.
 	Expirations uint64 `json:"expirations"`
+	// ImportRefused counts migrated pairs BatchImport dropped because
+	// their slab class could get no chunk (the pool exhausted and nothing
+	// of the class to evict).
+	ImportRefused uint64 `json:"importRefused"`
 	// Items is the number of resident items.
 	Items int `json:"items"`
 	// BytesUsed is the chunk-accounted resident size.
@@ -435,6 +439,7 @@ func (c *Cache) Stats() Stats {
 		st.Sets += sh.sets
 		st.Evictions += sh.evictions
 		st.Expirations += sh.expirations
+		st.ImportRefused += sh.importRefused
 		st.Items += sh.items()
 		for slot, sl := range sh.slabs {
 			if sl == nil || sl.pages() == 0 {

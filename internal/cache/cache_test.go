@@ -28,6 +28,13 @@ func (f *fakeClock) Now() time.Time {
 	return f.t
 }
 
+// Advance jumps the clock forward by d.
+func (f *fakeClock) Advance(d time.Duration) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.t = f.t.Add(d)
+}
+
 func newTestCache(t *testing.T, pages int) (*Cache, *fakeClock) {
 	t.Helper()
 	clk := newFakeClock()

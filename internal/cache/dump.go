@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -70,7 +70,7 @@ func (sh *shard) eachClassSlab(classID int, fn func(sl *slab)) {
 // chunk; each slab contributes at most limit selections. Expired chunks are
 // never offered: dead items are neither migration candidates nor scoring
 // inputs. This is the only export-side list walk — dumps, selections,
-// snapshots and medians all read through it.
+// timestamp routes, snapshots and medians all read through it.
 func (sh *shard) walkClass(classID, limit int, nowNano int64, take func(ch []byte) bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -92,6 +92,53 @@ func (sh *shard) walkClass(classID, limit int, nowNano int64, take func(ch []byt
 // by consistent-hash target.
 func (c *Cache) DumpClass(classID int, filter func(key string) bool) ([]ItemMeta, error) {
 	return c.TopMeta(classID, math.MaxInt, filter)
+}
+
+// RouteStamps is the phase-1 timestamp export: one walk over the class's
+// live items, shard by shard, that hands each item's key bytes to route and
+// files the item's MRU timestamp under bucket route(key) of the result (a
+// negative bucket drops the item). Each bucket comes back hottest first —
+// the non-increasing hotness list FuseCache reads (Section IV-A). No key
+// string or ItemMeta is built per item: key aliases cache memory, is valid
+// only during the call, and route runs under the shard lock. The buckets
+// share one backing array, so a class costs a fixed handful of allocations
+// however many items it holds.
+func (c *Cache) RouteStamps(classID, buckets int, route func(key []byte) int) ([][]int64, error) {
+	if classID < 0 || classID >= len(c.classes) {
+		return nil, fmt.Errorf("cache: slab class %d out of range", classID)
+	}
+	nowNano := c.nowNano()
+	n := c.ClassLen(classID)
+	stamps := make([]int64, 0, n)
+	dest := make([]int32, 0, n)
+	counts := make([]int, buckets)
+	for _, sh := range c.shards {
+		sh.walkClass(classID, math.MaxInt, nowNano, func(ch []byte) bool {
+			b := route(chKey(ch))
+			if b < 0 {
+				return false
+			}
+			counts[b]++
+			stamps = append(stamps, chAccess(ch))
+			dest = append(dest, int32(b))
+			return true
+		})
+	}
+	backing := make([]int64, len(stamps))
+	out := make([][]int64, buckets)
+	off := 0
+	for b, cnt := range counts {
+		out[b] = backing[off : off : off+cnt]
+		off += cnt
+	}
+	for i, ts := range stamps {
+		out[dest[i]] = append(out[dest[i]], ts)
+	}
+	for _, l := range out {
+		slices.Sort(l)
+		slices.Reverse(l)
+	}
+	return out, nil
 }
 
 // DumpAll returns the timestamp dump of every populated slab class, keyed
@@ -142,22 +189,11 @@ func (c *Cache) ClassOrderByShard(classID int) ([][]ItemMeta, error) {
 // false when the class holds no live item. The Master compares these
 // medians across nodes to score retiring candidates (Section III-C).
 func (c *Cache) MedianTimestamp(classID int) (time.Time, bool) {
-	if classID < 0 || classID >= len(c.classes) {
+	lists, err := c.RouteStamps(classID, 1, func([]byte) int { return 0 })
+	if err != nil || len(lists[0]) == 0 {
 		return time.Time{}, false
 	}
-	nowNano := c.nowNano()
-	var stamps []int64
-	for _, sh := range c.shards {
-		sh.walkClass(classID, math.MaxInt, nowNano, func(ch []byte) bool {
-			stamps = append(stamps, chAccess(ch))
-			return true
-		})
-	}
-	if len(stamps) == 0 {
-		return time.Time{}, false
-	}
-	sort.Slice(stamps, func(i, j int) bool { return stamps[i] > stamps[j] })
-	return fromNano(stamps[len(stamps)/2]), true
+	return fromNano(lists[0][len(lists[0])/2]), true
 }
 
 // SlabPageWeights returns w_b for every populated class: the fraction of
@@ -306,7 +342,9 @@ func (sh *shard) importLocked(pairs []KV, reverse bool) (int, error) {
 			imported++
 			return nil
 		case errors.Is(err, ErrOutOfMemory):
-			return nil // slab exhaustion: drop the pair, keep going
+			// Slab exhaustion: drop the pair, count it, keep going.
+			sh.importRefused++
+			return nil
 		default:
 			return err
 		}

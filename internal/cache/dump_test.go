@@ -359,3 +359,104 @@ func TestBatchImportRejectsEmptyKeyAndHugeValue(t *testing.T) {
 		t.Fatal("want error for oversized value")
 	}
 }
+
+// TestRouteStampsMatchesDumpClass: the routed export files every live item
+// of a multi-shard class under its bucket, hottest first, with exactly the
+// timestamps DumpClass reports for the same key filter; dropped and
+// expired items appear nowhere.
+func TestRouteStampsMatchesDumpClass(t *testing.T) {
+	clk := newFakeClock()
+	c, err := New(8*PageSize, WithClock(clk.Now), WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 600; i++ {
+		key := fmt.Sprintf("key-%04d", i)
+		var err error
+		if i%10 == 0 {
+			err = c.SetExpiring(key, []byte("val"), clk.Now().Add(time.Second))
+		} else {
+			err = c.Set(key, []byte("val"))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%7 == 0 {
+			_, _ = c.Get(fmt.Sprintf("key-%04d", i/2)) // reorder the MRU lists
+		}
+	}
+	clk.Advance(time.Minute) // every i%10 == 0 item is now expired
+	bucketOf := func(key string) int {
+		switch key[len(key)-1] {
+		case '1', '3', '5', '7', '9':
+			return 1
+		case '2':
+			return -1
+		default:
+			return 0
+		}
+	}
+	got, err := c.RouteStamps(0, 2, func(key []byte) int { return bucketOf(string(key)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("got %d buckets, want 2", len(got))
+	}
+	for b := range got {
+		metas, err := c.DumpClass(0, func(key string) bool { return bucketOf(key) == b })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got[b]) != len(metas) {
+			t.Fatalf("bucket %d holds %d stamps, DumpClass %d", b, len(got[b]), len(metas))
+		}
+		for i, m := range metas {
+			if got[b][i] != m.LastAccess.UnixNano() {
+				t.Fatalf("bucket %d stamp %d = %d, DumpClass %d", b, i, got[b][i], m.LastAccess.UnixNano())
+			}
+		}
+	}
+	if len(got[0])+len(got[1]) != 600-60-60 { // 60 expired, 60 end in '2'
+		t.Fatalf("routed %d items, want %d", len(got[0])+len(got[1]), 600-60-60)
+	}
+	if _, err := c.RouteStamps(len(c.ChunkSizes()), 1, func([]byte) int { return 0 }); err == nil {
+		t.Fatal("want an error for an out-of-range class")
+	}
+}
+
+// TestImportRefusedCounted: a batch import into a class that can get no
+// chunk — the only page is full of another class, nothing of its own to
+// evict — drops its pairs, and every dropped pair is counted; an import
+// that evicts within its own full class is not a refusal.
+func TestImportRefusedCounted(t *testing.T) {
+	c, _ := newTestCache(t, 1)
+	small := []byte("v")
+	perPage := PageSize / MinChunkSize
+	for i := 0; i < perPage; i++ {
+		if err := c.Set(fmt.Sprintf("key-%05d", i), small); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := time.Unix(2_000_000_000, 0)
+	big := bytes.Repeat([]byte("B"), 4*MinChunkSize)
+	refused := []KV{
+		{Key: "big-1", Value: big, LastAccess: ts},
+		{Key: "big-2", Value: big, LastAccess: ts},
+		{Key: "big-3", Value: big, LastAccess: ts},
+	}
+	n, err := c.BatchImport(refused, true)
+	if err != nil || n != 0 {
+		t.Fatalf("import into a page-less class = %d, %v; want 0, nil", n, err)
+	}
+	if got := c.Stats().ImportRefused; got != 3 {
+		t.Fatalf("ImportRefused = %d, want 3", got)
+	}
+	n, err = c.BatchImport([]KV{{Key: "small", Value: small, LastAccess: ts}}, true)
+	if err != nil || n != 1 {
+		t.Fatalf("import into the full class = %d, %v; want 1, nil", n, err)
+	}
+	if got := c.Stats().ImportRefused; got != 3 {
+		t.Fatalf("ImportRefused after an evicting import = %d, want 3", got)
+	}
+}

@@ -155,6 +155,7 @@ type shard struct {
 
 	hits, misses, sets, evictions uint64
 	expirations                   uint64
+	importRefused                 uint64
 }
 
 func newShard(c *Cache) *shard {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/fusecache"
 )
 
 // This file wraps ElMem's RPC surfaces — agent.Transport/agent.Peer for
@@ -86,9 +87,9 @@ type faultyPeer struct {
 }
 
 // OfferMetadata implements agent.Peer.
-func (p *faultyPeer) OfferMetadata(ctx context.Context, from string, metas map[int][]cache.ItemMeta) error {
+func (p *faultyPeer) OfferMetadata(ctx context.Context, from string, lists map[int]fusecache.List) error {
 	return p.net.apply(ctx, p.from, p.to, OpOfferMetadata, func() error {
-		return p.inner.OfferMetadata(ctx, from, metas)
+		return p.inner.OfferMetadata(ctx, from, lists)
 	})
 }
 

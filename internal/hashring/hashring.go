@@ -12,7 +12,6 @@ package hashring
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"sync"
@@ -116,12 +115,18 @@ func (r *Ring) Remove(member string) error {
 
 // Get returns the member that owns the key.
 func (r *Ring) Get(key string) (string, error) {
+	return r.GetHash(KeyHash(key))
+}
+
+// GetHash returns the member that owns a key position computed by KeyHash
+// or KeyHashBytes, so a caller holding key bytes routes without building a
+// string.
+func (r *Ring) GetHash(h uint64) (string, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.points) == 0 {
 		return "", ErrEmptyRing
 	}
-	h := KeyHash(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0
@@ -210,19 +215,36 @@ func (r *Ring) Clone() *Ring {
 // KeyHash returns the 64-bit position of a key on the circle. It is
 // exported so that tests and simulators can partition keys identically to
 // the ring without instantiating one.
-func KeyHash(key string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	return fmix64(h.Sum64())
+func KeyHash(key string) uint64 { return fmix64(fnv1a(key)) }
+
+// KeyHashBytes is KeyHash for a byte-slice key, allocation-free: the
+// server's hot path tests segment membership, and a retiring agent routes
+// its phase-1 metadata, without converting cache key bytes to a string.
+func KeyHashBytes(key []byte) uint64 { return fmix64(fnv1a(key)) }
+
+// pointHash positions virtual node i of a member on the circle: the key
+// hash of "<member>#<i>".
+func pointHash(member string, i int) uint64 {
+	var buf [64]byte
+	b := append(buf[:0], member...)
+	b = append(b, '#')
+	return KeyHashBytes(strconv.AppendInt(b, int64(i), 10))
 }
 
-// pointHash positions virtual node i of a member on the circle.
-func pointHash(member string, i int) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(member))
-	_, _ = h.Write([]byte{'#'})
-	_, _ = h.Write([]byte(strconv.Itoa(i)))
-	return fmix64(h.Sum64())
+// fnv1a is 64-bit FNV-1a: the one key hash loop behind KeyHash,
+// KeyHashBytes and the ring's point placement, so the ring, the segment
+// table and byte-keyed routes cannot drift apart.
+func fnv1a[K string | []byte](key K) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	var h uint64 = offset64
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= prime64
+	}
+	return h
 }
 
 // fmix64 is the MurmurHash3 64-bit finalizer. FNV-1a over near-identical

@@ -427,22 +427,6 @@ func ownerAfterLocked(r *Ring, h uint64) string {
 	return pts[lo].member
 }
 
-// KeyHashBytes is KeyHash for a byte-slice key, allocation-free: the
-// server's hot path uses it to test segment membership without
-// converting the parsed key to a string.
-func KeyHashBytes(key []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	var h uint64 = offset64
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return fmix64(h)
-}
-
 func dedupeUint64(s []uint64) []uint64 {
 	if len(s) == 0 {
 		return s

@@ -2,6 +2,9 @@ package hashring
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -252,15 +255,48 @@ func TestMembersUnionMidHandover(t *testing.T) {
 	}
 }
 
+// TestKeyHashBytesMatchesKeyHash pins the one FNV-1a loop: on a seeded
+// set of keys (empty, ASCII, arbitrary bytes, long) the string and byte
+// forms agree with each other and with the standard library's FNV-1a, so
+// the ring, the segment table and byte-keyed routes place every key alike,
+// and a ring routes a byte key by hash exactly as it routes the string.
 func TestKeyHashBytesMatchesKeyHash(t *testing.T) {
-	for i := 0; i < 1000; i++ {
-		key := fmt.Sprintf("key-%d-%d", i, i*i)
-		if KeyHash(key) != KeyHashBytes([]byte(key)) {
-			t.Fatalf("hash mismatch for %q", key)
+	ref := func(parts ...[]byte) uint64 {
+		h := fnv.New64a()
+		for _, p := range parts {
+			_, _ = h.Write(p)
+		}
+		return fmix64(h.Sum64())
+	}
+	ring, err := New(names(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	keys := [][]byte{nil, []byte("k"), []byte("key-1-1")}
+	for i := 0; i < 2000; i++ {
+		key := make([]byte, rng.Intn(300))
+		rng.Read(key)
+		keys = append(keys, key, []byte(fmt.Sprintf("key-%d-%d", i, i*i)))
+	}
+	for _, key := range keys {
+		want := ref(key)
+		if got := KeyHash(string(key)); got != want {
+			t.Fatalf("KeyHash(%q) = %x, want %x", key, got, want)
+		}
+		if got := KeyHashBytes(key); got != want {
+			t.Fatalf("KeyHashBytes(%q) = %x, want %x", key, got, want)
+		}
+		byString, _ := ring.Get(string(key))
+		byHash, _ := ring.GetHash(KeyHashBytes(key))
+		if byString != byHash {
+			t.Fatalf("key %q: Get %q, GetHash %q", key, byString, byHash)
 		}
 	}
-	if KeyHash("") != KeyHashBytes(nil) {
-		t.Fatal("hash mismatch for empty key")
+	for i := 0; i < 200; i++ {
+		if got, want := pointHash("node-3", i), ref([]byte("node-3"), []byte{'#'}, []byte(strconv.Itoa(i))); got != want {
+			t.Fatalf("pointHash(node-3, %d) = %x, want %x", i, got, want)
+		}
 	}
 }
 

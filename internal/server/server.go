@@ -814,6 +814,9 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 			{"cmd_set", st.Sets},
 			{"evictions", st.Evictions},
 			{"expired_unfetched", st.Expirations},
+			// import_refused: migrated pairs the batch import dropped
+			// because their slab class could get no chunk.
+			{"import_refused", st.ImportRefused},
 			{"curr_items", uint64(st.Items)},
 			{"bytes", uint64(st.BytesUsed)},
 			{"total_pages", uint64(st.MaxPages)},

@@ -157,6 +157,9 @@ func TestStats(t *testing.T) {
 	if stats["curr_items"] != "1" {
 		t.Fatalf("curr_items = %v", stats["curr_items"])
 	}
+	if stats["import_refused"] != "0" {
+		t.Fatalf("import_refused = %q, want 0", stats["import_refused"])
+	}
 	// Per-slab stats present.
 	found := false
 	for name := range stats {
