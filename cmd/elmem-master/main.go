@@ -153,8 +153,8 @@ func printReport(report *core.ScaleReport) {
 		if d.Duration > 0 {
 			rate = fmt.Sprintf("%.1f MiB/s", float64(d.BytesMoved)/(1<<20)/d.Duration.Seconds())
 		}
-		fmt.Printf("  data %s->%s pairs=%d resumed=%d moved=%dB wire=%dB %v (%s)\n",
-			d.Node, target, d.Pairs, d.Resumed, d.BytesMoved, d.WireBytes,
+		fmt.Printf("  data %s->%s pairs=%d resumed=%d unapplied=%d moved=%dB wire=%dB %v (%s)\n",
+			d.Node, target, d.Pairs, d.Resumed, d.Unapplied, d.BytesMoved, d.WireBytes,
 			d.Duration.Round(time.Microsecond), rate)
 	}
 	for _, nt := range report.NodeTimings {

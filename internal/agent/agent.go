@@ -650,13 +650,9 @@ func (a *Agent) HashSplit(ctx context.Context, newMembers []string, fullMembersh
 			stats.Duration = time.Since(start)
 			return stats, fmt.Errorf("hash split to %s: %w", tgt, err)
 		}
-		for _, sel := range plans[tgt] {
-			for _, m := range sel {
-				// Local drop only after the whole target stream landed, so
-				// a mid-stream failure loses nothing and a retry is safe.
-				_ = a.cache.Delete(m.Key)
-			}
-		}
+		// Local drop only after the whole target stream landed, so a
+		// mid-stream failure loses nothing and a retry is safe.
+		a.cache.DeleteMetas(plans[tgt]...)
 	}
 	stats.Duration = time.Since(start)
 	return stats, nil

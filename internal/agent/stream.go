@@ -34,6 +34,11 @@ type SendStats struct {
 	// Resumed counts the subset of Pairs a retried push skipped because
 	// the receiver's high-water mark showed them already applied.
 	Resumed int `json:"resumed,omitempty"`
+	// Unapplied counts pairs this push shipped that the receiver did not
+	// apply — refused for want of a chunk, or dropped as stale under the
+	// ownership table: shipped minus the receiver's
+	// ImportSummary.Imported. Set only when the push completes.
+	Unapplied int `json:"unapplied,omitempty"`
 	// Batches is the number of batches covered (shipped or skipped).
 	Batches int `json:"batches,omitempty"`
 	// BytesMoved is the payload volume covered: key + value bytes.
@@ -53,6 +58,7 @@ type SendStats struct {
 func (s *SendStats) merge(o SendStats) {
 	s.Pairs += o.Pairs
 	s.Resumed += o.Resumed
+	s.Unapplied += o.Unapplied
 	s.Batches += o.Batches
 	s.BytesMoved += o.BytesMoved
 	s.WireBytes += o.WireBytes
@@ -278,6 +284,7 @@ func (a *Agent) pushPlan(ctx context.Context, peer Peer, target, kind string, pl
 		// batches — the upper bound on unacknowledged sender-side memory.
 		window   []int
 		inflight int64
+		shipped  int
 	)
 	err = cache.CutBatches(plan, a.batchSize, a.batchBytes, func(batch []cache.ItemMeta, batchBytes int) error {
 		seq++
@@ -295,6 +302,7 @@ func (a *Agent) pushPlan(ctx context.Context, peer Peer, target, kind string, pl
 				// as covered — the retry re-covers it.
 				return err
 			}
+			shipped += len(buf)
 			window = append(window, batchBytes)
 			if len(window) > a.maxInflight {
 				inflight -= int64(window[0])
@@ -315,6 +323,7 @@ func (a *Agent) pushPlan(ctx context.Context, peer Peer, target, kind string, pl
 		return stats, err
 	}
 	stats.WireBytes = sum.WireBytes
+	stats.Unapplied = shipped - sum.Imported
 	return stats, nil
 }
 

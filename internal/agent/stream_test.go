@@ -263,3 +263,46 @@ func TestImportFrameProtocol(t *testing.T) {
 		t.Fatalf("new-plan high-water = %d, want reset to 0", hw)
 	}
 }
+
+// TestSendDataCountsUnappliedPairs: a push reports the pairs it shipped
+// that the receiver did not apply. A one-page receiver gives its page to
+// the first class it imports, so the second class's pairs are refused and
+// counted; a roomy receiver applies everything and the count is zero.
+func TestSendDataCountsUnappliedPairs(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		pages     int
+		unapplied bool
+	}{{"one-page", 1, true}, {"roomy", 8, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := NewRegistry()
+			clk := newTestClock()
+			sender := newNode(t, reg, "sender", 8, clk)
+			newNode(t, reg, "r1", tc.pages, clk)
+			takes := make(map[int]int)
+			for i, size := range []int{10, 2000} {
+				for j := 0; j < 40; j++ {
+					if err := sender.Cache().Set(fmt.Sprintf("c%d-%02d", i, j), make([]byte, size)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				classID, _, err := sender.Cache().ClassForItem(5, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				takes[classID] = 40
+			}
+			sent, err := sender.SendData(context.Background(), "r1", takes, []string{"r1"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("sent %d pairs, %d unapplied", sent.Pairs, sent.Unapplied)
+			if sent.Pairs != 80 {
+				t.Fatalf("sent %d pairs, want 80", sent.Pairs)
+			}
+			if got := sent.Unapplied > 0; got != tc.unapplied {
+				t.Errorf("unapplied = %d, want nonzero: %t", sent.Unapplied, tc.unapplied)
+			}
+		})
+	}
+}

@@ -136,10 +136,10 @@ func (r itemRef) page() uint32  { return uint32(r>>32) - 1 }
 func (r itemRef) chunk() uint32 { return uint32(r) }
 
 // tenantPages is one tenant's slice of the page budget: how many pages its
-// slabs currently hold, the floor the arbiter may never steal below, the
+// classes currently hold, the floor the arbiter may never steal below, the
 // current allowance (the knob the arbiter turns), and the hard ceiling.
 type tenantPages struct {
-	assigned int // pages currently held by this tenant's slabs
+	assigned int // pages currently held by this tenant's classes
 	reserved int // guaranteed floor: steals never push assigned below it
 	quota    int // current allowance; tryAcquire fails at or above it
 	cap      int // hard ceiling: quota transfers never raise quota past it
@@ -156,22 +156,24 @@ type arenaMem struct{ b []byte }
 var liveArenas atomic.Int64
 
 // pagePool is the shared page allocator: the global 1 MiB page budget plus
-// the arena memory itself. Classic memcached never returns a page; here a
-// page *can* leave a slab — but only through the tenant arbiter's explicit
-// page steal, which evicts the page's residents first and funnels the ID
-// through freeIDs. Serving paths still never release pages, so for a
-// single-tenant cache assignment remains the classic high-water counter.
+// the arena memory itself. Pages are assigned to (tenant, class) page sets
+// (classPages). Classic memcached never returns a page; here a page *can*
+// leave its class — but only through the tenant arbiter's explicit page
+// steal, which drains the page's residents from every shard first, hands
+// its memory back to the kernel, and funnels the ID through freeIDs.
+// Serving paths still never release pages, so for a single-tenant cache
+// assignment remains the classic high-water counter.
 //
 // The chunkSizes table is sized at construction; a slot is (re)written
-// only under the pool lock before the page ID is handed to a shard, and
-// the acquiring shard's release-to-reacquire path also passes through this
-// lock, so cross-shard page reuse is properly ordered and chunk resolution
-// itself never takes the pool lock.
+// only under the pool lock before the page ID is handed to a class, and a
+// released page's ID passes through this lock again before reuse, so
+// cross-class page reuse is properly ordered and chunk resolution itself
+// never takes the pool lock.
 type pagePool struct {
 	mu        sync.Mutex
 	max       int
 	highWater int      // pages ever handed out (dense page-ID prefix)
-	assigned  int      // pages currently held by any slab
+	assigned  int      // pages currently held by any class
 	freeIDs   []uint32 // stolen pages awaiting reassignment
 
 	mem        []byte    // the whole budget; page id at mem[id*PageSize:]
@@ -179,9 +181,19 @@ type pagePool struct {
 	chunkSizes []uint32
 	owner      []uint16      // page ID → owning tenant, valid while assigned
 	tenants    []tenantPages // index = tenant ID; 0 is the default tenant
+
+	// draining marks pages a reclaim is emptying: no shard takes one of
+	// their chunks off its free list (slab.popFree). Set before the drain,
+	// cleared on release.
+	draining []atomic.Bool
+	// gen advances whenever a page or quota comes free (release, quota
+	// moves), so a class page set that found nothing to take can skip the
+	// pool until it changes (classPages.full).
+	gen atomic.Uint64
 }
 
-func newPagePool(max int) (pagePool, error) {
+// init sizes the pool for max pages and maps its arena.
+func (p *pagePool) init(max int) error {
 	// Header links address at most maxArenaPages pages (256 GiB); a budget
 	// beyond that is clamped rather than refused — no realistic node gets
 	// anywhere near it.
@@ -189,22 +201,23 @@ func newPagePool(max int) (pagePool, error) {
 		max = maxArenaPages
 	}
 	if max > math.MaxInt/PageSize {
-		return pagePool{}, fmt.Errorf("cache: %d-page arena exceeds the address space", max)
+		return fmt.Errorf("cache: %d-page arena exceeds the address space", max)
 	}
 	arena, err := mapArena(max * PageSize)
 	if err != nil {
-		return pagePool{}, err
+		return err
 	}
-	return pagePool{
-		max:        max,
-		mem:        arena.b,
-		arena:      arena,
-		chunkSizes: make([]uint32, max),
-		owner:      make([]uint16, max),
-		// The default tenant starts with the whole budget; registration
-		// carves quotas out for named tenants.
-		tenants: []tenantPages{{quota: max, cap: max}},
-	}, nil
+	p.max = max
+	p.mem = arena.b
+	p.arena = arena
+	p.chunkSizes = make([]uint32, max)
+	p.owner = make([]uint16, max)
+	// The default tenant starts with the whole budget; registration carves
+	// quotas out for named tenants.
+	p.tenants = []tenantPages{{quota: max, cap: max}}
+	p.draining = make([]atomic.Bool, max)
+	p.gen.Store(1)
+	return nil
 }
 
 // ensureTenantLocked grows the tenant table through tid; callers hold p.mu.
@@ -217,7 +230,7 @@ func (p *pagePool) ensureTenantLocked(tid uint16) *tenantPages {
 	return &p.tenants[tid]
 }
 
-// tryAcquire claims one page for tenant tid's slab of the given chunk size.
+// tryAcquire claims one page for tenant tid's class of the given chunk size.
 // It returns the page ID; false means the tenant is at quota or the global
 // budget is exhausted.
 func (p *pagePool) tryAcquire(tid uint16, chunkSize int) (uint32, bool) {
@@ -258,15 +271,21 @@ func (p *pagePool) tryAcquire(tid uint16, chunkSize int) (uint32, bool) {
 	return id, true
 }
 
-// release returns a page (already emptied by its shard) to the free pool,
-// debiting its owner. Callers must have evicted every resident first.
+// release returns a page, already drained from every shard, to the free
+// pool, debiting its owner. The page's memory goes back to the kernel
+// first (discardPage), so a reclaimed page stops counting toward RSS until
+// a class writes it again.
 func (p *pagePool) release(id uint32) {
+	off := int(id) * PageSize
+	discardPage(p.mem[off : off+PageSize])
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	tid := p.owner[id]
 	p.tenants[tid].assigned--
 	p.assigned--
 	p.freeIDs = append(p.freeIDs, id)
+	p.draining[id].Store(false)
+	p.gen.Add(1)
 }
 
 // chunkAt resolves a ref to its chunk bytes (header + key + value + slack).

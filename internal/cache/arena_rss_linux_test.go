@@ -45,29 +45,22 @@ func settleRSS(t *testing.T) int64 {
 	return vmRSS(t)
 }
 
-// sparseCache assigns a page to each of 16 shards × 6 classes while
-// writing a few chunks per page. It returns the cache and the chunk bytes
-// written.
+// sparseCache assigns a page to each of 100 slab classes (a fine 1.05
+// growth ladder) while writing one chunk per page. It returns the cache and
+// the chunk bytes written.
 func sparseCache(t *testing.T) (*Cache, int64) {
 	t.Helper()
-	c, err := New(128*PageSize, WithShards(16))
+	c, err := New(128*PageSize, WithShards(16), WithGrowthFactor(1.05))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var written int64
-	val := make([]byte, 12000)
-	for class, size := range []int{100, 400, 1500, 3000, 6000, 12000} {
-		for i := 0; i < 160; i++ {
-			key := "sparse-" + strconv.Itoa(class) + "-" + strconv.Itoa(i)
-			if err := c.Set(key, val[:size]); err != nil {
-				t.Fatal(err)
-			}
-			_, cs, err := c.ClassForItem(len(key), size)
-			if err != nil {
-				t.Fatal(err)
-			}
-			written += int64(cs)
+	for class, cs := range c.ChunkSizes()[:100] {
+		key := "sparse-" + strconv.Itoa(class)
+		if err := c.Set(key, make([]byte, cs-ItemOverhead-len(key))); err != nil {
+			t.Fatal(err)
 		}
+		written += int64(cs)
 	}
 	return c, written
 }
@@ -128,5 +121,52 @@ func TestArenaRSSFollowsTouchedChunks(t *testing.T) {
 	waitArenasAtMost(t, arenas)
 	if after := vmRSS(t) - base; after > 8*mib {
 		t.Errorf("RSS still %d MiB above base after the filled cache was collected", after/mib)
+	}
+}
+
+// TestReclaimedPagesLeaveRSS: a page the arbiter steals from a full tenant
+// is handed back to the kernel on release, so the node's RSS falls by at
+// least the stolen pages — not only once another class reuses them.
+func TestReclaimedPagesLeaveRSS(t *testing.T) {
+	settleRSS(t)
+	c, err := New(64*PageSize, WithShards(4), WithTenantPrefix(':'))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := c.RegisterTenant("a", TenantConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.RegisterTenant("b", TenantConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetTenantQuota(b, 0)
+	// Page-sized chunks: every assigned page is written end to end.
+	for i := 0; i < 64; i++ {
+		key := "a:" + strconv.Itoa(i)
+		if err := c.Set(key, make([]byte, PageSize-ItemOverhead-len(key))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	debug.FreeOSMemory()
+	before := vmRSS(t)
+	const steal = 16
+	for i := 0; i < steal; i++ {
+		if !c.StealPage(a, b) {
+			t.Fatalf("steal %d refused", i)
+		}
+	}
+	after := vmRSS(t)
+	pages := c.TenantStats()[a].Pages
+	runtime.KeepAlive(c)
+	t.Logf("stole %d pages: RSS %d → %d MiB, tenant a holds %d pages", steal, before/mib, after/mib, pages)
+	if pages != 64-steal {
+		t.Fatalf("tenant a holds %d pages after %d steals, want %d", pages, steal, 64-steal)
+	}
+	// The stolen pages were written end to end; 256 KiB absorbs the heap
+	// the steals themselves touch between the two readings.
+	if before-after < steal*mib-256<<10 {
+		t.Errorf("RSS fell %d KiB after stealing %d written pages, want about %d MiB", (before-after)>>10, steal, steal)
 	}
 }

@@ -169,8 +169,8 @@ func TestPackedLinkEncoding(t *testing.T) {
 	if !arenaOffHeap {
 		return
 	}
-	pool, err := newPagePool(maxArenaPages + 100)
-	if err != nil {
+	var pool pagePool
+	if err := pool.init(maxArenaPages + 100); err != nil {
 		t.Fatal(err)
 	}
 	if pool.max != maxArenaPages {
@@ -209,8 +209,8 @@ func TestNanoSentinel(t *testing.T) {
 // TestPagePoolAssignment checks the fixed-table page allocator: IDs are
 // dense, chunk sizes stick, and the budget is a hard cap.
 func TestPagePoolAssignment(t *testing.T) {
-	pool, err := newPagePool(3)
-	if err != nil {
+	var pool pagePool
+	if err := pool.init(3); err != nil {
 		t.Fatal(err)
 	}
 	sizes := []int{128, 256, 1024}

@@ -16,8 +16,9 @@
 // use. Where classic memcached 1.4.x serializes every operation on one
 // global lock, this engine is lock-striped: keys route by FNV-1a hash onto
 // a power-of-two number of shards, each with its own lock, key index, and
-// per-class MRU lists, while the 1 MiB page budget stays global behind a
-// separate allocator lock.
+// per-class MRU and free lists, while pages stay memcached's: each 1 MiB
+// page belongs to one slab class, shared by every shard, behind a per-class
+// lock taken only to hand out a never-used chunk.
 //
 // Storage is arena-backed (bigcache/freecache/fastcache lineage): the page
 // budget is one mapping outside the Go heap, carved into real 1 MiB pages;
@@ -72,8 +73,8 @@ type Item struct {
 	CAS uint64
 }
 
-// Stats is a point-in-time snapshot of a Cache. Per-slab entries aggregate
-// across shards; per-shard entries expose the stripe-level split.
+// Stats is a point-in-time snapshot of a Cache. Per-class entries
+// aggregate across shards; per-shard entries expose the stripe-level split.
 type Stats struct {
 	// Hits and Misses count Get outcomes.
 	Hits   uint64 `json:"hits"`
@@ -94,16 +95,17 @@ type Stats struct {
 	BytesUsed int64 `json:"bytesUsed"`
 	// ArenaBytes is the total arena memory backing assigned pages.
 	ArenaBytes int64 `json:"arenaBytes"`
-	// ArenaTouchedBytes is the arena memory the slabs have ever written:
-	// per slab, the chunks its bump cursor has handed out × chunk size.
+	// ArenaTouchedBytes is the arena memory the classes have ever written:
+	// per class page set, the chunks its bump cursor has handed out ×
+	// chunk size (a reclaimed page's chunks leave the count with it).
 	// Untouched pages cost only address space, so this — not ArenaBytes —
 	// is what the node's RSS follows.
 	ArenaTouchedBytes int64 `json:"arenaTouchedBytes"`
 	// AssignedPages and MaxPages describe page-pool usage.
 	AssignedPages int `json:"assignedPages"`
 	MaxPages      int `json:"maxPages"`
-	// Slabs holds per-class snapshots (aggregated across shards) for
-	// classes with at least one page.
+	// Slabs holds per-class snapshots (aggregated across shards and
+	// tenants) for classes with at least one page.
 	Slabs []SlabStats `json:"slabs"`
 	// Shards holds per-shard counter snapshots, one per lock stripe.
 	Shards []ShardStat `json:"shards"`
@@ -117,13 +119,23 @@ type tenantRegistry struct {
 }
 
 // Cache is one node's Memcached storage engine: a set of lock-striped
-// shards over a shared arena page pool.
+// shards over per-class page sets drawn from a shared arena page pool.
 type Cache struct {
 	classes []int    // chunk size per class index
 	shards  []*shard // power-of-two lock stripes
 	mask    uint64   // len(shards) - 1
 
 	pool pagePool
+	// pageSets holds every (tenant, class) page set, slot-indexed like
+	// shard.slabs (tenantID*len(classes) + classID). RegisterTenant
+	// publishes a longer copy, under regMu, before the tenant's name
+	// resolves, so every routable slot has its page set.
+	pageSets atomic.Pointer[[]*classPages]
+	// reclaimMu serializes page reclaims, which makes the victim page stay
+	// in its class until the reclaim removes it, and guards reclaimCounts,
+	// the per-page resident tally indexed by page ID.
+	reclaimMu     sync.Mutex
+	reclaimCounts []int32
 
 	// reg is the tenant name registry; prefixDelim, when non-zero, enables
 	// key-prefix tenant resolution ("tenant<delim>rest" routes to tenant).
@@ -169,8 +181,8 @@ type shardsOption int
 func (o shardsOption) apply(opts *cacheOptions) { opts.shards = int(o) }
 
 // WithShards overrides the lock-stripe count, rounded up to a power of two
-// (minimum 1). The default is max(16, GOMAXPROCS), capped so that every
-// shard can own at least 8 pages of the budget — a one-page cache therefore
+// (minimum 1). The default is max(16, GOMAXPROCS), capped at one shard per
+// 8 pages of the budget (minPagesPerShard) — a one-page cache therefore
 // degenerates to a single shard with the classic single-lock semantics.
 func WithShards(n int) Option { return shardsOption(n) }
 
@@ -210,10 +222,10 @@ func New(memoryBytes int64, opts ...Option) (*Cache, error) {
 		mask:        uint64(shardCount - 1),
 		prefixDelim: options.tenantPrefix,
 	}
-	var err error
-	if c.pool, err = newPagePool(maxPages); err != nil {
+	if err := c.pool.init(maxPages); err != nil {
 		return nil, err
 	}
+	c.growPageSets(1)
 	c.reg.Store(&tenantRegistry{names: []string{""}, byName: map[string]uint16{}})
 	if options.now != nil {
 		c.nanos = func() int64 { return toNano(options.now()) }
@@ -232,6 +244,28 @@ func New(memoryBytes int64, opts ...Option) (*Cache, error) {
 	}
 	return c, nil
 }
+
+// growPageSets extends the page-set table to cover tenants [0, tenants).
+// Callers serialize through New or regMu.
+func (c *Cache) growPageSets(tenants int) {
+	var sets []*classPages
+	if old := c.pageSets.Load(); old != nil {
+		sets = *old
+	}
+	nc := len(c.classes)
+	if len(sets) >= tenants*nc {
+		return
+	}
+	grown := make([]*classPages, len(sets), tenants*nc)
+	copy(grown, sets)
+	for slot := len(sets); slot < tenants*nc; slot++ {
+		grown = append(grown, newClassPages(uint16(slot/nc), c.classes[slot%nc]))
+	}
+	c.pageSets.Store(&grown)
+}
+
+// classPagesAt returns the page set of a (tenant, class) slot.
+func (c *Cache) classPagesAt(slot int) *classPages { return (*c.pageSets.Load())[slot] }
 
 // nowNano reads the clock as a stored-timestamp nanosecond count.
 func (c *Cache) nowNano() int64 { return c.nanos() }
@@ -383,24 +417,69 @@ func (c *Cache) Delete(key string) error {
 	return nil
 }
 
+// DeleteMetas removes every still-resident key of the selections — the
+// bulk Delete a sender runs on what it has handed off. Keys are grouped by
+// shard and each shard lock is taken once. It returns the number of items
+// removed.
+func (c *Cache) DeleteMetas(sels ...[]ItemMeta) int {
+	type doomed struct {
+		key []byte
+		h   uint64
+		tid uint16
+	}
+	groups := make([][]doomed, len(c.shards))
+	for _, sel := range sels {
+		for _, m := range sel {
+			kb := sbytes(m.Key)
+			tid, h, _ := c.route(kb)
+			groups[h&c.mask] = append(groups[h&c.mask], doomed{kb, h, tid})
+		}
+	}
+	nowNano := c.nowNano()
+	removed := 0
+	for si, keys := range groups {
+		if len(keys) == 0 {
+			continue
+		}
+		sh := c.shards[si]
+		sh.mu.Lock()
+		for _, k := range keys {
+			if ref, ch, ok := sh.lookupLocked(k.h, k.tid, k.key, nowNano); ok {
+				sh.removeLocked(ref, ch)
+				removed++
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return removed
+}
+
 // FlushAll drops every item but keeps page assignments, like memcached's
-// flush_all. Shards are flushed one at a time; a Set racing with FlushAll
-// may land before or after its shard's sweep, as with memcached's
-// per-connection command interleaving.
+// flush_all. Every shard lock is held at once (in stripe order) while the
+// class page sets rewind their cursors: a page's chunks may belong to any
+// shard, so no shard may allocate between the sweep and the rewind.
 func (c *Cache) FlushAll() {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
+	}
+	for _, sh := range c.shards {
 		sh.idx.reset()
 		for _, sl := range sh.slabs {
-			if sl == nil {
-				continue
+			if sl != nil {
+				sl.reset()
 			}
-			sl.resetChunks()
 		}
 		for i := range sh.tstats {
 			sh.tstats[i].items = 0
 			sh.tstats[i].bytes = 0
 		}
+	}
+	for _, cp := range *c.pageSets.Load() {
+		cp.mu.Lock()
+		cp.rewindLocked()
+		cp.mu.Unlock()
+	}
+	for _, sh := range c.shards {
 		sh.mu.Unlock()
 	}
 }
@@ -422,16 +501,17 @@ func (c *Cache) Capacity() int64 {
 	return int64(c.pool.max) * PageSize
 }
 
-// Stats snapshots counters, per-slab state (aggregated across shards), and
-// the per-shard counter split. Shards are locked one at a time, so the
-// snapshot is per-shard consistent, not globally atomic.
+// Stats snapshots counters, per-class state (aggregated across shards and
+// tenants), and the per-shard counter split. Shards are locked one at a
+// time, so the snapshot is per-shard consistent, not globally atomic.
 func (c *Cache) Stats() Stats {
 	st := Stats{MaxPages: c.pool.max}
 	type classAgg struct {
 		pages, items, used, touched int
 		evictions                   uint64
 	}
-	agg := make([]classAgg, len(c.classes))
+	nc := len(c.classes)
+	agg := make([]classAgg, nc)
 	for i, sh := range c.shards {
 		sh.mu.Lock()
 		st.Hits += sh.hits
@@ -442,17 +522,12 @@ func (c *Cache) Stats() Stats {
 		st.ImportRefused += sh.importRefused
 		st.Items += sh.items()
 		for slot, sl := range sh.slabs {
-			if sl == nil || sl.pages() == 0 {
-				continue
+			if sl != nil {
+				a := &agg[slot%nc]
+				a.items += sl.list.size
+				a.used += sl.used
+				a.evictions += sl.evictions
 			}
-			// Slots are (tenant, class) pairs; per-class stats aggregate
-			// across tenants as well as shards.
-			classID := slot % len(c.classes)
-			agg[classID].pages += sl.pages()
-			agg[classID].items += sl.list.size
-			agg[classID].used += sl.used
-			agg[classID].touched += sl.touchedChunks()
-			agg[classID].evictions += sl.evictions
 		}
 		st.Shards = append(st.Shards, ShardStat{
 			Shard:     i,
@@ -463,6 +538,11 @@ func (c *Cache) Stats() Stats {
 			Evictions: sh.evictions,
 		})
 		sh.mu.Unlock()
+	}
+	for slot, cp := range *c.pageSets.Load() {
+		pages, touched := cp.snapshot()
+		agg[slot%nc].pages += pages
+		agg[slot%nc].touched += touched
 	}
 	st.AssignedPages = c.pool.assignedCount()
 	st.ArenaBytes = int64(st.AssignedPages) * PageSize

@@ -89,7 +89,8 @@ func (sh *shard) walkClass(classID, limit int, nowNano int64, take func(ch []byt
 // DumpClass returns the metadata of every item in the slab class, globally
 // in MRU order (hottest first) — TopMeta without a limit. If filter is
 // non-nil only items whose key passes are included — retiring Agents filter
-// by consistent-hash target.
+// by consistent-hash target. As with TopMeta, filter sees a view of the key
+// bytes in cache memory and must not retain it.
 func (c *Cache) DumpClass(classID int, filter func(key string) bool) ([]ItemMeta, error) {
 	return c.TopMeta(classID, math.MaxInt, filter)
 }
@@ -142,7 +143,8 @@ func (c *Cache) RouteStamps(classID, buckets int, route func(key []byte) int) ([
 }
 
 // DumpAll returns the timestamp dump of every populated slab class, keyed
-// by class ID, each globally in MRU order.
+// by class ID, each globally in MRU order, under DumpClass's filter
+// contract.
 func (c *Cache) DumpAll(filter func(key string) bool) map[int][]ItemMeta {
 	populated := c.PopulatedClasses()
 	out := make(map[int][]ItemMeta, len(populated))
@@ -196,8 +198,8 @@ func (c *Cache) MedianTimestamp(classID int) (time.Time, bool) {
 	return fromNano(lists[0][len(lists[0])/2]), true
 }
 
-// SlabPageWeights returns w_b for every populated class: the fraction of
-// this node's assigned pages held by the class across all shards
+// SlabPageWeights returns w_b for every class holding pages: the fraction
+// of this node's assigned pages the class holds, across tenants
 // (Section III-C).
 func (c *Cache) SlabPageWeights() map[int]float64 {
 	assigned := c.pool.assignedCount()
@@ -205,19 +207,10 @@ func (c *Cache) SlabPageWeights() map[int]float64 {
 	if assigned == 0 {
 		return out
 	}
-	pages := make([]int, len(c.classes))
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for slot, sl := range sh.slabs {
-			if sl != nil {
-				pages[slot%len(c.classes)] += sl.pages()
-			}
-		}
-		sh.mu.Unlock()
-	}
-	for classID, p := range pages {
-		if p > 0 {
-			out[classID] = float64(p) / float64(assigned)
+	nc := len(c.classes)
+	for slot, cp := range *c.pageSets.Load() {
+		if pages, _ := cp.snapshot(); pages > 0 {
+			out[slot%nc] += float64(pages) / float64(assigned)
 		}
 	}
 	return out
@@ -259,24 +252,24 @@ func (c *Cache) ClassLen(classID int) int {
 	return n
 }
 
-// ClassCapacity returns the chunk capacity of the class's assigned pages
-// across shards.
+// ClassCapacity returns the chunk capacity of the class's assigned pages,
+// across tenants.
 func (c *Cache) ClassCapacity(classID int) int {
 	if classID < 0 || classID >= len(c.classes) {
 		return 0
 	}
+	sets := *c.pageSets.Load()
 	n := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		sh.eachClassSlab(classID, func(sl *slab) { n += sl.capacity() })
-		sh.mu.Unlock()
+	for slot := classID; slot < len(sets); slot += len(c.classes) {
+		pages, _ := sets[slot].snapshot()
+		n += pages * sets[slot].chunksPerPage
 	}
 	return n
 }
 
 // ClassAbsorbCapacity returns how many items of the class this cache can
-// hold in the best case: chunks in pages already assigned to the class (in
-// any shard) plus every still-unassigned pool page converted to this class.
+// hold in the best case: chunks in pages already assigned to the class
+// plus every still-unassigned pool page converted to this class.
 // FuseCache sizes its selection target n from this (Section IV-A) — it is
 // exactly the space the migration's batch import can fill without dropping
 // pairs.

@@ -22,8 +22,7 @@ func newListHarness(t *testing.T) *listHarness {
 	t.Helper()
 	const chunkSize = 256
 	h := &listHarness{cpp: PageSize / chunkSize}
-	var err error
-	if h.pool, err = newPagePool(8); err != nil {
+	if err := h.pool.init(8); err != nil {
 		t.Fatal(err)
 	}
 	pageID, ok := h.pool.tryAcquire(0, chunkSize)

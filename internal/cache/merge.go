@@ -1,6 +1,6 @@
 package cache
 
-import "sort"
+import "slices"
 
 // K-way merge of per-shard MRU runs. The sharded engine stores each slab
 // class as one MRU list per shard; the ElMem dump command must still emit
@@ -16,7 +16,7 @@ import "sort"
 // order. The stable sort keeps list order for equal timestamps, so a
 // single-shard cache dumps exactly its MRU list.
 func sortRun(run []ItemMeta) {
-	sort.SliceStable(run, func(i, j int) bool { return run[i].LastAccess.After(run[j].LastAccess) })
+	slices.SortStableFunc(run, func(a, b ItemMeta) int { return b.LastAccess.Compare(a.LastAccess) })
 }
 
 // mergeRuns k-way merges runs — each non-increasing in timestamp — into

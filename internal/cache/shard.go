@@ -10,24 +10,27 @@ import (
 
 // The lock-striped engine: keys are routed by FNV-1a hash onto a power-of-
 // two number of shards, each owning its slice of the key index and its own
-// per-class MRU lists. The 1 MiB page budget stays global — shards draw
-// pages from a shared allocator (pagePool, see arena.go) guarded by its own
-// mutex, so the hot Get/Set path never contends across shards; the pool
-// lock is taken only on the rare page-assignment slow path.
+// per-class MRU lists and free lists. Pages are not striped: each (tenant,
+// class) has one page set (classPages, see slab.go) shared by every shard,
+// behind its own lock, drawing pages from the global budget (pagePool, see
+// arena.go). Gets never touch either lock; a set takes the class lock only
+// for a never-used chunk, and the pool lock only to add a page.
 //
 // Items live entirely inside arena chunks (see arena.go): the shard holds
 // no per-item Go objects, only the pointer-free keyIndex and the per-class
 // slabs whose MRU lists are ref-linked through the chunk headers.
 
-// minPagesPerShard bounds striping from below: a shard that owns fewer
-// pages than this would fragment the slab ladder (every (shard, class) pair
-// pins whole pages), so small budgets get proportionally fewer shards. A
-// one-page test cache degenerates to a single shard, which reproduces the
-// seed engine's single-lock semantics exactly.
+// minPagesPerShard bounds striping from below. Pages belong to classes,
+// not shards, so a shard count no longer costs pages; what remains is the
+// eviction granularity: each shard evicts only its own LRU tail, and a
+// shard that holds no item of a class cannot evict for it once the pool
+// is exhausted. Small budgets therefore get proportionally fewer shards,
+// and a one-page test cache degenerates to a single shard, which
+// reproduces the seed engine's single-lock semantics exactly.
 const minPagesPerShard = 8
 
 // defaultShardCount picks max(16, GOMAXPROCS) shards, rounded to a power
-// of two and capped so every shard can own at least minPagesPerShard pages.
+// of two and capped at one shard per minPagesPerShard pages.
 func defaultShardCount(maxPages int) int {
 	limit := 16
 	if p := runtime.GOMAXPROCS(0); p > limit {
@@ -116,6 +119,11 @@ func sbytes(s string) []byte {
 	return unsafe.Slice(unsafe.StringData(s), len(s))
 }
 
+// bview views bytes as a string without copying, for handing arena key
+// bytes to a caller's filter: the string aliases cache memory, is valid
+// only for the call, and must not be retained.
+func bview(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
 // tenantStat is one shard's slice of a tenant's counters and residency.
 // Bytes are chunk-size accounted (what the tenant physically occupies, not
 // payload bytes), so residency sums exactly to assigned pages minus free
@@ -131,7 +139,8 @@ type tenantStat struct {
 const sampleHashMask = 1<<48 - 1
 
 // shard is one lock stripe: a pointer-free key index plus per-tenant,
-// per-class slabs and counters. Everything below the mutex is guarded by it.
+// per-class slabs (MRU and free lists) and counters. Everything below the
+// mutex is guarded by it.
 type shard struct {
 	owner *Cache
 
@@ -166,14 +175,8 @@ func newShard(c *Cache) *shard {
 	}
 }
 
-// slab returns the shard's default-tenant slab for classID, creating it on
-// first use.
-func (sh *shard) slab(classID int) *slab {
-	return sh.slabAt(0, classID)
-}
-
 // slabAt returns the (tenant, class) slab, growing the slot table and
-// creating the slab on first use.
+// creating the slab over the class's shared page set on first use.
 func (sh *shard) slabAt(tid uint16, classID int) *slab {
 	nc := len(sh.owner.classes)
 	slot := int(tid)*nc + classID
@@ -181,7 +184,7 @@ func (sh *shard) slabAt(tid uint16, classID int) *slab {
 		sh.slabs = append(sh.slabs, nil)
 	}
 	if sh.slabs[slot] == nil {
-		sh.slabs[slot] = newSlab(tid, classID, sh.owner.classes[classID])
+		sh.slabs[slot] = newSlab(sh.owner.classPagesAt(slot))
 	}
 	return sh.slabs[slot]
 }
@@ -289,61 +292,57 @@ func (sh *shard) setLocked(h uint64, tid uint16, key, value []byte, flags uint32
 	return ch, nil
 }
 
-// allocChunkLocked guarantees a free chunk for the tenant's class slab:
-// from the slab's free list or bump cursor, then by acquiring a page from
-// the shared pool (subject to the tenant's quota), then by evicting the
-// shard's LRU tail of the tenant's class. A tenant at quota can only evict
-// itself — its pressure never touches another tenant's residents.
+// allocChunkLocked guarantees a free chunk for the tenant's class: from
+// the shard's free list, then a never-used chunk of the class's shared
+// pages (adding a page from the pool, subject to the tenant's quota), then
+// by evicting the shard's LRU tail of the tenant's class and reusing its
+// chunk. A tenant at quota can only evict itself — its pressure never
+// touches another tenant's residents.
 func (sh *shard) allocChunkLocked(tid uint16, classID int) (itemRef, error) {
 	sl := sh.slabAt(tid, classID)
 	pool := &sh.owner.pool
-	if ref, ok := sl.takeChunk(pool); ok {
-		return ref, nil
+	for {
+		if ref, ok := sl.popFree(pool); ok {
+			return ref, nil
+		}
+		if ref, ok := sl.pages.take(pool); ok {
+			return ref, nil
+		}
+		if sl.list.tail == nilRef {
+			return nilRef, ErrOutOfMemory
+		}
+		// A victim on a page being reclaimed is evicted but its chunk is
+		// not reused (popFree), so this may take another round.
+		sh.evictLocked(sl, sl.list.tail)
 	}
-	if pageID, ok := pool.tryAcquire(tid, sl.chunkSize); ok {
-		sl.pageIDs = append(sl.pageIDs, pageID)
-		ref, _ := sl.takeChunk(pool)
-		return ref, nil
-	}
-	if sl.list.tail == nilRef {
-		return nilRef, ErrOutOfMemory
-	}
-	sh.evictLocked(sl)
-	ref, _ := sl.takeChunk(pool)
-	return ref, nil
 }
 
-// evictLocked drops the LRU tail of sl.
-func (sh *shard) evictLocked(sl *slab) {
-	pool := &sh.owner.pool
-	victim := sl.list.tail
-	ch := pool.chunkAt(victim)
-	h := shardHashT(sl.tenant, chKey(ch))
-	sl.list.remove(pool, victim)
-	sl.used--
-	sh.idx.delete(h, victim)
-	sl.pushFree(pool, victim)
+// evictLocked drops an item of sl to make room, or to empty a reclaimed
+// page, counting an eviction.
+func (sh *shard) evictLocked(sl *slab, victim itemRef) {
+	sh.unlinkLocked(sl, victim, sh.owner.pool.chunkAt(victim))
 	sl.evictions++
 	sh.evictions++
-	ts := sh.tstat(sl.tenant)
-	ts.evictions++
-	ts.items--
-	ts.bytes -= int64(sl.chunkSize)
+	sh.tstat(sl.tenant).evictions++
 }
 
 // removeLocked unlinks an item and recycles its chunk, debiting the owning
 // tenant's residency. The routing hash is recomputed from the key bytes in
 // the chunk — removal is never on the zero-alloc fast path.
 func (sh *shard) removeLocked(ref itemRef, ch []byte) {
+	sh.unlinkLocked(sh.slabFor(ch), ref, ch)
+}
+
+// unlinkLocked takes an item of sl out of the index and the MRU list and
+// pushes its chunk on the free list.
+func (sh *shard) unlinkLocked(sl *slab, ref itemRef, ch []byte) {
 	pool := &sh.owner.pool
-	tid := chTenant(ch)
-	h := shardHashT(tid, chKey(ch))
-	sl := sh.slabFor(ch)
+	h := shardHashT(sl.tenant, chKey(ch))
 	sl.list.remove(pool, ref)
 	sl.used--
 	sh.idx.delete(h, ref)
 	sl.pushFree(pool, ref)
-	ts := sh.tstat(tid)
+	ts := sh.tstat(sl.tenant)
 	ts.items--
 	ts.bytes -= int64(sl.chunkSize)
 }

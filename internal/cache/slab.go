@@ -1,6 +1,11 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
+)
 
 // Memcached slab constants (Section II-A): memory is divided into 1 MiB
 // pages; pages are grouped into slab classes, each storing items of a given
@@ -45,62 +50,118 @@ func sizeClasses(factor float64) []int {
 	return classes
 }
 
-// slab is one (shard, class) slab: a chunk size, the arena pages it owns,
-// and the MRU-ordered ref list of resident items. Chunks are handed out by
-// bump allocation through the owned pages, and freed chunks are recycled
-// through a free list chained via the chunks' next fields.
-type slab struct {
-	classID   int
-	chunkSize int
-	// tenant owns every page (and item) in this slab: slabs are per
-	// (shard, tenant, class), so page accounting and eviction stay exact.
-	tenant uint16
+// classPages is one (tenant, class) page set, shared by every shard: the
+// 1 MiB pages memcached assigns to a slab class (Section II-A), in
+// acquisition order, and the bump cursor through them that supplies
+// never-used chunks. Lock striping splits the class's items, MRU lists and
+// free lists by shard, but not its pages, so a class holds only the pages
+// its items fill — at most one part-filled page per class, however many
+// shards there are.
+//
+// mu is taken only when a set or import needs a never-used chunk and when
+// a page leaves the class; a steady-state evicting set reuses its victim's
+// chunk under the shard lock alone, because full lets it skip this lock
+// while nothing has changed in the pool. Lock order: shard → mu → pool.
+type classPages struct {
+	tenant        uint16
+	chunkSize     int
+	chunksPerPage int
 
-	// chunksPerPage is how many chunks one page yields.
-	chunksPerPage uint32
+	// full is the pool generation (pagePool.gen) at which take last found
+	// neither a never-used chunk nor a page to add. While the generation
+	// is unchanged no page or quota has come free, so take fails without
+	// locking. Zero never matches: generations start at one.
+	full atomic.Uint64
 
-	// pageIDs are the pool pages assigned to this slab, in acquisition
-	// order. Classic memcached never returns pages to the global pool.
+	mu      sync.Mutex
 	pageIDs []uint32
-	// bumpPage/bumpChunk is the bump-allocation cursor: the next
-	// never-used chunk is pageIDs[bumpPage] chunk bumpChunk.
-	bumpPage  int
-	bumpChunk uint32
-	// touched is the bump cursor's high-water mark in chunks, saved when
-	// the cursor rewinds; see touchedChunks.
+	// next is the bump cursor: chunks handed out since the last rewind,
+	// counted through pageIDs in order. FlushAll rewinds it to zero.
+	next int
+	// touched is next's high-water mark: the chunks ever handed out, which
+	// the kernel has had to back with memory.
 	touched int
+}
 
-	// freeHead chains recycled chunks (delete, expiry, class-change
-	// reinsert) through their next fields.
+func newClassPages(tenant uint16, chunkSize int) *classPages {
+	return &classPages{tenant: tenant, chunkSize: chunkSize, chunksPerPage: PageSize / chunkSize}
+}
+
+// take hands out the class's next never-used chunk, adding a page from
+// the pool (subject to the tenant's quota) when the cursor has run off the
+// last one. Callers hold the shard lock of the chunk's future owner.
+func (cp *classPages) take(p *pagePool) (itemRef, bool) {
+	gen := p.gen.Load()
+	if cp.full.Load() == gen {
+		return nilRef, false
+	}
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	if cp.next == len(cp.pageIDs)*cp.chunksPerPage {
+		id, ok := p.tryAcquire(cp.tenant, cp.chunkSize)
+		if !ok {
+			cp.full.Store(gen)
+			return nilRef, false
+		}
+		cp.pageIDs = append(cp.pageIDs, id)
+	}
+	ref := makeRef(cp.pageIDs[cp.next/cp.chunksPerPage], uint32(cp.next%cp.chunksPerPage))
+	cp.next++
+	cp.touched = max(cp.touched, cp.next)
+	return ref, true
+}
+
+// rewindLocked makes every chunk never-used again, keeping the pages
+// (FlushAll). Callers hold cp.mu and every shard lock.
+func (cp *classPages) rewindLocked() {
+	cp.next = 0
+	cp.full.Store(0)
+}
+
+// removeLocked takes page id out of the set, the first step of a page
+// reclaim: the cursor and the high-water mark lose the page's chunks, so no
+// never-used chunk of it is handed out again. Callers hold cp.mu.
+func (cp *classPages) removeLocked(id uint32) {
+	i := slices.Index(cp.pageIDs, id)
+	lo := i * cp.chunksPerPage
+	cp.next -= min(max(cp.next-lo, 0), cp.chunksPerPage)
+	cp.touched -= min(max(cp.touched-lo, 0), cp.chunksPerPage)
+	cp.pageIDs = slices.Delete(cp.pageIDs, i, i+1)
+}
+
+// snapshot reads the page count and the touched chunks under the lock.
+func (cp *classPages) snapshot() (pages, touched int) {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	return len(cp.pageIDs), cp.touched
+}
+
+// slab is one shard's share of a (tenant, class): the MRU-ordered ref list
+// of the shard's resident items of the class and its free list, chained
+// through the chunks' next fields. The chunks themselves come from the
+// class's shared page set.
+type slab struct {
+	pages     *classPages
+	chunkSize int
+	tenant    uint16
+
+	// freeHead chains recycled chunks (delete, expiry, eviction,
+	// class-change reinsert) through their next fields.
 	freeHead itemRef
 
 	// used is the number of occupied chunks.
 	used int
 
-	// list holds the class's items in MRU order.
+	// list holds the shard's items of the class in MRU order.
 	list refList
 
-	// evictions counts LRU tail drops from this class.
+	// evictions counts LRU tail drops from this slab.
 	evictions uint64
 }
 
-func newSlab(tenant uint16, classID, chunkSize int) *slab {
-	return &slab{
-		classID:       classID,
-		chunkSize:     chunkSize,
-		tenant:        tenant,
-		chunksPerPage: uint32(PageSize / chunkSize),
-	}
+func newSlab(pages *classPages) *slab {
+	return &slab{pages: pages, chunkSize: pages.chunkSize, tenant: pages.tenant}
 }
-
-// pages is the number of 1 MiB pages assigned to this slab.
-func (s *slab) pages() int { return len(s.pageIDs) }
-
-// capacity is the total chunks across assigned pages.
-func (s *slab) capacity() int { return len(s.pageIDs) * int(s.chunksPerPage) }
-
-// freeChunks is the number of unoccupied chunks in assigned pages.
-func (s *slab) freeChunks() int { return s.capacity() - s.used }
 
 // pushFree recycles a chunk onto the free list.
 func (s *slab) pushFree(p *pagePool, ref itemRef) {
@@ -108,39 +169,21 @@ func (s *slab) pushFree(p *pagePool, ref itemRef) {
 	s.freeHead = ref
 }
 
-// takeChunk returns a free chunk if one is available without evicting:
-// first from the free list, then by bumping through assigned pages.
-func (s *slab) takeChunk(p *pagePool) (itemRef, bool) {
-	if s.freeHead != nilRef {
+// popFree takes a recycled chunk off the free list. A chunk on a page
+// being reclaimed is dropped instead: it leaves with its page.
+func (s *slab) popFree(p *pagePool) (itemRef, bool) {
+	for s.freeHead != nilRef {
 		ref := s.freeHead
 		s.freeHead = chNext(p.chunkAt(ref))
-		return ref, true
-	}
-	for s.bumpPage < len(s.pageIDs) {
-		if s.bumpChunk < s.chunksPerPage {
-			ref := makeRef(s.pageIDs[s.bumpPage], s.bumpChunk)
-			s.bumpChunk++
+		if !p.draining[ref.page()].Load() {
 			return ref, true
 		}
-		s.bumpPage++
-		s.bumpChunk = 0
 	}
 	return nilRef, false
 }
 
-// touchedChunks is how many chunks the bump cursor has ever handed out —
-// the chunks of this slab the kernel has had to back with memory.
-func (s *slab) touchedChunks() int {
-	return max(s.touched, s.bumpPage*int(s.chunksPerPage)+int(s.bumpChunk))
-}
-
-// resetChunks drops every resident item, keeping the assigned pages
-// (FlushAll): the bump cursor rewinds, the free list empties, and the MRU
-// list resets.
-func (s *slab) resetChunks() {
-	s.touched = s.touchedChunks()
-	s.bumpPage = 0
-	s.bumpChunk = 0
+// reset drops every resident item (FlushAll).
+func (s *slab) reset() {
 	s.freeHead = nilRef
 	s.used = 0
 	s.list = refList{}

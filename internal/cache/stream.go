@@ -24,6 +24,11 @@ import (
 // is O(shards × count) metas, each ~40 bytes plus the key — and the runs
 // are k-way merged by timestamp: the output is non-increasing in
 // LastAccess exactly as the paper's single-list dump is.
+//
+// filter runs under the shard lock on a view of the key bytes in cache
+// memory, before any ItemMeta is built, so a rejected item costs no
+// allocation. The view is valid only for the call: filter must not retain
+// it.
 func (c *Cache) TopMeta(classID, count int, filter func(key string) bool) ([]ItemMeta, error) {
 	if classID < 0 || classID >= len(c.classes) {
 		return nil, fmt.Errorf("cache: slab class %d out of range", classID)
@@ -36,11 +41,10 @@ func (c *Cache) TopMeta(classID, count int, filter func(key string) bool) ([]Ite
 	for _, sh := range c.shards {
 		var run []ItemMeta
 		sh.walkClass(classID, count, nowNano, func(ch []byte) bool {
-			m := metaOf(ch, classID)
-			if filter != nil && !filter(m.Key) {
+			if filter != nil && !filter(bview(chKey(ch))) {
 				return false
 			}
-			run = append(run, m)
+			run = append(run, metaOf(ch, classID))
 			return true
 		})
 		if len(run) == 0 {
@@ -175,8 +179,8 @@ type StreamBatch struct {
 	Bytes int
 }
 
-// FetchTopStream selects the hottest count items of the class (TopMeta)
-// and streams them to emit coldest-first in CutBatches batches. Values are
+// FetchTopStream selects the hottest count items of the class (TopMeta,
+// whose filter contract applies) and streams them to emit coldest-first in CutBatches batches. Values are
 // fetched per batch, so the caller's peak extra memory is one batch, not
 // the whole selection. It returns the total number of pairs emitted.
 func (c *Cache) FetchTopStream(classID, count int, filter func(key string) bool, maxPairs, maxBytes int, emit func(StreamBatch) error) (int, error) {

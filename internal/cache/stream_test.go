@@ -315,3 +315,28 @@ func TestFetchTopStreamEmptyClassAndErrors(t *testing.T) {
 		t.Fatal("want error for out-of-range class")
 	}
 }
+
+// TestTopMetaAllocsFollowSelection: the export filter sees key bytes in
+// place, so a class walk that rejects most of its items allocates for the
+// items it selects — a key string and a share of the run slices — not for
+// every item it walks.
+func TestTopMetaAllocsFollowSelection(t *testing.T) {
+	c, err := New(64 * PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const walked, selected = 8000, 800
+	populateStream(t, c, walked, 16)
+	classID := c.PopulatedClasses()[0]
+	keep := func(key string) bool { return key[len(key)-1] == '0' }
+	allocs := testing.AllocsPerRun(5, func() {
+		metas, err := c.DumpClass(classID, keep)
+		if err != nil || len(metas) != selected {
+			t.Fatalf("selected %d (err %v), want %d", len(metas), err, selected)
+		}
+	})
+	t.Logf("%d shards: %.0f allocs to select %d of %d items", c.ShardCount(), allocs, selected, walked)
+	if allocs > selected+selected/4 {
+		t.Errorf("%.0f allocs to select %d of %d items: the walk allocates per rejected item", allocs, selected, walked)
+	}
+}

@@ -221,7 +221,8 @@ func TestStressNoLostItems(t *testing.T) {
 
 // checkShardInvariants verifies, per shard, that the key index and the
 // per-class MRU lists agree exactly: same membership, consistent sizes, and
-// intact list links.
+// intact list links; and, per class page set, that every chunk it has
+// handed out since its last rewind is resident or on a shard's free list.
 func (c *Cache) checkShardInvariants(t *testing.T) {
 	t.Helper()
 	for si, sh := range c.shards {
@@ -262,7 +263,112 @@ func (c *Cache) checkShardInvariants(t *testing.T) {
 		}
 		sh.mu.Unlock()
 	}
+	for slot, cp := range *c.pageSets.Load() {
+		held := 0
+		for _, sh := range c.shards {
+			sh.mu.Lock()
+			if slot < len(sh.slabs) && sh.slabs[slot] != nil {
+				sl := sh.slabs[slot]
+				held += sl.used
+				for ref := sl.freeHead; ref != nilRef; ref = chNext(c.pool.chunkAt(ref)) {
+					held++
+				}
+			}
+			sh.mu.Unlock()
+		}
+		cp.mu.Lock()
+		next := cp.next
+		cp.mu.Unlock()
+		if held != next {
+			t.Errorf("slot %d: shards hold %d chunks, page set handed out %d", slot, held, next)
+		}
+	}
 	if t.Failed() {
 		t.FailNow()
 	}
+}
+
+// TestReclaimUnderLoad runs page steals back and forth between two full
+// tenants while writers in every shard keep setting and reading both: a
+// drained page's chunks must never be handed out twice, so every read
+// returns the value last written under its key or misses, and the shard
+// and page-set invariants hold afterwards.
+func TestReclaimUnderLoad(t *testing.T) {
+	c, err := New(24*PageSize, WithShards(4), WithTenantPrefix(':'))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := c.RegisterTenant("a", TenantConfig{ReservedPages: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.RegisterTenant("b", TenantConfig{ReservedPages: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetTenantQuota(a, 12)
+	c.SetTenantQuota(b, 12)
+	// value derives every byte from the key, so a read that lands on a
+	// chunk rewritten under another key shows.
+	value := func(key string, n int) []byte {
+		v := make([]byte, n)
+		for i := range v {
+			v[i] = key[i%len(key)] ^ byte(i)
+		}
+		return v
+	}
+	var (
+		stop   atomic.Bool
+		wg     sync.WaitGroup
+		steals atomic.Int64
+	)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				tenant := "a"
+				if i%2 == 1 {
+					tenant = "b"
+				}
+				key := fmt.Sprintf("%s:g%d-%05d", tenant, g, i%20000)
+				size := 40 + (i*7919)%3000
+				if err := c.Set(key, value(key, size)); err != nil && !errors.Is(err, ErrOutOfMemory) {
+					t.Errorf("set %s: %v", key, err)
+					return
+				}
+				if v, err := c.Get(key); err == nil && string(v) != string(value(key, len(v))) {
+					t.Errorf("get %s: value of another key", key)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			if c.StealPage(a, b) {
+				steals.Add(1)
+			}
+			if c.StealPage(b, a) {
+				steals.Add(1)
+			}
+		}
+	}()
+	time.Sleep(stressDuration(t))
+	stop.Store(true)
+	wg.Wait()
+	var reclaimed uint64
+	for _, st := range c.TenantStats() {
+		reclaimed += st.PagesStolen
+		if st.ID != 0 && st.Pages < st.Reserved {
+			t.Errorf("tenant %q holds %d pages, below its %d reserved", st.Name, st.Pages, st.Reserved)
+		}
+	}
+	t.Logf("%d quota moves, %d pages reclaimed", steals.Load(), reclaimed)
+	if reclaimed == 0 {
+		t.Fatal("no page was reclaimed")
+	}
+	c.checkShardInvariants(t)
 }

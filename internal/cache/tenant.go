@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Multi-tenant namespaces over one arena (Memshare's sharing model): every
@@ -68,6 +69,7 @@ func (c *Cache) RegisterTenant(name string, cfg TenantConfig) (uint16, error) {
 			byName[k] = v
 		}
 		byName[name] = id
+		c.growPageSets(int(id) + 1)
 		c.reg.Store(&tenantRegistry{names: names, byName: byName})
 	}
 	c.regMu.Unlock()
@@ -84,6 +86,7 @@ func (c *Cache) RegisterTenant(name string, cfg TenantConfig) (uint16, error) {
 		t.cap = t.reserved
 	}
 	t.quota = t.cap
+	p.gen.Add(1)
 	p.mu.Unlock()
 
 	nc := len(c.classes)
@@ -108,6 +111,7 @@ func (c *Cache) SetTenantQuota(id uint16, quota int) {
 	p.mu.Lock()
 	t := p.ensureTenantLocked(id)
 	t.quota = max(min(quota, t.cap), t.reserved)
+	p.gen.Add(1)
 	p.mu.Unlock()
 }
 
@@ -193,6 +197,7 @@ func (c *Cache) StealPage(from, to uint16) bool {
 	}
 	ft.quota--
 	tt.quota++
+	p.gen.Add(1)
 	needReclaim := ft.assigned > ft.quota
 	if needReclaim {
 		ft.steals++
@@ -211,134 +216,126 @@ func (c *Cache) StealPage(from, to uint16) bool {
 	ft.quota++
 	tt.quota--
 	ft.steals--
+	p.gen.Add(1)
 	p.mu.Unlock()
 	return false
 }
 
-// reclaimPage frees one page from the tenant's coldest slab: the victim
-// slab is the one whose LRU tail is oldest (an empty slab with pages is
-// free to take), and within it the page with the fewest residents loses
-// them. Lock order is shard → pool, the order every allocation path uses.
+// reclaimPage frees one page of the tenant: from its coldest class — the
+// one whose oldest shard LRU tail is oldest, where a class with pages but
+// no residents is free to take — the page with the fewest residents. The
+// reclaim is page-centric: the page leaves its class set (so no shard is
+// handed a never-used chunk of it) and is marked draining (so no shard
+// reuses a freed chunk of it), its residents are evicted one shard lock at
+// a time, never nested, and the emptied page returns to the pool.
 func (c *Cache) reclaimPage(tid uint16) bool {
-	nc := len(c.classes)
-	var vsh *shard
-	var vslot int
-	var vts int64
+	c.reclaimMu.Lock()
+	defer c.reclaimMu.Unlock()
+	classID, ok := c.coldestClass(tid)
+	if !ok {
+		return false
+	}
+	cp := c.classPagesAt(int(tid)*len(c.classes) + classID)
+	id := c.fewestResidentPage(tid, classID, cp)
+
+	cp.mu.Lock()
+	cp.removeLocked(id)
+	c.pool.draining[id].Store(true)
+	cp.mu.Unlock()
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		base := int(tid) * nc
-		for slot := base; slot < base+nc && slot < len(sh.slabs); slot++ {
-			sl := sh.slabs[slot]
-			if sl == nil || len(sl.pageIDs) == 0 {
+		sh.drainPageLocked(sh.slabAt(tid, classID), id)
+		sh.mu.Unlock()
+	}
+	c.pool.release(id)
+	return true
+}
+
+// coldestClass picks the tenant's reclaim victim class among those holding
+// pages. Each shard lock is taken once.
+func (c *Cache) coldestClass(tid uint16) (int, bool) {
+	nc := len(c.classes)
+	sets := (*c.pageSets.Load())[int(tid)*nc : int(tid+1)*nc]
+	tails := make([]int64, nc)
+	for classID, cp := range sets {
+		tails[classID] = math.MaxInt64
+		if pages, _ := cp.snapshot(); pages > 0 {
+			tails[classID] = math.MinInt64 // no residents seen yet: free to take
+		}
+	}
+	seen := make([]bool, nc)
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+		for classID := range tails {
+			if tails[classID] == math.MaxInt64 {
+				continue // no pages
+			}
+			sl := sh.slabAt(tid, classID)
+			if sl.list.tail == nilRef {
 				continue
 			}
-			ts := int64(math.MinInt64) // no residents: cheapest possible steal
-			if sl.list.tail != nilRef {
-				ts = chAccess(c.pool.chunkAt(sl.list.tail))
-			}
-			if vsh == nil || ts < vts {
-				vsh, vslot, vts = sh, slot, ts
+			ts := chAccess(c.pool.chunkAt(sl.list.tail))
+			if !seen[classID] || ts < tails[classID] {
+				tails[classID], seen[classID] = ts, true
 			}
 		}
 		sh.mu.Unlock()
 	}
-	if vsh == nil {
-		return false
-	}
-	vsh.mu.Lock()
-	sl := vsh.slabs[vslot]
-	if sl == nil || len(sl.pageIDs) == 0 {
-		vsh.mu.Unlock()
-		return false // raced away since selection
-	}
-	pageID := fewestResidentPage(sl, &c.pool)
-	vsh.removePageLocked(sl, pageID)
-	vsh.mu.Unlock()
-	c.pool.release(pageID)
-	return true
+	victim := slices.Index(tails, slices.Min(tails))
+	return victim, tails[victim] != math.MaxInt64
 }
 
-// fewestResidentPage picks the slab page that costs the fewest evictions.
-func fewestResidentPage(sl *slab, pool *pagePool) uint32 {
-	counts := make(map[uint32]int, len(sl.pageIDs))
-	sl.list.each(pool, func(ref itemRef, ch []byte) bool {
-		counts[ref.page()]++
-		return true
-	})
-	best, bestN := sl.pageIDs[0], int(^uint(0)>>1)
-	for _, pg := range sl.pageIDs {
-		if n := counts[pg]; n < bestN {
-			best, bestN = pg, n
+// fewestResidentPage picks the class page whose reclaim costs the fewest
+// evictions, tallying residents per page ID in a table reused across
+// reclaims. Callers hold reclaimMu.
+func (c *Cache) fewestResidentPage(tid uint16, classID int, cp *classPages) uint32 {
+	if c.reclaimCounts == nil {
+		c.reclaimCounts = make([]int32, c.pool.max)
+	}
+	counts := c.reclaimCounts
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+		sh.slabAt(tid, classID).list.each(&c.pool, func(ref itemRef, _ []byte) bool {
+			counts[ref.page()]++
+			return true
+		})
+		sh.mu.Unlock()
+	}
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	best := cp.pageIDs[0]
+	for _, pg := range cp.pageIDs {
+		if counts[pg] < counts[best] {
+			best = pg
 		}
+	}
+	for _, pg := range cp.pageIDs {
+		counts[pg] = 0
 	}
 	return best
 }
 
-// removePageLocked detaches one page from a slab: surviving free chunks are
-// regathered, the page's residents are evicted through the normal metadata
-// paths, and the page ID is dropped from the slab. Callers hold sh.mu and
-// release the page to the pool afterwards. Returns the eviction count.
-func (sh *shard) removePageLocked(sl *slab, pageID uint32) int {
+// drainPageLocked evicts the shard's residents on a page being reclaimed
+// and drops the page's chunks from the shard's free list, so nothing in
+// the shard refers to the page afterwards. Callers hold sh.mu.
+func (sh *shard) drainPageLocked(sl *slab, pageID uint32) {
 	pool := &sh.owner.pool
-	// Gather every currently-free chunk that survives the page's removal:
-	// the explicit free list plus the untouched bump region, minus anything
-	// on the victim page. The bump cursor is then retired — all future free
-	// chunks flow through the free list.
-	var free []itemRef
-	for ref := sl.freeHead; ref != nilRef; ref = chNext(pool.chunkAt(ref)) {
-		if ref.page() != pageID {
-			free = append(free, ref)
-		}
-	}
-	for pi := sl.bumpPage; pi < len(sl.pageIDs); pi++ {
-		pg := sl.pageIDs[pi]
-		if pg == pageID {
-			continue
-		}
-		start := uint32(0)
-		if pi == sl.bumpPage {
-			start = sl.bumpChunk
-		}
-		for ci := start; ci < sl.chunksPerPage; ci++ {
-			free = append(free, makeRef(pg, ci))
-		}
-	}
-
-	var dead []itemRef
-	sl.list.each(pool, func(ref itemRef, ch []byte) bool {
+	for ref := sl.list.head; ref != nilRef; {
+		next := chNext(pool.chunkAt(ref))
 		if ref.page() == pageID {
-			dead = append(dead, ref)
+			sh.evictLocked(sl, ref)
 		}
-		return true
-	})
-	ts := sh.tstat(sl.tenant)
-	for _, ref := range dead {
-		ch := pool.chunkAt(ref)
-		h := shardHashT(sl.tenant, chKey(ch))
-		sl.list.remove(pool, ref)
-		sl.used--
-		sh.idx.delete(h, ref)
-		sl.evictions++
-		sh.evictions++
-		ts.evictions++
-		ts.items--
-		ts.bytes -= int64(sl.chunkSize)
+		ref = next
 	}
-
-	for i, pg := range sl.pageIDs {
-		if pg == pageID {
-			sl.pageIDs = append(sl.pageIDs[:i], sl.pageIDs[i+1:]...)
-			break
-		}
-	}
-	sl.bumpPage = len(sl.pageIDs)
-	sl.bumpChunk = 0
-	sl.touched = 0 // every surviving chunk goes on the free list: all touched
+	free := sl.freeHead
 	sl.freeHead = nilRef
-	for _, ref := range free {
-		sl.pushFree(pool, ref)
+	for ref := free; ref != nilRef; {
+		next := chNext(pool.chunkAt(ref))
+		if ref.page() != pageID {
+			sl.pushFree(pool, ref)
+		}
+		ref = next
 	}
-	return len(dead)
 }
 
 // enableSampling arms per-shard access sampling with the given buffer

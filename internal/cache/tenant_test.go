@@ -455,10 +455,9 @@ func TestTenantItemsMigrateAndSnapshot(t *testing.T) {
 //     resident count. Any crosstalk (a value, expiry or item leaking across
 //     namespaces) diverges from an oracle.
 func TestTenantDifferential(t *testing.T) {
-	// Every (shard, tenant, class) slab holds at least one page once
-	// touched, so the budget must cover 2 shards × 4 namespaces × the
-	// ~8 classes the value range spans — plus headroom so the sweep stays
-	// eviction-free.
+	// Every (tenant, class) holds at least one page once touched, so the
+	// budget must cover 4 namespaces × the ~8 classes the value range
+	// spans — plus headroom so the sweep stays eviction-free.
 	const (
 		ops      = 60_000
 		keySpace = 300

@@ -126,10 +126,11 @@ type NodeDataStat struct {
 	// which fans out to every new node).
 	Node   string
 	Target string
-	// Pairs, Resumed, BytesMoved, WireBytes and Duration mirror
-	// agent.SendStats for the operation.
+	// Pairs, Resumed, Unapplied, BytesMoved, WireBytes and Duration
+	// mirror agent.SendStats for the operation.
 	Pairs      int
 	Resumed    int
+	Unapplied  int
 	BytesMoved int64
 	WireBytes  int64
 	Duration   time.Duration
@@ -148,6 +149,9 @@ type ScaleReport struct {
 	// ItemsMigrated counts KV pairs moved (resumed pairs included: they
 	// were moved by an earlier attempt of this same action).
 	ItemsMigrated int
+	// ItemsUnapplied counts shipped pairs the receivers did not apply
+	// (refused for want of a chunk, or stale), summed over Data.
+	ItemsUnapplied int
 	// Data holds the per-sender data-plane stats, in deterministic
 	// (node, target) order.
 	Data []NodeDataStat
@@ -620,9 +624,10 @@ func (m *Master) ScaleInNodes(ctx context.Context, retiring []string) (*ScaleRep
 	for i, sp := range specs {
 		st := sent[i]
 		report.ItemsMigrated += st.Pairs
+		report.ItemsUnapplied += st.Unapplied
 		report.Data = append(report.Data, NodeDataStat{
 			Node: sp.node, Target: sp.target,
-			Pairs: st.Pairs, Resumed: st.Resumed,
+			Pairs: st.Pairs, Resumed: st.Resumed, Unapplied: st.Unapplied,
 			BytesMoved: st.BytesMoved, WireBytes: st.WireBytes,
 			Duration: st.Duration,
 		})
@@ -717,9 +722,10 @@ func (m *Master) ScaleOut(ctx context.Context, newNodes []string) (*ScaleReport,
 	for i, node := range members {
 		st := sent[i]
 		report.ItemsMigrated += st.Pairs
+		report.ItemsUnapplied += st.Unapplied
 		report.Data = append(report.Data, NodeDataStat{
 			Node:  node,
-			Pairs: st.Pairs, Resumed: st.Resumed,
+			Pairs: st.Pairs, Resumed: st.Resumed, Unapplied: st.Unapplied,
 			BytesMoved: st.BytesMoved, WireBytes: st.WireBytes,
 			Duration: st.Duration,
 		})

@@ -252,6 +252,13 @@ func TestScaleInMigratesAndFlipsMembership(t *testing.T) {
 	if missing != 0 {
 		t.Fatalf("%d of 4000 keys missing after ElMem scale-in (plenty of capacity)", missing)
 	}
+	unapplied := 0
+	for _, d := range report.Data {
+		unapplied += d.Unapplied
+	}
+	if report.ItemsUnapplied != 0 || unapplied != 0 {
+		t.Fatalf("ItemsUnapplied = %d (per push %d), want 0 with plenty of capacity", report.ItemsUnapplied, unapplied)
+	}
 
 	// Phase timings recorded in order.
 	wantPhases := []string{"score", "metadata", "fusecache", "data", "handover", "membership"}
