@@ -86,11 +86,13 @@ chaos:
 
 ## fuzz: time-boxed native fuzzing of the decoders that read bytes off a
 ## socket or a file — the memcached request parser, the client-side reply
-## reader, the migration frame decoder and the snapshot reader
+## reader, the migration frame decoder, the JSON control-op decoder and the
+## snapshot reader
 fuzz:
 	$(GO) test -fuzz FuzzParser -fuzztime $(FUZZTIME) ./internal/memproto/
 	$(GO) test -fuzz FuzzReplyReader -fuzztime $(FUZZTIME) ./internal/memproto/
 	$(GO) test -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/agentrpc/
+	$(GO) test -fuzz FuzzDispatch -fuzztime $(FUZZTIME) ./internal/agentrpc/
 	$(GO) test -fuzz FuzzRestoreSnapshot -fuzztime $(FUZZTIME) ./internal/cache/
 
 ## e2e: the process-level end-to-end suite — real elmem-node/-master/

@@ -1,6 +1,7 @@
 // Command elmem-master runs one ElMem Master action against a pool of
 // elmem-node agents: score the nodes, scale in with the three-phase
-// FuseCache migration, or scale out with the consistent-hash split.
+// FuseCache migration, or scale out through the same three phases toward
+// the new nodes.
 //
 // Usage:
 //
@@ -144,17 +145,16 @@ func printReport(report *core.ScaleReport) {
 	for _, t := range report.Timings {
 		fmt.Printf("phase %s %v\n", t.Phase, t.Duration.Round(time.Microsecond))
 	}
+	if report.ItemsReleased > 0 {
+		fmt.Printf("released=%d\n", report.ItemsReleased)
+	}
 	for _, d := range report.Data {
-		target := d.Target
-		if target == "" {
-			target = "*" // hash split fans out to every new node
-		}
 		rate := "-"
 		if d.Duration > 0 {
 			rate = fmt.Sprintf("%.1f MiB/s", float64(d.BytesMoved)/(1<<20)/d.Duration.Seconds())
 		}
 		fmt.Printf("  data %s->%s pairs=%d resumed=%d unapplied=%d moved=%dB wire=%dB %v (%s)\n",
-			d.Node, target, d.Pairs, d.Resumed, d.Unapplied, d.BytesMoved, d.WireBytes,
+			d.Node, d.Target, d.Pairs, d.Resumed, d.Unapplied, d.BytesMoved, d.WireBytes,
 			d.Duration.Round(time.Microsecond), rate)
 	}
 	for _, nt := range report.NodeTimings {

@@ -2,16 +2,18 @@
 // Memcached node (Section III-A). Agents do the node-local work of the
 // three-phase migration (Section III-D):
 //
-//	phase 1 — a retiring Agent hashes its keys against the *retained*
-//	membership and sends each target Agent, per slab class, the MRU
-//	timestamps of the items it would receive;
-//	phase 2 — each retained Agent runs FuseCache per slab class over the
+//	phase 1 — a sending Agent hashes its keys against the new membership
+//	and sends each target Agent, per slab class, the MRU timestamps of the
+//	items it would receive;
+//	phase 2 — each receiving Agent runs FuseCache per slab class over the
 //	received lists plus its own, yielding per-sender take counts;
-//	phase 3 — retiring Agents stream the chosen KV pairs, and receivers
+//	phase 3 — sending Agents stream the chosen KV pairs, and receivers
 //	batch-import them at their MRU heads.
 //
-// Agents also answer the Master's scoring queries (Section III-C) and
-// perform the scale-out hash split (Section III-D4). Peer communication
+// Scale-out (Section III-D4) runs the same three phases from every
+// existing node toward the newcomers; once the table settles, each
+// surviving sender releases what it no longer owns. Agents also answer the
+// Master's scoring queries (Section III-C). Peer communication
 // goes through the Transport interface, implemented in-process (this
 // package) and over TCP (package agentrpc).
 package agent
@@ -239,8 +241,19 @@ func (a *Agent) Node() string { return a.node }
 // Cache exposes the underlying store (tests and the node server use it).
 func (a *Agent) Cache() *cache.Cache { return a.cache }
 
-// Score answers the Master's III-C query. The context is accepted for
-// interface symmetry; the in-process computation is not interruptible.
+// ownedRoute files every live owned item in bucket 0: the RouteStamps
+// route for this node's own migratable set.
+func (a *Agent) ownedRoute(key []byte) int {
+	if a.ownedBytes(key) {
+		return 0
+	}
+	return -1
+}
+
+// Score answers the Master's III-C query. Each class median is taken over
+// the owned items phase 1 would offer, so replica copies do not skew it.
+// The context is accepted for interface symmetry; the in-process
+// computation is not interruptible.
 func (a *Agent) Score(_ context.Context) ScoreReport {
 	report := ScoreReport{
 		Node:    a.node,
@@ -249,17 +262,20 @@ func (a *Agent) Score(_ context.Context) ScoreReport {
 		Items:   a.cache.Len(),
 	}
 	for _, classID := range a.cache.PopulatedClasses() {
-		if ts, ok := a.cache.MedianTimestamp(classID); ok {
-			report.Medians[classID] = ts.UnixNano()
+		lists, err := a.cache.RouteStamps(classID, 1, a.ownedRoute)
+		if err == nil && len(lists[0]) > 0 {
+			report.Medians[classID] = lists[0][len(lists[0])/2]
 		}
 	}
 	return report
 }
 
-// SendMetadata is phase 1, run on a retiring node: route every item once,
-// by consistent hash over the retained membership, into per-target
-// per-class MRU timestamp lists, and push each target its lists.
-// Cancelling ctx aborts between classes and between per-target pushes.
+// SendMetadata is phase 1, run on a sender: route every owned item once,
+// by consistent hash over the new membership, into per-target per-class
+// MRU timestamp lists, and push each target its lists. Items that stay
+// with this node (a scale-out sender keeps most of its keys) are not
+// offered. Cancelling ctx aborts between classes and between per-target
+// pushes.
 func (a *Agent) SendMetadata(ctx context.Context, retained []string) error {
 	if len(retained) == 0 {
 		return errors.New("agent: no retained nodes to send metadata to")
@@ -277,7 +293,7 @@ func (a *Agent) SendMetadata(ctx context.Context, retained []string) error {
 			return -1
 		}
 		owner, err := ring.GetHash(hashring.KeyHashBytes(key))
-		if err != nil {
+		if err != nil || owner == a.node {
 			return -1
 		}
 		return index[owner]
@@ -334,7 +350,7 @@ func (a *Agent) OfferMetadata(_ context.Context, from string, lists map[int]fuse
 // Takes maps sender node → slab class → number of head items to migrate.
 type Takes map[string]map[int]int
 
-// ComputeTakes is phase 2, run on a retained node: for every slab class,
+// ComputeTakes is phase 2, run on a receiver: for every slab class,
 // run FuseCache across the offered metadata lists plus the local list, and
 // return how many head items each sender should ship. The local list's
 // take is implicit — local items are already resident. On failure
@@ -405,12 +421,7 @@ func (a *Agent) ComputeTakes(ctx context.Context) (_ Takes, retErr error) {
 		for _, s := range senders {
 			lists = append(lists, offers[s][classID])
 		}
-		own, err := a.cache.RouteStamps(classID, 1, func(key []byte) int {
-			if a.ownedBytes(key) {
-				return 0
-			}
-			return -1
-		})
+		own, err := a.cache.RouteStamps(classID, 1, a.ownedRoute)
 		if err != nil {
 			return nil, fmt.Errorf("compute takes class %d: %w", classID, err)
 		}
@@ -457,7 +468,7 @@ func (t Takes) clone() Takes {
 	return out
 }
 
-// SendData is phase 3, run on a retiring node: for the given target and
+// SendData is phase 3, run on a sender: for the given target and
 // its per-class take counts, select the hottest matching items by
 // metadata and stream their KV pairs to the target in bounded, windowed
 // batches (see stream.go). Cancelling ctx aborts the stream; a retry is
@@ -500,7 +511,7 @@ func (a *Agent) SendData(ctx context.Context, target string, takes map[int]int, 
 		return SendStats{}, fmt.Errorf("send data to %s: %w", target, err)
 	}
 	start := time.Now()
-	stats, err := a.pushPlan(ctx, peer, target, "data", plan)
+	stats, err := a.pushPlan(ctx, peer, target, plan)
 	stats.Duration = time.Since(start)
 	a.recordSend(stats)
 	if err != nil {
@@ -558,104 +569,31 @@ func (a *Agent) filterStale(pairs []cache.KV) []cache.KV {
 	return kept
 }
 
-// HashSplit implements the scale-out migration (Section III-D4), run on an
-// existing node: under the scaled-out membership, stream every local KV
-// pair that now hashes to one of the new nodes, then drop it locally.
-//
-// Consistent hashing bounds the remapped share near 1/(k+1) per new node,
-// so the moved set normally fits; in the paper's "rare case" that it would
-// exceed the new node's memory, FuseCache picks the top pairs instead —
-// the per-class cap keeps the MRU prefix, which for a single sorted list
-// IS the FuseCache top-n. Selection is metadata-only; values are fetched
-// batch by batch during the push, so the sender's memory spike stays
-// O(window × batch).
-func (a *Agent) HashSplit(ctx context.Context, newMembers []string, fullMembership []string) (SendStats, error) {
-	if len(newMembers) == 0 {
-		return SendStats{}, nil
+// Release drops the items this node holds but no longer owns under the
+// settled membership members: every owned item whose ring owner is another
+// node. Replica-held copies stay (they are outside the owned filter). The
+// Master calls it only once the table has settled, so until then a failed
+// action rolls back with every key still on its old owner. It also
+// discards any phase-1 offers no phase 2 consumed, ending this node's part
+// in the round. It returns how many items it dropped; a retry is safe.
+func (a *Agent) Release(ctx context.Context, members []string) (int, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, fmt.Errorf("release: %w", err)
 	}
-	ring, err := hashring.New(fullMembership)
+	ring, err := hashring.New(members)
 	if err != nil {
-		return SendStats{}, fmt.Errorf("hash split: %w", err)
+		return 0, fmt.Errorf("release: %w", err)
 	}
-	newSet := make(map[string]struct{}, len(newMembers))
-	for _, m := range newMembers {
-		newSet[m] = struct{}{}
-	}
-
-	// Gather outgoing metadata per new node in MRU order per class,
-	// applying the keep-top cap.
-	existing := len(fullMembership) - len(newMembers)
-	if existing < 1 {
-		existing = 1
-	}
-	targetPages := int(a.cache.Capacity() / cache.PageSize)
-	chunkSizes := a.cache.ChunkSizes()
-	plans := make(map[string][][]cache.ItemMeta, len(newMembers))
-	for _, classID := range a.cache.PopulatedClasses() {
-		limit := targetPages * (cache.PageSize / chunkSizes[classID]) / existing
-		if limit < 1 {
-			limit = 1
+	a.mu.Lock()
+	clear(a.offers)
+	a.mu.Unlock()
+	return a.cache.DropIf(func(key []byte) bool {
+		if !a.ownedBytes(key) {
+			return false
 		}
-		sentPer := make(map[string]int, len(newMembers))
-		metas, err := a.cache.DumpClass(classID, a.andOwned(func(key string) bool {
-			owner, err := ring.Get(key)
-			if err != nil {
-				return false
-			}
-			_, isNew := newSet[owner]
-			return isNew
-		}))
-		if err != nil {
-			return SendStats{}, fmt.Errorf("hash split class %d: %w", classID, err)
-		}
-		sel := make(map[string][]cache.ItemMeta, len(newMembers))
-		for _, m := range metas {
-			owner, err := ring.Get(m.Key)
-			if err != nil {
-				continue
-			}
-			if sentPer[owner] >= limit {
-				continue // beyond the target's share: FuseCache cut-off
-			}
-			sentPer[owner]++
-			sel[owner] = append(sel[owner], m)
-		}
-		// PopulatedClasses ascends, so each target's plan stays sorted.
-		for owner, ms := range sel {
-			plans[owner] = append(plans[owner], ms)
-		}
-	}
-
-	var stats SendStats
-	targets := make([]string, 0, len(plans))
-	for tgt := range plans {
-		targets = append(targets, tgt)
-	}
-	sort.Strings(targets)
-	start := time.Now()
-	for _, tgt := range targets {
-		if err := ctx.Err(); err != nil {
-			stats.Duration = time.Since(start)
-			return stats, fmt.Errorf("hash split: %w", err)
-		}
-		peer, err := a.transport.Peer(tgt)
-		if err != nil {
-			stats.Duration = time.Since(start)
-			return stats, fmt.Errorf("hash split to %s: %w", tgt, err)
-		}
-		st, err := a.pushPlan(ctx, peer, tgt, "split", plans[tgt])
-		stats.merge(st)
-		a.recordSend(st)
-		if err != nil {
-			stats.Duration = time.Since(start)
-			return stats, fmt.Errorf("hash split to %s: %w", tgt, err)
-		}
-		// Local drop only after the whole target stream landed, so a
-		// mid-stream failure loses nothing and a retry is safe.
-		a.cache.DeleteMetas(plans[tgt]...)
-	}
-	stats.Duration = time.Since(start)
-	return stats, nil
+		owner, err := ring.GetHash(hashring.KeyHashBytes(key))
+		return err == nil && owner != a.node
+	}), nil
 }
 
 // PendingOffers reports how many phase-1 offers are buffered (tests).

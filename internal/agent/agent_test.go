@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -88,6 +90,88 @@ func TestScoreReport(t *testing.T) {
 		if rep.Medians[classID] == 0 {
 			t.Fatal("median timestamp missing")
 		}
+	}
+}
+
+// TestScoreMedianIsMergedPosition: a class median is the item at the
+// middle of the global MRU order, however the items landed across shards.
+func TestScoreMedianIsMergedPosition(t *testing.T) {
+	clk := newTestClock()
+	c, err := cache.New(64*cache.PageSize, cache.WithClock(clk.Now), cache.WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := New("n1", c, NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 9; i++ {
+		if err := c.Set(fmt.Sprintf("key-%d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	metas, err := c.DumpClass(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With 9 items the median is MRU position 4 counting from the hottest.
+	if got, want := a.Score(context.Background()).Medians[0], metas[4].LastAccess.UnixNano(); got != want {
+		t.Fatalf("median = %d, want the merged MRU-position-4 timestamp %d", got, want)
+	}
+	empty := newNode(t, NewRegistry(), "n2", 1, clk)
+	if rep := empty.Score(context.Background()); len(rep.Medians) != 0 {
+		t.Fatalf("empty node reports medians %v", rep.Medians)
+	}
+}
+
+// TestScoreSkipsExpired: dead items do not drag a node's score colder —
+// the median is taken over the live items phase 1 would offer, and a class
+// holding only expired items has no median.
+func TestScoreSkipsExpired(t *testing.T) {
+	reg := NewRegistry()
+	clk := newTestClock()
+	a := newNode(t, reg, "n1", 1, clk)
+	deadline := clk.Now().Add(time.Second)
+	for i := 0; i < 4; i++ {
+		if err := a.Cache().SetExpiring(fmt.Sprintf("dying-%d", i), []byte("val"), deadline); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.mu.Lock()
+	clk.t = deadline.Add(time.Minute)
+	clk.mu.Unlock()
+	if rep := a.Score(context.Background()); len(rep.Medians) != 0 {
+		t.Fatalf("medians %v reported for a class holding only expired items", rep.Medians)
+	}
+	populate(t, a, 5)
+	live, err := a.Cache().DumpClass(0, nil)
+	if err != nil || len(live) != 5 {
+		t.Fatalf("dump = %v, %v; want the 5 live items", live, err)
+	}
+	if got, want := a.Score(context.Background()).Medians[0], live[2].LastAccess.UnixNano(); got != want {
+		t.Fatalf("median = %d, want the live half's median %d", got, want)
+	}
+}
+
+// TestScoreIgnoresReplicaCopies: hot-key replica copies sit outside the
+// owned filter, so a node holding them scores exactly as it does without
+// them (Section III-C scores what the node would have to migrate).
+func TestScoreIgnoresReplicaCopies(t *testing.T) {
+	reg := NewRegistry()
+	clk := newTestClock()
+	a := newNode(t, reg, "n1", 2, clk)
+	a.SetOwnedFilter(func(key string) bool { return !strings.HasPrefix(key, "replica-") })
+	populate(t, a, 100)
+	before := a.Score(context.Background())
+	for i := 0; i < 60; i++ { // hotter than every owned item
+		if err := a.Cache().Set(fmt.Sprintf("replica-%03d", i), []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := a.Score(context.Background())
+	if !maps.Equal(after.Medians, before.Medians) || !maps.Equal(after.Weights, before.Weights) {
+		t.Fatalf("score moved with replica copies: medians %v → %v, weights %v → %v",
+			before.Medians, after.Medians, before.Weights, after.Weights)
 	}
 }
 
@@ -342,6 +426,49 @@ func TestSendDataUnknownPeer(t *testing.T) {
 	}
 }
 
+// scaleOut drives, on in-process agents, the pipeline the Master runs for
+// a scale-out — the paper's hash split (Section III-D4) through the
+// three migration phases: every sender offers under the full membership,
+// every newcomer runs FuseCache, every sender pushes its takes, and then
+// every sender releases what it no longer owns. It returns the summed push
+// stats and the released count.
+func scaleOut(t *testing.T, senders, newcomers []*Agent, full []string) (SendStats, int) {
+	t.Helper()
+	ctx := context.Background()
+	for _, s := range senders {
+		if err := s.SendMetadata(ctx, full); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sent SendStats
+	for _, n := range newcomers {
+		takes, err := n.ComputeTakes(ctx)
+		if errors.Is(err, ErrNoMetadata) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range senders {
+			st, err := s.SendData(ctx, n.Node(), takes[s.Node()], full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sent.Pairs += st.Pairs
+			sent.Unapplied += st.Unapplied
+		}
+	}
+	released := 0
+	for _, s := range senders {
+		n, err := s.Release(ctx, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		released += n
+	}
+	return sent, released
+}
+
 func TestHashSplitScaleOut(t *testing.T) {
 	reg := NewRegistry()
 	clk := newTestClock()
@@ -351,8 +478,7 @@ func TestHashSplitScaleOut(t *testing.T) {
 		newNode(t, reg, "e3", 2, clk),
 	}
 	// Populate nodes with keys they own under the pre-scale-out ring.
-	oldMembers := []string{"e1", "e2", "e3"}
-	oldRing, err := hashring.New(oldMembers)
+	oldRing, err := hashring.New([]string{"e1", "e2", "e3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,20 +499,16 @@ func TestHashSplitScaleOut(t *testing.T) {
 	}
 
 	// Scale out to 4 nodes.
-	newNodeAgent := newNode(t, reg, "new1", 2, clk)
+	byNode["new1"] = newNode(t, reg, "new1", 2, clk)
 	full := []string{"e1", "e2", "e3", "new1"}
-	migrated := 0
-	for _, a := range existing {
-		n, err := a.HashSplit(context.Background(), []string{"new1"}, full)
-		if err != nil {
-			t.Fatal(err)
-		}
-		migrated += n.Pairs
+	sent, released := scaleOut(t, existing, []*Agent{byNode["new1"]}, full)
+	// Consistent hashing: ≈ 1/4 of the keys move, every key resides on
+	// its new owner only, and the movers were released by the old owners.
+	if sent.Pairs < keys/8 || sent.Pairs > keys/2 {
+		t.Fatalf("migrated %d of %d keys, want ≈1/4", sent.Pairs, keys)
 	}
-	// Consistent hashing: ≈ 1/4 of the keys move, every key resident on
-	// its new owner, and movers were deleted from the old owners.
-	if migrated < keys/8 || migrated > keys/2 {
-		t.Fatalf("migrated %d of %d keys, want ≈1/4", migrated, keys)
+	if released != sent.Pairs || byNode["new1"].Cache().Len() != sent.Pairs {
+		t.Fatalf("migrated %d, released %d, new node holds %d", sent.Pairs, released, byNode["new1"].Cache().Len())
 	}
 	newRing, err := hashring.New(full)
 	if err != nil {
@@ -398,31 +520,37 @@ func TestHashSplitScaleOut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !byNode[owner].onRingOrNew(newNodeAgent, owner).Cache().Contains(key) {
-			t.Fatalf("key %s missing on new owner %s", key, owner)
+		for name, a := range byNode {
+			if a.Cache().Contains(key) != (name == owner) {
+				t.Fatalf("key %s on %s = %v, owner is %s", key, name, a.Cache().Contains(key), owner)
+			}
 		}
 	}
-	if newNodeAgent.Cache().Len() != migrated {
-		t.Fatalf("new node holds %d, want %d", newNodeAgent.Cache().Len(), migrated)
+	for _, a := range existing {
+		if n := a.PendingOffers(); n != 0 {
+			t.Fatalf("%s keeps %d offers after release", a.Node(), n)
+		}
 	}
 }
 
-// onRingOrNew resolves the agent for an owner in the scale-out test.
-func (a *Agent) onRingOrNew(newAgent *Agent, owner string) *Agent {
-	if owner == newAgent.Node() {
-		return newAgent
-	}
-	return a
-}
-
+// TestHashSplitNoNewMembers: a sender offers nothing for the keys it keeps,
+// and releases nothing while it still owns them all.
 func TestHashSplitNoNewMembers(t *testing.T) {
 	reg := NewRegistry()
 	clk := newTestClock()
 	a := newNode(t, reg, "n1", 1, clk)
 	populate(t, a, 10)
-	n, err := a.HashSplit(context.Background(), nil, []string{"n1"})
-	if err != nil || n.Pairs != 0 {
-		t.Fatalf("HashSplit(nil) = %d, %v; want 0, nil", n.Pairs, err)
+	if err := a.SendMetadata(context.Background(), []string{"n1"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := a.PendingOffers(); n != 0 {
+		t.Fatalf("a sender offered itself %d lists", n)
+	}
+	if n, err := a.Release(context.Background(), []string{"n1"}); err != nil || n != 0 {
+		t.Fatalf("Release = %d, %v; want 0, nil", n, err)
+	}
+	if a.Cache().Len() != 10 {
+		t.Fatalf("holds %d, want 10", a.Cache().Len())
 	}
 }
 
@@ -432,19 +560,18 @@ func TestHashSplitPreservesRecency(t *testing.T) {
 	e1 := newNode(t, reg, "e1", 2, clk)
 	populate(t, e1, 300)
 	n1 := newNode(t, reg, "new1", 2, clk)
-	full := []string{"e1", "new1"}
-	if _, err := e1.HashSplit(context.Background(), []string{"new1"}, full); err != nil {
-		t.Fatal(err)
-	}
-	// Migrated items must carry their original timestamps.
-	for _, classID := range n1.Cache().PopulatedClasses() {
-		metas, err := n1.Cache().DumpClass(classID, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+	want := make(map[string]time.Time)
+	for _, metas := range e1.Cache().DumpAll(nil) {
 		for _, m := range metas {
-			if m.LastAccess.IsZero() {
-				t.Fatalf("migrated %s lost its timestamp", m.Key)
+			want[m.Key] = m.LastAccess
+		}
+	}
+	scaleOut(t, []*Agent{e1}, []*Agent{n1}, []string{"e1", "new1"})
+	// Migrated items must carry their original timestamps.
+	for _, metas := range n1.Cache().DumpAll(nil) {
+		for _, m := range metas {
+			if !m.LastAccess.Equal(want[m.Key]) {
+				t.Fatalf("migrated %s has timestamp %v, want %v", m.Key, m.LastAccess, want[m.Key])
 			}
 		}
 	}
@@ -459,15 +586,11 @@ func TestOfferMetadataRejectsEmptySender(t *testing.T) {
 	}
 }
 
-// TestHashSplitCapsAtTargetShare checks the III-D4 rare case: when the
-// remapped set would exceed the sender's share of a fresh target's
-// memory, only the MRU prefix (the FuseCache top of the single sorted
-// list) is shipped.
+// TestHashSplitCapsAtTargetShare: when the remapped set fits the
+// newcomer, everything remapped arrives and nothing is refused at import.
 func TestHashSplitCapsAtTargetShare(t *testing.T) {
 	reg := NewRegistry()
 	clk := newTestClock()
-	// A single existing node with 1 page splitting to one new node:
-	// limit = targetPages(1) × chunksPerPage / existing(1) per class.
 	e1 := newNode(t, reg, "e1", 1, clk)
 	n1 := newNode(t, reg, "new1", 1, clk)
 	perPage := cache.PageSize / cache.MinChunkSize
@@ -476,92 +599,93 @@ func TestHashSplitCapsAtTargetShare(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	moved, err := e1.HashSplit(context.Background(), []string{"new1"}, []string{"e1", "new1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// About half the keys remap to the new node — under the one-page
-	// limit, so everything remapped must arrive, and nothing is dropped
-	// at import (new node can absorb one page of this class).
+	moved, released := scaleOut(t, []*Agent{e1}, []*Agent{n1}, []string{"e1", "new1"})
+	// About half the keys remap to the new node — within its one page.
 	if moved.Pairs == 0 || moved.Pairs > perPage {
 		t.Fatalf("moved %d, want within (0, %d]", moved.Pairs, perPage)
 	}
-	if n1.Cache().Len() != moved.Pairs {
-		t.Fatalf("target holds %d, sender reported %d — import dropped pairs", n1.Cache().Len(), moved.Pairs)
+	if n1.Cache().Len() != moved.Pairs || released != moved.Pairs {
+		t.Fatalf("target holds %d, sender reported %d, released %d", n1.Cache().Len(), moved.Pairs, released)
 	}
 }
 
-// TestHashSplitPrefixIsHottest: when a cap binds, the shipped pairs must
-// be the hottest of the remapped set.
+// TestHashSplitPrefixIsHottest: when two senders' remapped sets outgrow
+// the newcomer, FuseCache ships the globally hottest items it can hold,
+// whichever sender holds them (the paper's rare case, Section III-D4).
 func TestHashSplitPrefixIsHottest(t *testing.T) {
 	reg := NewRegistry()
 	clk := newTestClock()
-	// Two existing nodes → per-target limit is half a node's capacity.
-	e1 := newNode(t, reg, "e1", 1, clk)
-	newNode(t, reg, "e2", 1, clk)
+	e1 := newNode(t, reg, "e1", 2, clk)
+	e2 := newNode(t, reg, "e2", 2, clk)
 	n1 := newNode(t, reg, "new1", 1, clk)
-	perPage := cache.PageSize / cache.MinChunkSize
-	for i := 0; i < perPage; i++ {
-		if err := e1.Cache().Set(fmt.Sprintf("e1-key-%05d", i), []byte("value")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	moved, err := e1.HashSplit(context.Background(), []string{"new1"}, []string{"e1", "e2", "new1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	limit := perPage / 2
-	if moved.Pairs > limit {
-		t.Fatalf("moved %d, cap is %d", moved.Pairs, limit)
-	}
-	// All shipped items are resident on the target with their recency intact.
-	if n1.Cache().Len() != moved.Pairs {
-		t.Fatalf("target holds %d, want %d", n1.Cache().Len(), moved.Pairs)
-	}
-}
-
-// TestHashSplitCapTruncates forces the III-D4 keep-top cap to actually
-// bind: the sender is populated ONLY with keys that remap to the new node,
-// so the remapped share (everything) exceeds the sender's per-target limit
-// of the new node's memory, and the cap must truncate the plan to exactly
-// the limit — keeping the hottest prefix and leaving the cold tail local.
-func TestHashSplitCapTruncates(t *testing.T) {
-	reg := NewRegistry()
-	clk := newTestClock()
-	// Two existing nodes in the full membership halve the per-sender limit:
-	// limit = targetPages × chunksPerPage / existing.
 	full := []string{"e1", "e2", "new1"}
 	ring, err := hashring.New(full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1 := newNode(t, reg, "e1", 2, clk)
-	newNode(t, reg, "e2", 2, clk)
-	n1 := newNode(t, reg, "new1", 2, clk)
+	// Only keys that remap, alternating senders, so the global hotness
+	// order interleaves them.
+	perPage := cache.PageSize / cache.MinChunkSize
+	var inserted []string // cold → hot
+	for i := 0; len(inserted) < perPage+perPage/2; i++ {
+		key := fmt.Sprintf("key-%06d", i)
+		if owner, err := ring.Get(key); err != nil || owner != "new1" {
+			continue
+		}
+		if err := []*Agent{e1, e2}[len(inserted)%2].Cache().Set(key, []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+		inserted = append(inserted, key)
+	}
+	moved, released := scaleOut(t, []*Agent{e1, e2}, []*Agent{n1}, full)
+	held := n1.Cache().Len()
+	if held == 0 || held >= len(inserted) || moved.Pairs-moved.Unapplied != held {
+		t.Fatalf("newcomer holds %d of %d (moved %d, unapplied %d), want a binding cut",
+			held, len(inserted), moved.Pairs, moved.Unapplied)
+	}
+	for i, key := range inserted {
+		if on := n1.Cache().Contains(key); on != (i >= len(inserted)-held) {
+			t.Fatalf("key %s (hotness rank %d from the cold end): on newcomer = %v", key, i, on)
+		}
+	}
+	if released != len(inserted) {
+		t.Fatalf("released %d, want every remapped key (%d)", released, len(inserted))
+	}
+}
+
+// TestHashSplitCapTruncates forces the cut to bind on one sender: it holds
+// only keys that remap to a newcomer a third its size, so FuseCache ships
+// exactly what the newcomer can absorb — the hottest prefix — and the
+// release drops the cold tail with the rest of the remapped set.
+func TestHashSplitCapTruncates(t *testing.T) {
+	reg := NewRegistry()
+	clk := newTestClock()
+	full := []string{"e1", "e2", "new1"}
+	ring, err := hashring.New(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1 := newNode(t, reg, "e1", 3, clk)
+	e2 := newNode(t, reg, "e2", 3, clk)
+	n1 := newNode(t, reg, "new1", 1, clk)
 
 	// ~1 KiB values land in a large slab class, so a page holds few chunks
-	// and the cap is reachable with a modest key count. Probe the class
-	// first to size the insertion: more than the limit (so the cap binds),
-	// well under the sender's capacity (so nothing evicts).
+	// and the cap is reachable with a modest key count.
 	val := make([]byte, 1000)
 	if err := e1.Cache().Set("cap-probe", val); err != nil {
 		t.Fatal(err)
 	}
 	classID := e1.Cache().PopulatedClasses()[0]
-	chunk := e1.Cache().ChunkSizes()[classID]
-	e1.Cache().Delete("cap-probe")
-	targetPages := int(e1.Cache().Capacity() / cache.PageSize)
-	limit := targetPages * (cache.PageSize / chunk) / 2 // existing = 2
-	count := limit + limit/2                            // 0.75 × capacity: no eviction
+	if err := e1.Cache().Delete("cap-probe"); err != nil {
+		t.Fatal(err)
+	}
+	limit := n1.Cache().ClassAbsorbCapacity(classID)
+	count := 2 * limit // two of the sender's three pages: no eviction
 
 	inserted := make([]string, 0, count)
 	for i := 0; len(inserted) < count; i++ {
 		key := fmt.Sprintf("cap-key-%06d", i)
-		owner, err := ring.Get(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if owner != "new1" {
+		if owner, err := ring.Get(key); err != nil || owner != "new1" {
 			continue // only keys the split will remap
 		}
 		if err := e1.Cache().Set(key, val); err != nil {
@@ -569,45 +693,20 @@ func TestHashSplitCapTruncates(t *testing.T) {
 		}
 		inserted = append(inserted, key) // insertion order = cold → hot
 	}
-	remapped := e1.Cache().ClassLen(classID)
-	if remapped != count {
-		t.Fatalf("premise broken: %d resident, inserted %d (eviction?)", remapped, count)
-	}
-	if remapped <= limit {
-		t.Fatalf("premise broken: %d remapped keys do not exceed the limit %d", remapped, limit)
+	if got := e1.Cache().ClassLen(classID); got != count {
+		t.Fatalf("premise broken: %d resident, inserted %d (eviction?)", got, count)
 	}
 
-	moved, err := e1.HashSplit(context.Background(), []string{"new1"}, full)
-	if err != nil {
-		t.Fatal(err)
+	moved, released := scaleOut(t, []*Agent{e1, e2}, []*Agent{n1}, full)
+	if moved.Pairs != limit || n1.Cache().Len() != limit {
+		t.Fatalf("moved %d pairs, target holds %d; want exactly the newcomer's %d", moved.Pairs, n1.Cache().Len(), limit)
 	}
-	if moved.Pairs != limit {
-		t.Fatalf("moved %d pairs, want the cap to truncate to exactly %d", moved.Pairs, limit)
+	if released != count || e1.Cache().Len() != 0 {
+		t.Fatalf("released %d, sender keeps %d; want all %d remapped keys gone", released, e1.Cache().Len(), count)
 	}
-	if n1.Cache().Len() != limit {
-		t.Fatalf("target holds %d, want %d", n1.Cache().Len(), limit)
-	}
-	// The shipped prefix must be the hottest `limit` of the remapped set;
-	// survivors of the cut stay resident on the sender.
-	resident := make(map[string]bool, remapped)
-	for _, key := range inserted {
-		resident[key] = e1.Cache().Contains(key)
-	}
-	hottest := inserted[len(inserted)-limit:]
-	for _, key := range hottest {
-		if !n1.Cache().Contains(key) {
-			t.Fatalf("hot key %q missing on the target after the capped split", key)
-		}
-		if resident[key] {
-			t.Fatalf("hot key %q still resident on the sender after shipping", key)
-		}
-	}
-	for _, key := range inserted[:len(inserted)-limit] {
-		if n1.Cache().Contains(key) {
-			t.Fatalf("cold key %q crossed the cap", key)
-		}
-		if !resident[key] {
-			t.Fatalf("cold key %q vanished from the sender without being shipped", key)
+	for i, key := range inserted {
+		if on := n1.Cache().Contains(key); on != (i >= count-limit) {
+			t.Fatalf("key %q at position %d: on target = %v, want only the hottest %d", key, i, on, limit)
 		}
 	}
 }
@@ -712,14 +811,53 @@ func TestHashSplitBatches(t *testing.T) {
 	n1 := newNode(t, reg, "new1", 2, clk)
 	populate(t, e1, 300)
 
-	moved, err := e1.HashSplit(context.Background(), []string{"new1"}, []string{"e1", "new1"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	moved, _ := scaleOut(t, []*Agent{e1}, []*Agent{n1}, []string{"e1", "new1"})
 	if moved.Pairs == 0 || n1.Cache().Len() != moved.Pairs {
 		t.Fatalf("moved %d, target holds %d", moved.Pairs, n1.Cache().Len())
 	}
 	if ct.imports < moved.Pairs/11 {
 		t.Fatalf("imports = %d for %d moved items, want batching", ct.imports, moved.Pairs)
+	}
+}
+
+// TestReleaseDropsResidue: a key a sender holds for another surviving
+// member (left by an earlier failed release) is offered to that member in
+// phase 1 but never shipped, since only newcomers run phase 2. The release
+// drops it, and the surviving member's release discards the stale offer so
+// it cannot skew that member's next FuseCache.
+func TestReleaseDropsResidue(t *testing.T) {
+	reg := NewRegistry()
+	clk := newTestClock()
+	e1 := newNode(t, reg, "e1", 1, clk)
+	e2 := newNode(t, reg, "e2", 1, clk)
+	n1 := newNode(t, reg, "new1", 1, clk)
+	full := []string{"e1", "e2", "new1"}
+	ring, err := hashring.New(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	residue := ""
+	for i := 0; residue == ""; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		if owner, err := ring.Get(key); err == nil && owner == "e2" {
+			residue = key
+		}
+	}
+	if err := e1.Cache().Set(residue, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := e1.SendMetadata(context.Background(), full); err != nil {
+		t.Fatal(err)
+	}
+	if e2.PendingOffers() != 1 || n1.PendingOffers() != 0 {
+		t.Fatalf("offers: e2 %d, new1 %d; want the residue offered to e2 only", e2.PendingOffers(), n1.PendingOffers())
+	}
+	for _, a := range []*Agent{e1, e2} {
+		if _, err := a.Release(context.Background(), full); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e1.Cache().Contains(residue) || e2.PendingOffers() != 0 {
+		t.Fatalf("after release: residue on e1 = %v, e2 offers = %d", e1.Cache().Contains(residue), e2.PendingOffers())
 	}
 }

@@ -164,6 +164,9 @@ func TestSendDataSurfacesImportFailure(t *testing.T) {
 	}
 }
 
+// TestHashSplitSurfacesFailureAndStaysConsistent: a failed scale-out push
+// drops nothing on the sender, a retry completes it, and only the release
+// that follows the settled table removes the moved keys.
 func TestHashSplitSurfacesFailureAndStaysConsistent(t *testing.T) {
 	reg := NewRegistry()
 	clk := newTestClock()
@@ -171,25 +174,36 @@ func TestHashSplitSurfacesFailureAndStaysConsistent(t *testing.T) {
 	e1 := newFlakyNode(t, reg, "e1", clk, ft)
 	n1 := newNode(t, reg, "new1", 1, clk)
 	populate(t, e1, 200)
+	ctx := context.Background()
+	full := []string{"e1", "new1"}
 
 	before := e1.Cache().Len()
-	_, err := e1.HashSplit(context.Background(), []string{"new1"}, []string{"e1", "new1"})
-	if !errors.Is(err, errInjected) {
-		t.Fatalf("err = %v, want injected failure", err)
+	if err := e1.SendMetadata(ctx, full); err != nil {
+		t.Fatal(err)
 	}
-	// Failed push must not have deleted anything locally.
-	if e1.Cache().Len() != before {
-		t.Fatalf("source dropped items on failed split: %d → %d", before, e1.Cache().Len())
-	}
-	// Retry completes the move.
-	moved, err := e1.HashSplit(context.Background(), []string{"new1"}, []string{"e1", "new1"})
+	takes, err := n1.ComputeTakes(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if moved.Pairs == 0 || n1.Cache().Len() != moved.Pairs {
-		t.Fatalf("retry moved %d, target holds %d", moved.Pairs, n1.Cache().Len())
+	if _, err := e1.SendData(ctx, "new1", takes["e1"], full); !errors.Is(err, errInjected) {
+		t.Fatalf("err = %v, want injected failure", err)
 	}
-	if e1.Cache().Len() != before-moved.Pairs {
-		t.Fatalf("source holds %d, want %d", e1.Cache().Len(), before-moved.Pairs)
+	if e1.Cache().Len() != before {
+		t.Fatalf("source dropped items on a failed push: %d → %d", before, e1.Cache().Len())
+	}
+	// Retry completes the move; the sender still holds everything.
+	moved, err := e1.SendData(ctx, "new1", takes["e1"], full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved.Pairs == 0 || n1.Cache().Len() != moved.Pairs || e1.Cache().Len() != before {
+		t.Fatalf("retry moved %d, target holds %d, source %d of %d", moved.Pairs, n1.Cache().Len(), e1.Cache().Len(), before)
+	}
+	released, err := e1.Release(ctx, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if released != moved.Pairs || e1.Cache().Len() != before-moved.Pairs {
+		t.Fatalf("released %d, source holds %d; want %d and %d", released, e1.Cache().Len(), moved.Pairs, before-moved.Pairs)
 	}
 }

@@ -26,7 +26,7 @@ import (
 //     batch at or below it. The fresher-copy idempotence of BatchImport
 //     remains the safety net underneath.
 
-// SendStats reports what one phase-3 push (SendData or HashSplit) moved.
+// SendStats reports what one phase-3 push (SendData) moved.
 type SendStats struct {
 	// Pairs is the number of selected pairs covered by the push: shipped
 	// now, or already acknowledged by the receiver and skipped on resume.
@@ -52,20 +52,6 @@ type SendStats struct {
 	PeakInflightBytes int64 `json:"peakInflightBytes,omitempty"`
 	// Duration is the wall time of the data push.
 	Duration time.Duration `json:"duration,omitempty"`
-}
-
-// merge folds another push's stats into s (Duration adds; peak takes max).
-func (s *SendStats) merge(o SendStats) {
-	s.Pairs += o.Pairs
-	s.Resumed += o.Resumed
-	s.Unapplied += o.Unapplied
-	s.Batches += o.Batches
-	s.BytesMoved += o.BytesMoved
-	s.WireBytes += o.WireBytes
-	if o.PeakInflightBytes > s.PeakInflightBytes {
-		s.PeakInflightBytes = o.PeakInflightBytes
-	}
-	s.Duration += o.Duration
 }
 
 // ImportSummary is the receiver's closing word on an import session.
@@ -194,13 +180,13 @@ func (s *localSession) Close(context.Context) (ImportSummary, error) {
 func (s *localSession) Abort() {}
 
 // planFingerprint identifies a push plan — one non-empty selection per
-// slab class, hottest-first, classes ascending — by operation kind, target,
-// and every selected (key, timestamp, size) in order. A retry of the same
+// slab class, hottest-first, classes ascending — by target and every
+// selected (key, timestamp, size) in order. A retry of the same
 // logical push reproduces it exactly — that, plus metadata-derived batch
 // boundaries, is what makes skipping acknowledged sequences sound. A new
 // round that selects anything different fingerprints differently and
 // resets the receiver's stream state.
-func planFingerprint(kind, target string, plan [][]cache.ItemMeta) uint64 {
+func planFingerprint(target string, plan [][]cache.ItemMeta) uint64 {
 	h := fnv.New64a()
 	var scratch [8]byte
 	putU64 := func(v uint64) {
@@ -209,8 +195,6 @@ func planFingerprint(kind, target string, plan [][]cache.ItemMeta) uint64 {
 		}
 		h.Write(scratch[:])
 	}
-	h.Write([]byte(kind))
-	h.Write([]byte{0})
 	h.Write([]byte(target))
 	h.Write([]byte{0})
 	for _, sel := range plan {
@@ -254,8 +238,8 @@ type sendMemo struct {
 // is classes ascending, coldest-first within each class; batch boundaries
 // come from cache.CutBatches — the selection metadata alone — so a retry
 // re-produces identical sequence numbering.
-func (a *Agent) pushPlan(ctx context.Context, peer Peer, target, kind string, plan [][]cache.ItemMeta) (SendStats, error) {
-	fp := planFingerprint(kind, target, plan)
+func (a *Agent) pushPlan(ctx context.Context, peer Peer, target string, plan [][]cache.ItemMeta) (SendStats, error) {
+	fp := planFingerprint(target, plan)
 	if t := a.ownership.Load(); t != nil {
 		// Tag the stream with the ownership table version: a plan retried
 		// across a handover boundary fingerprints differently, so the

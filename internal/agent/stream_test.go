@@ -202,18 +202,15 @@ func TestPlanFingerprintAndEpochs(t *testing.T) {
 	}
 	plan := [][]cache.ItemMeta{metas}
 
-	fp := planFingerprint("data", "t1", plan)
-	if planFingerprint("data", "t1", plan) != fp {
+	fp := planFingerprint("t1", plan)
+	if planFingerprint("t1", plan) != fp {
 		t.Fatal("fingerprint is not deterministic")
 	}
-	if planFingerprint("split", "t1", plan) == fp {
-		t.Fatal("operation kind not fingerprinted")
-	}
-	if planFingerprint("data", "t2", plan) == fp {
+	if planFingerprint("t2", plan) == fp {
 		t.Fatal("target not fingerprinted")
 	}
 	smaller := [][]cache.ItemMeta{metas[1:]}
-	if planFingerprint("data", "t1", smaller) == fp {
+	if planFingerprint("t1", smaller) == fp {
 		t.Fatal("selection not fingerprinted")
 	}
 
@@ -222,7 +219,7 @@ func TestPlanFingerprintAndEpochs(t *testing.T) {
 	if a.epochFor("t1", fp) != e1 {
 		t.Fatal("retry of the same plan changed epoch")
 	}
-	e2 := a.epochFor("t1", planFingerprint("data", "t1", smaller))
+	e2 := a.epochFor("t1", planFingerprint("t1", smaller))
 	if e2 == e1 {
 		t.Fatal("new plan reused the old epoch")
 	}

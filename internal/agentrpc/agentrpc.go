@@ -1,5 +1,5 @@
 // Package agentrpc carries ElMem's migration traffic over TCP: Master →
-// Agent commands (scoring, migration phases, hash split) and Agent → Agent
+// Agent commands (scoring, migration phases, release) and Agent → Agent
 // pushes (metadata offers, data imports). The paper pipes metadata and
 // data between nodes over ssh (Section III-D1); we use persistent TCP
 // connections, newline-delimited JSON for the control ops and binary
@@ -42,7 +42,7 @@ const (
 	OpSendMetadata Op = "send_metadata"
 	OpComputeTakes Op = "compute_takes"
 	OpSendData     Op = "send_data"
-	OpHashSplit    Op = "hash_split"
+	OpRelease      Op = "release"
 )
 
 // ErrRemote wraps an error string returned by the remote agent.
@@ -56,14 +56,11 @@ type request struct {
 	// remote agent bounds its own work; 0 means no deadline.
 	TimeoutMS int64 `json:"timeoutMs,omitempty"`
 
-	// SendMetadata / SendData share Retained.
+	// SendMetadata, SendData and Release share Retained.
 	Retained []string `json:"retained,omitempty"`
 	// SendData.
 	Target string      `json:"target,omitempty"`
 	Takes  map[int]int `json:"takes,omitempty"`
-	// HashSplit.
-	NewMembers []string `json:"newMembers,omitempty"`
-	Full       []string `json:"full,omitempty"`
 }
 
 // response is one wire frame back.
@@ -74,6 +71,8 @@ type response struct {
 	Score *agent.ScoreReport `json:"score,omitempty"`
 	Takes agent.Takes        `json:"takes,omitempty"`
 	Stats *agent.SendStats   `json:"stats,omitempty"`
+	// Released is Release's dropped-item count.
+	Released int `json:"released,omitempty"`
 }
 
 // Server exposes one node's Agent over TCP.
@@ -378,12 +377,12 @@ func (s *Server) dispatch(req *request) *response {
 			return errResponse(err)
 		}
 		return &response{OK: true, Stats: &stats}
-	case OpHashSplit:
-		stats, err := s.agent.HashSplit(ctx, req.NewMembers, req.Full)
+	case OpRelease:
+		n, err := s.agent.Release(ctx, req.Retained)
 		if err != nil {
 			return errResponse(err)
 		}
-		return &response{OK: true, Stats: &stats}
+		return &response{OK: true, Released: n}
 	default:
 		return &response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}
@@ -561,16 +560,13 @@ func (c *Client) SendData(ctx context.Context, target string, takes map[int]int,
 	return *resp.Stats, nil
 }
 
-// HashSplit implements core.MasterAgent.
-func (c *Client) HashSplit(ctx context.Context, newMembers, fullMembership []string) (agent.SendStats, error) {
-	resp, err := c.call(ctx, &request{Op: OpHashSplit, NewMembers: newMembers, Full: fullMembership})
+// Release implements core.MasterAgent.
+func (c *Client) Release(ctx context.Context, members []string) (int, error) {
+	resp, err := c.call(ctx, &request{Op: OpRelease, Retained: members})
 	if err != nil {
-		return agent.SendStats{}, err
+		return 0, err
 	}
-	if resp.Stats == nil {
-		return agent.SendStats{}, nil
-	}
-	return *resp.Stats, nil
+	return resp.Released, nil
 }
 
 // OfferMetadata implements agent.Peer: the lists go out as offerMeta

@@ -159,6 +159,9 @@ func TestComputeTakesNoMetadataSentinelOverTCP(t *testing.T) {
 	}
 }
 
+// TestHashSplitOverTCP runs the scale-out hash split (Section III-D4)
+// through a Master whose every agent sits behind TCP: the three phases
+// toward the newcomer, then the release op on the surviving sender.
 func TestHashSplitOverTCP(t *testing.T) {
 	book := NewAddressBook()
 	defer book.Close()
@@ -167,19 +170,23 @@ func TestHashSplitOverTCP(t *testing.T) {
 	n1 := startNode(t, book, "new1", 2, clk)
 	populate(t, e1.agent, 300)
 
-	cl, err := book.Agent("e1")
+	m, err := core.NewMaster(Directory{Book: book}, []string{"e1"}, core.WithClock(clk.Now))
 	if err != nil {
 		t.Fatal(err)
 	}
-	moved, err := cl.HashSplit(context.Background(), []string{"new1"}, []string{"e1", "new1"})
+	report, err := m.ScaleOut(context.Background(), []string{"new1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if moved.Pairs == 0 {
+	moved := report.ItemsMigrated
+	if moved == 0 {
 		t.Fatal("nothing moved")
 	}
-	if n1.agent.Cache().Len() != moved.Pairs {
-		t.Fatalf("new node holds %d, want %d", n1.agent.Cache().Len(), moved.Pairs)
+	if n1.agent.Cache().Len() != moved || report.ItemsReleased != moved {
+		t.Fatalf("new node holds %d, released %d, want %d", n1.agent.Cache().Len(), report.ItemsReleased, moved)
+	}
+	if e1.agent.Cache().Len() != 300-moved {
+		t.Fatalf("sender holds %d, want %d", e1.agent.Cache().Len(), 300-moved)
 	}
 }
 

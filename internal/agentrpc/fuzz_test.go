@@ -3,10 +3,13 @@ package agentrpc
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/cache"
 )
 
@@ -157,6 +160,62 @@ func FuzzDecodeFrame(f *testing.F) {
 			if remoteErr2, err := decodeOfferAck(appendOfferAck(nil, remoteErr)); err != nil || remoteErr2 != remoteErr {
 				t.Fatalf("offerAck round trip: %q → %q, %v", remoteErr, remoteErr2, err)
 			}
+		}
+	})
+}
+
+// FuzzDispatch feeds arbitrary request lines through the JSON control-op
+// path the server runs on every non-frame line — json.Unmarshal, then
+// dispatch — against a small in-process agent holding a few items. The
+// contract: nothing panics, and every response is either OK or carries an
+// error, never both or neither, and marshals for the reply.
+//
+// Run `go test -fuzz FuzzDispatch ./internal/agentrpc` (or `make fuzz`) to
+// explore beyond the seeds.
+func FuzzDispatch(f *testing.F) {
+	for _, req := range []request{
+		{Op: OpScore},
+		{Op: OpSendMetadata, Retained: []string{"peer"}, TimeoutMS: 50},
+		{Op: OpComputeTakes},
+		{Op: OpSendData, Target: "peer", Takes: map[int]int{0: 3, 5: -1}, Retained: []string{"node", "peer"}},
+		{Op: OpRelease, Retained: []string{"node", "peer"}},
+		{Op: "no_such_op"},
+	} {
+		line, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(line)
+	}
+	f.Add([]byte(`{"op":"release","retained":[]}`))
+	f.Add([]byte(`{"op":"send_data","takes":{"-7":9223372036854775807},"retained":["node"]}`))
+
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var req request
+		if err := json.Unmarshal(line, &req); err != nil {
+			return // the server drops a connection that sends this
+		}
+		c, err := cache.New(cache.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			if err := c.Set(fmt.Sprintf("k%d", i), []byte("value")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reg := agent.NewRegistry()
+		a, err := agent.New("node", c, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg.Register(a)
+		resp := (&Server{agent: a}).dispatch(&req)
+		if resp.OK == (resp.Error != "") {
+			t.Fatalf("op %q: response OK=%v with error %q", req.Op, resp.OK, resp.Error)
+		}
+		if _, err := json.Marshal(resp); err != nil {
+			t.Fatalf("op %q: response does not marshal: %v", req.Op, err)
 		}
 	})
 }

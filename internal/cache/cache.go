@@ -417,37 +417,28 @@ func (c *Cache) Delete(key string) error {
 	return nil
 }
 
-// DeleteMetas removes every still-resident key of the selections — the
-// bulk Delete a sender runs on what it has handed off. Keys are grouped by
-// shard and each shard lock is taken once. It returns the number of items
-// removed.
-func (c *Cache) DeleteMetas(sels ...[]ItemMeta) int {
-	type doomed struct {
-		key []byte
-		h   uint64
-		tid uint16
-	}
-	groups := make([][]doomed, len(c.shards))
-	for _, sel := range sels {
-		for _, m := range sel {
-			kb := sbytes(m.Key)
-			tid, h, _ := c.route(kb)
-			groups[h&c.mask] = append(groups[h&c.mask], doomed{kb, h, tid})
-		}
-	}
-	nowNano := c.nowNano()
+// DropIf removes every resident item whose key drop reports true, in one
+// walk per shard under that shard's lock, and returns how many it removed.
+// drop sees the key bytes in cache memory, valid only for the call, and
+// runs under the shard lock. An agent releases the keys a settled table
+// moved elsewhere through it.
+func (c *Cache) DropIf(drop func(key []byte) bool) int {
 	removed := 0
-	for si, keys := range groups {
-		if len(keys) == 0 {
-			continue
-		}
-		sh := c.shards[si]
+	for _, sh := range c.shards {
 		sh.mu.Lock()
-		for _, k := range keys {
-			if ref, ch, ok := sh.lookupLocked(k.h, k.tid, k.key, nowNano); ok {
-				sh.removeLocked(ref, ch)
-				removed++
+		for _, sl := range sh.slabs {
+			if sl == nil {
+				continue
 			}
+			// each reads the successor first, so unlinking the current
+			// item is safe.
+			sl.list.each(&c.pool, func(ref itemRef, ch []byte) bool {
+				if drop(chKey(ch)) {
+					sh.unlinkLocked(sl, ref, ch)
+					removed++
+				}
+				return true
+			})
 		}
 		sh.mu.Unlock()
 	}

@@ -15,12 +15,12 @@ import (
 //     (key, MRU timestamp) metadata in MRU order;
 //   - the batch import that writes migrated KV pairs by prepending them to
 //     the MRU list head, evicting colder tail items;
-//   - median-timestamp queries per slab for the Master's node scoring
-//     (Section III-C).
+//   - the routed timestamp export and page weights the Master's node
+//     scoring reads (Section III-C).
 //
 // On the sharded engine every query here aggregates across shards: dumps
-// and selections k-way merge the per-shard MRU runs by timestamp, medians
-// and capacities gather-and-reduce, and the batch import fans its writes
+// and selections k-way merge the per-shard MRU runs by timestamp,
+// capacities gather-and-reduce, and the batch import fans its writes
 // out per shard so each shard lock is taken once per batch. The serving
 // path on other shards keeps running while a dump snapshots one shard.
 //
@@ -70,7 +70,7 @@ func (sh *shard) eachClassSlab(classID int, fn func(sl *slab)) {
 // chunk; each slab contributes at most limit selections. Expired chunks are
 // never offered: dead items are neither migration candidates nor scoring
 // inputs. This is the only export-side list walk — dumps, selections,
-// timestamp routes, snapshots and medians all read through it.
+// timestamp routes and snapshots all read through it.
 func (sh *shard) walkClass(classID, limit int, nowNano int64, take func(ch []byte) bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -158,44 +158,32 @@ func (c *Cache) DumpAll(filter func(key string) bool) map[int][]ItemMeta {
 	return out
 }
 
-// ClassOrderByShard returns each shard's raw MRU list for the class, head
-// (hottest position) first, without the cross-shard timestamp merge the
-// dumps apply. Position in a run is the item's true list position, which
-// the migration invariant harness needs: a timestamp-sorted dump would
-// mask MRU inversions (an item sitting ahead of a fresher one), the exact
-// defect a replayed batch import used to introduce. Expired items are
-// included — this is a structural probe, not a serving path.
+// ClassOrderByShard returns the raw MRU lists of the class, one run per
+// (shard, tenant) slab, shard by shard, head (hottest position) first,
+// without the cross-shard timestamp merge the dumps apply. Position in a
+// run is the item's true list position, which the migration invariant
+// harness needs: a timestamp-sorted dump would mask MRU inversions (an
+// item sitting ahead of a fresher one), the exact defect a replayed batch
+// import used to introduce. Expired items are included — this is a
+// structural probe, not a serving path.
 func (c *Cache) ClassOrderByShard(classID int) ([][]ItemMeta, error) {
 	if classID < 0 || classID >= len(c.classes) {
 		return nil, fmt.Errorf("cache: slab class %d out of range", classID)
 	}
-	out := make([][]ItemMeta, 0, len(c.shards))
+	var out [][]ItemMeta
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		var run []ItemMeta
-		if sl := sh.slabs[classID]; sl != nil && sl.list.size > 0 {
-			run = make([]ItemMeta, 0, sl.list.size)
-			sl.list.each(&c.pool, func(ref itemRef, ch []byte) bool {
+		sh.eachClassSlab(classID, func(sl *slab) {
+			run := make([]ItemMeta, 0, sl.list.size)
+			sl.list.each(&c.pool, func(_ itemRef, ch []byte) bool {
 				run = append(run, metaOf(ch, classID))
 				return true
 			})
-		}
+			out = append(out, run)
+		})
 		sh.mu.Unlock()
-		out = append(out, run)
 	}
 	return out, nil
-}
-
-// MedianTimestamp returns the MRU timestamp of the median live item (by
-// global MRU position across shards) of the slab class. The boolean is
-// false when the class holds no live item. The Master compares these
-// medians across nodes to score retiring candidates (Section III-C).
-func (c *Cache) MedianTimestamp(classID int) (time.Time, bool) {
-	lists, err := c.RouteStamps(classID, 1, func([]byte) int { return 0 })
-	if err != nil || len(lists[0]) == 0 {
-		return time.Time{}, false
-	}
-	return fromNano(lists[0][len(lists[0])/2]), true
 }
 
 // SlabPageWeights returns w_b for every class holding pages: the fraction

@@ -114,71 +114,6 @@ func TestDumpAll(t *testing.T) {
 	}
 }
 
-func TestMedianTimestamp(t *testing.T) {
-	c, clk := newTestCache(t, 1)
-	_ = clk
-	fill(t, c, 9, "key")
-	median, ok := c.MedianTimestamp(0)
-	if !ok {
-		t.Fatal("median missing for populated class")
-	}
-	metas, err := c.DumpClass(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With 9 items the median (index 4) is key-0004 counting from the
-	// hottest (key-0008).
-	if !median.Equal(metas[4].LastAccess) {
-		t.Fatalf("median = %v, want the MRU-position-4 timestamp %v", median, metas[4].LastAccess)
-	}
-}
-
-func TestMedianTimestampEmpty(t *testing.T) {
-	c, _ := newTestCache(t, 1)
-	if _, ok := c.MedianTimestamp(0); ok {
-		t.Fatal("median reported for empty class")
-	}
-	if _, ok := c.MedianTimestamp(-5); ok {
-		t.Fatal("median reported for invalid class")
-	}
-}
-
-// TestMedianTimestampSkipsExpired: the node score must not be dragged
-// colder by dead items — the median is taken over the live items the dump
-// would offer, and a class holding only expired items has no median.
-func TestMedianTimestampSkipsExpired(t *testing.T) {
-	c, clk := newTestCache(t, 1)
-	deadline := clk.Now().Add(time.Second)
-	for i := 0; i < 4; i++ { // the older half carries a TTL
-		if err := c.SetExpiring(fmt.Sprintf("dying-%d", i), []byte("val"), deadline); err != nil {
-			t.Fatal(err)
-		}
-	}
-	expire := func() {
-		clk.mu.Lock()
-		clk.t = deadline.Add(time.Minute)
-		clk.mu.Unlock()
-	}
-	expire()
-	if ts, ok := c.MedianTimestamp(0); ok {
-		t.Fatalf("median %v reported for a class holding only expired items", ts)
-	}
-
-	fill(t, c, 5, "live")
-	median, ok := c.MedianTimestamp(0)
-	if !ok {
-		t.Fatal("median missing for a class with live items")
-	}
-	live, err := c.DumpClass(0, nil)
-	if err != nil || len(live) != 5 {
-		t.Fatalf("dump = %v, %v; want the 5 live items", live, err)
-	}
-	if !median.Equal(live[2].LastAccess) {
-		t.Fatalf("median = %v, want the live half's median %v (coldest live is %v)",
-			median, live[2].LastAccess, live[4].LastAccess)
-	}
-}
-
 func TestSlabPageWeightsSumToOne(t *testing.T) {
 	c, _ := newTestCache(t, 8)
 	fill(t, c, 100, "small")

@@ -615,3 +615,43 @@ func TestTenantDifferential(t *testing.T) {
 	plain.checkShardInvariants(t)
 	tenanted.checkShardInvariants(t)
 }
+
+// TestClassOrderByShardSeesEveryTenant: the MRU-order probe walks every
+// tenant's slab of the class, one run per (shard, tenant), each in list
+// order — so the chaos harness's order check covers prefixed tenants too.
+func TestClassOrderByShardSeesEveryTenant(t *testing.T) {
+	c := newTenantCache(t, 16, WithShards(2))
+	if _, err := c.RegisterTenant("acme", TenantConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		for _, key := range []string{fmt.Sprintf("acme/k-%03d", i), fmt.Sprintf("k-%03d", i)} {
+			if err := c.Set(key, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	classID := c.PopulatedClasses()[0]
+	runs, err := c.ClassOrderByShard(classID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, run := range runs {
+		tenant := strings.HasPrefix(run[0].Key, "acme/")
+		for i, it := range run {
+			if strings.HasPrefix(it.Key, "acme/") != tenant {
+				t.Fatalf("run mixes tenants: %s after %s", it.Key, run[0].Key)
+			}
+			if i > 0 && it.LastAccess.After(run[i-1].LastAccess) {
+				t.Fatalf("run out of MRU order at %s", it.Key)
+			}
+			if tenant {
+				seen++
+			}
+		}
+	}
+	if seen != 40 {
+		t.Fatalf("probe saw %d of 40 acme items", seen)
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"slices"
 	"sort"
 	"sync"
 
@@ -293,9 +294,11 @@ func (c *Cluster) ScaleIn(ctx context.Context, x int) (*core.ScaleReport, error)
 }
 
 // ScaleOut boots x fresh nodes, migrates their hash share to them, and
-// settles the ownership table on the grown membership. On migration
-// failure the freshly booted nodes are torn down again so the cluster
-// returns to its pre-call state.
+// settles the ownership table on the grown membership. On a migration
+// failure the Master rolled back, the freshly booted nodes are torn down
+// again so the cluster returns to its pre-call state. A failure after the
+// table settled (a release that kept failing) leaves them adopted: they
+// already own their segments.
 func (c *Cluster) ScaleOut(ctx context.Context, x int) (*core.ScaleReport, error) {
 	c.mu.Lock()
 	closed := c.closed
@@ -316,8 +319,11 @@ func (c *Cluster) ScaleOut(ctx context.Context, x int) (*core.ScaleReport, error
 	}
 	report, err := c.master.ScaleOut(ctx, added)
 	if err != nil {
+		members := c.master.Members()
 		for _, name := range added {
-			_ = c.stopNode(name)
+			if !slices.Contains(members, name) {
+				_ = c.stopNode(name)
+			}
 		}
 	}
 	return report, err

@@ -29,6 +29,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -217,12 +218,14 @@ func Run(cfg Config) (*Result, error) {
 	// node through its owned-filter, exactly as its agent does — replica
 	// copies are invisible to the migration and to the oracle alike.
 	pre := snapshotAll(caches, hot)
-	var exp *expectation
+	var senders, newMembers []string
 	if scaleOut {
-		exp, err = expectScaleOut(pre, names, added)
+		senders, newMembers = names, append(slices.Clone(names), added)
 	} else {
-		exp, err = expectScaleIn(pre, names, victim)
+		senders = []string{victim}
+		newMembers = slices.DeleteFunc(slices.Clone(names), func(n string) bool { return n == victim })
 	}
+	exp, err := expectMigration(pre, senders, newMembers)
 	if err != nil {
 		return nil, err
 	}
@@ -295,8 +298,7 @@ func Run(cfg Config) (*Result, error) {
 	res.LiveWrites = len(live.order)
 	rc := &runCtx{
 		direction: res.Direction,
-		victim:    victim,
-		added:     added,
+		senders:   senders,
 		initial:   names,
 		caches:    caches,
 		pre:       pre,

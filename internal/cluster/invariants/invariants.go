@@ -10,16 +10,17 @@ package invariants
 //       target evicted it as the coldest of its class.
 //  I2 — Batch import preserves MRU order (Section V-A1: imports prepend
 //       at the MRU head so "the migrated data is placed at the MRU end").
-//       Within one sender's import set, per shard, list position must be
-//       non-increasing in timestamp — a replayed or duplicated push that
-//       re-hoists an item shows up here as an inversion.
+//       Within one sender's import set, per (shard, tenant) MRU list,
+//       list position must be non-increasing in timestamp — a replayed or
+//       duplicated push that re-hoists an item shows up here as an
+//       inversion.
 //  I3 — Retries never double-apply (the RPC layer's at-least-once
 //       delivery must compose with idempotent imports). Checked by the
 //       sweep: a completed faulty run's final state must equal the gold
 //       run's, byte for byte.
 //  I4 — Reports are consistent with the observed cluster: a completed
-//       report names the right membership and an ItemsMigrated consistent
-//       with the oracle; an aborted report names a real phase, leaves the
+//       report names the right membership and exactly the oracle's
+//       ItemsMigrated; an aborted report names a real phase, leaves the
 //       membership untouched, and claims no migration before data moved.
 //  I5 — The cluster converges to a consistent hash ring (Section III-A):
 //       after completion every resident key sits on the ring owner the
@@ -30,6 +31,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"time"
 
@@ -146,48 +148,69 @@ func sortedClasses(m map[int][]cache.ItemMeta) []int {
 	return out
 }
 
-// expectScaleIn recomputes, centrally and fault-free, what the distributed
-// phases 1–2 should decide: split the victim's metadata by consistent-hash
-// target, run FuseCache per (target, class) against the target's own list
-// with the same absorb capacity the agent would use, and take the winning
-// head counts. Valid because phases 1–2 move no data — the agents consult
+// expectMigration mirrors core's migrate for senders moving toward
+// newMembers, recomputing centrally and fault-free what the distributed
+// phases 1–2 should decide: route every sender's items by consistent hash
+// over newMembers (an item that stays with its sender is not offered), run
+// FuseCache per (receiver, class) over the offering senders' lists plus
+// the receiver's own with the same absorb capacity the agent would use,
+// and take the winning head counts. Receivers are the new members that are
+// not senders. Valid because phases 1–2 move no data — the agents consult
 // exactly the snapshotted pre-state.
-func expectScaleIn(pre map[string]*nodeState, members []string, victim string) (*expectation, error) {
-	var retained []string
-	for _, n := range members {
-		if n != victim {
-			retained = append(retained, n)
-		}
-	}
-	sort.Strings(retained)
-	ring, err := hashring.New(retained)
+func expectMigration(pre map[string]*nodeState, senders, newMembers []string) (*expectation, error) {
+	ring, err := hashring.New(newMembers)
 	if err != nil {
 		return nil, err
 	}
-	offered := make(map[string]map[int][]cache.ItemMeta)
-	vic := pre[victim]
-	for _, classID := range sortedClasses(vic.byClass) {
-		for _, mt := range vic.byClass[classID] {
-			owner, err := ring.Get(mt.Key)
-			if err != nil {
-				return nil, err
+	// offered: target → sender → class → the sender's items, MRU order.
+	offered := make(map[string]map[string]map[int][]cache.ItemMeta)
+	for _, sender := range senders {
+		st := pre[sender]
+		for _, classID := range sortedClasses(st.byClass) {
+			for _, mt := range st.byClass[classID] {
+				owner, err := ring.Get(mt.Key)
+				if err != nil {
+					return nil, err
+				}
+				if owner == sender {
+					continue
+				}
+				if offered[owner] == nil {
+					offered[owner] = make(map[string]map[int][]cache.ItemMeta)
+				}
+				if offered[owner][sender] == nil {
+					offered[owner][sender] = make(map[int][]cache.ItemMeta)
+				}
+				offered[owner][sender][classID] = append(offered[owner][sender][classID], mt)
 			}
-			if offered[owner] == nil {
-				offered[owner] = make(map[int][]cache.ItemMeta)
-			}
-			offered[owner][classID] = append(offered[owner][classID], mt)
 		}
 	}
-	exp := &expectation{finalMembers: retained}
-	for _, target := range retained {
-		byClass := offered[target]
-		if len(byClass) == 0 {
-			continue // no offer reaches this target: it reports ErrNoMetadata
+	exp := &expectation{finalMembers: newMembers}
+	for _, target := range newMembers {
+		bySender := offered[target]
+		if len(bySender) == 0 || slices.Contains(senders, target) {
+			continue // no offer reaches it, or a sender: no phase 2 runs
 		}
+		var offering []string
+		var classes []int
+		for sender, byClass := range bySender {
+			offering = append(offering, sender)
+			for classID := range byClass {
+				if !slices.Contains(classes, classID) {
+					classes = append(classes, classID)
+				}
+			}
+		}
+		sort.Strings(offering)
+		sort.Ints(classes)
 		tst := pre[target]
-		for _, classID := range sortedClasses(byClass) {
+		for _, classID := range classes {
+			lists := make([]fusecache.List, 0, len(offering)+1)
+			for _, sender := range offering {
+				lists = append(lists, toList(bySender[sender][classID]))
+			}
 			own := tst.byClass[classID]
-			lists := []fusecache.List{toList(byClass[classID]), toList(own)}
+			lists = append(lists, toList(own))
 			n := tst.absorb[classID]
 			if n < len(own) {
 				n = len(own)
@@ -196,53 +219,14 @@ func expectScaleIn(pre map[string]*nodeState, members []string, victim string) (
 			if err != nil {
 				return nil, fmt.Errorf("oracle fusecache class %d: %w", classID, err)
 			}
-			if take := res.Take[0]; take > 0 {
-				exp.moved = append(exp.moved, migrated{
-					sender: victim, target: target, class: classID,
-					metas: byClass[classID][:take],
-				})
-				exp.total += take
-			}
-		}
-	}
-	return exp, nil
-}
-
-// expectScaleOut mirrors Agent.HashSplit: per existing member and class,
-// the MRU prefix of the items remapping to the new node, capped at the
-// newcomer's per-sender share of the class.
-func expectScaleOut(pre map[string]*nodeState, members []string, added string) (*expectation, error) {
-	full := append(append([]string(nil), members...), added)
-	sort.Strings(full)
-	ring, err := hashring.New(full)
-	if err != nil {
-		return nil, err
-	}
-	existing := len(members)
-	exp := &expectation{finalMembers: full}
-	senders := append([]string(nil), members...)
-	sort.Strings(senders)
-	for _, sender := range senders {
-		st := pre[sender]
-		for _, classID := range sortedClasses(st.byClass) {
-			limit := st.pages * (cache.PageSize / st.chunks[classID]) / existing
-			if limit < 1 {
-				limit = 1
-			}
-			var sel []cache.ItemMeta
-			for _, mt := range st.byClass[classID] {
-				owner, err := ring.Get(mt.Key)
-				if err != nil || owner != added {
-					continue
+			for i, sender := range offering {
+				if take := res.Take[i]; take > 0 {
+					exp.moved = append(exp.moved, migrated{
+						sender: sender, target: target, class: classID,
+						metas: bySender[sender][classID][:take],
+					})
+					exp.total += take
 				}
-				if len(sel) >= limit {
-					continue // beyond the newcomer's share: FuseCache cut-off
-				}
-				sel = append(sel, mt)
-			}
-			if len(sel) > 0 {
-				exp.moved = append(exp.moved, migrated{sender: sender, target: added, class: classID, metas: sel})
-				exp.total += len(sel)
 			}
 		}
 	}
@@ -252,8 +236,7 @@ func expectScaleOut(pre map[string]*nodeState, members []string, added string) (
 // runCtx bundles everything the checks compare.
 type runCtx struct {
 	direction string
-	victim    string
-	added     string
+	senders   []string
 	initial   []string
 	caches    map[string]*cache.Cache
 	pre       map[string]*nodeState
@@ -297,7 +280,7 @@ func checkSelectedSurvive(rc *runCtx) []string {
 		for _, mt := range mig.metas {
 			info, ok := post.keys[mt.Key]
 			if !ok {
-				if rc.direction == "out" && rc.caches[mig.sender].Contains(mt.Key) {
+				if slices.Contains(rc.exp.finalMembers, mig.sender) && rc.caches[mig.sender].Contains(mt.Key) {
 					v = append(v, fmt.Sprintf("I1: %s expected on %s but still resident on %s", mt.Key, mig.target, mig.sender))
 					continue
 				}
@@ -341,7 +324,7 @@ func checkImportOrder(rc *runCtx) []string {
 					continue
 				}
 				if prevKey != "" && it.LastAccess.After(prev) {
-					v = append(v, fmt.Sprintf("I2: MRU inversion on %s class %d shard %d: %s(%v) sits behind %s(%v)",
+					v = append(v, fmt.Sprintf("I2: MRU inversion on %s class %d run %d: %s(%v) sits behind %s(%v)",
 						mig.target, mig.class, si, it.Key, it.LastAccess, prevKey, prev))
 				}
 				prev, prevKey = it.LastAccess, it.Key
@@ -375,23 +358,17 @@ func checkReport(rc *runCtx) []string {
 		if !equalStrings(rc.master.Members(), rc.exp.finalMembers) {
 			v = append(v, fmt.Sprintf("I4: master members %v, want %v", rc.master.Members(), rc.exp.finalMembers))
 		}
-		if wantDir == "in" && r.ItemsMigrated != rc.exp.total {
+		if r.ItemsMigrated != rc.exp.total {
 			v = append(v, fmt.Sprintf("I4: report migrated %d items, oracle expects %d", r.ItemsMigrated, rc.exp.total))
-		}
-		// Scale-out replays can legitimately under-report: a lost HashSplit
-		// reply makes the retry find the already-moved (and locally deleted)
-		// keys gone, so the last attempt counts less than actually moved.
-		if wantDir == "out" && r.ItemsMigrated > rc.exp.total {
-			v = append(v, fmt.Sprintf("I4: report migrated %d items, oracle cap is %d", r.ItemsMigrated, rc.exp.total))
 		}
 		return v
 	}
+	// Only a phase before settle rolls back. A release that exhausts its
+	// retries leaves the action settled, which this harness's retry budget
+	// makes a violation too.
 	valid := map[string]bool{"metadata": true, "fusecache": true, "data": true}
-	if wantDir == "out" {
-		valid = map[string]bool{"hashsplit": true}
-	}
 	if !valid[r.Aborted] {
-		v = append(v, fmt.Sprintf("I4: aborted run names phase %q, not a %s-scaling phase", r.Aborted, wantDir))
+		v = append(v, fmt.Sprintf("I4: aborted run names phase %q, not a migration phase", r.Aborted))
 	}
 	if !equalStrings(rc.master.Members(), sortedCopy(rc.initial)) {
 		v = append(v, fmt.Sprintf("I4: abort changed membership to %v", rc.master.Members()))
@@ -403,50 +380,31 @@ func checkReport(rc *runCtx) []string {
 }
 
 // checkAbortSafety is I1's abort side: a clean abort must lose nothing.
-// Scale-in never removes data from the victim; hash-split deletes a local
-// copy only after its full stream landed on the newcomer.
+// No sender drops a key before the table settles, so after the rollback
+// every sender still holds everything it held before. Receivers may have
+// evicted cold items to make room for imports; a key found only on a
+// receiver — a newcomer the rollback discards — counts as lost.
 func checkAbortSafety(rc *runCtx) []string {
 	var v []string
-	if rc.direction == "in" {
-		post := rc.post[rc.victim]
-		for key, info := range rc.pre[rc.victim].keys {
-			got, ok := post.keys[key]
-			if !ok {
-				v = append(v, fmt.Sprintf("I1: aborted scale-in lost %s from retiring node %s", key, rc.victim))
-				continue
-			}
-			if got.vhash != info.vhash {
-				v = append(v, fmt.Sprintf("I1: aborted scale-in corrupted %s on %s", key, rc.victim))
-			}
-		}
-		return v
-	}
-	addedPost := rc.post[rc.added]
-	for _, sender := range rc.initial {
+	for _, sender := range rc.senders {
 		post := rc.post[sender]
 		for key, info := range rc.pre[sender].keys {
-			if got, ok := post.keys[key]; ok {
-				if got.vhash != info.vhash {
-					v = append(v, fmt.Sprintf("I1: aborted scale-out corrupted %s on %s", key, sender))
-				}
-				continue
-			}
-			got, ok := addedPost.keys[key]
+			got, ok := post.keys[key]
 			if !ok {
-				v = append(v, fmt.Sprintf("I1: aborted scale-out lost %s (gone from %s, absent on %s)", key, sender, rc.added))
+				v = append(v, fmt.Sprintf("I1: aborted scale-%s lost %s from sender %s", rc.direction, key, sender))
 				continue
 			}
 			if got.vhash != info.vhash {
-				v = append(v, fmt.Sprintf("I1: aborted scale-out corrupted %s on %s", key, rc.added))
+				v = append(v, fmt.Sprintf("I1: aborted scale-%s corrupted %s on %s", rc.direction, key, sender))
 			}
 		}
 	}
 	return v
 }
 
-// checkRing is I5: after completion the membership converges and every
-// guaranteed-remapped key sits on its consistent-hash owner, with no key
-// resident on two members.
+// checkRing is I5: after completion the membership converges, every
+// resident key sits on its consistent-hash owner — a surviving sender has
+// released what it no longer owns — and no key is resident on two members.
 func checkRing(rc *runCtx) []string {
 	var v []string
 	final := rc.master.Members()
@@ -464,22 +422,9 @@ func checkRing(rc *runCtx) []string {
 			holder[key] = node
 		}
 	}
-	if rc.direction == "in" {
-		// Removing a member remaps only its own keys, so every surviving
-		// resident key must sit on its ring owner.
-		for key, node := range holder {
-			if owner, err := ring.Get(key); err != nil || owner != node {
-				v = append(v, fmt.Sprintf("I5: %s resident on %s, ring owner is %s", key, node, owner))
-			}
-		}
-		return v
-	}
-	// Scale-out: existing members may legitimately keep remapped keys that
-	// exceeded the newcomer's share, but everything ON the newcomer must be
-	// owned by it.
-	for key := range rc.post[rc.added].keys {
-		if owner, err := ring.Get(key); err != nil || owner != rc.added {
-			v = append(v, fmt.Sprintf("I5: %s resident on new node %s, ring owner is %s", key, rc.added, owner))
+	for key, node := range holder {
+		if owner, err := ring.Get(key); err != nil || owner != node {
+			v = append(v, fmt.Sprintf("I5: %s resident on %s, ring owner is %s", key, node, owner))
 		}
 	}
 	return v

@@ -17,13 +17,13 @@ package invariants
 //     function of the key — no randomness, so gold and faulty runs that
 //     reach the same phases perform identical traffic.
 //
-// Writes happen only at the post-data (scale-in), post-hashsplit
-// (scale-out), and post-handover hooks: earlier hooks run before the
-// oracle's inputs are consumed, and a write there would perturb the
-// FuseCache expectation. Mid-handover writes follow the dual-apply write
-// plan; the duplicate on the outgoing owner is deleted at the handover
-// hook, mirroring the client's settled routing (and keeping I5's
-// no-double-residency check meaningful for live keys).
+// Writes happen only at the post-data and post-handover hooks: earlier
+// hooks run before the oracle's inputs are consumed, and a write there
+// would perturb the FuseCache expectation. Mid-handover writes follow the
+// dual-apply write plan; the duplicate on the outgoing owner is the
+// Master's to remove — a surviving sender releases it once the table
+// settles, a retiring one leaves the membership — so I5's
+// no-double-residency check covers live keys too.
 
 import (
 	"fmt"
@@ -47,25 +47,19 @@ type liveStage struct {
 	table  *hashring.Table
 	base   time.Time
 	seq    int
-	// written maps each live key to its expected value hash and the
-	// targets it was applied to (for outgoing-copy cleanup at handover).
-	written map[string]*liveWrite
+	// written maps each live key to its expected value hash.
+	written map[string]uint64
 	order   []string // written keys in write order
 	// violations collects mid-run read-plan failures; checkLive reports
 	// them with the final-owner audit.
 	violations []string
 }
 
-type liveWrite struct {
-	vhash   uint64
-	targets []string
-}
-
 func newLiveStage(caches map[string]*cache.Cache, base time.Time) *liveStage {
 	return &liveStage{
 		caches:  caches,
 		base:    base,
-		written: make(map[string]*liveWrite),
+		written: make(map[string]uint64),
 	}
 }
 
@@ -83,12 +77,9 @@ func (ls *liveStage) hook(phase string) {
 	if ls.table == nil {
 		return
 	}
-	if phase == "handover" {
-		ls.dropOutgoingCopies()
-	}
 	ls.readAll(phase)
 	switch phase {
-	case "data", "hashsplit", "handover":
+	case "data", "handover":
 		ls.write(phase)
 	}
 }
@@ -111,7 +102,7 @@ func (ls *liveStage) readAll(phase string) {
 			ls.violations = append(ls.violations, fmt.Sprintf("L1: live key %s unreadable at %s hook (plan %s/%s)", key, phase, primary, fallback))
 			continue
 		}
-		if valueHash(val) != ls.written[key].vhash {
+		if valueHash(val) != ls.written[key] {
 			ls.violations = append(ls.violations, fmt.Sprintf("L1: live key %s torn at %s hook", key, phase))
 		}
 	}
@@ -142,40 +133,8 @@ func (ls *liveStage) write(phase string) {
 				ls.violations = append(ls.violations, fmt.Sprintf("L1: write %s to %s at %s: n=%d err=%v", key, node, phase, n, err))
 			}
 		}
-		ls.written[key] = &liveWrite{vhash: valueHash(val), targets: targets}
+		ls.written[key] = valueHash(val)
 		ls.order = append(ls.order, key)
-	}
-}
-
-// dropOutgoingCopies deletes the dual-write duplicates from nodes that
-// lost ownership once the table settles, as a client's settled routing
-// would stop refreshing them. Runs at the handover hook, when the
-// announced table is settled again.
-func (ls *liveStage) dropOutgoingCopies() {
-	for _, key := range ls.order {
-		w := ls.written[key]
-		if len(w.targets) < 2 {
-			continue
-		}
-		owner, err := ls.table.Owner(key)
-		if err != nil {
-			ls.violations = append(ls.violations, fmt.Sprintf("L1: owner of %s at handover: %v", key, err))
-			continue
-		}
-		kept := w.targets[:0]
-		for _, node := range w.targets {
-			if node == owner {
-				kept = append(kept, node)
-				continue
-			}
-			_ = ls.caches[node].Delete(key)
-		}
-		if len(kept) == 0 {
-			// The settled owner never held a copy (it was not in the write
-			// plan): a real routing bug, surfaced by the read check next.
-			kept = append(kept, owner)
-		}
-		w.targets = kept
 	}
 }
 
@@ -206,7 +165,7 @@ func checkLive(rc *runCtx) []string {
 			v = append(v, fmt.Sprintf("L1: live key %s missing from final owner %s", key, owner))
 			continue
 		}
-		if valueHash(val) != ls.written[key].vhash {
+		if valueHash(val) != ls.written[key] {
 			v = append(v, fmt.Sprintf("L1: live key %s on %s lost its last write", key, owner))
 		}
 	}

@@ -48,15 +48,16 @@ type MasterAgent interface {
 	Node() string
 	// Score answers the III-C scoring query.
 	Score(ctx context.Context) agent.ScoreReport
-	// SendMetadata runs migration phase 1 on a retiring node.
+	// SendMetadata runs migration phase 1 on a sender.
 	SendMetadata(ctx context.Context, retained []string) error
-	// ComputeTakes runs migration phase 2 on a retained node.
+	// ComputeTakes runs migration phase 2 on a receiver.
 	ComputeTakes(ctx context.Context) (agent.Takes, error)
-	// SendData runs migration phase 3 on a retiring node, reporting what
-	// the push moved (pairs, bytes, resume skips, duration).
+	// SendData runs migration phase 3 on a sender, reporting what the push
+	// moved (pairs, bytes, resume skips, duration).
 	SendData(ctx context.Context, target string, takes map[int]int, retained []string) (agent.SendStats, error)
-	// HashSplit runs the scale-out split on an existing node.
-	HashSplit(ctx context.Context, newMembers, fullMembership []string) (agent.SendStats, error)
+	// Release drops, on a sender that stays a member, the items a settled
+	// table gave to other nodes, returning how many it dropped.
+	Release(ctx context.Context, members []string) (int, error)
 }
 
 var _ MasterAgent = (*agent.Agent)(nil)
@@ -103,7 +104,7 @@ type PhaseTiming struct {
 // terminal error if it failed. The experiments harness aggregates these
 // into the paper's migration-time figures for real parallel runs.
 type NodeOpTiming struct {
-	// Phase names the phase ("metadata", "fusecache", "data", "hashsplit").
+	// Phase names the phase ("metadata", "fusecache", "data", "release").
 	Phase string
 	// Node is the node the operation ran on (the sender for "data").
 	Node string
@@ -122,8 +123,7 @@ type NodeOpTiming struct {
 // accounting for the report: migration throughput is BytesMoved (or
 // Pairs) over Duration.
 type NodeDataStat struct {
-	// Node is the sending node; Target the receiver ("" for hash split,
-	// which fans out to every new node).
+	// Node is the sending node; Target the receiver.
 	Node   string
 	Target string
 	// Pairs, Resumed, Unapplied, BytesMoved, WireBytes and Duration
@@ -152,6 +152,9 @@ type ScaleReport struct {
 	// ItemsUnapplied counts shipped pairs the receivers did not apply
 	// (refused for want of a chunk, or stale), summed over Data.
 	ItemsUnapplied int
+	// ItemsReleased counts the items surviving senders dropped once the
+	// table settled: everything they no longer own, shipped or not.
+	ItemsReleased int
 	// Data holds the per-sender data-plane stats, in deterministic
 	// (node, target) order.
 	Data []NodeDataStat
@@ -192,6 +195,10 @@ type Master struct {
 	phaseTimeout time.Duration
 	waves        int
 	phaseHook    func(phase string)
+
+	// act serializes scaling actions: an action's release runs after its
+	// table settles, and must not overlap the next action's handover.
+	act sync.Mutex
 
 	mu        sync.Mutex
 	members   []string
@@ -493,14 +500,12 @@ func (m *Master) runPhase(ctx context.Context, phase string, report *ScaleReport
 // migrated — is returned alongside the error, and the membership is left
 // untouched.
 func (m *Master) ScaleInNodes(ctx context.Context, retiring []string) (*ScaleReport, error) {
+	m.act.Lock()
+	defer m.act.Unlock()
 	members := m.Members()
-	memberSet := make(map[string]struct{}, len(members))
-	for _, n := range members {
-		memberSet[n] = struct{}{}
-	}
 	retSet := make(map[string]struct{}, len(retiring))
 	for _, n := range retiring {
-		if _, ok := memberSet[n]; !ok {
+		if !slices.Contains(members, n) {
 			return nil, fmt.Errorf("%w: %q", ErrNotMember, n)
 		}
 		retSet[n] = struct{}{}
@@ -518,43 +523,95 @@ func (m *Master) ScaleInNodes(ctx context.Context, retiring []string) (*ScaleRep
 			retained = append(retained, n)
 		}
 	}
-
 	report := &ScaleReport{Direction: "in", Retiring: retiring}
+	return report, m.migrate(ctx, report, retiring, retained)
+}
 
+// ScaleOut adds already-started nodes to the tier (Section III-D4). The
+// existing members send the newcomers their hash share through the same
+// three phases a scale-in runs, so in the paper's "rare case" that the
+// share outgrows a newcomer, FuseCache keeps the globally hottest items it
+// can hold. On a failure before the table settles the partial report is
+// returned alongside the error and the membership is left untouched.
+func (m *Master) ScaleOut(ctx context.Context, newNodes []string) (*ScaleReport, error) {
+	if len(newNodes) == 0 {
+		return nil, fmt.Errorf("%w: no nodes to add", ErrBadScale)
+	}
+	m.act.Lock()
+	defer m.act.Unlock()
+	members := m.Members()
+	newNodes = append([]string(nil), newNodes...)
+	sort.Strings(newNodes)
+	for _, n := range newNodes {
+		if slices.Contains(members, n) {
+			return nil, fmt.Errorf("%w: %q already a member", ErrBadScale, n)
+		}
+		if _, err := m.dir.Agent(n); err != nil {
+			return nil, fmt.Errorf("scale out: new node %s unreachable: %w", n, err)
+		}
+	}
+	full := append(append([]string(nil), members...), newNodes...)
+	sort.Strings(full)
+	report := &ScaleReport{Direction: "out", Added: newNodes}
+	return report, m.migrate(ctx, report, members, full)
+}
+
+// migrate is the one migration pipeline (Section III-D), run by both
+// scaling directions: scale-in passes (retiring, retained), scale-out
+// (members, full). It announces the handover toward newMembers, then runs
+// phase 1 on the senders, phase 2 (FuseCache) on every receiver — a new
+// member that is not a sender — and phase 3 on the senders, commits and
+// settles the table and adopts newMembers. Senders that leave are stopped;
+// senders that stay release what the settled table moved off them. No key
+// leaves a surviving node before the table settles, so a failure up to
+// then rolls the table back with every key still on its old owner.
+//
+// A release that still fails after retries leaves the action settled and
+// adopted: the report names "release" as Aborted and the error is
+// returned.
+func (m *Master) migrate(ctx context.Context, report *ScaleReport, senders, newMembers []string) error {
 	// Serve-through handover: announce the in-flight table before any data
 	// moves. From here until settle, clients on the moving segments read
 	// incoming-first with fallback and dual-apply writes; any phase failure
 	// rolls the table back in one announced version bump.
-	moving, err := m.beginHandover(retained)
+	moving, err := m.beginHandover(newMembers)
 	if err != nil {
-		return report, err
+		return err
 	}
 	report.Segments = len(moving)
 	m.callHook("prepare")
 
-	// Phase 1: metadata transfer, concurrent across retiring nodes.
-	ops := make([]phaseOp, len(retiring))
-	for i, node := range retiring {
+	// Phase 1: metadata transfer, concurrent across senders.
+	ops := make([]phaseOp, len(senders))
+	for i, node := range senders {
 		node := node
 		ops[i] = phaseOp{node: node, run: func(opCtx context.Context) error {
 			ag, err := m.dir.Agent(node)
 			if err != nil {
 				return err
 			}
-			return ag.SendMetadata(opCtx, retained)
+			return ag.SendMetadata(opCtx, newMembers)
 		}}
 	}
 	if err := m.runPhase(ctx, "metadata", report, ops); err != nil {
 		m.rollbackHandover()
-		return report, err
+		return err
 	}
 	m.callHook("metadata")
 
-	// Phase 2: FuseCache, concurrent across retained targets. Each target
-	// reports how many head items every sender should ship to it.
-	takesByTarget := make([]agent.Takes, len(retained))
-	ops = make([]phaseOp, len(retained))
-	for i, target := range retained {
+	// Phase 2: FuseCache, concurrent across receivers. Each reports how
+	// many head items every sender should ship to it.
+	var receivers, survivors []string
+	for _, n := range newMembers {
+		if slices.Contains(senders, n) {
+			survivors = append(survivors, n)
+		} else {
+			receivers = append(receivers, n)
+		}
+	}
+	takesByTarget := make([]agent.Takes, len(receivers))
+	ops = make([]phaseOp, len(receivers))
+	for i, target := range receivers {
 		i, target := i, target
 		ops[i] = phaseOp{node: target, run: func(opCtx context.Context) error {
 			ag, err := m.dir.Agent(target)
@@ -574,36 +631,22 @@ func (m *Master) ScaleInNodes(ctx context.Context, retiring []string) (*ScaleRep
 	}
 	if err := m.runPhase(ctx, "fusecache", report, ops); err != nil {
 		m.rollbackHandover()
-		return report, err
+		return err
 	}
 	m.callHook("fusecache")
 
-	// Aggregate take counts: retiring node → target → class → count.
-	perRetiring := make(map[string]map[string]map[int]int)
-	for i, target := range retained {
-		for sender, byClass := range takesByTarget[i] {
-			if perRetiring[sender] == nil {
-				perRetiring[sender] = make(map[string]map[int]int)
-			}
-			perRetiring[sender][target] = byClass
-		}
-	}
-
-	// Phase 3: data migration, concurrent per (retiring → target) pair in
+	// Phase 3: data migration, concurrent per (sender → target) pair in
 	// sorted pair order.
 	type pairSpec struct {
 		node, target string
 		takes        map[int]int
 	}
 	var specs []pairSpec
-	for _, node := range retiring {
-		targets := make([]string, 0, len(perRetiring[node]))
-		for tgt := range perRetiring[node] {
-			targets = append(targets, tgt)
-		}
-		sort.Strings(targets)
-		for _, tgt := range targets {
-			specs = append(specs, pairSpec{node: node, target: tgt, takes: perRetiring[node][tgt]})
+	for _, node := range senders {
+		for i, target := range receivers {
+			if takes := takesByTarget[i][node]; takes != nil {
+				specs = append(specs, pairSpec{node: node, target: target, takes: takes})
+			}
 		}
 	}
 	pairs := make([]phaseOp, len(specs))
@@ -615,7 +658,7 @@ func (m *Master) ScaleInNodes(ctx context.Context, retiring []string) (*ScaleRep
 			if err != nil {
 				return err
 			}
-			stats, err := ag.SendData(opCtx, sp.target, sp.takes, retained)
+			stats, err := ag.SendData(opCtx, sp.target, sp.takes, newMembers)
 			sent[i] = stats
 			return err
 		}}
@@ -634,125 +677,66 @@ func (m *Master) ScaleInNodes(ctx context.Context, retiring []string) (*ScaleRep
 	}
 	if err != nil {
 		m.rollbackHandover()
-		return report, err
+		return err
 	}
 	m.callHook("data")
 
-	// Commit the moving segments wave by wave and settle the table, then
-	// adopt the retained membership and shut the retiring nodes down.
-	t5 := m.now()
+	// Commit the moving segments wave by wave and settle the table.
+	t0 := m.now()
 	waves, err := m.commitAndSettle(moving)
 	report.HandoverWaves = waves
 	if err != nil {
 		m.rollbackHandover()
 		report.Aborted = "handover"
-		return report, err
+		return err
 	}
 	report.OwnershipVersion = m.OwnershipTable().Version()
-	report.Timings = append(report.Timings, PhaseTiming{Phase: "handover", Duration: m.now().Sub(t5)})
+	report.Timings = append(report.Timings, PhaseTiming{Phase: "handover", Duration: m.now().Sub(t0)})
 	m.callHook("handover")
 
-	t4 := m.now()
-	m.adoptMembers(retained)
-	report.Members = append([]string(nil), retained...)
+	// Adopt the new membership and shut the departing senders down.
+	t0 = m.now()
+	m.adoptMembers(newMembers)
+	report.Members = append([]string(nil), newMembers...)
 	if m.stop != nil {
-		for _, node := range retiring {
+		for _, node := range senders {
+			if slices.Contains(newMembers, node) {
+				continue
+			}
 			if err := m.stop(node); err != nil {
-				return report, fmt.Errorf("stop %s: %w", node, err)
+				return fmt.Errorf("stop %s: %w", node, err)
 			}
 		}
 	}
-	report.Timings = append(report.Timings, PhaseTiming{Phase: "membership", Duration: m.now().Sub(t4)})
-	return report, nil
-}
-
-// ScaleOut adds already-started nodes to the tier (Section III-D4): the
-// existing nodes hash-split their data to the newcomers concurrently, and
-// only then is the membership flipped. On a failure the partial report is
-// returned alongside the error and the membership is left untouched.
-func (m *Master) ScaleOut(ctx context.Context, newNodes []string) (*ScaleReport, error) {
-	if len(newNodes) == 0 {
-		return nil, fmt.Errorf("%w: no nodes to add", ErrBadScale)
+	report.Timings = append(report.Timings, PhaseTiming{Phase: "membership", Duration: m.now().Sub(t0)})
+	if len(survivors) == 0 {
+		return nil
 	}
-	members := m.Members()
-	memberSet := make(map[string]struct{}, len(members))
-	for _, n := range members {
-		memberSet[n] = struct{}{}
-	}
-	newNodes = append([]string(nil), newNodes...)
-	sort.Strings(newNodes)
-	for _, n := range newNodes {
-		if _, dup := memberSet[n]; dup {
-			return nil, fmt.Errorf("%w: %q already a member", ErrBadScale, n)
-		}
-		if _, err := m.dir.Agent(n); err != nil {
-			return nil, fmt.Errorf("scale out: new node %s unreachable: %w", n, err)
-		}
-	}
-	full := append(append([]string(nil), members...), newNodes...)
-	sort.Strings(full)
 
-	report := &ScaleReport{Direction: "out", Added: newNodes}
-
-	// Serve-through handover toward the full membership: the newcomers'
-	// segments go in-flight before any data moves.
-	moving, err := m.beginHandover(full)
-	if err != nil {
-		return report, err
-	}
-	report.Segments = len(moving)
-	m.callHook("prepare")
-
-	// Hash split, concurrent across existing members.
-	ops := make([]phaseOp, len(members))
-	sent := make([]agent.SendStats, len(members))
-	for i, node := range members {
+	// Release: with the table settled, every surviving sender drops the
+	// keys it no longer owns — what it shipped, what FuseCache left behind
+	// and the writes dual-applied while the segments moved.
+	released := make([]int, len(survivors))
+	ops = make([]phaseOp, len(survivors))
+	for i, node := range survivors {
 		i, node := i, node
 		ops[i] = phaseOp{node: node, run: func(opCtx context.Context) error {
 			ag, err := m.dir.Agent(node)
 			if err != nil {
 				return err
 			}
-			stats, err := ag.HashSplit(opCtx, newNodes, full)
-			sent[i] = stats
+			// A retry finds what an attempt with a lost reply dropped
+			// already gone, so attempts add up.
+			n, err := ag.Release(opCtx, newMembers)
+			released[i] += n
 			return err
 		}}
 	}
-	err = m.runPhase(ctx, "hashsplit", report, ops)
-	for i, node := range members {
-		st := sent[i]
-		report.ItemsMigrated += st.Pairs
-		report.ItemsUnapplied += st.Unapplied
-		report.Data = append(report.Data, NodeDataStat{
-			Node:  node,
-			Pairs: st.Pairs, Resumed: st.Resumed, Unapplied: st.Unapplied,
-			BytesMoved: st.BytesMoved, WireBytes: st.WireBytes,
-			Duration: st.Duration,
-		})
+	err = m.runPhase(ctx, "release", report, ops)
+	for _, n := range released {
+		report.ItemsReleased += n
 	}
-	if err != nil {
-		m.rollbackHandover()
-		return report, err
-	}
-	m.callHook("hashsplit")
-
-	t3 := m.now()
-	waves, err := m.commitAndSettle(moving)
-	report.HandoverWaves = waves
-	if err != nil {
-		m.rollbackHandover()
-		report.Aborted = "handover"
-		return report, err
-	}
-	report.OwnershipVersion = m.OwnershipTable().Version()
-	report.Timings = append(report.Timings, PhaseTiming{Phase: "handover", Duration: m.now().Sub(t3)})
-	m.callHook("handover")
-
-	t2 := m.now()
-	m.adoptMembers(full)
-	report.Members = full
-	report.Timings = append(report.Timings, PhaseTiming{Phase: "membership", Duration: m.now().Sub(t2)})
-	return report, nil
+	return err
 }
 
 // adoptMembers records the membership a settled action produced. The

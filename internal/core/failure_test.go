@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/agent"
@@ -15,7 +16,7 @@ import (
 type faultyDirectory struct {
 	inner       Directory
 	unreachable map[string]bool
-	failPhase   map[string]string // node → phase to fail ("metadata"|"takes"|"data"|"split")
+	failPhase   map[string]string // node → phase to fail ("metadata"|"takes"|"data"|"release")
 }
 
 var errInjected = errors.New("injected failure")
@@ -61,11 +62,11 @@ func (a *faultyAgent) SendData(ctx context.Context, target string, takes map[int
 	return a.inner.SendData(ctx, target, takes, retained)
 }
 
-func (a *faultyAgent) HashSplit(ctx context.Context, newMembers, full []string) (agent.SendStats, error) {
-	if a.failPhase == "split" {
-		return agent.SendStats{}, taskgroup.Permanent(errInjected)
+func (a *faultyAgent) Release(ctx context.Context, members []string) (int, error) {
+	if a.failPhase == "release" {
+		return 0, taskgroup.Permanent(errInjected)
 	}
-	return a.inner.HashSplit(ctx, newMembers, full)
+	return a.inner.Release(ctx, members)
 }
 
 func newFaultyMaster(t *testing.T, c *cluster, members []string, d *faultyDirectory) *Master {
@@ -124,7 +125,7 @@ func TestScaleOutAbortsOnSplitFailure(t *testing.T) {
 	members := names(2)
 	c := newCluster(t, members, 2)
 	c.populateByRing(t, members, 400)
-	failAll := map[string]string{"node-00": "split", "node-01": "split"}
+	failAll := map[string]string{"node-00": "data", "node-01": "data"}
 	d := &faultyDirectory{failPhase: failAll}
 	m := newFaultyMaster(t, c, members, d)
 
@@ -134,6 +135,40 @@ func TestScaleOutAbortsOnSplitFailure(t *testing.T) {
 	}
 	if got := len(m.Members()); got != 2 {
 		t.Fatalf("membership = %d after aborted scale-out", got)
+	}
+	if got := c.agent(t, "node-00").Cache().Len() + c.agent(t, "node-01").Cache().Len(); got != 400 {
+		t.Fatalf("members hold %d of 400 keys after the rollback", got)
+	}
+}
+
+// TestScaleOutReleaseFailureStaysSettled pins the post-settle contract: a
+// release that keeps failing cannot roll back a settled table, so the
+// action stays adopted, the report names "release" and the error is
+// returned.
+func TestScaleOutReleaseFailureStaysSettled(t *testing.T) {
+	members := names(2)
+	c := newCluster(t, members, 2)
+	c.populateByRing(t, members, 400)
+	d := &faultyDirectory{failPhase: map[string]string{"node-01": "release"}}
+	m := newFaultyMaster(t, c, members, d)
+
+	c.addNode(t, "node-09", 2)
+	report, err := m.ScaleOut(context.Background(), []string{"node-09"})
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("err = %v, want injected failure", err)
+	}
+	if report == nil || report.Aborted != "release" {
+		t.Fatalf("report = %+v, want Aborted release", report)
+	}
+	want := []string{"node-00", "node-01", "node-09"}
+	if !slices.Equal(m.Members(), want) || !slices.Equal(report.Members, want) {
+		t.Fatalf("members = %v (report %v), want the adopted %v", m.Members(), report.Members, want)
+	}
+	if !m.OwnershipTable().Settled() {
+		t.Fatal("table not settled after a post-settle failure")
+	}
+	if report.ItemsMigrated == 0 || c.agent(t, "node-09").Cache().Len() == 0 {
+		t.Fatalf("migrated %d, newcomer holds %d", report.ItemsMigrated, c.agent(t, "node-09").Cache().Len())
 	}
 }
 

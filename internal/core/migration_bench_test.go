@@ -79,11 +79,11 @@ func (a *delayAgent) SendData(ctx context.Context, target string, takes map[int]
 	return a.inner.SendData(ctx, target, takes, retained)
 }
 
-func (a *delayAgent) HashSplit(ctx context.Context, newMembers, full []string) (agent.SendStats, error) {
+func (a *delayAgent) Release(ctx context.Context, members []string) (int, error) {
 	if err := a.pause(ctx); err != nil {
-		return agent.SendStats{}, err
+		return 0, err
 	}
-	return a.inner.HashSplit(ctx, newMembers, full)
+	return a.inner.Release(ctx, members)
 }
 
 // buildMigrationTier assembles nodes+keys on the in-process transport for

@@ -14,16 +14,20 @@ import (
 //	settled table
 //	  │ BeginHandover(newMembers)      announce v+1 (segments in-flight)
 //	  ▼
-//	phases 1–3 / hashsplit run          clients read incoming-first with
+//	phases 1–3 run                      clients read incoming-first with
 //	  │                                 fallback, dual-apply writes
 //	  ▼
 //	CommitSegments per wave             announce each wave (epoch bumps)
 //	  │
 //	  ▼
 //	Settle                              announce settled table
+//	  │
+//	  ▼
+//	release                             surviving senders drop what they
+//	                                    no longer own
 //
-// Any phase failure announces Rollback instead, restoring the old
-// routing in one version bump.
+// Any phase failure before Settle announces Rollback instead, restoring
+// the old routing in one version bump; no key has left its old owner yet.
 
 // DefaultHandoverWaves is how many commit waves a handover's in-flight
 // segments are spread across.

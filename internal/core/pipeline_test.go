@@ -19,6 +19,8 @@ import (
 	"time"
 
 	"repro/internal/agent"
+	"repro/internal/cache"
+	"repro/internal/hashring"
 	"repro/internal/taskgroup"
 )
 
@@ -33,7 +35,6 @@ type hookDirectory struct {
 type hooks struct {
 	sendMetadata func(ctx context.Context, inner func(context.Context) error) error
 	sendData     func(ctx context.Context, target string, inner func(context.Context) (agent.SendStats, error)) (agent.SendStats, error)
-	hashSplit    func(ctx context.Context, inner func(context.Context) (agent.SendStats, error)) (agent.SendStats, error)
 }
 
 func (d *hookDirectory) Agent(node string) (MasterAgent, error) {
@@ -75,12 +76,8 @@ func (a *hookAgent) SendData(ctx context.Context, target string, takes map[int]i
 	return call(ctx)
 }
 
-func (a *hookAgent) HashSplit(ctx context.Context, newMembers, full []string) (agent.SendStats, error) {
-	call := func(ctx context.Context) (agent.SendStats, error) { return a.inner.HashSplit(ctx, newMembers, full) }
-	if a.h != nil && a.h.hashSplit != nil {
-		return a.h.hashSplit(ctx, call)
-	}
-	return call(ctx)
+func (a *hookAgent) Release(ctx context.Context, members []string) (int, error) {
+	return a.inner.Release(ctx, members)
 }
 
 // checkCacheConsistent verifies a cache's structural invariants: per class,
@@ -295,7 +292,7 @@ func TestScaleOutPartialReportOnSplitFailure(t *testing.T) {
 	dir := &hookDirectory{
 		inner: RegistryDirectory{Registry: c.reg},
 		hooks: map[string]*hooks{
-			"node-01": {hashSplit: func(context.Context, func(context.Context) (agent.SendStats, error)) (agent.SendStats, error) {
+			"node-01": {sendData: func(context.Context, string, func(context.Context) (agent.SendStats, error)) (agent.SendStats, error) {
 				return agent.SendStats{}, taskgroup.Permanent(boom)
 			}},
 		},
@@ -309,8 +306,8 @@ func TestScaleOutPartialReportOnSplitFailure(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected split failure", err)
 	}
-	if report == nil || report.Aborted != "hashsplit" {
-		t.Fatalf("report = %+v, want partial report aborted in hashsplit", report)
+	if report == nil || report.Aborted != "data" {
+		t.Fatalf("report = %+v, want partial report aborted in data", report)
 	}
 	if got := m.Members(); len(got) != 2 {
 		t.Fatalf("membership grew to %v despite aborted scale-out", got)
@@ -381,5 +378,118 @@ func TestConcurrentPhasesRespectWorkerLimit(t *testing.T) {
 	}
 	if p := peak.Load(); p > 2 {
 		t.Fatalf("observed %d concurrent metadata sends, worker limit 2", p)
+	}
+}
+
+// TestAbortedScaleOutStrandsNothing: a scale-out whose second data push
+// fails after the first landed on the newcomer rolls back with every key
+// still on a member. No member drops a key before the table settles, so
+// nothing lives only on the discarded newcomer.
+func TestAbortedScaleOutStrandsNothing(t *testing.T) {
+	members := names(2)
+	c := newCluster(t, members, 2)
+	c.populateByRing(t, members, 400)
+
+	boom := errors.New("push failure")
+	dir := &hookDirectory{
+		inner: RegistryDirectory{Registry: c.reg},
+		hooks: map[string]*hooks{
+			"node-01": {sendData: func(context.Context, string, func(context.Context) (agent.SendStats, error)) (agent.SendStats, error) {
+				return agent.SendStats{}, taskgroup.Permanent(boom)
+			}},
+		},
+	}
+	// One worker: node-00's push completes before node-01's starts.
+	m, err := NewMaster(dir, members, WithClock(c.clk.Now), WithWorkerLimit(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newcomer := c.addNode(t, "node-09", 2)
+	report, err := m.ScaleOut(context.Background(), []string{"node-09"})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the injected push failure", err)
+	}
+	if report.Aborted != "data" || newcomer.Cache().Len() == 0 {
+		t.Fatalf("premise: aborted in %q with %d keys on the newcomer, want data with some landed",
+			report.Aborted, newcomer.Cache().Len())
+	}
+	stranded := 0
+	for i := 0; i < 400; i++ {
+		key := fmt.Sprintf("key-%06d", i)
+		if !c.agent(t, "node-00").Cache().Contains(key) && !c.agent(t, "node-01").Cache().Contains(key) {
+			stranded++
+		}
+	}
+	if stranded != 0 {
+		t.Fatalf("%d of 400 keys live only on the rolled-back newcomer", stranded)
+	}
+}
+
+// TestScaleOutToSmallNewcomer is the paper's "rare case" (Section III-D4):
+// the remapped share outgrows a 1-page newcomer, so FuseCache picks the
+// globally hottest items it can hold across both senders, the report
+// counts exactly what lands, and the senders release the rest.
+func TestScaleOutToSmallNewcomer(t *testing.T) {
+	members := names(2)
+	c := newCluster(t, members, 8)
+	ring, err := hashring.New(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := make([]byte, 900)
+	for i := 0; i < 6000; i++ {
+		key := fmt.Sprintf("key-%06d", i)
+		owner, err := ring.Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.agent(t, owner).Cache().Set(key, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full := []string{"node-00", "node-01", "node-09"}
+	fullRing, err := hashring.New(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	movesOut := func(key string) bool {
+		owner, err := fullRing.Get(key)
+		return err == nil && owner == "node-09"
+	}
+	var remapped []cache.ItemMeta
+	for _, n := range members {
+		for _, metas := range c.agent(t, n).Cache().DumpAll(movesOut) {
+			remapped = append(remapped, metas...)
+		}
+	}
+
+	m := newTestMaster(t, c, members)
+	newcomer := c.addNode(t, "node-09", 1)
+	report, err := m.ScaleOut(context.Background(), []string{"node-09"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resident := newcomer.Cache().Len()
+	if resident == 0 || resident >= len(remapped) {
+		t.Fatalf("premise: newcomer holds %d of %d remapped keys, want a binding cut", resident, len(remapped))
+	}
+	if got := report.ItemsMigrated - report.ItemsUnapplied; got != resident {
+		t.Fatalf("migrated %d − unapplied %d = %d, newcomer holds %d",
+			report.ItemsMigrated, report.ItemsUnapplied, got, resident)
+	}
+	sort.Slice(remapped, func(i, j int) bool { return remapped[i].LastAccess.After(remapped[j].LastAccess) })
+	for i, mt := range remapped {
+		if on := newcomer.Cache().Contains(mt.Key); on != (i < resident) {
+			t.Fatalf("remapped key %s at hotness rank %d: on newcomer = %v, want the hottest %d",
+				mt.Key, i, on, resident)
+		}
+	}
+	if report.ItemsReleased != len(remapped) {
+		t.Fatalf("released %d, want all %d remapped keys", report.ItemsReleased, len(remapped))
+	}
+	for _, n := range members {
+		if left := c.agent(t, n).Cache().DumpAll(movesOut); len(left) != 0 {
+			t.Fatalf("%s still holds keys the settled table gave node-09", n)
+		}
 	}
 }

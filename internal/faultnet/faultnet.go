@@ -202,7 +202,7 @@ func (n *Network) SetLinkRule(from, to string, r Rule) {
 
 // SetOpRule installs a rule for one operation regardless of link — the
 // per-phase knob: agentrpc op names ("send_metadata", "compute_takes",
-// "send_data", "offer_metadata", "import_data", "hash_split", "score")
+// "send_data", "offer_metadata", "import_data", "release", "score")
 // map one-to-one onto the migration phases.
 func (n *Network) SetOpRule(op string, r Rule) {
 	n.mu.Lock()

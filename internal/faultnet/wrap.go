@@ -23,7 +23,7 @@ const (
 	OpSendMetadata  = "send_metadata"
 	OpComputeTakes  = "compute_takes"
 	OpSendData      = "send_data"
-	OpHashSplit     = "hash_split"
+	OpRelease       = "release"
 	OpOfferMetadata = "offer_metadata"
 	OpImportData    = "import_data"
 	OpImportOpen    = "import_open"
@@ -237,18 +237,15 @@ func (a *faultyAgent) SendData(ctx context.Context, target string, takes map[int
 	return sent, nil
 }
 
-// HashSplit implements core.MasterAgent.
-func (a *faultyAgent) HashSplit(ctx context.Context, newMembers, fullMembership []string) (agent.SendStats, error) {
-	var sent agent.SendStats
-	err := a.net.apply(ctx, a.from, a.to, OpHashSplit, func() error {
+// Release implements core.MasterAgent.
+func (a *faultyAgent) Release(ctx context.Context, members []string) (int, error) {
+	var n int
+	err := a.net.apply(ctx, a.from, a.to, OpRelease, func() error {
 		var ierr error
-		sent, ierr = a.inner.HashSplit(ctx, newMembers, fullMembership)
+		n, ierr = a.inner.Release(ctx, members)
 		return ierr
 	})
-	if err != nil {
-		return sent, err
-	}
-	return sent, nil
+	return n, err
 }
 
 var _ core.MasterAgent = (*faultyAgent)(nil)
