@@ -114,6 +114,45 @@ func TestDumpAll(t *testing.T) {
 	}
 }
 
+// classMedian reads a class median the way a node score does: the middle
+// of the class's one-bucket RouteStamps list, hottest first.
+func classMedian(t *testing.T, c *Cache, classID int) (int64, bool) {
+	t.Helper()
+	lists, err := c.RouteStamps(classID, 1, func([]byte) int { return 0 })
+	if err != nil || len(lists[0]) == 0 {
+		return 0, false
+	}
+	return lists[0][len(lists[0])/2], true
+}
+
+func TestMedianTimestamp(t *testing.T) {
+	c, _ := newTestCache(t, 1)
+	fill(t, c, 9, "key")
+	median, ok := classMedian(t, c, 0)
+	if !ok {
+		t.Fatal("median missing for populated class")
+	}
+	metas, err := c.DumpClass(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With 9 items the median (index 4) is key-0004 counting from the
+	// hottest (key-0008).
+	if want := metas[4].LastAccess.UnixNano(); median != want {
+		t.Fatalf("median = %d, want the MRU-position-4 timestamp %d", median, want)
+	}
+}
+
+func TestMedianTimestampEmpty(t *testing.T) {
+	c, _ := newTestCache(t, 1)
+	if _, ok := classMedian(t, c, 0); ok {
+		t.Fatal("median reported for empty class")
+	}
+	if _, err := c.RouteStamps(-5, 1, func([]byte) int { return 0 }); err == nil {
+		t.Fatal("stamps reported for invalid class")
+	}
+}
+
 func TestSlabPageWeightsSumToOne(t *testing.T) {
 	c, _ := newTestCache(t, 8)
 	fill(t, c, 100, "small")

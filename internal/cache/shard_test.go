@@ -148,6 +148,28 @@ func TestShardedDumpAllMergesEveryClass(t *testing.T) {
 	}
 }
 
+func TestShardedMedianTimestamp(t *testing.T) {
+	c, _ := newShardedCache(t, 64, 4)
+	for i := 0; i < 9; i++ {
+		if err := c.Set(fmt.Sprintf("key-%d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	median, ok := classMedian(t, c, 0)
+	if !ok {
+		t.Fatal("median missing for populated class")
+	}
+	metas, err := c.DumpClass(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The global median (index 4 of 9 from the hottest) must agree with the
+	// merged dump, however items landed across shards.
+	if want := metas[4].LastAccess.UnixNano(); median != want {
+		t.Fatalf("median = %d, want merged MRU-position-4 timestamp %d", median, want)
+	}
+}
+
 func TestShardedTopMetaGlobalHottest(t *testing.T) {
 	c, _ := newShardedCache(t, 64, 8)
 	for i := 0; i < 90; i++ {
