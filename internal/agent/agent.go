@@ -92,10 +92,10 @@ type Agent struct {
 	// migration selection, so a replicated item only ships from its home.
 	ownedFilter atomic.Value
 
-	// ownership is the latest per-segment ownership table announced by the
-	// master, nil for standalone agents. Import paths consult it to drop
-	// stale stream pairs aimed at a segment this node has already handed
-	// over (or never owned under the current epoch).
+	// ownership is the latest ownership table announced by the master, nil
+	// for standalone agents. Import paths consult it to drop stale stream
+	// pairs aimed at a key this node has already handed over (or never
+	// owned under the current table).
 	ownership atomic.Pointer[hashring.Table]
 
 	mu     sync.Mutex
@@ -520,7 +520,7 @@ func (a *Agent) SendData(ctx context.Context, target string, takes map[int]int, 
 	return stats, nil
 }
 
-// OwnershipChanged installs a newer per-segment ownership table
+// OwnershipChanged installs a newer ownership table
 // (core.OwnershipListener). Stale announcements are dropped so listener
 // delivery order cannot regress the import gate.
 func (a *Agent) OwnershipChanged(t *hashring.Table) {

@@ -9,7 +9,7 @@ import (
 )
 
 // tableKeyFor finds a key matching pred against the table, for building
-// import batches aimed at specific segment states.
+// import batches aimed at keys that do or do not change owner.
 func tableKeyFor(t *testing.T, pred func(string) bool) string {
 	t.Helper()
 	for i := 0; i < 200000; i++ {
@@ -22,8 +22,7 @@ func tableKeyFor(t *testing.T, pred func(string) bool) string {
 	return ""
 }
 
-// TestStaleImportDropped: once a segment's handover commits away from a
-// node, a replayed migration stream must not resurrect pairs on the
+// TestStaleImportDropped: once a handover settles a key away from a node, a replayed migration stream must not resurrect pairs on the
 // outgoing owner.
 func TestStaleImportDropped(t *testing.T) {
 	reg := NewRegistry()
@@ -31,20 +30,20 @@ func TestStaleImportDropped(t *testing.T) {
 	recv := newNode(t, reg, "n1", 2, clk)
 
 	// Settled on {n1,n3}; scale out toward {n1,n2,n3} — n1 hands some
-	// segments to the newcomer n2.
+	// keys to the newcomer n2.
 	settled, err := hashring.NewTable([]string{"n1", "n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inFlight, moving, err := settled.BeginHandover([]string{"n1", "n2", "n3"})
+	inFlight, _, err := settled.BeginHandover([]string{"n1", "n2", "n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// A key n1 is handing to n2 (mid-handover either owner accepts), and
-	// one n1 owns outright (segment not moving).
+	// one n1 owns outright (its owner does not change).
 	movingKey := tableKeyFor(t, func(k string) bool {
-		if !inFlight.InFlight(k) {
+		if !inFlight.InFlightHash(hashring.KeyHash(k)) {
 			return false
 		}
 		oldOwner, err := settled.Owner(k)
@@ -55,7 +54,7 @@ func TestStaleImportDropped(t *testing.T) {
 		return err == nil && newOwner == "n2"
 	})
 	stableKey := tableKeyFor(t, func(k string) bool {
-		if inFlight.InFlight(k) {
+		if inFlight.InFlightHash(hashring.KeyHash(k)) {
 			return false
 		}
 		o, err := inFlight.Owner(k)
@@ -79,14 +78,14 @@ func TestStaleImportDropped(t *testing.T) {
 		t.Fatalf("StaleDropped = %d, want 0", recv.Counters().StaleDropped)
 	}
 
-	// Commit the handover: the moving segments now belong to the new
-	// owner alone. A replayed stream frame must drop the moved pair and
-	// keep the stable one.
-	committed, err := inFlight.CommitSegments(moving)
+	// Settle the handover: the moving key now belongs to the new owner
+	// alone. A replayed stream frame must drop the moved pair and keep
+	// the stable one.
+	settled2, err := inFlight.Settle()
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv.OwnershipChanged(committed)
+	recv.OwnershipChanged(settled2)
 	if err := recv.Cache().Delete(movingKey); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +100,7 @@ func TestStaleImportDropped(t *testing.T) {
 		t.Fatalf("replayed frame = (%d, %v), want 1 import", n, err)
 	}
 	if _, ok := recv.Cache().Peek(movingKey); ok {
-		t.Fatal("stale pair resurrected after segment commit")
+		t.Fatal("stale pair resurrected after settle")
 	}
 	if _, ok := recv.Cache().Peek(stableKey); !ok {
 		t.Fatal("still-owned pair dropped")

@@ -244,7 +244,7 @@ func (a *Agent) pushPlan(ctx context.Context, peer Peer, target string, plan [][
 		// Tag the stream with the ownership table version: a plan retried
 		// across a handover boundary fingerprints differently, so the
 		// receiver resets stream state instead of resuming acks earned
-		// under a superseded ownership epoch.
+		// under a superseded ownership table.
 		fp ^= t.Version() * 0x9e3779b97f4a7c15
 	}
 	epoch := a.epochFor(target, fp)

@@ -37,11 +37,11 @@ type Cluster struct {
 	opTimeout   time.Duration
 	maxIdle     int
 
-	// table is the per-segment ownership table the client routes by. A
-	// lock-free atomic pointer: every op loads it once and works against
-	// that immutable snapshot, so a concurrent handover announcement never
-	// tears a half-routed operation. Updated by OwnershipChanged (epoch'd
-	// handover waves from the master).
+	// table is the ownership table the client routes by. A lock-free
+	// atomic pointer: every op loads it once and works against that
+	// immutable snapshot, so a concurrent handover announcement never
+	// tears a half-routed operation. Updated by OwnershipChanged (the
+	// master's handover announcements).
 	table atomic.Pointer[hashring.Table]
 
 	mu    sync.RWMutex
@@ -125,7 +125,7 @@ func (c *Cluster) Members() []string {
 	return c.table.Load().Members()
 }
 
-// OwnershipChanged installs a newer per-segment ownership table
+// OwnershipChanged installs a newer ownership table
 // (core.OwnershipListener). Stale announcements — version at or below the
 // installed table's — are dropped, so listener delivery order can never
 // regress routing. Pools for departed members are closed, and promotions
@@ -174,9 +174,9 @@ func (c *Cluster) prunePools(members []string) {
 }
 
 // Owner reports which member authoritatively owns the key: the outgoing
-// owner until the key's segment commits, the incoming owner after.
+// owner until the table settles, the incoming owner after.
 // Conditional ops (cas/add/replace/counters/touch) route here so their
-// read-modify-write semantics stay anchored to one node per epoch.
+// read-modify-write semantics stay anchored to one node per table.
 func (c *Cluster) Owner(key string) (string, error) {
 	if c.closed.Load() {
 		return "", ErrClosed
@@ -209,8 +209,8 @@ func (c *Cluster) GetContext(ctx context.Context, key string) ([]byte, bool, err
 	}
 	value, _, hit, err := c.getOn(ctx, node, key)
 	if err == nil && !hit && fallback != "" {
-		// The key's segment is mid-handover and its migration frame may not
-		// have landed yet: forward the miss to the retiring owner.
+		// The key is changing owner and its migration frame may not have
+		// landed yet: forward the miss to the retiring owner.
 		node = fallback
 		value, _, hit, err = c.getOn(ctx, node, key)
 	}
@@ -236,7 +236,7 @@ func (c *Cluster) MultiGet(keys []string) (map[string][]byte, error) {
 }
 
 // route is where one key of a multi-get is read: node first, then, for a
-// key whose segment is mid-handover, the retiring owner.
+// key changing owner mid-handover, the retiring owner.
 type route struct {
 	node, fallback string
 }
@@ -271,7 +271,7 @@ func (c *Cluster) MultiGetContext(ctx context.Context, keys []string) (map[strin
 	}
 	err := c.fetch(ctx, keys, out, func(i int) string { return routes[i].node })
 	if err == nil && forwardable {
-		// Misses on in-flight segments go to the retiring owner before they
+		// Misses on in-flight keys go to the retiring owner before they
 		// are reported, as in GetContext.
 		err = c.fetch(ctx, keys, out, func(i int) string {
 			if !missed(i) {
@@ -391,8 +391,8 @@ func (c *Cluster) Set(key string, value []byte) error {
 	return c.SetContext(context.Background(), key, value)
 }
 
-// SetContext is Set bounded by ctx's deadline. While the key's segment is
-// mid-handover the write is dual-applied to the incoming and outgoing
+// SetContext is Set bounded by ctx's deadline. While the key is changing
+// owner mid-handover the write is dual-applied to the incoming and outgoing
 // owners, so reads stay consistent whichever side serves them; both
 // stores must succeed.
 func (c *Cluster) SetContext(ctx context.Context, key string, value []byte) error {

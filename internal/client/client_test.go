@@ -38,20 +38,16 @@ func testCluster(t *testing.T, n int) (*Cluster, []*server.Server) {
 	return cl, servers
 }
 
-// announceSettled walks the client's table through a one-wave handover
-// toward members — BeginHandover, CommitSegments, Settle — and announces
-// the settled table, as a Master's last announcement of an action would.
+// announceSettled walks the client's table through a handover toward
+// members — BeginHandover, Settle — and announces the settled table, as a
+// Master's last announcement of an action would.
 func announceSettled(t *testing.T, cl *Cluster, members []string) {
 	t.Helper()
-	inFlight, moving, err := cl.table.Load().BeginHandover(members)
+	inFlight, _, err := cl.table.Load().BeginHandover(members)
 	if err != nil {
 		t.Fatal(err)
 	}
-	committed, err := inFlight.CommitSegments(moving)
-	if err != nil {
-		t.Fatal(err)
-	}
-	settled, err := committed.Settle()
+	settled, err := inFlight.Settle()
 	if err != nil {
 		t.Fatal(err)
 	}

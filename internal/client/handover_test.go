@@ -13,15 +13,11 @@ import (
 )
 
 // movingKey finds a key whose owner changes between the settled table and
-// the in-flight handover table (i.e. its segment is mid-handover AND the
-// read-plan primary differs from the retiring owner).
+// the in-flight handover table: its read plan has a fallback.
 func movingKey(t *testing.T, table *hashring.Table) string {
 	t.Helper()
 	for i := 0; i < 100000; i++ {
 		k := fmt.Sprintf("mv%05d", i)
-		if !table.InFlight(k) {
-			continue
-		}
 		primary, fallback, err := table.ReadPlan(k)
 		if err != nil {
 			t.Fatal(err)
@@ -44,12 +40,12 @@ func TestHandoverForwardOnMiss(t *testing.T) {
 	settled := cl.table.Load()
 	members := settled.Members()
 	// Scale in: drop the last member.
-	inFlight, moving, err := settled.BeginHandover(members[:len(members)-1])
+	inFlight, moved, err := settled.BeginHandover(members[:len(members)-1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(moving) == 0 {
-		t.Fatal("no segments moving")
+	if moved == 0 {
+		t.Fatal("no keys moving")
 	}
 	key := movingKey(t, inFlight)
 
@@ -69,16 +65,12 @@ func TestHandoverForwardOnMiss(t *testing.T) {
 		t.Fatalf("forward-on-miss MultiGet = %v, %v", got, err)
 	}
 
-	// Writes are now dual-applied: after commit+settle (retiring owner
-	// drops out of the plan) the value must still be served.
+	// Writes are now dual-applied: after settle (retiring owner drops out
+	// of the plan) the value must still be served.
 	if err := cl.Set(key, []byte("during-handover")); err != nil {
 		t.Fatal(err)
 	}
-	committed, err := inFlight.CommitSegments(moving)
-	if err != nil {
-		t.Fatal(err)
-	}
-	settled2, err := committed.Settle()
+	settled2, err := inFlight.Settle()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,22 +184,17 @@ func TestRoutingRaceUnderChurn(t *testing.T) {
 			} else {
 				target = members
 			}
-			inFlight, moving, err := cur.BeginHandover(target)
+			inFlight, _, err := cur.BeginHandover(target)
 			if err != nil {
 				continue
 			}
 			cl.OwnershipChanged(inFlight)
 			if i%3 == 0 {
-				// Abandon: roll back instead of committing.
+				// Abandon: roll back instead of settling.
 				cl.OwnershipChanged(inFlight.Rollback())
 				continue
 			}
-			committed, err := inFlight.CommitSegments(moving)
-			if err != nil {
-				continue
-			}
-			cl.OwnershipChanged(committed)
-			settled, err := committed.Settle()
+			settled, err := inFlight.Settle()
 			if err != nil {
 				continue
 			}

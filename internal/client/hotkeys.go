@@ -95,7 +95,7 @@ func (c *Cluster) HotKeyTable() (map[string][]string, map[string]uint64) {
 // promoted key rotates through its serving set (cheap splitmix shuffle
 // over a shared counter), everything else follows the ownership table's
 // read plan. fallback is the retiring owner to forward a miss to when the
-// key's segment is mid-handover, empty otherwise.
+// key changes owner in a handover, empty otherwise.
 func (c *Cluster) routeRead(t *hashring.Table, key string) (node, fallback string, err error) {
 	if c.hotCount.Load() > 0 {
 		c.hotMu.RLock()

@@ -10,8 +10,7 @@ import (
 
 // Lease-protected reads (the serve-through path): a miss on LeaseGet
 // returns a fill token instead of nothing, and only the token holder's
-// LeaseSet lands. During a segment handover the incoming owner starts
-// cold; leases collapse the resulting miss storm to one backing-store
+// LeaseSet lands. During a handover the incoming owner starts cold; leases collapse the resulting miss storm to one backing-store
 // load per key, and the server parks mid-handover fills in its gutter
 // pool.
 
@@ -29,8 +28,8 @@ func (c *Cluster) LeaseGet(key string) (value []byte, token uint64, hit bool, er
 }
 
 // LeaseGetContext is LeaseGet bounded by ctx's deadline. A miss at the
-// incoming owner of a mid-handover segment forwards to the retiring
-// owner before granting a token; a forwarded hit warms the incoming
+// incoming owner of a key in flight forwards to the retiring owner
+// before granting a token; a forwarded hit warms the incoming
 // owner with a best-effort lease fill.
 func (c *Cluster) LeaseGetContext(ctx context.Context, key string) (value []byte, token uint64, hit bool, err error) {
 	primary, fallback, err := readPlan(c.table.Load(), key)

@@ -298,7 +298,7 @@ func (c *Cluster) ScaleIn(ctx context.Context, x int) (*core.ScaleReport, error)
 // failure the Master rolled back, the freshly booted nodes are torn down
 // again so the cluster returns to its pre-call state. A failure after the
 // table settled (a release that kept failing) leaves them adopted: they
-// already own their segments.
+// already own their keys.
 func (c *Cluster) ScaleOut(ctx context.Context, x int) (*core.ScaleReport, error) {
 	c.mu.Lock()
 	closed := c.closed

@@ -86,7 +86,7 @@ func (ls *liveStage) hook(phase string) {
 
 // readAll asserts the serve-through read contract: every live key must be
 // readable through the current read plan — on the primary, or, for a
-// mid-handover segment, on the retiring-owner fallback.
+// key in flight, on the retiring-owner fallback.
 func (ls *liveStage) readAll(phase string) {
 	for _, key := range ls.order {
 		primary, fallback, err := ls.table.ReadPlan(key)
@@ -109,9 +109,9 @@ func (ls *liveStage) readAll(phase string) {
 }
 
 // write stores fresh keys through the write plan: dual-applied while the
-// key's segment is mid-handover, single-homed once settled. Timestamps
-// are fixed far in the future so imports are tick-neutral and the keys
-// never age below staged data.
+// key is in flight, single-homed otherwise. Timestamps are fixed far in
+// the future so imports are tick-neutral and the keys never age below
+// staged data.
 func (ls *liveStage) write(phase string) {
 	for i := 0; i < liveWritesPerHook; i++ {
 		key := fmt.Sprintf("lv-%04d", ls.seq)

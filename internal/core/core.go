@@ -170,8 +170,9 @@ type ScaleReport struct {
 	// Aborted names the phase that terminated the action early, "" when
 	// the action completed.
 	Aborted string
-	// Segments counts the ownership segments that went in-flight for the
-	// handover; HandoverWaves how many commit waves flipped them; and
+	// Segments counts the 1/1024 arcs of the hash circle that hold a key
+	// changing owner in the handover; HandoverWaves is 1 once the table
+	// settles (one announcement flips every moving key); and
 	// OwnershipVersion the settled table's version after the action.
 	Segments         int
 	HandoverWaves    int
@@ -193,7 +194,6 @@ type Master struct {
 	workers      int
 	retry        taskgroup.Backoff
 	phaseTimeout time.Duration
-	waves        int
 	phaseHook    func(phase string)
 
 	// act serializes scaling actions: an action's release runs after its
@@ -225,7 +225,6 @@ type masterOptions struct {
 	workers      int
 	retry        taskgroup.Backoff
 	phaseTimeout time.Duration
-	waves        int
 	phaseHook    func(phase string)
 }
 
@@ -285,7 +284,6 @@ func NewMaster(dir Directory, members []string, opts ...Option) (*Master, error)
 		now:     time.Now,
 		workers: DefaultWorkerLimit,
 		retry:   taskgroup.Backoff{Attempts: 3, Delay: 10 * time.Millisecond},
-		waves:   DefaultHandoverWaves,
 	}
 	for _, opt := range opts {
 		opt.apply(&o)
@@ -300,7 +298,6 @@ func NewMaster(dir Directory, members []string, opts ...Option) (*Master, error)
 		workers:      o.workers,
 		retry:        o.retry,
 		phaseTimeout: o.phaseTimeout,
-		waves:        o.waves,
 		phaseHook:    o.phaseHook,
 	}
 	m.members = append(m.members, members...)
@@ -560,7 +557,7 @@ func (m *Master) ScaleOut(ctx context.Context, newNodes []string) (*ScaleReport,
 // scaling directions: scale-in passes (retiring, retained), scale-out
 // (members, full). It announces the handover toward newMembers, then runs
 // phase 1 on the senders, phase 2 (FuseCache) on every receiver — a new
-// member that is not a sender — and phase 3 on the senders, commits and
+// member that is not a sender — and phase 3 on the senders, then
 // settles the table and adopts newMembers. Senders that leave are stopped;
 // senders that stay release what the settled table moved off them. No key
 // leaves a surviving node before the table settles, so a failure up to
@@ -571,14 +568,14 @@ func (m *Master) ScaleOut(ctx context.Context, newNodes []string) (*ScaleReport,
 // returned.
 func (m *Master) migrate(ctx context.Context, report *ScaleReport, senders, newMembers []string) error {
 	// Serve-through handover: announce the in-flight table before any data
-	// moves. From here until settle, clients on the moving segments read
-	// incoming-first with fallback and dual-apply writes; any phase failure
-	// rolls the table back in one announced version bump.
-	moving, err := m.beginHandover(newMembers)
+	// moves. From here until settle, clients read keys that change owner
+	// incoming-first with fallback and dual-apply their writes; any phase
+	// failure rolls the table back in one announced version bump.
+	moved, err := m.beginHandover(newMembers)
 	if err != nil {
 		return err
 	}
-	report.Segments = len(moving)
+	report.Segments = moved
 	m.callHook("prepare")
 
 	// Phase 1: metadata transfer, concurrent across senders.
@@ -681,15 +678,14 @@ func (m *Master) migrate(ctx context.Context, report *ScaleReport, senders, newM
 	}
 	m.callHook("data")
 
-	// Commit the moving segments wave by wave and settle the table.
+	// Settle the table: one announcement hands every moving key over.
 	t0 := m.now()
-	waves, err := m.commitAndSettle(moving)
-	report.HandoverWaves = waves
-	if err != nil {
+	if err := m.settleHandover(); err != nil {
 		m.rollbackHandover()
 		report.Aborted = "handover"
 		return err
 	}
+	report.HandoverWaves = 1
 	report.OwnershipVersion = m.OwnershipTable().Version()
 	report.Timings = append(report.Timings, PhaseTiming{Phase: "handover", Duration: m.now().Sub(t0)})
 	m.callHook("handover")
@@ -715,7 +711,7 @@ func (m *Master) migrate(ctx context.Context, report *ScaleReport, senders, newM
 
 	// Release: with the table settled, every surviving sender drops the
 	// keys it no longer owns — what it shipped, what FuseCache left behind
-	// and the writes dual-applied while the segments moved.
+	// and the writes dual-applied while the keys moved.
 	released := make([]int, len(survivors))
 	ops = make([]phaseOp, len(survivors))
 	for i, node := range survivors {

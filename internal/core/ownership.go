@@ -9,29 +9,23 @@ import (
 
 // Serve-through scaling: instead of one global membership flip at the end
 // of a migration, the Master maintains a versioned ownership table
-// (hashring.Table) and walks it through a per-segment handover:
+// (hashring.Table) and walks it through a handover:
 //
 //	settled table
-//	  │ BeginHandover(newMembers)      announce v+1 (segments in-flight)
-//	  ▼
+//	  │ BeginHandover(newMembers)      announce v+1: keys whose owner
+//	  ▼                                changes are in flight
 //	phases 1–3 run                      clients read incoming-first with
 //	  │                                 fallback, dual-apply writes
 //	  ▼
-//	CommitSegments per wave             announce each wave (epoch bumps)
-//	  │
-//	  ▼
-//	Settle                              announce settled table
+//	Settle                              announce v+2: the new ring alone
 //	  │
 //	  ▼
 //	release                             surviving senders drop what they
 //	                                    no longer own
 //
 // Any phase failure before Settle announces Rollback instead, restoring
-// the old routing in one version bump; no key has left its old owner yet.
-
-// DefaultHandoverWaves is how many commit waves a handover's in-flight
-// segments are spread across.
-const DefaultHandoverWaves = 8
+// the old routing in one version bump; no key has left its old owner yet,
+// and every write since BeginHandover reached the old owner too.
 
 // OwnershipListener observes ownership-table updates. Listeners must
 // install a table only when its version exceeds the one they hold, so
@@ -39,14 +33,6 @@ const DefaultHandoverWaves = 8
 type OwnershipListener interface {
 	OwnershipChanged(t *hashring.Table)
 }
-
-type segmentWavesOption int
-
-func (o segmentWavesOption) apply(opts *masterOptions) { opts.waves = int(o) }
-
-// WithSegmentWaves sets how many commit waves a handover uses (default
-// DefaultHandoverWaves; 1 commits everything at once).
-func WithSegmentWaves(n int) Option { return segmentWavesOption(n) }
 
 type phaseHookOption struct{ hook func(phase string) }
 
@@ -85,69 +71,34 @@ func (m *Master) callHook(phase string) {
 	}
 }
 
-// beginHandover starts the per-segment handover toward newMembers and
-// announces the in-flight table. It returns the sorted moving segments.
-func (m *Master) beginHandover(newMembers []string) ([]int, error) {
-	m.mu.Lock()
-	t := m.table
-	m.mu.Unlock()
-	nt, moving, err := t.BeginHandover(newMembers)
+// beginHandover starts the handover toward newMembers and announces the
+// in-flight table. It returns how many of the circle's 1024 arcs hold a
+// key that changes owner.
+func (m *Master) beginHandover(newMembers []string) (int, error) {
+	nt, moved, err := m.OwnershipTable().BeginHandover(newMembers)
 	if err != nil {
-		return nil, fmt.Errorf("core: begin handover: %w", err)
+		return 0, fmt.Errorf("core: begin handover: %w", err)
 	}
 	m.setTable(nt)
-	return moving, nil
+	return moved, nil
 }
 
 // rollbackHandover abandons an in-progress handover, restoring the old
 // routing in one announced version bump. Safe to call when already
 // settled (a failure before beginHandover): it is then a no-op.
 func (m *Master) rollbackHandover() {
-	m.mu.Lock()
-	t := m.table
-	m.mu.Unlock()
-	if t.Settled() {
-		return
+	if t := m.OwnershipTable(); !t.Settled() {
+		m.setTable(t.Rollback())
 	}
-	m.setTable(t.Rollback())
 }
 
-// commitAndSettle walks the moving segments through commit waves — each
-// wave announced separately, so clients flip routing segment group by
-// segment group rather than all at once — then settles the table.
-// It returns the number of waves run.
-func (m *Master) commitAndSettle(moving []int) (int, error) {
-	waves := m.waves
-	if waves < 1 {
-		waves = 1
-	}
-	if waves > len(moving) {
-		waves = len(moving)
-	}
-	committed := 0
-	for w := 0; w < waves; w++ {
-		lo := len(moving) * w / waves
-		hi := len(moving) * (w + 1) / waves
-		if lo == hi {
-			continue
-		}
-		m.mu.Lock()
-		t := m.table
-		m.mu.Unlock()
-		nt, err := t.CommitSegments(moving[lo:hi])
-		if err != nil {
-			return committed, fmt.Errorf("core: commit wave %d: %w", w, err)
-		}
-		m.setTable(nt)
-		committed++
-	}
-	m.mu.Lock()
-	t := m.table
-	m.mu.Unlock()
-	st, err := t.Settle()
+// settleHandover completes the handover: the incoming ring alone routes
+// from the announced version on.
+func (m *Master) settleHandover() error {
+	st, err := m.OwnershipTable().Settle()
 	if err != nil {
-		return committed, fmt.Errorf("core: settle: %w", err)
+		return fmt.Errorf("core: settle: %w", err)
 	}
 	m.setTable(st)
-	return committed, nil
+	return nil
 }

@@ -153,44 +153,6 @@ func (r *ComparisonResult) Render(w io.Writer) {
 	}
 }
 
-// Fig2 reproduces Figure 2: baseline vs ElMem post-scaling degradation on
-// the ETC trace's 10→9 scale-in.
-func Fig2() (*ComparisonResult, error) {
-	tr, err := trace.Generate(trace.ETC, trace.Options{})
-	if err != nil {
-		return nil, err
-	}
-	cfg := sim.DefaultConfig(tr)
-	return RunComparison(cfg, []policy.Kind{policy.Baseline, policy.ElMem})
-}
-
-// Fig6 reproduces one Figure 6 panel: baseline vs ElMem over the named
-// trace with its scripted scaling actions.
-func Fig6(name trace.Name) (*ComparisonResult, error) {
-	tr, err := trace.Generate(name, trace.Options{})
-	if err != nil {
-		return nil, err
-	}
-	cfg := sim.DefaultConfig(tr)
-	if name == trace.NLANR {
-		cfg.Nodes = 8 // the NLANR panel starts at 8 nodes (8→9→8)
-	}
-	return RunComparison(cfg, []policy.Kind{policy.Baseline, policy.ElMem})
-}
-
-// Fig8 reproduces Figure 8: ElMem vs Naive vs CacheScale on the SYS
-// snippet (10→7 scale-in).
-func Fig8() (*ComparisonResult, error) {
-	tr, err := trace.Generate(trace.SYS, trace.Options{})
-	if err != nil {
-		return nil, err
-	}
-	cfg := sim.DefaultConfig(tr)
-	return RunComparison(cfg, []policy.Kind{
-		policy.Baseline, policy.Naive, policy.CacheScale, policy.ElMem,
-	})
-}
-
 // Fig5Result is the normalized trace set of Figure 5.
 type Fig5Result struct {
 	// Traces holds the five generated demand series.

@@ -92,33 +92,6 @@ func throttledWrite(w io.Writer, p []byte, bps int) (int, error) {
 	return written, nil
 }
 
-// Listener wraps a net.Listener so every accepted connection is a faulty
-// Conn on the (peer → node) link; used to put the schedule under a
-// server's data path without a proxy hop. The link's From is the fixed
-// peerName (data-path clients are anonymous), To is the node name.
-type Listener struct {
-	net.Listener
-	netw     *Network
-	peerName string
-	node     string
-}
-
-// WrapListener wraps ln; accepted conns read on peerName→node and write
-// on node→peerName.
-func WrapListener(n *Network, peerName, node string, ln net.Listener) *Listener {
-	return &Listener{Listener: ln, netw: n, peerName: peerName, node: node}
-}
-
-// Accept implements net.Listener.
-func (l *Listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	// From the server's side, writes go node→peer and reads come peer→node.
-	return WrapConn(l.netw, l.node, l.peerName, c), nil
-}
-
 // Proxy is a faulty TCP hop: it listens on its own address, dials the
 // target for every accepted connection, and forwards chunks in both
 // directions under the schedule. Request chunks run on (from→to, "fwd");

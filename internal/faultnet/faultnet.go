@@ -416,13 +416,6 @@ func (n *Network) InjectedCount() int {
 	return c
 }
 
-// ResetLog clears the event log (rules and sequence counters stay).
-func (n *Network) ResetLog() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.events = nil
-}
-
 // Fingerprint renders the event log canonically — sorted by (from, to,
 // op, seq) so concurrent schedules compare equal when their per-link
 // decision streams match. Two runs of the same seed over the same call

@@ -12,9 +12,9 @@ package hashring
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // DefaultReplicas is the default number of virtual nodes per member. 160
@@ -24,18 +24,15 @@ const DefaultReplicas = 160
 var (
 	// ErrEmptyRing is returned when looking up a key on a ring with no members.
 	ErrEmptyRing = errors.New("hashring: ring has no members")
-	// ErrDuplicateMember is returned when adding a member that is already present.
+	// ErrDuplicateMember is returned when a member list names a node twice.
 	ErrDuplicateMember = errors.New("hashring: member already present")
-	// ErrUnknownMember is returned when removing a member that is not present.
-	ErrUnknownMember = errors.New("hashring: member not present")
 )
 
-// Ring is a consistent hash ring. It is safe for concurrent use.
+// Ring is an immutable consistent hash ring: a membership change builds a
+// new Ring. Being immutable, it is safe for concurrent use without a lock.
 type Ring struct {
-	mu       sync.RWMutex
-	replicas int
-	points   []point // sorted by hash
-	members  map[string]struct{}
+	points  []point  // sorted by hash
+	members []string // sorted
 }
 
 type point struct {
@@ -43,74 +40,33 @@ type point struct {
 	member string
 }
 
-// Option configures a Ring.
-type Option interface {
-	apply(*ringOptions)
-}
-
-type ringOptions struct {
-	replicas int
-}
-
-type replicasOption int
-
-func (o replicasOption) apply(opts *ringOptions) { opts.replicas = int(o) }
-
-// WithReplicas sets the number of virtual nodes per member.
-func WithReplicas(n int) Option { return replicasOption(n) }
-
 // New creates a ring containing the given members.
-func New(members []string, opts ...Option) (*Ring, error) {
-	options := ringOptions{replicas: DefaultReplicas}
-	for _, o := range opts {
-		o.apply(&options)
-	}
-	if options.replicas <= 0 {
-		return nil, fmt.Errorf("hashring: replicas must be positive, got %d", options.replicas)
-	}
+func New(members []string) (*Ring, error) {
+	return newRing(members, DefaultReplicas)
+}
+
+// newRing creates a ring with the given number of virtual nodes per member.
+func newRing(members []string, replicas int) (*Ring, error) {
 	r := &Ring{
-		replicas: options.replicas,
-		members:  make(map[string]struct{}, len(members)),
+		points:  make([]point, 0, len(members)*replicas),
+		members: slices.Clone(members),
 	}
-	for _, m := range members {
-		if err := r.Add(m); err != nil {
-			return nil, err
+	sort.Strings(r.members)
+	for i := 1; i < len(r.members); i++ {
+		if r.members[i] == r.members[i-1] {
+			return nil, fmt.Errorf("%w: %q", ErrDuplicateMember, r.members[i])
 		}
 	}
+	for _, m := range r.members {
+		for i := 0; i < replicas; i++ {
+			r.points = append(r.points, point{hash: pointHash(m, i), member: m})
+		}
+	}
+	sort.Slice(r.points, func(i, j int) bool {
+		a, b := r.points[i], r.points[j]
+		return a.hash < b.hash || a.hash == b.hash && a.member < b.member
+	})
 	return r, nil
-}
-
-// Add inserts a member into the ring.
-func (r *Ring) Add(member string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.members[member]; ok {
-		return fmt.Errorf("%w: %q", ErrDuplicateMember, member)
-	}
-	r.members[member] = struct{}{}
-	for i := 0; i < r.replicas; i++ {
-		r.points = append(r.points, point{hash: pointHash(member, i), member: member})
-	}
-	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-	return nil
-}
-
-// Remove deletes a member and all its virtual nodes from the ring.
-func (r *Ring) Remove(member string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.members[member]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownMember, member)
-	}
-	delete(r.members, member)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.member != member {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-	return nil
 }
 
 // Get returns the member that owns the key.
@@ -122,44 +78,48 @@ func (r *Ring) Get(key string) (string, error) {
 // or KeyHashBytes, so a caller holding key bytes routes without building a
 // string.
 func (r *Ring) GetHash(h uint64) (string, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.points) == 0 {
 		return "", ErrEmptyRing
 	}
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
+	return r.points[r.search(h)].member, nil
+}
+
+// search returns the index of the first point at or clockwise after h,
+// wrapping past the top of the circle to the first point.
+func (r *Ring) search(h uint64) int {
+	lo, hi := 0, len(r.points)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.points[mid].hash < h {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return r.points[i].member, nil
+	if lo == len(r.points) {
+		lo = 0
+	}
+	return lo
 }
 
 // GetN returns up to n distinct members for the key in preference order:
 // the owner followed by the next distinct members clockwise. Used for
 // replication-aware callers; ElMem itself uses only the owner.
 func (r *Ring) GetN(key string, n int) ([]string, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.points) == 0 {
 		return nil, ErrEmptyRing
 	}
 	if n <= 0 {
 		return nil, nil
 	}
-	if n > len(r.members) {
-		n = len(r.members)
-	}
-	h := KeyHash(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	n = min(n, len(r.members))
+	i := r.search(KeyHash(key))
 	out := make([]string, 0, n)
-	seen := make(map[string]struct{}, n)
 	for len(out) < n {
 		if i == len(r.points) {
 			i = 0
 		}
-		m := r.points[i].member
-		if _, ok := seen[m]; !ok {
-			seen[m] = struct{}{}
+		if m := r.points[i].member; !slices.Contains(out, m) {
 			out = append(out, m)
 		}
 		i++
@@ -167,49 +127,9 @@ func (r *Ring) GetN(key string, n int) ([]string, error) {
 	return out, nil
 }
 
-// Members returns the current member set in sorted order.
+// Members returns the member set in sorted order.
 func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len returns the number of members.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.members)
-}
-
-// Contains reports whether member is in the ring.
-func (r *Ring) Contains(member string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.members[member]
-	return ok
-}
-
-// Clone returns an independent copy of the ring with the same membership
-// and replica count. ElMem Agents clone the ring and drop retiring members
-// to compute phase-1 target nodes without disturbing live routing.
-func (r *Ring) Clone() *Ring {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := &Ring{
-		replicas: r.replicas,
-		points:   make([]point, len(r.points)),
-		members:  make(map[string]struct{}, len(r.members)),
-	}
-	copy(out.points, r.points)
-	for m := range r.members {
-		out.members[m] = struct{}{}
-	}
-	return out
+	return append(make([]string, 0, len(r.members)), r.members...)
 }
 
 // KeyHash returns the 64-bit position of a key on the circle. It is
@@ -218,8 +138,9 @@ func (r *Ring) Clone() *Ring {
 func KeyHash(key string) uint64 { return fmix64(fnv1a(key)) }
 
 // KeyHashBytes is KeyHash for a byte-slice key, allocation-free: the
-// server's hot path tests segment membership, and a retiring agent routes
-// its phase-1 metadata, without converting cache key bytes to a string.
+// server's hot path tests whether a key is in flight, and a retiring agent
+// routes its phase-1 metadata, without converting cache key bytes to a
+// string.
 func KeyHashBytes(key []byte) uint64 { return fmix64(fnv1a(key)) }
 
 // pointHash positions virtual node i of a member on the circle: the key
@@ -232,7 +153,7 @@ func pointHash(member string, i int) uint64 {
 }
 
 // fnv1a is 64-bit FNV-1a: the one key hash loop behind KeyHash,
-// KeyHashBytes and the ring's point placement, so the ring, the segment
+// KeyHashBytes and the ring's point placement, so the ring, the ownership
 // table and byte-keyed routes cannot drift apart.
 func fnv1a[K string | []byte](key K) uint64 {
 	const (

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -23,14 +24,14 @@ func TestNewAndGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
+	if n := len(r.Members()); n != 4 {
+		t.Fatalf("%d members, want 4", n)
 	}
 	owner, err := r.Get("some-key")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Contains(owner) {
+	if !slices.Contains(r.Members(), owner) {
 		t.Fatalf("owner %q not a member", owner)
 	}
 }
@@ -45,35 +46,6 @@ func TestEmptyRing(t *testing.T) {
 	}
 	if _, err := r.GetN("k", 2); !errors.Is(err, ErrEmptyRing) {
 		t.Fatalf("GetN err = %v, want ErrEmptyRing", err)
-	}
-}
-
-func TestDuplicateAdd(t *testing.T) {
-	r, err := New([]string{"a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Add("a"); !errors.Is(err, ErrDuplicateMember) {
-		t.Fatalf("err = %v, want ErrDuplicateMember", err)
-	}
-}
-
-func TestRemoveUnknown(t *testing.T) {
-	r, err := New([]string{"a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Remove("b"); !errors.Is(err, ErrUnknownMember) {
-		t.Fatalf("err = %v, want ErrUnknownMember", err)
-	}
-}
-
-func TestNewRejectsBadReplicas(t *testing.T) {
-	if _, err := New([]string{"a"}, WithReplicas(0)); err == nil {
-		t.Fatal("want error for zero replicas")
-	}
-	if _, err := New([]string{"a"}, WithReplicas(-3)); err == nil {
-		t.Fatal("want error for negative replicas")
 	}
 }
 
@@ -128,7 +100,7 @@ func TestScaleOutRemapsOneOverKPlusOne(t *testing.T) {
 	// High virtual-node count tightens the new node's share around 1/(k+1);
 	// the libmemcached default of 160 has wide variance per member.
 	const k = 9
-	r, err := New(nodeNames(k), WithReplicas(1024))
+	r, err := newRing(nodeNames(k), 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +114,7 @@ func TestScaleOutRemapsOneOverKPlusOne(t *testing.T) {
 		before[i] = owner
 	}
 	newNode := fmt.Sprintf("node-%d", k)
-	if err := r.Add(newNode); err != nil {
+	if r, err = newRing(nodeNames(k+1), 1024); err != nil {
 		t.Fatal(err)
 	}
 	moved, movedElsewhere := 0, 0
@@ -187,7 +159,7 @@ func TestScaleInOnlyRemapsRetiringKeys(t *testing.T) {
 		before[i] = owner
 	}
 	const retiring = "node-3"
-	if err := r.Remove(retiring); err != nil {
+	if r, err = New(slices.DeleteFunc(nodeNames(k), func(m string) bool { return m == retiring })); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < keys; i++ {
@@ -201,39 +173,6 @@ func TestScaleInOnlyRemapsRetiringKeys(t *testing.T) {
 			}
 		} else if owner != before[i] {
 			t.Fatalf("key %d moved from %s to %s although its owner was retained", i, before[i], owner)
-		}
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	r, err := New(nodeNames(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := r.Clone()
-	if err := c.Remove("node-0"); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Contains("node-0") {
-		t.Fatal("removing from the clone mutated the original")
-	}
-	if c.Len() != 4 || r.Len() != 5 {
-		t.Fatalf("lens = %d/%d, want 4/5", c.Len(), r.Len())
-	}
-}
-
-func TestCloneRoutesIdentically(t *testing.T) {
-	r, err := New(nodeNames(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := r.Clone()
-	for i := 0; i < 1000; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		a, _ := r.Get(key)
-		b, _ := c.Get(key)
-		if a != b {
-			t.Fatalf("clone routes %q to %s, original to %s", key, b, a)
 		}
 	}
 }
@@ -305,28 +244,19 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				if _, err := r.Get(fmt.Sprintf("key-%d-%d", g, i)); err != nil {
+				key := fmt.Sprintf("key-%d-%d", g, i)
+				owner, err := r.Get(key)
+				if err != nil {
 					t.Errorf("Get: %v", err)
+					return
+				}
+				if got, err := r.GetN(key, 2); err != nil || got[0] != owner {
+					t.Errorf("GetN(%s) = %v, %v; owner %s", key, got, err, owner)
 					return
 				}
 			}
 		}(g)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			name := fmt.Sprintf("extra-%d", i)
-			if err := r.Add(name); err != nil {
-				t.Errorf("Add: %v", err)
-				return
-			}
-			if err := r.Remove(name); err != nil {
-				t.Errorf("Remove: %v", err)
-				return
-			}
-		}
-	}()
 	wg.Wait()
 }
 
@@ -339,41 +269,40 @@ func TestKeyHashStable(t *testing.T) {
 	}
 }
 
-// TestPropertyChurnStability: after any sequence of adds and removes, the
-// ring routes every key to a current member, deterministically, and
-// removing a member that was never added fails cleanly.
+// TestPropertyChurnStability: after any sequence of joins and leaves,
+// the ring over the live members routes every key to a live member,
+// deterministically.
 func TestPropertyChurnStability(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r, err := New(nodeNames(3))
-		if err != nil {
-			return false
-		}
-		live := map[string]bool{"node-0": true, "node-1": true, "node-2": true}
+		live := []string{"node-0", "node-1", "node-2"}
 		for op := 0; op < 40; op++ {
 			name := fmt.Sprintf("churn-%d", rng.Intn(10))
-			if rng.Intn(2) == 0 {
-				if !live[name] {
-					if err := r.Add(name); err != nil {
-						return false
-					}
-					live[name] = true
-				}
-			} else if live[name] {
-				if err := r.Remove(name); err != nil {
-					return false
-				}
-				delete(live, name)
+			if i := slices.Index(live, name); i >= 0 {
+				live = slices.Delete(live, i, i+1)
+			} else {
+				live = append(live, name)
 			}
-			owner, err := r.Get(fmt.Sprintf("key-%d", op))
+			r, err := New(live)
 			if err != nil {
 				return false
 			}
-			if !r.Contains(owner) {
+			key := fmt.Sprintf("key-%d", op)
+			owner, err := r.Get(key)
+			if len(live) == 0 {
+				if !errors.Is(err, ErrEmptyRing) {
+					return false
+				}
+				continue
+			}
+			if err != nil || !slices.Contains(live, owner) {
+				return false
+			}
+			if again, _ := r.Get(key); again != owner || len(r.Members()) != len(live) {
 				return false
 			}
 		}
-		return r.Len() == len(live)
+		return true
 	}
 	cfg := &quick.Config{MaxCount: 50}
 	if err := quick.Check(f, cfg); err != nil {
@@ -381,8 +310,8 @@ func TestPropertyChurnStability(t *testing.T) {
 	}
 }
 
-// TestPropertyMinimalDisruption: removing then re-adding a member
-// restores the exact original routing.
+// TestPropertyMinimalDisruption: dropping a member remaps only its keys,
+// and adding it back restores the exact original routing.
 func TestPropertyMinimalDisruption(t *testing.T) {
 	r, err := New(nodeNames(5))
 	if err != nil {
@@ -397,10 +326,16 @@ func TestPropertyMinimalDisruption(t *testing.T) {
 		}
 		before[key] = owner
 	}
-	if err := r.Remove("node-2"); err != nil {
+	without, err := New(slices.DeleteFunc(nodeNames(5), func(m string) bool { return m == "node-2" }))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Add("node-2"); err != nil {
+	for key, owner := range before {
+		if got, _ := without.Get(key); got == "node-2" || owner != "node-2" && got != owner {
+			t.Fatalf("key %s routes to %s without node-2, was %s", key, got, owner)
+		}
+	}
+	if r, err = New(nodeNames(5)); err != nil {
 		t.Fatal(err)
 	}
 	for key, want := range before {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -21,13 +22,8 @@ func TestNewTableSettled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tb.Settled() || tb.Version() != 1 || tb.Segments() != 1<<DefaultSegmentBits {
-		t.Fatalf("fresh table: settled=%v version=%d segments=%d", tb.Settled(), tb.Version(), tb.Segments())
-	}
-	for s := 0; s < tb.Segments(); s++ {
-		if tb.Epoch(s) != 1 || tb.Phase(s) != SegSettled {
-			t.Fatalf("segment %d: epoch=%d phase=%v", s, tb.Epoch(s), tb.Phase(s))
-		}
+	if !tb.Settled() || tb.Version() != 1 {
+		t.Fatalf("fresh table: settled=%v version=%d", tb.Settled(), tb.Version())
 	}
 	key := "some-key"
 	owner, err := tb.Owner(key)
@@ -58,7 +54,7 @@ func TestDiffSegmentsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	moving := diffSegments(old, next, DefaultSegmentBits)
+	moving := diffSegments(old, next, segmentBits)
 	marked := make(map[int]bool, len(moving))
 	for _, s := range moving {
 		marked[s] = true
@@ -66,7 +62,7 @@ func TestDiffSegmentsExact(t *testing.T) {
 	if len(moving) == 0 {
 		t.Fatal("scale-in diff marked no segments")
 	}
-	if len(moving) == 1<<DefaultSegmentBits {
+	if len(moving) == 1<<segmentBits {
 		t.Fatal("scale-in diff marked every segment — diff is not selective")
 	}
 	changed := 0
@@ -74,7 +70,7 @@ func TestDiffSegmentsExact(t *testing.T) {
 		key := fmt.Sprintf("k%05d", i)
 		a, _ := old.Get(key)
 		b, _ := next.Get(key)
-		seg := int(KeyHash(key) >> (64 - DefaultSegmentBits))
+		seg := int(KeyHash(key) >> (64 - segmentBits))
 		if a != b {
 			changed++
 			if !marked[seg] {
@@ -93,15 +89,21 @@ func TestHandoverLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	retained := names(4)[:3]
-	ht, moving, err := tb.BeginHandover(retained)
+	ht, moved, err := tb.BeginHandover(retained)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ht.Settled() || ht.Version() != 2 {
 		t.Fatalf("handover table: settled=%v version=%d", ht.Settled(), ht.Version())
 	}
+	if moved == 0 || moved == 1<<segmentBits {
+		t.Fatalf("scale-in remapped %d of %d arcs", moved, 1<<segmentBits)
+	}
 	if _, _, err := ht.BeginHandover(retained); err == nil {
 		t.Fatal("BeginHandover on an unsettled table must fail")
+	}
+	if _, err := tb.Settle(); err == nil {
+		t.Fatal("Settle on a settled table must fail")
 	}
 
 	oldRing, _ := New(names(4))
@@ -123,7 +125,7 @@ func TestHandoverLifecycle(t *testing.T) {
 		t.Fatal("could not find probe keys")
 	}
 
-	// In-flight moving key: primary incoming, fallback outgoing, dual write.
+	// Moving key: primary incoming, fallback outgoing, dual write.
 	p, f, err := ht.ReadPlan(movingKey)
 	if err != nil {
 		t.Fatal(err)
@@ -134,13 +136,16 @@ func TestHandoverLifecycle(t *testing.T) {
 		t.Fatalf("in-flight plan (%q,%q), want (%q,%q)", p, f, wantNew, wantOld)
 	}
 	if owner, _ := ht.Owner(movingKey); owner != wantOld {
-		t.Fatalf("pre-commit Owner %q, want outgoing %q", owner, wantOld)
+		t.Fatalf("pre-settle Owner %q, want outgoing %q", owner, wantOld)
 	}
 	if !ht.AcceptsImport(wantNew, movingKey) || !ht.AcceptsImport(wantOld, movingKey) {
-		t.Fatal("in-flight segment must accept imports on both owners")
+		t.Fatal("a moving key must be importable on both owners")
+	}
+	if !ht.InFlightHash(KeyHash(movingKey)) || ht.InFlightHash(KeyHash(stableKey)) {
+		t.Fatal("InFlightHash must hold exactly for keys whose owner changes")
 	}
 
-	// Stable key: single plan even if its segment is in-flight.
+	// Stable key: single plan, the owner both rings agree on.
 	p, f, err = ht.ReadPlan(stableKey)
 	if err != nil || f != "" {
 		t.Fatalf("stable key plan (%q,%q,%v): want no fallback", p, f, err)
@@ -149,48 +154,12 @@ func TestHandoverLifecycle(t *testing.T) {
 		t.Fatalf("stable key primary %q, want %q", p, want)
 	}
 
-	// Commit the moving key's segment: epoch bumps, next ring answers alone.
-	seg := ht.SegmentOf(movingKey)
-	ct, err := ht.CommitSegments([]int{seg})
+	st, err := ht.Settle()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ct.Version() != 3 || ct.Epoch(seg) != 2 || ct.Phase(seg) != SegCommitted {
-		t.Fatalf("committed: version=%d epoch=%d phase=%v", ct.Version(), ct.Epoch(seg), ct.Phase(seg))
-	}
-	if owner, _ := ct.Owner(movingKey); owner != wantNew {
-		t.Fatalf("post-commit Owner %q, want %q", owner, wantNew)
-	}
-	if p, f, _ := ct.ReadPlan(movingKey); p != wantNew || f != "" {
-		t.Fatalf("post-commit plan (%q,%q), want (%q,\"\")", p, f, wantNew)
-	}
-	if ct.AcceptsImport(wantOld, movingKey) {
-		t.Fatal("committed segment must reject imports on the outgoing owner")
-	}
-	if _, err := ct.CommitSegments([]int{seg}); err == nil {
-		t.Fatal("double commit of a segment must fail")
-	}
-
-	// Settle requires every in-flight segment committed first.
-	if _, err := ct.Settle(); err == nil && len(moving) > 1 {
-		t.Fatal("settle with in-flight segments must fail")
-	}
-	rest := make([]int, 0, len(moving))
-	for _, s := range moving {
-		if s != seg {
-			rest = append(rest, s)
-		}
-	}
-	ct2, err := ct.CommitSegments(rest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := ct2.Settle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Settled() {
-		t.Fatal("settled table reports unsettled")
+	if !st.Settled() || st.Version() != 3 {
+		t.Fatalf("settled: settled=%v version=%d", st.Settled(), st.Version())
 	}
 	if got := st.Members(); len(got) != len(retained) {
 		t.Fatalf("settled members %v, want %v", got, retained)
@@ -198,27 +167,26 @@ func TestHandoverLifecycle(t *testing.T) {
 	if owner, _ := st.Owner(movingKey); owner != wantNew {
 		t.Fatalf("settled Owner %q, want %q", owner, wantNew)
 	}
-	if st.Epoch(seg) != 2 {
-		t.Fatalf("settle reset epoch of %d to %d", seg, st.Epoch(seg))
+	if p, f, _ := st.ReadPlan(movingKey); p != wantNew || f != "" {
+		t.Fatalf("settled plan (%q,%q), want (%q,\"\")", p, f, wantNew)
 	}
 	if st.AcceptsImport(wantOld, movingKey) {
 		t.Fatal("settled table must accept imports only on the owner")
+	}
+	if st.InFlightHash(KeyHash(movingKey)) {
+		t.Fatal("settled table reports a key in flight")
 	}
 }
 
 func TestRollbackRestoresOldRouting(t *testing.T) {
 	tb, _ := NewTable(names(4))
-	ht, moving, err := tb.BeginHandover(names(4)[:3])
+	ht, _, err := tb.BeginHandover(names(4)[:3])
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := ht.CommitSegments(moving[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb := ct.Rollback()
-	if !rb.Settled() || rb.Version() <= ct.Version() {
-		t.Fatalf("rollback: settled=%v version=%d (was %d)", rb.Settled(), rb.Version(), ct.Version())
+	rb := ht.Rollback()
+	if !rb.Settled() || rb.Version() <= ht.Version() {
+		t.Fatalf("rollback: settled=%v version=%d (was %d)", rb.Settled(), rb.Version(), ht.Version())
 	}
 	oldRing, _ := New(names(4))
 	for i := 0; i < 2000; i++ {
@@ -231,9 +199,6 @@ func TestRollbackRestoresOldRouting(t *testing.T) {
 		if p, f, _ := rb.ReadPlan(key); p != want || f != "" {
 			t.Fatalf("rollback plan of %s = (%q,%q)", key, p, f)
 		}
-	}
-	if rb.Epoch(moving[0]) != 2 {
-		t.Fatalf("rollback lost committed segment's epoch bump: %d", rb.Epoch(moving[0]))
 	}
 }
 
@@ -258,7 +223,7 @@ func TestMembersUnionMidHandover(t *testing.T) {
 // TestKeyHashBytesMatchesKeyHash pins the one FNV-1a loop: on a seeded
 // set of keys (empty, ASCII, arbitrary bytes, long) the string and byte
 // forms agree with each other and with the standard library's FNV-1a, so
-// the ring, the segment table and byte-keyed routes place every key alike,
+// the ring, the ownership table and byte-keyed routes place every key alike,
 // and a ring routes a byte key by hash exactly as it routes the string.
 func TestKeyHashBytesMatchesKeyHash(t *testing.T) {
 	ref := func(parts ...[]byte) uint64 {
@@ -312,5 +277,108 @@ func TestInFlightHashAllocs(t *testing.T) {
 	})
 	if n != 0 {
 		t.Fatalf("InFlightHash allocates %v/op, want 0", n)
+	}
+}
+
+// TestReadPlanAllocs gates the client's per-op route: ReadPlan (and so
+// WritePlan) allocates nothing, settled or mid-handover.
+func TestReadPlanAllocs(t *testing.T) {
+	tb, _ := NewTable(names(4))
+	ht, _, err := tb.BeginHandover(names(4)[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 16) // a mix of moving and unmoved keys
+	for i := range keys {
+		keys[i] = fmt.Sprintf("probe-%02d", i)
+	}
+	for _, table := range []*Table{tb, ht} {
+		n := testing.AllocsPerRun(1000, func() {
+			for _, k := range keys {
+				_, _, _ = table.ReadPlan(k)
+			}
+		})
+		if n != 0 {
+			t.Fatalf("ReadPlan (settled=%v) allocates %v/op, want 0", table.Settled(), n)
+		}
+	}
+}
+
+// TestHandoverPlansCoverBothOutcomes walks every table the Master's
+// transitions can reach — settled, mid-handover, and the two tables a
+// handover can end in — for seeded (old, new) memberships of 2–4 nodes in
+// both directions. From any table a key has at most two final owners: the
+// one a Rollback leaves and the one a Settle leaves. Read-my-write across
+// either ending needs every write to reach both, the read to prefer the
+// one a Settle leaves, and imports to land on exactly those two.
+func TestHandoverPlansCoverBothOutcomes(t *testing.T) {
+	const keys = 10000
+	pool := names(6)
+	rng := rand.New(rand.NewSource(32))
+	subset := func() []string {
+		perm := rng.Perm(len(pool))[:2+rng.Intn(3)]
+		out := make([]string, len(perm))
+		for i, j := range perm {
+			out[i] = pool[j]
+		}
+		return out
+	}
+	check := func(tb *Table, label string) {
+		// The tables tb can end in: itself when settled, else the one
+		// Settle leaves first (the read plan must prefer its owner).
+		ends := []*Table{tb}
+		if !tb.Settled() {
+			st, err := tb.Settle()
+			if err != nil {
+				t.Fatalf("%s: settle: %v", label, err)
+			}
+			ends = []*Table{st, tb.Rollback()}
+		}
+		finals := func(key string) []string {
+			out := make([]string, len(ends))
+			for i, end := range ends {
+				out[i], _ = end.Owner(key)
+			}
+			return out
+		}
+		for i := 0; i < keys; i++ {
+			key := fmt.Sprintf("key-%d", i)
+			want := finals(key)
+			primary, second, err := tb.WritePlan(key)
+			if err != nil {
+				t.Fatalf("%s: WritePlan(%s): %v", label, key, err)
+			}
+			for _, o := range want {
+				if o != primary && o != second {
+					t.Fatalf("%s: WritePlan(%s) = (%q,%q) misses final owner %q", label, key, primary, second, o)
+				}
+			}
+			if p, _, _ := tb.ReadPlan(key); p != want[0] {
+				t.Fatalf("%s: ReadPlan(%s) primary %q, want the settled owner %q", label, key, p, want[0])
+			}
+			for _, n := range pool {
+				if got := tb.AcceptsImport(n, key); got != slices.Contains(want, n) {
+					t.Fatalf("%s: AcceptsImport(%s, %s) = %v, final owners %v", label, n, key, got, want)
+				}
+			}
+		}
+	}
+	for pair := 0; pair < 8; pair++ {
+		a, b := subset(), subset()
+		for _, dir := range [][2][]string{{a, b}, {b, a}} {
+			label := fmt.Sprintf("%v→%v", dir[0], dir[1])
+			tb, err := NewTable(dir[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			ht, _, err := tb.BeginHandover(dir[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, _ := ht.Settle()
+			for _, reached := range []*Table{tb, ht, st, ht.Rollback()} {
+				check(reached, label)
+			}
+		}
 	}
 }

@@ -197,11 +197,6 @@ func (r *Replicator) RecordGet(key []byte) {
 	r.ObserveGet(key)
 }
 
-// RecordWrite samples a write into the sketch.
-func (r *Replicator) RecordWrite(key []byte) {
-	r.det.Record(key)
-}
-
 // OnWrite fans a successful home write out to the key's replicas. It is a
 // no-op (one atomic load) unless this node has promoted keys.
 func (r *Replicator) OnWrite(key, value []byte, flags uint32, expiry time.Time) {

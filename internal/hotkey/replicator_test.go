@@ -48,20 +48,15 @@ func newTrio(t *testing.T, cfg Config) *trio {
 	return tr
 }
 
-// handover walks cur through a one-wave handover toward members the way
-// the Master announces it, returning the in-flight table and the settled
-// successor.
+// handover walks cur through a handover toward members the way the Master
+// announces it, returning the in-flight table and the settled successor.
 func handover(t *testing.T, cur *hashring.Table, members []string) (inFlight, settled *hashring.Table) {
 	t.Helper()
-	inFlight, moving, err := cur.BeginHandover(members)
+	inFlight, _, err := cur.BeginHandover(members)
 	if err != nil {
 		t.Fatalf("BeginHandover: %v", err)
 	}
-	committed, err := inFlight.CommitSegments(moving)
-	if err != nil {
-		t.Fatalf("CommitSegments: %v", err)
-	}
-	settled, err = committed.Settle()
+	settled, err = inFlight.Settle()
 	if err != nil {
 		t.Fatalf("Settle: %v", err)
 	}

@@ -1,9 +1,9 @@
-// Lease tokens and the gutter pool: the serve-through half of a segment
+// Lease tokens and the gutter pool: the serve-through half of an ownership
 // handover. A miss on `lget` hands out a single fill token per key
 // (memcached's 1.4.x lease idea): only the token holder may `lset` the
 // value back, so a miss storm on a hot key costs the backing store one
-// load instead of one per client. While a key's hash segment is
-// mid-handover, lease fills divert into the gutter pool — a small bounded
+// load instead of one per client. While a key is changing owner in a
+// handover, its lease fills divert into the gutter pool — a small bounded
 // FIFO side cache with a short TTL — so the incoming owner absorbs reads
 // without polluting its slab-allocated cache with values the migration
 // stream is about to deliver authoritatively.
@@ -33,7 +33,7 @@ const (
 	defaultLeaseMax = 4096
 
 	// Gutter bounds: a deliberately tiny cache — it only has to absorb
-	// reads for the seconds a segment spends mid-handover.
+	// reads for the seconds a handover lasts.
 	defaultGutterTTL   = 10 * time.Second
 	defaultGutterItems = 1024
 	defaultGutterBytes = 1 << 20
@@ -135,8 +135,8 @@ type gutterEntry struct {
 	expires time.Time
 }
 
-// gutterPool is the bounded FIFO side cache serving mid-handover
-// segments. Values are copied in; eviction is insertion-order when either
+// gutterPool is the bounded FIFO side cache serving keys that change
+// owner mid-handover. Values are copied in; eviction is insertion-order when either
 // the item or byte cap is exceeded.
 type gutterPool struct {
 	mu       sync.Mutex

@@ -192,17 +192,31 @@ func TestGutterEvictionBounds(t *testing.T) {
 	}
 }
 
-// inFlightKey finds a key routed to a mid-handover segment of table.
+// inFlightKey finds a key whose owner changes under table.
 func inFlightKey(t *testing.T, table *hashring.Table) string {
 	t.Helper()
 	for i := 0; i < 100000; i++ {
 		k := fmt.Sprintf("probe%05d", i)
-		if table.InFlight(k) {
+		if table.InFlightHash(hashring.KeyHash(k)) {
 			return k
 		}
 	}
 	t.Fatal("no in-flight key found")
 	return ""
+}
+
+// leaseFill wins the fill right for key with lget and fills it with lset.
+func leaseFill(t *testing.T, rc *rawConn, key, value string) {
+	t.Helper()
+	rc.send(t, "lget "+key+"\r\n")
+	_, _, _, token, err := rc.reply.ReadLeaseGet()
+	if err != nil || token == 0 {
+		t.Fatalf("lget %s: token=%d err=%v", key, token, err)
+	}
+	rc.send(t, fmt.Sprintf("lset %s 3 0 %d %d\r\n%s\r\n", key, len(value), token, value))
+	if line, err := rc.reply.ReadSimple(); err != nil || line != "STORED" {
+		t.Fatalf("lset %s = %q, %v", key, line, err)
+	}
 }
 
 func TestLeaseFillDivertsToGutterMidHandover(t *testing.T) {
@@ -212,26 +226,18 @@ func TestLeaseFillDivertsToGutterMidHandover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, moving, err := settled.BeginHandover([]string{"a", "b"})
+	table, moved, err := settled.BeginHandover([]string{"a", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(moving) == 0 {
-		t.Fatal("no segments moving")
+	if moved == 0 {
+		t.Fatal("no keys moving")
 	}
 	s.OwnershipChanged(table)
 	key := inFlightKey(t, table)
 
 	rc := dialRaw(t, s.Addr())
-	rc.send(t, "lget "+key+"\r\n")
-	_, _, _, token, err := rc.reply.ReadLeaseGet()
-	if err != nil || token == 0 {
-		t.Fatalf("lget: token=%d err=%v", token, err)
-	}
-	rc.send(t, fmt.Sprintf("lset %s 3 0 6 %d\r\ngutter\r\n", key, token))
-	if line, err := rc.reply.ReadSimple(); err != nil || line != "STORED" {
-		t.Fatalf("lset = %q, %v", line, err)
-	}
+	leaseFill(t, rc, key, "gutter")
 
 	// The fill parked in the gutter, not the main cache...
 	if _, ok := s.cache.Peek(key); ok {
@@ -249,27 +255,68 @@ func TestLeaseFillDivertsToGutterMidHandover(t *testing.T) {
 	}
 
 	// Once the handover settles, fills go to the main cache again.
-	committed, err := table.CommitSegments(moving)
-	if err != nil {
-		t.Fatal(err)
-	}
-	settled2, err := committed.Settle()
+	settled2, err := table.Settle()
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.OwnershipChanged(settled2)
 	key2 := key + "-post"
-	rc.send(t, "lget "+key2+"\r\n")
-	_, _, _, token, err = rc.reply.ReadLeaseGet()
-	if err != nil || token == 0 {
-		t.Fatalf("post-settle lget: token=%d err=%v", token, err)
-	}
-	rc.send(t, fmt.Sprintf("lset %s 0 0 4 %d\r\nmain\r\n", key2, token))
-	if line, err := rc.reply.ReadSimple(); err != nil || line != "STORED" {
-		t.Fatalf("post-settle lset = %q, %v", line, err)
-	}
+	leaseFill(t, rc, key2, "main")
 	if _, ok := s.cache.Peek(key2); !ok {
 		t.Fatal("post-settle fill missing from main cache")
+	}
+}
+
+// TestLeaseFillGuttersOnlyMovingKeys: mid-handover the gutter decides per
+// key. A fill for a key whose owner changes parks in the gutter (the
+// migration stream delivers the authoritative copy); a fill for a key
+// whose owner does not change stores in the main cache — no stream will
+// ever deliver it — even when it shares its 1/1024 arc of the circle with
+// a moving key.
+func TestLeaseFillGuttersOnlyMovingKeys(t *testing.T) {
+	s := newTestServer(t)
+
+	settled, err := hashring.NewTable([]string{"a", "b", "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, _, err := settled.BeginHandover([]string{"a", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.OwnershipChanged(table)
+	// A moving and an unmoved key in the same 1/1024 arc.
+	var moving, stable string
+	seen := make(map[uint64][2]string)
+	for i := 0; moving == "" && i < 100000; i++ {
+		k := fmt.Sprintf("probe%05d", i)
+		h := hashring.KeyHash(k)
+		pair := seen[h>>54]
+		if table.InFlightHash(h) {
+			pair[0] = k
+		} else {
+			pair[1] = k
+		}
+		seen[h>>54] = pair
+		if pair[0] != "" && pair[1] != "" {
+			moving, stable = pair[0], pair[1]
+		}
+	}
+	if moving == "" {
+		t.Fatal("no arc holds both a moving and an unmoved key")
+	}
+
+	rc := dialRaw(t, s.Addr())
+	leaseFill(t, rc, moving, "moving")
+	leaseFill(t, rc, stable, "stable")
+	if _, ok := s.cache.Peek(moving); ok {
+		t.Fatal("a moving key's fill landed in the main cache")
+	}
+	if v, ok := s.cache.Peek(stable); !ok || string(v) != "stable" {
+		t.Fatalf("unmoved key's fill in the main cache = %q, %v; want it stored there", v, ok)
+	}
+	if s.gutterFills.Load() != 1 {
+		t.Fatalf("gutter fills = %d, want 1 (the moving key only)", s.gutterFills.Load())
 	}
 }
 

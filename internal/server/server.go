@@ -38,9 +38,9 @@ type Server struct {
 	// serving.
 	hot atomic.Pointer[hotkey.Replicator]
 
-	// ownership is the latest per-segment ownership table announced by the
-	// master, nil until the node joins a cluster. Lease fills consult it to
-	// divert mid-handover segments into the gutter pool.
+	// ownership is the latest ownership table announced by the master, nil
+	// until the node joins a cluster. Lease fills consult it to divert keys
+	// that change owner mid-handover into the gutter pool.
 	ownership atomic.Pointer[hashring.Table]
 
 	// leases and gutter serve the lget/lset protocol. leaseCount and
@@ -84,7 +84,6 @@ type Option interface {
 type options struct {
 	logger        *log.Logger
 	crawlInterval time.Duration
-	hot           *hotkey.Replicator
 }
 
 type loggerOption struct{ l *log.Logger }
@@ -102,13 +101,6 @@ func (o crawlerOption) apply(opts *options) { opts.crawlInterval = time.Duration
 // LRU crawler) every interval until the server closes.
 func WithExpiryCrawler(interval time.Duration) Option { return crawlerOption(interval) }
 
-type hotKeysOption struct{ rep *hotkey.Replicator }
-
-func (o hotKeysOption) apply(opts *options) { opts.hot = o.rep }
-
-// WithHotKeys enables hot-key detection and replicated serving through rep.
-func WithHotKeys(rep *hotkey.Replicator) Option { return hotKeysOption{rep: rep} }
-
 // SetHotKeys installs (or replaces) the hot-key replicator on a running
 // server.
 func (s *Server) SetHotKeys(rep *hotkey.Replicator) { s.hot.Store(rep) }
@@ -116,7 +108,7 @@ func (s *Server) SetHotKeys(rep *hotkey.Replicator) { s.hot.Store(rep) }
 // HotKeys returns the installed replicator, nil when detection is off.
 func (s *Server) HotKeys() *hotkey.Replicator { return s.hot.Load() }
 
-// OwnershipChanged installs a newer per-segment ownership table,
+// OwnershipChanged installs a newer ownership table,
 // implementing core.OwnershipListener. Stale announcements (version at or
 // below the installed one) are ignored so delivery order across listeners
 // cannot regress routing.
@@ -163,9 +155,6 @@ func Listen(addr string, c *cache.Cache, opts ...Option) (*Server, error) {
 	}
 	s.leases = newLeaseTable(defaultLeaseTTL, defaultLeaseMax, nil, &s.leaseCount)
 	s.gutter = newGutterPool(defaultGutterTTL, defaultGutterItems, defaultGutterBytes, nil, &s.gutterCount)
-	if o.hot != nil {
-		s.hot.Store(o.hot)
-	}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	if o.crawlInterval > 0 {
@@ -487,7 +476,7 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 			var hit bool
 			st.val, flags, _, hit = s.cache.GetInto(key, st.val[:0])
 			if !hit && s.gutterCount.Load() != 0 {
-				// Miss on a possibly mid-handover segment: the gutter pool
+				// Miss on a possibly mid-handover key: the gutter pool
 				// may hold a lease fill parked during the handover.
 				if st.val, flags, hit = s.gutter.get(key, st.val[:0]); hit {
 					s.gutterHits.Add(1)
@@ -762,9 +751,10 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 
 	case memproto.CmdLeaseSet:
 		// Lease fill: only the current token holder may store, and fills
-		// for a segment that is mid-handover park in the gutter pool
+		// for a key that changes owner mid-handover park in the gutter pool
 		// instead of the main cache (the migration stream delivers the
-		// authoritative copy).
+		// authoritative copy). A key whose owner does not change stores
+		// normally: no stream will deliver it.
 		key := req.Keys[0]
 		if s.leases == nil || !s.leases.take(key, req.CAS) {
 			s.leaseRejected.Add(1)

@@ -153,25 +153,20 @@ func TestRTReflectsDBLatency(t *testing.T) {
 	}
 }
 
-// settledTable walks a fresh table over members through a one-wave
-// handover toward next — BeginHandover, CommitSegments, Settle — and
-// returns the settled table a Master announces last. Its version is above
-// a fresh client's.
+// settledTable walks a fresh table over members through a handover toward
+// next — BeginHandover, Settle — and returns the settled table a Master
+// announces last. Its version is above a fresh client's.
 func settledTable(t *testing.T, members, next []string) *hashring.Table {
 	t.Helper()
 	cur, err := hashring.NewTable(members)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inFlight, moving, err := cur.BeginHandover(next)
+	inFlight, _, err := cur.BeginHandover(next)
 	if err != nil {
 		t.Fatal(err)
 	}
-	committed, err := inFlight.CommitSegments(moving)
-	if err != nil {
-		t.Fatal(err)
-	}
-	settled, err := committed.Settle()
+	settled, err := inFlight.Settle()
 	if err != nil {
 		t.Fatal(err)
 	}
