@@ -69,14 +69,15 @@ bench-tenant:
 ## allocs: the allocation regression gates — zero allocs/op on the server's
 ## data-path hot path and on the ownership table's per-op route (ReadPlan,
 ## InFlightHash; settled and mid-handover), the cluster client's
-## per-request budget (Get, Set, single-owner MultiGet), and phase-1
+## per-request budget (Get, Set, single-owner MultiGet), phase-1
 ## metadata: a fixed allocation budget per (target, class) whatever the
-## item count, at most 4 wire bytes per offered item over TCP
+## item count, at most 4 wire bytes per offered item over TCP, and the
+## phase-3 push: at most 0.092 allocations per pair shipped
 allocs:
 	$(GO) test -run TestHotPathAllocs -count 1 -v ./internal/server/
 	$(GO) test -run 'TestReadPlanAllocs|TestInFlightHashAllocs' -count 1 -v ./internal/hashring/
 	$(GO) test -run TestClientAllocs -count 1 -v ./internal/client/
-	$(GO) test -run TestSendMetadataAllocsPerTargetClass -count 1 -v ./internal/agent/
+	$(GO) test -run 'TestSendMetadataAllocsPerTargetClass|TestSendDataAllocsPerPair' -count 1 -v ./internal/agent/
 	$(GO) test -run TestOfferWireBytesPerItem -count 1 -v ./internal/agentrpc/
 
 ## chaos: the deterministic fault-injection sweep — SEEDS seeds, each run

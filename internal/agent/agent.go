@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,6 +39,9 @@ var (
 	ErrUnknownPeer = errors.New("agent: unknown peer")
 	// ErrNoMetadata is returned by ComputeTakes when no offers arrived.
 	ErrNoMetadata = errors.New("agent: no metadata offers received")
+	// ErrNoPicks is returned by SendData when phase 1 has not picked over
+	// the given membership since the last Release.
+	ErrNoPicks = errors.New("agent: no phase-1 picks over this membership")
 )
 
 // Peer is the receiving side of agent-to-agent communication. Both
@@ -100,6 +104,13 @@ type Agent struct {
 
 	mu     sync.Mutex
 	offers map[string]map[int]fusecache.List // sender → class → MRU timestamps
+
+	// picks is this node's last phase-1 selection, kept until the next
+	// SendMetadata or Release: target → class → picks, hottest first, and
+	// pickedFor the membership, sorted, it was routed over. Phase 3 ships a
+	// prefix of it.
+	picks     map[string]map[int][]cache.Pick
+	pickedFor []string
 
 	// imports tracks receiver-side stream state per sender; sendMemo and
 	// epochSeq assign sender-side stream epochs (see stream.go).
@@ -270,52 +281,13 @@ func (a *Agent) Score(_ context.Context) ScoreReport {
 	return report
 }
 
-// SendMetadata is phase 1, run on a sender: route every owned item once,
-// by consistent hash over the new membership, into per-target per-class
-// MRU timestamp lists, and push each target its lists. Items that stay
-// with this node (a scale-out sender keeps most of its keys) are not
-// offered. Cancelling ctx aborts between classes and between per-target
-// pushes.
+// SendMetadata is phase 1, run on a sender: Pick, then push each target
+// its offers. Cancelling ctx aborts between classes and between
+// per-target pushes.
 func (a *Agent) SendMetadata(ctx context.Context, retained []string) error {
-	if len(retained) == 0 {
-		return errors.New("agent: no retained nodes to send metadata to")
-	}
-	ring, err := hashring.New(retained)
+	offers, err := a.Pick(ctx, retained)
 	if err != nil {
-		return fmt.Errorf("send metadata: %w", err)
-	}
-	index := make(map[string]int, len(retained))
-	for i, target := range retained {
-		index[target] = i
-	}
-	route := func(key []byte) int {
-		if !a.ownedBytes(key) {
-			return -1
-		}
-		owner, err := ring.GetHash(hashring.KeyHashBytes(key))
-		if err != nil || owner == a.node {
-			return -1
-		}
-		return index[owner]
-	}
-	offers := make([]map[int]fusecache.List, len(retained))
-	for _, classID := range a.cache.PopulatedClasses() {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("send metadata: %w", err)
-		}
-		lists, err := a.cache.RouteStamps(classID, len(retained), route)
-		if err != nil {
-			return fmt.Errorf("send metadata class %d: %w", classID, err)
-		}
-		for i, l := range lists {
-			if len(l) == 0 {
-				continue
-			}
-			if offers[i] == nil {
-				offers[i] = make(map[int]fusecache.List)
-			}
-			offers[i][classID] = l
-		}
+		return err
 	}
 	for i, target := range retained {
 		if err := ctx.Err(); err != nil {
@@ -333,6 +305,73 @@ func (a *Agent) SendMetadata(ctx context.Context, retained []string) error {
 		}
 	}
 	return nil
+}
+
+// Pick is phase 1 without the push: one scan per class routes every owned
+// item, by consistent hash over the new membership, to its target, and
+// the agent keeps the picks per target and class — what SendData ships a
+// prefix of — until the next Pick or Release. Items that stay with this
+// node (a scale-out sender keeps most of its keys) are not picked. It
+// returns, index-aligned with retained, each target's offers: per class,
+// the picked stamps, hottest first. The Naive policy, which has no phase
+// 2, calls it directly before SendData.
+func (a *Agent) Pick(ctx context.Context, retained []string) ([]map[int]fusecache.List, error) {
+	if len(retained) == 0 {
+		return nil, errors.New("agent: no retained nodes to send metadata to")
+	}
+	ring, err := hashring.New(retained)
+	if err != nil {
+		return nil, fmt.Errorf("send metadata: %w", err)
+	}
+	index := make(map[string]int, len(retained))
+	for i, target := range retained {
+		index[target] = i
+	}
+	route := func(key []byte, h uint64) int {
+		if !a.ownedBytes(key) {
+			return -1
+		}
+		owner, err := ring.GetHash(h)
+		if err != nil || owner == a.node {
+			return -1
+		}
+		return index[owner]
+	}
+	offers := make([]map[int]fusecache.List, len(retained))
+	picks := make(map[string]map[int][]cache.Pick, len(retained))
+	for _, classID := range a.cache.PopulatedClasses() {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("send metadata: %w", err)
+		}
+		lists, err := a.cache.RoutePicks(classID, len(retained), route)
+		if err != nil {
+			return nil, fmt.Errorf("send metadata class %d: %w", classID, err)
+		}
+		total := 0
+		for _, l := range lists {
+			total += len(l)
+		}
+		stamps := make(fusecache.List, 0, total)
+		for i, l := range lists {
+			if len(l) == 0 {
+				continue
+			}
+			off := len(stamps)
+			for _, p := range l {
+				stamps = append(stamps, p.Stamp)
+			}
+			if offers[i] == nil {
+				offers[i] = make(map[int]fusecache.List)
+				picks[retained[i]] = make(map[int][]cache.Pick)
+			}
+			offers[i][classID] = stamps[off:len(stamps):len(stamps)]
+			picks[retained[i]][classID] = l
+		}
+	}
+	a.mu.Lock()
+	a.picks, a.pickedFor = picks, ring.Members()
+	a.mu.Unlock()
+	return offers, nil
 }
 
 // OfferMetadata receives a phase-1 push (Peer implementation).
@@ -468,39 +507,42 @@ func (t Takes) clone() Takes {
 	return out
 }
 
-// SendData is phase 3, run on a sender: for the given target and
-// its per-class take counts, select the hottest matching items by
-// metadata and stream their KV pairs to the target in bounded, windowed
-// batches (see stream.go). Cancelling ctx aborts the stream; a retry is
-// safe and cheap — the receiver's ack high-water mark lets it resume from
-// the first unacknowledged batch, with fresher-copy idempotence in
-// BatchImport as the safety net. The returned stats count every selected
-// pair the push covered, whether shipped now or skipped on resume.
+// SendData is phase 3, run on a sender: for the given target and its
+// per-class take counts, ship the first takes[class] of the picks phase 1
+// kept for the target (Pick), hottest first, streamed coldest-first in
+// bounded, windowed batches (see stream.go). Nothing is walked or looked
+// up by key again: a pick whose item left its chunk since phase 1 is
+// skipped (cache.AppendPicks), and a target phase 1 picked nothing for
+// gets nothing. Without picks over retained — the membership phase 1
+// routed over — SendData fails with ErrNoPicks; it never selects by
+// itself. Cancelling
+// ctx aborts the stream; a retry is safe and cheap — the receiver's ack
+// high-water mark lets it resume from the first unacknowledged batch, with
+// fresher-copy idempotence in BatchImport as the safety net. The returned
+// stats count every selected pick the push covered, whether shipped now,
+// skipped on resume, or gone since phase 1.
 func (a *Agent) SendData(ctx context.Context, target string, takes map[int]int, retained []string) (SendStats, error) {
 	if len(retained) == 0 {
 		return SendStats{}, errors.New("agent: no retained membership for data transfer")
 	}
-	ring, err := hashring.New(retained)
-	if err != nil {
-		return SendStats{}, fmt.Errorf("send data: %w", err)
+	members := slices.Clone(retained)
+	sort.Strings(members)
+	a.mu.Lock()
+	byClass, picked := a.picks[target], a.pickedFor != nil && slices.Equal(members, a.pickedFor)
+	a.mu.Unlock()
+	if !picked {
+		return SendStats{}, fmt.Errorf("send data to %s: %w", target, ErrNoPicks)
 	}
-	filter := a.andOwned(func(key string) bool {
-		owner, err := ring.Get(key)
-		return err == nil && owner == target
-	})
 	classes := make([]int, 0, len(takes))
 	for classID := range takes {
 		classes = append(classes, classID)
 	}
 	sort.Ints(classes)
-	plan := make([][]cache.ItemMeta, 0, len(classes))
+	plan := make([][]cache.Pick, 0, len(classes))
 	for _, classID := range classes {
-		metas, err := a.cache.TopMeta(classID, takes[classID], filter)
-		if err != nil {
-			return SendStats{}, fmt.Errorf("send data class %d: %w", classID, err)
-		}
-		if len(metas) > 0 {
-			plan = append(plan, metas)
+		sel := byClass[classID]
+		if n := min(max(takes[classID], 0), len(sel)); n > 0 {
+			plan = append(plan, sel[:n])
 		}
 	}
 	if len(plan) == 0 {
@@ -575,7 +617,8 @@ func (a *Agent) filterStale(pairs []cache.KV) []cache.KV {
 // Master calls it only once the table has settled, so until then a failed
 // action rolls back with every key still on its old owner. It also
 // discards any phase-1 offers no phase 2 consumed, ending this node's part
-// in the round. It returns how many items it dropped; a retry is safe.
+// in the round, along with its phase-1 picks. It returns how many items
+// it dropped; a retry is safe.
 func (a *Agent) Release(ctx context.Context, members []string) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, fmt.Errorf("release: %w", err)
@@ -586,6 +629,7 @@ func (a *Agent) Release(ctx context.Context, members []string) (int, error) {
 	}
 	a.mu.Lock()
 	clear(a.offers)
+	a.picks, a.pickedFor = nil, nil
 	a.mu.Unlock()
 	return a.cache.DropIf(func(key []byte) bool {
 		if !a.ownedBytes(key) {

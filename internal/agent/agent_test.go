@@ -420,6 +420,7 @@ func TestSendDataUnknownPeer(t *testing.T) {
 	a := newNode(t, reg, "n1", 1, clk)
 	populate(t, a, 10)
 	classes := a.Cache().PopulatedClasses()
+	pickFor(t, a, "ghost")
 	_, err := a.SendData(context.Background(), "ghost", map[int]int{classes[0]: 5}, []string{"ghost"})
 	if !errors.Is(err, ErrUnknownPeer) {
 		t.Fatalf("err = %v, want ErrUnknownPeer", err)

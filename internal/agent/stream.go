@@ -3,20 +3,21 @@ package agent
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/hashring"
 )
 
 // Streaming phase-3 data plane — the only one. A push:
 //
-//   - selects by metadata only (cache.TopMeta), cuts the selection into
-//     bounded batches (cache.CutBatches) and fetches values one batch at a
-//     time (cache.AppendPairs), so the retiring node's extra memory is
-//     O(window × batch) rather than O(hot set);
+//   - ships the first takes of the picks phase 1 kept (cache.RoutePicks),
+//     cuts them into bounded batches (cache.CutBatches) and reads values
+//     one batch at a time (cache.AppendPicks), so the sender's extra
+//     memory is O(window × batch) beyond its picks, rather than O(hot set)
+//     of values;
 //   - opens one ImportSession per target and keeps up to W
 //     sequence-numbered batches in flight (windowed pipelining; TCP
 //     preserves order, the receiver applies in arrival order, which stays
@@ -179,35 +180,32 @@ func (s *localSession) Close(context.Context) (ImportSummary, error) {
 
 func (s *localSession) Abort() {}
 
-// planFingerprint identifies a push plan — one non-empty selection per
-// slab class, hottest-first, classes ascending — by target and every
-// selected (key, timestamp, size) in order. A retry of the same
-// logical push reproduces it exactly — that, plus metadata-derived batch
-// boundaries, is what makes skipping acknowledged sequences sound. A new
-// round that selects anything different fingerprints differently and
-// resets the receiver's stream state.
-func planFingerprint(target string, plan [][]cache.ItemMeta) uint64 {
-	h := fnv.New64a()
-	var scratch [8]byte
-	putU64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			scratch[i] = byte(v >> (56 - 8*i))
-		}
-		h.Write(scratch[:])
+// planFingerprint identifies a push plan — one non-empty prefix of the
+// picks per slab class, hottest-first, classes ascending — by target and
+// every pick's (stamp, key hash, size) in order. A retry of the same
+// logical push ships the same picks and reproduces it exactly — that,
+// plus pick-derived batch boundaries, is what makes skipping acknowledged
+// sequences sound. A new round picks anew and fingerprints differently,
+// resetting the receiver's stream state.
+func planFingerprint(target string, plan [][]cache.Pick) uint64 {
+	h := hashring.KeyHash(target)
+	mix := func(v uint64) { // the MurmurHash3 finalizer over state ^ word
+		h ^= v
+		h ^= h >> 33
+		h *= 0xff51afd7ed558ccd
+		h ^= h >> 33
+		h *= 0xc4ceb9fe1a85ec53
+		h ^= h >> 33
 	}
-	h.Write([]byte(target))
-	h.Write([]byte{0})
 	for _, sel := range plan {
-		putU64(uint64(sel[0].ClassID))
-		putU64(uint64(len(sel)))
-		for _, m := range sel {
-			h.Write([]byte(m.Key))
-			h.Write([]byte{0})
-			putU64(uint64(m.LastAccess.UnixNano()))
-			putU64(uint64(m.ValueSize))
+		mix(uint64(len(sel)))
+		for _, p := range sel {
+			mix(uint64(p.Stamp))
+			mix(p.Hash)
+			mix(uint64(p.Size))
 		}
 	}
-	return h.Sum64()
+	return h
 }
 
 // epochFor returns a stable epoch for pushing plan fp to target: retries
@@ -236,9 +234,9 @@ type sendMemo struct {
 
 // pushPlan streams a plan to a peer, windowed and resumable. Emission order
 // is classes ascending, coldest-first within each class; batch boundaries
-// come from cache.CutBatches — the selection metadata alone — so a retry
-// re-produces identical sequence numbering.
-func (a *Agent) pushPlan(ctx context.Context, peer Peer, target string, plan [][]cache.ItemMeta) (SendStats, error) {
+// come from cache.CutBatches — the picks alone — so a retry re-produces
+// identical sequence numbering.
+func (a *Agent) pushPlan(ctx context.Context, peer Peer, target string, plan [][]cache.Pick) (SendStats, error) {
 	fp := planFingerprint(target, plan)
 	if t := a.ownership.Load(); t != nil {
 		// Tag the stream with the ownership table version: a plan retried
@@ -270,13 +268,13 @@ func (a *Agent) pushPlan(ctx context.Context, peer Peer, target string, plan [][
 		inflight int64
 		shipped  int
 	)
-	err = cache.CutBatches(plan, a.batchSize, a.batchBytes, func(batch []cache.ItemMeta, batchBytes int) error {
+	err = cache.CutBatches(plan, a.batchSize, a.batchBytes, func(batch []cache.Pick, batchBytes int) error {
 		seq++
 		if seq <= hw {
 			// Already applied by the receiver in a previous attempt.
 			stats.Resumed += len(batch)
 		} else {
-			buf = a.cache.AppendPairs(buf[:0], batch)
+			buf = a.cache.AppendPicks(buf[:0], batch)
 			inflight += int64(batchBytes)
 			if inflight > stats.PeakInflightBytes {
 				stats.PeakInflightBytes = inflight

@@ -10,10 +10,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/fusecache"
+	"repro/internal/hashring"
 )
 
 // populateSized inserts n keys with valLen-byte values and strictly
@@ -28,9 +30,19 @@ func populateSized(t *testing.T, a *Agent, n, valLen int) {
 	}
 }
 
+// pickFor runs phase 1's selection on a over retained without offering
+// anything: SendData ships what it picked.
+func pickFor(t *testing.T, a *Agent, retained ...string) {
+	t.Helper()
+	if _, err := a.Pick(context.Background(), retained); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // sendAll pushes every resident pair of a to target through SendData.
 func sendAll(t *testing.T, a *Agent, target string) SendStats {
 	t.Helper()
+	pickFor(t, a, target)
 	takes := make(map[int]int)
 	for _, classID := range a.Cache().PopulatedClasses() {
 		takes[classID] = a.Cache().ClassLen(classID)
@@ -158,6 +170,7 @@ func TestStreamResumeAfterFailure(t *testing.T) {
 	reg.Register(sender)
 	populateSized(t, sender, 100, 16)
 	takes := map[int]int{sender.Cache().PopulatedClasses()[0]: 100}
+	pickFor(t, sender, "recv")
 
 	if _, err := sender.SendData(context.Background(), "recv", takes, []string{"recv"}); err == nil {
 		t.Fatal("want the injected mid-stream failure to surface")
@@ -196,11 +209,12 @@ func TestPlanFingerprintAndEpochs(t *testing.T) {
 	a := newNode(t, reg, "a", 2, clk)
 	populate(t, a, 10)
 	classID := a.Cache().PopulatedClasses()[0]
-	metas, err := a.Cache().TopMeta(classID, 10, nil)
+	lists, err := a.Cache().RoutePicks(classID, 1, func([]byte, uint64) int { return 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := [][]cache.ItemMeta{metas}
+	picks := lists[0]
+	plan := [][]cache.Pick{picks}
 
 	fp := planFingerprint("t1", plan)
 	if planFingerprint("t1", plan) != fp {
@@ -209,7 +223,7 @@ func TestPlanFingerprintAndEpochs(t *testing.T) {
 	if planFingerprint("t2", plan) == fp {
 		t.Fatal("target not fingerprinted")
 	}
-	smaller := [][]cache.ItemMeta{metas[1:]}
+	smaller := [][]cache.Pick{picks[1:]}
 	if planFingerprint("t1", smaller) == fp {
 		t.Fatal("selection not fingerprinted")
 	}
@@ -289,6 +303,7 @@ func TestSendDataCountsUnappliedPairs(t *testing.T) {
 				}
 				takes[classID] = 40
 			}
+			pickFor(t, sender, "r1")
 			sent, err := sender.SendData(context.Background(), "r1", takes, []string{"r1"})
 			if err != nil {
 				t.Fatal(err)
@@ -301,5 +316,159 @@ func TestSendDataCountsUnappliedPairs(t *testing.T) {
 				t.Errorf("unapplied = %d, want nonzero: %t", sent.Unapplied, tc.unapplied)
 			}
 		})
+	}
+}
+
+// TestSendDataAllocsPerPair guards the phase-3 sender's cost shape: one
+// push of 60 k pairs of three slab classes through the in-process Registry
+// — the sender's reads and the receiver's batch import together —
+// allocates per batch, not per pair: what it allocates is batch scratch
+// and value buffers growing to the largest value their slot has held. The
+// bound is the measured 0.0916; the walk-and-lookup path this replaced
+// measured 1.154 allocations per pair here.
+func TestSendDataAllocsPerPair(t *testing.T) {
+	ctx := context.Background()
+	reg := NewRegistry()
+	clk := newTestClock()
+	sender := newShardedNode(t, reg, "s", 64, 4, clk)
+	newShardedNode(t, reg, "r", 64, 4, clk)
+	const items = 60_000
+	sizes := []int{10, 100, 400}
+	for i := 0; i < items; i++ {
+		if err := sender.Cache().Set(fmt.Sprintf("key-%06d", i), make([]byte, sizes[i%len(sizes)])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	takes := make(map[int]int)
+	for _, classID := range sender.Cache().PopulatedClasses() {
+		takes[classID] = items
+	}
+	pickFor(t, sender, "r")
+	// One push, measured as testing.AllocsPerRun measures: a second run
+	// would resume the first and ship nothing.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	stats, err := sender.SendData(ctx, "r", takes, []string{"r"})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Pairs != items || stats.Unapplied != 0 {
+		t.Fatalf("pushed %d pairs, %d unapplied; want %d, 0", stats.Pairs, stats.Unapplied, items)
+	}
+	perPair := float64(after.Mallocs-before.Mallocs) / items
+	const bound = 0.092
+	t.Logf("SendData of %d pairs: %.4f allocs/pair (bound %.3f)", items, perPair, bound)
+	if perPair > bound {
+		t.Fatalf("SendData allocates %.4f times per pair, want <= %.3f", perPair, bound)
+	}
+}
+
+// TestSendDataShipsTopMetaSelection is phase 3's selection oracle through
+// the agent: on a quiescent four-shard sender with distinct stamps and a
+// hot-key owned filter, each target receives exactly the items
+// TopMeta(class, take, owned ∧ routed-to-target) selects, with their
+// stamps — the selection the walk-and-lookup path made.
+func TestSendDataShipsTopMetaSelection(t *testing.T) {
+	ctx := context.Background()
+	reg := NewRegistry()
+	clk := newTestClock()
+	sender := newShardedNode(t, reg, "s", 16, 4, clk)
+	retained := []string{"r1", "r2", "r3"}
+	for _, name := range retained {
+		newShardedNode(t, reg, name, 16, 4, clk)
+	}
+	sizes := []int{10, 150, 600}
+	for i := 0; i < 3000; i++ {
+		if err := sender.Cache().Set(fmt.Sprintf("key-%05d", i), make([]byte, sizes[i%len(sizes)])); err != nil {
+			t.Fatal(err)
+		}
+		if i%4 == 0 {
+			_, _ = sender.Cache().Get(fmt.Sprintf("key-%05d", i/2))
+		}
+	}
+	sender.SetOwnedFilter(func(key string) bool { return key[len(key)-1] != '9' })
+	if err := sender.SendMetadata(ctx, retained); err != nil {
+		t.Fatal(err)
+	}
+	ring, err := hashring.New(retained)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti, target := range retained {
+		filter := sender.andOwned(func(key string) bool {
+			owner, err := ring.Get(key)
+			return err == nil && owner == target
+		})
+		takes := make(map[int]int)
+		want := make(map[string]int64)
+		for ci, classID := range sender.Cache().PopulatedClasses() {
+			takes[classID] = 50 + 200*ti + 100*ci // a prefix, different per target and class
+			metas, err := sender.Cache().TopMeta(classID, takes[classID], filter)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range metas {
+				want[m.Key] = m.LastAccess.UnixNano()
+			}
+		}
+		stats, err := sender.SendData(ctx, target, takes, retained)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recv, _ := reg.Get(target)
+		if stats.Pairs != len(want) || recv.Cache().Len() != len(want) {
+			t.Fatalf("%s: shipped %d, holds %d, TopMeta selects %d", target, stats.Pairs, recv.Cache().Len(), len(want))
+		}
+		for _, classID := range recv.Cache().PopulatedClasses() {
+			got, err := recv.Cache().DumpClass(classID, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range got {
+				if ts, ok := want[m.Key]; !ok || ts != m.LastAccess.UnixNano() {
+					t.Fatalf("%s received %q@%d, TopMeta selected it: %v", target, m.Key, m.LastAccess.UnixNano(), ok)
+				}
+			}
+		}
+	}
+}
+
+// TestSendDataNeedsPicks: phase 3 ships only what phase 1 picked. Without
+// picks, with picks over another membership, and after Release dropped
+// them, SendData fails with ErrNoPicks; it never selects by itself. A
+// target phase 1 picked nothing for gets nothing.
+func TestSendDataNeedsPicks(t *testing.T) {
+	ctx := context.Background()
+	reg := NewRegistry()
+	clk := newTestClock()
+	sender := newNode(t, reg, "s", 2, clk)
+	newNode(t, reg, "r1", 2, clk)
+	newNode(t, reg, "r2", 2, clk)
+	populate(t, sender, 50)
+	takes := map[int]int{sender.Cache().PopulatedClasses()[0]: 50}
+	if _, err := sender.SendData(ctx, "r1", takes, []string{"r1"}); !errors.Is(err, ErrNoPicks) {
+		t.Fatalf("SendData before any pick: err = %v, want ErrNoPicks", err)
+	}
+	pickFor(t, sender, "r1")
+	if _, err := sender.SendData(ctx, "r2", takes, []string{"r2"}); !errors.Is(err, ErrNoPicks) {
+		t.Fatalf("SendData over another membership: err = %v, want ErrNoPicks", err)
+	}
+	if st, err := sender.SendData(ctx, "r1", takes, []string{"r1"}); err != nil || st.Pairs != 50 {
+		t.Fatalf("SendData after its pick = %+v, %v; want 50 pairs", st, err)
+	}
+	sender.SetOwnedFilter(func(string) bool { return false })
+	pickFor(t, sender, "r1", "r2") // nothing owned: no picks for anyone
+	if st, err := sender.SendData(ctx, "r1", takes, []string{"r1", "r2"}); err != nil || st.Pairs != 0 {
+		t.Fatalf("SendData to a target with no picks = %+v, %v; want nothing shipped", st, err)
+	}
+	sender.SetOwnedFilter(nil)
+	pickFor(t, sender, "r1")
+	if _, err := sender.Release(ctx, []string{"s", "r1"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sender.SendData(ctx, "r1", takes, []string{"r1"}); !errors.Is(err, ErrNoPicks) {
+		t.Fatalf("SendData after Release: err = %v, want ErrNoPicks", err)
 	}
 }

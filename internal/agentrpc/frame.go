@@ -292,9 +292,9 @@ func appendImportBatch(b []byte, from string, epoch, seq uint64, pairs []cache.K
 	return b
 }
 
-// decodeImportBatch parses a batch frame. The returned pairs' Value
-// slices alias payload, which therefore must outlive them (the server
-// recycles it only after BatchImport copied the values out).
+// decodeImportBatch parses a batch frame. The returned pairs' keys and
+// values alias payload, which therefore must outlive them (the server
+// recycles it only after BatchImport copied them into the cache).
 func decodeImportBatch(payload []byte) (from string, epoch, seq uint64, pairs []cache.KV, err error) {
 	c := cursor{payload}
 	if from, err = c.str(); err != nil {

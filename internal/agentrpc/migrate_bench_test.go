@@ -134,6 +134,7 @@ func BenchmarkMigrateDataPlane(b *testing.B) {
 				if err := sender.Cache().Set(fmt.Sprintf("bust-%09d", i), []byte("x")); err != nil {
 					b.Fatal(err)
 				}
+				pickFor(b, sender)
 				b.StartTimer()
 				stats, err := sender.SendData(ctx, "recv", takesFor(sender), []string{"recv"})
 				if err != nil {

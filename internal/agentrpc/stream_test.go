@@ -42,6 +42,15 @@ func newStreamSender(t *testing.T, name string, cl *Client, clk *testClock, opts
 	return a
 }
 
+// pickFor runs phase 1's selection on a toward "recv" without offering
+// anything: SendData ships what it picked.
+func pickFor(t testing.TB, a *agent.Agent) {
+	t.Helper()
+	if _, err := a.Pick(context.Background(), []string{"recv"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func takesFor(a *agent.Agent) map[int]int {
 	takes := make(map[int]int)
 	for _, classID := range a.Cache().PopulatedClasses() {
@@ -62,6 +71,7 @@ func TestStreamImportOverTCP(t *testing.T) {
 		agent.WithTransferBatchSize(32), agent.WithMaxInflight(4))
 	populateSized(t, sender, 500, 256)
 
+	pickFor(t, sender)
 	stats, err := sender.SendData(context.Background(), "recv", takesFor(sender), []string{"recv"})
 	if err != nil {
 		t.Fatal(err)
@@ -122,6 +132,7 @@ func TestStreamCarriesTTLOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	pickFor(t, sender)
 	stats, err := sender.SendData(context.Background(), "recv", takesFor(sender), []string{"recv"})
 	if err != nil || stats.Pairs != 2 {
 		t.Fatalf("send = %+v, %v; want 2 pairs", stats, err)
@@ -216,6 +227,7 @@ func TestOpenImportAgainstNonFramingServerFails(t *testing.T) {
 	populate(t, sender, 200)
 
 	for attempt := 1; attempt <= 2; attempt++ {
+		pickFor(t, sender)
 		_, err := sender.SendData(context.Background(), "recv", takesFor(sender), []string{"recv"})
 		if err == nil {
 			t.Fatalf("attempt %d: push to a non-framing server succeeded", attempt)
@@ -336,6 +348,7 @@ func TestStreamResumeOverTCP(t *testing.T) {
 	populateSized(t, sender, 400, 64)
 	takes := takesFor(sender)
 
+	pickFor(t, sender)
 	if _, err := sender.SendData(context.Background(), "recv", takes, []string{"recv"}); err == nil {
 		t.Fatal("want the severed connection to fail the push")
 	}
@@ -395,6 +408,7 @@ func TestConcurrentStreamsOverTCP(t *testing.T) {
 			sender := newStreamSender(t, fmt.Sprintf("sender-%d", s), cl, clk,
 				agent.WithTransferBatchSize(16), agent.WithMaxInflight(4))
 			populate(t, sender, perSender)
+			pickFor(t, sender)
 			stats, err := sender.SendData(context.Background(), "recv", takesFor(sender), []string{"recv"})
 			if err != nil {
 				errs <- err

@@ -25,7 +25,7 @@ import (
 // Unlock of a shard whose owner is the Cache, which keeps the pool's
 // arenaMem reachable for the whole access; and (b) no arena byte escapes a
 // call: every read API copies out (Get, GetWithCAS, Peek*, GetMulti*,
-// GetInto, TopMeta, AppendPairs, DumpClass, snapshots). A slice of the
+// GetInto, TopMeta, AppendPairs, AppendPicks, DumpClass, snapshots). A slice of the
 // arena held past its Cache faults; TestArenaReadsOutliveCache pins (b).
 //
 // Items are addressed by a packed itemRef (page index, chunk index)
@@ -45,8 +45,16 @@ import (
 //	40  keyLen    uint16
 //	42  classID   uint16
 //	44  tenantID  uint16   — owning tenant (0 = default namespace)
-//	46  (2 bytes reserved, pads the header to 8-byte alignment)
+//	46  liveTag   uint16   — shard index + 1 while the chunk is linked in an
+//	                         MRU list, 0 once unlinked (in the padding that
+//	                         aligns the header to 8 bytes)
 //	48  key bytes, immediately followed by value bytes
+//
+// The live tag is what lets the page-order scanner (scan.go) read a page
+// without walking any list: a chunk below its class's bump cursor is a
+// resident item exactly when its tag is non-zero, and the tag names the
+// shard whose lock guards it. setLocked and importOneLocked set it when
+// they link a new chunk; unlinkLocked clears it.
 //
 // The MRU links store refs in a packed 32-bit form — (page+1) in the high
 // 18 bits, chunk index in the low 14 — rather than the full 64-bit itemRef.
@@ -66,10 +74,12 @@ const (
 	hKLen   = 40
 	hClass  = 42
 	hTenant = 44
+	hTag    = 46
 
-	// headerFieldBytes is the sum of the header field widths; the header is
-	// padded to the next 8-byte boundary. A test pins chunkHeaderSize (and
-	// therefore ItemOverhead) to this layout.
+	// headerFieldBytes is the sum of the item field widths; the header is
+	// padded to the next 8-byte boundary, and the live tag lives in that
+	// padding. A test pins chunkHeaderSize (and therefore ItemOverhead) to
+	// this layout.
 	headerFieldBytes = 4 + 4 + 8 + 8 + 8 + 4 + 4 + 2 + 2 + 2
 	chunkHeaderSize  = (headerFieldBytes + 7) &^ 7
 
@@ -190,6 +200,13 @@ type pagePool struct {
 	// moves), so a class page set that found nothing to take can skip the
 	// pool until it changes (classPages.full).
 	gen atomic.Uint64
+	// epochs advances a page's epoch whenever its chunks may change shard:
+	// when the page is released (it may join another class, or come back
+	// to this one, and be carved afresh) and when FlushAll rewinds its
+	// class. While a page's epoch holds, each of its chunks stays with the
+	// one shard that first took it, so a phase-1 pick that recorded the
+	// epoch may be read back under that shard's lock alone (Pick).
+	epochs []atomic.Uint32
 }
 
 // init sizes the pool for max pages and maps its arena.
@@ -216,6 +233,7 @@ func (p *pagePool) init(max int) error {
 	// quotas out for named tenants.
 	p.tenants = []tenantPages{{quota: max, cap: max}}
 	p.draining = make([]atomic.Bool, max)
+	p.epochs = make([]atomic.Uint32, max)
 	p.gen.Store(1)
 	return nil
 }
@@ -285,6 +303,7 @@ func (p *pagePool) release(id uint32) {
 	p.assigned--
 	p.freeIDs = append(p.freeIDs, id)
 	p.draining[id].Store(false)
+	p.epochs[id].Add(1)
 	p.gen.Add(1)
 }
 
@@ -337,6 +356,9 @@ func chKLen(ch []byte) int { return int(binary.LittleEndian.Uint16(ch[hKLen:])) 
 func chClass(ch []byte) int { return int(binary.LittleEndian.Uint16(ch[hClass:])) }
 
 func chTenant(ch []byte) uint16 { return binary.LittleEndian.Uint16(ch[hTenant:]) }
+
+func chTag(ch []byte) uint16       { return binary.LittleEndian.Uint16(ch[hTag:]) }
+func setChTag(ch []byte, v uint16) { binary.LittleEndian.PutUint16(ch[hTag:], v) }
 
 // chKey returns the key bytes stored in the chunk.
 func chKey(ch []byte) []byte {

@@ -133,9 +133,13 @@ type Cache struct {
 	pageSets atomic.Pointer[[]*classPages]
 	// reclaimMu serializes page reclaims, which makes the victim page stay
 	// in its class until the reclaim removes it, and guards reclaimCounts,
-	// the per-page resident tally indexed by page ID.
+	// the per-page resident tally indexed by page ID. AppendPicks holds it
+	// too, so no reclaim is half done while picks are read back.
 	reclaimMu     sync.Mutex
 	reclaimCounts []int32
+	// scanMaxHold is the longest page hold of the scanner so far, in
+	// nanoseconds (scan.go).
+	scanMaxHold atomic.Int64
 
 	// reg is the tenant name registry; prefixDelim, when non-zero, enables
 	// key-prefix tenant resolution ("tenant<delim>rest" routes to tenant).
@@ -215,7 +219,7 @@ func New(memoryBytes int64, opts ...Option) (*Cache, error) {
 	if shardCount <= 0 {
 		shardCount = defaultShardCount(maxPages)
 	} else {
-		shardCount = ceilPow2(shardCount)
+		shardCount = min(ceilPow2(shardCount), maxShards)
 	}
 	c := &Cache{
 		classes:     sizeClasses(options.growthFactor),
@@ -240,7 +244,7 @@ func New(memoryBytes int64, opts ...Option) (*Cache, error) {
 	}
 	c.shards = make([]*shard, shardCount)
 	for i := range c.shards {
-		c.shards[i] = newShard(c)
+		c.shards[i] = newShard(c, i)
 	}
 	return c, nil
 }
@@ -417,34 +421,6 @@ func (c *Cache) Delete(key string) error {
 	return nil
 }
 
-// DropIf removes every resident item whose key drop reports true, in one
-// walk per shard under that shard's lock, and returns how many it removed.
-// drop sees the key bytes in cache memory, valid only for the call, and
-// runs under the shard lock. An agent releases the keys a settled table
-// moved elsewhere through it.
-func (c *Cache) DropIf(drop func(key []byte) bool) int {
-	removed := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for _, sl := range sh.slabs {
-			if sl == nil {
-				continue
-			}
-			// each reads the successor first, so unlinking the current
-			// item is safe.
-			sl.list.each(&c.pool, func(ref itemRef, ch []byte) bool {
-				if drop(chKey(ch)) {
-					sh.unlinkLocked(sl, ref, ch)
-					removed++
-				}
-				return true
-			})
-		}
-		sh.mu.Unlock()
-	}
-	return removed
-}
-
 // FlushAll drops every item but keeps page assignments, like memcached's
 // flush_all. Every shard lock is held at once (in stripe order) while the
 // class page sets rewind their cursors: a page's chunks may belong to any
@@ -468,6 +444,9 @@ func (c *Cache) FlushAll() {
 	for _, cp := range *c.pageSets.Load() {
 		cp.mu.Lock()
 		cp.rewindLocked()
+		for _, id := range cp.pageIDs {
+			c.pool.epochs[id].Add(1) // a rewound chunk may go to any shard
+		}
 		cp.mu.Unlock()
 	}
 	for _, sh := range c.shards {

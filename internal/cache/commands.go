@@ -259,36 +259,6 @@ func (c *Cache) TouchExpiry(key string, expiresAt time.Time) error {
 	return nil
 }
 
-// CrawlExpired sweeps every slab class of every shard and removes expired
-// items, like memcached's LRU crawler. Shards are swept independently —
-// one lock at a time — so the crawl never stalls the whole store. Returns
-// the number reclaimed.
-func (c *Cache) CrawlExpired() int {
-	reclaimed := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		nowNano := c.nowNano()
-		for _, sl := range sh.slabs {
-			if sl == nil {
-				continue
-			}
-			var dead []itemRef
-			sl.list.each(&c.pool, func(ref itemRef, ch []byte) bool {
-				if chExpired(ch, nowNano) {
-					dead = append(dead, ref)
-				}
-				return true
-			})
-			for _, ref := range dead {
-				sh.expireLocked(ref, c.pool.chunkAt(ref))
-				reclaimed++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return reclaimed
-}
-
 // Expirations reports items reclaimed by expiry (lazy or crawler).
 func (c *Cache) Expirations() uint64 {
 	var n uint64

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 )
 
@@ -43,6 +42,8 @@ type ItemMeta struct {
 	ClassID int `json:"classId"`
 }
 
+func (m ItemMeta) payloadBytes() int { return len(m.Key) + m.ValueSize }
+
 // metaOf materializes a chunk's metadata copy.
 func metaOf(ch []byte, classID int) ItemMeta {
 	return ItemMeta{
@@ -68,9 +69,9 @@ func (sh *shard) eachClassSlab(classID int, fn func(sl *slab)) {
 // walkClass visits one shard's live chunks of the class in MRU order, slab
 // by slab, under the shard lock. take reports whether it selected the
 // chunk; each slab contributes at most limit selections. Expired chunks are
-// never offered: dead items are neither migration candidates nor scoring
-// inputs. This is the only export-side list walk — dumps, selections,
-// timestamp routes and snapshots all read through it.
+// never offered. It serves the list-order exports — TopMeta, DumpClass and
+// the snapshot stream — whose equal-stamp order is MRU order; the scaling
+// path reads through the page-order scanner instead (scan.go).
 func (sh *shard) walkClass(classID, limit int, nowNano int64, take func(ch []byte) bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -93,53 +94,6 @@ func (sh *shard) walkClass(classID, limit int, nowNano int64, take func(ch []byt
 // bytes in cache memory and must not retain it.
 func (c *Cache) DumpClass(classID int, filter func(key string) bool) ([]ItemMeta, error) {
 	return c.TopMeta(classID, math.MaxInt, filter)
-}
-
-// RouteStamps is the phase-1 timestamp export: one walk over the class's
-// live items, shard by shard, that hands each item's key bytes to route and
-// files the item's MRU timestamp under bucket route(key) of the result (a
-// negative bucket drops the item). Each bucket comes back hottest first —
-// the non-increasing hotness list FuseCache reads (Section IV-A). No key
-// string or ItemMeta is built per item: key aliases cache memory, is valid
-// only during the call, and route runs under the shard lock. The buckets
-// share one backing array, so a class costs a fixed handful of allocations
-// however many items it holds.
-func (c *Cache) RouteStamps(classID, buckets int, route func(key []byte) int) ([][]int64, error) {
-	if classID < 0 || classID >= len(c.classes) {
-		return nil, fmt.Errorf("cache: slab class %d out of range", classID)
-	}
-	nowNano := c.nowNano()
-	n := c.ClassLen(classID)
-	stamps := make([]int64, 0, n)
-	dest := make([]int32, 0, n)
-	counts := make([]int, buckets)
-	for _, sh := range c.shards {
-		sh.walkClass(classID, math.MaxInt, nowNano, func(ch []byte) bool {
-			b := route(chKey(ch))
-			if b < 0 {
-				return false
-			}
-			counts[b]++
-			stamps = append(stamps, chAccess(ch))
-			dest = append(dest, int32(b))
-			return true
-		})
-	}
-	backing := make([]int64, len(stamps))
-	out := make([][]int64, buckets)
-	off := 0
-	for b, cnt := range counts {
-		out[b] = backing[off : off : off+cnt]
-		off += cnt
-	}
-	for i, ts := range stamps {
-		out[dest[i]] = append(out[dest[i]], ts)
-	}
-	for _, l := range out {
-		slices.Sort(l)
-		slices.Reverse(l)
-	}
-	return out, nil
 }
 
 // DumpAll returns the timestamp dump of every populated slab class, keyed
@@ -281,7 +235,8 @@ func (c *Cache) ClassAbsorbCapacity(classID int) int {
 // preserving slice order, and each shard's group is imported under one
 // lock acquisition, so a migration-sized batch costs at most one lock per
 // shard instead of one per pair — the serving path on other shards never
-// stalls behind the import.
+// stalls behind the import. Grouping sorts pair indexes, not pairs, and
+// each key is hashed once.
 //
 // It mirrors the paper's custom import: the normal set data checks are
 // skipped because the pairs were just read from a live cache. An item
@@ -290,64 +245,77 @@ func (c *Cache) ClassAbsorbCapacity(classID int) int {
 // with SERVER_ERROR under slab exhaustion; the returned count reports how
 // many pairs were actually imported.
 func (c *Cache) BatchImport(pairs []KV, reverse bool) (int, error) {
-	groups := make([][]KV, len(c.shards))
-	for _, p := range pairs {
-		i := c.shardIndexFor(p.Key)
-		groups[i] = append(groups[i], p)
+	hashes := make([]uint64, len(pairs))
+	for i := range pairs {
+		_, hashes[i], _ = c.route(sbytes(pairs[i].Key))
 	}
-	imported := 0
-	for si, group := range groups {
-		if len(group) == 0 {
+	order, end := c.groupByShard(len(pairs), func(i int) int { return int(hashes[i] & c.mask) })
+	imported, lo := 0, 0
+	for si, hi := range end {
+		if lo == hi {
 			continue
 		}
 		sh := c.shards[si]
 		sh.mu.Lock()
-		n, err := sh.importLocked(group, reverse)
+		n, err := sh.importLocked(pairs, hashes, order[lo:hi], reverse)
 		sh.mu.Unlock()
 		imported += n
 		if err != nil {
 			return imported, err
 		}
+		lo = hi
 	}
 	return imported, nil
 }
 
-// importLocked walks one shard's group in the requested direction; callers
-// hold sh.mu.
-func (sh *shard) importLocked(pairs []KV, reverse bool) (int, error) {
+// groupByShard is a counting sort of n items by shard: shard s's items are
+// order[end[s-1]:end[s]] (from 0 for shard 0), in item order.
+func (c *Cache) groupByShard(n int, shardOf func(i int) int) (order []int32, end []int) {
+	end = make([]int, len(c.shards))
+	for i := 0; i < n; i++ {
+		end[shardOf(i)]++
+	}
+	for s := 1; s < len(end); s++ {
+		end[s] += end[s-1]
+	}
+	order = make([]int32, n)
+	for i := n - 1; i >= 0; i-- {
+		s := shardOf(i)
+		end[s]--
+		order[end[s]] = int32(i)
+	}
+	// end[s] is now shard s's first slot; shift it to its last.
+	copy(end, end[1:])
+	end[len(end)-1] = n
+	return order, end
+}
+
+// importLocked imports one shard's pairs, pairs[idx[k]] with routing hash
+// hashes[idx[k]], in the requested direction; callers hold sh.mu.
+func (sh *shard) importLocked(pairs []KV, hashes []uint64, idx []int32, reverse bool) (int, error) {
 	imported := 0
-	importOne := func(p KV) error {
-		err := sh.importOneLocked(p)
+	for k := range idx {
+		if reverse {
+			k = len(idx) - 1 - k
+		}
+		i := idx[k]
+		err := sh.importOneLocked(&pairs[i], hashes[i])
 		switch {
 		case err == nil:
 			imported++
-			return nil
 		case errors.Is(err, ErrOutOfMemory):
 			// Slab exhaustion: drop the pair, count it, keep going.
 			sh.importRefused++
-			return nil
 		default:
-			return err
-		}
-	}
-	if reverse {
-		for i := len(pairs) - 1; i >= 0; i-- {
-			if err := importOne(pairs[i]); err != nil {
-				return imported, err
-			}
-		}
-		return imported, nil
-	}
-	for _, p := range pairs {
-		if err := importOne(p); err != nil {
 			return imported, err
 		}
 	}
 	return imported, nil
 }
 
-// importOneLocked inserts one migrated pair at its class's MRU head.
-func (sh *shard) importOneLocked(p KV) error {
+// importOneLocked inserts one migrated pair, whose routing hash is h, at
+// its class's MRU head.
+func (sh *shard) importOneLocked(p *KV, h uint64) error {
 	if p.Key == "" {
 		return ErrEmptyKey
 	}
@@ -360,7 +328,6 @@ func (sh *shard) importOneLocked(p KV) error {
 	// The key's prefix names its tenant, so an import lands back in the
 	// namespace it was dumped from.
 	tid := c.resolveTenant(kb)
-	h := shardHashT(tid, kb)
 	pNano := toNano(p.LastAccess)
 	if ref, ch, ok := sh.idx.lookup(h, tid, kb, &c.pool); ok {
 		// The receiver may already hold the key: set by a client while
@@ -390,6 +357,7 @@ func (sh *shard) importOneLocked(p KV) error {
 	}
 	ch := c.pool.chunkAt(ref)
 	writeChunk(ch, kb, p.Value, p.Flags, 0, pNano, toNano(p.Expiry), classID, tid)
+	setChTag(ch, sh.tag)
 	sl := sh.slabAt(tid, classID)
 	sl.list.pushFront(&c.pool, ref)
 	sl.used++

@@ -44,7 +44,10 @@ func AppendPair(b []byte, p *KV) []byte {
 }
 
 // DecodePair parses one AppendPair record off the front of b and returns
-// the bytes after it. The pair's Value aliases b, which must outlive it.
+// the bytes after it. The pair's Key and Value alias b, which must outlive
+// the pair and must not change while it is in use: a migration receiver
+// decodes a whole frame this way, with no allocation per pair, and
+// recycles the frame only once its batch is imported.
 func DecodePair(b []byte) (p KV, rest []byte, err error) {
 	key, b, ok := takePrefixed(b)
 	if !ok {
@@ -55,7 +58,7 @@ func DecodePair(b []byte) (p KV, rest []byte, err error) {
 		return KV{}, nil, errPairTruncated
 	}
 	p = KV{
-		Key:        string(key),
+		Key:        bview(key),
 		Value:      val,
 		Flags:      binary.BigEndian.Uint32(b),
 		LastAccess: fromNano(int64(binary.BigEndian.Uint64(b[4:]))),

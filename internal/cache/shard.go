@@ -29,6 +29,10 @@ import (
 // reproduces the seed engine's single-lock semantics exactly.
 const minPagesPerShard = 8
 
+// maxShards caps the stripe count so a shard index + 1 fits the chunk
+// header's 16-bit live tag.
+const maxShards = 1 << 15
+
 // defaultShardCount picks max(16, GOMAXPROCS) shards, rounded to a power
 // of two and capped at one shard per minPagesPerShard pages.
 func defaultShardCount(maxPages int) int {
@@ -143,6 +147,9 @@ const sampleHashMask = 1<<48 - 1
 // mutex is guarded by it.
 type shard struct {
 	owner *Cache
+	// tag is the live tag this shard writes into the chunks it links:
+	// its stripe index + 1 (see arena.go).
+	tag uint16
 
 	mu  sync.Mutex
 	idx keyIndex
@@ -167,9 +174,10 @@ type shard struct {
 	importRefused                 uint64
 }
 
-func newShard(c *Cache) *shard {
+func newShard(c *Cache, i int) *shard {
 	return &shard{
 		owner:  c,
+		tag:    uint16(i + 1),
 		slabs:  make([]*slab, len(c.classes)),
 		tstats: make([]tenantStat, 1),
 	}
@@ -280,6 +288,7 @@ func (sh *shard) setLocked(h uint64, tid uint16, key, value []byte, flags uint32
 	}
 	ch := c.pool.chunkAt(ref)
 	writeChunk(ch, key, value, flags, cas, tsNano, nanoNone, classID, tid)
+	setChTag(ch, sh.tag)
 	sl := sh.slabAt(tid, classID)
 	sl.list.pushFront(&c.pool, ref)
 	sl.used++
@@ -339,6 +348,7 @@ func (sh *shard) unlinkLocked(sl *slab, ref itemRef, ch []byte) {
 	pool := &sh.owner.pool
 	h := shardHashT(sl.tenant, chKey(ch))
 	sl.list.remove(pool, ref)
+	setChTag(ch, 0)
 	sl.used--
 	sh.idx.delete(h, ref)
 	sl.pushFree(pool, ref)

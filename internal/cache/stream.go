@@ -4,8 +4,8 @@ import (
 	"fmt"
 )
 
-// Streaming migration producer (phase 3 data plane). Selection is split
-// from fetching so a retiring node's extra memory is O(batch), not
+// Streaming export by MRU walk, the snapshot writer's producer. Selection
+// is split from fetching so the writer's extra memory is O(batch), not
 // O(hot set):
 //
 //   - TopMeta picks the top-count items of a class by metadata only
@@ -16,6 +16,10 @@ import (
 //     touched shard's lock once and reusing the caller's value buffers;
 //   - FetchTopStream composes the three and hands each batch to a callback
 //     that may retain nothing.
+//
+// The migration sender does not come this way: phase 3 ships the picks
+// phase 1 made (RoutePicks), cut by the same CutBatches and read back by
+// AppendPicks (scan.go).
 
 // TopMeta returns the metadata of the globally hottest count live items of
 // the class whose keys pass filter (nil = all), in MRU order, without
@@ -60,24 +64,31 @@ func (c *Cache) TopMeta(classID, count int, filter func(key string) bool) ([]Ite
 	return merged, nil
 }
 
-// CutBatches cuts selections — each hottest-first, as TopMeta returns
-// them — into batches and hands them to emit in order: selections in slice
-// order, coldest-first within each, a batch closing once it holds maxPairs
-// pairs or the next pair would push its payload (key + value sizes as
-// selected) past maxBytes. A bound <= 0 is off; a single oversized pair
-// still forms its own batch; a batch may span selections. The batch slice
-// is reused across calls to emit.
+// Selection is an entry CutBatches can cut: a TopMeta ItemMeta or a
+// phase-1 Pick.
+type Selection interface {
+	ItemMeta | Pick
+	payloadBytes() int
+}
+
+// CutBatches cuts selections — each hottest-first, as TopMeta and
+// RoutePicks return them — into batches and hands them to emit in order:
+// selections in slice order, coldest-first within each, a batch closing
+// once it holds maxPairs pairs or the next pair would push its payload
+// (key + value sizes as selected) past maxBytes. A bound <= 0 is off; a
+// single oversized pair still forms its own batch; a batch may span
+// selections. The batch slice is reused across calls to emit.
 //
-// Boundaries depend on the selection metadata alone, so cutting the same
+// Boundaries depend on the selections alone, so cutting the same
 // selections again yields identical batches — the property a resumable
 // sender relies on to skip already-acknowledged sequence numbers.
-func CutBatches(sels [][]ItemMeta, maxPairs, maxBytes int, emit func(batch []ItemMeta, bytes int) error) error {
-	var batch []ItemMeta
+func CutBatches[T Selection](sels [][]T, maxPairs, maxBytes int, emit func(batch []T, bytes int) error) error {
+	var batch []T
 	bytes := 0
 	for _, sel := range sels {
 		for i := len(sel) - 1; i >= 0; i-- {
 			m := sel[i]
-			sz := len(m.Key) + m.ValueSize
+			sz := m.payloadBytes()
 			if len(batch) > 0 &&
 				((maxPairs > 0 && len(batch) >= maxPairs) ||
 					(maxBytes > 0 && bytes+sz > maxBytes)) {
@@ -151,19 +162,7 @@ func (c *Cache) AppendPairs(dst []KV, metas []ItemMeta) []KV {
 		}
 		sh.mu.Unlock()
 	}
-	// Compact away vanished entries by swapping, so the skipped slots'
-	// value buffers stay parked in the spare capacity for reuse.
-	w := start
-	for r := start; r < len(dst); r++ {
-		if dst[r].Key == "" {
-			continue
-		}
-		if w != r {
-			dst[w], dst[r] = dst[r], dst[w]
-		}
-		w++
-	}
-	return dst[:w]
+	return compactVanished(dst, start)
 }
 
 // StreamBatch is one bounded batch yielded by FetchTopStream.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -22,7 +23,8 @@ func stressDuration(t *testing.T) time.Duration {
 
 // TestStressConcurrentOps hammers one sharded cache with every public
 // operation at once — Set, Get, Delete, DumpAll, BatchImport, FlushAll,
-// GetMulti, SetBatch, CrawlExpired, Stats — and then checks the engine's
+// GetMulti, SetBatch, CrawlExpired, Stats, and the migration reads
+// RoutePicks, AppendPicks and DropIf — and then checks the engine's
 // structural invariants. Run under -race (the Makefile's `race` target does).
 func TestStressConcurrentOps(t *testing.T) {
 	c, err := New(64*PageSize, WithShards(8))
@@ -116,6 +118,24 @@ func TestStressConcurrentOps(t *testing.T) {
 		if _, err := c.SetBatch(items); err != nil && !errors.Is(err, ErrOutOfMemory) {
 			t.Errorf("SetBatch: %v", err)
 		}
+	})
+	// Phase 1 then phase 3 of a migration, across FlushAll and the
+	// writers: a pick ships only the item it picked, and a release drops
+	// only what it is asked to.
+	run(func(i int) {
+		for _, classID := range c.PopulatedClasses() {
+			lists, err := c.RoutePicks(classID, 1, func([]byte, uint64) int { return 0 })
+			if err != nil {
+				t.Errorf("RoutePicks: %v", err)
+				return
+			}
+			for _, kv := range c.AppendPicks(nil, lists[0]) {
+				if !bytes.Equal(kv.Value, val) && !bytes.Equal(kv.Value, bigVal) {
+					t.Errorf("AppendPicks shipped %q with a value no writer stored", kv.Key)
+				}
+			}
+		}
+		c.DropIf(func(key []byte) bool { return string(key) == fmt.Sprintf("w0-k%03d", i%400) })
 	})
 	// Occasional whole-cache operations.
 	run(func(i int) {
@@ -252,14 +272,32 @@ func (c *Cache) checkShardInvariants(t *testing.T) {
 				if chTenant(ch) != tid {
 					t.Errorf("shard %d: item %q in tenant-%d slot has header tenant %d", si, key, tid, chTenant(ch))
 				}
+				if chTag(ch) != sh.tag {
+					t.Errorf("shard %d: listed item %q carries live tag %d, want %d", si, key, chTag(ch), sh.tag)
+				}
 				return true
 			})
+			for ref := sl.freeHead; ref != nilRef; ref = chNext(c.pool.chunkAt(ref)) {
+				if tag := chTag(c.pool.chunkAt(ref)); tag != 0 {
+					t.Errorf("shard %d slot %d: free chunk carries live tag %d", si, slot, tag)
+				}
+			}
 			if sl.used != sl.list.size {
 				t.Errorf("shard %d class %d: used=%d list=%d", si, classID, sl.used, sl.list.size)
 			}
 		}
 		if listed != sh.idx.count {
 			t.Errorf("shard %d: %d listed items, index has %d", si, listed, sh.idx.count)
+		}
+		sh.mu.Unlock()
+	}
+	// The page-order scanner reads exactly the listed items.
+	scanned := make([]int, len(c.shards))
+	c.scan(-1, func(sh *shard, _ itemRef, _ []byte) { scanned[sh.tag-1]++ })
+	for si, sh := range c.shards {
+		sh.mu.Lock()
+		if scanned[si] != sh.idx.count {
+			t.Errorf("shard %d: scanner visited %d items, index has %d", si, scanned[si], sh.idx.count)
 		}
 		sh.mu.Unlock()
 	}
@@ -353,6 +391,28 @@ func TestReclaimUnderLoad(t *testing.T) {
 			}
 			if c.StealPage(b, a) {
 				steals.Add(1)
+			}
+		}
+	}()
+	// A migration sender reading its picks back while pages change hands:
+	// a shipped pair is always the item its key names, never a chunk a
+	// steal handed to another class or key.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			for _, classID := range c.PopulatedClasses() {
+				lists, err := c.RoutePicks(classID, 1, func([]byte, uint64) int { return 0 })
+				if err != nil {
+					t.Errorf("RoutePicks: %v", err)
+					return
+				}
+				for _, kv := range c.AppendPicks(nil, lists[0]) {
+					if string(kv.Value) != string(value(kv.Key, len(kv.Value))) {
+						t.Errorf("pick of %s shipped another key's value", kv.Key)
+						return
+					}
+				}
 			}
 		}
 	}()

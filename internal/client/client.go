@@ -210,9 +210,14 @@ func (c *Cluster) GetContext(ctx context.Context, key string) ([]byte, bool, err
 	value, _, hit, err := c.getOn(ctx, node, key)
 	if err == nil && !hit && fallback != "" {
 		// The key is changing owner and its migration frame may not have
-		// landed yet: forward the miss to the retiring owner.
+		// landed yet: forward the miss to the retiring owner. If that owner
+		// has gone since, a newer table no longer routes the key to it, and
+		// the miss on the incoming owner stands.
 		node = fallback
 		value, _, hit, err = c.getOn(ctx, node, key)
+		if err != nil && c.moot(t, key, node) {
+			value, hit, err = nil, false, nil
+		}
 	}
 	if err == nil && !hit && c.hotCount.Load() > 0 {
 		// A replica that has not received its copy yet (promotion push in
@@ -396,17 +401,43 @@ func (c *Cluster) Set(key string, value []byte) error {
 // owners, so reads stay consistent whichever side serves them; both
 // stores must succeed.
 func (c *Cluster) SetContext(ctx context.Context, key string, value []byte) error {
-	primary, second, err := c.writePlan(key)
+	return c.writeLegs(key, func(node string) error { return c.setOn(ctx, node, key, value) })
+}
+
+// writeLegs applies a write to every node of the key's write plan under
+// one table snapshot: the owner, and mid-handover the other side too. A
+// leg that fails is moot, not an error, when a newer table no longer
+// routes the key to that node: a settle retired the outgoing owner (and
+// may have stopped it) between the plan and the leg, or a rollback dropped
+// the incoming one. Either way the node the key now lives on had its own
+// leg.
+func (c *Cluster) writeLegs(key string, apply func(node string) error) error {
+	t := c.table.Load()
+	primary, second, err := t.WritePlan(key)
 	if err != nil {
-		return err
+		return routeErr(err)
 	}
-	if err := c.setOn(ctx, primary, key, value); err != nil {
-		return err
-	}
-	if second != "" {
-		return c.setOn(ctx, second, key, value)
+	for _, node := range [2]string{primary, second} {
+		if node == "" {
+			continue
+		}
+		if err := apply(node); err != nil && !c.moot(t, key, node) {
+			return err
+		}
 	}
 	return nil
+}
+
+// moot reports whether a failed leg to node, planned under table t, no
+// longer matters: the installed table is newer than t and neither reads
+// nor writes the key on node.
+func (c *Cluster) moot(t *hashring.Table, key, node string) bool {
+	cur := c.table.Load()
+	if cur.Version() == t.Version() {
+		return false
+	}
+	primary, second, err := cur.WritePlan(key)
+	return err == nil && primary != node && second != node
 }
 
 func (c *Cluster) setOn(ctx context.Context, node, key string, value []byte) error {
@@ -426,12 +457,6 @@ func (c *Cluster) setOn(ctx context.Context, node, key string, value []byte) err
 	})
 }
 
-// writePlan resolves the key's write targets under the current table.
-func (c *Cluster) writePlan(key string) (primary, second string, err error) {
-	primary, second, err = c.table.Load().WritePlan(key)
-	return primary, second, routeErr(err)
-}
-
 // Delete removes the key from its owner node; deleting a missing key is
 // not an error and returns false.
 func (c *Cluster) Delete(key string) (bool, error) {
@@ -442,19 +467,13 @@ func (c *Cluster) Delete(key string) (bool, error) {
 // delete is dual-applied like Set, so the copy on the retiring owner
 // cannot resurrect via a fallback read.
 func (c *Cluster) DeleteContext(ctx context.Context, key string) (bool, error) {
-	primary, second, err := c.writePlan(key)
-	if err != nil {
-		return false, err
-	}
-	deleted, err := c.deleteOn(ctx, primary, key)
-	if err != nil {
-		return deleted, err
-	}
-	if second != "" {
-		d2, err := c.deleteOn(ctx, second, key)
-		return deleted || d2, err
-	}
-	return deleted, nil
+	deleted := false
+	err := c.writeLegs(key, func(node string) error {
+		d, err := c.deleteOn(ctx, node, key)
+		deleted = deleted || d
+		return err
+	})
+	return deleted, err
 }
 
 func (c *Cluster) deleteOn(ctx context.Context, node, key string) (bool, error) {

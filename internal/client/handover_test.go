@@ -1,15 +1,21 @@
 package client
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/hashring"
+	"repro/internal/server"
 )
 
 // movingKey finds a key whose owner changes between the settled table and
@@ -238,5 +244,132 @@ func TestRoutingRaceUnderChurn(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
+	}
+}
+
+// hookNode is a one-connection-at-a-time memcached stand-in for the
+// incoming owner: it answers set with STORED, delete with NOT_FOUND and
+// get with a miss, and runs hook before each reply, so a test can act
+// between the first leg of an operation and its second.
+func hookNode(t *testing.T, hook func()) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer nc.Close()
+				r := bufio.NewReader(nc)
+				for {
+					line, err := r.ReadString('\n')
+					if err != nil {
+						return
+					}
+					f := strings.Fields(line)
+					if len(f) == 0 {
+						return
+					}
+					reply := "END\r\n"
+					switch f[0] {
+					case "set":
+						n, _ := strconv.Atoi(f[4])
+						if _, err := r.Discard(n + 2); err != nil {
+							return
+						}
+						reply = "STORED\r\n"
+					case "delete":
+						reply = "NOT_FOUND\r\n"
+					}
+					hook()
+					if _, err := nc.Write([]byte(reply)); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestSecondLegMootAfterSettle is the shutdown race of a scale-in: a set,
+// delete or read-fallback planned under the in-flight table reaches the
+// incoming owner, and before its second leg reaches the outgoing owner the
+// table settles and the outgoing owner stops. The second leg then fails to
+// connect, but the settled table no longer routes the key there, so the
+// operation succeeds on the incoming owner alone. A leg whose node the
+// current table still routes to keeps failing the operation.
+func TestSecondLegMootAfterSettle(t *testing.T) {
+	c, err := cache.New(2 * cache.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outgoing, err := server.Listen("127.0.0.1:0", c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = outgoing.Close() })
+
+	var cl *Cluster
+	var settle atomic.Pointer[func()] // armed per operation; runs once
+	incoming := hookNode(t, func() {
+		if f := settle.Swap(nil); f != nil {
+			(*f)()
+		}
+	})
+	cl, err = New([]string{outgoing.Addr(), incoming})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	inFlight, _, err := cl.table.Load().BeginHandover([]string{incoming})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := movingKey(t, inFlight)
+	if primary, fallback, _ := inFlight.ReadPlan(key); primary != incoming || fallback != outgoing.Addr() {
+		t.Fatalf("plan for %q = (%s, %s), want (incoming, outgoing)", key, primary, fallback)
+	}
+	settled, err := inFlight.Settle()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The outgoing owner is up but refuses connections from here on: the
+	// process a Master stops after settle.
+	if err := outgoing.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cl.OwnershipChanged(inFlight)
+	if err := cl.Set(key, []byte("v")); err == nil {
+		t.Fatal("set whose live second leg failed reported success")
+	}
+
+	for _, op := range []struct {
+		name string
+		run  func() error
+	}{
+		{"set", func() error { return cl.Set(key, []byte("v")) }},
+		{"delete", func() error { _, err := cl.Delete(key); return err }},
+		{"get", func() error {
+			v, hit, err := cl.Get(key)
+			if err == nil && hit {
+				return fmt.Errorf("hit %q on a settled miss", v)
+			}
+			return err
+		}},
+	} {
+		announce := func() { cl.OwnershipChanged(settled) }
+		settle.Store(&announce)
+		cl.table.Store(inFlight) // replan each operation under the in-flight table
+		if err := op.run(); err != nil {
+			t.Errorf("%s across settle: %v", op.name, err)
+		}
 	}
 }

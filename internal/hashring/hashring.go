@@ -30,15 +30,22 @@ var (
 
 // Ring is an immutable consistent hash ring: a membership change builds a
 // new Ring. Being immutable, it is safe for concurrent use without a lock.
+//
+// The points are kept as two parallel slices, the sorted point hashes and
+// their members, and the hashes are indexed by a jump table over their top
+// jumpBits bits: jump[b] is the first point at or above b's bucket, so a
+// lookup scans only the points of the key's own bucket — a fraction of one
+// point on average — instead of binary-searching the whole ring.
 type Ring struct {
-	points  []point  // sorted by hash
+	hashes  []uint64 // point hashes, sorted
+	owners  []string // owners[i] is the member of point hashes[i]
+	jump    []uint32 // len 1<<jumpBits + 1; see search
 	members []string // sorted
 }
 
-type point struct {
-	hash   uint64
-	member string
-}
+// jumpBits sizes the lookup jump table: 2^12 buckets, so a 4-member ring of
+// DefaultReplicas vnodes puts 0.16 points in a bucket on average.
+const jumpBits = 12
 
 // New creates a ring containing the given members.
 func New(members []string) (*Ring, error) {
@@ -47,25 +54,40 @@ func New(members []string) (*Ring, error) {
 
 // newRing creates a ring with the given number of virtual nodes per member.
 func newRing(members []string, replicas int) (*Ring, error) {
-	r := &Ring{
-		points:  make([]point, 0, len(members)*replicas),
-		members: slices.Clone(members),
-	}
+	r := &Ring{members: slices.Clone(members)}
 	sort.Strings(r.members)
 	for i := 1; i < len(r.members); i++ {
 		if r.members[i] == r.members[i-1] {
 			return nil, fmt.Errorf("%w: %q", ErrDuplicateMember, r.members[i])
 		}
 	}
+	type point struct {
+		hash   uint64
+		member string
+	}
+	points := make([]point, 0, len(r.members)*replicas)
 	for _, m := range r.members {
 		for i := 0; i < replicas; i++ {
-			r.points = append(r.points, point{hash: pointHash(m, i), member: m})
+			points = append(points, point{hash: pointHash(m, i), member: m})
 		}
 	}
-	sort.Slice(r.points, func(i, j int) bool {
-		a, b := r.points[i], r.points[j]
+	sort.Slice(points, func(i, j int) bool {
+		a, b := points[i], points[j]
 		return a.hash < b.hash || a.hash == b.hash && a.member < b.member
 	})
+	r.hashes = make([]uint64, len(points))
+	r.owners = make([]string, len(points))
+	for i, p := range points {
+		r.hashes[i], r.owners[i] = p.hash, p.member
+	}
+	r.jump = make([]uint32, 1<<jumpBits+1)
+	i := 0
+	for b := range r.jump {
+		for i < len(r.hashes) && r.hashes[i]>>(64-jumpBits) < uint64(b) {
+			i++
+		}
+		r.jump[b] = uint32(i)
+	}
 	return r, nil
 }
 
@@ -78,25 +100,29 @@ func (r *Ring) Get(key string) (string, error) {
 // or KeyHashBytes, so a caller holding key bytes routes without building a
 // string.
 func (r *Ring) GetHash(h uint64) (string, error) {
-	if len(r.points) == 0 {
+	if len(r.hashes) == 0 {
 		return "", ErrEmptyRing
 	}
-	return r.points[r.search(h)].member, nil
+	return r.owners[r.search(h)], nil
 }
 
 // search returns the index of the first point at or clockwise after h,
-// wrapping past the top of the circle to the first point.
+// wrapping past the top of the circle to the first point. Every point
+// below h's bucket is below h and every point above it is above h, so the
+// answer lies in [jump[b], jump[b+1]]: a binary search over the bucket's
+// own points, usually none or one.
 func (r *Ring) search(h uint64) int {
-	lo, hi := 0, len(r.points)
+	b := h >> (64 - jumpBits)
+	lo, hi := int(r.jump[b]), int(r.jump[b+1])
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if r.points[mid].hash < h {
+		if r.hashes[mid] < h {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo == len(r.points) {
+	if lo == len(r.hashes) {
 		lo = 0
 	}
 	return lo
@@ -106,7 +132,7 @@ func (r *Ring) search(h uint64) int {
 // the owner followed by the next distinct members clockwise. Used for
 // replication-aware callers; ElMem itself uses only the owner.
 func (r *Ring) GetN(key string, n int) ([]string, error) {
-	if len(r.points) == 0 {
+	if len(r.hashes) == 0 {
 		return nil, ErrEmptyRing
 	}
 	if n <= 0 {
@@ -116,10 +142,10 @@ func (r *Ring) GetN(key string, n int) ([]string, error) {
 	i := r.search(KeyHash(key))
 	out := make([]string, 0, n)
 	for len(out) < n {
-		if i == len(r.points) {
+		if i == len(r.hashes) {
 			i = 0
 		}
-		if m := r.points[i].member; !slices.Contains(out, m) {
+		if m := r.owners[i]; !slices.Contains(out, m) {
 			out = append(out, m)
 		}
 		i++

@@ -348,3 +348,71 @@ func TestPropertyMinimalDisruption(t *testing.T) {
 		}
 	}
 }
+
+// binarySearch is the plain lower-bound search over the whole ring that the
+// jump table replaces, kept as the oracle for TestJumpSearchMatchesBinary.
+func binarySearch(r *Ring, h uint64) int {
+	i, _ := slices.BinarySearch(r.hashes, h)
+	if i == len(r.hashes) {
+		i = 0
+	}
+	return i
+}
+
+// TestJumpSearchMatchesBinary checks the jump-table lookup against a binary
+// search over the whole ring: 1 M random hashes, plus every point hash and
+// its neighbours (exact hits and the arcs either side), both ends of every
+// jump bucket, and the top of the circle, where the lookup wraps to the
+// first point. Ring sizes cover an empty-bucket-heavy ring and a crowded
+// one.
+func TestJumpSearchMatchesBinary(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, tc := range []struct{ members, replicas int }{
+		{1, 1}, {4, DefaultReplicas}, {64, 400},
+	} {
+		r, err := newRing(nodeNames(tc.members), tc.replicas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(h uint64) {
+			if got, want := r.search(h), binarySearch(r, h); got != want {
+				t.Fatalf("%d members × %d: search(%#x) = %d, binary search = %d", tc.members, tc.replicas, h, got, want)
+			}
+		}
+		for i := 0; i < 1_000_000; i++ {
+			check(rng.Uint64())
+		}
+		for _, p := range r.hashes {
+			check(p - 1)
+			check(p)
+			check(p + 1)
+		}
+		for b := uint64(0); b < 1<<jumpBits; b++ {
+			lo := b << (64 - jumpBits)
+			check(lo)
+			check(lo | (1<<(64-jumpBits) - 1))
+		}
+		check(0)
+		check(math.MaxUint64)
+		check(r.hashes[len(r.hashes)-1] + 1) // past the last point: wraps
+	}
+}
+
+// BenchmarkGetHash times one ring lookup on a 4-member ring.
+func BenchmarkGetHash(b *testing.B) {
+	r, err := New(nodeNames(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	hashes := make([]uint64, 1<<10)
+	rng := rand.New(rand.NewSource(1))
+	for i := range hashes {
+		hashes[i] = rng.Uint64()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.GetHash(hashes[i&(len(hashes)-1)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -163,13 +163,7 @@ func (t *Table) Settle() (*Table, error) {
 // arcs on which each ring's owner is constant, so comparing one owner
 // pair per arc covers every key.
 func diffSegments(oldR, newR *Ring, bits uint) []int {
-	bounds := make([]uint64, 0, len(oldR.points)+len(newR.points))
-	for _, p := range oldR.points {
-		bounds = append(bounds, p.hash)
-	}
-	for _, p := range newR.points {
-		bounds = append(bounds, p.hash)
-	}
+	bounds := slices.Concat(oldR.hashes, newR.hashes)
 	slices.Sort(bounds)
 	bounds = slices.Compact(bounds)
 	if len(bounds) == 0 {
@@ -210,14 +204,14 @@ func diffSegments(oldR, newR *Ring, bits uint) []int {
 // ownerAfter returns the member owning hashes just after h — the first
 // point with hash > h, wrapping to the first point.
 func ownerAfter(r *Ring, h uint64) string {
-	pts := r.points
+	pts := r.hashes
 	if len(pts) == 0 {
 		return ""
 	}
 	lo, hi := 0, len(pts)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if pts[mid].hash > h {
+		if pts[mid] > h {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -226,5 +220,5 @@ func ownerAfter(r *Ring, h uint64) string {
 	if lo == len(pts) {
 		lo = 0
 	}
-	return pts[lo].member
+	return r.owners[lo]
 }

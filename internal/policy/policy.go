@@ -109,6 +109,11 @@ func NaiveScaleIn(ctx context.Context, reg *agent.Registry, retiring, retained [
 			return migrated, fmt.Errorf("naive: %w", err)
 		}
 		cc := src.Cache()
+		// SendData ships phase-1 picks; Naive has no phase 2, so it picks
+		// without offering anything.
+		if _, err := src.Pick(ctx, retained); err != nil {
+			return migrated, fmt.Errorf("naive: %w", err)
+		}
 		// Per target, collect the head fraction of every class.
 		perTarget := make(map[string][]struct {
 			classID int
@@ -123,7 +128,8 @@ func NaiveScaleIn(ctx context.Context, reg *agent.Registry, retiring, retained [
 			if err != nil {
 				return migrated, err
 			}
-			// Count the head items per owner; SendData re-selects them.
+			// Count the head items per owner; SendData ships that many of
+			// the owner's picks, hottest first: the same items.
 			byOwner := make(map[string]int)
 			for _, m := range metas {
 				owner, err := ring.Get(m.Key)
