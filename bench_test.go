@@ -437,16 +437,16 @@ func BenchmarkMigrationEndToEnd(b *testing.B) {
 				retiring := members[0]
 				retained := members[1:]
 				src, _ := reg.Get(retiring)
-				if err := src.SendMetadata(context.Background(), retained); err != nil {
+				if err := src.SendMetadata(context.Background(), 1, retained); err != nil {
 					b.Fatal(err)
 				}
 				for _, tgt := range retained {
 					a, _ := reg.Get(tgt)
-					takes, err := a.ComputeTakes(context.Background())
+					takes, err := a.ComputeTakes(context.Background(), 1)
 					if err != nil {
 						continue
 					}
-					if _, err := src.SendData(context.Background(), tgt, takes[retiring], retained); err != nil {
+					if _, err := src.SendData(context.Background(), 1, tgt, takes[retiring]); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -16,13 +16,21 @@
 // Master's scoring queries (Section III-C). Peer communication
 // goes through the Transport interface, implemented in-process (this
 // package) and over TCP (package agentrpc).
+//
+// Every phase op, offer and import stream carries the round ID the Master
+// draws for its scaling action, and agents tell actions apart by it alone:
+// an agent keeps one round's offers, takes, picks and import streams; a
+// newer round starts them afresh, the same round reuses them (so a retry
+// finds what its first attempt left), and an older round is refused with
+// ErrStaleRound. Nothing an aborted action left behind reaches the next,
+// whichever Master process drives it.
 package agent
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -32,6 +40,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/fusecache"
 	"repro/internal/hashring"
+	"repro/internal/taskgroup"
 )
 
 var (
@@ -39,9 +48,12 @@ var (
 	ErrUnknownPeer = errors.New("agent: unknown peer")
 	// ErrNoMetadata is returned by ComputeTakes when no offers arrived.
 	ErrNoMetadata = errors.New("agent: no metadata offers received")
-	// ErrNoPicks is returned by SendData when phase 1 has not picked over
-	// the given membership since the last Release.
-	ErrNoPicks = errors.New("agent: no phase-1 picks over this membership")
+	// ErrNoPicks is returned by SendData when phase 1 has not picked in
+	// the round, or Release has since ended it.
+	ErrNoPicks = errors.New("agent: no phase-1 picks in this round")
+	// ErrStaleRound, wrapped taskgroup.Permanent, refuses an op of a round
+	// older than the agent's current one.
+	ErrStaleRound = errors.New("agent: op of an older round")
 )
 
 // Peer is the receiving side of agent-to-agent communication. Both
@@ -52,13 +64,13 @@ type Peer interface {
 	// node: per slab class, the MRU timestamps of the sender's items that
 	// hash to this peer, hottest first. Phase 2 reads hotness only, so no
 	// keys travel; the sender re-selects its items by count in phase 3.
-	OfferMetadata(ctx context.Context, from string, lists map[int]fusecache.List) error
-	// OpenImport opens the phase-3 import stream for a (sender, plan)
-	// identified by epoch and fingerprint. Reopening with the same identity
-	// resumes: the returned session's HighWater reports what already
-	// landed. A different fingerprint under the same sender resets the
-	// stream state. window is the sender's max batches in flight (advisory).
-	OpenImport(ctx context.Context, from string, epoch, fingerprint uint64, window int) (ImportSession, error)
+	OfferMetadata(ctx context.Context, from string, round uint64, lists map[int]fusecache.List) error
+	// OpenImport opens the phase-3 import stream of (sender, round), with
+	// the plan's fingerprint as a safety check. Reopening it with the same
+	// fingerprint resumes: the returned session's HighWater reports what
+	// already landed. A different fingerprint resets the stream state.
+	// window is the sender's max batches in flight (advisory).
+	OpenImport(ctx context.Context, from string, round, fingerprint uint64, window int) (ImportSession, error)
 }
 
 // Transport resolves peers by node name.
@@ -102,31 +114,49 @@ type Agent struct {
 	// owned under the current table).
 	ownership atomic.Pointer[hashring.Table]
 
-	mu     sync.Mutex
-	offers map[string]map[int]fusecache.List // sender → class → MRU timestamps
+	mu    sync.Mutex
+	round roundState
+}
 
-	// picks is this node's last phase-1 selection, kept until the next
-	// SendMetadata or Release: target → class → picks, hottest first, and
-	// pickedFor the membership, sorted, it was routed over. Phase 3 ships a
-	// prefix of it.
-	picks     map[string]map[int][]cache.Pick
-	pickedFor []string
+// roundState is this node's part in the latest round it has seen.
+type roundState struct {
+	id uint64
+	// offers is a receiver's phase-1 input: sender → class → MRU
+	// timestamps, dropped once phase 2 computed takes.
+	offers map[string]map[int]fusecache.List
+	// takes is a receiver's phase-2 result, served again to a retry whose
+	// first reply was lost: otherwise the retry would find no offers and
+	// the Master would drop this target from phase 3 (chaos invariant 1).
+	takes Takes
+	// picks is a sender's phase-1 selection: target → class → picks,
+	// hottest first. Phase 3 ships a prefix of it.
+	picks map[string]map[int][]cache.Pick
+	// imports is a receiver's phase-3 stream state per sender (stream.go).
+	imports map[string]*importState
+}
 
-	// imports tracks receiver-side stream state per sender; sendMemo and
-	// epochSeq assign sender-side stream epochs (see stream.go).
-	imports  map[string]*importState
-	sendMemo map[string]sendMemo
-	epochSeq uint64
+// enterLocked returns the state of round id, started afresh when id is
+// newer than the current round; an older id is refused and changes
+// nothing. Callers hold a.mu.
+func (a *Agent) enterLocked(id uint64) (*roundState, error) {
+	if id < a.round.id {
+		return nil, taskgroup.Permanent(ErrStaleRound)
+	}
+	if id > a.round.id {
+		a.round = roundState{id: id}
+	}
+	return &a.round, nil
+}
 
-	// lastTakes memoizes the most recent successful ComputeTakes result.
-	// ComputeTakes drains the offers, so without it a retried call whose
-	// first reply was lost on the wire would see no offers, report
-	// ErrNoMetadata, and the Master would silently drop this target from
-	// phase 3 — the selected hot items would never migrate. Serving the
-	// memoized result makes the RPC idempotent under reply loss; any new
-	// offer invalidates it (a new migration round has begun). Surfaced by
-	// the chaos harness (internal/cluster/invariants), invariant 1.
-	lastTakes Takes
+// enter is enterLocked under a.mu, returning a copy of the state.
+func (a *Agent) enter(id uint64) (roundState, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	r, err := a.enterLocked(id)
+	if err != nil {
+		return roundState{}, err
+	}
+	return *r, nil
 }
 
 // Option configures an Agent.
@@ -210,9 +240,6 @@ func New(node string, c *cache.Cache, transport Transport, opts ...Option) (*Age
 		batchSize:   o.batchSize,
 		batchBytes:  o.batchBytes,
 		maxInflight: o.maxInflight,
-		offers:      make(map[string]map[int]fusecache.List),
-		imports:     make(map[string]*importState),
-		sendMemo:    make(map[string]sendMemo),
 	}, nil
 }
 
@@ -284,8 +311,8 @@ func (a *Agent) Score(_ context.Context) ScoreReport {
 // SendMetadata is phase 1, run on a sender: Pick, then push each target
 // its offers. Cancelling ctx aborts between classes and between
 // per-target pushes.
-func (a *Agent) SendMetadata(ctx context.Context, retained []string) error {
-	offers, err := a.Pick(ctx, retained)
+func (a *Agent) SendMetadata(ctx context.Context, round uint64, retained []string) error {
+	offers, err := a.Pick(ctx, round, retained)
 	if err != nil {
 		return err
 	}
@@ -300,7 +327,7 @@ func (a *Agent) SendMetadata(ctx context.Context, retained []string) error {
 		if err != nil {
 			return fmt.Errorf("send metadata to %s: %w", target, err)
 		}
-		if err := peer.OfferMetadata(ctx, a.node, offers[i]); err != nil {
+		if err := peer.OfferMetadata(ctx, a.node, round, offers[i]); err != nil {
 			return fmt.Errorf("send metadata to %s: %w", target, err)
 		}
 	}
@@ -310,12 +337,12 @@ func (a *Agent) SendMetadata(ctx context.Context, retained []string) error {
 // Pick is phase 1 without the push: one scan per class routes every owned
 // item, by consistent hash over the new membership, to its target, and
 // the agent keeps the picks per target and class — what SendData ships a
-// prefix of — until the next Pick or Release. Items that stay with this
-// node (a scale-out sender keeps most of its keys) are not picked. It
-// returns, index-aligned with retained, each target's offers: per class,
-// the picked stamps, hottest first. The Naive policy, which has no phase
-// 2, calls it directly before SendData.
-func (a *Agent) Pick(ctx context.Context, retained []string) ([]map[int]fusecache.List, error) {
+// prefix of — for the round. Items that stay with this node (a scale-out
+// sender keeps most of its keys) are not picked. It returns, index-aligned
+// with retained, each target's offers: per class, the picked stamps,
+// hottest first. The Naive policy, which has no phase 2, calls it directly
+// before SendData.
+func (a *Agent) Pick(ctx context.Context, round uint64, retained []string) ([]map[int]fusecache.List, error) {
 	if len(retained) == 0 {
 		return nil, errors.New("agent: no retained nodes to send metadata to")
 	}
@@ -369,72 +396,64 @@ func (a *Agent) Pick(ctx context.Context, retained []string) ([]map[int]fusecach
 		}
 	}
 	a.mu.Lock()
-	a.picks, a.pickedFor = picks, ring.Members()
-	a.mu.Unlock()
+	defer a.mu.Unlock()
+	r, err := a.enterLocked(round)
+	if err != nil {
+		return nil, fmt.Errorf("send metadata: %w", err)
+	}
+	r.picks = picks
 	return offers, nil
 }
 
 // OfferMetadata receives a phase-1 push (Peer implementation).
-func (a *Agent) OfferMetadata(_ context.Context, from string, lists map[int]fusecache.List) error {
+func (a *Agent) OfferMetadata(_ context.Context, from string, round uint64, lists map[int]fusecache.List) error {
 	if from == "" {
 		return errors.New("agent: metadata offer without sender")
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.offers[from] = lists
-	a.lastTakes = nil // a new round invalidates any memoized result
+	r, err := a.enterLocked(round)
+	if err != nil {
+		return fmt.Errorf("metadata offer from %s: %w", from, err)
+	}
+	// Copy on write: ComputeTakes reads the offers outside a.mu.
+	offers := make(map[string]map[int]fusecache.List, len(r.offers)+1)
+	maps.Copy(offers, r.offers)
+	offers[from] = lists
+	r.offers = offers
 	return nil
 }
 
 // Takes maps sender node → slab class → number of head items to migrate.
 type Takes map[string]map[int]int
 
-// ComputeTakes is phase 2, run on a receiver: for every slab class,
-// run FuseCache across the offered metadata lists plus the local list, and
-// return how many head items each sender should ship. The local list's
-// take is implicit — local items are already resident. On failure
-// (including ctx cancellation) the drained offers are restored so a retry
-// sees them again instead of silently reporting no metadata.
-func (a *Agent) ComputeTakes(ctx context.Context) (_ Takes, retErr error) {
-	a.mu.Lock()
-	offers := a.offers
-	a.offers = make(map[string]map[int]fusecache.List)
-	if len(offers) == 0 {
-		// No fresh offers: either nothing hashed to this node, or this is a
-		// retry whose first reply was lost after the offers were drained.
-		// Serve the memoized result so the retry is idempotent instead of
-		// silently dropping this target from the migration.
-		cached := a.lastTakes.clone()
-		a.mu.Unlock()
-		if cached != nil {
-			return cached, nil
-		}
+// ComputeTakes is phase 2, run on a receiver: for every slab class, run
+// FuseCache across the round's offered metadata lists plus the local list,
+// and return how many head items each sender should ship. The local list's
+// take is implicit — local items are already resident. The round keeps the
+// takes, not the offers, so a retry returns the same takes (callers must
+// not modify them). With no offers in the round it returns ErrNoMetadata.
+func (a *Agent) ComputeTakes(ctx context.Context, round uint64) (Takes, error) {
+	r, err := a.enter(round)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("compute takes: %w", err)
+	case r.takes != nil:
+		return r.takes, nil
+	case len(r.offers) == 0:
 		return nil, ErrNoMetadata
 	}
-	a.mu.Unlock()
-	defer func() {
-		if retErr == nil {
-			return
-		}
-		a.mu.Lock()
-		for sender, byClass := range offers {
-			if _, fresh := a.offers[sender]; !fresh {
-				a.offers[sender] = byClass
-			}
-		}
-		a.mu.Unlock()
-	}()
 
 	// Stable sender order for determinism.
-	senders := make([]string, 0, len(offers))
-	for s := range offers {
+	senders := make([]string, 0, len(r.offers))
+	for s := range r.offers {
 		senders = append(senders, s)
 	}
 	sort.Strings(senders)
 
 	// Union of classes appearing in any offer.
 	classSet := make(map[int]struct{})
-	for _, byClass := range offers {
+	for _, byClass := range r.offers {
 		for classID := range byClass {
 			classSet[classID] = struct{}{}
 		}
@@ -458,7 +477,7 @@ func (a *Agent) ComputeTakes(ctx context.Context) (_ Takes, retErr error) {
 		// Build the k lists: senders first, own list last (Section IV-A).
 		lists := make([]fusecache.List, 0, len(senders)+1)
 		for _, s := range senders {
-			lists = append(lists, offers[s][classID])
+			lists = append(lists, r.offers[s][classID])
 		}
 		own, err := a.cache.RouteStamps(classID, 1, a.ownedRoute)
 		if err != nil {
@@ -484,27 +503,11 @@ func (a *Agent) ComputeTakes(ctx context.Context) (_ Takes, retErr error) {
 		}
 	}
 	a.mu.Lock()
-	if len(a.offers) == 0 { // no newer round started while computing
-		a.lastTakes = out.clone()
+	if a.round.id == round { // no newer round began while computing
+		a.round.takes, a.round.offers = out, nil
 	}
 	a.mu.Unlock()
 	return out, nil
-}
-
-// clone deep-copies a Takes map (nil stays nil).
-func (t Takes) clone() Takes {
-	if t == nil {
-		return nil
-	}
-	out := make(Takes, len(t))
-	for sender, byClass := range t {
-		m := make(map[int]int, len(byClass))
-		for classID, n := range byClass {
-			m[classID] = n
-		}
-		out[sender] = m
-	}
-	return out
 }
 
 // SendData is phase 3, run on a sender: for the given target and its
@@ -513,26 +516,22 @@ func (t Takes) clone() Takes {
 // bounded, windowed batches (see stream.go). Nothing is walked or looked
 // up by key again: a pick whose item left its chunk since phase 1 is
 // skipped (cache.AppendPicks), and a target phase 1 picked nothing for
-// gets nothing. Without picks over retained — the membership phase 1
-// routed over — SendData fails with ErrNoPicks; it never selects by
-// itself. Cancelling
-// ctx aborts the stream; a retry is safe and cheap — the receiver's ack
-// high-water mark lets it resume from the first unacknowledged batch, with
-// fresher-copy idempotence in BatchImport as the safety net. The returned
-// stats count every selected pick the push covered, whether shipped now,
-// skipped on resume, or gone since phase 1.
-func (a *Agent) SendData(ctx context.Context, target string, takes map[int]int, retained []string) (SendStats, error) {
-	if len(retained) == 0 {
-		return SendStats{}, errors.New("agent: no retained membership for data transfer")
+// gets nothing. Without picks of the round SendData fails with
+// ErrNoPicks; it never selects by itself. Cancelling ctx aborts the
+// stream; a retry is safe and cheap — the receiver's ack high-water mark
+// lets it resume from the first unacknowledged batch, with fresher-copy
+// idempotence in BatchImport as the safety net. The returned stats count
+// every selected pick the push covered, whether shipped now, skipped on
+// resume, or gone since phase 1.
+func (a *Agent) SendData(ctx context.Context, round uint64, target string, takes map[int]int) (SendStats, error) {
+	r, err := a.enter(round)
+	if err == nil && r.picks == nil {
+		err = ErrNoPicks
 	}
-	members := slices.Clone(retained)
-	sort.Strings(members)
-	a.mu.Lock()
-	byClass, picked := a.picks[target], a.pickedFor != nil && slices.Equal(members, a.pickedFor)
-	a.mu.Unlock()
-	if !picked {
-		return SendStats{}, fmt.Errorf("send data to %s: %w", target, ErrNoPicks)
+	if err != nil {
+		return SendStats{}, fmt.Errorf("send data to %s: %w", target, err)
 	}
+	byClass := r.picks[target]
 	classes := make([]int, 0, len(takes))
 	for classID := range takes {
 		classes = append(classes, classID)
@@ -553,7 +552,7 @@ func (a *Agent) SendData(ctx context.Context, target string, takes map[int]int, 
 		return SendStats{}, fmt.Errorf("send data to %s: %w", target, err)
 	}
 	start := time.Now()
-	stats, err := a.pushPlan(ctx, peer, target, plan)
+	stats, err := a.pushPlan(ctx, peer, round, target, plan)
 	stats.Duration = time.Since(start)
 	a.recordSend(stats)
 	if err != nil {
@@ -615,10 +614,9 @@ func (a *Agent) filterStale(pairs []cache.KV) []cache.KV {
 // settled membership members: every owned item whose ring owner is another
 // node. Replica-held copies stay (they are outside the owned filter). The
 // Master calls it only once the table has settled, so until then a failed
-// action rolls back with every key still on its old owner. It also
-// discards any phase-1 offers no phase 2 consumed, ending this node's part
-// in the round, along with its phase-1 picks. It returns how many items
-// it dropped; a retry is safe.
+// action rolls back with every key still on its old owner. It also ends
+// this node's part in the round, dropping the round's state. It returns
+// how many items it dropped; a retry is safe.
 func (a *Agent) Release(ctx context.Context, members []string) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, fmt.Errorf("release: %w", err)
@@ -628,8 +626,7 @@ func (a *Agent) Release(ctx context.Context, members []string) (int, error) {
 		return 0, fmt.Errorf("release: %w", err)
 	}
 	a.mu.Lock()
-	clear(a.offers)
-	a.picks, a.pickedFor = nil, nil
+	a.round = roundState{id: a.round.id}
 	a.mu.Unlock()
 	return a.cache.DropIf(func(key []byte) bool {
 		if !a.ownedBytes(key) {
@@ -640,11 +637,12 @@ func (a *Agent) Release(ctx context.Context, members []string) (int, error) {
 	}), nil
 }
 
-// PendingOffers reports how many phase-1 offers are buffered (tests).
+// PendingOffers reports how many phase-1 offers the current round holds
+// (tests).
 func (a *Agent) PendingOffers() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.offers)
+	return len(a.round.offers)
 }
 
 // Registry is the in-process Transport: a name → agent map. It is safe

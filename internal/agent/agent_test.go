@@ -221,7 +221,7 @@ func TestThreePhaseMigration(t *testing.T) {
 	retained := []string{"r1", "r2"}
 
 	// Phase 1.
-	if err := retiring.SendMetadata(context.Background(), retained); err != nil {
+	if err := retiring.SendMetadata(context.Background(), 1, retained); err != nil {
 		t.Fatal(err)
 	}
 	if r1.PendingOffers() != 1 || r2.PendingOffers() != 1 {
@@ -229,11 +229,11 @@ func TestThreePhaseMigration(t *testing.T) {
 	}
 
 	// Phase 2.
-	takes1, err := r1.ComputeTakes(context.Background())
+	takes1, err := r1.ComputeTakes(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	takes2, err := r2.ComputeTakes(context.Background())
+	takes2, err := r2.ComputeTakes(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +254,11 @@ func TestThreePhaseMigration(t *testing.T) {
 	}
 
 	// Phase 3.
-	sent1, err := retiring.SendData(context.Background(), "r1", takes1["retiring"], retained)
+	sent1, err := retiring.SendData(context.Background(), 1, "r1", takes1["retiring"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	sent2, err := retiring.SendData(context.Background(), "r2", takes2["retiring"], retained)
+	sent2, err := retiring.SendData(context.Background(), 1, "r2", takes2["retiring"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestComputeTakesNoOffers(t *testing.T) {
 	reg := NewRegistry()
 	clk := newTestClock()
 	a := newNode(t, reg, "n1", 1, clk)
-	if _, err := a.ComputeTakes(context.Background()); !errors.Is(err, ErrNoMetadata) {
+	if _, err := a.ComputeTakes(context.Background(), 1); !errors.Is(err, ErrNoMetadata) {
 		t.Fatalf("err = %v, want ErrNoMetadata", err)
 	}
 }
@@ -306,10 +306,10 @@ func TestComputeTakesClearsOffers(t *testing.T) {
 	retiring := newNode(t, reg, "retiring", 1, clk)
 	r1 := newNode(t, reg, "r1", 1, clk)
 	populate(t, retiring, 50)
-	if err := retiring.SendMetadata(context.Background(), []string{"r1"}); err != nil {
+	if err := retiring.SendMetadata(context.Background(), 1, []string{"r1"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r1.ComputeTakes(context.Background()); err != nil {
+	if _, err := r1.ComputeTakes(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 	if r1.PendingOffers() != 0 {
@@ -335,10 +335,10 @@ func TestMigrationSelectsHottest(t *testing.T) {
 	}
 	populate(t, retiring, 200) // all set later → hotter timestamps
 
-	if err := retiring.SendMetadata(context.Background(), []string{"r1"}); err != nil {
+	if err := retiring.SendMetadata(context.Background(), 1, []string{"r1"}); err != nil {
 		t.Fatal(err)
 	}
-	takes, err := r1.ComputeTakes(context.Background())
+	takes, err := r1.ComputeTakes(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestMigrationSelectsHottest(t *testing.T) {
 	if total != 200 {
 		t.Fatalf("takes = %d, want all 200 hotter items", total)
 	}
-	if _, err := retiring.SendData(context.Background(), "r1", takes["retiring"], []string{"r1"}); err != nil {
+	if _, err := retiring.SendData(context.Background(), 1, "r1", takes["retiring"]); err != nil {
 		t.Fatal(err)
 	}
 	// All migrated keys resident; cache still at capacity; the receiver's
@@ -389,10 +389,10 @@ func TestMigrationRespectsCapacityWhenSendersColder(t *testing.T) {
 		}
 	}
 
-	if err := retiring.SendMetadata(context.Background(), []string{"r1"}); err != nil {
+	if err := retiring.SendMetadata(context.Background(), 1, []string{"r1"}); err != nil {
 		t.Fatal(err)
 	}
-	takes, err := r1.ComputeTakes(context.Background())
+	takes, err := r1.ComputeTakes(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestSendMetadataEmptyRetained(t *testing.T) {
 	reg := NewRegistry()
 	clk := newTestClock()
 	a := newNode(t, reg, "n1", 1, clk)
-	if err := a.SendMetadata(context.Background(), nil); err == nil {
+	if err := a.SendMetadata(context.Background(), 1, nil); err == nil {
 		t.Fatal("want error for empty retained membership")
 	}
 }
@@ -421,7 +421,7 @@ func TestSendDataUnknownPeer(t *testing.T) {
 	populate(t, a, 10)
 	classes := a.Cache().PopulatedClasses()
 	pickFor(t, a, "ghost")
-	_, err := a.SendData(context.Background(), "ghost", map[int]int{classes[0]: 5}, []string{"ghost"})
+	_, err := a.SendData(context.Background(), 1, "ghost", map[int]int{classes[0]: 5})
 	if !errors.Is(err, ErrUnknownPeer) {
 		t.Fatalf("err = %v, want ErrUnknownPeer", err)
 	}
@@ -437,13 +437,13 @@ func scaleOut(t *testing.T, senders, newcomers []*Agent, full []string) (SendSta
 	t.Helper()
 	ctx := context.Background()
 	for _, s := range senders {
-		if err := s.SendMetadata(ctx, full); err != nil {
+		if err := s.SendMetadata(ctx, 1, full); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var sent SendStats
 	for _, n := range newcomers {
-		takes, err := n.ComputeTakes(ctx)
+		takes, err := n.ComputeTakes(ctx, 1)
 		if errors.Is(err, ErrNoMetadata) {
 			continue
 		}
@@ -451,7 +451,7 @@ func scaleOut(t *testing.T, senders, newcomers []*Agent, full []string) (SendSta
 			t.Fatal(err)
 		}
 		for _, s := range senders {
-			st, err := s.SendData(ctx, n.Node(), takes[s.Node()], full)
+			st, err := s.SendData(ctx, 1, n.Node(), takes[s.Node()])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -541,7 +541,7 @@ func TestHashSplitNoNewMembers(t *testing.T) {
 	clk := newTestClock()
 	a := newNode(t, reg, "n1", 1, clk)
 	populate(t, a, 10)
-	if err := a.SendMetadata(context.Background(), []string{"n1"}); err != nil {
+	if err := a.SendMetadata(context.Background(), 1, []string{"n1"}); err != nil {
 		t.Fatal(err)
 	}
 	if n := a.PendingOffers(); n != 0 {
@@ -582,7 +582,7 @@ func TestOfferMetadataRejectsEmptySender(t *testing.T) {
 	reg := NewRegistry()
 	clk := newTestClock()
 	a := newNode(t, reg, "n1", 1, clk)
-	if err := a.OfferMetadata(context.Background(), "", nil); err == nil {
+	if err := a.OfferMetadata(context.Background(), "", 1, nil); err == nil {
 		t.Fatal("want error for empty sender")
 	}
 }
@@ -731,12 +731,12 @@ func (c *countingTransport) Peer(node string) (Peer, error) {
 	return &countingPeer{inner: p, t: c}, nil
 }
 
-func (p *countingPeer) OfferMetadata(ctx context.Context, from string, lists map[int]fusecache.List) error {
-	return p.inner.OfferMetadata(ctx, from, lists)
+func (p *countingPeer) OfferMetadata(ctx context.Context, from string, round uint64, lists map[int]fusecache.List) error {
+	return p.inner.OfferMetadata(ctx, from, round, lists)
 }
 
-func (p *countingPeer) OpenImport(ctx context.Context, from string, epoch, fp uint64, window int) (ImportSession, error) {
-	sess, err := p.inner.OpenImport(ctx, from, epoch, fp, window)
+func (p *countingPeer) OpenImport(ctx context.Context, from string, round, fp uint64, window int) (ImportSession, error) {
+	sess, err := p.inner.OpenImport(ctx, from, round, fp, window)
 	if err != nil {
 		return nil, err
 	}
@@ -765,14 +765,14 @@ func TestSendDataBatchesPreserveMRUOrder(t *testing.T) {
 	r1 := newNode(t, reg, "r1", 2, clk)
 	populate(t, retiring, 100)
 
-	if err := retiring.SendMetadata(context.Background(), []string{"r1"}); err != nil {
+	if err := retiring.SendMetadata(context.Background(), 1, []string{"r1"}); err != nil {
 		t.Fatal(err)
 	}
-	takes, err := r1.ComputeTakes(context.Background())
+	takes, err := r1.ComputeTakes(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sent, err := retiring.SendData(context.Background(), "r1", takes["retiring"], []string{"r1"})
+	sent, err := retiring.SendData(context.Background(), 1, "r1", takes["retiring"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -847,7 +847,7 @@ func TestReleaseDropsResidue(t *testing.T) {
 	if err := e1.Cache().Set(residue, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := e1.SendMetadata(context.Background(), full); err != nil {
+	if err := e1.SendMetadata(context.Background(), 1, full); err != nil {
 		t.Fatal(err)
 	}
 	if e2.PendingOffers() != 1 || n1.PendingOffers() != 0 {

@@ -38,16 +38,16 @@ func (f *flakyTransport) Peer(node string) (Peer, error) {
 	return &flakyPeer{inner: p, t: f}, nil
 }
 
-func (p *flakyPeer) OfferMetadata(ctx context.Context, from string, lists map[int]fusecache.List) error {
+func (p *flakyPeer) OfferMetadata(ctx context.Context, from string, round uint64, lists map[int]fusecache.List) error {
 	if p.t.failOffers > 0 {
 		p.t.failOffers--
 		return errInjected
 	}
-	return p.inner.OfferMetadata(ctx, from, lists)
+	return p.inner.OfferMetadata(ctx, from, round, lists)
 }
 
-func (p *flakyPeer) OpenImport(ctx context.Context, from string, epoch, fp uint64, window int) (ImportSession, error) {
-	sess, err := p.inner.OpenImport(ctx, from, epoch, fp, window)
+func (p *flakyPeer) OpenImport(ctx context.Context, from string, round, fp uint64, window int) (ImportSession, error) {
+	sess, err := p.inner.OpenImport(ctx, from, round, fp, window)
 	if err != nil {
 		return nil, err
 	}
@@ -98,11 +98,11 @@ func TestSendMetadataSurfacesPeerFailure(t *testing.T) {
 	newNode(t, reg, "r1", 1, clk)
 	populate(t, retiring, 50)
 
-	if err := retiring.SendMetadata(context.Background(), []string{"r1"}); !errors.Is(err, errInjected) {
+	if err := retiring.SendMetadata(context.Background(), 1, []string{"r1"}); !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want injected failure", err)
 	}
 	// After recovery the same call succeeds — no corrupted state.
-	if err := retiring.SendMetadata(context.Background(), []string{"r1"}); err != nil {
+	if err := retiring.SendMetadata(context.Background(), 1, []string{"r1"}); err != nil {
 		t.Fatalf("retry failed: %v", err)
 	}
 }
@@ -115,13 +115,13 @@ func TestSendMetadataSurfacesDeliveryFailure(t *testing.T) {
 	r1 := newNode(t, reg, "r1", 1, clk)
 	populate(t, retiring, 50)
 
-	if err := retiring.SendMetadata(context.Background(), []string{"r1"}); !errors.Is(err, errInjected) {
+	if err := retiring.SendMetadata(context.Background(), 1, []string{"r1"}); !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want injected failure", err)
 	}
 	if r1.PendingOffers() != 0 {
 		t.Fatal("failed delivery left a partial offer")
 	}
-	if err := retiring.SendMetadata(context.Background(), []string{"r1"}); err != nil {
+	if err := retiring.SendMetadata(context.Background(), 1, []string{"r1"}); err != nil {
 		t.Fatalf("retry failed: %v", err)
 	}
 	if r1.PendingOffers() != 1 {
@@ -137,14 +137,14 @@ func TestSendDataSurfacesImportFailure(t *testing.T) {
 	r1 := newNode(t, reg, "r1", 1, clk)
 	populate(t, retiring, 50)
 
-	if err := retiring.SendMetadata(context.Background(), []string{"r1"}); err != nil {
+	if err := retiring.SendMetadata(context.Background(), 1, []string{"r1"}); err != nil {
 		t.Fatal(err)
 	}
-	takes, err := r1.ComputeTakes(context.Background())
+	takes, err := r1.ComputeTakes(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := retiring.SendData(context.Background(), "r1", takes["retiring"], []string{"r1"}); !errors.Is(err, errInjected) {
+	if _, err := retiring.SendData(context.Background(), 1, "r1", takes["retiring"]); !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want injected failure", err)
 	}
 	// The source still holds its data: a failed phase 3 loses nothing.
@@ -152,7 +152,7 @@ func TestSendDataSurfacesImportFailure(t *testing.T) {
 		t.Fatalf("source lost data on failed send: %d", retiring.Cache().Len())
 	}
 	// Retry works (idempotent import).
-	sent, err := retiring.SendData(context.Background(), "r1", takes["retiring"], []string{"r1"})
+	sent, err := retiring.SendData(context.Background(), 1, "r1", takes["retiring"])
 	if err != nil || sent.Pairs != 50 {
 		t.Fatalf("retry = %d, %v", sent.Pairs, err)
 	}
@@ -178,21 +178,21 @@ func TestHashSplitSurfacesFailureAndStaysConsistent(t *testing.T) {
 	full := []string{"e1", "new1"}
 
 	before := e1.Cache().Len()
-	if err := e1.SendMetadata(ctx, full); err != nil {
+	if err := e1.SendMetadata(ctx, 1, full); err != nil {
 		t.Fatal(err)
 	}
-	takes, err := n1.ComputeTakes(ctx)
+	takes, err := n1.ComputeTakes(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e1.SendData(ctx, "new1", takes["e1"], full); !errors.Is(err, errInjected) {
+	if _, err := e1.SendData(ctx, 1, "new1", takes["e1"]); !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want injected failure", err)
 	}
 	if e1.Cache().Len() != before {
 		t.Fatalf("source dropped items on a failed push: %d → %d", before, e1.Cache().Len())
 	}
 	// Retry completes the move; the sender still holds everything.
-	moved, err := e1.SendData(ctx, "new1", takes["e1"], full)
+	moved, err := e1.SendData(ctx, 1, "new1", takes["e1"])
 	if err != nil {
 		t.Fatal(err)
 	}

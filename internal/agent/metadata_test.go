@@ -184,19 +184,19 @@ func TestSendMetadataMatchesDumpOracle(t *testing.T) {
 			}
 		}
 		for _, s := range senders {
-			if err := s.SendMetadata(ctx, retained); err != nil {
+			if err := s.SendMetadata(ctx, 1, retained); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for _, r := range receivers {
 			r.mu.Lock()
-			got := r.offers
+			got := r.round.offers
 			r.mu.Unlock()
 			if !reflect.DeepEqual(got, want[r.Node()]) {
 				t.Fatalf("seed %d: %s received offers differ from the DumpAll oracle", seed, r.Node())
 			}
 			wantTakes := oracleTakes(t, r, want[r.Node()])
-			takes, err := r.ComputeTakes(ctx)
+			takes, err := r.ComputeTakes(ctx, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,7 +245,7 @@ func TestSendMetadataAllocsPerTargetClass(t *testing.T) {
 		t.Fatalf("populated %d classes, want %d", classes, len(sizes))
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		if err := sender.SendMetadata(ctx, retained); err != nil {
+		if err := sender.SendMetadata(ctx, 1, retained); err != nil {
 			t.Fatal(err)
 		}
 	})

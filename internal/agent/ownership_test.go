@@ -67,7 +67,9 @@ func TestStaleImportDropped(t *testing.T) {
 		{Key: stableKey, Value: []byte("s"), LastAccess: clk.Now()},
 	}
 	// Mid-handover both land: n1 is still an acceptable owner.
-	recv.ImportOpen("n3", 6, 98)
+	if _, err := recv.ImportOpen("n3", 6, 98); err != nil {
+		t.Fatal(err)
+	}
 	if _, n, err := recv.ImportFrame("n3", 6, 1, pairs); err != nil || n != 2 {
 		t.Fatalf("mid-handover frame = (%d, %v), want 2 imports", n, err)
 	}
@@ -93,8 +95,8 @@ func TestStaleImportDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if hw := recv.ImportOpen("n3", 7, 99); hw != 0 {
-		t.Fatalf("high-water = %d", hw)
+	if hw, err := recv.ImportOpen("n3", 7, 99); err != nil || hw != 0 {
+		t.Fatalf("high-water = %d, %v", hw, err)
 	}
 	if _, n, err := recv.ImportFrame("n3", 7, 1, pairs); err != nil || n != 1 {
 		t.Fatalf("replayed frame = (%d, %v), want 1 import", n, err)

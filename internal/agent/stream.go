@@ -23,9 +23,9 @@ import (
 //     preserves order, the receiver applies in arrival order, which stays
 //     coldest-first per class so MRU invariant I2 holds);
 //   - resumes after a failed push: the receiver acks its applied sequence
-//     high-water mark, and a retried send over the same plan skips every
-//     batch at or below it. The fresher-copy idempotence of BatchImport
-//     remains the safety net underneath.
+//     high-water mark, and a retried send of the same round and plan skips
+//     every batch at or below it. The fresher-copy idempotence of
+//     BatchImport remains the safety net underneath.
 
 // SendStats reports what one phase-3 push (SendData) moved.
 type SendStats struct {
@@ -87,32 +87,33 @@ type ImportSession interface {
 
 // importState is the receiver-side memory of one sender's stream.
 type importState struct {
-	epoch     uint64
 	fp        uint64
 	mu        sync.Mutex
 	highWater uint64
 	imported  int
 }
 
-// ImportOpen registers (or resumes) an import stream from a sender and
-// returns the applied sequence high-water mark — zero for a fresh
-// stream. A matching (epoch, fingerprint) resumes the existing state; any
-// mismatch starts over, so a new plan never skips batches on the strength
-// of an older stream's acks.
-func (a *Agent) ImportOpen(from string, epoch, fingerprint uint64) uint64 {
+// ImportOpen registers (or resumes) the import stream of (sender, round)
+// and returns the applied sequence high-water mark — zero for a fresh
+// stream. The same plan fingerprint resumes; another starts over, so a new
+// plan never skips batches on the strength of an older plan's acks.
+func (a *Agent) ImportOpen(from string, round, fingerprint uint64) (uint64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.imports == nil {
-		a.imports = make(map[string]*importState)
+	r, err := a.enterLocked(round)
+	if err != nil {
+		return 0, fmt.Errorf("import from %s: %w", from, err)
 	}
-	if st := a.imports[from]; st != nil && st.epoch == epoch && st.fp == fingerprint {
+	if st := r.imports[from]; st != nil && st.fp == fingerprint {
 		st.mu.Lock()
-		hw := st.highWater
-		st.mu.Unlock()
-		return hw
+		defer st.mu.Unlock()
+		return st.highWater, nil
 	}
-	a.imports[from] = &importState{epoch: epoch, fp: fingerprint}
-	return 0
+	if r.imports == nil {
+		r.imports = make(map[string]*importState)
+	}
+	r.imports[from] = &importState{fp: fingerprint}
+	return 0, nil
 }
 
 // ImportFrame applies one sequenced batch of a stream opened with
@@ -120,12 +121,12 @@ func (a *Agent) ImportOpen(from string, epoch, fingerprint uint64) uint64 {
 // acknowledged without re-applying; a gap is a protocol error — the
 // sender must reopen and resume. Pairs are coldest-first and prepended at
 // the MRU head in order, so the batch's hottest pair ends up at the head.
-func (a *Agent) ImportFrame(from string, epoch, seq uint64, pairs []cache.KV) (highWater uint64, imported int, err error) {
+func (a *Agent) ImportFrame(from string, round, seq uint64, pairs []cache.KV) (highWater uint64, imported int, err error) {
 	a.mu.Lock()
-	st := a.imports[from]
+	st, cur := a.round.imports[from], a.round.id
 	a.mu.Unlock()
-	if st == nil || st.epoch != epoch {
-		return 0, 0, fmt.Errorf("agent: no open import stream from %q epoch %d", from, epoch)
+	if st == nil || cur != round {
+		return 0, 0, fmt.Errorf("agent: no open import stream from %q in this round", from)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -152,15 +153,18 @@ func (a *Agent) ImportFrame(from string, epoch, seq uint64, pairs []cache.KV) (h
 type localSession struct {
 	recv     *Agent
 	from     string
-	epoch    uint64
+	round    uint64
 	hw       uint64
 	imported int
 }
 
 // OpenImport implements Peer for in-process transports.
-func (a *Agent) OpenImport(_ context.Context, from string, epoch, fingerprint uint64, _ int) (ImportSession, error) {
-	hw := a.ImportOpen(from, epoch, fingerprint)
-	return &localSession{recv: a, from: from, epoch: epoch, hw: hw}, nil
+func (a *Agent) OpenImport(_ context.Context, from string, round, fingerprint uint64, _ int) (ImportSession, error) {
+	hw, err := a.ImportOpen(from, round, fingerprint)
+	if err != nil {
+		return nil, err
+	}
+	return &localSession{recv: a, from: from, round: round, hw: hw}, nil
 }
 
 func (s *localSession) HighWater() uint64 { return s.hw }
@@ -169,7 +173,7 @@ func (s *localSession) Send(ctx context.Context, seq uint64, pairs []cache.KV) e
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	hw, n, err := s.recv.ImportFrame(s.from, s.epoch, seq, pairs)
+	hw, n, err := s.recv.ImportFrame(s.from, s.round, seq, pairs)
 	s.hw, s.imported = hw, s.imported+n
 	return err
 }
@@ -185,8 +189,8 @@ func (s *localSession) Abort() {}
 // every pick's (stamp, key hash, size) in order. A retry of the same
 // logical push ships the same picks and reproduces it exactly — that,
 // plus pick-derived batch boundaries, is what makes skipping acknowledged
-// sequences sound. A new round picks anew and fingerprints differently,
-// resetting the receiver's stream state.
+// sequences sound; the round, not the fingerprint, tells streams of
+// different actions apart.
 func planFingerprint(target string, plan [][]cache.Pick) uint64 {
 	h := hashring.KeyHash(target)
 	mix := func(v uint64) { // the MurmurHash3 finalizer over state ^ word
@@ -208,45 +212,12 @@ func planFingerprint(target string, plan [][]cache.Pick) uint64 {
 	return h
 }
 
-// epochFor returns a stable epoch for pushing plan fp to target: retries
-// of the same plan reuse the epoch (enabling resume), a different plan
-// gets a fresh one (resetting the receiver's stream state even if the
-// fingerprints were ever to collide across rounds).
-func (a *Agent) epochFor(target string, fp uint64) uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.sendMemo == nil {
-		a.sendMemo = make(map[string]sendMemo)
-	}
-	if m, ok := a.sendMemo[target]; ok && m.fp == fp {
-		return m.epoch
-	}
-	a.epochSeq++
-	m := sendMemo{fp: fp, epoch: a.epochSeq}
-	a.sendMemo[target] = m
-	return m.epoch
-}
-
-type sendMemo struct {
-	fp    uint64
-	epoch uint64
-}
-
-// pushPlan streams a plan to a peer, windowed and resumable. Emission order
-// is classes ascending, coldest-first within each class; batch boundaries
-// come from cache.CutBatches — the picks alone — so a retry re-produces
-// identical sequence numbering.
-func (a *Agent) pushPlan(ctx context.Context, peer Peer, target string, plan [][]cache.Pick) (SendStats, error) {
-	fp := planFingerprint(target, plan)
-	if t := a.ownership.Load(); t != nil {
-		// Tag the stream with the ownership table version: a plan retried
-		// across a handover boundary fingerprints differently, so the
-		// receiver resets stream state instead of resuming acks earned
-		// under a superseded ownership table.
-		fp ^= t.Version() * 0x9e3779b97f4a7c15
-	}
-	epoch := a.epochFor(target, fp)
-	sess, err := peer.OpenImport(ctx, a.node, epoch, fp, a.maxInflight)
+// pushPlan streams a round's plan to a peer, windowed and resumable.
+// Emission order is classes ascending, coldest-first within each class;
+// batch boundaries come from cache.CutBatches — the picks alone — so a
+// retry re-produces identical sequence numbering.
+func (a *Agent) pushPlan(ctx context.Context, peer Peer, round uint64, target string, plan [][]cache.Pick) (SendStats, error) {
+	sess, err := peer.OpenImport(ctx, a.node, round, planFingerprint(target, plan), a.maxInflight)
 	if err != nil {
 		return SendStats{}, err
 	}

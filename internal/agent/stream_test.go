@@ -2,9 +2,9 @@ package agent
 
 // Tests for the streaming data plane's sender: the O(window × batch)
 // memory bound (via the instrumented in-flight accounting), ack-based
-// resume after a mid-stream failure, plan fingerprinting / epoch
-// assignment, and the receiver-side ImportFrame protocol (duplicates
-// acknowledged, gaps rejected).
+// resume after a mid-stream failure, plan fingerprinting, and the
+// receiver-side ImportFrame protocol (duplicates acknowledged, gaps
+// rejected, streams keyed by round).
 
 import (
 	"context"
@@ -16,6 +16,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/fusecache"
 	"repro/internal/hashring"
+	"repro/internal/taskgroup"
 )
 
 // populateSized inserts n keys with valLen-byte values and strictly
@@ -34,7 +35,7 @@ func populateSized(t *testing.T, a *Agent, n, valLen int) {
 // anything: SendData ships what it picked.
 func pickFor(t *testing.T, a *Agent, retained ...string) {
 	t.Helper()
-	if _, err := a.Pick(context.Background(), retained); err != nil {
+	if _, err := a.Pick(context.Background(), 1, retained); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -47,7 +48,7 @@ func sendAll(t *testing.T, a *Agent, target string) SendStats {
 	for _, classID := range a.Cache().PopulatedClasses() {
 		takes[classID] = a.Cache().ClassLen(classID)
 	}
-	stats, err := a.SendData(context.Background(), target, takes, []string{target})
+	stats, err := a.SendData(context.Background(), 1, target, takes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,12 +132,12 @@ func (bt *breakingTransport) Peer(node string) (Peer, error) {
 	return &breakingPeer{inner: p, t: bt}, nil
 }
 
-func (p *breakingPeer) OfferMetadata(ctx context.Context, from string, lists map[int]fusecache.List) error {
-	return p.inner.OfferMetadata(ctx, from, lists)
+func (p *breakingPeer) OfferMetadata(ctx context.Context, from string, round uint64, lists map[int]fusecache.List) error {
+	return p.inner.OfferMetadata(ctx, from, round, lists)
 }
 
-func (p *breakingPeer) OpenImport(ctx context.Context, from string, epoch, fp uint64, window int) (ImportSession, error) {
-	sess, err := p.inner.OpenImport(ctx, from, epoch, fp, window)
+func (p *breakingPeer) OpenImport(ctx context.Context, from string, round, fp uint64, window int) (ImportSession, error) {
+	sess, err := p.inner.OpenImport(ctx, from, round, fp, window)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +151,7 @@ func (p *breakingPeer) OpenImport(ctx context.Context, from string, epoch, fp ui
 }
 
 // TestStreamResumeAfterFailure: when a push dies mid-stream, the retry
-// must reopen the same (epoch, fingerprint) stream, learn the receiver's
+// must reopen the same (round, fingerprint) stream, learn the receiver's
 // high-water mark, and skip every batch already applied — counting them
 // as Resumed, not re-shipping them.
 func TestStreamResumeAfterFailure(t *testing.T) {
@@ -172,7 +173,7 @@ func TestStreamResumeAfterFailure(t *testing.T) {
 	takes := map[int]int{sender.Cache().PopulatedClasses()[0]: 100}
 	pickFor(t, sender, "recv")
 
-	if _, err := sender.SendData(context.Background(), "recv", takes, []string{"recv"}); err == nil {
+	if _, err := sender.SendData(context.Background(), 1, "recv", takes); err == nil {
 		t.Fatal("want the injected mid-stream failure to surface")
 	}
 	applied := recv.Cache().Len()
@@ -180,7 +181,7 @@ func TestStreamResumeAfterFailure(t *testing.T) {
 		t.Fatalf("receiver holds %d after the cut, want a strict partial", applied)
 	}
 
-	stats, err := sender.SendData(context.Background(), "recv", takes, []string{"recv"})
+	stats, err := sender.SendData(context.Background(), 1, "recv", takes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestStreamResumeAfterFailure(t *testing.T) {
 	}
 }
 
-func TestPlanFingerprintAndEpochs(t *testing.T) {
+func TestPlanFingerprint(t *testing.T) {
 	reg := NewRegistry()
 	clk := newTestClock()
 	a := newNode(t, reg, "a", 2, clk)
@@ -227,19 +228,6 @@ func TestPlanFingerprintAndEpochs(t *testing.T) {
 	if planFingerprint("t1", smaller) == fp {
 		t.Fatal("selection not fingerprinted")
 	}
-
-	// Same plan → same epoch (resume); new plan → fresh epoch (reset).
-	e1 := a.epochFor("t1", fp)
-	if a.epochFor("t1", fp) != e1 {
-		t.Fatal("retry of the same plan changed epoch")
-	}
-	e2 := a.epochFor("t1", planFingerprint("t1", smaller))
-	if e2 == e1 {
-		t.Fatal("new plan reused the old epoch")
-	}
-	if a.epochFor("t2", fp) == e2 {
-		t.Fatal("epochs must be distinct across targets")
-	}
 }
 
 func TestImportFrameProtocol(t *testing.T) {
@@ -247,12 +235,20 @@ func TestImportFrameProtocol(t *testing.T) {
 	clk := newTestClock()
 	a := newNode(t, reg, "recv", 2, clk)
 	pairs := []cache.KV{{Key: "k1", Value: []byte("v")}}
+	open := func(round, fp uint64) uint64 {
+		t.Helper()
+		hw, err := a.ImportOpen("s", round, fp)
+		if err != nil {
+			t.Fatalf("open round %d fp %d: %v", round, fp, err)
+		}
+		return hw
+	}
 
-	if hw := a.ImportOpen("s", 1, 42); hw != 0 {
+	if hw := open(1, 42); hw != 0 {
 		t.Fatalf("fresh stream high-water = %d", hw)
 	}
 	if _, _, err := a.ImportFrame("s", 2, 1, pairs); err == nil {
-		t.Fatal("want error for wrong epoch")
+		t.Fatal("want error for another round's frame")
 	}
 	if _, _, err := a.ImportFrame("s", 1, 2, pairs); err == nil {
 		t.Fatal("want error for a sequence gap")
@@ -266,12 +262,27 @@ func TestImportFrameProtocol(t *testing.T) {
 	if err != nil || hw != 1 || n != 0 {
 		t.Fatalf("duplicate frame = (%d, %d, %v), want ack without apply", hw, n, err)
 	}
-	// Reopening the same (epoch, fp) resumes; a different fp resets.
-	if hw := a.ImportOpen("s", 1, 42); hw != 1 {
+	// Reopening within the round with the same fp resumes; a different fp
+	// resets.
+	if hw := open(1, 42); hw != 1 {
 		t.Fatalf("resume high-water = %d, want 1", hw)
 	}
-	if hw := a.ImportOpen("s", 1, 43); hw != 0 {
+	if hw := open(1, 43); hw != 0 {
 		t.Fatalf("new-plan high-water = %d, want reset to 0", hw)
+	}
+	if _, _, err := a.ImportFrame("s", 1, 1, pairs); err != nil {
+		t.Fatal(err)
+	}
+	// A newer round opens a new stream even for the same plan, and the old
+	// round's stream is gone: its frames and its reopening are refused.
+	if hw := open(2, 43); hw != 0 {
+		t.Fatalf("next round's high-water = %d, want a new stream", hw)
+	}
+	if _, _, err := a.ImportFrame("s", 1, 2, pairs); err == nil {
+		t.Fatal("want error for a frame of the dropped round")
+	}
+	if _, err := a.ImportOpen("s", 1, 43); !errors.Is(err, ErrStaleRound) || !taskgroup.IsPermanent(err) {
+		t.Fatalf("reopening an older round: err = %v, want permanent ErrStaleRound", err)
 	}
 }
 
@@ -304,7 +315,7 @@ func TestSendDataCountsUnappliedPairs(t *testing.T) {
 				takes[classID] = 40
 			}
 			pickFor(t, sender, "r1")
-			sent, err := sender.SendData(context.Background(), "r1", takes, []string{"r1"})
+			sent, err := sender.SendData(context.Background(), 1, "r1", takes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -349,7 +360,7 @@ func TestSendDataAllocsPerPair(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	stats, err := sender.SendData(ctx, "r", takes, []string{"r"})
+	stats, err := sender.SendData(ctx, 1, "r", takes)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +400,7 @@ func TestSendDataShipsTopMetaSelection(t *testing.T) {
 		}
 	}
 	sender.SetOwnedFilter(func(key string) bool { return key[len(key)-1] != '9' })
-	if err := sender.SendMetadata(ctx, retained); err != nil {
+	if err := sender.SendMetadata(ctx, 1, retained); err != nil {
 		t.Fatal(err)
 	}
 	ring, err := hashring.New(retained)
@@ -413,7 +424,7 @@ func TestSendDataShipsTopMetaSelection(t *testing.T) {
 				want[m.Key] = m.LastAccess.UnixNano()
 			}
 		}
-		stats, err := sender.SendData(ctx, target, takes, retained)
+		stats, err := sender.SendData(ctx, 1, target, takes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -435,10 +446,10 @@ func TestSendDataShipsTopMetaSelection(t *testing.T) {
 	}
 }
 
-// TestSendDataNeedsPicks: phase 3 ships only what phase 1 picked. Without
-// picks, with picks over another membership, and after Release dropped
-// them, SendData fails with ErrNoPicks; it never selects by itself. A
-// target phase 1 picked nothing for gets nothing.
+// TestSendDataNeedsPicks: phase 3 ships only what phase 1 of its round
+// picked. Without picks, with picks of an earlier round, and after Release
+// dropped them, SendData fails with ErrNoPicks; it never selects by
+// itself. A target phase 1 picked nothing for gets nothing.
 func TestSendDataNeedsPicks(t *testing.T) {
 	ctx := context.Background()
 	reg := NewRegistry()
@@ -448,27 +459,34 @@ func TestSendDataNeedsPicks(t *testing.T) {
 	newNode(t, reg, "r2", 2, clk)
 	populate(t, sender, 50)
 	takes := map[int]int{sender.Cache().PopulatedClasses()[0]: 50}
-	if _, err := sender.SendData(ctx, "r1", takes, []string{"r1"}); !errors.Is(err, ErrNoPicks) {
+	pick := func(round uint64, retained ...string) {
+		t.Helper()
+		if _, err := sender.Pick(ctx, round, retained); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sender.SendData(ctx, 1, "r1", takes); !errors.Is(err, ErrNoPicks) {
 		t.Fatalf("SendData before any pick: err = %v, want ErrNoPicks", err)
 	}
-	pickFor(t, sender, "r1")
-	if _, err := sender.SendData(ctx, "r2", takes, []string{"r2"}); !errors.Is(err, ErrNoPicks) {
-		t.Fatalf("SendData over another membership: err = %v, want ErrNoPicks", err)
+	pick(1, "r1")
+	if _, err := sender.SendData(ctx, 2, "r1", takes); !errors.Is(err, ErrNoPicks) {
+		t.Fatalf("SendData of a round after its picks': err = %v, want ErrNoPicks", err)
 	}
-	if st, err := sender.SendData(ctx, "r1", takes, []string{"r1"}); err != nil || st.Pairs != 50 {
+	pick(3, "r1")
+	if st, err := sender.SendData(ctx, 3, "r1", takes); err != nil || st.Pairs != 50 {
 		t.Fatalf("SendData after its pick = %+v, %v; want 50 pairs", st, err)
 	}
 	sender.SetOwnedFilter(func(string) bool { return false })
-	pickFor(t, sender, "r1", "r2") // nothing owned: no picks for anyone
-	if st, err := sender.SendData(ctx, "r1", takes, []string{"r1", "r2"}); err != nil || st.Pairs != 0 {
+	pick(4, "r1", "r2") // nothing owned: no picks for anyone
+	if st, err := sender.SendData(ctx, 4, "r1", takes); err != nil || st.Pairs != 0 {
 		t.Fatalf("SendData to a target with no picks = %+v, %v; want nothing shipped", st, err)
 	}
 	sender.SetOwnedFilter(nil)
-	pickFor(t, sender, "r1")
+	pick(5, "r1")
 	if _, err := sender.Release(ctx, []string{"s", "r1"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sender.SendData(ctx, "r1", takes, []string{"r1"}); !errors.Is(err, ErrNoPicks) {
+	if _, err := sender.SendData(ctx, 5, "r1", takes); !errors.Is(err, ErrNoPicks) {
 		t.Fatalf("SendData after Release: err = %v, want ErrNoPicks", err)
 	}
 }

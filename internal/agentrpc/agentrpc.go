@@ -56,7 +56,9 @@ type request struct {
 	// remote agent bounds its own work; 0 means no deadline.
 	TimeoutMS int64 `json:"timeoutMs,omitempty"`
 
-	// SendMetadata, SendData and Release share Retained.
+	// Round names the action of SendMetadata, ComputeTakes and SendData.
+	Round uint64 `json:"round,omitempty"`
+	// SendMetadata and Release share Retained.
 	Retained []string `json:"retained,omitempty"`
 	// SendData.
 	Target string      `json:"target,omitempty"`
@@ -230,7 +232,7 @@ func (s *Server) serveFrame(imp *importApplier, offer *offerDecoder, bw *bufio.W
 		remoteErr := ""
 		if derr != nil {
 			remoteErr = derr.Error()
-		} else if err := s.agent.OfferMetadata(context.Background(), offer.from, offer.lists); err != nil {
+		} else if err := s.agent.OfferMetadata(context.Background(), offer.from, offer.round, offer.lists); err != nil {
 			remoteErr = err.Error()
 		}
 		*offer = offerDecoder{}
@@ -240,25 +242,27 @@ func (s *Server) serveFrame(imp *importApplier, offer *offerDecoder, bw *bufio.W
 		return err == nil && derr == nil
 	case ftImportOpen:
 		imp.barrier()
-		from, epoch, fp, _, derr := decodeImportOpen(payload)
+		from, round, fp, _, derr := decodeImportOpen(payload)
 		putBuf(payload)
 		ack := getBuf()
 		if derr != nil {
 			ack = appendOpenAck(ack, 0, derr.Error())
+		} else if hw, err := s.agent.ImportOpen(from, round, fp); err != nil {
+			ack = appendOpenAck(ack, 0, err.Error())
 		} else {
-			ack = appendOpenAck(ack, s.agent.ImportOpen(from, epoch, fp), "")
+			ack = appendOpenAck(ack, hw, "")
 		}
 		err := writeFrameLocked(wmu, bw, ftOpenAck, ack)
 		putBuf(ack)
 		return err == nil && derr == nil
 	case ftImportBatch:
-		from, epoch, seq, pairs, derr := decodeImportBatch(payload)
+		from, round, seq, pairs, derr := decodeImportBatch(payload)
 		if derr != nil {
 			putBuf(payload)
 			s.log.Printf("agentrpc: bad import batch: %v", derr)
 			return false
 		}
-		imp.enqueue(importJob{payload: payload, from: from, epoch: epoch, seq: seq, pairs: pairs})
+		imp.enqueue(importJob{payload: payload, from: from, round: round, seq: seq, pairs: pairs})
 		return true
 	default:
 		putBuf(payload)
@@ -278,7 +282,7 @@ func writeFrameLocked(wmu *sync.Mutex, bw *bufio.Writer, typ byte, payload []byt
 type importJob struct {
 	payload []byte
 	from    string
-	epoch   uint64
+	round   uint64
 	seq     uint64
 	pairs   []cache.KV
 	barrier chan struct{} // when non-nil: a sync point, no batch
@@ -331,7 +335,7 @@ func (ia *importApplier) run() {
 			close(j.barrier)
 			continue
 		}
-		hw, n, err := ia.agent.ImportFrame(j.from, j.epoch, j.seq, j.pairs)
+		hw, n, err := ia.agent.ImportFrame(j.from, j.round, j.seq, j.pairs)
 		ack := getBuf()
 		if err != nil {
 			ack = appendBatchAck(ack, j.seq, hw, n, err.Error())
@@ -361,18 +365,18 @@ func (s *Server) dispatch(req *request) *response {
 		rep := s.agent.Score(ctx)
 		return &response{OK: true, Score: &rep}
 	case OpSendMetadata:
-		if err := s.agent.SendMetadata(ctx, req.Retained); err != nil {
+		if err := s.agent.SendMetadata(ctx, req.Round, req.Retained); err != nil {
 			return errResponse(err)
 		}
 		return &response{OK: true}
 	case OpComputeTakes:
-		takes, err := s.agent.ComputeTakes(ctx)
+		takes, err := s.agent.ComputeTakes(ctx, req.Round)
 		if err != nil {
 			return errResponse(err)
 		}
 		return &response{OK: true, Takes: takes}
 	case OpSendData:
-		stats, err := s.agent.SendData(ctx, req.Target, req.Takes, req.Retained)
+		stats, err := s.agent.SendData(ctx, req.Round, req.Target, req.Takes)
 		if err != nil {
 			return errResponse(err)
 		}
@@ -525,14 +529,14 @@ func (c *Client) Score(ctx context.Context) agent.ScoreReport {
 }
 
 // SendMetadata implements core.MasterAgent.
-func (c *Client) SendMetadata(ctx context.Context, retained []string) error {
-	_, err := c.call(ctx, &request{Op: OpSendMetadata, Retained: retained})
+func (c *Client) SendMetadata(ctx context.Context, round uint64, retained []string) error {
+	_, err := c.call(ctx, &request{Op: OpSendMetadata, Round: round, Retained: retained})
 	return err
 }
 
 // ComputeTakes implements core.MasterAgent.
-func (c *Client) ComputeTakes(ctx context.Context) (agent.Takes, error) {
-	resp, err := c.call(ctx, &request{Op: OpComputeTakes})
+func (c *Client) ComputeTakes(ctx context.Context, round uint64) (agent.Takes, error) {
+	resp, err := c.call(ctx, &request{Op: OpComputeTakes, Round: round})
 	if err != nil {
 		// Map the remote no-metadata condition back onto the sentinel so
 		// the Master's errors.Is handling works across the wire.
@@ -549,8 +553,8 @@ func containsNoMetadata(err error) bool {
 }
 
 // SendData implements core.MasterAgent.
-func (c *Client) SendData(ctx context.Context, target string, takes map[int]int, retained []string) (agent.SendStats, error) {
-	resp, err := c.call(ctx, &request{Op: OpSendData, Target: target, Takes: takes, Retained: retained})
+func (c *Client) SendData(ctx context.Context, round uint64, target string, takes map[int]int) (agent.SendStats, error) {
+	resp, err := c.call(ctx, &request{Op: OpSendData, Round: round, Target: target, Takes: takes})
 	if err != nil {
 		return agent.SendStats{}, err
 	}
@@ -573,13 +577,13 @@ func (c *Client) Release(ctx context.Context, members []string) (int, error) {
 // frames and the receiver answers the final one with an offerAck. Like a
 // JSON call, a transport failure is retryable and an error the remote
 // agent reported is taskgroup.Permanent.
-func (c *Client) OfferMetadata(ctx context.Context, from string, lists map[int]fusecache.List) error {
-	return c.offer(ctx, from, lists, maxFramePayload)
+func (c *Client) OfferMetadata(ctx context.Context, from string, round uint64, lists map[int]fusecache.List) error {
+	return c.offer(ctx, from, round, lists, maxFramePayload)
 }
 
 // offer is OfferMetadata with the frame size cap as a parameter, so tests
 // can force an offer across several frames.
-func (c *Client) offer(ctx context.Context, from string, lists map[int]fusecache.List, maxPayload int) error {
+func (c *Client) offer(ctx context.Context, from string, round uint64, lists map[int]fusecache.List, maxPayload int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -601,7 +605,7 @@ func (c *Client) offer(ctx context.Context, from string, lists map[int]fusecache
 		}
 		return fmt.Errorf("agentrpc: offer metadata to %s: %w", c.addr, err)
 	}
-	err := offerFrames(from, lists, maxPayload, func(payload []byte) error {
+	err := offerFrames(from, round, lists, maxPayload, func(payload []byte) error {
 		return writeFrame(c.bw, ftOfferMeta, payload)
 	})
 	if err != nil {
@@ -631,7 +635,7 @@ func (c *Client) offer(ctx context.Context, from string, lists map[int]fusecache
 // Close or Abort. A peer that cannot answer the open frame — unreachable,
 // or not speaking this frame version — surfaces as an ordinary retryable
 // transport error and the connection is dropped.
-func (c *Client) OpenImport(ctx context.Context, from string, epoch, fingerprint uint64, window int) (agent.ImportSession, error) {
+func (c *Client) OpenImport(ctx context.Context, from string, round, fingerprint uint64, window int) (agent.ImportSession, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -658,7 +662,7 @@ func (c *Client) OpenImport(ctx context.Context, from string, epoch, fingerprint
 		return err
 	}
 	buf := getBuf()
-	buf = appendImportOpen(buf, from, epoch, fingerprint, window)
+	buf = appendImportOpen(buf, from, round, fingerprint, window)
 	err := writeFrame(c.bw, ftImportOpen, buf)
 	wire := int64(len(buf) + frameHeaderLen)
 	putBuf(buf)
@@ -682,7 +686,7 @@ func (c *Client) OpenImport(ctx context.Context, from string, epoch, fingerprint
 		return nil, fail(fmt.Errorf("%w: %s", ErrRemote, remoteErr))
 	}
 	opened = true
-	return &importSession{c: c, stop: stop, from: from, epoch: epoch, window: window, hw: hw, wire: wire}, nil
+	return &importSession{c: c, stop: stop, from: from, round: round, window: window, hw: hw, wire: wire}, nil
 }
 
 // importSession is one open binary stream. It is single-goroutine (the
@@ -694,7 +698,7 @@ type importSession struct {
 	c      *Client
 	stop   func() bool
 	from   string
-	epoch  uint64
+	round  uint64
 	window int
 
 	outstanding int
@@ -721,7 +725,7 @@ func (s *importSession) Send(ctx context.Context, seq uint64, pairs []cache.KV) 
 		}
 	}
 	buf := getBuf()
-	buf = appendImportBatch(buf, s.from, s.epoch, seq, pairs)
+	buf = appendImportBatch(buf, s.from, s.round, seq, pairs)
 	err := writeFrame(s.c.bw, ftImportBatch, buf)
 	s.wire += int64(len(buf) + frameHeaderLen)
 	putBuf(buf)

@@ -104,7 +104,7 @@ func TestThreePhaseMigrationOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := retClient.SendMetadata(context.Background(), retained); err != nil {
+	if err := retClient.SendMetadata(context.Background(), 1, retained); err != nil {
 		t.Fatal(err)
 	}
 
@@ -114,11 +114,11 @@ func TestThreePhaseMigrationOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		takes, err := cl.ComputeTakes(context.Background())
+		takes, err := cl.ComputeTakes(context.Background(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sent, err := retClient.SendData(context.Background(), name, takes["retiring"], retained)
+		sent, err := retClient.SendData(context.Background(), 1, name, takes["retiring"])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestComputeTakesNoMetadataSentinelOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.ComputeTakes(context.Background()); !errors.Is(err, agent.ErrNoMetadata) {
+	if _, err := cl.ComputeTakes(context.Background(), 1); !errors.Is(err, agent.ErrNoMetadata) {
 		t.Fatalf("err = %v, want agent.ErrNoMetadata across the wire", err)
 	}
 }
@@ -306,7 +306,7 @@ func TestRemoteErrorWrapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// SendMetadata with an empty retained set errors remotely.
-	if err := cl.SendMetadata(context.Background(), nil); !errors.Is(err, ErrRemote) {
+	if err := cl.SendMetadata(context.Background(), 1, nil); !errors.Is(err, ErrRemote) {
 		t.Fatalf("err = %v, want ErrRemote", err)
 	}
 }

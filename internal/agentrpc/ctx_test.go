@@ -48,7 +48,7 @@ func TestClientCancelUnblocksInflightCall(t *testing.T) {
 		cancel()
 	}()
 	t0 := time.Now()
-	err = cl.SendMetadata(ctx, []string{"x"})
+	err = cl.SendMetadata(ctx, 1, []string{"x"})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -85,7 +85,7 @@ func TestClientDeadlineRidesTheWire(t *testing.T) {
 	defer cl.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := cl.SendMetadata(ctx, []string{"x"}); err != nil {
+	if err := cl.SendMetadata(ctx, 1, []string{"x"}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -128,7 +128,7 @@ func TestRemoteErrorsAreMarkedPermanent(t *testing.T) {
 
 	cl := NewClient("failing", ln.Addr().String())
 	defer cl.Close()
-	err = cl.SendMetadata(context.Background(), []string{"x"})
+	err = cl.SendMetadata(context.Background(), 1, []string{"x"})
 	if !errors.Is(err, ErrRemote) {
 		t.Fatalf("err = %v, want ErrRemote", err)
 	}
@@ -138,7 +138,7 @@ func TestRemoteErrorsAreMarkedPermanent(t *testing.T) {
 	// Transport-level errors stay retryable.
 	cl2 := NewClient("unreachable", "127.0.0.1:1")
 	defer cl2.Close()
-	if err := cl2.SendMetadata(context.Background(), []string{"x"}); err == nil || taskgroup.IsPermanent(err) {
+	if err := cl2.SendMetadata(context.Background(), 1, []string{"x"}); err == nil || taskgroup.IsPermanent(err) {
 		t.Fatalf("dial failure should be retryable, got %v", err)
 	}
 }

@@ -12,22 +12,23 @@ package agentrpc
 // 0xEB can never start a JSON value, so the server peeks one byte and
 // dispatches either protocol on the same connection. Pairs inside a batch
 // frame are cache.AppendPair records — the layout snapshot files share;
-// version 2 is the first whose pairs carry the expiry deadline, and a
-// version-1 frame is refused. Frame payload buffers are pooled (sync.Pool)
+// version 3 added the offer's round to version 2's pair expiry, and other
+// versions are refused. Frame payload buffers are pooled (sync.Pool)
 // on both sides, and decoded values alias the frame buffer (BatchImport
 // copies into slab chunks), so a steady-state stream allocates only keys.
 //
 // Frame types:
 //
-//	importOpen  c→s  from, epoch, fingerprint, window
+//	importOpen  c→s  from, round, fingerprint, window
 //	openAck     s→c  status, highWater | error
-//	importBatch c→s  from, epoch, seq, pairs (coldest-first)
+//	importBatch c→s  from, round, seq, pairs (coldest-first)
 //	batchAck    s→c  status, seq, highWater, imported | error
-//	offerMeta   c→s  from, final, classes (u32), per class: classID, count (u32), stamps
+//	offerMeta   c→s  from, round, final, classes (u32), per class: classID, count (u32), stamps
 //	offerAck    s→c  status | error
 //
-// Acks carry the receiver's applied-sequence high-water mark, which is
-// what makes a retried send resumable: see agent.ImportOpen/ImportFrame.
+// A stream is (from, round), the round naming the scaling action. Acks
+// carry the receiver's applied-sequence high-water mark, which is what
+// makes a retried send resumable: see agent.ImportOpen/ImportFrame.
 //
 // An offer is the per-class MRU timestamp lists (hottest first) a sender
 // hands one target in phase 1 — hotness only, no keys, because FuseCache
@@ -53,7 +54,7 @@ import (
 
 const (
 	frameMagic     = 0xEB
-	frameVersion   = 2
+	frameVersion   = 3
 	frameHeaderLen = 7 // magic + version + type + u32 payload length
 
 	// maxFramePayload is a sanity cap protecting both sides from a
@@ -194,20 +195,20 @@ func appendStr(b []byte, s string) []byte {
 
 // --- importOpen ---
 
-func appendImportOpen(b []byte, from string, epoch, fp uint64, window int) []byte {
+func appendImportOpen(b []byte, from string, round, fp uint64, window int) []byte {
 	b = appendStr(b, from)
-	b = binary.AppendUvarint(b, epoch)
+	b = binary.AppendUvarint(b, round)
 	b = binary.AppendUvarint(b, fp)
 	b = binary.AppendUvarint(b, uint64(window))
 	return b
 }
 
-func decodeImportOpen(payload []byte) (from string, epoch, fp uint64, window int, err error) {
+func decodeImportOpen(payload []byte) (from string, round, fp uint64, window int, err error) {
 	c := cursor{payload}
 	if from, err = c.str(); err != nil {
 		return
 	}
-	if epoch, err = c.uvarint(); err != nil {
+	if round, err = c.uvarint(); err != nil {
 		return
 	}
 	if fp, err = c.uvarint(); err != nil {
@@ -281,9 +282,9 @@ func decodeBatchAck(payload []byte) (seq, highWater uint64, imported int, remote
 
 // --- importBatch ---
 
-func appendImportBatch(b []byte, from string, epoch, seq uint64, pairs []cache.KV) []byte {
+func appendImportBatch(b []byte, from string, round, seq uint64, pairs []cache.KV) []byte {
 	b = appendStr(b, from)
-	b = binary.AppendUvarint(b, epoch)
+	b = binary.AppendUvarint(b, round)
 	b = binary.AppendUvarint(b, seq)
 	b = binary.AppendUvarint(b, uint64(len(pairs)))
 	for i := range pairs {
@@ -295,12 +296,12 @@ func appendImportBatch(b []byte, from string, epoch, seq uint64, pairs []cache.K
 // decodeImportBatch parses a batch frame. The returned pairs' keys and
 // values alias payload, which therefore must outlive them (the server
 // recycles it only after BatchImport copied them into the cache).
-func decodeImportBatch(payload []byte) (from string, epoch, seq uint64, pairs []cache.KV, err error) {
+func decodeImportBatch(payload []byte) (from string, round, seq uint64, pairs []cache.KV, err error) {
 	c := cursor{payload}
 	if from, err = c.str(); err != nil {
 		return
 	}
-	if epoch, err = c.uvarint(); err != nil {
+	if round, err = c.uvarint(); err != nil {
 		return
 	}
 	if seq, err = c.uvarint(); err != nil {
@@ -330,7 +331,7 @@ func decodeImportBatch(payload []byte) (from string, epoch, seq uint64, pairs []
 // and hands each to emit; the last one is flagged final. A list longer
 // than the room left in a frame is split there and continues as the next
 // frame's first class. The payload passed to emit is reused afterwards.
-func offerFrames(from string, lists map[int]fusecache.List, maxPayload int, emit func(payload []byte) error) error {
+func offerFrames(from string, round uint64, lists map[int]fusecache.List, maxPayload int, emit func(payload []byte) error) error {
 	ids := make([]int, 0, len(lists))
 	for id, l := range lists {
 		if len(l) > 0 {
@@ -341,6 +342,7 @@ func offerFrames(from string, lists map[int]fusecache.List, maxPayload int, emit
 	buf := getBuf()
 	defer func() { putBuf(buf) }()
 	buf = appendStr(buf, from)
+	buf = binary.AppendUvarint(buf, round)
 	flagAt := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0) // final flag, u32 class count
 	head := len(buf)
@@ -388,13 +390,14 @@ func offerFrames(from string, lists map[int]fusecache.List, maxPayload int, emit
 // offerDecoder assembles one offer from its offerMeta frames.
 type offerDecoder struct {
 	from  string
+	round uint64
 	lists map[int]fusecache.List
 	last  int // class of the previous frame's last segment; -1 before any
 }
 
 // frame decodes one offerMeta payload into the offer and reports whether
 // it was the final frame. Everything read off the wire is checked before
-// it is trusted: the sender must not change mid-offer; the class count
+// it is trusted: sender and round must not change mid-offer; the class count
 // must fit the payload and be met exactly, with no bytes left over; class
 // IDs must be in range and ascend (a frame's first class may repeat the
 // previous frame's last: a split list); a class's stamp count must fit
@@ -402,6 +405,10 @@ type offerDecoder struct {
 func (d *offerDecoder) frame(payload []byte) (final bool, err error) {
 	c := cursor{payload}
 	from, err := c.str()
+	if err != nil {
+		return false, err
+	}
+	round, err := c.uvarint()
 	if err != nil {
 		return false, err
 	}
@@ -417,9 +424,9 @@ func (d *offerDecoder) frame(payload []byte) (final bool, err error) {
 		return false, errFrameTruncated
 	}
 	if d.lists == nil {
-		d.from, d.lists, d.last = from, make(map[int]fusecache.List), -1
-	} else if from != d.from {
-		return false, fmt.Errorf("agentrpc: offer from %q interleaved with %q", from, d.from)
+		d.from, d.round, d.lists, d.last = from, round, make(map[int]fusecache.List), -1
+	} else if from != d.from || round != d.round {
+		return false, fmt.Errorf("agentrpc: offer from %q interleaved with another offer", from)
 	}
 	for seg := uint32(0); seg < segs; seg++ {
 		id, err := c.uvarint()

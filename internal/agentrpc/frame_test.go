@@ -70,12 +70,12 @@ func TestReadFrameRejectsCorruptHeaders(t *testing.T) {
 
 func TestImportOpenRoundTrip(t *testing.T) {
 	b := appendImportOpen(getBuf(), "node-a", 7, 0xDEADBEEF, 16)
-	from, epoch, fp, window, err := decodeImportOpen(b)
+	from, round, fp, window, err := decodeImportOpen(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if from != "node-a" || epoch != 7 || fp != 0xDEADBEEF || window != 16 {
-		t.Fatalf("decoded (%q, %d, %#x, %d)", from, epoch, fp, window)
+	if from != "node-a" || round != 7 || fp != 0xDEADBEEF || window != 16 {
+		t.Fatalf("decoded (%q, %d, %#x, %d)", from, round, fp, window)
 	}
 	for cut := 0; cut < len(b); cut++ {
 		if _, _, _, _, err := decodeImportOpen(b[:cut]); err == nil {
@@ -129,12 +129,12 @@ func TestImportBatchRoundTrip(t *testing.T) {
 		{Key: strings.Repeat("k", 300), Value: make([]byte, 5)}, // multi-byte varint key length
 	}
 	b := appendImportBatch(getBuf(), "sender", 3, 11, pairs)
-	from, epoch, seq, got, err := decodeImportBatch(b)
+	from, round, seq, got, err := decodeImportBatch(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if from != "sender" || epoch != 3 || seq != 11 {
-		t.Fatalf("header = (%q, %d, %d)", from, epoch, seq)
+	if from != "sender" || round != 3 || seq != 11 {
+		t.Fatalf("header = (%q, %d, %d)", from, round, seq)
 	}
 	if len(got) != len(pairs) {
 		t.Fatalf("decoded %d pairs, want %d", len(got), len(pairs))
@@ -193,11 +193,15 @@ func offerFixture() map[int]fusecache.List {
 	}
 }
 
+// offerRound is the round the offer tests encode: large enough that its
+// varint spans several bytes, so truncations cut inside it.
+const offerRound = 1<<56 + 3
+
 // encodeOffer runs offerFrames and returns a copy of every payload.
 func encodeOffer(t *testing.T, from string, lists map[int]fusecache.List, maxPayload int) [][]byte {
 	t.Helper()
 	var frames [][]byte
-	if err := offerFrames(from, lists, maxPayload, func(p []byte) error {
+	if err := offerFrames(from, offerRound, lists, maxPayload, func(p []byte) error {
 		frames = append(frames, append([]byte(nil), p...))
 		return nil
 	}); err != nil {
@@ -247,8 +251,8 @@ func TestOfferRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cap %d: %v", maxPayload, err)
 		}
-		if d.from != "node-a" || !reflect.DeepEqual(d.lists, want) {
-			t.Fatalf("cap %d: decoded %q %v", maxPayload, d.from, d.lists)
+		if d.from != "node-a" || d.round != offerRound || !reflect.DeepEqual(d.lists, want) {
+			t.Fatalf("cap %d: decoded %q round %d %v", maxPayload, d.from, d.round, d.lists)
 		}
 		for cut := 0; cut < len(frames[0]); cut++ {
 			var d offerDecoder
@@ -262,21 +266,22 @@ func TestOfferRoundTrip(t *testing.T) {
 	if err != nil || len(d.lists) != 0 {
 		t.Fatalf("empty offer decoded to %v, %v", d.lists, err)
 	}
-	if err := offerFrames("n", map[int]fusecache.List{1: {1, 2}}, maxFramePayload, func([]byte) error { return nil }); !errors.Is(err, fusecache.ErrUnsorted) {
+	if err := offerFrames("n", 1, map[int]fusecache.List{1: {1, 2}}, maxFramePayload, func([]byte) error { return nil }); !errors.Is(err, fusecache.ErrUnsorted) {
 		t.Fatalf("unsorted list: err = %v, want ErrUnsorted", err)
 	}
-	if err := offerFrames("n", map[int]fusecache.List{1: {1}}, 16, func([]byte) error { return nil }); err == nil {
+	if err := offerFrames("n", 1, map[int]fusecache.List{1: {1}}, 16, func([]byte) error { return nil }); err == nil {
 		t.Fatal("a frame cap too small for one stamp encoded without error")
 	}
-	if err := offerFrames("n", map[int]fusecache.List{maxOfferClass + 1: {1}}, maxFramePayload, func([]byte) error { return nil }); err == nil {
+	if err := offerFrames("n", 1, map[int]fusecache.List{maxOfferClass + 1: {1}}, maxFramePayload, func([]byte) error { return nil }); err == nil {
 		t.Fatal("an out-of-range class encoded without error")
 	}
 }
 
-// offerPayload hand-builds an offerMeta payload: from, flag, class count,
-// then raw segment bytes.
-func offerPayload(from string, final byte, segs uint32, body ...byte) []byte {
+// offerPayload hand-builds an offerMeta payload: from, round, flag, class
+// count, then raw segment bytes.
+func offerPayload(from string, round uint64, final byte, segs uint32, body ...byte) []byte {
 	b := appendStr(nil, from)
+	b = binary.AppendUvarint(b, round)
 	b = append(b, final)
 	b = binary.BigEndian.AppendUint32(b, segs)
 	return append(b, body...)
@@ -297,21 +302,24 @@ func TestOfferDecoderRefusesHostileInput(t *testing.T) {
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	minStamp := binary.AppendVarint(nil, math.MinInt64+5)
 	cases := map[string][][]byte{
-		"count beyond payload":    {offerPayload("s", 1, 1, seg(3, 1<<31, 2, 0, 0)...)},
-		"class count beyond":      {offerPayload("s", 1, 1<<30, seg(3, 1, 2)...)},
-		"zero count":              {offerPayload("s", 1, 1, seg(3, 0, 2)...)},
-		"duplicate class":         {offerPayload("s", 1, 2, cat(seg(3, 1, 2), seg(3, 1, 2))...)},
-		"descending classes":      {offerPayload("s", 1, 2, cat(seg(5, 1, 2), seg(3, 1, 2))...)},
-		"class out of range":      {offerPayload("s", 1, 1, seg(maxOfferClass+1, 1, 2)...)},
-		"truncated count":         {offerPayload("s", 1, 1, 3, 0, 0)},
-		"truncated varint":        {offerPayload("s", 1, 1, seg(3, 2, 2, 0x80)...)},
-		"overlong varint":         {offerPayload("s", 1, 1, seg(3, 2, 2, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01)...)},
-		"stray bytes":             {offerPayload("s", 1, 1, seg(3, 1, 2, 9)...)},
-		"bad flag":                {offerPayload("s", 2, 0)},
-		"delta underflow":         {offerPayload("s", 1, 1, seg(3, 2, append(minStamp, 6)...)...)},
-		"interleaved sender":      {offerPayload("a", 0, 1, seg(3, 1, 2)...), offerPayload("b", 1, 0)},
-		"rising continuation":     {offerPayload("s", 0, 1, seg(3, 1, 2)...), offerPayload("s", 1, 1, seg(3, 1, 4)...)},
-		"revisited earlier class": {offerPayload("s", 0, 2, cat(seg(1, 1, 2), seg(3, 1, 2))...), offerPayload("s", 1, 1, seg(1, 1, 2)...)},
+		"count beyond payload":    {offerPayload("s", 9, 1, 1, seg(3, 1<<31, 2, 0, 0)...)},
+		"class count beyond":      {offerPayload("s", 9, 1, 1<<30, seg(3, 1, 2)...)},
+		"zero count":              {offerPayload("s", 9, 1, 1, seg(3, 0, 2)...)},
+		"duplicate class":         {offerPayload("s", 9, 1, 2, cat(seg(3, 1, 2), seg(3, 1, 2))...)},
+		"descending classes":      {offerPayload("s", 9, 1, 2, cat(seg(5, 1, 2), seg(3, 1, 2))...)},
+		"class out of range":      {offerPayload("s", 9, 1, 1, seg(maxOfferClass+1, 1, 2)...)},
+		"truncated count":         {offerPayload("s", 9, 1, 1, 3, 0, 0)},
+		"truncated varint":        {offerPayload("s", 9, 1, 1, seg(3, 2, 2, 0x80)...)},
+		"overlong varint":         {offerPayload("s", 9, 1, 1, seg(3, 2, 2, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01)...)},
+		"stray bytes":             {offerPayload("s", 9, 1, 1, seg(3, 1, 2, 9)...)},
+		"bad flag":                {offerPayload("s", 9, 2, 0)},
+		"delta underflow":         {offerPayload("s", 9, 1, 1, seg(3, 2, append(minStamp, 6)...)...)},
+		"interleaved sender":      {offerPayload("a", 9, 0, 1, seg(3, 1, 2)...), offerPayload("b", 9, 1, 0)},
+		"interleaved round":       {offerPayload("s", 9, 0, 1, seg(3, 1, 2)...), offerPayload("s", 10, 1, 0)},
+		"truncated round":         {append(appendStr(nil, "s"), 0x80, 0x80)},
+		"no round":                {appendStr(nil, "s")},
+		"rising continuation":     {offerPayload("s", 9, 0, 1, seg(3, 1, 2)...), offerPayload("s", 9, 1, 1, seg(3, 1, 4)...)},
+		"revisited earlier class": {offerPayload("s", 9, 0, 2, cat(seg(1, 1, 2), seg(3, 1, 2))...), offerPayload("s", 9, 1, 1, seg(1, 1, 2)...)},
 	}
 	for name, frames := range cases {
 		var d offerDecoder
@@ -326,7 +334,7 @@ func TestOfferDecoderRefusesHostileInput(t *testing.T) {
 		}
 	}
 	// A continuation that does not rise is a split list, not an attack.
-	d, err := decodeOffer([][]byte{offerPayload("s", 0, 1, seg(3, 1, 4)...), offerPayload("s", 1, 1, seg(3, 1, 2)...)})
+	d, err := decodeOffer([][]byte{offerPayload("s", 9, 0, 1, seg(3, 1, 4)...), offerPayload("s", 9, 1, 1, seg(3, 1, 2)...)})
 	if err != nil || !reflect.DeepEqual(d.lists, map[int]fusecache.List{3: {2, 1}}) {
 		t.Fatalf("split list decoded to %v, %v", d.lists, err)
 	}

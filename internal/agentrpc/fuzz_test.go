@@ -51,7 +51,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	var offers [][]byte
 	for _, maxPayload := range []int{maxFramePayload, 64} {
-		if err := offerFrames("sender", offerFixture(), maxPayload, func(p []byte) error {
+		if err := offerFrames("sender", offerRound, offerFixture(), maxPayload, func(p []byte) error {
 			offers = append(offers, append([]byte(nil), p...))
 			return nil
 		}); err != nil {
@@ -83,14 +83,14 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		switch typ {
 		case ftImportOpen:
-			from, epoch, fp, window, err := decodeImportOpen(payload)
+			from, round, fp, window, err := decodeImportOpen(payload)
 			if err != nil {
 				return
 			}
-			from2, epoch2, fp2, window2, err := decodeImportOpen(appendImportOpen(nil, from, epoch, fp, window))
-			if err != nil || from2 != from || epoch2 != epoch || fp2 != fp || window2 != window {
+			from2, round2, fp2, window2, err := decodeImportOpen(appendImportOpen(nil, from, round, fp, window))
+			if err != nil || from2 != from || round2 != round || fp2 != fp || window2 != window {
 				t.Fatalf("importOpen round trip: (%q %d %d %d) → (%q %d %d %d, %v)",
-					from, epoch, fp, window, from2, epoch2, fp2, window2, err)
+					from, round, fp, window, from2, round2, fp2, window2, err)
 			}
 		case ftOpenAck:
 			hw, remoteErr, err := decodeOpenAck(payload)
@@ -114,7 +114,7 @@ func FuzzDecodeFrame(f *testing.F) {
 					seq, hw, imported, remoteErr, seq2, hw2, imported2, remoteErr2, err)
 			}
 		case ftImportBatch:
-			from, epoch, seq, pairs, err := decodeImportBatch(payload)
+			from, round, seq, pairs, err := decodeImportBatch(payload)
 			if err != nil {
 				return
 			}
@@ -125,8 +125,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			if total > len(payload) {
 				t.Fatalf("decoded %d key+value bytes out of a %d-byte payload", total, len(payload))
 			}
-			from2, epoch2, seq2, pairs2, err := decodeImportBatch(appendImportBatch(nil, from, epoch, seq, pairs))
-			if err != nil || from2 != from || epoch2 != epoch || seq2 != seq || !reflect.DeepEqual(pairs2, pairs) {
+			from2, round2, seq2, pairs2, err := decodeImportBatch(appendImportBatch(nil, from, round, seq, pairs))
+			if err != nil || from2 != from || round2 != round || seq2 != seq || !reflect.DeepEqual(pairs2, pairs) {
 				t.Fatalf("importBatch round trip diverged (err %v):\n%+v\n%+v", err, pairs, pairs2)
 			}
 		case ftOfferMeta:
@@ -142,13 +142,13 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("decoded %d stamps out of a %d-byte payload", stamps, len(payload))
 			}
 			// Re-encode whole and split small: both decode to the same offer.
-			for _, maxPayload := range []int{maxFramePayload, len(d.from) + 64} {
+			for _, maxPayload := range []int{maxFramePayload, len(d.from) + 74} {
 				var d2 offerDecoder
-				err := offerFrames(d.from, d.lists, maxPayload, func(p []byte) error {
+				err := offerFrames(d.from, d.round, d.lists, maxPayload, func(p []byte) error {
 					_, err := d2.frame(p)
 					return err
 				})
-				if err != nil || d2.from != d.from || !reflect.DeepEqual(d2.lists, d.lists) {
+				if err != nil || d2.from != d.from || d2.round != d.round || !reflect.DeepEqual(d2.lists, d.lists) {
 					t.Fatalf("offer round trip (cap %d) diverged (err %v):\n%v\n%v", maxPayload, err, d.lists, d2.lists)
 				}
 			}
@@ -175,9 +175,9 @@ func FuzzDecodeFrame(f *testing.F) {
 func FuzzDispatch(f *testing.F) {
 	for _, req := range []request{
 		{Op: OpScore},
-		{Op: OpSendMetadata, Retained: []string{"peer"}, TimeoutMS: 50},
-		{Op: OpComputeTakes},
-		{Op: OpSendData, Target: "peer", Takes: map[int]int{0: 3, 5: -1}, Retained: []string{"node", "peer"}},
+		{Op: OpSendMetadata, Round: 5, Retained: []string{"peer"}, TimeoutMS: 50},
+		{Op: OpComputeTakes, Round: 5},
+		{Op: OpSendData, Round: 5, Target: "peer", Takes: map[int]int{0: 3, 5: -1}},
 		{Op: OpRelease, Retained: []string{"node", "peer"}},
 		{Op: "no_such_op"},
 	} {
@@ -188,7 +188,7 @@ func FuzzDispatch(f *testing.F) {
 		f.Add(line)
 	}
 	f.Add([]byte(`{"op":"release","retained":[]}`))
-	f.Add([]byte(`{"op":"send_data","takes":{"-7":9223372036854775807},"retained":["node"]}`))
+	f.Add([]byte(`{"op":"send_data","round":18446744073709551615,"takes":{"-7":9223372036854775807}}`))
 
 	f.Fuzz(func(t *testing.T, line []byte) {
 		var req request

@@ -128,15 +128,15 @@ func BenchmarkMigrateDataPlane(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// Touch one fresh key so the plan fingerprint changes:
-				// each iteration is a new epoch, never an ack-resume of
-				// the previous push.
+				// each iteration opens a new stream, never an ack-resume
+				// of the previous push.
 				b.StopTimer()
 				if err := sender.Cache().Set(fmt.Sprintf("bust-%09d", i), []byte("x")); err != nil {
 					b.Fatal(err)
 				}
 				pickFor(b, sender)
 				b.StartTimer()
-				stats, err := sender.SendData(ctx, "recv", takesFor(sender), []string{"recv"})
+				stats, err := sender.SendData(ctx, 1, "recv", takesFor(sender))
 				if err != nil {
 					b.Fatal(err)
 				}

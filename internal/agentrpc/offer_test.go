@@ -44,7 +44,7 @@ func TestOfferWireBytesPerItem(t *testing.T) {
 	if n := sender.Cache().Len(); n != items {
 		t.Fatalf("sender holds %d items, want %d", n, items)
 	}
-	if err := sender.SendMetadata(ctx, []string{"recv"}); err != nil {
+	if err := sender.SendMetadata(ctx, 1, []string{"recv"}); err != nil {
 		t.Fatal(err)
 	}
 	perItem := float64(sent.Load()) / items
@@ -55,7 +55,7 @@ func TestOfferWireBytesPerItem(t *testing.T) {
 	if recv.agent.PendingOffers() != 1 {
 		t.Fatalf("receiver holds %d offers, want 1", recv.agent.PendingOffers())
 	}
-	takes, err := recv.agent.ComputeTakes(ctx)
+	takes, err := recv.agent.ComputeTakes(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +65,8 @@ func TestOfferWireBytesPerItem(t *testing.T) {
 }
 
 // TestOfferSplitAcrossFramesOverTCP: an offer forced across many frames
-// by a tiny frame cap lands as the lists a one-frame offer carries, so the
-// receiver selects the same takes from it.
+// by a tiny frame cap lands as the lists a one-frame offer of the next
+// round carries, so the receiver selects the same takes from it.
 func TestOfferSplitAcrossFramesOverTCP(t *testing.T) {
 	ctx := context.Background()
 	book := NewAddressBook()
@@ -84,17 +84,17 @@ func TestOfferSplitAcrossFramesOverTCP(t *testing.T) {
 		// Interleaves with the receiver's own items: newer, then older.
 		lists[0][i] = base - int64(i)*3000
 	}
-	if err := cl.offer(ctx, "send", lists, 64); err != nil {
+	if err := cl.offer(ctx, "send", 1, lists, 64); err != nil {
 		t.Fatal(err)
 	}
-	split, err := recv.agent.ComputeTakes(ctx)
+	split, err := recv.agent.ComputeTakes(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.OfferMetadata(ctx, "send", lists); err != nil {
+	if err := cl.OfferMetadata(ctx, "send", 2, lists); err != nil {
 		t.Fatal(err)
 	}
-	whole, err := recv.agent.ComputeTakes(ctx)
+	whole, err := recv.agent.ComputeTakes(ctx, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +106,10 @@ func TestOfferSplitAcrossFramesOverTCP(t *testing.T) {
 	}
 }
 
-// TestOfferRemoteRefusalIsPermanent: an offer the remote agent refuses
-// comes back as ErrRemote marked permanent, and the connection stays
-// usable for the next exchange.
+// TestOfferRemoteRefusalIsPermanent: an offer the remote agent refuses —
+// one without a sender, or one of an older round — comes back as
+// ErrRemote marked permanent, and the connection stays usable for the
+// next exchange.
 func TestOfferRemoteRefusalIsPermanent(t *testing.T) {
 	ctx := context.Background()
 	book := NewAddressBook()
@@ -119,12 +120,16 @@ func TestOfferRemoteRefusalIsPermanent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = cl.OfferMetadata(ctx, "", map[int]fusecache.List{0: {1}})
+	err = cl.OfferMetadata(ctx, "", 2, map[int]fusecache.List{0: {1}})
 	if !errors.Is(err, ErrRemote) || !taskgroup.IsPermanent(err) {
 		t.Fatalf("offer without sender: err = %v, want a permanent ErrRemote", err)
 	}
-	if err := cl.OfferMetadata(ctx, "s", map[int]fusecache.List{0: {1}}); err != nil {
+	if err := cl.OfferMetadata(ctx, "s", 2, map[int]fusecache.List{0: {1}}); err != nil {
 		t.Fatal(err)
+	}
+	err = cl.OfferMetadata(ctx, "late", 1, map[int]fusecache.List{0: {1}})
+	if !errors.Is(err, ErrRemote) || !taskgroup.IsPermanent(err) {
+		t.Fatalf("offer of an older round: err = %v, want a permanent ErrRemote", err)
 	}
 	if n.agent.PendingOffers() != 1 {
 		t.Fatalf("receiver holds %d offers, want 1", n.agent.PendingOffers())

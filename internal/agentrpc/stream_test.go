@@ -46,7 +46,7 @@ func newStreamSender(t *testing.T, name string, cl *Client, clk *testClock, opts
 // anything: SendData ships what it picked.
 func pickFor(t testing.TB, a *agent.Agent) {
 	t.Helper()
-	if _, err := a.Pick(context.Background(), []string{"recv"}); err != nil {
+	if _, err := a.Pick(context.Background(), 1, []string{"recv"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -72,7 +72,7 @@ func TestStreamImportOverTCP(t *testing.T) {
 	populateSized(t, sender, 500, 256)
 
 	pickFor(t, sender)
-	stats, err := sender.SendData(context.Background(), "recv", takesFor(sender), []string{"recv"})
+	stats, err := sender.SendData(context.Background(), 1, "recv", takesFor(sender))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestStreamCarriesTTLOverTCP(t *testing.T) {
 	}
 
 	pickFor(t, sender)
-	stats, err := sender.SendData(context.Background(), "recv", takesFor(sender), []string{"recv"})
+	stats, err := sender.SendData(context.Background(), 1, "recv", takesFor(sender))
 	if err != nil || stats.Pairs != 2 {
 		t.Fatalf("send = %+v, %v; want 2 pairs", stats, err)
 	}
@@ -228,7 +228,7 @@ func TestOpenImportAgainstNonFramingServerFails(t *testing.T) {
 
 	for attempt := 1; attempt <= 2; attempt++ {
 		pickFor(t, sender)
-		_, err := sender.SendData(context.Background(), "recv", takesFor(sender), []string{"recv"})
+		_, err := sender.SendData(context.Background(), 1, "recv", takesFor(sender))
 		if err == nil {
 			t.Fatalf("attempt %d: push to a non-framing server succeeded", attempt)
 		}
@@ -349,7 +349,7 @@ func TestStreamResumeOverTCP(t *testing.T) {
 	takes := takesFor(sender)
 
 	pickFor(t, sender)
-	if _, err := sender.SendData(context.Background(), "recv", takes, []string{"recv"}); err == nil {
+	if _, err := sender.SendData(context.Background(), 1, "recv", takes); err == nil {
 		t.Fatal("want the severed connection to fail the push")
 	}
 	applied := recv.agent.Cache().Len()
@@ -357,7 +357,7 @@ func TestStreamResumeOverTCP(t *testing.T) {
 		t.Fatalf("receiver holds %d after the cut, want a strict partial", applied)
 	}
 
-	stats, err := sender.SendData(context.Background(), "recv", takes, []string{"recv"})
+	stats, err := sender.SendData(context.Background(), 1, "recv", takes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestConcurrentStreamsOverTCP(t *testing.T) {
 				agent.WithTransferBatchSize(16), agent.WithMaxInflight(4))
 			populate(t, sender, perSender)
 			pickFor(t, sender)
-			stats, err := sender.SendData(context.Background(), "recv", takesFor(sender), []string{"recv"})
+			stats, err := sender.SendData(context.Background(), 1, "recv", takesFor(sender))
 			if err != nil {
 				errs <- err
 				return

@@ -186,7 +186,7 @@ func Run(cfg Config) (*Result, error) {
 			DropReply: 0.35, Dup: 0.15, Delay: 0.1, MaxDelay: 200 * time.Microsecond,
 		})
 	case 1:
-		// Hammer FuseCache replies: retries must serve the memoized takes.
+		// Hammer FuseCache replies: retries must serve the round's stored takes.
 		netw.SetOpRule(faultnet.OpComputeTakes, faultnet.Rule{
 			DropReply: 0.35, Delay: 0.1, MaxDelay: 200 * time.Microsecond,
 		})

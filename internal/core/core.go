@@ -49,12 +49,12 @@ type MasterAgent interface {
 	// Score answers the III-C scoring query.
 	Score(ctx context.Context) agent.ScoreReport
 	// SendMetadata runs migration phase 1 on a sender.
-	SendMetadata(ctx context.Context, retained []string) error
+	SendMetadata(ctx context.Context, round uint64, retained []string) error
 	// ComputeTakes runs migration phase 2 on a receiver.
-	ComputeTakes(ctx context.Context) (agent.Takes, error)
+	ComputeTakes(ctx context.Context, round uint64) (agent.Takes, error)
 	// SendData runs migration phase 3 on a sender, reporting what the push
 	// moved (pairs, bytes, resume skips, duration).
-	SendData(ctx context.Context, target string, takes map[int]int, retained []string) (agent.SendStats, error)
+	SendData(ctx context.Context, round uint64, target string, takes map[int]int) (agent.SendStats, error)
 	// Release drops, on a sender that stays a member, the items a settled
 	// table gave to other nodes, returning how many it dropped.
 	Release(ctx context.Context, members []string) (int, error)
@@ -197,8 +197,10 @@ type Master struct {
 	phaseHook    func(phase string)
 
 	// act serializes scaling actions: an action's release runs after its
-	// table settles, and must not overlap the next action's handover.
-	act sync.Mutex
+	// table settles, and must not overlap the next action's handover. It
+	// guards round, the latest action's ID.
+	act   sync.Mutex
+	round uint64
 
 	mu        sync.Mutex
 	members   []string
@@ -567,6 +569,8 @@ func (m *Master) ScaleOut(ctx context.Context, newNodes []string) (*ScaleReport,
 // adopted: the report names "release" as Aborted and the error is
 // returned.
 func (m *Master) migrate(ctx context.Context, report *ScaleReport, senders, newMembers []string) error {
+	round := m.nextRound()
+
 	// Serve-through handover: announce the in-flight table before any data
 	// moves. From here until settle, clients read keys that change owner
 	// incoming-first with fallback and dual-apply their writes; any phase
@@ -587,7 +591,7 @@ func (m *Master) migrate(ctx context.Context, report *ScaleReport, senders, newM
 			if err != nil {
 				return err
 			}
-			return ag.SendMetadata(opCtx, newMembers)
+			return ag.SendMetadata(opCtx, round, newMembers)
 		}}
 	}
 	if err := m.runPhase(ctx, "metadata", report, ops); err != nil {
@@ -615,7 +619,7 @@ func (m *Master) migrate(ctx context.Context, report *ScaleReport, senders, newM
 			if err != nil {
 				return err
 			}
-			takes, err := ag.ComputeTakes(opCtx)
+			takes, err := ag.ComputeTakes(opCtx, round)
 			if errors.Is(err, agent.ErrNoMetadata) {
 				return nil // nothing hashed to this target
 			}
@@ -655,7 +659,7 @@ func (m *Master) migrate(ctx context.Context, report *ScaleReport, senders, newM
 			if err != nil {
 				return err
 			}
-			stats, err := ag.SendData(opCtx, sp.target, sp.takes, newMembers)
+			stats, err := ag.SendData(opCtx, round, sp.target, sp.takes)
 			sent[i] = stats
 			return err
 		}}
@@ -733,6 +737,14 @@ func (m *Master) migrate(ctx context.Context, report *ScaleReport, senders, newM
 		report.ItemsReleased += n
 	}
 	return err
+}
+
+// nextRound draws a new action's round ID: the clock's Unix nanoseconds,
+// raised above the last round, so rounds keep increasing across Master
+// processes, whose table versions each start over. Callers hold m.act.
+func (m *Master) nextRound() uint64 {
+	m.round = max(m.round+1, uint64(max(m.now().UnixNano(), 0)))
+	return m.round
 }
 
 // adoptMembers records the membership a settled action produced. The

@@ -41,25 +41,25 @@ func (a *faultyAgent) Node() string { return a.inner.Node() }
 
 func (a *faultyAgent) Score(ctx context.Context) agent.ScoreReport { return a.inner.Score(ctx) }
 
-func (a *faultyAgent) SendMetadata(ctx context.Context, retained []string) error {
+func (a *faultyAgent) SendMetadata(ctx context.Context, round uint64, retained []string) error {
 	if a.failPhase == "metadata" {
 		return taskgroup.Permanent(errInjected)
 	}
-	return a.inner.SendMetadata(ctx, retained)
+	return a.inner.SendMetadata(ctx, round, retained)
 }
 
-func (a *faultyAgent) ComputeTakes(ctx context.Context) (agent.Takes, error) {
+func (a *faultyAgent) ComputeTakes(ctx context.Context, round uint64) (agent.Takes, error) {
 	if a.failPhase == "takes" {
 		return nil, taskgroup.Permanent(errInjected)
 	}
-	return a.inner.ComputeTakes(ctx)
+	return a.inner.ComputeTakes(ctx, round)
 }
 
-func (a *faultyAgent) SendData(ctx context.Context, target string, takes map[int]int, retained []string) (agent.SendStats, error) {
+func (a *faultyAgent) SendData(ctx context.Context, round uint64, target string, takes map[int]int) (agent.SendStats, error) {
 	if a.failPhase == "data" {
 		return agent.SendStats{}, taskgroup.Permanent(errInjected)
 	}
-	return a.inner.SendData(ctx, target, takes, retained)
+	return a.inner.SendData(ctx, round, target, takes)
 }
 
 func (a *faultyAgent) Release(ctx context.Context, members []string) (int, error) {

@@ -54,21 +54,21 @@ func (a *hookAgent) Node() string { return a.inner.Node() }
 
 func (a *hookAgent) Score(ctx context.Context) agent.ScoreReport { return a.inner.Score(ctx) }
 
-func (a *hookAgent) SendMetadata(ctx context.Context, retained []string) error {
-	call := func(ctx context.Context) error { return a.inner.SendMetadata(ctx, retained) }
+func (a *hookAgent) SendMetadata(ctx context.Context, round uint64, retained []string) error {
+	call := func(ctx context.Context) error { return a.inner.SendMetadata(ctx, round, retained) }
 	if a.h != nil && a.h.sendMetadata != nil {
 		return a.h.sendMetadata(ctx, call)
 	}
 	return call(ctx)
 }
 
-func (a *hookAgent) ComputeTakes(ctx context.Context) (agent.Takes, error) {
-	return a.inner.ComputeTakes(ctx)
+func (a *hookAgent) ComputeTakes(ctx context.Context, round uint64) (agent.Takes, error) {
+	return a.inner.ComputeTakes(ctx, round)
 }
 
-func (a *hookAgent) SendData(ctx context.Context, target string, takes map[int]int, retained []string) (agent.SendStats, error) {
+func (a *hookAgent) SendData(ctx context.Context, round uint64, target string, takes map[int]int) (agent.SendStats, error) {
 	call := func(ctx context.Context) (agent.SendStats, error) {
-		return a.inner.SendData(ctx, target, takes, retained)
+		return a.inner.SendData(ctx, round, target, takes)
 	}
 	if a.h != nil && a.h.sendData != nil {
 		return a.h.sendData(ctx, target, call)

@@ -256,7 +256,7 @@ func TestWrappedDirectoryDropIsRetryable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = ma.ComputeTakes(context.Background())
+	_, err = ma.ComputeTakes(context.Background(), 1)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}

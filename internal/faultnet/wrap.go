@@ -87,9 +87,9 @@ type faultyPeer struct {
 }
 
 // OfferMetadata implements agent.Peer.
-func (p *faultyPeer) OfferMetadata(ctx context.Context, from string, lists map[int]fusecache.List) error {
+func (p *faultyPeer) OfferMetadata(ctx context.Context, from string, round uint64, lists map[int]fusecache.List) error {
 	return p.net.apply(ctx, p.from, p.to, OpOfferMetadata, func() error {
-		return p.inner.OfferMetadata(ctx, from, lists)
+		return p.inner.OfferMetadata(ctx, from, round, lists)
 	})
 }
 
@@ -100,11 +100,11 @@ func (p *faultyPeer) OfferMetadata(ctx context.Context, from string, lists map[i
 // duplicated frame leaves a real framed stream desynchronized, so the
 // sender must reopen and resume from the receiver's acked high-water mark,
 // which is exactly the path the chaos harness needs to exercise.
-func (p *faultyPeer) OpenImport(ctx context.Context, from string, epoch, fingerprint uint64, window int) (agent.ImportSession, error) {
+func (p *faultyPeer) OpenImport(ctx context.Context, from string, round, fingerprint uint64, window int) (agent.ImportSession, error) {
 	var sess agent.ImportSession
 	err := p.net.apply(ctx, p.from, p.to, OpImportOpen, func() error {
 		var ierr error
-		sess, ierr = p.inner.OpenImport(ctx, from, epoch, fingerprint, window)
+		sess, ierr = p.inner.OpenImport(ctx, from, round, fingerprint, window)
 		return ierr
 	})
 	if err != nil {
@@ -203,18 +203,18 @@ func (a *faultyAgent) Score(ctx context.Context) agent.ScoreReport {
 }
 
 // SendMetadata implements core.MasterAgent.
-func (a *faultyAgent) SendMetadata(ctx context.Context, retained []string) error {
+func (a *faultyAgent) SendMetadata(ctx context.Context, round uint64, retained []string) error {
 	return a.net.apply(ctx, a.from, a.to, OpSendMetadata, func() error {
-		return a.inner.SendMetadata(ctx, retained)
+		return a.inner.SendMetadata(ctx, round, retained)
 	})
 }
 
 // ComputeTakes implements core.MasterAgent.
-func (a *faultyAgent) ComputeTakes(ctx context.Context) (agent.Takes, error) {
+func (a *faultyAgent) ComputeTakes(ctx context.Context, round uint64) (agent.Takes, error) {
 	var takes agent.Takes
 	err := a.net.apply(ctx, a.from, a.to, OpComputeTakes, func() error {
 		var ierr error
-		takes, ierr = a.inner.ComputeTakes(ctx)
+		takes, ierr = a.inner.ComputeTakes(ctx, round)
 		return ierr
 	})
 	if err != nil {
@@ -224,11 +224,11 @@ func (a *faultyAgent) ComputeTakes(ctx context.Context) (agent.Takes, error) {
 }
 
 // SendData implements core.MasterAgent.
-func (a *faultyAgent) SendData(ctx context.Context, target string, takes map[int]int, retained []string) (agent.SendStats, error) {
+func (a *faultyAgent) SendData(ctx context.Context, round uint64, target string, takes map[int]int) (agent.SendStats, error) {
 	var sent agent.SendStats
 	err := a.net.apply(ctx, a.from, a.to, OpSendData, func() error {
 		var ierr error
-		sent, ierr = a.inner.SendData(ctx, target, takes, retained)
+		sent, ierr = a.inner.SendData(ctx, round, target, takes)
 		return ierr
 	})
 	if err != nil {

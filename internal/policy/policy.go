@@ -86,9 +86,10 @@ func PickRandomRetiring(rng *rand.Rand, members []string, x int) ([]string, erro
 // their hash targets among the retained nodes. fraction is typically
 // (n−x)/n for a scale-in of x out of n nodes. Items are pushed with
 // SendData, so on a full receiver they evict the receiver's MRU tail —
-// even when that tail is hotter, which is exactly Naive's flaw. Returns
-// the number of migrated items.
-func NaiveScaleIn(ctx context.Context, reg *agent.Registry, retiring, retained []string, fraction float64) (int, error) {
+// even when that tail is hotter, which is exactly Naive's flaw. round
+// names the action to the agents, as core.Master's rounds do. Returns the
+// number of migrated items.
+func NaiveScaleIn(ctx context.Context, reg *agent.Registry, round uint64, retiring, retained []string, fraction float64) (int, error) {
 	if fraction < 0 || fraction > 1 {
 		return 0, fmt.Errorf("%w: fraction %v", ErrBadRequest, fraction)
 	}
@@ -111,7 +112,7 @@ func NaiveScaleIn(ctx context.Context, reg *agent.Registry, retiring, retained [
 		cc := src.Cache()
 		// SendData ships phase-1 picks; Naive has no phase 2, so it picks
 		// without offering anything.
-		if _, err := src.Pick(ctx, retained); err != nil {
+		if _, err := src.Pick(ctx, round, retained); err != nil {
 			return migrated, fmt.Errorf("naive: %w", err)
 		}
 		// Per target, collect the head fraction of every class.
@@ -155,7 +156,7 @@ func NaiveScaleIn(ctx context.Context, reg *agent.Registry, retiring, retained [
 			for _, tc := range perTarget[tgt] {
 				takes[tc.classID] = tc.count
 			}
-			stats, err := src.SendData(ctx, tgt, takes, retained)
+			stats, err := src.SendData(ctx, round, tgt, takes)
 			if err != nil {
 				return migrated, fmt.Errorf("naive %s→%s: %w", node, tgt, err)
 			}

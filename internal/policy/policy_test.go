@@ -128,7 +128,7 @@ func TestNaiveScaleInMigratesFraction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	moved, err := NaiveScaleIn(context.Background(), reg, []string{"retiring"}, []string{"r1", "r2"}, 2.0/3.0)
+	moved, err := NaiveScaleIn(context.Background(), reg, 1, []string{"retiring"}, []string{"r1", "r2"}, 2.0/3.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestNaiveCanEvictHotterItems(t *testing.T) {
 		}
 	}
 
-	moved, err := NaiveScaleIn(context.Background(), reg, []string{"retiring"}, []string{"r1"}, 0.5)
+	moved, err := NaiveScaleIn(context.Background(), reg, 1, []string{"retiring"}, []string{"r1"}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,10 +203,10 @@ func TestNaiveCanEvictHotterItems(t *testing.T) {
 
 func TestNaiveScaleInValidation(t *testing.T) {
 	reg := agent.NewRegistry()
-	if _, err := NaiveScaleIn(context.Background(), reg, nil, nil, 0.5); !errors.Is(err, ErrBadRequest) {
+	if _, err := NaiveScaleIn(context.Background(), reg, 1, nil, nil, 0.5); !errors.Is(err, ErrBadRequest) {
 		t.Fatal("want ErrBadRequest for empty retained")
 	}
-	if _, err := NaiveScaleIn(context.Background(), reg, nil, []string{"a"}, 1.5); !errors.Is(err, ErrBadRequest) {
+	if _, err := NaiveScaleIn(context.Background(), reg, 1, nil, []string{"a"}, 1.5); !errors.Is(err, ErrBadRequest) {
 		t.Fatal("want ErrBadRequest for fraction > 1")
 	}
 }

@@ -588,7 +588,8 @@ func (s *simulation) decideScaleIn(x int) error {
 			kind: "execute",
 			exec: func() error {
 				retained := subtract(s.members, retiring)
-				moved, err := policy.NaiveScaleIn(context.Background(), s.reg, retiring, retained, fraction)
+				round := uint64(s.clk.Now().UnixNano())
+				moved, err := policy.NaiveScaleIn(context.Background(), s.reg, round, retiring, retained, fraction)
 				if err != nil {
 					return err
 				}
