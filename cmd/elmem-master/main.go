@@ -158,12 +158,18 @@ func printReport(report *core.ScaleReport) {
 			d.Duration.Round(time.Microsecond), rate)
 	}
 	for _, nt := range report.NodeTimings {
+		failed := ""
+		if nt.Err != "" {
+			// A failed operation of any phase, the best-effort rollback
+			// release included.
+			failed = " err=" + nt.Err
+		}
 		if nt.Target != "" {
-			fmt.Printf("  %s %s->%s %v attempts=%d\n", nt.Phase, nt.Node, nt.Target,
-				nt.Duration.Round(time.Microsecond), nt.Attempts)
+			fmt.Printf("  %s %s->%s %v attempts=%d%s\n", nt.Phase, nt.Node, nt.Target,
+				nt.Duration.Round(time.Microsecond), nt.Attempts, failed)
 		} else {
-			fmt.Printf("  %s %s %v attempts=%d\n", nt.Phase, nt.Node,
-				nt.Duration.Round(time.Microsecond), nt.Attempts)
+			fmt.Printf("  %s %s %v attempts=%d%s\n", nt.Phase, nt.Node,
+				nt.Duration.Round(time.Microsecond), nt.Attempts, failed)
 		}
 	}
 }

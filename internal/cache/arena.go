@@ -39,49 +39,57 @@ import (
 //	 4  prev      uint32   — packed link: MRU backward link
 //	 8  cas       uint64   — compare-and-swap token
 //	16  access    int64    — MRU timestamp, unix nanos (nanoNone = zero time)
-//	24  expire    int64    — absolute expiry, unix nanos (nanoNone = never)
-//	32  flags     uint32   — client-opaque flags
-//	36  valueLen  uint32
-//	40  keyLen    uint16
-//	42  classID   uint16
-//	44  tenantID  uint16   — owning tenant (0 = default namespace)
-//	46  liveTag   uint16   — shard index + 1 while the chunk is linked in an
-//	                         MRU list, 0 once unlinked (in the padding that
-//	                         aligns the header to 8 bytes)
-//	48  key bytes, immediately followed by value bytes
+//	24  flags     uint32   — client-opaque flags
+//	28  valueLen  uint32   — value length; the top bit flags an expiry tail
+//	32  keyLen    uint16
+//	34  liveTag   uint16   — shard index + 1 while the chunk is linked in an
+//	                         MRU list, 0 once unlinked
+//	36  key bytes, immediately followed by value bytes
+//	…
+//	cs-8  expire  int64    — absolute expiry, unix nanos; present only when
+//	                         valueLen's top bit is set
+//
+// The slab class and the tenant are not stored per item: every page
+// belongs to exactly one (tenant, class) page set, and the page pool maps
+// a page to both (pagePool.owner, pagePool.classOf). An item that never
+// expires — the common case — pays no bytes for an expiry either: the
+// expiry lives in the chunk's last 8 bytes only when the item has one, and
+// class fit (itemNeed) counts those 8 bytes only then, so the tail never
+// overlaps the key or the value.
 //
 // The live tag is what lets the page-order scanner (scan.go) read a page
 // without walking any list: a chunk below its class's bump cursor is a
 // resident item exactly when its tag is non-zero, and the tag names the
-// shard whose lock guards it. setLocked and importOneLocked set it when
-// they link a new chunk; unlinkLocked clears it.
+// shard whose lock guards it. linkNewLocked sets it when a store or an
+// import links a new chunk; unlinkLocked clears it.
 //
 // The MRU links store refs in a packed 32-bit form — (page+1) in the high
 // 18 bits, chunk index in the low 14 — rather than the full 64-bit itemRef.
 // A chunk index never exceeds PageSize/MinChunkSize = 10922 < 2^14, and 18
 // bits of page+1 address a 256 GiB arena (maxArenaPages), far past any
-// single cache node this system targets. The 8 header bytes this saves
-// keep the total at 48 — exactly classic memcached's per-item overhead, so
-// class-fit arithmetic matches the paper's accounting.
+// single cache node this system targets.
 const (
 	hNext   = 0
 	hPrev   = 4
 	hCAS    = 8
 	hAccess = 16
-	hExpire = 24
-	hFlags  = 32
-	hVLen   = 36
-	hKLen   = 40
-	hClass  = 42
-	hTenant = 44
-	hTag    = 46
+	hFlags  = 24
+	hVLen   = 28
+	hKLen   = 32
+	hTag    = 34
 
-	// headerFieldBytes is the sum of the item field widths; the header is
-	// padded to the next 8-byte boundary, and the live tag lives in that
-	// padding. A test pins chunkHeaderSize (and therefore ItemOverhead) to
-	// this layout.
-	headerFieldBytes = 4 + 4 + 8 + 8 + 8 + 4 + 4 + 2 + 2 + 2
-	chunkHeaderSize  = (headerFieldBytes + 7) &^ 7
+	// headerFieldBytes is the sum of the item field widths. The header is
+	// not padded: every field is read byte-wise (no unsafe, no alignment
+	// assumptions). A test pins chunkHeaderSize (and therefore
+	// ItemOverhead) to this layout.
+	headerFieldBytes = 4 + 4 + 8 + 8 + 4 + 4 + 2 + 2
+	chunkHeaderSize  = headerFieldBytes
+
+	// expiryBytes is the size of the expiry tail an expiring item adds.
+	expiryBytes = 8
+	// vlenHasExpiry is the valueLen bit that flags the expiry tail. Values
+	// never exceed a page, so the bit is free.
+	vlenHasExpiry = 1 << 31
 
 	// linkChunkBits splits a packed 32-bit header link: low bits hold the
 	// chunk index, the rest hold page+1.
@@ -94,6 +102,16 @@ const (
 	// maxKeyLen is the longest key the 16-bit keyLen header field holds.
 	maxKeyLen = math.MaxUint16
 )
+
+// itemNeed is the chunk bytes an item of keyLen+valueLen payload needs:
+// the header, the payload and, only when the item expires, the expiry tail.
+func itemNeed(keyLen, valueLen int, expire int64) int {
+	need := keyLen + valueLen + ItemOverhead
+	if expire != nanoNone {
+		need += expiryBytes
+	}
+	return need
+}
 
 // packLink compresses an itemRef into the 32-bit header-link form. The zero
 // value stays the nil link.
@@ -174,11 +192,14 @@ var liveArenas atomic.Int64
 // Serving paths still never release pages, so for a single-tenant cache
 // assignment remains the classic high-water counter.
 //
-// The chunkSizes table is sized at construction; a slot is (re)written
-// only under the pool lock before the page ID is handed to a class, and a
-// released page's ID passes through this lock again before reuse, so
-// cross-class page reuse is properly ordered and chunk resolution itself
-// never takes the pool lock.
+// The page tables — owner and classOf, which with the class ladder also
+// gives a page's chunk size — are sized at construction; a slot is
+// (re)written only under the pool lock before the page ID is handed to a
+// class, and a released page's ID passes through this lock again before
+// reuse, so cross-class page reuse is properly ordered and resolving a
+// chunk, its tenant or its class never takes the pool lock. A page keeps
+// its slots until it is acquired again, so a page being drained still
+// resolves its slab.
 type pagePool struct {
 	mu        sync.Mutex
 	max       int
@@ -186,11 +207,12 @@ type pagePool struct {
 	assigned  int      // pages currently held by any class
 	freeIDs   []uint32 // stolen pages awaiting reassignment
 
-	mem        []byte    // the whole budget; page id at mem[id*PageSize:]
-	arena      *arenaMem // keeps mem mapped while the pool is reachable
-	chunkSizes []uint32
-	owner      []uint16      // page ID → owning tenant, valid while assigned
-	tenants    []tenantPages // index = tenant ID; 0 is the default tenant
+	mem     []byte        // the whole budget; page id at mem[id*PageSize:]
+	arena   *arenaMem     // keeps mem mapped while the pool is reachable
+	sizes   []uint32      // class ID → chunk size: the class ladder
+	owner   []uint16      // page ID → owning tenant
+	classOf []uint16      // page ID → slab class, so → chunk size
+	tenants []tenantPages // index = tenant ID; 0 is the default tenant
 
 	// draining marks pages a reclaim is emptying: no shard takes one of
 	// their chunks off its free list (slab.popFree). Set before the drain,
@@ -209,8 +231,9 @@ type pagePool struct {
 	epochs []atomic.Uint32
 }
 
-// init sizes the pool for max pages and maps its arena.
-func (p *pagePool) init(max int) error {
+// init sizes the pool for max pages of the class ladder sizes (chunk size
+// per class ID) and maps its arena.
+func (p *pagePool) init(max int, sizes []int) error {
 	// Header links address at most maxArenaPages pages (256 GiB); a budget
 	// beyond that is clamped rather than refused — no realistic node gets
 	// anywhere near it.
@@ -227,8 +250,12 @@ func (p *pagePool) init(max int) error {
 	p.max = max
 	p.mem = arena.b
 	p.arena = arena
-	p.chunkSizes = make([]uint32, max)
+	p.sizes = make([]uint32, len(sizes))
+	for i, cs := range sizes {
+		p.sizes[i] = uint32(cs)
+	}
 	p.owner = make([]uint16, max)
+	p.classOf = make([]uint16, max)
 	// The default tenant starts with the whole budget; registration carves
 	// quotas out for named tenants.
 	p.tenants = []tenantPages{{quota: max, cap: max}}
@@ -248,10 +275,10 @@ func (p *pagePool) ensureTenantLocked(tid uint16) *tenantPages {
 	return &p.tenants[tid]
 }
 
-// tryAcquire claims one page for tenant tid's class of the given chunk size.
-// It returns the page ID; false means the tenant is at quota or the global
-// budget is exhausted.
-func (p *pagePool) tryAcquire(tid uint16, chunkSize int) (uint32, bool) {
+// tryAcquire claims one page for tenant tid's class classID. It returns
+// the page ID; false means the tenant is at quota or the global budget is
+// exhausted.
+func (p *pagePool) tryAcquire(tid uint16, classID int) (uint32, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	t := p.ensureTenantLocked(tid)
@@ -282,8 +309,8 @@ func (p *pagePool) tryAcquire(tid uint16, chunkSize int) (uint32, bool) {
 	default:
 		return 0, false
 	}
-	p.chunkSizes[id] = uint32(chunkSize)
 	p.owner[id] = tid
+	p.classOf[id] = uint16(classID)
 	t.assigned++
 	p.assigned++
 	return id, true
@@ -310,9 +337,15 @@ func (p *pagePool) release(id uint32) {
 // chunkAt resolves a ref to its chunk bytes (header + key + value + slack).
 func (p *pagePool) chunkAt(ref itemRef) []byte {
 	pg := ref.page()
-	cs := uint(p.chunkSizes[pg])
+	cs := uint(p.sizes[p.classOf[pg]])
 	off := uint(pg)*PageSize + uint(ref.chunk())*cs
 	return p.mem[off : off+cs : off+cs]
+}
+
+// setOf resolves the (tenant, class) page set a ref's page belongs to.
+func (p *pagePool) setOf(ref itemRef) (tid uint16, classID int) {
+	pg := ref.page()
+	return p.owner[pg], int(p.classOf[pg])
 }
 
 // assignedCount reports pages handed out so far.
@@ -344,21 +377,39 @@ func setChCAS(ch []byte, v uint64) { binary.LittleEndian.PutUint64(ch[hCAS:], v)
 func chAccess(ch []byte) int64       { return int64(binary.LittleEndian.Uint64(ch[hAccess:])) }
 func setChAccess(ch []byte, v int64) { binary.LittleEndian.PutUint64(ch[hAccess:], uint64(v)) }
 
-func chExpire(ch []byte) int64       { return int64(binary.LittleEndian.Uint64(ch[hExpire:])) }
-func setChExpire(ch []byte, v int64) { binary.LittleEndian.PutUint64(ch[hExpire:], uint64(v)) }
-
 func chFlags(ch []byte) uint32       { return binary.LittleEndian.Uint32(ch[hFlags:]) }
 func setChFlags(ch []byte, v uint32) { binary.LittleEndian.PutUint32(ch[hFlags:], v) }
 
-func chVLen(ch []byte) int { return int(binary.LittleEndian.Uint32(ch[hVLen:])) }
+func chVLen(ch []byte) int { return int(binary.LittleEndian.Uint32(ch[hVLen:]) &^ vlenHasExpiry) }
 func chKLen(ch []byte) int { return int(binary.LittleEndian.Uint16(ch[hKLen:])) }
-
-func chClass(ch []byte) int { return int(binary.LittleEndian.Uint16(ch[hClass:])) }
-
-func chTenant(ch []byte) uint16 { return binary.LittleEndian.Uint16(ch[hTenant:]) }
 
 func chTag(ch []byte) uint16       { return binary.LittleEndian.Uint16(ch[hTag:]) }
 func setChTag(ch []byte, v uint16) { binary.LittleEndian.PutUint16(ch[hTag:], v) }
+
+// chExpire returns the item's absolute expiry, nanoNone when it has none.
+func chExpire(ch []byte) int64 {
+	if binary.LittleEndian.Uint32(ch[hVLen:])&vlenHasExpiry == 0 {
+		return nanoNone
+	}
+	return int64(binary.LittleEndian.Uint64(ch[len(ch)-expiryBytes:]))
+}
+
+// setChExpire sets or clears the item's expiry, keeping its value length.
+// Class fit must already have counted the tail (itemNeed).
+func setChExpire(ch []byte, expire int64) {
+	setChVLen(ch, chVLen(ch), expire)
+}
+
+// setChVLen writes the value-length word with its expiry flag and, when
+// the item expires, the expiry tail.
+func setChVLen(ch []byte, valueLen int, expire int64) {
+	w := uint32(valueLen)
+	if expire != nanoNone {
+		w |= vlenHasExpiry
+		binary.LittleEndian.PutUint64(ch[len(ch)-expiryBytes:], uint64(expire))
+	}
+	binary.LittleEndian.PutUint32(ch[hVLen:], w)
+}
 
 // chKey returns the key bytes stored in the chunk.
 func chKey(ch []byte) []byte {
@@ -378,27 +429,25 @@ func chExpired(ch []byte, nowNano int64) bool {
 	return e != nanoNone && nowNano >= e
 }
 
-// writeChunk initializes a chunk with a complete item. The list links are
-// left untouched — the caller links the ref afterwards. The tenant is
-// always written: a stolen page's chunks are recycled across tenants, so a
-// stale tenant field must never survive a rewrite.
-func writeChunk(ch []byte, key, value []byte, flags uint32, cas uint64, access, expire int64, classID int, tenant uint16) {
+// writeChunk initializes a chunk with a complete item. The list links and
+// the live tag are left untouched — the caller links the ref afterwards.
+// Every item field is written, so nothing of a recycled chunk's previous
+// item survives; the expiry tail is read only when the new valueLen word
+// flags it.
+func writeChunk(ch []byte, key, value []byte, flags uint32, cas uint64, access, expire int64) {
 	setChCAS(ch, cas)
 	setChAccess(ch, access)
-	setChExpire(ch, expire)
 	setChFlags(ch, flags)
-	binary.LittleEndian.PutUint32(ch[hVLen:], uint32(len(value)))
 	binary.LittleEndian.PutUint16(ch[hKLen:], uint16(len(key)))
-	binary.LittleEndian.PutUint16(ch[hClass:], uint16(classID))
-	binary.LittleEndian.PutUint16(ch[hTenant:], tenant)
 	copy(ch[chunkHeaderSize:], key)
-	copy(ch[chunkHeaderSize+len(key):], value)
+	setChValue(ch, value, expire)
 }
 
-// setChValue overwrites the value of a chunk in place (same slab class, so
-// header + key + new value is known to fit).
-func setChValue(ch []byte, value []byte) {
+// setChValue overwrites the value and the expiry of a chunk in place (same
+// slab class, so header + key + new value + any expiry tail is known to
+// fit).
+func setChValue(ch []byte, value []byte, expire int64) {
 	kl := chKLen(ch)
-	binary.LittleEndian.PutUint32(ch[hVLen:], uint32(len(value)))
 	copy(ch[chunkHeaderSize+kl:], value)
+	setChVLen(ch, len(value), expire)
 }

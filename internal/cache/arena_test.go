@@ -13,17 +13,23 @@ import (
 // through the header, so layout drift must be a conscious, test-visible
 // change.
 func TestChunkHeaderLayout(t *testing.T) {
-	if headerFieldBytes != 46 {
-		t.Errorf("headerFieldBytes = %d, want 46 (field added/removed without updating layout tests?)", headerFieldBytes)
+	if headerFieldBytes != 36 {
+		t.Errorf("headerFieldBytes = %d, want 36 (field added/removed without updating layout tests?)", headerFieldBytes)
 	}
-	if chunkHeaderSize != 48 {
-		t.Errorf("chunkHeaderSize = %d, want 48 (46 padded to 8-byte alignment — classic memcached's per-item overhead)", chunkHeaderSize)
+	if chunkHeaderSize != 36 {
+		t.Errorf("chunkHeaderSize = %d, want 36 (an unpadded header: class and tenant come from the page, expiry from the tail)", chunkHeaderSize)
 	}
 	if ItemOverhead != chunkHeaderSize {
 		t.Errorf("ItemOverhead = %d, want chunkHeaderSize = %d: the public overhead constant must be the real header size", ItemOverhead, chunkHeaderSize)
 	}
-	if chunkHeaderSize%8 != 0 {
-		t.Errorf("chunkHeaderSize = %d not 8-byte aligned", chunkHeaderSize)
+	if got := itemNeed(0, 0, nanoNone); got != 36 {
+		t.Errorf("an item with no expiry costs %d bytes of overhead, want 36", got)
+	}
+	if got := itemNeed(0, 0, 1); got != 44 {
+		t.Errorf("an item with an expiry costs %d bytes of overhead, want 44", got)
+	}
+	if PageSize >= vlenHasExpiry {
+		t.Errorf("a page-sized value length collides with the expiry flag bit %#x", vlenHasExpiry)
 	}
 	// Packed links require every chunk index to fit linkChunkBits.
 	if maxChunks := PageSize / MinChunkSize; maxChunks > linkChunkMask {
@@ -38,12 +44,10 @@ func TestChunkHeaderLayout(t *testing.T) {
 		{"prev", hPrev, 4},
 		{"cas", hCAS, 8},
 		{"access", hAccess, 8},
-		{"expire", hExpire, 8},
 		{"flags", hFlags, 4},
 		{"vlen", hVLen, 4},
 		{"klen", hKLen, 2},
-		{"class", hClass, 2},
-		{"tenant", hTenant, 2},
+		{"tag", hTag, 2},
 	}
 	for i := 1; i < len(offsets); i++ {
 		prev := offsets[i-1]
@@ -66,7 +70,7 @@ func TestChunkFieldRoundTrips(t *testing.T) {
 	value := []byte("the-value-bytes")
 	access := time.Unix(1600000000, 123456789).UnixNano()
 	expire := time.Unix(1700000000, 987654321).UnixNano()
-	writeChunk(ch, key, value, 0xDEADBEEF, 42, access, expire, 3, 7)
+	writeChunk(ch, key, value, 0xDEADBEEF, 42, access, expire)
 
 	if got := chKey(ch); !bytes.Equal(got, key) {
 		t.Errorf("key = %q, want %q", got, key)
@@ -86,12 +90,6 @@ func TestChunkFieldRoundTrips(t *testing.T) {
 	if got := chExpire(ch); got != expire {
 		t.Errorf("expire = %d, want %d", got, expire)
 	}
-	if got := chClass(ch); got != 3 {
-		t.Errorf("class = %d, want 3", got)
-	}
-	if got := chTenant(ch); got != 7 {
-		t.Errorf("tenant = %d, want 7", got)
-	}
 	if got := chKLen(ch); got != len(key) {
 		t.Errorf("klen = %d, want %d", got, len(key))
 	}
@@ -110,13 +108,21 @@ func TestChunkFieldRoundTrips(t *testing.T) {
 		t.Error("setting list links corrupted item fields")
 	}
 
-	// Shrinking the value in place must re-slice, not leave stale bytes.
-	setChValue(ch, []byte("tiny"))
+	// Shrinking the value in place must re-slice, not leave stale bytes,
+	// and dropping the expiry must read back as none.
+	setChValue(ch, []byte("tiny"), nanoNone)
 	if got := chValue(ch); string(got) != "tiny" {
 		t.Errorf("after setChValue, value = %q, want \"tiny\"", got)
 	}
+	if got := chExpire(ch); got != nanoNone {
+		t.Errorf("after dropping the expiry, expire = %d, want none", got)
+	}
 	if !bytes.Equal(chKey(ch), key) {
 		t.Error("setChValue corrupted the key")
+	}
+	setChExpire(ch, expire)
+	if chExpire(ch) != expire || string(chValue(ch)) != "tiny" {
+		t.Error("setChExpire did not add the expiry, or changed the value")
 	}
 }
 
@@ -170,7 +176,7 @@ func TestPackedLinkEncoding(t *testing.T) {
 		return
 	}
 	var pool pagePool
-	if err := pool.init(maxArenaPages + 100); err != nil {
+	if err := pool.init(maxArenaPages+100, sizeClasses(DefaultGrowthFactor)); err != nil {
 		t.Fatal(err)
 	}
 	if pool.max != maxArenaPages {
@@ -192,7 +198,7 @@ func TestNanoSentinel(t *testing.T) {
 		t.Error("non-zero time did not round-trip")
 	}
 	// An item with no expiry never expires, even at extreme clock values.
-	ch := make([]byte, chunkHeaderSize)
+	ch := make([]byte, chunkHeaderSize+expiryBytes)
 	setChExpire(ch, nanoNone)
 	if chExpired(ch, math.MaxInt64) {
 		t.Error("nanoNone expiry reported expired")
@@ -210,12 +216,12 @@ func TestNanoSentinel(t *testing.T) {
 // dense, chunk sizes stick, and the budget is a hard cap.
 func TestPagePoolAssignment(t *testing.T) {
 	var pool pagePool
-	if err := pool.init(3); err != nil {
+	sizes := []int{128, 256, 1024}
+	if err := pool.init(3, sizes); err != nil {
 		t.Fatal(err)
 	}
-	sizes := []int{128, 256, 1024}
-	for i, cs := range sizes {
-		id, ok := pool.tryAcquire(0, cs)
+	for i := range sizes {
+		id, ok := pool.tryAcquire(0, i)
 		if !ok {
 			t.Fatalf("acquire %d failed", i)
 		}
@@ -223,7 +229,7 @@ func TestPagePoolAssignment(t *testing.T) {
 			t.Fatalf("page ID = %d, want %d", id, i)
 		}
 	}
-	if _, ok := pool.tryAcquire(0, 128); ok {
+	if _, ok := pool.tryAcquire(0, 0); ok {
 		t.Fatal("acquire beyond budget succeeded")
 	}
 	if pool.assignedCount() != 3 || pool.free() != 0 {

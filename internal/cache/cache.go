@@ -226,7 +226,7 @@ func New(memoryBytes int64, opts ...Option) (*Cache, error) {
 		mask:        uint64(shardCount - 1),
 		prefixDelim: options.tenantPrefix,
 	}
-	if err := c.pool.init(maxPages); err != nil {
+	if err := c.pool.init(maxPages, c.classes); err != nil {
 		return nil, err
 	}
 	c.growPageSets(1)
@@ -263,7 +263,7 @@ func (c *Cache) growPageSets(tenants int) {
 	grown := make([]*classPages, len(sets), tenants*nc)
 	copy(grown, sets)
 	for slot := len(sets); slot < tenants*nc; slot++ {
-		grown = append(grown, newClassPages(uint16(slot/nc), c.classes[slot%nc]))
+		grown = append(grown, newClassPages(uint16(slot/nc), slot%nc, c.classes[slot%nc]))
 	}
 	c.pageSets.Store(&grown)
 }
@@ -342,7 +342,7 @@ func (c *Cache) Get(key string) ([]byte, error) {
 	sh.hits++
 	sh.tstat(tid).hits++
 	setChAccess(ch, nowNano)
-	sh.slabFor(ch).list.moveToFront(&c.pool, ref)
+	sh.slabFor(ref).list.moveToFront(&c.pool, ref)
 	v := chValue(ch)
 	return append(make([]byte, 0, len(v)), v...), nil
 }
@@ -401,8 +401,7 @@ func (c *Cache) Set(key string, value []byte) error {
 	tid, h, sh := c.route(kb)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	_, err := sh.setLocked(h, tid, kb, value, 0, c.nowNano())
-	return err
+	return sh.setLocked(h, tid, kb, value, 0, nanoNone, c.nowNano())
 }
 
 // Delete removes key, or returns ErrNotFound.
@@ -536,10 +535,11 @@ func (c *Cache) Stats() Stats {
 }
 
 // ClassForItem reports which slab class an item of the given key and value
-// lengths lands in, mirroring the paper's constraint that an item from a
-// slab with chunk size b must migrate into a slab with chunk size b.
+// lengths that never expires lands in, mirroring the paper's constraint
+// that an item from a slab with chunk size b must migrate into a slab with
+// chunk size b. An expiring item needs 8 bytes more (see arena.go).
 func (c *Cache) ClassForItem(keyLen, valueLen int) (classID, chunkSize int, err error) {
-	need := keyLen + valueLen + ItemOverhead
+	need := itemNeed(keyLen, valueLen, nanoNone)
 	id := classForSize(c.classes, need)
 	if id < 0 {
 		return 0, 0, &ValueTooLargeError{Need: need}

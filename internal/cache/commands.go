@@ -40,12 +40,7 @@ func (c *Cache) SetExpiringFlags(key string, value []byte, flags uint32, expires
 	tid, h, sh := c.route(kb)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	ch, err := sh.setLocked(h, tid, kb, value, flags, c.nowNano())
-	if err != nil {
-		return err
-	}
-	setChExpire(ch, toNano(expiresAt))
-	return nil
+	return sh.setLocked(h, tid, kb, value, flags, toNano(expiresAt), c.nowNano())
 }
 
 // GetWithCAS returns a copy of the value, the item's client flags, and its
@@ -66,7 +61,7 @@ func (c *Cache) GetWithCAS(key string) (value []byte, flags uint32, casToken uin
 	sh.hits++
 	sh.tstat(tid).hits++
 	setChAccess(ch, nowNano)
-	sh.slabFor(ch).list.moveToFront(&c.pool, ref)
+	sh.slabFor(ref).list.moveToFront(&c.pool, ref)
 	v := chValue(ch)
 	return append(make([]byte, 0, len(v)), v...), chFlags(ch), chCAS(ch), nil
 }
@@ -89,12 +84,7 @@ func (c *Cache) AddFlags(key string, value []byte, flags uint32, expiresAt time.
 	if _, _, ok := sh.lookupLocked(h, tid, kb, nowNano); ok {
 		return fmt.Errorf("add %q: %w", key, ErrNotStored)
 	}
-	ch, err := sh.setLocked(h, tid, kb, value, flags, nowNano)
-	if err != nil {
-		return err
-	}
-	setChExpire(ch, toNano(expiresAt))
-	return nil
+	return sh.setLocked(h, tid, kb, value, flags, toNano(expiresAt), nowNano)
 }
 
 // Replace stores only if the key is present (memcached's replace).
@@ -115,12 +105,7 @@ func (c *Cache) ReplaceFlags(key string, value []byte, flags uint32, expiresAt t
 	if _, _, ok := sh.lookupLocked(h, tid, kb, nowNano); !ok {
 		return fmt.Errorf("replace %q: %w", key, ErrNotStored)
 	}
-	ch, err := sh.setLocked(h, tid, kb, value, flags, nowNano)
-	if err != nil {
-		return err
-	}
-	setChExpire(ch, toNano(expiresAt))
-	return nil
+	return sh.setLocked(h, tid, kb, value, flags, toNano(expiresAt), nowNano)
 }
 
 // CompareAndSwap stores only if the item's CAS token still matches
@@ -146,12 +131,7 @@ func (c *Cache) CompareAndSwapFlags(key string, value []byte, flags uint32, expi
 	if chCAS(ch) != casToken {
 		return fmt.Errorf("cas %q: %w", key, ErrExists)
 	}
-	ch, err := sh.setLocked(h, tid, kb, value, flags, nowNano)
-	if err != nil {
-		return err
-	}
-	setChExpire(ch, toNano(expiresAt))
-	return nil
+	return sh.setLocked(h, tid, kb, value, flags, toNano(expiresAt), nowNano)
 }
 
 // Append concatenates data after the existing value (memcached's append).
@@ -190,13 +170,7 @@ func (c *Cache) edit(key string, fn func(old []byte) []byte) error {
 	if !ok {
 		return fmt.Errorf("edit %q: %w", key, ErrNotStored)
 	}
-	expire, flags := chExpire(ch), chFlags(ch)
-	ch, err := sh.setLocked(h, tid, kb, fn(chValue(ch)), flags, nowNano)
-	if err != nil {
-		return err
-	}
-	setChExpire(ch, expire)
-	return nil
+	return sh.setLocked(h, tid, kb, fn(chValue(ch)), chFlags(ch), chExpire(ch), nowNano)
 }
 
 // Incr adds delta to a decimal-uint64 value (memcached's incr), returning
@@ -233,16 +207,21 @@ func (c *Cache) arith(key string, fn func(uint64) uint64) (uint64, error) {
 		return 0, fmt.Errorf("arith %q: %w", key, ErrNotNumber)
 	}
 	out := fn(v)
-	expire, flags := chExpire(ch), chFlags(ch)
-	ch, err = sh.setLocked(h, tid, kb, []byte(strconv.FormatUint(out, 10)), flags, nowNano)
-	if err != nil {
+	if err := sh.setLocked(h, tid, kb, []byte(strconv.FormatUint(out, 10)), chFlags(ch), chExpire(ch), nowNano); err != nil {
 		return 0, err
 	}
-	setChExpire(ch, expire)
 	return out, nil
 }
 
-// TouchExpiry updates an item's expiry and recency (memcached's touch).
+// TouchExpiry updates an item's expiry and recency (memcached's touch),
+// keeping its value, flags and CAS token. An expiry needs 8 bytes of the
+// chunk (see arena.go), so an item whose class changes with it — a TTL
+// added where the chunk has less than 8 bytes of slack, or dropped where
+// the item then fits a smaller class — moves to that class. A touch that
+// cannot keep the item under its new expiry (no class holds it, or the
+// move gets no chunk) drops it and returns the error: a miss reads through
+// to the backing store, where a copy under the old expiry would outlive
+// the deadline its home set, or never expire.
 func (c *Cache) TouchExpiry(key string, expiresAt time.Time) error {
 	kb := sbytes(key)
 	tid, h, sh := c.route(kb)
@@ -253,9 +232,20 @@ func (c *Cache) TouchExpiry(key string, expiresAt time.Time) error {
 	if !ok {
 		return fmt.Errorf("touch %q: %w", key, ErrNotFound)
 	}
-	setChExpire(ch, toNano(expiresAt))
+	expire := toNano(expiresAt)
+	classID, err := c.classFor(kb, chVLen(ch), expire)
+	if err != nil {
+		sh.removeLocked(ref, ch)
+		return err
+	}
+	if _, cur := c.pool.setOf(ref); cur != classID {
+		// storeLocked drops the old copy before it allocates.
+		value := append([]byte(nil), chValue(ch)...)
+		return sh.storeLocked(h, tid, kb, value, chFlags(ch), chCAS(ch), expire, nowNano)
+	}
+	setChExpire(ch, expire)
 	setChAccess(ch, nowNano)
-	sh.slabFor(ch).list.moveToFront(&c.pool, ref)
+	sh.slabAt(tid, classID).list.moveToFront(&c.pool, ref)
 	return nil
 }
 

@@ -323,6 +323,117 @@ func TestTouchExpiry(t *testing.T) {
 	}
 }
 
+// TestTouchMovesAcrossTheExpiryTail: a TTL added to an item whose chunk
+// has less than 8 bytes of slack moves it up a class; dropping the TTL
+// moves it back. Value, flags and CAS token survive both moves.
+func TestTouchMovesAcrossTheExpiryTail(t *testing.T) {
+	c, clk := expiryCache(t)
+	sizes := c.ChunkSizes()
+	value := make([]byte, sizes[0]-ItemOverhead-len("k")) // fills class 0 exactly
+	for i := range value {
+		value[i] = byte(i)
+	}
+	if err := c.SetExpiringFlags("k", value, 7, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	_, _, tok, _ := c.GetWithCAS("k")
+	for _, step := range []struct {
+		expire time.Time
+		class  int
+	}{{clk.Now().Add(time.Hour), 1}, {time.Time{}, 0}} {
+		if err := c.TouchExpiry("k", step.expire); err != nil {
+			t.Fatal(err)
+		}
+		for _, sl := range c.Stats().Slabs {
+			want := 0
+			if sl.ClassID == step.class {
+				want = 1
+			}
+			if sl.Items != want {
+				t.Fatalf("touch to expiry %v: class %d holds %d items, want %d", step.expire, sl.ClassID, sl.Items, want)
+			}
+		}
+		got, flags, cas, err := c.GetWithCAS("k")
+		if err != nil || string(got) != string(value) || flags != 7 || cas != tok {
+			t.Fatalf("after touch: %d bytes, flags %d, cas %d (want %d), err %v", len(got), flags, cas, tok, err)
+		}
+		if _, _, exp, _ := c.PeekFull("k"); !exp.Equal(step.expire) {
+			t.Fatalf("expiry = %v, want %v", exp, step.expire)
+		}
+	}
+	c.checkShardInvariants(t)
+}
+
+// fullCacheWith fills a one-page, one-shard cache whose only page holds
+// class 0, after storing key with a value that fills a class-0 chunk
+// exactly: a store of key in any other class then gets no chunk.
+func fullCacheWith(t *testing.T, key string) *Cache {
+	t.Helper()
+	c, err := New(PageSize, WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := make([]byte, c.ChunkSizes()[0]-ItemOverhead-len(key))
+	if err := c.Set(key, fill); err != nil {
+		t.Fatal(err)
+	}
+	// Take every page: the class-0 page is full after this.
+	for i := 0; c.pool.free() > 0 || c.ClassLen(0) < c.ClassCapacity(0); i++ {
+		if err := c.Set(benchKey(i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// TestStoreWithoutChunkDropsItem: a set, an append or a touch that moves
+// an item to a class with no chunk to give fails with ErrOutOfMemory and
+// leaves the key absent, as memcached's process_update_command does for a
+// set whose allocation fails: the next read misses and reads through,
+// where the old copy would be a stale value or a wrong expiry.
+func TestStoreWithoutChunkDropsItem(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		store func(c *Cache) error
+	}{
+		{"set", func(c *Cache) error { return c.Set("victim", make([]byte, 500)) }},
+		{"append", func(c *Cache) error { return c.Append("victim", make([]byte, 500)) }},
+		{"touch", func(c *Cache) error { return c.TouchExpiry("victim", time.Now().Add(time.Hour)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := fullCacheWith(t, "victim")
+			if err := tc.store(c); !errors.Is(err, ErrOutOfMemory) {
+				t.Fatalf("class-changing %s on a full cache: err = %v, want ErrOutOfMemory", tc.name, err)
+			}
+			if v, _, exp, ok := c.PeekFull("victim"); ok {
+				t.Fatalf("after the failed %s: %d bytes under expiry %v still readable, want a miss", tc.name, len(v), exp)
+			}
+			c.checkShardInvariants(t)
+		})
+	}
+}
+
+// TestTouchTooLargeDropsItem: a touch that adds a TTL to an item within
+// 8 bytes of a page fails with ValueTooLargeError and drops the item,
+// rather than leaving it readable with no expiry.
+func TestTouchTooLargeDropsItem(t *testing.T) {
+	c, err := New(2*PageSize, WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Set("big", make([]byte, PageSize-ItemOverhead-len("big"))); err != nil {
+		t.Fatal(err)
+	}
+	var tooBig *ValueTooLargeError
+	if err := c.TouchExpiry("big", time.Now().Add(time.Hour)); !errors.As(err, &tooBig) {
+		t.Fatalf("touch adding a TTL to a page-sized item: err = %v, want ValueTooLargeError", err)
+	}
+	if c.Contains("big") {
+		t.Fatal("the item the touch could not keep is still readable")
+	}
+	c.checkShardInvariants(t)
+}
+
 func TestStatsCountExpirations(t *testing.T) {
 	c, clk := expiryCache(t)
 	deadline := clk.Now().Add(time.Second)

@@ -59,8 +59,12 @@ func (o *oracle) set(key string, value []byte, flags uint32, expire time.Time) {
 
 // TestDifferentialSweep runs a seeded 100k-op randomized workload through
 // every single-key command and checks exact agreement with the oracle at
-// each step. The budget is generous, so no evictions occur and agreement
-// must be perfect.
+// each step. Three generator cases drive an item's expiry across the
+// chunk's expiry tail: a touch that gives a TTL-less item an expiry (half
+// of them in a chunk with less than 8 bytes of slack, which moves the item
+// up a class and must keep its CAS token), a set that drops a TTL, and an
+// incr or append on a TTL'd item. The budget is generous, so no evictions
+// occur and agreement must be perfect.
 func TestDifferentialSweep(t *testing.T) {
 	const (
 		ops      = 100_000
@@ -81,11 +85,21 @@ func TestDifferentialSweep(t *testing.T) {
 		rng.Read(v)
 		return v
 	}
+	someTTL := func() time.Time {
+		return clk.t.Add(time.Duration(rng.Intn(40)+1) * time.Millisecond)
+	}
 	ttl := func() time.Time {
 		if rng.Intn(3) == 0 {
 			return time.Time{} // never expires
 		}
-		return clk.t.Add(time.Duration(rng.Intn(40)+1) * time.Millisecond)
+		return someTTL()
+	}
+	// set stores an item in both the cache and the oracle.
+	set := func(op int, k string, v []byte, fl uint32, exp time.Time) {
+		if err := c.SetExpiringFlags(k, v, fl, exp); err != nil {
+			t.Fatalf("op %d: set %q: %v", op, k, err)
+		}
+		o.set(k, v, fl, exp)
 	}
 
 	checkGet := func(op int, k string) {
@@ -108,7 +122,7 @@ func TestDifferentialSweep(t *testing.T) {
 	}
 
 	for op := 0; op < ops; op++ {
-		switch r := rng.Intn(100); {
+		switch r := rng.Intn(106); {
 		case r < 30: // set
 			k, v, fl, exp := key(), val(), rng.Uint32(), ttl()
 			if err := c.SetExpiringFlags(k, v, fl, exp); err != nil {
@@ -274,7 +288,7 @@ func TestDifferentialSweep(t *testing.T) {
 			for k := range o.m {
 				o.live(k) // prunes expired model entries
 			}
-		default: // multi-get a batch
+		case r < 100: // multi-get a batch
 			ks := make([]string, rng.Intn(8)+1)
 			for i := range ks {
 				ks[i] = key()
@@ -295,6 +309,63 @@ func TestDifferentialSweep(t *testing.T) {
 				if !bytes.Equal(mv.Value, want.value) || mv.Flags != want.flags {
 					t.Fatalf("op %d: multiget %q value/flags diverged", op, k)
 				}
+			}
+		case r < 102: // touch gives a TTL-less item an expiry
+			k := key()
+			if want := o.live(k); want == nil || !want.expire.IsZero() {
+				v := val()
+				if rng.Intn(2) == 0 {
+					// Less than 8 bytes of slack in a small class's chunk:
+					// the expiry tail moves the item up a class.
+					cs := c.ChunkSizes()[rng.Intn(6)]
+					v = make([]byte, cs-ItemOverhead-len(k)-rng.Intn(expiryBytes))
+					rng.Read(v)
+				}
+				set(op, k, v, rng.Uint32(), time.Time{})
+			}
+			_, _, tok, err := c.GetWithCAS(k)
+			if err != nil {
+				t.Fatalf("op %d: gets %q before touch: %v", op, k, err)
+			}
+			exp := someTTL()
+			if err := c.TouchExpiry(k, exp); err != nil {
+				t.Fatalf("op %d: touch %q adding a TTL: %v", op, k, err)
+			}
+			o.live(k).expire = exp
+			checkGet(op, k)
+			if _, _, after, _ := c.GetWithCAS(k); after != tok {
+				t.Fatalf("op %d: touch %q changed the CAS token %d → %d", op, k, tok, after)
+			}
+		case r < 104: // a set that drops a TTL
+			k, v := key(), val()
+			set(op, k, v, rng.Uint32(), someTTL())
+			checkGet(op, k)
+			if rng.Intn(2) == 0 {
+				v = val() // else the same value: the class can only shrink
+			}
+			set(op, k, v, rng.Uint32(), time.Time{})
+			checkGet(op, k)
+		default: // an incr or an append on a TTL'd item keeps its expiry
+			if rng.Intn(2) == 0 {
+				k := fmt.Sprintf("ctr-%02d", rng.Intn(20))
+				seed := rng.Uint64() % 100000
+				set(op, k, []byte(strconv.FormatUint(seed, 10)), 0, someTTL())
+				delta := rng.Uint64() % 1000
+				got, err := c.Incr(k, delta)
+				if err != nil || got != seed+delta {
+					t.Fatalf("op %d: incr TTL'd %q = %d, %v; oracle %d", op, k, got, err, seed+delta)
+				}
+				o.live(k).value = []byte(strconv.FormatUint(seed+delta, 10))
+				checkGet(op, k)
+			} else {
+				k, data := key(), val()
+				set(op, k, val(), rng.Uint32(), someTTL())
+				if err := c.Append(k, data); err != nil {
+					t.Fatalf("op %d: append to TTL'd %q: %v", op, k, err)
+				}
+				want := o.live(k)
+				want.value = append(want.value, data...)
+				checkGet(op, k)
 			}
 		}
 	}
@@ -342,9 +413,10 @@ func TestDifferentialSweepTinyBudget(t *testing.T) {
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3, 4:
 			// Values sized so every item lands in one slab class (304 B
-			// chunks: need = 7-byte key + value + 48 overhead ∈ (240, 304]):
-			// the single page (3449 chunks) overflows and eviction churns.
-			v := make([]byte, rng.Intn(64)+186)
+			// chunks: need = 7-byte key + value + 36 overhead ∈ (240, 296],
+			// plus 8 for an expiry tail ∈ (248, 304]): the single page
+			// (3449 chunks) overflows and eviction churns.
+			v := make([]byte, rng.Intn(56)+198)
 			rng.Read(v)
 			exp := time.Time{}
 			if rng.Intn(4) == 0 {

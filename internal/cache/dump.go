@@ -321,7 +321,8 @@ func (sh *shard) importOneLocked(p *KV, h uint64) error {
 	}
 	c := sh.owner
 	kb := sbytes(p.Key)
-	classID, err := c.classFor(kb, len(p.Value))
+	expire := toNano(p.Expiry)
+	classID, err := c.classFor(kb, len(p.Value), expire)
 	if err != nil {
 		return err
 	}
@@ -329,7 +330,7 @@ func (sh *shard) importOneLocked(p *KV, h uint64) error {
 	// namespace it was dumped from.
 	tid := c.resolveTenant(kb)
 	pNano := toNano(p.LastAccess)
-	if ref, ch, ok := sh.idx.lookup(h, tid, kb, &c.pool); ok {
+	if old, oldCh, found := sh.idx.lookup(h, tid, kb, &c.pool); found {
 		// The receiver may already hold the key: set by a client while
 		// metadata was in flight, or — after a lost reply — delivered again
 		// by the sender's retry. Only a strictly fresher copy may update the
@@ -338,32 +339,24 @@ func (sh *shard) importOneLocked(p *KV, h uint64) error {
 		// retried batch re-hoists its items to the head, inflating their MRU
 		// position past pairs that landed in between (see DESIGN.md, "Fault
 		// injection & invariants").
-		if pNano <= chAccess(ch) {
+		if pNano <= chAccess(oldCh) {
 			return nil
 		}
-		setChAccess(ch, pNano)
-		if chClass(ch) == classID {
-			setChValue(ch, p.Value)
-			setChFlags(ch, p.Flags)
-			setChExpire(ch, toNano(p.Expiry))
-			sh.slabAt(tid, classID).list.moveToFront(&c.pool, ref)
+		if _, cur := c.pool.setOf(old); cur == classID {
+			setChAccess(oldCh, pNano)
+			setChValue(oldCh, p.Value, expire)
+			setChFlags(oldCh, p.Flags)
+			sh.slabAt(tid, classID).list.moveToFront(&c.pool, old)
 			return nil
 		}
-		sh.removeLocked(ref, ch)
+		// As in storeLocked: the older copy goes before the allocation.
+		sh.removeLocked(old, oldCh)
 	}
 	ref, err := sh.allocChunkLocked(tid, classID)
 	if err != nil {
 		return fmt.Errorf("import %q: %w", p.Key, err)
 	}
-	ch := c.pool.chunkAt(ref)
-	writeChunk(ch, kb, p.Value, p.Flags, 0, pNano, toNano(p.Expiry), classID, tid)
-	setChTag(ch, sh.tag)
-	sl := sh.slabAt(tid, classID)
-	sl.list.pushFront(&c.pool, ref)
-	sl.used++
-	sh.idx.insert(h, ref)
-	ts := sh.tstat(tid)
-	ts.items++
-	ts.bytes += int64(sl.chunkSize)
+	writeChunk(c.pool.chunkAt(ref), kb, p.Value, p.Flags, 0, pNano, expire)
+	sh.linkNewLocked(h, tid, classID, ref)
 	return nil
 }

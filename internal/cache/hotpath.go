@@ -29,7 +29,7 @@ func (c *Cache) GetInto(key []byte, dst []byte) (out []byte, flags uint32, casTo
 	sh.hits++
 	sh.tstat(tid).hits++
 	setChAccess(ch, nowNano)
-	sh.slabFor(ch).list.moveToFront(&c.pool, ref)
+	sh.slabFor(ref).list.moveToFront(&c.pool, ref)
 	dst = append(dst, chValue(ch)...)
 	flags, casToken = chFlags(ch), chCAS(ch)
 	sh.mu.Unlock()
@@ -49,12 +49,7 @@ func (c *Cache) SetBytes(key, value []byte, flags uint32, expiresAt time.Time) e
 	tid, h, sh := c.route(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	ch, err := sh.setLocked(h, tid, key, value, flags, c.nanos())
-	if err != nil {
-		return err
-	}
-	setChExpire(ch, toNano(expiresAt))
-	return nil
+	return sh.setLocked(h, tid, key, value, flags, toNano(expiresAt), c.nanos())
 }
 
 // MultiItem is one in-order result of a GetMultiInto. Values live in the
@@ -82,8 +77,9 @@ const getMultiScratchKeys = 64
 // GetMultiInto is the hot-path multi-get: one result per requested key, in
 // request order, appended into the caller-provided dst and value arena
 // (both are reset and returned, possibly grown). Hits and misses count and
-// promote exactly like per-key Get. Locking is grouped by shard — each
-// touched stripe's lock is taken once per call — and nothing allocates once
+// promote exactly like per-key Get, and every key of the call is stamped
+// with one clock read. Locking is grouped by shard — each touched
+// stripe's lock is taken once per call — and nothing allocates once
 // dst and arena have warmed up to the workload's batch shape (batches over
 // 64 keys pay one hash-scratch allocation).
 func (c *Cache) GetMultiInto(keys [][]byte, dst []MultiItem, arena []byte) ([]MultiItem, []byte) {
@@ -111,6 +107,8 @@ func (c *Cache) GetMultiInto(keys [][]byte, dst []MultiItem, arena []byte) ([]Mu
 		tids[i] = c.resolveTenant(key)
 		hs[i] = shardHashT(tids[i], key)
 	}
+	// One clock read per request: every key of it shares one stamp.
+	nowNano := c.nanos()
 	for i := range keys {
 		if done[i] {
 			continue // already served under an earlier shard's lock
@@ -118,7 +116,6 @@ func (c *Cache) GetMultiInto(keys [][]byte, dst []MultiItem, arena []byte) ([]Mu
 		si := hs[i] & c.mask
 		sh := c.shards[si]
 		sh.mu.Lock()
-		nowNano := c.nanos()
 		for j := i; j < len(keys); j++ {
 			if done[j] || hs[j]&c.mask != si {
 				continue
@@ -135,7 +132,7 @@ func (c *Cache) GetMultiInto(keys [][]byte, dst []MultiItem, arena []byte) ([]Mu
 			sh.hits++
 			sh.tstat(tids[j]).hits++
 			setChAccess(ch, nowNano)
-			sh.slabFor(ch).list.moveToFront(&c.pool, ref)
+			sh.slabFor(ref).list.moveToFront(&c.pool, ref)
 			v := chValue(ch)
 			off := len(arena)
 			arena = append(arena, v...)

@@ -54,7 +54,7 @@ func indexShift(n int) uint {
 	return 64 - s
 }
 
-// lookup finds the ref stored under hash h whose chunk belongs to tenant
+// lookup finds the ref stored under hash h whose page belongs to tenant
 // tid and whose key equals key. Tenants hash the same key differently (the
 // tenant ID is mixed into shardHashT), so the tenant compare only matters
 // on a cross-tenant 64-bit hash collision — but it makes namespacing exact
@@ -87,7 +87,7 @@ func probe(slots []indexSlot, shift uint, h uint64, tid uint16, key []byte, pool
 			continue
 		}
 		ch := pool.chunkAt(s.ref)
-		if chTenant(ch) == tid && bytes.Equal(chKey(ch), key) {
+		if pool.owner[s.ref.page()] == tid && bytes.Equal(chKey(ch), key) {
 			return s.ref, ch, true
 		}
 	}

@@ -22,10 +22,10 @@ func newListHarness(t *testing.T) *listHarness {
 	t.Helper()
 	const chunkSize = 256
 	h := &listHarness{cpp: PageSize / chunkSize}
-	if err := h.pool.init(8); err != nil {
+	if err := h.pool.init(8, []int{chunkSize}); err != nil {
 		t.Fatal(err)
 	}
-	pageID, ok := h.pool.tryAcquire(0, chunkSize)
+	pageID, ok := h.pool.tryAcquire(0, 0)
 	if !ok {
 		t.Fatal("tryAcquire failed on fresh pool")
 	}
@@ -37,7 +37,7 @@ func newListHarness(t *testing.T) *listHarness {
 func (h *listHarness) alloc(t *testing.T, key string) itemRef {
 	t.Helper()
 	if h.used == h.cpp {
-		pageID, ok := h.pool.tryAcquire(0, 256)
+		pageID, ok := h.pool.tryAcquire(0, 0)
 		if !ok {
 			t.Fatal("harness out of pages")
 		}
@@ -46,7 +46,7 @@ func (h *listHarness) alloc(t *testing.T, key string) itemRef {
 	}
 	ref := makeRef(h.pageIDs[len(h.pageIDs)-1], h.used)
 	h.used++
-	writeChunk(h.pool.chunkAt(ref), []byte(key), nil, 0, 0, 0, nanoNone, 0, 0)
+	writeChunk(h.pool.chunkAt(ref), []byte(key), nil, 0, 0, 0, nanoNone)
 	return ref
 }
 

@@ -41,7 +41,7 @@ func (c *Cache) GetMulti(keys []string) map[string]MultiValue {
 		sh.hits++
 		sh.tstat(tid).hits++
 		setChAccess(ch, nowNano)
-		sh.slabFor(ch).list.moveToFront(&c.pool, ref)
+		sh.slabFor(ref).list.moveToFront(&c.pool, ref)
 		v := chValue(ch)
 		out[key] = MultiValue{
 			Value: append(make([]byte, 0, len(v)), v...),
@@ -54,7 +54,8 @@ func (c *Cache) GetMulti(keys []string) map[string]MultiValue {
 
 // eachShardGroup visits keys grouped by lock stripe, taking each touched
 // shard's lock exactly once and calling fn with each key's index and
-// routing hash under its shard's lock (in slice order within a shard). The
+// routing hash under its shard's lock (in slice order within a shard), and
+// the one clock read every key of the call is stamped with. The
 // O(keys × distinct-shards) rescan is cheap at protocol batch sizes.
 func (c *Cache) eachShardGroup(keys []string, fn func(sh *shard, i int, tid uint16, h uint64, nowNano int64)) {
 	hs := make([]uint64, len(keys))
@@ -64,6 +65,7 @@ func (c *Cache) eachShardGroup(keys []string, fn func(sh *shard, i int, tid uint
 		tids[i] = c.resolveTenant(sbytes(key))
 		hs[i] = shardHashT(tids[i], sbytes(key))
 	}
+	nowNano := c.nowNano()
 	for i := range keys {
 		if done[i] {
 			continue // already served under an earlier shard's lock
@@ -71,7 +73,6 @@ func (c *Cache) eachShardGroup(keys []string, fn func(sh *shard, i int, tid uint
 		si := hs[i] & c.mask
 		sh := c.shards[si]
 		sh.mu.Lock()
-		nowNano := c.nowNano()
 		for j := i; j < len(keys); j++ {
 			if done[j] || hs[j]&c.mask != si {
 				continue
@@ -118,14 +119,12 @@ func (c *Cache) SetBatch(items []SetItem) (int, error) {
 			}
 			return
 		}
-		ch, err := sh.setLocked(h, tid, sbytes(item.Key), item.Value, item.Flags, nowNano)
-		if err != nil {
+		if err := sh.setLocked(h, tid, sbytes(item.Key), item.Value, item.Flags, toNano(item.ExpiresAt), nowNano); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			return
 		}
-		setChExpire(ch, toNano(item.ExpiresAt))
 		stored++
 	})
 	return stored, firstErr

@@ -234,7 +234,7 @@ func TestPickOnStolenPageIsSkipped(t *testing.T) {
 	fillTenant(t, c, "recv/big", 1000, 900) // takes the freed page
 	stolen, outside := 0, 0
 	for _, p := range picks {
-		if cs := int(c.pool.chunkSizes[p.ref.page()]); cs != chunkSize {
+		if cs := int(c.pool.sizes[c.pool.classOf[p.ref.page()]]); cs != chunkSize {
 			stolen++
 			if int(p.ref.page())*PageSize+(int(p.ref.chunk())+1)*cs > len(c.pool.mem) {
 				outside++

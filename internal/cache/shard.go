@@ -197,9 +197,9 @@ func (sh *shard) slabAt(tid uint16, classID int) *slab {
 	return sh.slabs[slot]
 }
 
-// slabFor resolves the slab owning an existing chunk.
-func (sh *shard) slabFor(ch []byte) *slab {
-	return sh.slabAt(chTenant(ch), chClass(ch))
+// slabFor resolves the slab owning an existing item from its page.
+func (sh *shard) slabFor(ref itemRef) *slab {
+	return sh.slabAt(sh.owner.pool.setOf(ref))
 }
 
 // tstat returns the tenant's counter slot, growing the table on first use.
@@ -250,55 +250,65 @@ func (sh *shard) peekLocked(h uint64, tid uint16, key []byte, nowNano int64) ([]
 	return ch, true
 }
 
-// setLocked is the core insert path; callers hold sh.mu. The key and value
-// bytes are copied into the item's chunk (overwritten in place when the
-// slab class is unchanged, so a steady-state set allocates nothing) and
-// the expiry is cleared; callers needing a TTL stamp it on the returned
-// chunk. Returns the stored chunk so callers can adjust fields without a
-// second lookup.
-func (sh *shard) setLocked(h uint64, tid uint16, key, value []byte, flags uint32, tsNano int64) ([]byte, error) {
-	c := sh.owner
-	classID, err := c.classFor(key, len(value))
-	if err != nil {
-		return nil, err
+// setLocked is the core insert path; callers hold sh.mu. It stores the
+// item under a fresh CAS token and counts a set.
+func (sh *shard) setLocked(h uint64, tid uint16, key, value []byte, flags uint32, expire, tsNano int64) error {
+	if err := sh.storeLocked(h, tid, key, value, flags, sh.owner.casSeq.Add(1), expire, tsNano); err != nil {
+		return err
 	}
+	sh.sets++
+	sh.tstat(tid).sets++
+	return nil
+}
 
-	cas := c.casSeq.Add(1)
-	if ref, ch, ok := sh.idx.lookup(h, tid, key, &c.pool); ok {
-		if chClass(ch) == classID {
+// storeLocked writes a complete item — value, flags, CAS token, expiry
+// (nanoNone = never) and MRU stamp — at its class's MRU head; callers hold
+// sh.mu. The key and value bytes are copied into the item's chunk,
+// overwritten in place when the slab class is unchanged, so a steady-state
+// set allocates nothing. value must not alias the item's own chunk.
+func (sh *shard) storeLocked(h uint64, tid uint16, key, value []byte, flags uint32, cas uint64, expire, tsNano int64) error {
+	c := sh.owner
+	classID, err := c.classFor(key, len(value), expire)
+	if err != nil {
+		return err
+	}
+	if old, oldCh, found := sh.idx.lookup(h, tid, key, &c.pool); found {
+		if _, cur := c.pool.setOf(old); cur == classID {
 			// In-place update within the same chunk: steady-state
 			// overwrites touch only arena bytes.
-			setChValue(ch, value)
-			setChFlags(ch, flags)
-			setChAccess(ch, tsNano)
-			setChExpire(ch, nanoNone)
-			setChCAS(ch, cas)
-			sh.slabAt(tid, classID).list.moveToFront(&c.pool, ref)
-			sh.sets++
-			sh.tstat(tid).sets++
-			return ch, nil
+			setChValue(oldCh, value, expire)
+			setChFlags(oldCh, flags)
+			setChAccess(oldCh, tsNano)
+			setChCAS(oldCh, cas)
+			sh.slabAt(tid, classID).list.moveToFront(&c.pool, old)
+			return nil
 		}
-		// Size class changed: drop and reinsert.
-		sh.removeLocked(ref, ch)
+		// Size class changed: drop the old copy first, so a store that
+		// gets no chunk leaves a miss, never the value it replaced.
+		sh.removeLocked(old, oldCh)
 	}
-
 	ref, err := sh.allocChunkLocked(tid, classID)
 	if err != nil {
-		return nil, fmt.Errorf("set %q: %w", key, err)
+		return fmt.Errorf("set %q: %w", key, err)
 	}
-	ch := c.pool.chunkAt(ref)
-	writeChunk(ch, key, value, flags, cas, tsNano, nanoNone, classID, tid)
-	setChTag(ch, sh.tag)
+	writeChunk(c.pool.chunkAt(ref), key, value, flags, cas, tsNano, expire)
+	sh.linkNewLocked(h, tid, classID, ref)
+	return nil
+}
+
+// linkNewLocked links a freshly written chunk of the tenant's class as a
+// resident item under routing hash h: the shard's live tag, the MRU head,
+// the index and the tenant's residency.
+func (sh *shard) linkNewLocked(h uint64, tid uint16, classID int, ref itemRef) {
+	pool := &sh.owner.pool
+	setChTag(pool.chunkAt(ref), sh.tag)
 	sl := sh.slabAt(tid, classID)
-	sl.list.pushFront(&c.pool, ref)
+	sl.list.pushFront(pool, ref)
 	sl.used++
 	sh.idx.insert(h, ref)
-	sh.sets++
 	ts := sh.tstat(tid)
-	ts.sets++
 	ts.items++
 	ts.bytes += int64(sl.chunkSize)
-	return ch, nil
 }
 
 // allocChunkLocked guarantees a free chunk for the tenant's class: from
@@ -339,7 +349,7 @@ func (sh *shard) evictLocked(sl *slab, victim itemRef) {
 // tenant's residency. The routing hash is recomputed from the key bytes in
 // the chunk — removal is never on the zero-alloc fast path.
 func (sh *shard) removeLocked(ref itemRef, ch []byte) {
-	sh.unlinkLocked(sh.slabFor(ch), ref, ch)
+	sh.unlinkLocked(sh.slabFor(ref), ref, ch)
 }
 
 // unlinkLocked takes an item of sl out of the index and the MRU list and
@@ -362,7 +372,7 @@ func (sh *shard) unlinkLocked(sl *slab, ref itemRef, ch []byte) {
 // resident bytes, so an item that dies in place is charged back to its
 // namespace immediately rather than leaking until a page steal.
 func (sh *shard) expireLocked(ref itemRef, ch []byte) {
-	tid := chTenant(ch)
+	tid, _ := sh.owner.pool.setOf(ref)
 	sh.removeLocked(ref, ch)
 	sh.expirations++
 	sh.tstat(tid).expirations++

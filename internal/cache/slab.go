@@ -18,12 +18,13 @@ const (
 	MinChunkSize = 96
 	// DefaultGrowthFactor is memcached's default chunk growth factor.
 	DefaultGrowthFactor = 1.25
-	// ItemOverhead is the per-item storage overhead: exactly the in-chunk
-	// header (list links, CAS, timestamps, flags, lengths, class ID, padding
-	// — see arena.go). An item of keyLen+valueLen payload occupies the
-	// smallest chunk ≥ keyLen+valueLen+ItemOverhead; the codec and every
-	// classForSize caller share this constant, so class selection always
-	// matches the physical layout (pinned by TestChunkHeaderLayout).
+	// ItemOverhead is the per-item storage overhead of an item that never
+	// expires: exactly the in-chunk header (list links, CAS, MRU stamp,
+	// flags, lengths, live tag — see arena.go). An item of keyLen+valueLen
+	// payload occupies the smallest chunk ≥ keyLen+valueLen+ItemOverhead,
+	// plus 8 bytes of expiry tail when it expires; every class fit goes
+	// through itemNeed, so class selection always matches the physical
+	// layout (pinned by TestChunkHeaderLayout).
 	ItemOverhead = chunkHeaderSize
 )
 
@@ -64,6 +65,7 @@ func sizeClasses(factor float64) []int {
 // while nothing has changed in the pool. Lock order: shard → mu → pool.
 type classPages struct {
 	tenant        uint16
+	classID       int
 	chunkSize     int
 	chunksPerPage int
 
@@ -83,8 +85,8 @@ type classPages struct {
 	touched int
 }
 
-func newClassPages(tenant uint16, chunkSize int) *classPages {
-	return &classPages{tenant: tenant, chunkSize: chunkSize, chunksPerPage: PageSize / chunkSize}
+func newClassPages(tenant uint16, classID, chunkSize int) *classPages {
+	return &classPages{tenant: tenant, classID: classID, chunkSize: chunkSize, chunksPerPage: PageSize / chunkSize}
 }
 
 // take hands out the class's next never-used chunk, adding a page from
@@ -98,7 +100,7 @@ func (cp *classPages) take(p *pagePool) (itemRef, bool) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	if cp.next == len(cp.pageIDs)*cp.chunksPerPage {
-		id, ok := p.tryAcquire(cp.tenant, cp.chunkSize)
+		id, ok := p.tryAcquire(cp.tenant, cp.classID)
 		if !ok {
 			cp.full.Store(gen)
 			return nilRef, false
@@ -222,15 +224,16 @@ func classForSize(classes []int, need int) int {
 	return -1
 }
 
-// classFor sizes an item of key and valueLen payload bytes into its slab
-// class. Every store path — set and import alike — sizes through it, so a
-// key longer than the chunk header's 16-bit keyLen holds is refused here
-// rather than stored resident but unreachable.
-func (c *Cache) classFor(key []byte, valueLen int) (int, error) {
+// classFor sizes an item of key and valueLen payload bytes, expiring at
+// expire (nanoNone = never), into its slab class. Every store path — set,
+// touch and import alike — sizes through it, so a key longer than the
+// chunk header's 16-bit keyLen holds is refused here rather than stored
+// resident but unreachable.
+func (c *Cache) classFor(key []byte, valueLen int, expire int64) (int, error) {
 	if len(key) > maxKeyLen {
 		return -1, fmt.Errorf("cache: %d-byte key exceeds %d", len(key), maxKeyLen)
 	}
-	need := len(key) + valueLen + ItemOverhead
+	need := itemNeed(len(key), valueLen, expire)
 	if id := classForSize(c.classes, need); id >= 0 {
 		return id, nil
 	}

@@ -241,7 +241,9 @@ func TestStressNoLostItems(t *testing.T) {
 
 // checkShardInvariants verifies, per shard, that the key index and the
 // per-class MRU lists agree exactly: same membership, consistent sizes, and
-// intact list links; and, per class page set, that every chunk it has
+// intact list links; that every item lies on a page of its slab's (tenant,
+// class) and in the smallest class that fits it, expiry tail included;
+// and, per class page set, that every chunk it has
 // handed out since its last rewind is resident or on a shard's free list.
 func (c *Cache) checkShardInvariants(t *testing.T) {
 	t.Helper()
@@ -266,11 +268,11 @@ func (c *Cache) checkShardInvariants(t *testing.T) {
 				if !ok || got != ref {
 					t.Errorf("shard %d: listed item %q not in index", si, key)
 				}
-				if chClass(ch) != classID {
-					t.Errorf("shard %d: item %q in class %d list has header class %d", si, key, classID, chClass(ch))
+				if pt, pc := c.pool.setOf(ref); pc != classID || pt != tid {
+					t.Errorf("shard %d: item %q in (tenant %d, class %d) slot lies on a (tenant %d, class %d) page", si, key, tid, classID, pt, pc)
 				}
-				if chTenant(ch) != tid {
-					t.Errorf("shard %d: item %q in tenant-%d slot has header tenant %d", si, key, tid, chTenant(ch))
+				if fit, _ := c.classFor(key, chVLen(ch), chExpire(ch)); fit != classID {
+					t.Errorf("shard %d: item %q (expire %d) lives in class %d, fits class %d", si, key, chExpire(ch), classID, fit)
 				}
 				if chTag(ch) != sh.tag {
 					t.Errorf("shard %d: listed item %q carries live tag %d, want %d", si, key, chTag(ch), sh.tag)

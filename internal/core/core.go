@@ -446,8 +446,20 @@ type phaseOp struct {
 // runPhase fans the phase's operations out concurrently under the worker
 // bound, retrying transient failures, and records wall and per-node
 // timings on the report. The first terminal error cancels the remaining
-// operations (fail-fast) and is returned; the phase barrier is the Wait.
+// operations (fail-fast), marks the report aborted in this phase and is
+// returned; the phase barrier is the Wait.
 func (m *Master) runPhase(ctx context.Context, phase string, report *ScaleReport, ops []phaseOp) error {
+	err := m.fanOut(ctx, phase, report, ops, true)
+	if err != nil {
+		report.Aborted = phase
+	}
+	return err
+}
+
+// fanOut runs a phase's operations as runPhase describes. With failFast
+// false every operation runs to its own end and fanOut returns nil: the
+// failures are left in the report's per-node timings only.
+func (m *Master) fanOut(ctx context.Context, phase string, report *ScaleReport, ops []phaseOp, failFast bool) error {
 	if m.phaseTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, m.phaseTimeout)
@@ -471,6 +483,9 @@ func (m *Master) runPhase(ctx context.Context, phase string, report *ScaleReport
 			}
 			if err != nil {
 				timings[i].Err = err.Error()
+				if !failFast {
+					return nil
+				}
 				if op.target != "" {
 					return fmt.Errorf("phase %s %s→%s: %w", phase, op.node, op.target, err)
 				}
@@ -487,9 +502,6 @@ func (m *Master) runPhase(ctx context.Context, phase string, report *ScaleReport
 	}
 	report.NodeTimings = append(report.NodeTimings, timings...)
 	report.Timings = append(report.Timings, PhaseTiming{Phase: phase, Duration: m.now().Sub(t0)})
-	if err != nil {
-		report.Aborted = phase
-	}
 	return err
 }
 
@@ -570,6 +582,22 @@ func (m *Master) ScaleOut(ctx context.Context, newNodes []string) (*ScaleReport,
 // returned.
 func (m *Master) migrate(ctx context.Context, report *ScaleReport, senders, newMembers []string) error {
 	round := m.nextRound()
+	oldMembers := m.Members()
+	var receivers, survivors []string
+	for _, n := range newMembers {
+		if slices.Contains(senders, n) {
+			survivors = append(survivors, n)
+		} else {
+			receivers = append(receivers, n)
+		}
+	}
+	// abort rolls the table back and ends the round on every node the
+	// action involved.
+	abort := func(err error) error {
+		m.rollbackHandover()
+		m.endRound(ctx, report, append(slices.Clone(senders), receivers...), oldMembers)
+		return err
+	}
 
 	// Serve-through handover: announce the in-flight table before any data
 	// moves. From here until settle, clients read keys that change owner
@@ -595,21 +623,12 @@ func (m *Master) migrate(ctx context.Context, report *ScaleReport, senders, newM
 		}}
 	}
 	if err := m.runPhase(ctx, "metadata", report, ops); err != nil {
-		m.rollbackHandover()
-		return err
+		return abort(err)
 	}
 	m.callHook("metadata")
 
 	// Phase 2: FuseCache, concurrent across receivers. Each reports how
 	// many head items every sender should ship to it.
-	var receivers, survivors []string
-	for _, n := range newMembers {
-		if slices.Contains(senders, n) {
-			survivors = append(survivors, n)
-		} else {
-			receivers = append(receivers, n)
-		}
-	}
 	takesByTarget := make([]agent.Takes, len(receivers))
 	ops = make([]phaseOp, len(receivers))
 	for i, target := range receivers {
@@ -631,8 +650,7 @@ func (m *Master) migrate(ctx context.Context, report *ScaleReport, senders, newM
 		}}
 	}
 	if err := m.runPhase(ctx, "fusecache", report, ops); err != nil {
-		m.rollbackHandover()
-		return err
+		return abort(err)
 	}
 	m.callHook("fusecache")
 
@@ -677,17 +695,15 @@ func (m *Master) migrate(ctx context.Context, report *ScaleReport, senders, newM
 		})
 	}
 	if err != nil {
-		m.rollbackHandover()
-		return err
+		return abort(err)
 	}
 	m.callHook("data")
 
 	// Settle the table: one announcement hands every moving key over.
 	t0 := m.now()
 	if err := m.settleHandover(); err != nil {
-		m.rollbackHandover()
 		report.Aborted = "handover"
-		return err
+		return abort(err)
 	}
 	report.HandoverWaves = 1
 	report.OwnershipVersion = m.OwnershipTable().Version()
@@ -737,6 +753,33 @@ func (m *Master) migrate(ctx context.Context, report *ScaleReport, senders, newM
 		report.ItemsReleased += n
 	}
 	return err
+}
+
+// endRound ends an aborted action's round on nodes once the table has
+// rolled back to oldMembers: each releases, best effort, under the old
+// ring, so a receiver drops the copies it imported of keys it does not own
+// and every agent clears the round's offers, takes and picks. It runs as
+// the report's "rollback" phase; a failed release is left in the report's
+// per-node timings, not returned: the action has already failed, and a
+// later round replaces what is left. A cancelled ctx skips it — the caller
+// wants out, and no call could get through.
+func (m *Master) endRound(ctx context.Context, report *ScaleReport, nodes, oldMembers []string) {
+	if ctx.Err() != nil {
+		return
+	}
+	ops := make([]phaseOp, len(nodes))
+	for i, node := range nodes {
+		node := node
+		ops[i] = phaseOp{node: node, run: func(opCtx context.Context) error {
+			ag, err := m.dir.Agent(node)
+			if err != nil {
+				return err
+			}
+			_, err = ag.Release(opCtx, oldMembers)
+			return err
+		}}
+	}
+	_ = m.fanOut(ctx, "rollback", report, ops, false) // never fails
 }
 
 // nextRound draws a new action's round ID: the clock's Unix nanoseconds,

@@ -35,6 +35,9 @@ type hookDirectory struct {
 type hooks struct {
 	sendMetadata func(ctx context.Context, inner func(context.Context) error) error
 	sendData     func(ctx context.Context, target string, inner func(context.Context) (agent.SendStats, error)) (agent.SendStats, error)
+	// release, when set, runs before the agent's Release; an error
+	// refuses the release.
+	release func(ctx context.Context) error
 }
 
 func (d *hookDirectory) Agent(node string) (MasterAgent, error) {
@@ -77,6 +80,11 @@ func (a *hookAgent) SendData(ctx context.Context, round uint64, target string, t
 }
 
 func (a *hookAgent) Release(ctx context.Context, members []string) (int, error) {
+	if a.h != nil && a.h.release != nil {
+		if err := a.h.release(ctx); err != nil {
+			return 0, err
+		}
+	}
 	return a.inner.Release(ctx, members)
 }
 
@@ -167,13 +175,13 @@ func TestMidPhase3FailureCancelsInflightAndKeepsMembership(t *testing.T) {
 	if got := m.Members(); len(got) != 4 {
 		t.Fatalf("membership = %v after aborted migration, want all 4 nodes", got)
 	}
-	// The completed phases are in the partial report; the failed phase is
-	// recorded with its per-pair outcomes.
+	// The completed phases are in the partial report, then the failed phase
+	// with its per-pair outcomes, then the rollback that ended the round.
 	phases := make([]string, len(report.Timings))
 	for i, ph := range report.Timings {
 		phases[i] = ph.Phase
 	}
-	if want := []string{"metadata", "fusecache", "data"}; strings.Join(phases, ",") != strings.Join(want, ",") {
+	if want := []string{"metadata", "fusecache", "data", "rollback"}; strings.Join(phases, ",") != strings.Join(want, ",") {
 		t.Fatalf("partial report phases = %v, want %v", phases, want)
 	}
 	sawFailedPair := false
@@ -384,17 +392,21 @@ func TestConcurrentPhasesRespectWorkerLimit(t *testing.T) {
 // TestAbortedScaleOutStrandsNothing: a scale-out whose second data push
 // fails after the first landed on the newcomer rolls back with every key
 // still on a member. No member drops a key before the table settles, so
-// nothing lives only on the discarded newcomer.
+// nothing lives only on the discarded newcomer, which releases what
+// landed once the round ends.
 func TestAbortedScaleOutStrandsNothing(t *testing.T) {
 	members := names(2)
 	c := newCluster(t, members, 2)
 	c.populateByRing(t, members, 400)
 
 	boom := errors.New("push failure")
+	var newcomer *agent.Agent
+	landed := 0
 	dir := &hookDirectory{
 		inner: RegistryDirectory{Registry: c.reg},
 		hooks: map[string]*hooks{
 			"node-01": {sendData: func(context.Context, string, func(context.Context) (agent.SendStats, error)) (agent.SendStats, error) {
+				landed = newcomer.Cache().Len()
 				return agent.SendStats{}, taskgroup.Permanent(boom)
 			}},
 		},
@@ -404,14 +416,17 @@ func TestAbortedScaleOutStrandsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newcomer := c.addNode(t, "node-09", 2)
+	newcomer = c.addNode(t, "node-09", 2)
 	report, err := m.ScaleOut(context.Background(), []string{"node-09"})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the injected push failure", err)
 	}
-	if report.Aborted != "data" || newcomer.Cache().Len() == 0 {
-		t.Fatalf("premise: aborted in %q with %d keys on the newcomer, want data with some landed",
-			report.Aborted, newcomer.Cache().Len())
+	if report.Aborted != "data" || landed == 0 {
+		t.Fatalf("premise: aborted in %q with %d keys landed on the newcomer, want data with some landed",
+			report.Aborted, landed)
+	}
+	if n := newcomer.Cache().Len(); n != 0 {
+		t.Fatalf("the rolled-back newcomer still holds %d of the %d keys that landed", n, landed)
 	}
 	stranded := 0
 	for i := 0; i < 400; i++ {

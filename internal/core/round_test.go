@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/hashring"
+	"repro/internal/taskgroup"
 )
 
 // Regression tests for the round ID: what one scaling action leaves on the
@@ -129,5 +130,141 @@ func TestReceiverWithoutOffersGetsNothing(t *testing.T) {
 	}
 	if _, err := c.agent(t, "node-02").ComputeTakes(ctx, m.round); !errors.Is(err, agent.ErrNoMetadata) {
 		t.Fatalf("node-02's takes this round: err = %v, want ErrNoMetadata", err)
+	}
+}
+
+// TestAbortedRoundIsReleased: a scale-in whose data phase fails after one
+// push landed ends its round on every node. Once the table rolls back, no
+// receiver holds a key it does not own under the old ring, no receiver
+// keeps offers, and the sender's picks are gone: SendData of the aborted
+// round finds none.
+func TestAbortedRoundIsReleased(t *testing.T) {
+	members := names(3)
+	c := newCluster(t, members, 2)
+	c.populateByRing(t, members, 600)
+
+	boom := errors.New("push failure")
+	landed := 0
+	dir := &hookDirectory{
+		inner: RegistryDirectory{Registry: c.reg},
+		hooks: map[string]*hooks{
+			"node-00": {sendData: func(ctx context.Context, target string, inner func(context.Context) (agent.SendStats, error)) (agent.SendStats, error) {
+				// The first push lands; the second fails.
+				if landed > 0 {
+					return agent.SendStats{}, taskgroup.Permanent(boom)
+				}
+				st, err := inner(ctx)
+				landed += st.Pairs
+				return st, err
+			}},
+		},
+	}
+	// One worker: the pushes run one after the other.
+	m, err := NewMaster(dir, members, WithClock(c.clk.Now), WithWorkerLimit(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := m.ScaleInNodes(context.Background(), []string{"node-00"})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the injected push failure", err)
+	}
+	if report.Aborted != "data" || landed == 0 {
+		t.Fatalf("premise: aborted in %q with %d pairs landed, want data with some landed", report.Aborted, landed)
+	}
+	released := 0
+	for _, nt := range report.NodeTimings {
+		if nt.Phase == "rollback" {
+			released++
+			if nt.Err != "" {
+				t.Errorf("rollback release on %s: %s", nt.Node, nt.Err)
+			}
+		}
+	}
+	if released != len(members) {
+		t.Errorf("the report's rollback phase released %d nodes, want all %d", released, len(members))
+	}
+
+	ring, err := hashring.New(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range []string{"node-01", "node-02"} {
+		a := c.agent(t, node)
+		for i := 0; i < 600; i++ {
+			key := fmt.Sprintf("key-%06d", i)
+			if owner, _ := ring.Get(key); owner != node && a.Cache().Contains(key) {
+				t.Errorf("%s holds %s, which %s owns under the rolled-back table", node, key, owner)
+			}
+		}
+		if n := a.PendingOffers(); n != 0 {
+			t.Errorf("%s keeps %d offers of the aborted round", node, n)
+		}
+	}
+	sender := c.agent(t, "node-00")
+	if _, err := sender.SendData(context.Background(), m.round, "node-01", map[int]int{0: 1}); !errors.Is(err, agent.ErrNoPicks) {
+		t.Errorf("SendData of the aborted round: err = %v, want ErrNoPicks", err)
+	}
+	if got := sender.Cache().Len(); got == 0 {
+		t.Error("the sender lost its keys in the rollback")
+	}
+}
+
+// TestRollbackReleaseIsBestEffort: when the aborted round's release fails
+// on the sender, the receivers are still released (one worker, so a
+// fail-fast fan-out would cancel them), the action returns the data
+// phase's error, and the failed release is in the report's rollback phase.
+func TestRollbackReleaseIsBestEffort(t *testing.T) {
+	members := names(3)
+	c := newCluster(t, members, 2)
+	c.populateByRing(t, members, 600)
+
+	boom := errors.New("push failure")
+	refused := errors.New("release refused")
+	landed := 0
+	dir := &hookDirectory{
+		inner: RegistryDirectory{Registry: c.reg},
+		hooks: map[string]*hooks{
+			"node-00": {
+				sendData: func(ctx context.Context, target string, inner func(context.Context) (agent.SendStats, error)) (agent.SendStats, error) {
+					if landed > 0 {
+						return agent.SendStats{}, taskgroup.Permanent(boom)
+					}
+					st, err := inner(ctx)
+					landed += st.Pairs
+					return st, err
+				},
+				release: func(context.Context) error { return taskgroup.Permanent(refused) },
+			},
+		},
+	}
+	m, err := NewMaster(dir, members, WithClock(c.clk.Now), WithWorkerLimit(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := m.ScaleInNodes(context.Background(), []string{"node-00"})
+	if !errors.Is(err, boom) || report.Aborted != "data" || landed == 0 {
+		t.Fatalf("err = %v, aborted in %q with %d pairs landed; want the push failure in data with some landed",
+			err, report.Aborted, landed)
+	}
+	for _, nt := range report.NodeTimings {
+		if nt.Phase != "rollback" {
+			continue
+		}
+		if failed := nt.Err != ""; failed != (nt.Node == "node-00") {
+			t.Errorf("rollback release on %s: err %q", nt.Node, nt.Err)
+		}
+	}
+	ring, err := hashring.New(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range []string{"node-01", "node-02"} {
+		a := c.agent(t, node)
+		for i := 0; i < 600; i++ {
+			key := fmt.Sprintf("key-%06d", i)
+			if owner, _ := ring.Get(key); owner != node && a.Cache().Contains(key) {
+				t.Fatalf("%s holds %s, which %s owns: its release did not run", node, key, owner)
+			}
+		}
 	}
 }

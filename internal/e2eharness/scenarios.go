@@ -436,7 +436,8 @@ func scenarioLargePayloadSweep(t *T) {
 	}
 	addr := specs[0].Addr
 
-	// The slab ceiling: one page minus the chunk header and the key.
+	// The slab ceiling: one page minus the chunk header and the key. RawSet
+	// stores with exptime 0, so the item carries no expiry tail.
 	const key = "sweep-payload"
 	maxVal := cache.PageSize - cache.ItemOverhead - len(key)
 	sizes := []int{1, 1 << 10, 16 << 10, 100_000, 512 << 10, maxVal}

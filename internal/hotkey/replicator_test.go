@@ -1,6 +1,7 @@
 package hotkey
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -407,5 +408,37 @@ func TestMarkReplicaSkipsOwnedKeys(t *testing.T) {
 	repA.MarkReplica([]byte(key))
 	if !repA.IsOwned(key) {
 		t.Fatalf("home node marked its own key as replica-held")
+	}
+}
+
+// TestReplicaTouchOnFullCacheDropsCopy: a pushed touch that gives a replica
+// copy a TTL, on a replica whose cache has no chunk for the copy's new
+// class, leaves no copy behind: one kept under no expiry would be served
+// after the deadline its home set.
+func TestReplicaTouchOnFullCacheDropsCopy(t *testing.T) {
+	cc, err := cache.New(cache.PageSize, cache.WithShards(1))
+	if err != nil {
+		t.Fatalf("cache.New: %v", err)
+	}
+	pusher := NewLocalPusher()
+	pusher.Register("r", LocalNode{Store: cc})
+	const key = "hot"
+	// The copy fills a smallest-class chunk exactly, so its TTL needs the
+	// next class.
+	fill := make([]byte, cc.ChunkSizes()[0]-cache.ItemOverhead-len(key))
+	if err := pusher.Push("r", PushOp{Op: OpPut, Key: key, Value: fill}); err != nil {
+		t.Fatalf("Push put: %v", err)
+	}
+	// The one page is class 0's; fill its last chunk.
+	for i := 0; cc.ClassLen(0) < cc.ClassCapacity(0); i++ {
+		if err := cc.Set(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
+			t.Fatalf("fill: %v", err)
+		}
+	}
+	if err := pusher.Push("r", PushOp{Op: OpTouch, Key: key, Expiry: time.Now().Add(time.Hour)}); err != nil {
+		t.Fatalf("Push touch: %v", err)
+	}
+	if v, _, exp, ok := cc.PeekFull(key); ok {
+		t.Fatalf("replica still serves %d bytes under expiry %v after a touch it could not apply", len(v), exp)
 	}
 }
