@@ -9,6 +9,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 	"time"
@@ -242,10 +243,11 @@ func BenchmarkElasticityHeadroom(b *testing.B) {
 }
 
 // BenchmarkStackDistanceExactVsMimir compares the exact Mattson profiler
-// against the MIMIR approximation on the same stream (Section III-B
-// substrate; ablation from DESIGN.md §5).
+// against the hash-keyed MIMIR approximation on the same stream (Section
+// III-B substrate; ablation from DESIGN.md §5).
 func BenchmarkStackDistanceExactVsMimir(b *testing.B) {
 	keys := make([]string, 200_000)
+	hashes := make([]uint64, len(keys))
 	rng := rand.New(rand.NewSource(5))
 	gen, err := workload.NewGenerator(rng, 50_000, workload.WithZipfS(0.99))
 	if err != nil {
@@ -253,6 +255,9 @@ func BenchmarkStackDistanceExactVsMimir(b *testing.B) {
 	}
 	for i := range keys {
 		keys[i] = gen.Next().Key
+		h := fnv.New64a()
+		h.Write([]byte(keys[i]))
+		hashes[i] = h.Sum64()
 	}
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -264,12 +269,12 @@ func BenchmarkStackDistanceExactVsMimir(b *testing.B) {
 	})
 	b.Run("mimir", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			m, err := stackdist.NewMimir(128, 64)
+			m, err := stackdist.NewMimirH(128, 64)
 			if err != nil {
 				b.Fatal(err)
 			}
-			for _, k := range keys {
-				m.Record(k)
+			for _, h := range hashes {
+				m.Record(h)
 			}
 		}
 	})

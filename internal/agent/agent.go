@@ -268,11 +268,6 @@ func (a *Agent) ownedBytes(key []byte) bool {
 	return f == nil || f(unsafe.String(unsafe.SliceData(key), len(key)))
 }
 
-// andOwned composes the owned predicate with another key filter.
-func (a *Agent) andOwned(f func(string) bool) func(string) bool {
-	return func(key string) bool { return f(key) && a.owned(key) }
-}
-
 // Node returns the agent's node name.
 func (a *Agent) Node() string { return a.node }
 

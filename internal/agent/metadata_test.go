@@ -258,3 +258,8 @@ func TestSendMetadataAllocsPerTargetClass(t *testing.T) {
 		t.Fatalf("SendMetadata allocates %.0f times for %d items, want <= %d", allocs, items, bound)
 	}
 }
+
+// andOwned composes the owned predicate with another key filter.
+func (a *Agent) andOwned(f func(string) bool) func(string) bool {
+	return func(key string) bool { return f(key) && a.owned(key) }
+}

@@ -301,18 +301,19 @@ func TestSendDataCountsUnappliedPairs(t *testing.T) {
 			clk := newTestClock()
 			sender := newNode(t, reg, "sender", 8, clk)
 			newNode(t, reg, "r1", tc.pages, clk)
-			takes := make(map[int]int)
 			for i, size := range []int{10, 2000} {
 				for j := 0; j < 40; j++ {
 					if err := sender.Cache().Set(fmt.Sprintf("c%d-%02d", i, j), make([]byte, size)); err != nil {
 						t.Fatal(err)
 					}
 				}
-				classID, _, err := sender.Cache().ClassForItem(5, size)
-				if err != nil {
-					t.Fatal(err)
-				}
-				takes[classID] = 40
+			}
+			takes := make(map[int]int)
+			for _, classID := range sender.Cache().PopulatedClasses() {
+				takes[classID] = 40 // one class per value size
+			}
+			if len(takes) != 2 {
+				t.Fatalf("values landed in %d classes, want 2", len(takes))
 			}
 			pickFor(t, sender, "r1")
 			sent, err := sender.SendData(context.Background(), 1, "r1", takes)

@@ -9,10 +9,7 @@
 //
 // The AutoScaler then consults a stack-distance profile of the recent
 // request history to find the memory that achieves p_min, and converts the
-// difference from current capacity into a node count delta. The scaling
-// policy is pluggable (the paper's design makes Q1 a replaceable module);
-// this package provides the paper's stack-distance policy plus a simple
-// reactive comparator.
+// difference from current capacity into a node count delta.
 package autoscaler
 
 import (
@@ -60,10 +57,6 @@ type Decision struct {
 	Rate float64
 }
 
-// Delta returns TargetNodes − CurrentNodes: positive for scale-out,
-// negative for scale-in, zero for hold.
-func (d Decision) Delta() int { return d.TargetNodes - d.CurrentNodes }
-
 // Config parameterizes the AutoScaler.
 type Config struct {
 	// DBCapacity is r_DB: the max request rate the database sustains
@@ -75,12 +68,6 @@ type Config struct {
 	// MinNodes and MaxNodes clamp the recommendation.
 	MinNodes int
 	MaxNodes int
-	// Headroom inflates the required memory multiplicatively (default
-	// 1.0 = none) so the tier does not ride exactly at p_min.
-	Headroom float64
-	// HitRateMargin is added to the Eq. (1) bound before sizing (default
-	// 0) — a second, additive way to keep slack.
-	HitRateMargin float64
 }
 
 func (c Config) validate() error {
@@ -93,13 +80,38 @@ func (c Config) validate() error {
 	if c.MinNodes < 1 || c.MaxNodes < c.MinNodes {
 		return fmt.Errorf("%w: node bounds [%d, %d]", ErrBadConfig, c.MinNodes, c.MaxNodes)
 	}
-	if c.Headroom != 0 && c.Headroom < 1 {
-		return fmt.Errorf("%w: Headroom %v must be >= 1", ErrBadConfig, c.Headroom)
-	}
-	if c.HitRateMargin < 0 || c.HitRateMargin >= 1 {
-		return fmt.Errorf("%w: HitRateMargin %v", ErrBadConfig, c.HitRateMargin)
-	}
 	return nil
+}
+
+// decide is the sizing path Decide and DecideTenants share: the Eq. (1)
+// bound for rate r, the capacity itemsFor reads off a hit-rate curve for
+// it, and that capacity as a node count clamped to [MinNodes, MaxNodes].
+// itemsFor reports ok=false, with the best attainable hit rate, when no
+// capacity reaches the target.
+func (c Config) decide(r float64, currentNodes int, itemsFor func(target float64) (items int, maxHit float64, ok bool)) (Decision, error) {
+	if currentNodes < 1 {
+		return Decision{}, fmt.Errorf("%w: currentNodes %d", ErrBadConfig, currentNodes)
+	}
+	pMin := MinHitRate(r, c.DBCapacity)
+	target := min(pMin, 0.999)
+	d := Decision{CurrentNodes: currentNodes, MinHitRate: pMin, Rate: r}
+	if target <= 0 {
+		// The database alone suffices; hold the floor.
+		d.TargetNodes = c.MinNodes
+		return d, nil
+	}
+	items, maxHit, ok := itemsFor(target)
+	if !ok {
+		// Not even an infinite cache reaches the bound on this history —
+		// scale to the ceiling and report the condition.
+		d.TargetNodes = c.MaxNodes
+		return d, fmt.Errorf("%w: p_min %.3f, max attainable %.3f",
+			ErrInfeasible, target, maxHit)
+	}
+	d.RequiredItems = items
+	nodes := int(math.Ceil(float64(items) / float64(c.ItemsPerNode)))
+	d.TargetNodes = min(max(nodes, c.MinNodes), c.MaxNodes)
+	return d, nil
 }
 
 // AutoScaler sizes the Memcached tier with the paper's stack-distance
@@ -113,9 +125,6 @@ type AutoScaler struct {
 
 // New creates an AutoScaler.
 func New(cfg Config) (*AutoScaler, error) {
-	if cfg.Headroom == 0 {
-		cfg.Headroom = 1
-	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -128,10 +137,6 @@ func (a *AutoScaler) Record(key string) {
 	a.profiler.Record(key)
 }
 
-// SampleCount reports how many requests have been recorded since the last
-// Reset.
-func (a *AutoScaler) SampleCount() uint64 { return a.profiler.Total() }
-
 // Reset discards the accumulated history; call it after each decision
 // period so decisions track the *recent* trace (Section III-B uses the
 // recent history of requests as the representative trace).
@@ -142,98 +147,9 @@ func (a *AutoScaler) Reset() {
 // Decide computes the scaling decision for the measured request rate r
 // (req/s) and current tier size.
 func (a *AutoScaler) Decide(r float64, currentNodes int) (Decision, error) {
-	if currentNodes < 1 {
-		return Decision{}, fmt.Errorf("%w: currentNodes %d", ErrBadConfig, currentNodes)
-	}
-	pMin := MinHitRate(r, a.cfg.DBCapacity)
-	target := pMin + a.cfg.HitRateMargin
-	if target > 0.999 {
-		target = 0.999
-	}
-
-	d := Decision{
-		CurrentNodes: currentNodes,
-		MinHitRate:   pMin,
-		Rate:         r,
-	}
-	if target <= 0 {
-		// The database alone suffices; hold the floor.
-		d.TargetNodes = a.cfg.MinNodes
-		return d, nil
-	}
-
-	curve := a.profiler.Curve()
-	items, ok := curve.ItemsForHitRate(target)
-	if !ok {
-		// Not even an infinite cache reaches the bound on this history —
-		// scale to the ceiling and report the condition.
-		d.TargetNodes = a.cfg.MaxNodes
-		return d, fmt.Errorf("%w: p_min %.3f, max attainable %.3f",
-			ErrInfeasible, target, curve.MaxHitRate())
-	}
-	items = int(math.Ceil(float64(items) * a.cfg.Headroom))
-	d.RequiredItems = items
-
-	nodes := int(math.Ceil(float64(items) / float64(a.cfg.ItemsPerNode)))
-	if nodes < a.cfg.MinNodes {
-		nodes = a.cfg.MinNodes
-	}
-	if nodes > a.cfg.MaxNodes {
-		nodes = a.cfg.MaxNodes
-	}
-	d.TargetNodes = nodes
-	return d, nil
+	return a.cfg.decide(r, currentNodes, func(target float64) (int, float64, bool) {
+		curve := a.profiler.Curve()
+		items, ok := curve.ItemsForHitRate(target)
+		return items, curve.MaxHitRate(), ok
+	})
 }
-
-// Policy is the pluggable decision interface (Section III-B: "the exact
-// autoscaling algorithm is a pluggable module").
-type Policy interface {
-	// Record samples one requested key.
-	Record(key string)
-	// Decide recommends a tier size for rate r and the current size.
-	Decide(r float64, currentNodes int) (Decision, error)
-	// Reset starts a new decision period.
-	Reset()
-}
-
-var _ Policy = (*AutoScaler)(nil)
-
-// Reactive is a simple comparator policy that ignores content and sizes
-// the tier proportionally to the request rate, the "typical" autoscaler
-// the paper contrasts with. One node is provisioned per ratePerNode req/s.
-type Reactive struct {
-	ratePerNode float64
-	minNodes    int
-	maxNodes    int
-}
-
-// NewReactive creates the rate-proportional policy.
-func NewReactive(ratePerNode float64, minNodes, maxNodes int) (*Reactive, error) {
-	if ratePerNode <= 0 || minNodes < 1 || maxNodes < minNodes {
-		return nil, fmt.Errorf("%w: reactive(%v, %d, %d)", ErrBadConfig, ratePerNode, minNodes, maxNodes)
-	}
-	return &Reactive{ratePerNode: ratePerNode, minNodes: minNodes, maxNodes: maxNodes}, nil
-}
-
-// Record is a no-op: the reactive policy does not inspect keys.
-func (p *Reactive) Record(string) {}
-
-// Reset is a no-op.
-func (p *Reactive) Reset() {}
-
-// Decide sizes the tier at ceil(r / ratePerNode), clamped.
-func (p *Reactive) Decide(r float64, currentNodes int) (Decision, error) {
-	if currentNodes < 1 {
-		return Decision{}, fmt.Errorf("%w: currentNodes %d", ErrBadConfig, currentNodes)
-	}
-	nodes := int(math.Ceil(r / p.ratePerNode))
-	if nodes < p.minNodes {
-		nodes = p.minNodes
-	}
-	if nodes > p.maxNodes {
-		nodes = p.maxNodes
-	}
-	return Decision{TargetNodes: nodes, CurrentNodes: currentNodes, Rate: r}, nil
-}
-
-var _ Policy = (*Reactive)(nil)

@@ -67,9 +67,6 @@ func TestNewValidation(t *testing.T) {
 		{name: "zero items per node", mutate: func(c *Config) { c.ItemsPerNode = 0 }},
 		{name: "zero min nodes", mutate: func(c *Config) { c.MinNodes = 0 }},
 		{name: "max below min", mutate: func(c *Config) { c.MaxNodes = 0 }},
-		{name: "headroom below one", mutate: func(c *Config) { c.Headroom = 0.5 }},
-		{name: "negative margin", mutate: func(c *Config) { c.HitRateMargin = -0.1 }},
-		{name: "margin of one", mutate: func(c *Config) { c.HitRateMargin = 1 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -103,8 +100,8 @@ func TestDecideScaleInWhenRateDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Delta() >= 0 {
-		t.Fatalf("expected scale-in at low load, got delta %d (target %d)", d.Delta(), d.TargetNodes)
+	if (d.TargetNodes - d.CurrentNodes) >= 0 {
+		t.Fatalf("expected scale-in at low load, got delta %d (target %d)", (d.TargetNodes - d.CurrentNodes), d.TargetNodes)
 	}
 	if d.MinHitRate <= 0.19 || d.MinHitRate >= 0.21 {
 		t.Fatalf("MinHitRate = %v, want 0.2", d.MinHitRate)
@@ -123,8 +120,8 @@ func TestDecideScaleOutWhenRateRises(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Delta() <= 0 {
-		t.Fatalf("expected scale-out at high load, got delta %d", d.Delta())
+	if (d.TargetNodes - d.CurrentNodes) <= 0 {
+		t.Fatalf("expected scale-out at high load, got delta %d", (d.TargetNodes - d.CurrentNodes))
 	}
 	if d.RequiredItems == 0 {
 		t.Fatal("RequiredItems not reported")
@@ -191,83 +188,17 @@ func TestDecideRejectsBadCurrentNodes(t *testing.T) {
 	}
 }
 
-func TestHeadroomInflatesTarget(t *testing.T) {
-	base, err := New(validConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := validConfig()
-	cfg.Headroom = 2.0
-	padded, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedUniform(base, 5000, 10)
-	feedUniform(padded, 5000, 10)
-	d1, err := base.Decide(80000, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := padded.Decide(80000, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.RequiredItems < d1.RequiredItems*2-1 {
-		t.Fatalf("headroom 2.0 required %d items vs %d base", d2.RequiredItems, d1.RequiredItems)
-	}
-}
-
 func TestResetClearsHistory(t *testing.T) {
 	a, err := New(validConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	feedUniform(a, 100, 3)
-	if a.SampleCount() == 0 {
+	if a.profiler.Curve().MaxHitRate() == 0 {
 		t.Fatal("samples not recorded")
 	}
 	a.Reset()
-	if a.SampleCount() != 0 {
-		t.Fatalf("SampleCount = %d after reset, want 0", a.SampleCount())
-	}
-}
-
-func TestReactivePolicy(t *testing.T) {
-	p, err := NewReactive(10000, 2, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := p.Decide(45000, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.TargetNodes != 5 {
-		t.Fatalf("TargetNodes = %d, want ceil(45000/10000)=5", d.TargetNodes)
-	}
-	d, err = p.Decide(1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.TargetNodes != 2 {
-		t.Fatalf("TargetNodes = %d, want MinNodes=2", d.TargetNodes)
-	}
-	d, err = p.Decide(1e9, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.TargetNodes != 10 {
-		t.Fatalf("TargetNodes = %d, want MaxNodes=10", d.TargetNodes)
-	}
-	if _, err := p.Decide(100, 0); !errors.Is(err, ErrBadConfig) {
-		t.Fatal("want ErrBadConfig for bad currentNodes")
-	}
-}
-
-func TestNewReactiveValidation(t *testing.T) {
-	if _, err := NewReactive(0, 1, 5); err == nil {
-		t.Fatal("want error for zero ratePerNode")
-	}
-	if _, err := NewReactive(100, 5, 1); err == nil {
-		t.Fatal("want error for inverted bounds")
+	if hr := a.profiler.Curve().MaxHitRate(); hr != 0 {
+		t.Fatalf("hit rate %v after reset, want an empty history", hr)
 	}
 }

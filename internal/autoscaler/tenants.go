@@ -1,11 +1,6 @@
 package autoscaler
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/stackdist"
-)
+import "repro/internal/stackdist"
 
 // Multi-tenant sizing: each node runs the arbiter, which splits one node's
 // pages across tenants by marginal utility. To size the *tier*, the
@@ -116,45 +111,16 @@ func itemsForHitRate(points []ComposedPoint, target float64) (int, bool) {
 // arbitrated cluster actually realizes). currentNodes and the Config
 // clamps behave exactly as in AutoScaler.Decide.
 func (c Config) DecideTenants(tenants []TenantCurve, r float64, currentNodes int) (Decision, error) {
-	if c.Headroom == 0 {
-		c.Headroom = 1
-	}
 	if err := c.validate(); err != nil {
 		return Decision{}, err
 	}
-	if currentNodes < 1 {
-		return Decision{}, fmt.Errorf("%w: currentNodes %d", ErrBadConfig, currentNodes)
-	}
-	pMin := MinHitRate(r, c.DBCapacity)
-	target := pMin + c.HitRateMargin
-	if target > 0.999 {
-		target = 0.999
-	}
-	d := Decision{CurrentNodes: currentNodes, MinHitRate: pMin, Rate: r}
-	if target <= 0 {
-		d.TargetNodes = c.MinNodes
-		return d, nil
-	}
-	points := Compose(tenants)
-	items, ok := itemsForHitRate(points, target)
-	if !ok {
+	return c.decide(r, currentNodes, func(target float64) (int, float64, bool) {
+		points := Compose(tenants)
+		items, ok := itemsForHitRate(points, target)
 		maxHit := 0.0
 		if len(points) > 0 {
 			maxHit = points[len(points)-1].HitRate
 		}
-		d.TargetNodes = c.MaxNodes
-		return d, fmt.Errorf("%w: p_min %.3f, max attainable %.3f",
-			ErrInfeasible, target, maxHit)
-	}
-	items = int(math.Ceil(float64(items) * c.Headroom))
-	d.RequiredItems = items
-	nodes := int(math.Ceil(float64(items) / float64(c.ItemsPerNode)))
-	if nodes < c.MinNodes {
-		nodes = c.MinNodes
-	}
-	if nodes > c.MaxNodes {
-		nodes = c.MaxNodes
-	}
-	d.TargetNodes = nodes
-	return d, nil
+		return items, maxHit, ok
+	})
 }

@@ -129,9 +129,8 @@ func (a *Arbiter) loop(stop <-chan struct{}, done chan<- struct{}) {
 	}
 }
 
-// Cycles and Moves report lifetime cycle and page-move counts.
-func (a *Arbiter) Cycles() uint64 { a.mu.Lock(); defer a.mu.Unlock(); return a.cycles }
-func (a *Arbiter) Moves() uint64  { a.mu.Lock(); defer a.mu.Unlock(); return a.moves }
+// Moves reports the lifetime page-move count.
+func (a *Arbiter) Moves() uint64 { a.mu.Lock(); defer a.mu.Unlock(); return a.moves }
 
 // tenantGrad is one tenant's state for a cycle's move decisions.
 type tenantGrad struct {

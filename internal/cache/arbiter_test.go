@@ -69,7 +69,7 @@ func TestArbiterMovesTowardGain(t *testing.T) {
 	if cs.Quota < 1 || cs.Pages < 1 {
 		t.Fatalf("cold tenant pushed below its reserved floor: %+v", cs)
 	}
-	if cycles := arb.Cycles(); cycles != 12 {
+	if cycles := arbCycles(arb); cycles != 12 {
 		t.Fatalf("cycles = %d, want 12", cycles)
 	}
 	c.checkShardInvariants(t)
@@ -106,12 +106,19 @@ func TestArbiterStartStop(t *testing.T) {
 	arb.Start()
 	arb.Start() // second Start is a no-op, not a second loop
 	deadline := time.Now().Add(2 * time.Second)
-	for arb.Cycles() < 3 && time.Now().Before(deadline) {
+	for arbCycles(arb) < 3 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	arb.Stop()
 	arb.Stop()
-	if got := arb.Cycles(); got < 3 {
+	if got := arbCycles(arb); got < 3 {
 		t.Fatalf("ticker loop completed %d cycles in 2s, want >= 3", got)
 	}
+}
+
+// arbCycles reads the arbiter's lifetime cycle count.
+func arbCycles(a *Arbiter) uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.cycles
 }

@@ -24,7 +24,7 @@ import (
 // safe because (a) every arena access happens between sh.mu.Lock and
 // Unlock of a shard whose owner is the Cache, which keeps the pool's
 // arenaMem reachable for the whole access; and (b) no arena byte escapes a
-// call: every read API copies out (Get, GetWithCAS, Peek*, GetMulti*,
+// call: every read API copies out (Get, GetWithCAS, Peek*, GetMultiInto,
 // GetInto, TopMeta, AppendPairs, AppendPicks, DumpClass, snapshots). A slice of the
 // arena held past its Cache faults; TestArenaReadsOutliveCache pins (b).
 //

@@ -257,10 +257,10 @@ func TestItemOverheadGovernsClassFit(t *testing.T) {
 	sizes := c.ChunkSizes()
 	key := "k"
 	fit := sizes[0] - ItemOverhead - len(key)
-	if id, _, err := c.ClassForItem(len(key), fit); err != nil || id != 0 {
+	if id, _, err := c.classForItem(len(key), fit); err != nil || id != 0 {
 		t.Errorf("payload of exactly class-0 capacity lands in class %d (err %v)", id, err)
 	}
-	if id, _, err := c.ClassForItem(len(key), fit+1); err != nil || id != 1 {
+	if id, _, err := c.classForItem(len(key), fit+1); err != nil || id != 1 {
 		t.Errorf("payload one over class-0 capacity lands in class %d (err %v), want 1", id, err)
 	}
 	// And the store path agrees with the classifier.

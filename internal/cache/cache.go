@@ -53,26 +53,6 @@ var (
 	ErrEmptyKey = errors.New("cache: empty key")
 )
 
-// Item is a materialized copy of one cached KV pair, produced only at API
-// boundaries (the resident representation is an arena chunk, see
-// arena.go). Mutating an Item never affects the cache.
-type Item struct {
-	// Key is the item's key.
-	Key string
-	// Value is a copy of the stored bytes.
-	Value []byte
-	// Flags is the client-opaque flags word of the storing command,
-	// echoed verbatim in VALUE replies (memcached semantics).
-	Flags uint32
-	// LastAccess is the MRU timestamp: the time of the most recent Get or
-	// Set. ElMem's hotness comparisons (Sections III-C, III-D) use it.
-	LastAccess time.Time
-	// ExpiresAt is the absolute expiry; zero means the item never expires.
-	ExpiresAt time.Time
-	// CAS is the item's compare-and-swap token.
-	CAS uint64
-}
-
 // Stats is a point-in-time snapshot of a Cache. Per-class entries
 // aggregate across shards; per-shard entries expose the stripe-level split.
 type Stats struct {
@@ -295,12 +275,6 @@ func (c *Cache) route(key []byte) (uint16, uint64, *shard) {
 	return tid, h, c.shards[h&c.mask]
 }
 
-// shardFor routes a key to its lock stripe.
-func (c *Cache) shardFor(key string) *shard {
-	_, _, sh := c.route(sbytes(key))
-	return sh
-}
-
 // shardIndexFor returns the stripe index for a key.
 func (c *Cache) shardIndexFor(key string) int {
 	_, h, _ := c.route(sbytes(key))
@@ -309,19 +283,6 @@ func (c *Cache) shardIndexFor(key string) int {
 
 // ShardCount reports the number of lock stripes.
 func (c *Cache) ShardCount() int { return len(c.shards) }
-
-// ShardDistribution returns the resident item count of every shard, in
-// stripe order. It is cheap — one lock acquisition and a counter read per
-// shard — and is the input to metrics.AnalyzeShards.
-func (c *Cache) ShardDistribution() []int {
-	out := make([]int, len(c.shards))
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		out[i] = sh.items()
-		sh.mu.Unlock()
-	}
-	return out
-}
 
 // Get returns a copy of the value for key and refreshes its MRU position
 // and timestamp, or ErrNotFound. The hot path's allocation-free variant is
@@ -532,19 +493,6 @@ func (c *Cache) Stats() Stats {
 		})
 	}
 	return st
-}
-
-// ClassForItem reports which slab class an item of the given key and value
-// lengths that never expires lands in, mirroring the paper's constraint
-// that an item from a slab with chunk size b must migrate into a slab with
-// chunk size b. An expiring item needs 8 bytes more (see arena.go).
-func (c *Cache) ClassForItem(keyLen, valueLen int) (classID, chunkSize int, err error) {
-	need := itemNeed(keyLen, valueLen, nanoNone)
-	id := classForSize(c.classes, need)
-	if id < 0 {
-		return 0, 0, &ValueTooLargeError{Need: need}
-	}
-	return id, c.classes[id], nil
 }
 
 // ChunkSizes returns the slab class ladder.

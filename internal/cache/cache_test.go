@@ -325,7 +325,7 @@ func TestClassForItem(t *testing.T) {
 		{keyLen: 11, valLen: 500, wantChunkMin: 512 + ItemOverhead},
 	}
 	for _, tt := range tests {
-		_, chunk, err := c.ClassForItem(tt.keyLen, tt.valLen)
+		_, chunk, err := c.classForItem(tt.keyLen, tt.valLen)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +333,7 @@ func TestClassForItem(t *testing.T) {
 			t.Fatalf("chunk %d too small for item", chunk)
 		}
 	}
-	if _, _, err := c.ClassForItem(10, PageSize); err == nil {
+	if _, _, err := c.classForItem(10, PageSize); err == nil {
 		t.Fatal("want error for page-exceeding item")
 	}
 }
@@ -351,10 +351,6 @@ func TestKeyLengthCapOnEveryStorePath(t *testing.T) {
 	}{
 		{"Set", func(c *Cache, key string) error { return c.Set(key, v) }, "v"},
 		{"SetBytes", func(c *Cache, key string) error { return c.SetBytes([]byte(key), v, 0, time.Time{}) }, "v"},
-		{"SetBatch", func(c *Cache, key string) error {
-			_, err := c.SetBatch([]SetItem{{Key: key, Value: v}})
-			return err
-		}, "v"},
 		{"Add", func(c *Cache, key string) error { return c.Add(key, v, time.Time{}) }, "v"},
 		{"Replace", func(c *Cache, key string) error {
 			_ = c.Set(key, []byte("old"))
@@ -509,7 +505,7 @@ func TestClassAbsorbCapacity(t *testing.T) {
 		t.Fatalf("absorb after 1 page = %d", got)
 	}
 	// Another class can only count the 3 unassigned pages.
-	bigClass, _, err := c.ClassForItem(10, 3000)
+	bigClass, _, err := c.classForItem(10, 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,4 +519,16 @@ func TestClassAbsorbCapacity(t *testing.T) {
 	if got := c.ClassAbsorbCapacity(10_000); got != 0 {
 		t.Fatalf("absorb(out of range) = %d", got)
 	}
+}
+
+// classForItem reports which slab class an item of the given key and value
+// lengths that never expires lands in, and that class's chunk size. An
+// expiring item needs 8 bytes more (see arena.go).
+func (c *Cache) classForItem(keyLen, valueLen int) (classID, chunkSize int, err error) {
+	need := itemNeed(keyLen, valueLen, nanoNone)
+	id := classForSize(c.classes, need)
+	if id < 0 {
+		return 0, 0, &ValueTooLargeError{Need: need}
+	}
+	return id, c.classes[id], nil
 }

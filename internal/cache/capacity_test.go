@@ -3,7 +3,6 @@ package cache
 import (
 	"errors"
 	"maps"
-	"math/rand"
 	"testing"
 
 	"repro/internal/workload"
@@ -11,17 +10,13 @@ import (
 
 // fillPareto stores keys [0, n) in rank order with generalized-Pareto
 // value sizes of the paper's ETC model (workload.DefaultPareto*), clamped
-// to [minVal, maxVal] and drawn from a fixed seed. It returns the first
+// to [minVal, maxVal] through workload.SizeForRank. It returns the first
 // store error.
 func fillPareto(c *Cache, n, minVal, maxVal int) error {
-	g, err := workload.NewGeneralizedPareto(rand.New(rand.NewSource(1)),
-		workload.DefaultParetoScale, workload.DefaultParetoShape, minVal, maxVal)
-	if err != nil {
-		return err
-	}
 	val := make([]byte, maxVal)
 	for r := 0; r < n; r++ {
-		if err := c.Set(workload.KeyName(uint64(r)), val[:g.Next()]); err != nil {
+		size := workload.SizeForRank(uint64(r), workload.DefaultParetoScale, workload.DefaultParetoShape, minVal, maxVal)
+		if err := c.Set(workload.KeyName(uint64(r)), val[:size]); err != nil {
 			return err
 		}
 	}

@@ -248,14 +248,3 @@ func (c *Cache) TouchExpiry(key string, expiresAt time.Time) error {
 	sh.slabAt(tid, classID).list.moveToFront(&c.pool, ref)
 	return nil
 }
-
-// Expirations reports items reclaimed by expiry (lazy or crawler).
-func (c *Cache) Expirations() uint64 {
-	var n uint64
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += sh.expirations
-		sh.mu.Unlock()
-	}
-	return n
-}

@@ -27,8 +27,8 @@ func TestSetExpiringAndLazyExpiry(t *testing.T) {
 	if _, err := c.Get("k"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound after expiry", err)
 	}
-	if c.Expirations() != 1 {
-		t.Fatalf("expirations = %d, want 1", c.Expirations())
+	if n := c.Stats().Expirations; n != 1 {
+		t.Fatalf("expirations = %d, want 1", n)
 	}
 	// The chunk was reclaimed.
 	if c.Len() != 0 {

@@ -289,14 +289,15 @@ func TestDifferentialSweep(t *testing.T) {
 				o.live(k) // prunes expired model entries
 			}
 		case r < 100: // multi-get a batch
-			ks := make([]string, rng.Intn(8)+1)
+			ks := make([][]byte, rng.Intn(8)+1)
 			for i := range ks {
-				ks[i] = key()
+				ks[i] = []byte(key())
 			}
-			got := c.GetMulti(ks)
-			for _, k := range ks {
+			got, arena := c.GetMultiInto(ks, nil, nil)
+			for i, kb := range ks {
+				k := string(kb)
 				want := o.live(k)
-				mv, hit := got[k]
+				mv, hit := got[i], got[i].Hit
 				if want == nil {
 					if hit {
 						t.Fatalf("op %d: multiget %q hit, oracle dead", op, k)
@@ -306,7 +307,7 @@ func TestDifferentialSweep(t *testing.T) {
 				if !hit {
 					t.Fatalf("op %d: multiget %q missed, oracle live", op, k)
 				}
-				if !bytes.Equal(mv.Value, want.value) || mv.Flags != want.flags {
+				if !bytes.Equal(mv.ValueIn(arena), want.value) || mv.Flags != want.flags {
 					t.Fatalf("op %d: multiget %q value/flags diverged", op, k)
 				}
 			}
@@ -513,7 +514,7 @@ func TestImportReplayNoOp(t *testing.T) {
 // mustClass resolves the slab class a (key, valueLen) item lands in.
 func (c *Cache) mustClass(t *testing.T, key string, valueLen int) int {
 	t.Helper()
-	id, _, err := c.ClassForItem(len(key), valueLen)
+	id, _, err := c.classForItem(len(key), valueLen)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,8 @@ func TestFlagsRoundTripStoresAndReads(t *testing.T) {
 	if _, flags, _, hit := c.GetInto([]byte("k"), nil); !hit || flags != 42 {
 		t.Fatalf("GetInto flags = %d, hit=%v; want 42", flags, hit)
 	}
-	if mv, ok := c.GetMulti([]string{"k"})["k"]; !ok || mv.Flags != 42 {
-		t.Fatalf("GetMulti flags = %+v; want 42", mv)
+	if items, _ := c.GetMultiInto([][]byte{[]byte("k")}, nil, nil); !items[0].Hit || items[0].Flags != 42 {
+		t.Fatalf("GetMultiInto flags = %+v; want 42", items[0])
 	}
 
 	// Overwrites replace the flags; same-class in-place updates included.
@@ -78,7 +78,7 @@ func TestFlagsSurviveMigration(t *testing.T) {
 	if err := src.SetBytes([]byte("mig"), []byte("payload"), 1234, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	classID, _, err := src.ClassForItem(len("mig"), len("payload"))
+	classID, _, err := src.classForItem(len("mig"), len("payload"))
 	if err != nil {
 		t.Fatal(err)
 	}

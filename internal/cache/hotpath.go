@@ -2,12 +2,12 @@ package cache
 
 import "time"
 
-// The wire hot path: byte-slice-keyed variants of Get/Set/GetMulti that
-// perform zero steady-state heap allocations. Keys arrive from the protocol
+// The wire hot path: byte-slice-keyed variants of Get/Set, and the
+// multi-key get, that perform zero steady-state heap allocations. Keys arrive from the protocol
 // parser as slices into its read buffer; lookups probe the pointer-free
 // index and compare key bytes directly in the arena, and results are
 // appended into caller-provided scratch that the server pools per
-// connection. The convenience string-keyed API (Get/Set/GetMulti) stays for
+// connection. The convenience string-keyed API (Get/Set) stays for
 // everything that is not serving sockets.
 
 // GetInto looks up key, refreshing recency, and appends a copy of the value

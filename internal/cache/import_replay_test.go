@@ -66,7 +66,7 @@ func TestBatchImportReplayKeepsMRUPositions(t *testing.T) {
 	if n, err := c.BatchImport(batch, true); err != nil || n != 3 {
 		t.Fatalf("import = %d, %v", n, err)
 	}
-	classID, _, err := c.ClassForItem(len("mig-hot"), len("vvvv-hot"))
+	classID, _, err := c.classForItem(len("mig-hot"), len("vvvv-hot"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestBatchImportReplayIdempotentUnderInterleaving(t *testing.T) {
 		if _, err := c.BatchImport(batch, true); err != nil {
 			t.Fatal(err)
 		}
-		classID, _, err := c.ClassForItem(5, 8)
+		classID, _, err := c.classForItem(5, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

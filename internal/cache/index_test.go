@@ -190,3 +190,13 @@ func TestIndexReset(t *testing.T) {
 	h.insert(t, "after-reset")
 	h.check(t, nil)
 }
+
+// shardHash is the untenanted FNV-1a routing hash of a string key.
+func shardHash(key string) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= fnvPrime64
+	}
+	return h ^ h>>32
+}

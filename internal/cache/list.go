@@ -27,22 +27,6 @@ func (l *refList) pushFront(p *pagePool, ref itemRef) {
 	l.size++
 }
 
-// pushBack inserts a chunk at the LRU tail. Batch import uses pushFront
-// for migrated hot data; pushBack exists for completeness and tests.
-func (l *refList) pushBack(p *pagePool, ref itemRef) {
-	ch := p.chunkAt(ref)
-	setChNext(ch, nilRef)
-	setChPrev(ch, l.tail)
-	if l.tail != nilRef {
-		setChNext(p.chunkAt(l.tail), ref)
-	}
-	l.tail = ref
-	if l.head == nilRef {
-		l.head = ref
-	}
-	l.size++
-}
-
 // remove unlinks a chunk from the list.
 func (l *refList) remove(p *pagePool, ref itemRef) {
 	ch := p.chunkAt(ref)
@@ -97,32 +81,4 @@ func (l *refList) each(p *pagePool, fn func(ref itemRef, ch []byte) bool) {
 		}
 		ref = next
 	}
-}
-
-// validate checks structural invariants; used by tests and property checks.
-func (l *refList) validate(p *pagePool) bool {
-	if l.size == 0 {
-		return l.head == nilRef && l.tail == nilRef
-	}
-	if l.head == nilRef || l.tail == nilRef {
-		return false
-	}
-	if chPrev(p.chunkAt(l.head)) != nilRef || chNext(p.chunkAt(l.tail)) != nilRef {
-		return false
-	}
-	n := 0
-	prev := nilRef
-	for ref := l.head; ref != nilRef; {
-		ch := p.chunkAt(ref)
-		if chPrev(ch) != prev {
-			return false
-		}
-		prev = ref
-		ref = chNext(ch)
-		n++
-		if n > l.size {
-			return false
-		}
-	}
-	return n == l.size && prev == l.tail
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // Parallel engine benchmarks. Each top-level benchmark runs a "shards=1"
@@ -27,14 +28,12 @@ func newBenchCache(b *testing.B, shards int) (*Cache, []string) {
 		b.Fatal(err)
 	}
 	keys := make([]string, benchKeys)
-	items := make([]SetItem, benchKeys)
 	val := make([]byte, 64)
 	for i := range keys {
 		keys[i] = benchKey(i)
-		items[i] = SetItem{Key: keys[i], Value: val}
-	}
-	if _, err := c.SetBatch(items); err != nil {
-		b.Fatal(err)
+		if err := c.SetBytes([]byte(keys[i]), val, 0, time.Time{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	return c, keys
 }
@@ -100,7 +99,8 @@ func BenchmarkCacheMixedParallel(b *testing.B) {
 }
 
 // BenchmarkCacheGetMulti compares a 16-key read served by a per-key Get
-// loop against one GetMulti call (at most ShardCount lock acquisitions).
+// loop against one GetMultiInto call (at most ShardCount lock
+// acquisitions).
 func BenchmarkCacheGetMulti(b *testing.B) {
 	const batch = 16
 	b.Run("per-key", func(b *testing.B) {
@@ -126,13 +126,18 @@ func BenchmarkCacheGetMulti(b *testing.B) {
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			i := int(seq.Add(1)) * 997
-			req := make([]string, batch)
+			req := make([][]byte, batch)
+			var (
+				items []MultiItem
+				arena []byte
+			)
 			for pb.Next() {
 				for j := 0; j < batch; j++ {
-					req[j] = keys[(i+j)%benchKeys]
+					req[j] = []byte(keys[(i+j)%benchKeys])
 				}
-				if got := c.GetMulti(req); len(got) != batch {
-					b.Errorf("GetMulti returned %d hits", len(got))
+				items, arena = c.GetMultiInto(req, items, arena)
+				if len(items) != batch {
+					b.Errorf("GetMultiInto returned %d results", len(items))
 					return
 				}
 				i += batch

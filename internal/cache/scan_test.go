@@ -213,12 +213,12 @@ func TestPickOnStolenPageIsSkipped(t *testing.T) {
 	recv, _ := c.RegisterTenant("recv", TenantConfig{})
 	c.SetTenantQuota(donor, 2)
 	c.SetTenantQuota(recv, 5)
-	_, bigChunk, err := c.ClassForItem(len("bulk-00000"), 900)
+	_, bigChunk, err := c.classForItem(len("bulk-00000"), 900)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fillTenant(t, c, "bulk", 6*(PageSize/bigChunk), 900) // pages 0-5
-	classID, chunkSize, err := c.ClassForItem(len("donor/k-00000"), 400)
+	classID, chunkSize, err := c.classForItem(len("donor/k-00000"), 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestRoutePicksBreaksTiesByChunk(t *testing.T) {
 			}
 		}
 	}
-	classID, _, err := c.ClassForItem(len("d-0000"), len(val))
+	classID, _, err := c.classForItem(len("d-0000"), len(val))
 	if err != nil {
 		t.Fatal(err)
 	}

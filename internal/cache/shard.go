@@ -73,32 +73,12 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-func shardHash(key string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= fnvPrime64
-	}
-	return h ^ h>>32
-}
-
-// shardHashBytes is shardHash over a byte-slice key, for wire-path callers
-// that keep keys as parser-owned slices.
-func shardHashBytes(key []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= fnvPrime64
-	}
-	return h ^ h>>32
-}
-
 // shardHashT is the tenant-aware routing hash: the two tenant-ID bytes are
 // folded into the FNV-1a stream ahead of the key, so the same key lands on
 // (usually) different shards and always different index hashes per tenant.
 // Tenant 0 — the default namespace — skips the fold entirely and produces
-// bit-identical hashes to shardHashBytes, so single-tenant deployments keep
-// the exact pre-tenancy placement (and the chaos/differential suites their
+// the plain FNV-1a hash of the key, so single-tenant deployments keep the
+// exact pre-tenancy placement (and the chaos/differential suites their
 // determinism).
 func shardHashT(tid uint16, key []byte) uint64 {
 	h := uint64(fnvOffset64)
@@ -379,8 +359,7 @@ func (sh *shard) expireLocked(ref itemRef, ch []byte) {
 }
 
 // ShardStat is one shard's slice of the counters, exposed through Stats so
-// shard imbalance is observable (metrics.AnalyzeShards consumes the item
-// distribution).
+// shard imbalance is observable.
 type ShardStat struct {
 	// Shard is the stripe index.
 	Shard int `json:"shard"`

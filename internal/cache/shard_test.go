@@ -73,8 +73,8 @@ func TestShardedSetGetRoundTrip(t *testing.T) {
 	}
 	// Keys must actually spread over the stripes.
 	spread := 0
-	for _, n := range c.ShardDistribution() {
-		if n > 0 {
+	for _, ss := range c.Stats().Shards {
+		if ss.Items > 0 {
 			spread++
 		}
 	}
@@ -234,24 +234,31 @@ func TestGetMultiHitsMissesAndPromotion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := c.GetMulti([]string{"key-03", "missing-a", "key-11", "key-00", "missing-b"})
-	if len(got) != 3 {
-		t.Fatalf("GetMulti returned %d hits, want 3", len(got))
+	keys := [][]byte{[]byte("key-03"), []byte("missing-a"), []byte("key-11"), []byte("key-00"), []byte("missing-b")}
+	got, arena := c.GetMultiInto(keys, nil, nil)
+	hits := 0
+	for _, it := range got {
+		if it.Hit {
+			hits++
+		}
 	}
-	if string(got["key-03"].Value) != "val-03" || string(got["key-00"].Value) != "val-00" {
-		t.Fatalf("GetMulti values wrong: %v", got)
+	if hits != 3 || got[1].Hit || got[4].Hit {
+		t.Fatalf("GetMultiInto returned %d hits (%+v), want 3", hits, got)
+	}
+	if string(got[0].ValueIn(arena)) != "val-03" || string(got[3].ValueIn(arena)) != "val-00" {
+		t.Fatalf("GetMultiInto values wrong: %+v", got)
 	}
 	st := c.Stats()
 	if st.Hits != 3 || st.Misses != 2 {
-		t.Fatalf("stats after GetMulti = %d hits / %d misses, want 3/2", st.Hits, st.Misses)
+		t.Fatalf("stats after GetMultiInto = %d hits / %d misses, want 3/2", st.Hits, st.Misses)
 	}
 	// CAS tokens must match the single-key gets path.
 	_, _, cas, err := c.GetWithCAS("key-11")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got["key-11"].CAS != cas {
-		t.Fatalf("GetMulti CAS = %d, GetWithCAS = %d", got["key-11"].CAS, cas)
+	if got[2].CAS != cas {
+		t.Fatalf("GetMultiInto CAS = %d, GetWithCAS = %d", got[2].CAS, cas)
 	}
 	// The batched read must refresh recency like per-key Get does.
 	metas, err := c.DumpClass(0, nil)
@@ -261,54 +268,37 @@ func TestGetMultiHitsMissesAndPromotion(t *testing.T) {
 	headSet := map[string]bool{"key-03": true, "key-11": true, "key-00": true}
 	for i := 0; i < 3; i++ {
 		if !headSet[metas[i].Key] {
-			t.Fatalf("dump head %q not among GetMulti-promoted keys", metas[i].Key)
+			t.Fatalf("dump head %q not among GetMultiInto-promoted keys", metas[i].Key)
 		}
-	}
-	if c.GetMulti(nil) != nil {
-		t.Fatal("GetMulti(nil) must return nil")
 	}
 }
 
-func TestSetBatchStoresAndReportsErrors(t *testing.T) {
+func TestSetBytesStoresAndExpires(t *testing.T) {
 	c, clk := newShardedCache(t, 64, 8)
 	deadline := clk.Now().Add(time.Minute)
-	items := make([]SetItem, 0, 33)
 	for i := 0; i < 32; i++ {
-		items = append(items, SetItem{Key: fmt.Sprintf("batch-%02d", i), Value: []byte("v")})
+		if err := c.SetBytes([]byte(fmt.Sprintf("batch-%02d", i)), []byte("v"), 0, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	items = append(items, SetItem{Key: "expiring", Value: []byte("v"), ExpiresAt: deadline})
-	stored, err := c.SetBatch(items)
-	if err != nil {
+	if err := c.SetBytes([]byte("expiring"), []byte("v"), 0, deadline); err != nil {
 		t.Fatal(err)
-	}
-	if stored != 33 {
-		t.Fatalf("stored %d, want 33", stored)
 	}
 	if c.Len() != 33 {
 		t.Fatalf("Len = %d, want 33", c.Len())
 	}
-	// The batched write must honor expiry like SetExpiring.
+	// A byte-keyed write must honor expiry like SetExpiring.
 	clk.mu.Lock()
 	clk.t = deadline.Add(time.Second)
 	clk.mu.Unlock()
 	if c.Contains("expiring") {
-		t.Fatal("SetBatch item survived its expiry")
+		t.Fatal("SetBytes item survived its expiry")
 	}
 	if !c.Contains("batch-00") {
-		t.Fatal("unexpiring SetBatch item lost")
+		t.Fatal("unexpiring SetBytes item lost")
 	}
-
-	// Per-item failures don't abort the batch.
-	stored, err = c.SetBatch([]SetItem{
-		{Key: "ok-1", Value: []byte("v")},
-		{Key: "", Value: []byte("v")},
-		{Key: "ok-2", Value: []byte("v")},
-	})
-	if !errors.Is(err, ErrEmptyKey) {
+	if err := c.SetBytes(nil, []byte("v"), 0, time.Time{}); !errors.Is(err, ErrEmptyKey) {
 		t.Fatalf("err = %v, want ErrEmptyKey", err)
-	}
-	if stored != 2 || !c.Contains("ok-1") || !c.Contains("ok-2") {
-		t.Fatalf("stored = %d after partial failure, want 2", stored)
 	}
 }
 
@@ -318,17 +308,6 @@ func TestShardDistributionSumsToLen(t *testing.T) {
 		if err := c.Set(fmt.Sprintf("key-%04d", i), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-	}
-	dist := c.ShardDistribution()
-	if len(dist) != c.ShardCount() {
-		t.Fatalf("distribution has %d entries, want %d", len(dist), c.ShardCount())
-	}
-	sum := 0
-	for _, n := range dist {
-		sum += n
-	}
-	if sum != c.Len() {
-		t.Fatalf("distribution sums to %d, Len = %d", sum, c.Len())
 	}
 	st := c.Stats()
 	if len(st.Shards) != c.ShardCount() {
@@ -342,8 +321,8 @@ func TestShardDistributionSumsToLen(t *testing.T) {
 		items += ss.Items
 		sets += ss.Sets
 	}
-	if items != st.Items || sets != st.Sets {
-		t.Fatalf("per-shard sums items=%d sets=%d, want %d/%d", items, sets, st.Items, st.Sets)
+	if items != c.Len() || items != st.Items || sets != st.Sets {
+		t.Fatalf("per-shard sums items=%d sets=%d, want %d (Len %d)/%d", items, sets, st.Items, c.Len(), st.Sets)
 	}
 }
 

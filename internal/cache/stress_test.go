@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // stressDuration is how long the concurrent churn runs. One second is
@@ -23,7 +21,7 @@ func stressDuration(t *testing.T) time.Duration {
 
 // TestStressConcurrentOps hammers one sharded cache with every public
 // operation at once — Set, Get, Delete, DumpAll, BatchImport, FlushAll,
-// GetMulti, SetBatch, CrawlExpired, Stats, and the migration reads
+// GetMultiInto, SetBytes, CrawlExpired, Stats, and the migration reads
 // RoutePicks, AppendPicks and DropIf — and then checks the engine's
 // structural invariants. Run under -race (the Makefile's `race` target does).
 func TestStressConcurrentOps(t *testing.T) {
@@ -102,21 +100,20 @@ func TestStressConcurrentOps(t *testing.T) {
 			t.Errorf("BatchImport: %v", err)
 		}
 	})
-	// Batched reads and writes.
+	// Multi-key reads and byte-keyed writes, the server's two paths.
 	run(func(i int) {
-		keys := make([]string, 16)
+		keys := make([][]byte, 16)
 		for j := range keys {
-			keys[j] = fmt.Sprintf("w%d-k%03d", j%4, (i+j)%400)
+			keys[j] = []byte(fmt.Sprintf("w%d-k%03d", j%4, (i+j)%400))
 		}
-		c.GetMulti(keys)
+		c.GetMultiInto(keys, nil, nil)
 	})
 	run(func(i int) {
-		items := make([]SetItem, 16)
-		for j := range items {
-			items[j] = SetItem{Key: fmt.Sprintf("b-k%03d", (i*16+j)%300), Value: val}
-		}
-		if _, err := c.SetBatch(items); err != nil && !errors.Is(err, ErrOutOfMemory) {
-			t.Errorf("SetBatch: %v", err)
+		for j := 0; j < 16; j++ {
+			key := []byte(fmt.Sprintf("b-k%03d", (i*16+j)%300))
+			if err := c.SetBytes(key, val, 0, time.Time{}); err != nil && !errors.Is(err, ErrOutOfMemory) {
+				t.Errorf("SetBytes: %v", err)
+			}
 		}
 	})
 	// Phase 1 then phase 3 of a migration, across FlushAll and the
@@ -158,16 +155,12 @@ func TestStressConcurrentOps(t *testing.T) {
 	if st.Items != c.Len() {
 		t.Fatalf("Stats().Items = %d, Len() = %d", st.Items, c.Len())
 	}
-	dist := c.ShardDistribution()
 	sum := 0
-	for _, n := range dist {
-		sum += n
+	for _, ss := range st.Shards {
+		sum += ss.Items
 	}
-	if sum != c.Len() {
-		t.Fatalf("ShardDistribution sums to %d, Len = %d", sum, c.Len())
-	}
-	if b := metrics.AnalyzeShards(dist); b.Shards != c.ShardCount() {
-		t.Fatalf("AnalyzeShards saw %d shards, want %d", b.Shards, c.ShardCount())
+	if sum != c.Len() || len(st.Shards) != c.ShardCount() {
+		t.Fatalf("%d shard stats sum to %d, Len = %d", len(st.Shards), sum, c.Len())
 	}
 	c.checkShardInvariants(t)
 	for _, metas := range c.DumpAll(nil) {
@@ -203,7 +196,7 @@ func TestStressNoLostItems(t *testing.T) {
 			defer churnWg.Done()
 			for !stop.Load() {
 				c.DumpAll(nil)
-				c.GetMulti([]string{"g0-k0000", "g7-k0999", "nope"})
+				c.GetMultiInto([][]byte{[]byte("g0-k0000"), []byte("g7-k0999"), []byte("nope")}, nil, nil)
 				c.Stats()
 			}
 		}()

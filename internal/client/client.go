@@ -35,7 +35,6 @@ var (
 type Cluster struct {
 	dialTimeout time.Duration
 	opTimeout   time.Duration
-	maxIdle     int
 
 	// table is the ownership table the client routes by. A lock-free
 	// atomic pointer: every op loads it once and works against that
@@ -52,12 +51,11 @@ type Cluster struct {
 
 	// Hot-key routing state (see hotkeys.go). hotCount gates the read path
 	// so clusters with no promotions pay one atomic load per read.
-	hotMu       sync.RWMutex
-	hotByHome   map[string][]memproto.HotKeyTableEntry
-	hotByKey    map[string][]string
-	hotVersions map[string]uint64
-	hotCount    atomic.Int64
-	hotRR       atomic.Uint64
+	hotMu     sync.RWMutex
+	hotByHome map[string][]memproto.HotKeyTableEntry
+	hotByKey  map[string][]string
+	hotCount  atomic.Int64
+	hotRR     atomic.Uint64
 }
 
 // Option configures a Cluster.
@@ -68,7 +66,6 @@ type Option interface {
 type options struct {
 	dialTimeout time.Duration
 	opTimeout   time.Duration
-	maxIdle     int
 }
 
 type dialTimeoutOption time.Duration
@@ -85,19 +82,11 @@ func (o opTimeoutOption) apply(opts *options) { opts.opTimeout = time.Duration(o
 // WithOpTimeout bounds each request/response exchange (default 5s).
 func WithOpTimeout(d time.Duration) Option { return opTimeoutOption(d) }
 
-type maxIdleOption int
-
-func (o maxIdleOption) apply(opts *options) { opts.maxIdle = int(o) }
-
-// WithMaxIdleConns bounds pooled idle connections per node (default 4).
-func WithMaxIdleConns(n int) Option { return maxIdleOption(n) }
-
 // New creates a cluster client over the given member addresses.
 func New(members []string, opts ...Option) (*Cluster, error) {
 	o := options{
 		dialTimeout: 2 * time.Second,
 		opTimeout:   5 * time.Second,
-		maxIdle:     4,
 	}
 	for _, opt := range opts {
 		opt.apply(&o)
@@ -109,11 +98,9 @@ func New(members []string, opts ...Option) (*Cluster, error) {
 	c := &Cluster{
 		dialTimeout: o.dialTimeout,
 		opTimeout:   o.opTimeout,
-		maxIdle:     o.maxIdle,
 		pools:       make(map[string]*pool),
 		hotByHome:   make(map[string][]memproto.HotKeyTableEntry),
 		hotByKey:    make(map[string][]string),
-		hotVersions: make(map[string]uint64),
 	}
 	c.table.Store(table)
 	return c, nil
@@ -146,11 +133,6 @@ func (c *Cluster) OwnershipChanged(t *hashring.Table) {
 	}
 	c.prunePools(t.Members())
 	c.rebuildHotTable()
-}
-
-// OwnershipVersion reports the installed table's version (observability).
-func (c *Cluster) OwnershipVersion() uint64 {
-	return c.table.Load().Version()
 }
 
 // prunePools closes pools for nodes outside the current member set.
@@ -643,10 +625,13 @@ func (c *Cluster) pool(addr string) (*pool, error) {
 	if p, ok := c.pools[addr]; ok {
 		return p, nil
 	}
-	p = newPool(addr, c.maxIdle)
+	p = newPool(addr, maxIdleConns)
 	c.pools[addr] = p
 	return p, nil
 }
+
+// maxIdleConns bounds pooled idle connections per node.
+const maxIdleConns = 4
 
 // pool is a small idle-connection pool for one node.
 type pool struct {

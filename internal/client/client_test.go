@@ -285,7 +285,6 @@ func TestClusterOptions(t *testing.T) {
 	cl, err := New([]string{"127.0.0.1:1"},
 		WithDialTimeout(time.Second),
 		WithOpTimeout(2*time.Second),
-		WithMaxIdleConns(2),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -293,9 +292,6 @@ func TestClusterOptions(t *testing.T) {
 	defer cl.Close()
 	if cl.dialTimeout != time.Second || cl.opTimeout != 2*time.Second {
 		t.Fatalf("timeouts = %v/%v", cl.dialTimeout, cl.opTimeout)
-	}
-	if cl.maxIdle != 2 {
-		t.Fatalf("maxIdle = %d", cl.maxIdle)
 	}
 }
 

@@ -99,7 +99,7 @@ func TestStaleOwnershipIgnored(t *testing.T) {
 	}
 	cl.OwnershipChanged(inFlight)
 	cl.OwnershipChanged(v1) // stale: must be dropped
-	if got := cl.OwnershipVersion(); got != inFlight.Version() {
+	if got := cl.table.Load().Version(); got != inFlight.Version() {
 		t.Fatalf("version = %d, want %d", got, inFlight.Version())
 	}
 }

@@ -19,21 +19,19 @@ import (
 // members.
 func (c *Cluster) RefreshHotKeys(ctx context.Context) error {
 	for _, m := range c.Members() {
-		var version uint64
 		var entries []memproto.HotKeyTableEntry
 		err := c.withConnCtx(ctx, m, func(conn *poolConn) error {
 			if err := conn.write([]byte("hotkeys\r\n")); err != nil {
 				return err
 			}
 			var err error
-			version, entries, err = conn.reply.ReadHotKeys()
+			_, entries, err = conn.reply.ReadHotKeys()
 			return err
 		})
 		if err != nil {
 			continue // unreachable node: keep the previous table
 		}
 		c.hotMu.Lock()
-		c.hotVersions[m] = version
 		c.hotByHome[m] = entries
 		c.hotMu.Unlock()
 	}
@@ -55,7 +53,6 @@ func (c *Cluster) rebuildHotTable() {
 	for home, entries := range c.hotByHome {
 		if _, ok := current[home]; !ok {
 			delete(c.hotByHome, home)
-			delete(c.hotVersions, home)
 			continue
 		}
 		for _, e := range entries {
@@ -73,22 +70,6 @@ func (c *Cluster) rebuildHotTable() {
 	c.hotByKey = byKey
 	c.hotCount.Store(int64(len(byKey)))
 	c.hotMu.Unlock()
-}
-
-// HotKeyTable returns the merged routing index (key → serving set, home
-// first) and the per-home table versions it was built from.
-func (c *Cluster) HotKeyTable() (map[string][]string, map[string]uint64) {
-	c.hotMu.RLock()
-	defer c.hotMu.RUnlock()
-	table := make(map[string][]string, len(c.hotByKey))
-	for k, nodes := range c.hotByKey {
-		table[k] = append([]string(nil), nodes...)
-	}
-	versions := make(map[string]uint64, len(c.hotVersions))
-	for m, v := range c.hotVersions {
-		versions[m] = v
-	}
-	return table, versions
 }
 
 // routeRead picks the node to read key from under table snapshot t: a

@@ -263,9 +263,6 @@ func (c *Cluster) HotKeys(name string) *hotkey.Replicator {
 // the Master's ownership tables.
 func (c *Cluster) Client() *client.Cluster { return c.client }
 
-// Master returns the ElMem Master.
-func (c *Cluster) Master() *core.Master { return c.master }
-
 // Members returns the current membership.
 func (c *Cluster) Members() []string { return c.master.Members() }
 

@@ -215,7 +215,7 @@ func TestRetiredNodeIsUnsubscribed(t *testing.T) {
 		t.Cleanup(func() { _ = c.Close() })
 		scaleCycles(t, c, 5, nil)
 		live := len(c.Members())
-		if got, want := c.Master().ListenerCounts(), perNode*live+1; got != want {
+		if got, want := c.master.ListenerCounts(), perNode*live+1; got != want {
 			t.Fatalf("hot keys %v: Master holds %d listeners for %d live nodes, want %d", hot, got, live, want)
 		}
 	}

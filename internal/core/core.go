@@ -191,10 +191,9 @@ type Master struct {
 	// stop, when set, turns a retired node off after scale-in.
 	stop func(node string) error
 
-	workers      int
-	retry        taskgroup.Backoff
-	phaseTimeout time.Duration
-	phaseHook    func(phase string)
+	workers   int
+	retry     taskgroup.Backoff
+	phaseHook func(phase string)
 
 	// act serializes scaling actions: an action's release runs after its
 	// table settles, and must not overlap the next action's handover. It
@@ -222,12 +221,11 @@ type Option interface {
 }
 
 type masterOptions struct {
-	now          func() time.Time
-	stop         func(node string) error
-	workers      int
-	retry        taskgroup.Backoff
-	phaseTimeout time.Duration
-	phaseHook    func(phase string)
+	now       func() time.Time
+	stop      func(node string) error
+	workers   int
+	retry     taskgroup.Backoff
+	phaseHook func(phase string)
 }
 
 type clockOption struct{ now func() time.Time }
@@ -265,15 +263,6 @@ func (o retryOption) apply(opts *masterOptions) { opts.retry = taskgroup.Backoff
 // retried.
 func WithRetry(b taskgroup.Backoff) Option { return retryOption(b) }
 
-type phaseTimeoutOption time.Duration
-
-func (o phaseTimeoutOption) apply(opts *masterOptions) { opts.phaseTimeout = time.Duration(o) }
-
-// WithPhaseTimeout bounds each migration phase's wall time (0 = no bound
-// beyond the caller's context). The deadline propagates through the RPC
-// transport to the agents.
-func WithPhaseTimeout(d time.Duration) Option { return phaseTimeoutOption(d) }
-
 // NewMaster creates a Master over the initial membership.
 func NewMaster(dir Directory, members []string, opts ...Option) (*Master, error) {
 	if dir == nil {
@@ -294,13 +283,12 @@ func NewMaster(dir Directory, members []string, opts ...Option) (*Master, error)
 		o.workers = 1
 	}
 	m := &Master{
-		dir:          dir,
-		now:          o.now,
-		stop:         o.stop,
-		workers:      o.workers,
-		retry:        o.retry,
-		phaseTimeout: o.phaseTimeout,
-		phaseHook:    o.phaseHook,
+		dir:       dir,
+		now:       o.now,
+		stop:      o.stop,
+		workers:   o.workers,
+		retry:     o.retry,
+		phaseHook: o.phaseHook,
 	}
 	m.members = append(m.members, members...)
 	sort.Strings(m.members)
@@ -460,11 +448,6 @@ func (m *Master) runPhase(ctx context.Context, phase string, report *ScaleReport
 // false every operation runs to its own end and fanOut returns nil: the
 // failures are left in the report's per-node timings only.
 func (m *Master) fanOut(ctx context.Context, phase string, report *ScaleReport, ops []phaseOp, failFast bool) error {
-	if m.phaseTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, m.phaseTimeout)
-		defer cancel()
-	}
 	t0 := m.now()
 	g, gctx := taskgroup.WithContext(ctx)
 	g.SetLimit(m.workers)

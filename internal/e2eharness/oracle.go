@@ -62,15 +62,6 @@ func (o *Oracle) Populate(cl *client.Cluster, prefix string, n, minSize, maxSize
 // Acked returns the number of acknowledged writes on record.
 func (o *Oracle) Acked() int { return len(o.acked) }
 
-// Keys returns every acked key (iteration order unspecified).
-func (o *Oracle) Keys() []string {
-	keys := make([]string, 0, len(o.acked))
-	for k := range o.acked {
-		keys = append(keys, k)
-	}
-	return keys
-}
-
 // CheckResult summarizes an integrity pass over the acked set.
 type CheckResult struct {
 	Checked    int

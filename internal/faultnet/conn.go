@@ -9,68 +9,13 @@ import (
 	"time"
 )
 
-// This file is the byte layer: faults applied to real wire traffic. Conn
-// wraps a single net.Conn (a server can wrap every accepted data-path
-// connection); Proxy interposes a TCP hop between a client and a server —
-// the way the invariant tests inject faults under the agentrpc transport
-// and the memcached data path without touching either endpoint.
+// This file is the byte layer: faults applied to real wire traffic. Proxy
+// interposes a TCP hop between a client and a server — the way the
+// invariant tests inject faults under the agentrpc transport and the
+// memcached data path without touching either endpoint.
 //
-// Byte-layer ops in the event log: "write" and "read" for Conn, "fwd"
-// (client→server chunks) and "rsp" (server→client chunks) for Proxy.
-
-// Conn applies the schedule to one established connection. From/To name
-// the directed link for writes; reads draw from the reverse link.
-type Conn struct {
-	net.Conn
-	netw     *Network
-	from, to string
-}
-
-// WrapConn wraps an established connection on the from→to link.
-func WrapConn(n *Network, from, to string, c net.Conn) *Conn {
-	return &Conn{Conn: c, netw: n, from: from, to: to}
-}
-
-// Write applies reset / partial-write / delay / throttle faults, then
-// forwards to the wrapped connection. A reset closes the underlying
-// connection so the peer observes it too.
-func (c *Conn) Write(p []byte) (int, error) {
-	d := c.netw.Decide(c.from, c.to, "write", true)
-	switch d.Action {
-	case ActPartition, ActDrop:
-		// Swallow the bytes: the peer never sees them, the writer thinks
-		// they left. The stream is now desynchronized, as after real loss
-		// without retransmit; the connection is closed to surface it.
-		_ = c.Conn.Close()
-		return len(p), nil
-	case ActReset:
-		_ = c.Conn.Close()
-		return 0, fmt.Errorf("%w: connection reset on %s->%s", ErrInjected, c.from, c.to)
-	case ActPartialWrite:
-		n, _ := c.Conn.Write(p[:len(p)/2])
-		_ = c.Conn.Close()
-		return n, fmt.Errorf("%w: partial write (%d of %d bytes) on %s->%s", ErrInjected, n, len(p), c.from, c.to)
-	case ActDelay:
-		time.Sleep(d.Delay)
-	}
-	if d.ThrottleBPS > 0 {
-		return throttledWrite(c.Conn, p, d.ThrottleBPS)
-	}
-	return c.Conn.Write(p)
-}
-
-// Read applies reset and delay faults on the reverse link, then reads.
-func (c *Conn) Read(p []byte) (int, error) {
-	d := c.netw.Decide(c.to, c.from, "read", true)
-	switch d.Action {
-	case ActPartition, ActDrop, ActReset:
-		_ = c.Conn.Close()
-		return 0, fmt.Errorf("%w: connection reset on %s->%s", ErrInjected, c.to, c.from)
-	case ActDelay:
-		time.Sleep(d.Delay)
-	}
-	return c.Conn.Read(p)
-}
+// Byte-layer ops in the event log: "fwd" (client→server chunks) and "rsp"
+// (server→client chunks).
 
 // throttledWrite paces p onto w in 1 KiB slices at roughly bps bytes per
 // second — the slow-node fault: the node works, just slowly.

@@ -198,12 +198,11 @@ func TestScaleInOverFaultyAgentRPC(t *testing.T) {
 			}
 		}
 	}
-	n.SetLinkOpRule("n3", "master", "rsp", Rule{Drop: 0.3})
+	n.SetLinkRule("n3", "master", Rule{Drop: 0.3}) // the proxy's "rsp" chunks
 
 	m, err := core.NewMaster(proxyDirectory{clients}, names,
 		core.WithWorkerLimit(1),
 		core.WithRetry(taskgroup.Backoff{Attempts: 6, Delay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Factor: 2}),
-		core.WithPhaseTimeout(10*time.Second),
 	)
 	if err != nil {
 		t.Fatal(err)

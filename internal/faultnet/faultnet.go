@@ -18,8 +18,7 @@
 //     which makes the caller's retry replay the RPC — the duplication
 //     mechanism real lossy networks produce), duplicate (deliver twice),
 //     delay, and one-way partitions.
-//   - byte layer (conn.go): a net.Conn wrapper and a TCP proxy apply
-//     connection resets, partial writes, per-chunk delays, reply
+//   - byte layer (conn.go): a TCP proxy applies connection resets, partial writes, per-chunk delays, reply
 //     swallowing, and slow-node throttling to real wire traffic — the
 //     memcached data path and the agentrpc JSON frames.
 package faultnet
@@ -104,7 +103,7 @@ type Rule struct {
 	Delay    float64
 	MaxDelay time.Duration
 	// Reset and PartialWrite are byte-layer probabilities, applied per
-	// write (Conn) or per forwarded chunk (Proxy).
+	// chunk a Proxy forwards.
 	Reset        float64
 	PartialWrite float64
 	// ThrottleBPS, when positive, paces byte-layer writes to roughly this
@@ -166,7 +165,6 @@ type Network struct {
 	def      Rule
 	links    map[link]Rule
 	ops      map[string]Rule
-	linkOps  map[linkOp]Rule
 	seqs     map[linkOp]uint64
 	events   []Event
 	disabled bool
@@ -175,11 +173,10 @@ type Network struct {
 // New creates a schedule for the seed with no rules installed.
 func New(seed int64) *Network {
 	return &Network{
-		seed:    seed,
-		links:   make(map[link]Rule),
-		ops:     make(map[string]Rule),
-		linkOps: make(map[linkOp]Rule),
-		seqs:    make(map[linkOp]uint64),
+		seed:  seed,
+		links: make(map[link]Rule),
+		ops:   make(map[string]Rule),
+		seqs:  make(map[linkOp]uint64),
 	}
 }
 
@@ -210,13 +207,6 @@ func (n *Network) SetOpRule(op string, r Rule) {
 	n.ops[op] = r
 }
 
-// SetLinkOpRule installs the most specific rule: one op on one link.
-func (n *Network) SetLinkOpRule(from, to, op string, r Rule) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.linkOps[linkOp{link{from, to}, op}] = r
-}
-
 // Partition cuts the directed link from→to (one-way partition: the
 // reverse direction keeps working unless cut separately).
 func (n *Network) Partition(from, to string) {
@@ -245,16 +235,8 @@ func (n *Network) SetEnabled(enabled bool) {
 	n.disabled = !enabled
 }
 
-// ruleFor resolves the active rule: link+op > link > op > default.
-// Partition flags merge in from the link level so a Partition() call cuts
-// every op on the link even when a more specific rule exists.
+// ruleFor resolves the active rule: link > op > default.
 func (n *Network) ruleFor(l link, op string) Rule {
-	if r, ok := n.linkOps[linkOp{l, op}]; ok {
-		if lr, ok := n.links[l]; ok && lr.Partition {
-			r.Partition = true
-		}
-		return r
-	}
 	if r, ok := n.links[l]; ok {
 		return r
 	}

@@ -81,10 +81,9 @@ func TestRulePrecedence(t *testing.T) {
 	n.SetDefault(Rule{})
 	n.SetOpRule(OpImportData, Rule{Drop: 1})
 	n.SetLinkRule("a", "b", Rule{Dup: 1})
-	n.SetLinkOpRule("a", "b", OpImportData, Rule{DropReply: 1})
 
-	if d := n.Decide("a", "b", OpImportData, false); d.Action != ActDropReply {
-		t.Fatalf("link+op rule: got %v, want drop_reply", d.Action)
+	if d := n.Decide("a", "b", OpImportData, false); d.Action != ActDup {
+		t.Fatalf("link rule over op rule: got %v, want dup", d.Action)
 	}
 	if d := n.Decide("a", "b", OpSendData, false); d.Action != ActDup {
 		t.Fatalf("link rule: got %v, want dup", d.Action)

@@ -242,18 +242,6 @@ func medianOf(values []Hotness) Hotness {
 	return tmp[len(tmp)/2]
 }
 
-// Validate checks every list is in MRU (descending) order.
-func Validate(lists []List) error {
-	for li, l := range lists {
-		for i := 1; i < len(l); i++ {
-			if l[i] > l[i-1] {
-				return fmt.Errorf("%w: list %d at index %d", ErrUnsorted, li, i)
-			}
-		}
-	}
-	return nil
-}
-
 // SelectMergeSort is the naive comparator (Section IV): concatenate all
 // lists, sort descending, cut at n. O(N log N).
 func SelectMergeSort(lists []List, n int) (Result, error) {

@@ -1,7 +1,6 @@
 package fusecache
 
 import (
-	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -149,16 +148,6 @@ func TestTopNPartialTiesAtThreshold(t *testing.T) {
 	ms := SelectedMultiset(lists, r)
 	if ms[10] != 1 || ms[9] != 1 || ms[8] != 1 || ms[5] != 2 {
 		t.Fatalf("multiset = %v, want {10:1 9:1 8:1 5:2}", ms)
-	}
-}
-
-func TestValidate(t *testing.T) {
-	if err := Validate([]List{{3, 2, 1}, {5, 5, 0}}); err != nil {
-		t.Fatalf("valid lists rejected: %v", err)
-	}
-	err := Validate([]List{{1, 2}})
-	if !errors.Is(err, ErrUnsorted) {
-		t.Fatalf("err = %v, want ErrUnsorted", err)
 	}
 }
 

@@ -69,13 +69,6 @@ func (p *LocalPusher) Register(name string, node LocalNode) {
 	p.mu.Unlock()
 }
 
-// Deregister removes a target node.
-func (p *LocalPusher) Deregister(name string) {
-	p.mu.Lock()
-	delete(p.nodes, name)
-	p.mu.Unlock()
-}
-
 // Push implements Pusher with the same semantics as the wire commands:
 // a put stores the copy and marks it replica-held, a delete drops the copy
 // only while it is still marked, a touch refreshes a marked copy's TTL.

@@ -188,15 +188,6 @@ func (r *Replicator) ObserveWrite(key []byte) {
 	r.det.RecordSampled(key)
 }
 
-// RecordGet samples a read into the sketch through the detector's own
-// atomic gate — the standalone path for callers without a local counter.
-func (r *Replicator) RecordGet(key []byte) {
-	if m := r.det.Mask(); m != 0 && r.det.ops.Add(1)&m != 0 {
-		return
-	}
-	r.ObserveGet(key)
-}
-
 // OnWrite fans a successful home write out to the key's replicas. It is a
 // no-op (one atomic load) unless this node has promoted keys.
 func (r *Replicator) OnWrite(key, value []byte, flags uint32, expiry time.Time) {
@@ -555,18 +546,6 @@ func (r *Replicator) Promoted() []string {
 	r.mu.RLock()
 	out := make([]string, 0, len(r.promoted))
 	for key := range r.promoted {
-		out = append(out, key)
-	}
-	r.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
-// ReplicaHeld lists the replica copies this node holds, sorted.
-func (r *Replicator) ReplicaHeld() []string {
-	r.mu.RLock()
-	out := make([]string, 0, len(r.replicaHeld))
-	for key := range r.replicaHeld {
 		out = append(out, key)
 	}
 	r.mu.RUnlock()

@@ -123,7 +123,7 @@ func TestTickPromotesAndPushes(t *testing.T) {
 		t.Fatalf("seed: %v", err)
 	}
 	for i := 0; i < 50; i++ {
-		repA.RecordGet([]byte(key))
+		repA.ObserveGet([]byte(key))
 	}
 	repA.Tick()
 
@@ -209,7 +209,7 @@ func TestCooldownDemotion(t *testing.T) {
 		t.Fatalf("seed: %v", err)
 	}
 	for i := 0; i < 50; i++ {
-		repA.RecordGet([]byte(key))
+		repA.ObserveGet([]byte(key))
 	}
 	repA.Tick()
 	if len(repA.Promoted()) != 1 {

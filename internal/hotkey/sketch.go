@@ -17,7 +17,6 @@ package hotkey
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Sketch is a SpaceSaving top-K frequency summary (Metwally et al.): a
@@ -178,14 +177,13 @@ func (s *Sketch) siftDown(i int) {
 	}
 }
 
-// Detector is the hot-path front of the sketch: a sampling gate (one in
+// Detector is the hot-path front of the sketch: a sampling mask (one in
 // SampleRate operations, rounded up to a power of two) ahead of a
-// mutex-guarded Sketch. The gate is a single atomic add and mask test, so
-// the per-request cost on the serving hot path stays in the
-// single-nanosecond range and performs zero heap allocations.
+// mutex-guarded Sketch. Callers gate on their own op counter (see Mask),
+// so the per-request cost on the serving hot path is one mask test and
+// performs zero heap allocations.
 type Detector struct {
 	mask uint64
-	ops  atomic.Uint64
 
 	mu sync.Mutex
 	sk *Sketch
@@ -203,15 +201,6 @@ func NewDetector(capacity, sampleRate int) *Detector {
 		mask = r - 1
 	}
 	return &Detector{mask: mask, sk: NewSketch(capacity)}
-}
-
-// Record samples one observation of key. Zero allocations for keys already
-// monitored; sampled-out calls are one atomic add.
-func (d *Detector) Record(key []byte) {
-	if d.mask != 0 && d.ops.Add(1)&d.mask != 0 {
-		return
-	}
-	d.RecordSampled(key)
 }
 
 // Mask exposes the power-of-two sampling mask for callers that keep their

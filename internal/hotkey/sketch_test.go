@@ -101,9 +101,13 @@ func TestSketchDecayHalvesWindow(t *testing.T) {
 }
 
 func TestDetectorSampling(t *testing.T) {
+	// The gate callers apply with their own op counter: record when
+	// counter&Mask() == 0.
 	d := NewDetector(16, 8)
-	for i := 0; i < 800; i++ {
-		d.Record([]byte("k"))
+	for i := uint64(0); i < 800; i++ {
+		if i&d.Mask() == 0 {
+			d.RecordSampled([]byte("k"))
+		}
 	}
 	_, total := d.Top(1)
 	if total != 100 {
@@ -111,8 +115,10 @@ func TestDetectorSampling(t *testing.T) {
 	}
 	// sampleRate < 2 records everything.
 	d = NewDetector(16, 1)
-	for i := 0; i < 50; i++ {
-		d.Record([]byte("k"))
+	for i := uint64(0); i < 50; i++ {
+		if i&d.Mask() == 0 {
+			d.RecordSampled([]byte("k"))
+		}
 	}
 	if _, total := d.Top(1); total != 50 {
 		t.Fatalf("unsampled total = %d, want 50", total)

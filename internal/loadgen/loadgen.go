@@ -21,6 +21,9 @@ import (
 // ErrBadConfig reports invalid construction parameters.
 var ErrBadConfig = errors.New("loadgen: invalid configuration")
 
+// maxInFlight bounds a run's in-flight requests.
+const maxInFlight = 64
+
 // Handler consumes one web request's keys; loadgen measures its outcome.
 type Handler interface {
 	Handle(keys []string) (RT time.Duration, hits, misses int, err error)
@@ -48,8 +51,6 @@ type Config struct {
 	Keys uint64
 	// ZipfS is the popularity skew (default 0.99).
 	ZipfS float64
-	// Concurrency bounds in-flight requests (default 64).
-	Concurrency int
 	// Seed drives randomness.
 	Seed int64
 }
@@ -91,10 +92,6 @@ func Run(ctx context.Context, cfg Config, h Handler) (*Report, error) {
 	if zipfS == 0 {
 		zipfS = 0.99
 	}
-	concurrency := cfg.Concurrency
-	if concurrency <= 0 {
-		concurrency = 64
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	gen, err := workload.NewGenerator(rng, cfg.Keys, workload.WithZipfS(zipfS))
 	if err != nil {
@@ -108,7 +105,7 @@ func Run(ctx context.Context, cfg Config, h Handler) (*Report, error) {
 		sent   uint64
 		errs   uint64
 		wg     sync.WaitGroup
-		tokens = make(chan struct{}, concurrency)
+		tokens = make(chan struct{}, maxInFlight)
 	)
 
 	deadline := start.Add(cfg.Duration)

@@ -114,7 +114,10 @@ func TestRunHonorsContextCancel(t *testing.T) {
 }
 
 func TestRunWithTrace(t *testing.T) {
-	tr := trace.MustGenerate(trace.SYS, trace.Options{})
+	tr, err := trace.Generate(trace.SYS, trace.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := validConfig()
 	cfg.Trace = tr
 	cfg.Duration = 200 * time.Millisecond

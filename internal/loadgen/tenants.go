@@ -43,8 +43,6 @@ type TenantConfig struct {
 	Rate float64
 	// KVPerRequest is the multi-get size.
 	KVPerRequest int
-	// Concurrency bounds in-flight requests (default 64).
-	Concurrency int
 	// Seed drives randomness.
 	Seed int64
 	// Tenants is the workload mix (at least one).
@@ -111,10 +109,6 @@ func RunTenants(ctx context.Context, cfg TenantConfig, h Handler) (*TenantReport
 	if h == nil {
 		return nil, fmt.Errorf("%w: nil handler", ErrBadConfig)
 	}
-	concurrency := cfg.Concurrency
-	if concurrency <= 0 {
-		concurrency = 64
-	}
 	shiftFrac := cfg.ShiftFrac
 	if shiftFrac <= 0 || shiftFrac >= 1 {
 		shiftFrac = 0.5
@@ -148,7 +142,7 @@ func RunTenants(ctx context.Context, cfg TenantConfig, h Handler) (*TenantReport
 		sent    uint64
 		errs    uint64
 		wg      sync.WaitGroup
-		tokens  = make(chan struct{}, concurrency)
+		tokens  = make(chan struct{}, maxInFlight)
 		shifted = false
 	)
 

@@ -83,26 +83,15 @@ func AppendDelete(dst []byte, key string, noreply bool) []byte {
 	return appendKeyLine(dst, "delete", key, noreply)
 }
 
-// FormatDelete renders a delete request line.
-func FormatDelete(key string, noreply bool) []byte { return AppendDelete(nil, key, noreply) }
-
 // AppendLeaseGet appends an lget request line.
 func AppendLeaseGet(dst []byte, key string) []byte {
 	return appendKeyLine(dst, "lget", key, false)
 }
 
-// FormatLeaseGet renders an lget request line.
-func FormatLeaseGet(key string) []byte { return AppendLeaseGet(nil, key) }
-
 // AppendLeaseSet appends an lset request header + payload: a fill gated by
 // the lease token handed out by the miss.
 func AppendLeaseSet(dst []byte, key string, flags uint32, exptime int64, value []byte, token uint64, noreply bool) []byte {
 	return appendStore(dst, "lset", key, flags, exptime, value, noreply, token)
-}
-
-// FormatLeaseSet renders an lset request header + payload.
-func FormatLeaseSet(key string, flags uint32, exptime int64, value []byte, token uint64, noreply bool) []byte {
-	return AppendLeaseSet(make([]byte, 0, storeLen(key, value)), key, flags, exptime, value, token, noreply)
 }
 
 // FormatHKPut renders a replica value push.

@@ -340,9 +340,10 @@ func FuzzReplyReader(f *testing.F) {
 	seed(func() { _ = w.ClientError("bad data chunk") })
 	seed(func() { _ = w.ServerError("out of memory") })
 	seed(func() {
-		_ = w.Stat("pid", "1")
+		_ = w.StatUint("pid", 1)
 		_ = w.StatUint("curr_connections", 3)
-		_ = w.Stat("shard0:items", "12 of 40")
+		_ = w.Flush()
+		wire.WriteString("STAT shard0:items 12 of 40\r\n") // a non-numeric value
 		_ = w.End()
 	})
 	seed(func() {

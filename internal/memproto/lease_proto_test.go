@@ -83,15 +83,15 @@ func TestLeaseReplyError(t *testing.T) {
 }
 
 func TestFormatLease(t *testing.T) {
-	if got := string(FormatLeaseGet("foo")); got != "lget foo\r\n" {
-		t.Fatalf("FormatLeaseGet = %q", got)
+	if got := string(AppendLeaseGet(nil, "foo")); got != "lget foo\r\n" {
+		t.Fatalf("AppendLeaseGet = %q", got)
 	}
-	got := string(FormatLeaseSet("foo", 7, 30, []byte("hi"), 42, false))
+	got := string(AppendLeaseSet(nil, "foo", 7, 30, []byte("hi"), 42, false))
 	if got != "lset foo 7 30 2 42\r\nhi\r\n" {
-		t.Fatalf("FormatLeaseSet = %q", got)
+		t.Fatalf("AppendLeaseSet = %q", got)
 	}
-	got = string(FormatLeaseSet("foo", 0, 0, nil, 1, true))
+	got = string(AppendLeaseSet(nil, "foo", 0, 0, nil, 1, true))
 	if got != "lset foo 0 0 0 1 noreply\r\n\r\n" {
-		t.Fatalf("FormatLeaseSet noreply = %q", got)
+		t.Fatalf("AppendLeaseSet noreply = %q", got)
 	}
 }

@@ -325,10 +325,10 @@ func TestFormatGetDelete(t *testing.T) {
 	if got := string(FormatGet([]string{"a", "b"})); got != "get a b\r\n" {
 		t.Fatalf("FormatGet = %q", got)
 	}
-	if got := string(FormatDelete("k", false)); got != "delete k\r\n" {
-		t.Fatalf("FormatDelete = %q", got)
+	if got := string(AppendDelete(nil, "k", false)); got != "delete k\r\n" {
+		t.Fatalf("AppendDelete = %q", got)
 	}
-	if got := string(FormatDelete("k", true)); got != "delete k noreply\r\n" {
-		t.Fatalf("FormatDelete noreply = %q", got)
+	if got := string(AppendDelete(nil, "k", true)); got != "delete k noreply\r\n" {
+		t.Fatalf("AppendDelete noreply = %q", got)
 	}
 }

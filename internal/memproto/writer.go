@@ -35,9 +35,6 @@ func (rw *ReplyWriter) Reset(w io.Writer) { rw.w.Reset(w) }
 // only when the request parser has no more pipelined input buffered.
 func (rw *ReplyWriter) Flush() error { return rw.w.Flush() }
 
-// Buffered reports bytes pending in the write buffer.
-func (rw *ReplyWriter) Buffered() int { return rw.w.Buffered() }
-
 // writeUint formats a decimal into the scratch and emits it.
 func (rw *ReplyWriter) writeUint(v uint64) {
 	rw.num = strconv.AppendUint(rw.num[:0], v, 10)
@@ -132,18 +129,8 @@ func (rw *ReplyWriter) Version(version string) error {
 	return err
 }
 
-// Stat writes one STAT line.
-func (rw *ReplyWriter) Stat(name, value string) error {
-	_, _ = rw.w.WriteString("STAT ")
-	_, _ = rw.w.WriteString(name)
-	_ = rw.w.WriteByte(' ')
-	_, _ = rw.w.WriteString(value)
-	_, err := rw.w.WriteString("\r\n")
-	return err
-}
-
-// StatUint writes one STAT line with a numeric value, avoiding the
-// strconv.Format allocation of Stat.
+// StatUint writes one STAT line with a numeric value, formatted without
+// allocating.
 func (rw *ReplyWriter) StatUint(name string, v uint64) error {
 	_, _ = rw.w.WriteString("STAT ")
 	_, _ = rw.w.WriteString(name)

@@ -1,130 +1,14 @@
 // Package metrics provides the measurement machinery the ElMem evaluation
 // needs (Section V): per-second hit-rate and 95th-percentile response-time
-// series, streaming quantile estimation, and the derived post-scaling
-// degradation statistics (peak RT, restoration time, average degraded RT)
-// that Figures 2, 6, and 8 report.
+// series and the derived post-scaling degradation statistics (peak RT,
+// restoration time, average degraded RT) that Figures 2, 6, and 8 report.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
 )
-
-// P2Quantile is the Jain–Chlamtac P² streaming quantile estimator: O(1)
-// memory, no sample retention. Used for long-running node-side stats.
-type P2Quantile struct {
-	p       float64
-	n       int
-	heights [5]float64
-	pos     [5]float64
-	desired [5]float64
-	incr    [5]float64
-	initial []float64
-}
-
-// NewP2Quantile creates an estimator for the p-quantile, 0 < p < 1.
-func NewP2Quantile(p float64) (*P2Quantile, error) {
-	if p <= 0 || p >= 1 {
-		return nil, fmt.Errorf("metrics: quantile %v outside (0, 1)", p)
-	}
-	q := &P2Quantile{p: p}
-	q.desired = [5]float64{1, 1 + 2*p, 1 + 4*p, 3 + 2*p, 5}
-	q.incr = [5]float64{0, p / 2, p, (1 + p) / 2, 1}
-	return q, nil
-}
-
-// Observe feeds one sample.
-func (q *P2Quantile) Observe(x float64) {
-	if q.n < 5 {
-		q.initial = append(q.initial, x)
-		q.n++
-		if q.n == 5 {
-			sort.Float64s(q.initial)
-			for i := 0; i < 5; i++ {
-				q.heights[i] = q.initial[i]
-				q.pos[i] = float64(i + 1)
-			}
-			q.initial = nil
-		}
-		return
-	}
-	q.n++
-
-	// Find the cell k containing x, stretching the extremes if needed.
-	var k int
-	switch {
-	case x < q.heights[0]:
-		q.heights[0] = x
-		k = 0
-	case x >= q.heights[4]:
-		q.heights[4] = x
-		k = 3
-	default:
-		for k = 0; k < 4; k++ {
-			if x < q.heights[k+1] {
-				break
-			}
-		}
-	}
-	for i := k + 1; i < 5; i++ {
-		q.pos[i]++
-	}
-	for i := 0; i < 5; i++ {
-		q.desired[i] += q.incr[i]
-	}
-
-	// Adjust interior markers with the parabolic formula.
-	for i := 1; i <= 3; i++ {
-		d := q.desired[i] - q.pos[i]
-		if (d >= 1 && q.pos[i+1]-q.pos[i] > 1) || (d <= -1 && q.pos[i-1]-q.pos[i] < -1) {
-			sign := 1.0
-			if d < 0 {
-				sign = -1
-			}
-			h := q.parabolic(i, sign)
-			if q.heights[i-1] < h && h < q.heights[i+1] {
-				q.heights[i] = h
-			} else {
-				q.heights[i] = q.linear(i, sign)
-			}
-			q.pos[i] += sign
-		}
-	}
-}
-
-func (q *P2Quantile) parabolic(i int, d float64) float64 {
-	return q.heights[i] + d/(q.pos[i+1]-q.pos[i-1])*
-		((q.pos[i]-q.pos[i-1]+d)*(q.heights[i+1]-q.heights[i])/(q.pos[i+1]-q.pos[i])+
-			(q.pos[i+1]-q.pos[i]-d)*(q.heights[i]-q.heights[i-1])/(q.pos[i]-q.pos[i-1]))
-}
-
-func (q *P2Quantile) linear(i int, d float64) float64 {
-	di := int(d)
-	return q.heights[i] + d*(q.heights[i+di]-q.heights[i])/(q.pos[i+di]-q.pos[i])
-}
-
-// Value returns the current quantile estimate.
-func (q *P2Quantile) Value() float64 {
-	if q.n == 0 {
-		return 0
-	}
-	if q.n < 5 {
-		tmp := make([]float64, len(q.initial))
-		copy(tmp, q.initial)
-		sort.Float64s(tmp)
-		idx := int(math.Ceil(q.p*float64(len(tmp)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		return tmp[idx]
-	}
-	return q.heights[2]
-}
-
-// Count returns the number of observed samples.
-func (q *P2Quantile) Count() int { return q.n }
 
 // SecondStat is one second of the evaluation series: the per-second hit
 // rate and 95%ile RT plotted in Figures 2, 6, and 8.
@@ -289,53 +173,4 @@ func ReductionPercent(baseline, mitigated Degradation) float64 {
 	}
 	red := 1 - float64(mitigated.MeanP95)/float64(baseline.MeanP95)
 	return red * 100
-}
-
-// ShardBalance summarizes how evenly items spread over a lock-striped
-// cache's shards (the input is cache.ShardDistribution()). FNV-1a routing
-// should keep the ratio near 1; a skewed ratio means one stripe's lock is
-// carrying a disproportionate share of the load.
-type ShardBalance struct {
-	// Shards is the stripe count.
-	Shards int
-	// Min and Max are the smallest and largest per-shard item counts.
-	Min, Max int
-	// Mean is the average items per shard.
-	Mean float64
-	// ImbalanceRatio is Max/Mean; 1.0 is perfectly balanced. Zero when the
-	// cache is empty.
-	ImbalanceRatio float64
-	// CV is the coefficient of variation (stddev/mean) of the counts.
-	CV float64
-}
-
-// AnalyzeShards computes the balance summary of per-shard item counts.
-func AnalyzeShards(counts []int) ShardBalance {
-	b := ShardBalance{Shards: len(counts)}
-	if len(counts) == 0 {
-		return b
-	}
-	b.Min = counts[0]
-	total := 0
-	for _, n := range counts {
-		total += n
-		if n < b.Min {
-			b.Min = n
-		}
-		if n > b.Max {
-			b.Max = n
-		}
-	}
-	b.Mean = float64(total) / float64(len(counts))
-	if b.Mean == 0 {
-		return b
-	}
-	b.ImbalanceRatio = float64(b.Max) / b.Mean
-	variance := 0.0
-	for _, n := range counts {
-		d := float64(n) - b.Mean
-		variance += d * d
-	}
-	b.CV = math.Sqrt(variance/float64(len(counts))) / b.Mean
-	return b
 }

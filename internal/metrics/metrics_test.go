@@ -1,87 +1,9 @@
 package metrics
 
 import (
-	"math"
-	"math/rand"
-	"sort"
 	"testing"
-	"testing/quick"
 	"time"
 )
-
-func TestNewP2QuantileValidation(t *testing.T) {
-	for _, p := range []float64{0, 1, -0.5, 1.5} {
-		if _, err := NewP2Quantile(p); err == nil {
-			t.Errorf("NewP2Quantile(%v) succeeded, want error", p)
-		}
-	}
-}
-
-func TestP2QuantileSmallSamples(t *testing.T) {
-	q, err := NewP2Quantile(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Value() != 0 {
-		t.Fatal("empty estimator should report 0")
-	}
-	q.Observe(10)
-	q.Observe(20)
-	q.Observe(30)
-	v := q.Value()
-	if v != 20 {
-		t.Fatalf("median of {10,20,30} = %v, want 20", v)
-	}
-	if q.Count() != 3 {
-		t.Fatalf("Count = %d, want 3", q.Count())
-	}
-}
-
-func TestP2QuantileUniform(t *testing.T) {
-	q, err := NewP2Quantile(0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 100000; i++ {
-		q.Observe(rng.Float64())
-	}
-	if v := q.Value(); math.Abs(v-0.95) > 0.02 {
-		t.Fatalf("p95 of U(0,1) = %v, want ≈0.95", v)
-	}
-}
-
-func TestP2QuantileExponential(t *testing.T) {
-	q, err := NewP2Quantile(0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	var all []float64
-	for i := 0; i < 50000; i++ {
-		x := rng.ExpFloat64()
-		all = append(all, x)
-		q.Observe(x)
-	}
-	sort.Float64s(all)
-	exact := all[int(0.95*float64(len(all)))]
-	if v := q.Value(); math.Abs(v-exact)/exact > 0.1 {
-		t.Fatalf("p95 estimate %v vs exact %v: error > 10%%", v, exact)
-	}
-}
-
-func TestP2QuantileMonotoneInput(t *testing.T) {
-	q, err := NewP2Quantile(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 1000; i++ {
-		q.Observe(float64(i))
-	}
-	if v := q.Value(); v < 400 || v > 600 {
-		t.Fatalf("median of 1..1000 = %v, want ≈500", v)
-	}
-}
 
 func TestDurationQuantileExact(t *testing.T) {
 	lat := []float64{0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.10}
@@ -228,57 +150,5 @@ func TestReductionPercent(t *testing.T) {
 	}
 	if ReductionPercent(Degradation{}, mitigated) != 0 {
 		t.Fatal("zero baseline must yield 0")
-	}
-}
-
-func TestP2QuantilePropertyBounded(t *testing.T) {
-	// The estimate must always lie within [min, max] of the observations.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		q, err := NewP2Quantile(0.9)
-		if err != nil {
-			return false
-		}
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i := 0; i < 500; i++ {
-			x := rng.NormFloat64() * 100
-			lo = math.Min(lo, x)
-			hi = math.Max(hi, x)
-			q.Observe(x)
-		}
-		v := q.Value()
-		return v >= lo && v <= hi
-	}
-	cfg := &quick.Config{MaxCount: 50}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAnalyzeShards(t *testing.T) {
-	b := AnalyzeShards([]int{100, 100, 100, 100})
-	if b.Shards != 4 || b.Min != 100 || b.Max != 100 {
-		t.Fatalf("balanced summary wrong: %+v", b)
-	}
-	if b.ImbalanceRatio != 1 || b.CV != 0 {
-		t.Fatalf("balanced counts must give ratio 1, CV 0: %+v", b)
-	}
-
-	b = AnalyzeShards([]int{10, 20, 30, 140})
-	if b.Min != 10 || b.Max != 140 || b.Mean != 50 {
-		t.Fatalf("skewed summary wrong: %+v", b)
-	}
-	if math.Abs(b.ImbalanceRatio-2.8) > 1e-9 {
-		t.Fatalf("ImbalanceRatio = %v, want 2.8", b.ImbalanceRatio)
-	}
-	if b.CV <= 0 {
-		t.Fatalf("skewed counts must give positive CV: %v", b.CV)
-	}
-
-	if b := AnalyzeShards(nil); b.Shards != 0 || b.ImbalanceRatio != 0 {
-		t.Fatalf("empty input: %+v", b)
-	}
-	if b := AnalyzeShards([]int{0, 0}); b.ImbalanceRatio != 0 || b.CV != 0 {
-		t.Fatalf("all-zero counts must not divide by zero: %+v", b)
 	}
 }

@@ -50,19 +50,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// ParseKind resolves a policy name.
-func ParseKind(s string) (Kind, error) {
-	for k, name := range kindNames {
-		if name == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("policy: unknown policy %q", s)
-}
-
-// All returns the four policies in comparison order.
-func All() []Kind { return []Kind{Baseline, Naive, CacheScale, ElMem} }
-
 // ErrBadRequest reports invalid migration parameters.
 var ErrBadRequest = errors.New("policy: invalid migration request")
 

@@ -60,18 +60,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestParseKind(t *testing.T) {
-	for _, k := range All() {
-		got, err := ParseKind(k.String())
-		if err != nil || got != k {
-			t.Errorf("ParseKind(%q) = %v, %v", k.String(), got, err)
-		}
-	}
-	if _, err := ParseKind("bogus"); err == nil {
-		t.Fatal("want error for unknown policy")
-	}
-}
-
 func TestPickRandomRetiring(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	members := []string{"a", "b", "c", "d", "e"}

@@ -241,7 +241,7 @@ func TestExpiryCrawlerReclaimsInBackground(t *testing.T) {
 	}
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		if c.Expirations() == 1 {
+		if c.Stats().Expirations == 1 {
 			return // crawler reclaimed it without any access
 		}
 		time.Sleep(50 * time.Millisecond)

@@ -105,9 +105,6 @@ func WithExpiryCrawler(interval time.Duration) Option { return crawlerOption(int
 // server.
 func (s *Server) SetHotKeys(rep *hotkey.Replicator) { s.hot.Store(rep) }
 
-// HotKeys returns the installed replicator, nil when detection is off.
-func (s *Server) HotKeys() *hotkey.Replicator { return s.hot.Load() }
-
 // OwnershipChanged installs a newer ownership table,
 // implementing core.OwnershipListener. Stale announcements (version at or
 // below the installed one) are ignored so delivery order across listeners
@@ -126,10 +123,6 @@ func (s *Server) OwnershipChanged(t *hashring.Table) {
 		}
 	}
 }
-
-// OwnershipTable returns the installed ownership table, nil before the
-// first announcement.
-func (s *Server) OwnershipTable() *hashring.Table { return s.ownership.Load() }
 
 // Listen starts serving the cache on addr ("127.0.0.1:0" picks a free
 // port). The caller must Close the server to stop it and join its

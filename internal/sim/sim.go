@@ -170,9 +170,13 @@ type Result struct {
 	FinalMembers []string
 }
 
-// vclock is the virtual time source all components share. It is
-// mutex-guarded because the Master's migration phases fan out across
-// goroutines that all stamp durations through this clock.
+// vclock is the virtual time source all components share. Every read
+// advances it one nanosecond, so the order of reads decides the MRU stamps
+// items get. The sim's Masters therefore run their phases with one worker:
+// concurrent phase goroutines would read the clock in scheduler order and
+// make a run irreproducible. Time is virtual, so one worker costs only wall
+// time. The mutex stays: phase operations still run on taskgroup
+// goroutines, one at a time.
 type vclock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -215,7 +219,7 @@ type simulation struct {
 	recorder  *metrics.Recorder
 	secondary *policy.Secondary // CacheScale transition state
 
-	scaler      autoscaler.Policy
+	scaler      *autoscaler.AutoScaler
 	kvSinceTick uint64
 
 	start    time.Time // virtual time at trace offset 0 (after warmup)
@@ -265,6 +269,7 @@ func Run(cfg Config) (*Result, error) {
 		core.RegistryDirectory{Registry: s.reg},
 		s.members,
 		core.WithClock(s.clk.Now),
+		core.WithWorkerLimit(1), // see vclock: one worker keeps runs reproducible
 	)
 	if err != nil {
 		return nil, err
@@ -731,6 +736,7 @@ func (s *simulation) syncMaster(members []string) {
 		core.RegistryDirectory{Registry: s.reg},
 		members,
 		core.WithClock(s.clk.Now),
+		core.WithWorkerLimit(1), // see vclock: one worker keeps runs reproducible
 	)
 	if err != nil {
 		return

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -32,7 +33,10 @@ func quickConfig(t *testing.T, name trace.Name, kind policy.Kind) Config {
 }
 
 func TestConfigValidation(t *testing.T) {
-	tr := trace.MustGenerate(trace.ETC, trace.Options{})
+	tr, err := trace.Generate(trace.ETC, trace.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	base := DefaultConfig(tr)
 	tests := []struct {
 		name   string
@@ -107,6 +111,39 @@ func TestRunDeterministic(t *testing.T) {
 		if a.Series[i] != b.Series[i] {
 			t.Fatalf("series differ at second %d", i)
 		}
+	}
+}
+
+// TestFullSizeRunDeterministic replays the full-size configuration that
+// `elmem-bench -experiment fig2` runs without -fast, on a shortened trace,
+// twice and compares the results exactly. At the fast size a run has few
+// items to migrate; at this size the Master's phase workers would read the
+// shared virtual clock in scheduler order, and the runs would part after
+// the first scaling action.
+func TestFullSizeRunDeterministic(t *testing.T) {
+	tr, err := trace.Generate(trace.ETC, trace.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(tr)
+	cfg.Duration = 3 * time.Minute
+	cfg.Warmup = 90 * time.Second
+	a, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a.Series {
+		if i < len(b.Series) && a.Series[i] != b.Series[i] {
+			t.Fatalf("series differ at second %d: %+v vs %+v", i, a.Series[i], b.Series[i])
+		}
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("results differ: %d/%d requests, %d/%d DB reads, actions %+v vs %+v",
+			a.TotalRequests, b.TotalRequests, a.DBReads, b.DBReads, a.Actions, b.Actions)
 	}
 }
 

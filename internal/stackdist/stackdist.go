@@ -13,7 +13,7 @@
 //
 //   - Profiler: exact Mattson computation in O(log M) per request using a
 //     Fenwick tree over access timestamps;
-//   - Mimir: the bucketed approximation of the MIMIR system the paper's
+//   - MimirH: the bucketed approximation of the MIMIR system the paper's
 //     implementation uses, trading a bounded relative error for O(1)
 //     amortized updates and a fixed memory footprint.
 package stackdist
@@ -81,24 +81,6 @@ func (p *Profiler) Record(key string) int {
 		p.compact()
 	}
 	return dist
-}
-
-// Distinct returns the number of distinct keys observed.
-func (p *Profiler) Distinct() int { return len(p.last) }
-
-// Total returns the number of recorded requests.
-func (p *Profiler) Total() uint64 { return p.total }
-
-// ColdMisses returns the number of first references.
-func (p *Profiler) ColdMisses() uint64 { return p.coldMisses }
-
-// Histogram returns a copy of the finite stack-distance histogram.
-func (p *Profiler) Histogram() map[int]uint64 {
-	out := make(map[int]uint64, len(p.hist))
-	for d, c := range p.hist {
-		out[d] = c
-	}
-	return out
 }
 
 // Curve builds the hit-rate curve from the current histogram.
@@ -242,21 +224,7 @@ func (c *Curve) Points() (capacities []int, hitRates []float64) {
 	return capacities, hitRates
 }
 
-// Table returns, for every integer hit-rate percent 1..100, the items
-// needed (0 marks unattainable percents). This is the "memory required for
-// every integer hit rate percentage in a single pass" computation of
-// Section III-B.
-func (c *Curve) Table() [101]int {
-	var out [101]int
-	for pct := 1; pct <= 100; pct++ {
-		if items, ok := c.ItemsForHitRate(float64(pct) / 100); ok {
-			out[pct] = items
-		}
-	}
-	return out
-}
-
-// Mimir approximates stack distances with the MIMIR bucket scheme: keys
+// MimirH approximates stack distances with the MIMIR bucket scheme: keys
 // live in B buckets ordered hottest (bucket 0) to coldest; a hit in bucket
 // i has estimated distance ≈ the number of keys in buckets 0..i-1 plus
 // half of bucket i. When bucket 0 fills, buckets age by one position.
@@ -264,11 +232,17 @@ func (c *Curve) Table() [101]int {
 // Keys reference bucket objects (not indices), so aging re-positions the
 // B bucket objects in O(B + |evicted bucket|) instead of relabelling every
 // tracked key — the O(1)-amortized update MIMIR is built for.
-type Mimir struct {
+//
+// Keys are 64-bit hashes, not strings: the cache's hot path already
+// computes a routing hash per access, so the tenant MRC estimator can
+// sample (tenant, hash) pairs without materializing key strings. A hash
+// collision merges two keys' recency — at 48 sampled hash bits the effect
+// on a bucketed estimate is far below the bucketing error.
+type MimirH struct {
 	buckets   []*mimirBucket // index 0 = hottest
 	bucketCap int
 
-	where map[string]*mimirBucket
+	where map[uint64]*mimirBucket
 
 	hist       map[int]uint64
 	coldMisses uint64
@@ -277,98 +251,6 @@ type Mimir struct {
 
 // mimirBucket is one aging cohort; pos is its current index in buckets.
 type mimirBucket struct {
-	pos  int
-	keys map[string]struct{}
-}
-
-// NewMimir creates a MIMIR profiler with nBuckets buckets of bucketCap
-// keys each; the product bounds the distinct keys tracked.
-func NewMimir(nBuckets, bucketCap int) (*Mimir, error) {
-	if nBuckets < 2 || bucketCap < 1 {
-		return nil, fmt.Errorf("stackdist: need >= 2 buckets of >= 1 key, got %d x %d", nBuckets, bucketCap)
-	}
-	m := &Mimir{
-		buckets:   make([]*mimirBucket, nBuckets),
-		bucketCap: bucketCap,
-		where:     make(map[string]*mimirBucket),
-		hist:      make(map[int]uint64),
-	}
-	for i := range m.buckets {
-		m.buckets[i] = &mimirBucket{pos: i, keys: make(map[string]struct{})}
-	}
-	return m, nil
-}
-
-// Record processes one request and returns the estimated stack distance.
-func (m *Mimir) Record(key string) int {
-	m.total++
-	b, seen := m.where[key]
-	var dist int
-	if !seen {
-		dist = InfiniteDistance
-		m.coldMisses++
-	} else {
-		est := 0
-		for j := 0; j < b.pos; j++ {
-			est += len(m.buckets[j].keys)
-		}
-		est += len(b.keys) / 2
-		dist = est
-		m.hist[dist]++
-		delete(b.keys, key)
-	}
-	// Promote to the hottest bucket, aging if full.
-	if len(m.buckets[0].keys) >= m.bucketCap {
-		m.age()
-	}
-	m.buckets[0].keys[key] = struct{}{}
-	m.where[key] = m.buckets[0]
-	return dist
-}
-
-// age shifts every bucket one position colder; the coldest bucket is
-// recycled as the new hottest bucket after its keys fall out.
-func (m *Mimir) age() {
-	last := len(m.buckets) - 1
-	coldest := m.buckets[last]
-	for key := range coldest.keys {
-		delete(m.where, key)
-	}
-	copy(m.buckets[1:], m.buckets[:last])
-	coldest.keys = make(map[string]struct{}, m.bucketCap)
-	m.buckets[0] = coldest
-	for i, b := range m.buckets {
-		b.pos = i
-	}
-}
-
-// Total returns the number of recorded requests.
-func (m *Mimir) Total() uint64 { return m.total }
-
-// ColdMisses returns the number of first-or-evicted references.
-func (m *Mimir) ColdMisses() uint64 { return m.coldMisses }
-
-// Curve builds the (approximate) hit-rate curve.
-func (m *Mimir) Curve() *Curve { return newCurve(m.hist, m.total) }
-
-// MimirH is Mimir keyed by 64-bit hashes instead of strings: the cache's
-// hot path already computes a routing hash per access, so the tenant MRC
-// estimator can sample (tenant, hash) pairs without materializing key
-// strings. A hash collision merges two keys' recency — at 48 sampled hash
-// bits the effect on a bucketed estimate is far below the bucketing error.
-type MimirH struct {
-	buckets   []*mimirBucketH // index 0 = hottest
-	bucketCap int
-
-	where map[uint64]*mimirBucketH
-
-	hist       map[int]uint64
-	coldMisses uint64
-	total      uint64
-}
-
-// mimirBucketH is one aging cohort; pos is its current index in buckets.
-type mimirBucketH struct {
 	pos  int
 	keys map[uint64]struct{}
 }
@@ -380,13 +262,13 @@ func NewMimirH(nBuckets, bucketCap int) (*MimirH, error) {
 		return nil, fmt.Errorf("stackdist: need >= 2 buckets of >= 1 key, got %d x %d", nBuckets, bucketCap)
 	}
 	m := &MimirH{
-		buckets:   make([]*mimirBucketH, nBuckets),
+		buckets:   make([]*mimirBucket, nBuckets),
 		bucketCap: bucketCap,
-		where:     make(map[uint64]*mimirBucketH),
+		where:     make(map[uint64]*mimirBucket),
 		hist:      make(map[int]uint64),
 	}
 	for i := range m.buckets {
-		m.buckets[i] = &mimirBucketH{pos: i, keys: make(map[uint64]struct{})}
+		m.buckets[i] = &mimirBucket{pos: i, keys: make(map[uint64]struct{})}
 	}
 	return m, nil
 }
@@ -433,25 +315,6 @@ func (m *MimirH) age() {
 		b.pos = i
 	}
 }
-
-// Reset drops all tracked state and counters, keeping the configuration.
-// The arbiter resets a tenant's estimator after a workload phase change
-// signal rather than letting stale recency decay out.
-func (m *MimirH) Reset() {
-	for i, b := range m.buckets {
-		b.pos = i
-		b.keys = make(map[uint64]struct{})
-	}
-	m.where = make(map[uint64]*mimirBucketH)
-	m.hist = make(map[int]uint64)
-	m.coldMisses, m.total = 0, 0
-}
-
-// Total returns the number of recorded requests.
-func (m *MimirH) Total() uint64 { return m.total }
-
-// ColdMisses returns the number of first-or-evicted references.
-func (m *MimirH) ColdMisses() uint64 { return m.coldMisses }
 
 // Curve builds the (approximate) hit-rate curve.
 func (m *MimirH) Curve() *Curve { return newCurve(m.hist, m.total) }

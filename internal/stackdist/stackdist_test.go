@@ -14,8 +14,8 @@ func TestProfilerColdMisses(t *testing.T) {
 			t.Fatalf("first reference of k%d has distance %d, want infinite", i, d)
 		}
 	}
-	if p.ColdMisses() != 5 || p.Total() != 5 || p.Distinct() != 5 {
-		t.Fatalf("cold=%d total=%d distinct=%d, want 5/5/5", p.ColdMisses(), p.Total(), p.Distinct())
+	if p.coldMisses != 5 || p.total != 5 || len(p.last) != 5 {
+		t.Fatalf("cold=%d total=%d distinct=%d, want 5/5/5", p.coldMisses, p.total, len(p.last))
 	}
 }
 
@@ -65,8 +65,8 @@ func TestProfilerCompaction(t *testing.T) {
 	if d := p.Record("k0"); d != 6 {
 		t.Fatalf("post-compaction distance %d, want 6", d)
 	}
-	if p.Distinct() != 7 {
-		t.Fatalf("distinct = %d, want 7", p.Distinct())
+	if len(p.last) != 7 {
+		t.Fatalf("distinct = %d, want 7", len(p.last))
 	}
 }
 
@@ -159,16 +159,20 @@ func TestCurveTable(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		p.Record(fmt.Sprintf("k%d", rng.Intn(200)))
 	}
-	table := p.Curve().Table()
+	// Section III-B's table: the memory for every integer hit-rate percent
+	// from one pass.
+	c := p.Curve()
+	var table [101]int
 	last := 0
 	for pct := 1; pct <= 100; pct++ {
-		if table[pct] == 0 {
+		items, ok := c.ItemsForHitRate(float64(pct) / 100)
+		if !ok {
 			continue // unattainable
 		}
-		if table[pct] < last {
-			t.Fatalf("table not monotone: %d%% needs %d < %d", pct, table[pct], last)
+		if items < last {
+			t.Fatalf("table not monotone: %d%% needs %d < %d", pct, items, last)
 		}
-		last = table[pct]
+		table[pct], last = items, items
 	}
 	if table[50] == 0 {
 		t.Fatal("50% hit rate should be attainable on a 200-key uniform stream")
@@ -187,40 +191,42 @@ func TestCurveEmpty(t *testing.T) {
 }
 
 func TestNewMimirValidation(t *testing.T) {
-	if _, err := NewMimir(1, 10); err == nil {
+	if _, err := NewMimirH(1, 10); err == nil {
 		t.Fatal("want error for a single bucket")
 	}
-	if _, err := NewMimir(4, 0); err == nil {
+	if _, err := NewMimirH(4, 0); err == nil {
 		t.Fatal("want error for empty buckets")
 	}
 }
 
 func TestMimirTracksHotKeys(t *testing.T) {
-	m, err := NewMimir(8, 16)
+	m, err := NewMimirH(8, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A single hot key re-referenced often must report small distances.
-	m.Record("hot")
+	const hot = 1 << 40
+	m.Record(hot)
 	for i := 0; i < 100; i++ {
-		m.Record(fmt.Sprintf("filler%d", i%8))
-		if d := m.Record("hot"); d == InfiniteDistance || d > 16 {
+		m.Record(uint64(i % 8))
+		if d := m.Record(hot); d == InfiniteDistance || d > 16 {
 			t.Fatalf("hot key distance %d, want small", d)
 		}
 	}
 }
 
 func TestMimirAgingEvicts(t *testing.T) {
-	m, err := NewMimir(2, 4)
+	m, err := NewMimirH(2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Record("victim")
+	const victim = 1 << 40
+	m.Record(victim)
 	// Flood with enough distinct keys to age victim out of both buckets.
 	for i := 0; i < 40; i++ {
-		m.Record(fmt.Sprintf("flood%d", i))
+		m.Record(uint64(i))
 	}
-	if d := m.Record("victim"); d != InfiniteDistance {
+	if d := m.Record(victim); d != InfiniteDistance {
 		t.Fatalf("evicted key distance %d, want infinite (re-cold)", d)
 	}
 }
@@ -233,7 +239,7 @@ func TestMimirApproximatesExactCurve(t *testing.T) {
 	// set the curves coincide, and (b) the memory answer for a target hit
 	// rate lands within a small multiplicative factor of exact.
 	exact := NewProfiler()
-	approx, err := NewMimir(128, 8)
+	approx, err := NewMimirH(128, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +247,7 @@ func TestMimirApproximatesExactCurve(t *testing.T) {
 	// Working set of 100 keys, gaps well inside the 1024-key tracking window.
 	for i := 0; i < 60000; i++ {
 		exact.Record(fmt.Sprintf("k%d", rng.Intn(100)))
-		approx.Record(fmt.Sprintf("k%d", rng.Intn(100)))
+		approx.Record(uint64(rng.Intn(100)))
 	}
 	ec, ac := exact.Curve(), approx.Curve()
 	for _, capacity := range []int{200, 400, 800} {
@@ -261,13 +267,13 @@ func TestMimirApproximatesExactCurve(t *testing.T) {
 }
 
 func TestMimirCurveMonotone(t *testing.T) {
-	m, err := NewMimir(64, 8)
+	m, err := NewMimirH(64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 30000; i++ {
-		m.Record(fmt.Sprintf("k%d", rng.Intn(300)))
+		m.Record(uint64(rng.Intn(300)))
 	}
 	c := m.Curve()
 	prev := 0.0
@@ -281,16 +287,16 @@ func TestMimirCurveMonotone(t *testing.T) {
 }
 
 func TestMimirCounters(t *testing.T) {
-	m, err := NewMimir(4, 8)
+	m, err := NewMimirH(4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Record("a")
-	m.Record("a")
-	if m.Total() != 2 {
-		t.Fatalf("Total = %d, want 2", m.Total())
+	m.Record(7)
+	m.Record(7)
+	if m.total != 2 {
+		t.Fatalf("Total = %d, want 2", m.total)
 	}
-	if m.ColdMisses() != 1 {
-		t.Fatalf("ColdMisses = %d, want 1", m.ColdMisses())
+	if m.coldMisses != 1 {
+		t.Fatalf("cold misses = %d, want 1", m.coldMisses)
 	}
 }

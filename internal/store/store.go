@@ -91,9 +91,6 @@ func NewDataset(n uint64, opts ...DatasetOption) (*Dataset, error) {
 	}, nil
 }
 
-// Len returns the number of keys in the dataset.
-func (d *Dataset) Len() uint64 { return d.n }
-
 // RankOf parses the rank from a canonical key name. A tenant namespace
 // prefix ("tenant/k00042") is ignored: the simulated database is
 // namespace-agnostic, every tenant reads the same backing records.
@@ -150,25 +147,6 @@ func (d *Dataset) Value(key string) ([]byte, error) {
 	return out, nil
 }
 
-// TotalBytes estimates the dataset footprint by sampling sizes.
-func (d *Dataset) TotalBytes() int64 {
-	const samples = 4096
-	var sum int64
-	step := d.n / samples
-	if step == 0 {
-		step = 1
-	}
-	count := int64(0)
-	for rank := uint64(0); rank < d.n; rank += step {
-		sum += int64(d.SizeOf(rank))
-		count++
-	}
-	if count == 0 {
-		return 0
-	}
-	return sum / count * int64(d.n)
-}
-
 // LatencyModel maps offered load to database access latency with an
 // M/M/1-style knee at Capacity: flat near Base at low load, then rising
 // sharply as utilization approaches 1, clamped at Max.
@@ -215,7 +193,6 @@ type DB struct {
 	mu       sync.Mutex
 	buckets  [ratebuckets]int64
 	stamps   [ratebuckets]int64 // unix-100ms epoch of each bucket
-	reads    uint64
 	lastRate float64
 }
 
@@ -273,16 +250,6 @@ func (db *DB) Rate() float64 {
 	return db.lastRate
 }
 
-// Reads returns the total reads served.
-func (db *DB) Reads() uint64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.reads
-}
-
-// Capacity returns r_DB.
-func (db *DB) Capacity() float64 { return db.model.Capacity }
-
 // Dataset exposes the backing dataset.
 func (db *DB) Dataset() *Dataset { return db.dataset }
 
@@ -298,7 +265,6 @@ func (db *DB) recordArrival() float64 {
 		db.buckets[idx] = 0
 	}
 	db.buckets[idx]++
-	db.reads++
 
 	var count int64
 	for i := 0; i < ratebuckets; i++ {

@@ -113,11 +113,15 @@ func TestTotalBytesScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := d.TotalBytes()
-	// Mean size ≈ 329 bytes (clamped tail shrinks it); expect the estimate
-	// within a loose band around mean × n.
-	if total < 100_000_000 || total > 500_000_000 {
-		t.Fatalf("TotalBytes = %d, outside plausible band", total)
+	// Mean size ≈ 329 bytes (clamped tail shrinks it); expect the sampled
+	// footprint within a loose band around mean × n.
+	var sum, count int64
+	for rank := uint64(0); rank < 1_000_000; rank += 1_000_000 / 4096 {
+		sum += int64(d.SizeOf(rank))
+		count++
+	}
+	if total := sum / count * 1_000_000; total < 100_000_000 || total > 500_000_000 {
+		t.Fatalf("footprint %d B, outside plausible band", total)
 	}
 }
 
@@ -230,8 +234,8 @@ func TestDBGetLowLoad(t *testing.T) {
 	if lastLat > 2*time.Millisecond {
 		t.Fatalf("low-load latency %v, want near base", lastLat)
 	}
-	if db.Reads() != 10 {
-		t.Fatalf("Reads = %d, want 10", db.Reads())
+	if db.Rate() != 10 {
+		t.Fatalf("Rate = %v, want the 10 reads of the last second", db.Rate())
 	}
 }
 
@@ -286,11 +290,11 @@ func TestDBGetUnknownKey(t *testing.T) {
 
 func TestDBCapacityAndDataset(t *testing.T) {
 	db, _ := newTestDB(t, 40000)
-	if db.Capacity() != 40000 {
-		t.Fatalf("Capacity = %v, want 40000", db.Capacity())
+	if db.model.Capacity != 40000 {
+		t.Fatalf("Capacity = %v, want 40000", db.model.Capacity)
 	}
-	if db.Dataset().Len() != 10000 {
-		t.Fatalf("dataset len = %d, want 10000", db.Dataset().Len())
+	if db.Dataset().n != 10000 {
+		t.Fatalf("dataset len = %d, want 10000", db.Dataset().n)
 	}
 }
 
@@ -310,7 +314,7 @@ func TestDBConcurrentGets(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if db.Reads() != 1600 {
-		t.Fatalf("Reads = %d, want 1600", db.Reads())
+	if db.Rate() != 1600 { // the clock stands still: every read is in the window
+		t.Fatalf("Rate = %v, want 1600", db.Rate())
 	}
 }

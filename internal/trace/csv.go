@@ -73,38 +73,3 @@ func FromCSV(r io.Reader) (*Trace, error) {
 	}
 	return &Trace{Points: points}, nil
 }
-
-// ParseActions parses scaling actions from a compact spec:
-//
-//	"30m:10>7,55m:7>8"
-//
-// meaning a decision at 30 minutes scaling 10→7 nodes and another at 55
-// minutes scaling 7→8. Offsets take any time.ParseDuration syntax.
-func ParseActions(spec string) ([]ScalingAction, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, nil
-	}
-	var out []ScalingAction
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		atText, scaleText, ok := strings.Cut(entry, ":")
-		if !ok {
-			return nil, fmt.Errorf("trace: bad action %q (want offset:from>to)", entry)
-		}
-		at, err := time.ParseDuration(atText)
-		if err != nil {
-			return nil, fmt.Errorf("trace: bad action offset %q: %v", atText, err)
-		}
-		fromText, toText, ok := strings.Cut(scaleText, ">")
-		if !ok {
-			return nil, fmt.Errorf("trace: bad action scale %q (want from>to)", scaleText)
-		}
-		from, err1 := strconv.Atoi(strings.TrimSpace(fromText))
-		to, err2 := strconv.Atoi(strings.TrimSpace(toText))
-		if err1 != nil || err2 != nil || from < 1 || to < 1 {
-			return nil, fmt.Errorf("trace: bad node counts in %q", scaleText)
-		}
-		out = append(out, ScalingAction{At: at, FromNodes: from, ToNodes: to})
-	}
-	return out, nil
-}

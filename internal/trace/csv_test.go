@@ -89,40 +89,3 @@ func TestFromCSVRateAtInterpolates(t *testing.T) {
 		t.Fatalf("midpoint rate = %v, want ≈0.5", mid)
 	}
 }
-
-func TestParseActions(t *testing.T) {
-	actions, err := ParseActions("30m:10>7, 55m:7>8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(actions) != 2 {
-		t.Fatalf("actions = %d", len(actions))
-	}
-	if actions[0].At != 30*time.Minute || actions[0].FromNodes != 10 || actions[0].ToNodes != 7 {
-		t.Fatalf("action 0 = %+v", actions[0])
-	}
-	if actions[1].ToNodes != 8 {
-		t.Fatalf("action 1 = %+v", actions[1])
-	}
-}
-
-func TestParseActionsEmpty(t *testing.T) {
-	actions, err := ParseActions("  ")
-	if err != nil || actions != nil {
-		t.Fatalf("ParseActions(blank) = %v, %v", actions, err)
-	}
-}
-
-func TestParseActionsErrors(t *testing.T) {
-	for _, spec := range []string{
-		"30m",        // missing scale
-		"xx:10>7",    // bad duration
-		"30m:10-7",   // bad separator
-		"30m:zero>7", // bad from
-		"30m:10>0",   // zero to
-	} {
-		if _, err := ParseActions(spec); err == nil {
-			t.Fatalf("ParseActions(%q) succeeded, want error", spec)
-		}
-	}
-}

@@ -114,31 +114,6 @@ func (t *Trace) Duration() time.Duration {
 	return t.Points[len(t.Points)-1].At
 }
 
-// PeakRate returns the maximum normalized rate in the series.
-func (t *Trace) PeakRate() float64 {
-	peak := 0.0
-	for _, p := range t.Points {
-		if p.Rate > peak {
-			peak = p.Rate
-		}
-	}
-	return peak
-}
-
-// MinRate returns the minimum normalized rate in the series.
-func (t *Trace) MinRate() float64 {
-	if len(t.Points) == 0 {
-		return 0
-	}
-	minRate := t.Points[0].Rate
-	for _, p := range t.Points {
-		if p.Rate < minRate {
-			minRate = p.Rate
-		}
-	}
-	return minRate
-}
-
 // Options configure trace synthesis.
 type Options struct {
 	// Step is the sampling interval of the emitted series (default 1s).
@@ -236,16 +211,6 @@ func Generate(name Name, opts Options) (*Trace, error) {
 		points = append(points, Point{At: at, Rate: rate})
 	}
 	return &Trace{Name: name, Points: points, Actions: actions}, nil
-}
-
-// MustGenerate is Generate for the five known names; it panics on the
-// sentinel error, which can only happen through programmer error.
-func MustGenerate(name Name, opts Options) *Trace {
-	t, err := Generate(name, opts)
-	if err != nil {
-		panic(err)
-	}
-	return t
 }
 
 // sysShape: high plateau near 1.0 for the first ~40% of the trace, then a

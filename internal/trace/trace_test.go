@@ -96,13 +96,10 @@ func TestRateAtEmptyTrace(t *testing.T) {
 	if got := tr.Duration(); got != 0 {
 		t.Fatalf("Duration on empty trace = %v, want 0", got)
 	}
-	if got := tr.MinRate(); got != 0 {
-		t.Fatalf("MinRate on empty trace = %v, want 0", got)
-	}
 }
 
 func TestSYSShapeDropsSteeply(t *testing.T) {
-	tr := MustGenerate(SYS, Options{Noise: 0})
+	tr := mustGenerate(t, SYS, Options{Noise: 0})
 	before := tr.RateAt(20 * time.Minute)
 	after := tr.RateAt(50 * time.Minute)
 	if before < 0.85 {
@@ -118,7 +115,7 @@ func TestSYSShapeDropsSteeply(t *testing.T) {
 }
 
 func TestETCShapeTroughAndRecovery(t *testing.T) {
-	tr := MustGenerate(ETC, Options{Noise: 0})
+	tr := mustGenerate(t, ETC, Options{Noise: 0})
 	start := tr.RateAt(0)
 	trough := tr.RateAt(40 * time.Minute)
 	end := tr.RateAt(tr.Duration())
@@ -131,7 +128,7 @@ func TestETCShapeTroughAndRecovery(t *testing.T) {
 }
 
 func TestSAPShapeTwoSteps(t *testing.T) {
-	tr := MustGenerate(SAP, Options{Noise: 0})
+	tr := mustGenerate(t, SAP, Options{Noise: 0})
 	p1 := tr.RateAt(15 * time.Minute) // first plateau
 	p2 := tr.RateAt(40 * time.Minute) // second plateau
 	p3 := tr.RateAt(70 * time.Minute) // third plateau
@@ -144,7 +141,7 @@ func TestSAPShapeTwoSteps(t *testing.T) {
 }
 
 func TestNLANRShapeSurgeThenDecline(t *testing.T) {
-	tr := MustGenerate(NLANR, Options{Noise: 0})
+	tr := mustGenerate(t, NLANR, Options{Noise: 0})
 	start := tr.RateAt(5 * time.Minute)
 	peak := tr.RateAt(38 * time.Minute)
 	end := tr.RateAt(tr.Duration())
@@ -157,7 +154,7 @@ func TestNLANRShapeSurgeThenDecline(t *testing.T) {
 }
 
 func TestMicrosoftShapeTwoStageDecay(t *testing.T) {
-	tr := MustGenerate(Microsoft, Options{Noise: 0})
+	tr := mustGenerate(t, Microsoft, Options{Noise: 0})
 	p1 := tr.RateAt(10 * time.Minute)
 	p2 := tr.RateAt(40 * time.Minute)
 	p3 := tr.RateAt(62 * time.Minute)
@@ -168,7 +165,7 @@ func TestMicrosoftShapeTwoStageDecay(t *testing.T) {
 
 func TestScalingActionsWithinTrace(t *testing.T) {
 	for _, name := range All() {
-		tr := MustGenerate(name, Options{})
+		tr := mustGenerate(t, name, Options{})
 		for _, a := range tr.Actions {
 			if a.At <= 0 || a.At >= tr.Duration() {
 				t.Errorf("%v: action at %v outside trace (0, %v)", name, a.At, tr.Duration())
@@ -184,8 +181,8 @@ func TestScalingActionsWithinTrace(t *testing.T) {
 }
 
 func TestGenerateDeterminism(t *testing.T) {
-	a := MustGenerate(ETC, Options{Seed: 7, Noise: 0.05})
-	b := MustGenerate(ETC, Options{Seed: 7, Noise: 0.05})
+	a := mustGenerate(t, ETC, Options{Seed: 7, Noise: 0.05})
+	b := mustGenerate(t, ETC, Options{Seed: 7, Noise: 0.05})
 	if len(a.Points) != len(b.Points) {
 		t.Fatal("length mismatch")
 	}
@@ -194,7 +191,7 @@ func TestGenerateDeterminism(t *testing.T) {
 			t.Fatalf("point %d differs between identical seeds", i)
 		}
 	}
-	c := MustGenerate(ETC, Options{Seed: 8, Noise: 0.05})
+	c := mustGenerate(t, ETC, Options{Seed: 8, Noise: 0.05})
 	same := true
 	for i := range a.Points {
 		if a.Points[i].Rate != c.Points[i].Rate {
@@ -208,7 +205,7 @@ func TestGenerateDeterminism(t *testing.T) {
 }
 
 func TestCustomStep(t *testing.T) {
-	tr := MustGenerate(SYS, Options{Step: 10 * time.Second})
+	tr := mustGenerate(t, SYS, Options{Step: 10 * time.Second})
 	if len(tr.Points) < 2 {
 		t.Fatal("too few points")
 	}
@@ -219,13 +216,28 @@ func TestCustomStep(t *testing.T) {
 
 func TestPeakAndMinRates(t *testing.T) {
 	for _, name := range All() {
-		tr := MustGenerate(name, Options{Noise: 0})
-		if tr.PeakRate() <= tr.MinRate() {
-			t.Errorf("%v: peak %v <= min %v", name, tr.PeakRate(), tr.MinRate())
+		tr := mustGenerate(t, name, Options{Noise: 0})
+		peak, minRate := tr.Points[0].Rate, tr.Points[0].Rate
+		for _, p := range tr.Points {
+			peak, minRate = max(peak, p.Rate), min(minRate, p.Rate)
+		}
+		if peak <= minRate {
+			t.Errorf("%v: peak %v <= min %v", name, peak, minRate)
 		}
 		// Every paper trace varies "considerably" — at least 1.5x.
-		if tr.PeakRate()/tr.MinRate() < 1.5 {
-			t.Errorf("%v: insufficient demand variation %.2fx", name, tr.PeakRate()/tr.MinRate())
+		if peak/minRate < 1.5 {
+			t.Errorf("%v: insufficient demand variation %.2fx", name, peak/minRate)
 		}
 	}
+}
+
+// mustGenerate is Generate for the five known names, failing the test on
+// an error.
+func mustGenerate(t *testing.T, name Name, opts Options) *Trace {
+	t.Helper()
+	tr, err := Generate(name, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }

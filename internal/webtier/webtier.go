@@ -37,9 +37,6 @@ type Handler struct {
 	// sleepDB, when true, actually sleeps the modeled DB latency (real-
 	// time mode); otherwise the latency is only accounted.
 	sleepDB bool
-	// insertOnMiss controls whether DB-fetched pairs are written back to
-	// the cache (the paper's client does this).
-	insertOnMiss bool
 
 	mu       sync.Mutex
 	handled  uint64
@@ -53,8 +50,7 @@ type Option interface {
 }
 
 type options struct {
-	sleepDB      bool
-	insertOnMiss bool
+	sleepDB bool
 }
 
 type sleepOption bool
@@ -65,27 +61,19 @@ func (o sleepOption) apply(opts *options) { opts.sleepDB = bool(o) }
 // TCP deployments where wall time is the experiment clock.
 func WithRealSleep() Option { return sleepOption(true) }
 
-type insertOption bool
-
-func (o insertOption) apply(opts *options) { opts.insertOnMiss = bool(o) }
-
-// WithoutInsertOnMiss disables cache fill on miss (for ablations).
-func WithoutInsertOnMiss() Option { return insertOption(false) }
-
 // New creates a Handler.
 func New(cluster *client.Cluster, db *store.DB, opts ...Option) (*Handler, error) {
 	if cluster == nil || db == nil {
 		return nil, fmt.Errorf("%w: nil cluster or db", ErrBadConfig)
 	}
-	o := options{insertOnMiss: true}
+	var o options
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
 	return &Handler{
-		cluster:      cluster,
-		db:           db,
-		sleepDB:      o.sleepDB,
-		insertOnMiss: o.insertOnMiss,
+		cluster: cluster,
+		db:      db,
+		sleepDB: o.sleepDB,
 	}, nil
 }
 
@@ -119,10 +107,9 @@ func (h *Handler) Handle(keys []string) (Result, error) {
 			time.Sleep(dbLat)
 		}
 		total += perKVCache + dbLat
-		if h.insertOnMiss {
-			// A racing set failure only costs a future miss.
-			_ = h.cluster.Set(key, value)
-		}
+		// Write the pair back, as the paper's client does; a racing set
+		// failure only costs a future miss.
+		_ = h.cluster.Set(key, value)
 	}
 	out.RT = total / time.Duration(len(keys))
 

@@ -90,21 +90,6 @@ func TestHandleMissThenHit(t *testing.T) {
 	}
 }
 
-func TestHandleWithoutInsertOnMiss(t *testing.T) {
-	h, _ := newHandler(t, 1, WithoutInsertOnMiss())
-	keys := []string{workload.KeyName(7)}
-	if _, err := h.Handle(keys); err != nil {
-		t.Fatal(err)
-	}
-	res, err := h.Handle(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Misses != 1 {
-		t.Fatalf("res = %+v, want repeat miss without insert", res)
-	}
-}
-
 func TestHandleEmptyKeys(t *testing.T) {
 	h, _ := newHandler(t, 1)
 	if _, err := h.Handle(nil); !errors.Is(err, ErrBadConfig) {

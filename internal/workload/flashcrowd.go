@@ -56,9 +56,3 @@ func (f *FlashCrowd) Next() uint64 {
 	}
 	return f.zipf.Next()
 }
-
-// CrowdKey returns the canonical name of the crowd key.
-func (f *FlashCrowd) CrowdKey() string { return KeyName(f.crowd) }
-
-// Drawn reports how many draws have been issued.
-func (f *FlashCrowd) Drawn() uint64 { return f.n }

@@ -89,11 +89,11 @@ func TestFlashCrowdDistribution(t *testing.T) {
 	if outShare := float64(outWindow) / float64(outTotal); outShare > 0.05 {
 		t.Errorf("out-of-window crowd share = %.3f, want < 0.05", outShare)
 	}
-	if fc.Drawn() != total {
-		t.Errorf("Drawn() = %d, want %d", fc.Drawn(), total)
+	if fc.n != total {
+		t.Errorf("drawn = %d, want %d", fc.n, total)
 	}
-	if fc.CrowdKey() != KeyName(crowd) {
-		t.Errorf("CrowdKey() = %q, want %q", fc.CrowdKey(), KeyName(crowd))
+	if fc.crowd != crowd {
+		t.Errorf("crowd rank = %d, want %d", fc.crowd, crowd)
 	}
 }
 

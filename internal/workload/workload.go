@@ -81,12 +81,6 @@ func NewZipf(rng *rand.Rand, s float64, n uint64) (*Zipf, error) {
 	return z, nil
 }
 
-// N returns the keyspace size.
-func (z *Zipf) N() uint64 { return z.n }
-
-// S returns the skew exponent.
-func (z *Zipf) S() float64 { return z.s }
-
 // buildCDF precomputes the exact cumulative distribution for small keyspaces.
 func (z *Zipf) buildCDF() {
 	cdf := make([]float64, z.n)
@@ -179,59 +173,6 @@ func (z *Zipf) Next() uint64 {
 			return uint64(k) - 1
 		}
 	}
-}
-
-// GeneralizedPareto samples value sizes from a Generalized Pareto
-// distribution with the location fixed at zero, matching Section V-A2.
-type GeneralizedPareto struct {
-	scale float64 // sigma
-	shape float64 // xi
-	min   int
-	max   int
-	rng   *rand.Rand
-}
-
-// NewGeneralizedPareto creates a GPD sampler; sizes are clamped to
-// [minSize, maxSize].
-func NewGeneralizedPareto(rng *rand.Rand, scale, shape float64, minSize, maxSize int) (*GeneralizedPareto, error) {
-	if scale <= 0 {
-		return nil, fmt.Errorf("workload: pareto scale must be positive, got %v", scale)
-	}
-	if minSize < 1 || maxSize < minSize {
-		return nil, fmt.Errorf("workload: invalid size bounds [%d, %d]", minSize, maxSize)
-	}
-	return &GeneralizedPareto{scale: scale, shape: shape, min: minSize, max: maxSize, rng: rng}, nil
-}
-
-// Next draws one value size in bytes.
-func (g *GeneralizedPareto) Next() int {
-	u := g.rng.Float64()
-	// Inverse CDF of the GPD with mu=0:
-	//   xi != 0: sigma/xi * ((1-u)^-xi - 1)
-	//   xi == 0: -sigma * ln(1-u)
-	var x float64
-	if g.shape != 0 {
-		x = g.scale / g.shape * (math.Pow(1-u, -g.shape) - 1)
-	} else {
-		x = -g.scale * math.Log(1-u)
-	}
-	size := int(math.Ceil(x))
-	if size < g.min {
-		size = g.min
-	}
-	if size > g.max {
-		size = g.max
-	}
-	return size
-}
-
-// Mean returns the analytic mean of the (unclamped) distribution, valid for
-// shape < 1; it returns +Inf otherwise.
-func (g *GeneralizedPareto) Mean() float64 {
-	if g.shape >= 1 {
-		return math.Inf(1)
-	}
-	return g.scale / (1 - g.shape)
 }
 
 // KeyName renders the canonical fixed-width key for a rank. All generated
@@ -402,39 +343,4 @@ func (g *Generator) NextMulti(k int) []Request {
 // the rank and the configured GPD parameters.
 func (g *Generator) SizeOf(rank uint64) int {
 	return SizeForRank(rank, g.scale, g.shape, g.minSize, g.maxSize)
-}
-
-// Keyspace returns the number of distinct keys.
-func (g *Generator) Keyspace() uint64 { return g.zipf.N() }
-
-// Arrivals generates open-loop exponential inter-arrival times whose mean
-// rate can be changed on the fly, as the demand trace dictates (V-A2).
-type Arrivals struct {
-	rng  *rand.Rand
-	rate float64 // requests per second
-}
-
-// NewArrivals creates an arrival process at the given rate (req/s).
-func NewArrivals(rng *rand.Rand, rate float64) (*Arrivals, error) {
-	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
-		return nil, fmt.Errorf("workload: arrival rate must be positive and finite, got %v", rate)
-	}
-	return &Arrivals{rng: rng, rate: rate}, nil
-}
-
-// SetRate updates the mean request rate; subsequent gaps use the new rate.
-func (a *Arrivals) SetRate(rate float64) error {
-	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
-		return fmt.Errorf("workload: arrival rate must be positive and finite, got %v", rate)
-	}
-	a.rate = rate
-	return nil
-}
-
-// Rate returns the current mean request rate in req/s.
-func (a *Arrivals) Rate() float64 { return a.rate }
-
-// NextGap draws the next inter-arrival gap in seconds.
-func (a *Arrivals) NextGap() float64 {
-	return a.rng.ExpFloat64() / a.rate
 }

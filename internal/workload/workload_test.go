@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -116,51 +117,20 @@ func TestZipfRejectionSkewMatchesCDF(t *testing.T) {
 }
 
 func TestGeneralizedParetoBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g, err := NewGeneralizedPareto(rng, DefaultParetoScale, DefaultParetoShape, 1, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50000; i++ {
-		s := g.Next()
+	for rank := uint64(0); rank < 50000; rank++ {
+		s := SizeForRank(rank, DefaultParetoScale, DefaultParetoShape, 1, 4096)
 		if s < 1 || s > 4096 {
 			t.Fatalf("size %d out of bounds [1, 4096]", s)
 		}
 	}
 }
 
-func TestGeneralizedParetoMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	g, err := NewGeneralizedPareto(rng, DefaultParetoScale, DefaultParetoShape, 1, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := g.Mean() // sigma/(1-xi) ≈ 329 bytes
-	if want < 300 || want > 360 {
-		t.Fatalf("analytic mean %.1f outside expected ETC band", want)
-	}
-	sum := 0.0
-	const draws = 300000
-	for i := 0; i < draws; i++ {
-		sum += float64(g.Next())
-	}
-	got := sum / draws
-	if got < want*0.8 || got > want*1.2 {
-		t.Fatalf("empirical mean %.1f, want within 20%% of analytic %.1f", got, want)
-	}
-}
-
 func TestGeneralizedParetoZeroShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	g, err := NewGeneralizedPareto(rng, 100, 0, 1, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// shape=0 degenerates to exponential with mean = scale.
 	sum := 0.0
 	const draws = 200000
-	for i := 0; i < draws; i++ {
-		sum += float64(g.Next())
+	for rank := uint64(0); rank < draws; rank++ {
+		sum += float64(SizeForRank(rank, 100, 0, 1, 1<<20))
 	}
 	got := sum / draws
 	if got < 85 || got > 115 {
@@ -182,7 +152,7 @@ func TestNewGeneralizedParetoRejectsBadParams(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := NewGeneralizedPareto(rng, tt.scale, 0.3, tt.min, tt.max); err == nil {
+			if _, err := NewGenerator(rng, 100, WithPareto(tt.scale, 0.3), WithSizeBounds(tt.min, tt.max)); err == nil {
 				t.Fatal("want error")
 			}
 		})
@@ -259,18 +229,35 @@ func TestSizeForRankDeterministic(t *testing.T) {
 	}
 }
 
-func TestSizeForRankDistribution(t *testing.T) {
-	// The rank-keyed deviates must reproduce the GPD mean like the sampled
-	// version does.
+func TestGeneralizedParetoMean(t *testing.T) {
+	want := DefaultParetoScale / (1 - DefaultParetoShape) // sigma/(1-xi) ≈ 329 bytes
+	if want < 300 || want > 360 {
+		t.Fatalf("analytic mean %.1f outside expected ETC band", want)
+	}
 	sum := 0.0
-	const n = 200000
-	for rank := uint64(0); rank < n; rank++ {
+	const draws = 300000
+	for rank := uint64(0); rank < draws; rank++ {
 		sum += float64(SizeForRank(rank, DefaultParetoScale, DefaultParetoShape, 1, 1<<20))
 	}
-	mean := sum / n
-	want := DefaultParetoScale / (1 - DefaultParetoShape)
-	if mean < want*0.8 || mean > want*1.2 {
-		t.Fatalf("mean size %.1f, want within 20%% of %.1f", mean, want)
+	got := sum / draws
+	if got < want*0.8 || got > want*1.2 {
+		t.Fatalf("empirical mean %.1f, want within 20%% of analytic %.1f", got, want)
+	}
+}
+
+func TestSizeForRankDistribution(t *testing.T) {
+	// The rank-keyed deviates must follow the GPD's shape, not only its
+	// mean: the median sits at sigma/xi * (2^xi - 1).
+	const n = 200000
+	sizes := make([]int, n)
+	for rank := uint64(0); rank < n; rank++ {
+		sizes[rank] = SizeForRank(rank, DefaultParetoScale, DefaultParetoShape, 1, 1<<20)
+	}
+	sort.Ints(sizes)
+	median := float64(sizes[n/2])
+	want := DefaultParetoScale / DefaultParetoShape * (math.Pow(2, DefaultParetoShape) - 1)
+	if median < want*0.95 || median > want*1.05 {
+		t.Fatalf("median size %.0f, want within 5%% of %.1f", median, want)
 	}
 }
 
@@ -290,8 +277,8 @@ func TestGeneratorOptions(t *testing.T) {
 			t.Fatalf("value size %d outside configured bounds", req.ValueSize)
 		}
 	}
-	if g.zipf.S() != 1.5 {
-		t.Fatalf("zipf s = %v, want 1.5", g.zipf.S())
+	if g.zipf.s != 1.5 {
+		t.Fatalf("zipf s = %v, want 1.5", g.zipf.s)
 	}
 }
 
@@ -311,56 +298,6 @@ func TestGeneratorRejectsEmptyKeyspace(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	if _, err := NewGenerator(rng, 0); err == nil {
 		t.Fatal("want error for empty keyspace")
-	}
-}
-
-func TestArrivalsMeanRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	a, err := NewArrivals(rng, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	const draws = 100000
-	for i := 0; i < draws; i++ {
-		gap := a.NextGap()
-		if gap < 0 {
-			t.Fatalf("negative gap %v", gap)
-		}
-		sum += gap
-	}
-	mean := sum / draws
-	if mean < 0.0009 || mean > 0.0011 {
-		t.Fatalf("mean gap %.6f s, want ≈ 0.001 s at 1000 req/s", mean)
-	}
-}
-
-func TestArrivalsSetRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	a, err := NewArrivals(rng, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SetRate(5000); err != nil {
-		t.Fatal(err)
-	}
-	if a.Rate() != 5000 {
-		t.Fatalf("rate = %v, want 5000", a.Rate())
-	}
-	if err := a.SetRate(0); err == nil {
-		t.Fatal("SetRate(0) succeeded, want error")
-	}
-	if err := a.SetRate(math.NaN()); err == nil {
-		t.Fatal("SetRate(NaN) succeeded, want error")
-	}
-}
-
-func TestArrivalsRejectsBadRates(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		if _, err := NewArrivals(rng, rate); err == nil {
-			t.Fatalf("NewArrivals(%v) succeeded, want error", rate)
-		}
 	}
 }
 
