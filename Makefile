@@ -21,10 +21,12 @@ benchmark-test:
 	cd benchmark && $(GO) test .
 
 ## race: run the concurrency stress tests under the race detector — the
-## data plane (cache/server/agentrpc) and the control plane (taskgroup/
-## core/agent/cluster), whose migration phases fan out across goroutines
+## data plane (cache/server/agentrpc), the control plane (taskgroup/
+## core/agent/cluster), whose migration phases fan out across goroutines,
+## and the root package's full-stack tests, which drive loadgen's
+## concurrent request goroutines
 race:
-	$(GO) test -race ./internal/cache/... ./internal/server/... \
+	$(GO) test -race . ./internal/cache/... ./internal/server/... \
 		./internal/taskgroup/... ./internal/core/... ./internal/agent/... \
 		./internal/cluster/... ./internal/faultnet/... ./internal/agentrpc/... \
 		./internal/hotkey/... ./internal/client/...
@@ -72,13 +74,15 @@ bench-tenant:
 ## per-request budget (Get, Set, single-owner MultiGet), phase-1
 ## metadata: a fixed allocation budget per (target, class) whatever the
 ## item count, at most 4 wire bytes per offered item over TCP, and the
-## phase-3 push: at most 0.092 allocations per pair shipped
+## phase-3 push: at most 0.092 allocations per pair shipped, and the
+## warm-restart snapshot writer: at most 0.05 allocations per pair written
 allocs:
 	$(GO) test -run TestHotPathAllocs -count 1 -v ./internal/server/
 	$(GO) test -run 'TestReadPlanAllocs|TestInFlightHashAllocs' -count 1 -v ./internal/hashring/
 	$(GO) test -run TestClientAllocs -count 1 -v ./internal/client/
 	$(GO) test -run 'TestSendMetadataAllocsPerTargetClass|TestSendDataAllocsPerPair' -count 1 -v ./internal/agent/
 	$(GO) test -run TestOfferWireBytesPerItem -count 1 -v ./internal/agentrpc/
+	$(GO) test -run TestWriteSnapshotAllocsPerPair -count 1 -v ./internal/cache/
 
 ## chaos: the deterministic fault-injection sweep — SEEDS seeds, each run
 ## twice under faults plus once fault-free, checking the five migration

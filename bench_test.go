@@ -347,12 +347,14 @@ func BenchmarkMetadataVsFullTransfer(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			bytesMoved = 0
 			for _, id := range classes {
-				metas, err := c.TopMeta(id, items, nil)
+				_, err := c.FetchTopStream(id, items, nil, 512, 1<<20, func(sb cache.StreamBatch) error {
+					for _, kv := range sb.Pairs {
+						bytesMoved += int64(len(kv.Key)) + int64(len(kv.Value)) + 10
+					}
+					return nil
+				})
 				if err != nil {
 					b.Fatal(err)
-				}
-				for _, kv := range c.AppendPairs(nil, metas) {
-					bytesMoved += int64(len(kv.Key)) + int64(len(kv.Value)) + 10
 				}
 			}
 		}

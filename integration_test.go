@@ -117,7 +117,8 @@ func TestFullStackScaleInUnderLoad(t *testing.T) {
 
 	// Post-scale, the hit rate over fresh traffic must be high: the hot
 	// set survived the migration.
-	hits, misses := 0, 0
+	// loadgen runs the handler from concurrent request goroutines.
+	var hits, misses atomic.Int64
 	probe, err := loadgen.Run(context.Background(), loadgen.Config{
 		Duration:     time.Second,
 		PeakRate:     300,
@@ -126,8 +127,8 @@ func TestFullStackScaleInUnderLoad(t *testing.T) {
 		Seed:         3,
 	}, loadgen.HandlerFunc(func(ks []string) (time.Duration, int, int, error) {
 		res, err := handler.Handle(ks)
-		hits += res.Hits
-		misses += res.Misses
+		hits.Add(int64(res.Hits))
+		misses.Add(int64(res.Misses))
 		return res.RT, res.Hits, res.Misses, err
 	}))
 	if err != nil {
@@ -136,7 +137,7 @@ func TestFullStackScaleInUnderLoad(t *testing.T) {
 	if probe.Errors != 0 {
 		t.Fatalf("post-scale probe errors: %d", probe.Errors)
 	}
-	hitRate := float64(hits) / float64(hits+misses)
+	hitRate := float64(hits.Load()) / float64(hits.Load()+misses.Load())
 	if hitRate < 0.5 {
 		t.Fatalf("post-scale hit rate %.2f — migration failed to preserve the hot set", hitRate)
 	}

@@ -7,10 +7,12 @@ package agent
 // rejected, streams keyed by round).
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -377,11 +379,36 @@ func TestSendDataAllocsPerPair(t *testing.T) {
 	}
 }
 
+// listTop is the hottest take items of a class whose keys pass keep, as
+// the MRU lists give them and independent of the page-order scanner every
+// export reads through: ClassOrderByShard's runs flattened, sorted hottest
+// first, equal stamps by key hash.
+func listTop(t *testing.T, c *cache.Cache, classID, take int, keep func(key string) bool) []cache.ItemMeta {
+	t.Helper()
+	runs, err := c.ClassOrderByShard(classID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []cache.ItemMeta
+	for _, run := range runs {
+		for _, m := range run {
+			if keep(m.Key) {
+				out = append(out, m)
+			}
+		}
+	}
+	slices.SortFunc(out, func(a, b cache.ItemMeta) int {
+		return cmp.Or(b.LastAccess.Compare(a.LastAccess), cmp.Compare(hashring.KeyHash(a.Key), hashring.KeyHash(b.Key)))
+	})
+	return out[:min(take, len(out))]
+}
+
 // TestSendDataShipsTopMetaSelection is phase 3's selection oracle through
 // the agent: on a quiescent four-shard sender with distinct stamps and a
-// hot-key owned filter, each target receives exactly the items
-// TopMeta(class, take, owned ∧ routed-to-target) selects, with their
-// stamps — the selection the walk-and-lookup path made.
+// hot-key owned filter, each target receives exactly the hottest take
+// items of each class that are owned and routed to it — as the MRU lists
+// rank them (listTop), and as TopMeta(class, take, owned ∧
+// routed-to-target) selects them — with their stamps.
 func TestSendDataShipsTopMetaSelection(t *testing.T) {
 	ctx := context.Background()
 	reg := NewRegistry()
@@ -417,11 +444,15 @@ func TestSendDataShipsTopMetaSelection(t *testing.T) {
 		want := make(map[string]int64)
 		for ci, classID := range sender.Cache().PopulatedClasses() {
 			takes[classID] = 50 + 200*ti + 100*ci // a prefix, different per target and class
+			oracle := listTop(t, sender.Cache(), classID, takes[classID], filter)
 			metas, err := sender.Cache().TopMeta(classID, takes[classID], filter)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, m := range metas {
+			if !slices.Equal(metas, oracle) {
+				t.Fatalf("%s class %d: TopMeta selects %d items, the lists rank %d otherwise", target, classID, len(metas), len(oracle))
+			}
+			for _, m := range oracle {
 				want[m.Key] = m.LastAccess.UnixNano()
 			}
 		}
@@ -431,7 +462,7 @@ func TestSendDataShipsTopMetaSelection(t *testing.T) {
 		}
 		recv, _ := reg.Get(target)
 		if stats.Pairs != len(want) || recv.Cache().Len() != len(want) {
-			t.Fatalf("%s: shipped %d, holds %d, TopMeta selects %d", target, stats.Pairs, recv.Cache().Len(), len(want))
+			t.Fatalf("%s: shipped %d, holds %d, the lists select %d", target, stats.Pairs, recv.Cache().Len(), len(want))
 		}
 		for _, classID := range recv.Cache().PopulatedClasses() {
 			got, err := recv.Cache().DumpClass(classID, nil)
@@ -440,7 +471,7 @@ func TestSendDataShipsTopMetaSelection(t *testing.T) {
 			}
 			for _, m := range got {
 				if ts, ok := want[m.Key]; !ok || ts != m.LastAccess.UnixNano() {
-					t.Fatalf("%s received %q@%d, TopMeta selected it: %v", target, m.Key, m.LastAccess.UnixNano(), ok)
+					t.Fatalf("%s received %q@%d, the lists selected it: %v", target, m.Key, m.LastAccess.UnixNano(), ok)
 				}
 			}
 		}

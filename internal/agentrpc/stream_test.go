@@ -139,13 +139,14 @@ func TestStreamCarriesTTLOverTCP(t *testing.T) {
 	}
 	rc := recv.agent.Cache()
 	classID := rc.PopulatedClasses()[0]
-	metas, err := rc.TopMeta(classID, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got := make(map[string]time.Time)
-	for _, p := range rc.AppendPairs(nil, metas) {
-		got[p.Key] = p.Expiry
+	if _, err := rc.FetchTopStream(classID, 2, nil, 0, 0, func(b cache.StreamBatch) error {
+		for _, p := range b.Pairs {
+			got[p.Key] = p.Expiry
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if exp, ok := got["mortal"]; !ok || !exp.Equal(deadline) {
 		t.Fatalf("receiver's expiry for the TTL'd item = %v (present %v), want %v", exp, ok, deadline)

@@ -25,7 +25,7 @@ import (
 // Unlock of a shard whose owner is the Cache, which keeps the pool's
 // arenaMem reachable for the whole access; and (b) no arena byte escapes a
 // call: every read API copies out (Get, GetWithCAS, Peek*, GetMultiInto,
-// GetInto, TopMeta, AppendPairs, AppendPicks, DumpClass, snapshots). A slice of the
+// GetInto, TopMeta, AppendPicks, DumpClass, snapshots). A slice of the
 // arena held past its Cache faults; TestArenaReadsOutliveCache pins (b).
 //
 // Items are addressed by a packed itemRef (page index, chunk index)

@@ -144,8 +144,9 @@ func readEveryAPI(t *testing.T) []aliasCheck {
 		}
 		return true
 	})
-	pairs := c.AppendPairs(nil, top)
-	add("AppendPairs", func() bool {
+	picks, _ := c.RoutePicks(classes[0], 1, func([]byte, uint64) int { return 0 })
+	pairs := c.AppendPicks(nil, picks[0][:len(top)])
+	add("AppendPicks", func() bool {
 		for _, p := range pairs {
 			if !bytes.Equal(p.Value, want(stored[p.Key])) || p.Flags != uint32(stored[p.Key]) {
 				return false

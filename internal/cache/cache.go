@@ -275,12 +275,6 @@ func (c *Cache) route(key []byte) (uint16, uint64, *shard) {
 	return tid, h, c.shards[h&c.mask]
 }
 
-// shardIndexFor returns the stripe index for a key.
-func (c *Cache) shardIndexFor(key string) int {
-	_, h, _ := c.route(sbytes(key))
-	return int(h & c.mask)
-}
-
 // ShardCount reports the number of lock stripes.
 func (c *Cache) ShardCount() int { return len(c.shards) }
 

@@ -18,10 +18,9 @@ import (
 //     scoring reads (Section III-C).
 //
 // On the sharded engine every query here aggregates across shards: dumps
-// and selections k-way merge the per-shard MRU runs by timestamp,
-// capacities gather-and-reduce, and the batch import fans its writes
-// out per shard so each shard lock is taken once per batch. The serving
-// path on other shards keeps running while a dump snapshots one shard.
+// read the class through the page-order scanner (scan.go) and sort it by
+// stamp, capacities gather-and-reduce, and the batch import fans its
+// writes out per shard so each shard lock is taken once per batch.
 //
 // Resident items are arena chunks; the Item/ItemMeta/KV values returned
 // here are copies materialized at this boundary, so callers never alias
@@ -41,8 +40,6 @@ type ItemMeta struct {
 	// ClassID is the slab class holding the item.
 	ClassID int `json:"classId"`
 }
-
-func (m ItemMeta) payloadBytes() int { return len(m.Key) + m.ValueSize }
 
 // metaOf materializes a chunk's metadata copy.
 func metaOf(ch []byte, classID int) ItemMeta {
@@ -66,32 +63,12 @@ func (sh *shard) eachClassSlab(classID int, fn func(sl *slab)) {
 	}
 }
 
-// walkClass visits one shard's live chunks of the class in MRU order, slab
-// by slab, under the shard lock. take reports whether it selected the
-// chunk; each slab contributes at most limit selections. Expired chunks are
-// never offered. It serves the list-order exports — TopMeta, DumpClass and
-// the snapshot stream — whose equal-stamp order is MRU order; the scaling
-// path reads through the page-order scanner instead (scan.go).
-func (sh *shard) walkClass(classID, limit int, nowNano int64, take func(ch []byte) bool) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.eachClassSlab(classID, func(sl *slab) {
-		taken := 0
-		sl.list.each(&sh.owner.pool, func(_ itemRef, ch []byte) bool {
-			if chExpired(ch, nowNano) || !take(ch) {
-				return true
-			}
-			taken++
-			return taken < limit
-		})
-	})
-}
-
-// DumpClass returns the metadata of every item in the slab class, globally
-// in MRU order (hottest first) — TopMeta without a limit. If filter is
-// non-nil only items whose key passes are included — retiring Agents filter
-// by consistent-hash target. As with TopMeta, filter sees a view of the key
-// bytes in cache memory and must not retain it.
+// DumpClass returns the metadata of every live item in the slab class,
+// hottest first, equal stamps by key hash — TopMeta without a limit, nil
+// for an empty class. If filter is non-nil only items whose key passes are
+// included. As with TopMeta, filter sees a view of the key bytes in cache
+// memory and runs with every shard lock held: it must not retain the view
+// or call back into the cache.
 func (c *Cache) DumpClass(classID int, filter func(key string) bool) ([]ItemMeta, error) {
 	return c.TopMeta(classID, math.MaxInt, filter)
 }
@@ -114,15 +91,17 @@ func (c *Cache) DumpAll(filter func(key string) bool) map[int][]ItemMeta {
 
 // ClassOrderByShard returns the raw MRU lists of the class, one run per
 // (shard, tenant) slab, shard by shard, head (hottest position) first,
-// without the cross-shard timestamp merge the dumps apply. Position in a
+// without the stamp sort the dumps apply. It is the one export that walks
+// the lists rather than scanning pages, which also makes it the tests'
+// independent check of the scanner. Position in a
 // run is the item's true list position, which the migration invariant
 // harness needs: a timestamp-sorted dump would mask MRU inversions (an
 // item sitting ahead of a fresher one), the exact defect a replayed batch
 // import used to introduce. Expired items are included — this is a
 // structural probe, not a serving path.
 func (c *Cache) ClassOrderByShard(classID int) ([][]ItemMeta, error) {
-	if classID < 0 || classID >= len(c.classes) {
-		return nil, fmt.Errorf("cache: slab class %d out of range", classID)
+	if err := c.checkClass(classID); err != nil {
+		return nil, err
 	}
 	var out [][]ItemMeta
 	for _, sh := range c.shards {

@@ -2,11 +2,39 @@ package cache
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/hashring"
 )
+
+// listOracle is a class's dump as the MRU lists give it, independent of
+// the page-order scanner every export reads through: ClassOrderByShard's
+// runs flattened, expired items and the keys keep rejects (nil keeps all)
+// dropped, sorted hottest first, equal stamps by key hash.
+func listOracle(t *testing.T, c *Cache, classID int, keep func(key string) bool) []ItemMeta {
+	t.Helper()
+	runs, err := c.ClassOrderByShard(classID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []ItemMeta
+	for _, run := range runs {
+		for _, m := range run {
+			if (keep == nil || keep(m.Key)) && c.Contains(m.Key) {
+				out = append(out, m)
+			}
+		}
+	}
+	slices.SortFunc(out, func(a, b ItemMeta) int {
+		return cmp.Or(b.LastAccess.Compare(a.LastAccess), cmp.Compare(hashring.KeyHash(a.Key), hashring.KeyHash(b.Key)))
+	})
+	return out
+}
 
 func fill(t *testing.T, c *Cache, n int, prefix string) {
 	t.Helper()
@@ -336,8 +364,8 @@ func TestBatchImportRejectsEmptyKeyAndHugeValue(t *testing.T) {
 
 // TestRouteStampsMatchesDumpClass: the routed export files every live item
 // of a multi-shard class under its bucket, hottest first, with exactly the
-// timestamps DumpClass reports for the same key filter; dropped and
-// expired items appear nowhere.
+// timestamps the MRU lists hold (listOracle) and DumpClass reports for the
+// same key filter; dropped and expired items appear nowhere.
 func TestRouteStampsMatchesDumpClass(t *testing.T) {
 	clk := newFakeClock()
 	c, err := New(8*PageSize, WithClock(clk.Now), WithShards(4))
@@ -378,16 +406,18 @@ func TestRouteStampsMatchesDumpClass(t *testing.T) {
 		t.Fatalf("got %d buckets, want 2", len(got))
 	}
 	for b := range got {
-		metas, err := c.DumpClass(0, func(key string) bool { return bucketOf(key) == b })
+		keep := func(key string) bool { return bucketOf(key) == b }
+		want := listOracle(t, c, 0, keep)
+		metas, err := c.DumpClass(0, keep)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got[b]) != len(metas) {
-			t.Fatalf("bucket %d holds %d stamps, DumpClass %d", b, len(got[b]), len(metas))
+		if len(got[b]) != len(want) || len(metas) != len(want) {
+			t.Fatalf("bucket %d holds %d stamps, DumpClass %d, the lists %d", b, len(got[b]), len(metas), len(want))
 		}
-		for i, m := range metas {
-			if got[b][i] != m.LastAccess.UnixNano() {
-				t.Fatalf("bucket %d stamp %d = %d, DumpClass %d", b, i, got[b][i], m.LastAccess.UnixNano())
+		for i, m := range want {
+			if got[b][i] != m.LastAccess.UnixNano() || metas[i] != m {
+				t.Fatalf("bucket %d #%d: stamp %d, DumpClass %+v, the lists %+v", b, i, got[b][i], metas[i], m)
 			}
 		}
 	}

@@ -10,9 +10,11 @@ import (
 	"repro/internal/hashring"
 )
 
-// The page-order scanner: the one read of a class that every scaling-path
-// export shares — the phase-1 routes (RouteStamps, RoutePicks), release
-// (DropIf) and expiry (CrawlExpired). PAPER.md models the dump on
+// The page-order scanner: the one read of a class that every export
+// shares — the phase-1 routes (RouteStamps, RoutePicks) and, through
+// RoutePicks, the dumps (TopMeta, DumpClass, DumpAll) and the snapshot
+// stream (FetchTopStream) — and that release (DropIf) and expiry
+// (CrawlExpired) run on. PAPER.md models the dump on
 // memcached's LRU crawler, which advances a bounded number of items per
 // lock hold; this scanner bounds the hold to one page instead of a list.
 //
@@ -256,14 +258,16 @@ type Pick struct {
 	epoch uint16
 }
 
-func (p Pick) payloadBytes() int { return int(p.Size) }
-
 // RoutePicks is the phase-1 export: one scan over the class's live items
 // that hashes each key once (hashring.KeyHashBytes), hands route the key
 // bytes and the hash, and files a Pick under bucket route(key, hash) of
 // the result (a negative bucket drops the item). Each bucket comes back
-// hottest first by Stamp, ties by chunk address. route's contract is
-// RouteStamps'. Expired items are skipped.
+// hottest first by Stamp, equal stamps by Hash, then by chunk address:
+// the one order every export of a class shares (TopMeta, DumpClass,
+// FetchTopStream, snapshots). Where a chunk sits never decides between
+// two keys, so a restored cache, which lays its chunks out afresh, orders
+// them the same way. route's contract is RouteStamps'. Expired items are
+// skipped.
 func (c *Cache) RoutePicks(classID, buckets int, route func(key []byte, hash uint64) int) ([][]Pick, error) {
 	if err := c.checkClass(classID); err != nil {
 		return nil, err
@@ -299,14 +303,16 @@ func (c *Cache) RoutePicks(classID, buckets int, route func(key []byte, hash uin
 	for _, l := range out {
 		// picks is spent: bucketize copied it, so it is the scratch.
 		sortHotFirst(l, picks, func(p *Pick) int64 { return p.Stamp })
-		// Equal stamps are rare; order each run of them by chunk address.
+		// Equal stamps are rare; order each run of them by key hash.
 		for i := 0; i < len(l); {
 			j := i + 1
 			for j < len(l) && l[j].Stamp == l[i].Stamp {
 				j++
 			}
 			if j-i > 1 {
-				slices.SortFunc(l[i:j], func(a, b Pick) int { return cmp.Compare(a.ref, b.ref) })
+				slices.SortFunc(l[i:j], func(a, b Pick) int {
+					return cmp.Or(cmp.Compare(a.Hash, b.Hash), cmp.Compare(a.ref, b.ref))
+				})
 			}
 			i = j
 		}
@@ -315,9 +321,44 @@ func (c *Cache) RoutePicks(classID, buckets int, route func(key []byte, hash uin
 }
 
 // AppendPicks reads picks back out of the cache — phase 3's read of what
-// phase 1 picked — appending one KV per pick that still holds its item,
-// in pick order, and returns the extended slice. A pick is skipped unless
-// all of these hold:
+// phase 1 picked — appending one KV per pick that still holds its item
+// (readPicks), in pick order, and returns the extended slice. Spare
+// capacity in dst is reused with its value buffers, so a sender looping
+// `buf = c.AppendPicks(buf[:0], batch)` allocates values only until the
+// largest batch has been seen. The keys of one call share one fresh
+// allocation, which nothing writes again.
+func (c *Cache) AppendPicks(dst []KV, picks []Pick) []KV {
+	if len(picks) == 0 {
+		return dst
+	}
+	start := len(dst)
+	for range picks {
+		if len(dst) < cap(dst) {
+			dst = dst[:len(dst)+1]
+		} else {
+			dst = append(dst, KV{})
+		}
+	}
+	out := dst[start:]
+	for i := range out {
+		out[i].Key = ""
+	}
+	keys := make([]byte, 0, 16*len(picks))
+	c.readPicks(picks, func(i int, ch []byte) {
+		kv, key := &out[i], chKey(ch)
+		keys = append(keys, key...)
+		kv.Key = bview(keys[len(keys)-len(key):])
+		kv.Value = append(kv.Value[:0], chValue(ch)...)
+		kv.Flags = chFlags(ch)
+		kv.LastAccess = fromNano(chAccess(ch))
+		kv.Expiry = fromNano(chExpire(ch))
+	})
+	return compactVanished(dst, start)
+}
+
+// readPicks hands read each pick that still holds its item — its index
+// and its chunk — under its shard's lock. A pick is skipped unless all of
+// these hold:
 //
 //   - its page's epoch is the one it recorded: the page has neither left
 //     its class (a tenant page steal) nor been flushed since, so the chunk
@@ -331,26 +372,11 @@ func (c *Cache) RoutePicks(classID, buckets int, route func(key []byte, hash uin
 // Picks are grouped by shard and each group is read under one hold of its
 // shard lock. The call holds reclaimMu, so no page steal is half done
 // while it reads: a pick whose epoch still holds addresses a chunk only
-// its shard writes, and nothing is read before that check. Spare capacity
-// in dst is reused with its value buffers, as in AppendPairs. The keys of
-// one call share one fresh allocation, which nothing writes again.
-func (c *Cache) AppendPicks(dst []KV, picks []Pick) []KV {
-	if len(picks) == 0 {
-		return dst
-	}
+// its shard writes, and nothing is read before that check.
+func (c *Cache) readPicks(picks []Pick, read func(i int, ch []byte)) {
 	c.reclaimMu.Lock()
 	defer c.reclaimMu.Unlock()
-	start := len(dst)
-	for range picks {
-		if len(dst) < cap(dst) {
-			dst = dst[:len(dst)+1]
-		} else {
-			dst = append(dst, KV{})
-		}
-	}
-	out := dst[start:]
 	order, end := c.groupByShard(len(picks), func(i int) int { return int(picks[i].tag) - 1 })
-	keys := make([]byte, 0, 16*len(picks))
 	nowNano := c.nowNano()
 	lo := 0
 	for s, hi := range end {
@@ -360,30 +386,19 @@ func (c *Cache) AppendPicks(dst []KV, picks []Pick) []KV {
 		sh := c.shards[s]
 		sh.mu.Lock()
 		for _, i := range order[lo:hi] {
-			p, kv := &picks[i], &out[i]
-			kv.Key = ""
+			p := &picks[i]
 			if uint16(c.pool.epochs[p.ref.page()].Load()) != p.epoch {
 				continue
 			}
 			ch := c.pool.chunkAt(p.ref)
-			if chTag(ch) != p.tag || chExpired(ch, nowNano) {
+			if chTag(ch) != p.tag || chExpired(ch, nowNano) || hashring.KeyHashBytes(chKey(ch)) != p.Hash {
 				continue
 			}
-			key := chKey(ch)
-			if hashring.KeyHashBytes(key) != p.Hash {
-				continue
-			}
-			keys = append(keys, key...)
-			kv.Key = bview(keys[len(keys)-len(key):])
-			kv.Value = append(kv.Value[:0], chValue(ch)...)
-			kv.Flags = chFlags(ch)
-			kv.LastAccess = fromNano(chAccess(ch))
-			kv.Expiry = fromNano(chExpire(ch))
+			read(int(i), ch)
 		}
 		sh.mu.Unlock()
 		lo = hi
 	}
-	return compactVanished(dst, start)
 }
 
 // compactVanished drops the entries from start on whose Key is empty, by

@@ -37,7 +37,8 @@ func shippedKeys(c *Cache, picks []Pick) []string {
 // TestPicksMatchTopMetaWhenQuiescent is the selection oracle: on a
 // quiescent four-shard cache with distinct stamps, expired items and MRU
 // lists reordered by gets, the first take picks of a bucket read back as
-// exactly TopMeta(class, take, bucket filter) — same keys, same order,
+// exactly the head of the bucket's MRU-list dump (listOracle), and TopMeta
+// (class, take, bucket filter) selects the same — same keys, same order,
 // same values and stamps.
 func TestPicksMatchTopMetaWhenQuiescent(t *testing.T) {
 	clk := newFakeClock()
@@ -78,19 +79,23 @@ func TestPicksMatchTopMetaWhenQuiescent(t *testing.T) {
 		}
 		for b, picks := range lists {
 			for _, take := range []int{1, 17, len(picks) / 2, len(picks)} {
-				want, err := c.TopMeta(classID, take, func(key string) bool { return bucketOf([]byte(key)) == b })
+				keep := func(key string) bool { return bucketOf([]byte(key)) == b }
+				want := listOracle(t, c, classID, keep)
+				want = want[:min(take, len(want))]
+				top, err := c.TopMeta(classID, take, keep)
 				if err != nil {
 					t.Fatal(err)
 				}
 				got := c.AppendPicks(nil, picks[:min(take, len(picks))])
-				if len(got) != len(want) {
-					t.Fatalf("class %d bucket %d take %d: %d shipped, TopMeta %d", classID, b, take, len(got), len(want))
+				if len(got) != len(want) || len(top) != len(want) {
+					t.Fatalf("class %d bucket %d take %d: %d shipped, TopMeta %d, the lists %d", classID, b, take, len(got), len(top), len(want))
 				}
 				for i, m := range want {
 					v, _ := c.Peek(m.Key)
-					if got[i].Key != m.Key || !got[i].LastAccess.Equal(m.LastAccess) || !bytes.Equal(got[i].Value, v) {
-						t.Fatalf("class %d bucket %d take %d #%d: shipped %q@%v, TopMeta %q@%v",
-							classID, b, take, i, got[i].Key, got[i].LastAccess, m.Key, m.LastAccess)
+					if got[i].Key != m.Key || !got[i].LastAccess.Equal(m.LastAccess) || !bytes.Equal(got[i].Value, v) ||
+						top[i].Key != m.Key || !top[i].LastAccess.Equal(m.LastAccess) {
+						t.Fatalf("class %d bucket %d take %d #%d: shipped %q@%v, TopMeta %q@%v, the lists %q@%v",
+							classID, b, take, i, got[i].Key, got[i].LastAccess, top[i].Key, top[i].LastAccess, m.Key, m.LastAccess)
 					}
 				}
 			}
@@ -367,12 +372,15 @@ func TestSortHotFirstMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestRoutePicksBreaksTiesByChunk: with every stamp equal, picks come back
-// in chunk address order, although the scan meets a later-registered
-// tenant's pages — here the lower page IDs — after the default tenant's.
-func TestRoutePicksBreaksTiesByChunk(t *testing.T) {
+// TestExportsBreakTiesByKeyHash: with every stamp equal, RoutePicks,
+// TopMeta and FetchTopStream order a class by key hash, although the scan
+// meets a later-registered tenant's pages — here the lower page IDs —
+// after the default tenant's; and a cache restored from a snapshot, whose
+// chunks lie elsewhere, dumps the class in the same order.
+func TestExportsBreakTiesByKeyHash(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
-	c, err := New(8*PageSize, WithClock(func() time.Time { return now }), WithTenantPrefix('/'))
+	held := func() time.Time { return now }
+	c, err := New(8*PageSize, WithClock(held), WithTenantPrefix('/'))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,8 +404,49 @@ func TestRoutePicksBreaksTiesByChunk(t *testing.T) {
 	if slices.IsSorted(scanned) {
 		t.Fatal("the scan met the chunks in address order; the test sets up nothing")
 	}
+	byHash := func(a, b string) int { return cmp.Compare(hashring.KeyHash(a), hashring.KeyHash(b)) }
+
 	picks := pickAll(t, c, classID)
-	if len(picks) != 6000 || !slices.IsSortedFunc(picks, func(a, b Pick) int { return cmp.Compare(a.ref, b.ref) }) {
-		t.Fatalf("%d equal-stamp picks, want 6000 in chunk address order", len(picks))
+	if len(picks) != 6000 || !slices.IsSortedFunc(picks, func(a, b Pick) int { return cmp.Compare(a.Hash, b.Hash) }) {
+		t.Fatalf("%d equal-stamp picks, want 6000 in key hash order", len(picks))
+	}
+	metas, err := c.TopMeta(classID, 6000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(metas))
+	for i, m := range metas {
+		keys[i] = m.Key
+	}
+	if len(keys) != 6000 || !slices.IsSortedFunc(keys, byHash) {
+		t.Fatalf("TopMeta: %d equal-stamp items, want 6000 in key hash order", len(keys))
+	}
+	var streamed []string
+	for _, p := range topPairs(t, c, classID, 6000, nil) {
+		streamed = append(streamed, p.Key)
+	}
+	if !slices.Equal(streamed, keys) {
+		t.Fatal("FetchTopStream orders the class differently from TopMeta")
+	}
+
+	var snap bytes.Buffer
+	if _, err := c.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(8*PageSize, WithClock(held), WithTenantPrefix('/'), WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.RestoreSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := r.DumpClass(classID, nil)
+	if err != nil || len(restored) != len(keys) {
+		t.Fatalf("restored dump: %d items (%v), want %d", len(restored), err, len(keys))
+	}
+	for i, m := range restored {
+		if m.Key != keys[i] {
+			t.Fatalf("restored dump #%d = %q, the original %q", i, m.Key, keys[i])
+		}
 	}
 }

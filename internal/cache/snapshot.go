@@ -18,13 +18,18 @@ import (
 // restarts; production does). The format reuses the migration machinery at
 // both ends:
 //
-//   - the dump side walks each slab class with the phase-3 streaming
-//     producer (FetchTopStream), emitting items coldest-first so peak
-//     extra memory is one batch;
+//   - the dump side streams each slab class through FetchTopStream, which
+//     is the migration sender's read: the page-order scanner picks the
+//     class (RoutePicks), CutBatches cuts the picks coldest-first and
+//     AppendPicks reads each batch's values into reused buffers, so
+//     extra memory is 32 bytes a picked item plus one batch, and the
+//     writer allocates per class and per batch, not per pair;
 //   - records are the migration frames' pair record (AppendPair);
 //   - the restore side feeds batches straight into BatchImport, whose
-//     head-prepend of a coldest-first stream reproduces the MRU order
-//     exactly, timestamps and TTLs preserved.
+//     head-prepend of a coldest-first stream rebuilds each class hottest
+//     first by stamp, equal stamps by key hash — the dump order, which no
+//     chunk address decides — with timestamps and TTLs preserved. Where
+//     the source's lists were in stamp order this is their MRU order.
 //
 // Layout:
 //
@@ -78,8 +83,8 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 // WriteSnapshot streams every resident, unexpired item to w in the
 // snapshot format and returns the number of pairs written. Items are
 // emitted per slab class, coldest-first within the class, in bounded
-// batches; the caller's peak extra memory is one batch regardless of cache
-// size. Concurrent mutation is safe but the snapshot is only a consistent
+// batches; beyond the class's picks, the caller's peak extra memory is one
+// batch regardless of cache size. Concurrent mutation is safe but the snapshot is only a consistent
 // point-in-time image when the serving paths are quiesced first (the node
 // drains connections before snapshotting).
 func (c *Cache) WriteSnapshot(w io.Writer) (int, error) {
@@ -242,7 +247,7 @@ func (c *Cache) RestoreSnapshot(r io.Reader) (int, error) {
 			// Batches arrive coldest-first: each import prepends at the MRU
 			// head, so later (hotter) batches land in front of earlier ones
 			// and within a batch pairs[len-1] ends up hottest — the exact
-			// inverse of the dump walk.
+			// inverse of the dump order.
 			n, err := c.BatchImport(batch, false)
 			if err != nil {
 				return fail(err)

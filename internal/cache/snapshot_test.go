@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"math"
 	"math/rand"
@@ -594,4 +595,36 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestWriteSnapshotAllocsPerPair is the snapshot writer's allocation gate:
+// streaming a 100 000-item class costs a fixed handful of allocations per
+// class and per 512-pair batch, not one per pair. The writer reads values
+// into reused buffers and the keys of a batch into one shared buffer.
+func TestWriteSnapshotAllocsPerPair(t *testing.T) {
+	const items = 100_000
+	c, err := New(32<<20, WithShards(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := make([]byte, 100)
+	for i := 0; i < items; i++ {
+		if err := c.Set(fmt.Sprintf("snap-key-%06d", i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Len() != items {
+		t.Fatalf("cache holds %d items, want %d", c.Len(), items)
+	}
+	var n int
+	allocs := testing.AllocsPerRun(3, func() {
+		if n, err = c.WriteSnapshot(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perPair := allocs / float64(n)
+	t.Logf("%d pairs: %.0f allocs, %.4f allocs/pair", n, allocs, perPair)
+	if n != items || perPair > 0.05 {
+		t.Fatalf("%d pairs at %.4f allocs/pair, want %d at <= 0.05", n, perPair, items)
+	}
 }

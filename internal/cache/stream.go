@@ -1,94 +1,92 @@
 package cache
 
-import (
-	"fmt"
-)
+import "slices"
 
-// Streaming export by MRU walk, the snapshot writer's producer. Selection
-// is split from fetching so the writer's extra memory is O(batch), not
-// O(hot set):
+// The list-order exports, read through the page-order scanner (scan.go):
 //
-//   - TopMeta picks the top-count items of a class by metadata only
-//     (keys + timestamps, no values);
-//   - CutBatches cuts a selection coldest-first into batches bounded by
-//     pair count and payload bytes, from the metadata alone;
-//   - AppendPairs materializes the values for one such batch, taking each
-//     touched shard's lock once and reusing the caller's value buffers;
-//   - FetchTopStream composes the three and hands each batch to a callback
-//     that may retain nothing.
+//   - TopMeta picks the top-count items of a class (RoutePicks into one
+//     bucket, cut to count) and builds metadata (keys + timestamps, no
+//     values) for the picks it keeps;
+//   - CutBatches cuts picks coldest-first into batches bounded by pair
+//     count and payload bytes, from the picks alone;
+//   - FetchTopStream picks like TopMeta, cuts with CutBatches and reads
+//     each batch's values with AppendPicks — the migration sender's own
+//     read — handing every batch to a callback that may retain nothing.
+//     The snapshot writer streams through it, so its extra memory is the
+//     picks plus one batch.
 //
-// The migration sender does not come this way: phase 3 ships the picks
-// phase 1 made (RoutePicks), cut by the same CutBatches and read back by
-// AppendPicks (scan.go).
+// Every export orders a class the same way: hottest first by stamp, equal
+// stamps by key hash (RoutePicks).
 
-// TopMeta returns the metadata of the globally hottest count live items of
-// the class whose keys pass filter (nil = all), in MRU order, without
-// materializing a single value. Each shard contributes its own MRU run —
-// never more than count entries per slab, so the transient selection cost
-// is O(shards × count) metas, each ~40 bytes plus the key — and the runs
-// are k-way merged by timestamp: the output is non-increasing in
-// LastAccess exactly as the paper's single-list dump is.
-//
-// filter runs under the shard lock on a view of the key bytes in cache
-// memory, before any ItemMeta is built, so a rejected item costs no
-// allocation. The view is valid only for the call: filter must not retain
-// it.
+// topPicks returns the picks of the hottest count live items of the class
+// whose keys pass filter (nil = all), hottest first. filter sees a view of
+// the key bytes in cache memory, valid only for the call, and runs with
+// every shard lock held: it must not retain the key or call back into the
+// cache.
+func (c *Cache) topPicks(classID, count int, filter func(key string) bool) ([]Pick, error) {
+	lists, err := c.RoutePicks(classID, 1, func(key []byte, _ uint64) int {
+		if filter != nil && !filter(bview(key)) {
+			return -1
+		}
+		return 0
+	})
+	if err != nil {
+		return nil, err
+	}
+	return lists[0][:min(max(count, 0), len(lists[0]))], nil
+}
+
+// TopMeta returns the metadata of the hottest count live items of the
+// class whose keys pass filter (nil = all), hottest first, without
+// materializing a single value: one scan of the class, then an ItemMeta
+// for each item selected, so a rejected or unselected item costs no
+// allocation. LastAccess is the stamp the scan read, so the result is
+// non-increasing in it as the paper's single-list dump is; an item deleted
+// between the scan and the read-back is left out. filter's contract is
+// topPicks': it runs with every shard lock held on a view of the key
+// bytes, and must neither retain the view nor call back into the cache.
 func (c *Cache) TopMeta(classID, count int, filter func(key string) bool) ([]ItemMeta, error) {
-	if classID < 0 || classID >= len(c.classes) {
-		return nil, fmt.Errorf("cache: slab class %d out of range", classID)
+	if err := c.checkClass(classID); err != nil {
+		return nil, err
 	}
 	if count <= 0 {
 		return nil, nil
 	}
-	nowNano := c.nowNano()
-	runs := make([][]ItemMeta, 0, len(c.shards))
-	for _, sh := range c.shards {
-		var run []ItemMeta
-		sh.walkClass(classID, count, nowNano, func(ch []byte) bool {
-			if filter != nil && !filter(bview(chKey(ch))) {
-				return false
-			}
-			run = append(run, metaOf(ch, classID))
-			return true
-		})
-		if len(run) == 0 {
-			continue
-		}
-		sortRun(run)
-		runs = append(runs, run)
+	picks, err := c.topPicks(classID, count, filter)
+	if err != nil || len(picks) == 0 {
+		return nil, err
 	}
-	merged := mergeRuns(runs)
-	if len(merged) > count {
-		merged = merged[:count]
+	metas := make([]ItemMeta, len(picks))
+	c.readPicks(picks, func(i int, ch []byte) {
+		metas[i] = metaOf(ch, classID)
+		metas[i].LastAccess = fromNano(picks[i].Stamp)
+	})
+	// Keys are never empty: an empty one marks a pick gone since the scan.
+	metas = slices.DeleteFunc(metas, func(m ItemMeta) bool { return m.Key == "" })
+	if len(metas) == 0 {
+		return nil, nil
 	}
-	return merged, nil
+	return metas, nil
 }
 
-// Selection is an entry CutBatches can cut: a TopMeta ItemMeta or a
-// phase-1 Pick.
-type Selection interface {
-	ItemMeta | Pick
-	payloadBytes() int
-}
-
-// CutBatches cuts selections — each hottest-first, as TopMeta and
-// RoutePicks return them — into batches and hands them to emit in order:
-// selections in slice order, coldest-first within each, a batch closing
-// once it holds maxPairs pairs or the next pair would push its payload
-// (key + value sizes as selected) past maxBytes. A bound <= 0 is off; a
-// single oversized pair still forms its own batch; a batch may span
-// selections. The batch slice is reused across calls to emit.
+// CutBatches cuts selections — each hottest-first, as RoutePicks returns
+// them — into batches and hands them to emit in order: selections in
+// slice order, coldest-first within each, a batch closing once it holds
+// maxPairs pairs or the next pair would push its payload (Pick.Size) past
+// maxBytes. A bound <= 0 is off; a single oversized pair still forms its
+// own batch; a batch may span selections. The batch slice is reused
+// across calls to emit.
 //
 // Boundaries depend on the selections alone, so cutting the same
 // selections again yields identical batches — the property a resumable
 // sender relies on to skip already-acknowledged sequence numbers.
-func CutBatches[T Selection](sels [][]T, maxPairs, maxBytes int, emit func(batch []T, bytes int) error) error {
-	var batch []T
+func CutBatches(sels [][]Pick, maxPairs, maxBytes int, emit func(batch []Pick, bytes int) error) error {
+	var batch []Pick
 	bytes := 0
 	for _, sel := range sels {
 		for i := len(sel) - 1; i >= 0; i-- {
-			m := sel[i]
-			sz := m.payloadBytes()
+			p := sel[i]
+			sz := int(p.Size)
 			if len(batch) > 0 &&
 				((maxPairs > 0 && len(batch) >= maxPairs) ||
 					(maxBytes > 0 && bytes+sz > maxBytes)) {
@@ -97,7 +95,7 @@ func CutBatches[T Selection](sels [][]T, maxPairs, maxBytes int, emit func(batch
 				}
 				batch, bytes = batch[:0], 0
 			}
-			batch = append(batch, m)
+			batch = append(batch, p)
 			bytes += sz
 		}
 	}
@@ -105,64 +103,6 @@ func CutBatches[T Selection](sels [][]T, maxPairs, maxBytes int, emit func(batch
 		return nil
 	}
 	return emit(batch, bytes)
-}
-
-// AppendPairs materializes the current values for metas, appending one KV
-// per still-resident key to dst and returning the extended slice. Entries
-// whose key has been deleted, evicted, or expired since selection are
-// skipped. Spare capacity in dst is reused — including the value buffers
-// of previous occupants — so a sender looping over batches with
-// `buf = c.AppendPairs(buf[:0], batch)` allocates values only until the
-// largest batch has been seen, then runs allocation-free.
-//
-// The fetch fan-out mirrors BatchImport's write fan-out: metas are grouped
-// by their key's shard and each shard's group is copied out under one lock
-// acquisition.
-func (c *Cache) AppendPairs(dst []KV, metas []ItemMeta) []KV {
-	if len(metas) == 0 {
-		return dst
-	}
-	start := len(dst)
-	// Extend dst by len(metas) placeholders, reusing spare capacity (and
-	// the value buffers parked there) before growing.
-	for range metas {
-		if len(dst) < cap(dst) {
-			dst = dst[:len(dst)+1]
-		} else {
-			dst = append(dst, KV{})
-		}
-	}
-	out := dst[start:]
-	groups := make([][]int, len(c.shards))
-	for i, m := range metas {
-		si := c.shardIndexFor(m.Key)
-		groups[si] = append(groups[si], i)
-	}
-	nowNano := c.nowNano()
-	for si, idxs := range groups {
-		if len(idxs) == 0 {
-			continue
-		}
-		sh := c.shards[si]
-		sh.mu.Lock()
-		for _, i := range idxs {
-			key := metas[i].Key
-			kb := sbytes(key)
-			tid := c.resolveTenant(kb)
-			ch, ok := sh.peekLocked(shardHashT(tid, kb), tid, kb, nowNano)
-			if !ok {
-				out[i].Key = "" // vanished since selection
-				continue
-			}
-			out[i].Key = key
-			out[i].Value = append(out[i].Value[:0], chValue(ch)...)
-			out[i].Flags = chFlags(ch)
-			out[i].LastAccess = fromNano(chAccess(ch))
-			out[i].Expiry = fromNano(chExpire(ch))
-		}
-		sh.mu.Unlock()
-	}
-	return compactVanished(dst, start)
 }
 
 // StreamBatch is one bounded batch yielded by FetchTopStream.
@@ -178,12 +118,14 @@ type StreamBatch struct {
 	Bytes int
 }
 
-// FetchTopStream selects the hottest count items of the class (TopMeta,
-// whose filter contract applies) and streams them to emit coldest-first in CutBatches batches. Values are
-// fetched per batch, so the caller's peak extra memory is one batch, not
-// the whole selection. It returns the total number of pairs emitted.
+// FetchTopStream picks the hottest count items of the class (topPicks,
+// whose filter contract applies) and streams them to emit coldest-first
+// in CutBatches batches, reading each batch's values with AppendPicks.
+// Values are read per batch, so the caller's peak extra memory is the
+// picks (32 bytes an item) plus one batch. It returns the total number of
+// pairs emitted.
 func (c *Cache) FetchTopStream(classID, count int, filter func(key string) bool, maxPairs, maxBytes int, emit func(StreamBatch) error) (int, error) {
-	metas, err := c.TopMeta(classID, count, filter)
+	picks, err := c.topPicks(classID, count, filter)
 	if err != nil {
 		return 0, err
 	}
@@ -192,9 +134,9 @@ func (c *Cache) FetchTopStream(classID, count int, filter func(key string) bool,
 		buf   []KV
 		seq   uint64
 	)
-	err = CutBatches([][]ItemMeta{metas}, maxPairs, maxBytes, func(batch []ItemMeta, bytes int) error {
+	err = CutBatches([][]Pick{picks}, maxPairs, maxBytes, func(batch []Pick, bytes int) error {
 		seq++
-		buf = c.AppendPairs(buf[:0], batch)
+		buf = c.AppendPicks(buf[:0], batch)
 		total += len(buf)
 		return emit(StreamBatch{Seq: seq, Pairs: buf, Bytes: bytes})
 	})

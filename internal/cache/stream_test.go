@@ -1,15 +1,17 @@
 package cache
 
-// Tests for the streaming migration producer: TopMeta must select the
-// globally hottest items without touching values, AppendPairs must
-// materialize batches with buffer reuse and skip vanished keys, CutBatches
-// must cut identically every time, and FetchTopStream must respect both
-// batch bounds while preserving the coldest-first emission order the
-// resumable sender depends on.
+// Tests for the list-order exports: TopMeta must select the globally
+// hottest items without touching values, FetchTopStream must read the
+// same selection back with its values, AppendPicks must copy values,
+// reuse buffers and skip vanished keys, CutBatches must cut identically
+// every time, and FetchTopStream must respect both batch bounds while
+// preserving the coldest-first emission order the snapshot restore
+// depends on.
 
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -26,21 +28,28 @@ func populateStream(t *testing.T, c *Cache, n, valLen int) {
 	}
 }
 
-// topPairs is the phase-3 read path in one call: TopMeta selection, then
-// AppendPairs materialization — the hottest count pairs, hottest first.
+// topPairs collects FetchTopStream's output, copied out of the reused
+// batch buffers, hottest first.
 func topPairs(t *testing.T, c *Cache, classID, count int, filter func(string) bool) []KV {
 	t.Helper()
-	metas, err := c.TopMeta(classID, count, filter)
-	if err != nil {
+	var out []KV
+	if _, err := c.FetchTopStream(classID, count, filter, 7, 0, func(b StreamBatch) error {
+		for _, p := range b.Pairs {
+			p.Value = slices.Clone(p.Value)
+			out = append(out, p)
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	return c.AppendPairs(nil, metas)
+	slices.Reverse(out)
+	return out
 }
 
-// TestTopMetaAppendPairs: the selection is the hottest min(count, matching)
-// items in MRU order, and the materialized pairs agree with it entry for
-// entry — key, timestamp, and ValueSize == len(Value).
-func TestTopMetaAppendPairs(t *testing.T) {
+// TestTopMetaFetchTopStream: the selection is the hottest min(count,
+// matching) items in MRU order, and the streamed pairs agree with it entry
+// for entry — key, timestamp, and ValueSize == len(Value).
+func TestTopMetaFetchTopStream(t *testing.T) {
 	c, _ := newTestCache(t, 2)
 	populateStream(t, c, 500, 10)
 	classID := c.PopulatedClasses()[0]
@@ -75,7 +84,7 @@ func TestTopMetaAppendPairs(t *testing.T) {
 		if tc.filter != nil {
 			hottest = 498
 		}
-		pairs := c.AppendPairs(nil, metas)
+		pairs := topPairs(t, c, classID, tc.count, tc.filter)
 		if len(pairs) != len(metas) {
 			t.Fatalf("%s: %d pairs for %d metas", tc.name, len(pairs), len(metas))
 		}
@@ -99,26 +108,26 @@ func TestTopMetaAppendPairs(t *testing.T) {
 	if _, err := c.TopMeta(-1, 1, nil); err == nil {
 		t.Fatal("want error for bad class")
 	}
-	if got := c.AppendPairs(nil, nil); got != nil {
-		t.Fatalf("AppendPairs(no metas) = %v, want nil", got)
+	if got := c.AppendPicks(nil, nil); got != nil {
+		t.Fatalf("AppendPicks(no picks) = %v, want nil", got)
 	}
 }
 
-// TestAppendPairsCopiesValues: materialized values never alias live cache
+// TestAppendPicksCopiesValues: read-back values never alias live cache
 // memory.
-func TestAppendPairsCopiesValues(t *testing.T) {
+func TestAppendPicksCopiesValues(t *testing.T) {
 	c, _ := newTestCache(t, 1)
 	if err := c.Set("k", []byte("orig")); err != nil {
 		t.Fatal(err)
 	}
-	kvs := topPairs(t, c, 0, 1, nil)
+	kvs := c.AppendPicks(nil, pickAll(t, c, 0))
 	if len(kvs) != 1 || string(kvs[0].Value) != "orig" {
 		t.Fatalf("pairs = %+v", kvs)
 	}
 	kvs[0].Value[0] = 'X'
 	got, _ := c.Peek("k")
 	if string(got) != "orig" {
-		t.Fatal("AppendPairs exposed internal value storage")
+		t.Fatal("AppendPicks exposed internal value storage")
 	}
 }
 
@@ -126,44 +135,46 @@ func TestAppendPairsCopiesValues(t *testing.T) {
 // rule, selections cut coldest-first with batches spanning them, and — the
 // resume-critical property — identical cuts on a second call.
 func TestCutBatches(t *testing.T) {
-	// sel builds a hottest-first selection whose i-th coldest item has a
-	// 2-byte key and sizes[i]-2 value bytes, i.e. sizes[i] payload bytes.
-	sel := func(prefix string, sizes ...int) []ItemMeta {
-		out := make([]ItemMeta, len(sizes))
+	// sel builds a hottest-first selection whose i-th coldest pick is
+	// sizes[i] payload bytes. A pick holds no key, so its name — prefix
+	// and position — rides in Hash.
+	sel := func(prefix byte, sizes ...int) []Pick {
+		out := make([]Pick, len(sizes))
 		for i, sz := range sizes {
-			out[len(sizes)-1-i] = ItemMeta{Key: fmt.Sprintf("%s%d", prefix, i), ValueSize: sz - 2}
+			out[len(sizes)-1-i] = Pick{Hash: uint64(prefix)<<32 | uint64(i), Size: uint32(sz)}
 		}
 		return out
 	}
+	name := func(p Pick) string { return fmt.Sprintf("%c%d", byte(p.Hash>>32), uint32(p.Hash)) }
 	for _, tc := range []struct {
 		name               string
-		sels               [][]ItemMeta
+		sels               [][]Pick
 		maxPairs, maxBytes int
 		want               []string // each batch as "keys…/bytes"
 	}{
-		{"pair bound", [][]ItemMeta{sel("a", 10, 10, 10, 10, 10)}, 2, 0,
+		{"pair bound", [][]Pick{sel('a', 10, 10, 10, 10, 10)}, 2, 0,
 			[]string{"a0 a1/20", "a2 a3/20", "a4/10"}},
-		{"byte bound", [][]ItemMeta{sel("a", 10, 10, 10, 10, 10)}, 0, 25,
+		{"byte bound", [][]Pick{sel('a', 10, 10, 10, 10, 10)}, 0, 25,
 			[]string{"a0 a1/20", "a2 a3/20", "a4/10"}},
-		{"byte bound exact fit", [][]ItemMeta{sel("a", 10, 10, 10)}, 0, 20,
+		{"byte bound exact fit", [][]Pick{sel('a', 10, 10, 10)}, 0, 20,
 			[]string{"a0 a1/20", "a2/10"}},
-		{"both bounds, tighter wins", [][]ItemMeta{sel("a", 10, 10, 30, 5, 5, 5, 5, 5)}, 3, 35,
+		{"both bounds, tighter wins", [][]Pick{sel('a', 10, 10, 30, 5, 5, 5, 5, 5)}, 3, 35,
 			[]string{"a0 a1/20", "a2 a3/35", "a4 a5 a6/15", "a7/5"}},
-		{"single oversized pair", [][]ItemMeta{sel("a", 5, 100, 5)}, 0, 20,
+		{"single oversized pair", [][]Pick{sel('a', 5, 100, 5)}, 0, 20,
 			[]string{"a0/5", "a1/100", "a2/5"}},
-		{"unbounded", [][]ItemMeta{sel("a", 10, 10, 10)}, 0, 0,
+		{"unbounded", [][]Pick{sel('a', 10, 10, 10)}, 0, 0,
 			[]string{"a0 a1 a2/30"}},
-		{"batch spans selections", [][]ItemMeta{sel("a", 10, 10, 10), nil, sel("b", 10, 10)}, 2, 0,
+		{"batch spans selections", [][]Pick{sel('a', 10, 10, 10), nil, sel('b', 10, 10)}, 2, 0,
 			[]string{"a0 a1/20", "a2 b0/20", "b1/10"}},
-		{"empty selection", [][]ItemMeta{nil, {}}, 2, 20, nil},
+		{"empty selection", [][]Pick{nil, {}}, 2, 20, nil},
 		{"no selections", nil, 2, 20, nil},
 	} {
 		cut := func() []string {
 			var got []string
-			err := CutBatches(tc.sels, tc.maxPairs, tc.maxBytes, func(batch []ItemMeta, bytes int) error {
+			err := CutBatches(tc.sels, tc.maxPairs, tc.maxBytes, func(batch []Pick, bytes int) error {
 				keys := make([]string, len(batch))
-				for i, m := range batch {
-					keys[i] = m.Key
+				for i, p := range batch {
+					keys[i] = name(p)
 				}
 				got = append(got, fmt.Sprintf("%s/%d", strings.Join(keys, " "), bytes))
 				return nil
@@ -185,7 +196,7 @@ func TestCutBatches(t *testing.T) {
 	// An emit error stops the cut and is returned as-is.
 	stop := fmt.Errorf("stop")
 	calls := 0
-	err := CutBatches([][]ItemMeta{sel("a", 10, 10, 10)}, 1, 0, func([]ItemMeta, int) error {
+	err := CutBatches([][]Pick{sel('a', 10, 10, 10)}, 1, 0, func([]Pick, int) error {
 		calls++
 		return stop
 	})
@@ -194,13 +205,16 @@ func TestCutBatches(t *testing.T) {
 	}
 }
 
-func TestAppendPairsSkipsVanishedKeys(t *testing.T) {
+// TestAppendPicksSkipsVanishedKeys: a picked key deleted before the read
+// back is left out, with no placeholder in its place.
+func TestAppendPicksSkipsVanishedKeys(t *testing.T) {
 	c, _ := newTestCache(t, 2)
 	populateStream(t, c, 50, 10)
 	classID := c.PopulatedClasses()[0]
+	picks := pickAll(t, c, classID)
 	metas, err := c.TopMeta(classID, 50, nil)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || len(metas) != len(picks) {
+		t.Fatalf("TopMeta = %d metas (%v), %d picks", len(metas), err, len(picks))
 	}
 	// Delete every fifth selected key between selection and fetch.
 	deleted := make(map[string]bool)
@@ -208,9 +222,9 @@ func TestAppendPairsSkipsVanishedKeys(t *testing.T) {
 		c.Delete(metas[i].Key)
 		deleted[metas[i].Key] = true
 	}
-	pairs := c.AppendPairs(nil, metas)
-	if len(pairs) != len(metas)-len(deleted) {
-		t.Fatalf("got %d pairs, want %d", len(pairs), len(metas)-len(deleted))
+	pairs := c.AppendPicks(nil, picks)
+	if len(pairs) != len(picks)-len(deleted) {
+		t.Fatalf("got %d pairs, want %d", len(pairs), len(picks)-len(deleted))
 	}
 	for _, p := range pairs {
 		if p.Key == "" {
@@ -225,25 +239,22 @@ func TestAppendPairsSkipsVanishedKeys(t *testing.T) {
 	}
 }
 
-// TestAppendPairsReusesBuffers: looping `buf = AppendPairs(buf[:0], batch)`
-// must stop allocating once the largest batch has been seen — the property
-// that keeps the streaming sender's steady state allocation-free.
-func TestAppendPairsReusesBuffers(t *testing.T) {
+// TestAppendPicksReusesBuffers: looping `buf = AppendPicks(buf[:0], batch)`
+// must stop allocating values once the largest batch has been seen — the
+// property that keeps the streaming sender's steady state at a fixed
+// handful of allocations a batch.
+func TestAppendPicksReusesBuffers(t *testing.T) {
 	c, _ := newTestCache(t, 2)
 	populateStream(t, c, 64, 32)
-	classID := c.PopulatedClasses()[0]
-	metas, err := c.TopMeta(classID, 64, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := c.AppendPairs(nil, metas) // warm: allocates pairs and values
+	picks := pickAll(t, c, c.PopulatedClasses()[0])
+	buf := c.AppendPicks(nil, picks) // warm: allocates pairs and values
 	allocs := testing.AllocsPerRun(20, func() {
-		buf = c.AppendPairs(buf[:0], metas)
+		buf = c.AppendPicks(buf[:0], picks)
 	})
-	// The per-shard index grouping still allocates a few small slices;
+	// The per-shard grouping and the batch's shared key buffer allocate;
 	// what must NOT allocate is the pairs themselves or their values.
-	if allocs > 20 {
-		t.Fatalf("steady-state AppendPairs allocates %.0f objects/op", allocs)
+	if allocs > 5 {
+		t.Fatalf("steady-state AppendPicks allocates %.0f objects/op", allocs)
 	}
 	if len(buf) != 64 {
 		t.Fatalf("reused fetch returned %d pairs, want 64", len(buf))
@@ -317,9 +328,9 @@ func TestFetchTopStreamEmptyClassAndErrors(t *testing.T) {
 }
 
 // TestTopMetaAllocsFollowSelection: the export filter sees key bytes in
-// place, so a class walk that rejects most of its items allocates for the
-// items it selects — a key string and a share of the run slices — not for
-// every item it walks.
+// place, so a class scan that rejects most of its items allocates for the
+// items it selects — a key string each, plus a fixed handful of slices —
+// not for every item it scans.
 func TestTopMetaAllocsFollowSelection(t *testing.T) {
 	c, err := New(64 * PageSize)
 	if err != nil {
@@ -337,6 +348,6 @@ func TestTopMetaAllocsFollowSelection(t *testing.T) {
 	})
 	t.Logf("%d shards: %.0f allocs to select %d of %d items", c.ShardCount(), allocs, selected, walked)
 	if allocs > selected+selected/4 {
-		t.Errorf("%.0f allocs to select %d of %d items: the walk allocates per rejected item", allocs, selected, walked)
+		t.Errorf("%.0f allocs to select %d of %d items: the scan allocates per rejected item", allocs, selected, walked)
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/agent"
+	"repro/internal/fusecache"
 	"repro/internal/hashring"
 )
 
@@ -83,10 +84,6 @@ func NaiveScaleIn(ctx context.Context, reg *agent.Registry, round uint64, retiri
 	if len(retained) == 0 {
 		return 0, fmt.Errorf("%w: no retained nodes", ErrBadRequest)
 	}
-	ring, err := hashring.New(retained)
-	if err != nil {
-		return 0, err
-	}
 	migrated := 0
 	for _, node := range retiring {
 		if err := ctx.Err(); err != nil {
@@ -96,54 +93,46 @@ func NaiveScaleIn(ctx context.Context, reg *agent.Registry, round uint64, retiri
 		if err != nil {
 			return migrated, fmt.Errorf("naive: %w", err)
 		}
-		cc := src.Cache()
 		// SendData ships phase-1 picks; Naive has no phase 2, so it picks
-		// without offering anything.
-		if _, err := src.Pick(ctx, round, retained); err != nil {
+		// without offering anything. offers[i] holds, per class, the stamps
+		// of the items owner retained[i] gets, hottest first.
+		offers, err := src.Pick(ctx, round, retained)
+		if err != nil {
 			return migrated, fmt.Errorf("naive: %w", err)
 		}
-		// Per target, collect the head fraction of every class.
-		perTarget := make(map[string][]struct {
-			classID int
-			count   int
-		})
+		// The head fraction of every class, merged across owners: FuseCache
+		// over this one node's lists tells how many of it each owner gets,
+		// and SendData ships that many of the owner's picks, hottest first.
+		takes := make([]map[int]int, len(retained))
+		cc := src.Cache()
+		lists := make([]fusecache.List, len(retained))
 		for _, classID := range cc.PopulatedClasses() {
 			take := int(float64(cc.ClassLen(classID)) * fraction)
 			if take == 0 {
 				continue
 			}
-			metas, err := cc.TopMeta(classID, take, nil)
-			if err != nil {
-				return migrated, err
+			for i := range offers {
+				lists[i] = offers[i][classID]
 			}
-			// Count the head items per owner; SendData ships that many of
-			// the owner's picks, hottest first: the same items.
-			byOwner := make(map[string]int)
-			for _, m := range metas {
-				owner, err := ring.Get(m.Key)
-				if err != nil {
+			res, err := fusecache.TopN(lists, take)
+			if err != nil {
+				return migrated, fmt.Errorf("naive %s class %d: %w", node, classID, err)
+			}
+			for i, n := range res.Take {
+				if n == 0 {
 					continue
 				}
-				byOwner[owner]++
-			}
-			for owner, count := range byOwner {
-				perTarget[owner] = append(perTarget[owner], struct {
-					classID int
-					count   int
-				}{classID: classID, count: count})
+				if takes[i] == nil {
+					takes[i] = make(map[int]int)
+				}
+				takes[i][classID] = n
 			}
 		}
-		targets := make([]string, 0, len(perTarget))
-		for tgt := range perTarget {
-			targets = append(targets, tgt)
-		}
-		sort.Strings(targets)
-		for _, tgt := range targets {
-			takes := make(map[int]int, len(perTarget[tgt]))
-			for _, tc := range perTarget[tgt] {
-				takes[tc.classID] = tc.count
+		for i, tgt := range retained {
+			if takes[i] == nil {
+				continue
 			}
-			stats, err := src.SendData(ctx, round, tgt, takes)
+			stats, err := src.SendData(ctx, round, tgt, takes[i])
 			if err != nil {
 				return migrated, fmt.Errorf("naive %s→%s: %w", node, tgt, err)
 			}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -186,6 +188,96 @@ func TestNaiveCanEvictHotterItems(t *testing.T) {
 	}
 	if evicted != 100 {
 		t.Fatalf("naive evicted %d hot items, want 100 (its flaw)", evicted)
+	}
+}
+
+// TestNaiveMatchesBruteForce is Naive's differential test: on a seeded
+// four-node tier with unique stamps, scaling in two nodes migrates exactly
+// the top ⌊fraction·ClassLen⌋ items of each retiring node's class — ranked
+// here by a sort of the MRU lists, independent of the scanner the agents
+// pick through — each to its owner on the retained ring.
+func TestNaiveMatchesBruteForce(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		reg := agent.NewRegistry()
+		clk := newTestClock()
+		rng := rand.New(rand.NewSource(seed))
+		nodes := []string{"n0", "n1", "n2", "n3"}
+		for _, name := range nodes {
+			a := newNode(t, reg, name, 16, clk)
+			sizes := []int{8, 200, 700}
+			for i := 0; i < 1500; i++ {
+				key := fmt.Sprintf("%s-%05d", name, i)
+				if err := a.Cache().Set(key, make([]byte, sizes[rng.Intn(len(sizes))])); err != nil {
+					t.Fatal(err)
+				}
+				if rng.Intn(3) == 0 { // reorder the MRU lists
+					_, _ = a.Cache().Get(fmt.Sprintf("%s-%05d", name, rng.Intn(i+1)))
+				}
+			}
+		}
+		perm := rng.Perm(len(nodes))
+		retiring := []string{nodes[perm[0]], nodes[perm[1]]}
+		retained := []string{nodes[perm[2]], nodes[perm[3]]}
+		const fraction = 0.5
+		ring, err := hashring.New(retained)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make(map[string]map[string]bool) // target → migrated keys
+		total := 0
+		for _, name := range retiring {
+			a, _ := reg.Get(name)
+			c := a.Cache()
+			for _, classID := range c.PopulatedClasses() {
+				runs, err := c.ClassOrderByShard(classID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var all []cache.ItemMeta
+				for _, run := range runs {
+					all = append(all, run...)
+				}
+				sort.Slice(all, func(i, j int) bool { return all[i].LastAccess.After(all[j].LastAccess) })
+				for i := 1; i < len(all); i++ {
+					if all[i].LastAccess.Equal(all[i-1].LastAccess) {
+						t.Fatalf("seed %d: %s holds two items stamped %v", seed, name, all[i].LastAccess)
+					}
+				}
+				for _, m := range all[:int(float64(c.ClassLen(classID))*fraction)] {
+					owner, err := ring.Get(m.Key)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want[owner] == nil {
+						want[owner] = make(map[string]bool)
+					}
+					want[owner][m.Key] = true
+					total++
+				}
+			}
+		}
+		moved, err := NaiveScaleIn(context.Background(), reg, 1, retiring, retained, fraction)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if moved != total {
+			t.Fatalf("seed %d: moved %d, brute force selects %d", seed, moved, total)
+		}
+		for _, target := range retained {
+			a, _ := reg.Get(target)
+			got := 0
+			for _, metas := range a.Cache().DumpAll(func(key string) bool { return !strings.HasPrefix(key, target+"-") }) {
+				for _, m := range metas {
+					if !want[target][m.Key] {
+						t.Fatalf("seed %d: %s received %q, which brute force does not select for it", seed, target, m.Key)
+					}
+					got++
+				}
+			}
+			if got != len(want[target]) {
+				t.Fatalf("seed %d: %s received %d items, brute force selects %d", seed, target, got, len(want[target]))
+			}
+		}
 	}
 }
 
