@@ -18,38 +18,21 @@ import (
 	"repro/internal/cache"
 	"repro/internal/experiments"
 	"repro/internal/fusecache"
-	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/stackdist"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// benchComparisonConfig is the scaled-down simulation the figure benches
-// replay: small enough that one policy run completes in well under a
-// second, large enough that the degradation dynamics appear.
-func benchComparisonConfig(b *testing.B, name trace.Name) sim.Config {
+// runComparisonBench replays the -fast comparison of one trace: small
+// enough that one policy run completes in well under a second, large
+// enough that the degradation dynamics appear.
+func runComparisonBench(b *testing.B, name trace.Name, kinds []sim.Policy) {
 	b.Helper()
-	tr, err := trace.Generate(name, trace.Options{})
+	cfg, err := experiments.ComparisonConfig(name, true)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := sim.DefaultConfig(tr)
-	cfg.Duration = 2 * time.Minute
-	cfg.Warmup = 90 * time.Second
-	cfg.PeakRate = 300
-	cfg.Keys = 40_000
-	cfg.DBModel.Capacity = 120
-	cfg.MigrationDelay = 8 * time.Second
-	if name == trace.NLANR {
-		cfg.Nodes = 8
-	}
-	return cfg
-}
-
-func runComparisonBench(b *testing.B, name trace.Name, kinds []policy.Kind) {
-	b.Helper()
-	cfg := benchComparisonConfig(b, name)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.RunComparison(cfg, kinds)
@@ -65,7 +48,7 @@ func runComparisonBench(b *testing.B, name trace.Name, kinds []policy.Kind) {
 // BenchmarkFig2PostScalingDegradation regenerates Figure 2: baseline vs
 // ElMem on the ETC trace's scale-in.
 func BenchmarkFig2PostScalingDegradation(b *testing.B) {
-	runComparisonBench(b, trace.ETC, []policy.Kind{policy.Baseline, policy.ElMem})
+	runComparisonBench(b, trace.ETC, []sim.Policy{sim.Baseline, sim.ElMem})
 }
 
 // BenchmarkFig5TraceGeneration regenerates the five demand traces.
@@ -79,23 +62,23 @@ func BenchmarkFig5TraceGeneration(b *testing.B) {
 
 // BenchmarkFig6* regenerate the five panels of Figure 6.
 func BenchmarkFig6SYS(b *testing.B) {
-	runComparisonBench(b, trace.SYS, []policy.Kind{policy.Baseline, policy.ElMem})
+	runComparisonBench(b, trace.SYS, []sim.Policy{sim.Baseline, sim.ElMem})
 }
 
 func BenchmarkFig6ETC(b *testing.B) {
-	runComparisonBench(b, trace.ETC, []policy.Kind{policy.Baseline, policy.ElMem})
+	runComparisonBench(b, trace.ETC, []sim.Policy{sim.Baseline, sim.ElMem})
 }
 
 func BenchmarkFig6SAP(b *testing.B) {
-	runComparisonBench(b, trace.SAP, []policy.Kind{policy.Baseline, policy.ElMem})
+	runComparisonBench(b, trace.SAP, []sim.Policy{sim.Baseline, sim.ElMem})
 }
 
 func BenchmarkFig6NLANR(b *testing.B) {
-	runComparisonBench(b, trace.NLANR, []policy.Kind{policy.Baseline, policy.ElMem})
+	runComparisonBench(b, trace.NLANR, []sim.Policy{sim.Baseline, sim.ElMem})
 }
 
 func BenchmarkFig6Microsoft(b *testing.B) {
-	runComparisonBench(b, trace.Microsoft, []policy.Kind{policy.Baseline, policy.ElMem})
+	runComparisonBench(b, trace.Microsoft, []sim.Policy{sim.Baseline, sim.ElMem})
 }
 
 // BenchmarkFig7NodeChoice regenerates the node-choice sweep.
@@ -122,8 +105,8 @@ func BenchmarkFig7NodeChoice(b *testing.B) {
 
 // BenchmarkFig8PolicyComparison regenerates the four-policy comparison.
 func BenchmarkFig8PolicyComparison(b *testing.B) {
-	runComparisonBench(b, trace.SYS, []policy.Kind{
-		policy.Baseline, policy.Naive, policy.CacheScale, policy.ElMem,
+	runComparisonBench(b, trace.SYS, []sim.Policy{
+		sim.Baseline, sim.Naive, sim.CacheScale, sim.ElMem,
 	})
 }
 
@@ -278,33 +261,6 @@ func BenchmarkStackDistanceExactVsMimir(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkScoringAblation compares weighted (w_b) and unweighted node
-// scoring on identical tiers (DESIGN.md §5).
-func BenchmarkScoringAblation(b *testing.B) {
-	for _, unweighted := range []bool{false, true} {
-		name := "weighted"
-		if unweighted {
-			name = "unweighted"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := experiments.NodeChoiceConfig{
-				Nodes:      5,
-				NodePages:  2,
-				Keys:       60_000,
-				Accesses:   150_000,
-				ZipfS:      0.99,
-				Seed:       7,
-				Unweighted: unweighted,
-			}
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.NodeChoice(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkMetadataVsFullTransfer measures why phase 1 ships only keys and

@@ -24,11 +24,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/experiments"
-	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -86,30 +84,8 @@ func run(w io.Writer) error {
 	return runner(w, *fast)
 }
 
-// comparisonConfig builds the simulation config for a trace, optionally
-// shrunken for -fast.
-func comparisonConfig(name trace.Name, fast bool) (sim.Config, error) {
-	tr, err := trace.Generate(name, trace.Options{})
-	if err != nil {
-		return sim.Config{}, err
-	}
-	cfg := sim.DefaultConfig(tr)
-	if name == trace.NLANR {
-		cfg.Nodes = 8
-	}
-	if fast {
-		cfg.Duration = 2 * time.Minute
-		cfg.Warmup = 90 * time.Second
-		cfg.PeakRate = 300
-		cfg.Keys = 40_000
-		cfg.DBModel.Capacity = 120
-		cfg.MigrationDelay = 8 * time.Second
-	}
-	return cfg, nil
-}
-
-func runComparison(w io.Writer, name trace.Name, kinds []policy.Kind, fast bool) error {
-	cfg, err := comparisonConfig(name, fast)
+func runComparison(w io.Writer, name trace.Name, kinds []sim.Policy, fast bool) error {
+	cfg, err := experiments.ComparisonConfig(name, fast)
 	if err != nil {
 		return err
 	}
@@ -122,17 +98,17 @@ func runComparison(w io.Writer, name trace.Name, kinds []policy.Kind, fast bool)
 }
 
 func runFig2(w io.Writer, fast bool) error {
-	return runComparison(w, trace.ETC, []policy.Kind{policy.Baseline, policy.ElMem}, fast)
+	return runComparison(w, trace.ETC, []sim.Policy{sim.Baseline, sim.ElMem}, fast)
 }
 
 func fig6Runner(name trace.Name) func(io.Writer, bool) error {
 	return func(w io.Writer, fast bool) error {
-		return runComparison(w, name, []policy.Kind{policy.Baseline, policy.ElMem}, fast)
+		return runComparison(w, name, []sim.Policy{sim.Baseline, sim.ElMem}, fast)
 	}
 }
 
 func runFig8(w io.Writer, fast bool) error {
-	cfg, err := comparisonConfig(trace.SYS, fast)
+	cfg, err := experiments.ComparisonConfig(trace.SYS, fast)
 	if err != nil {
 		return err
 	}
@@ -144,8 +120,8 @@ func runFig8(w io.Writer, fast bool) error {
 	if !fast {
 		cfg.Keys = 200_000
 	}
-	res, err := experiments.RunComparison(cfg, []policy.Kind{
-		policy.Baseline, policy.Naive, policy.CacheScale, policy.ElMem,
+	res, err := experiments.RunComparison(cfg, []sim.Policy{
+		sim.Baseline, sim.Naive, sim.CacheScale, sim.ElMem,
 	})
 	if err != nil {
 		return err

@@ -67,11 +67,22 @@ func run() error {
 	}
 	defer cl.Close()
 
+	specs := []loadgen.TenantSpec{{Keys: *keys, ZipfS: *zipf, Share: 1}}
 	if *tenants != "" {
-		return runTenants(cl, *tenants, *rate, *duration, *kv, *dbCapacity, *dbBase, *seed, *shiftAt)
+		if specs, err = parseTenants(*tenants); err != nil {
+			return err
+		}
 	}
-
-	dataset, err := store.NewDataset(*keys, store.WithSizeBounds(1, 1024))
+	// The simulated database covers the largest (post-shift) keyspace.
+	var maxKeys uint64 = 1
+	for _, t := range specs {
+		n := t.Keys
+		if t.Shift > 1 {
+			n = uint64(float64(t.Keys) * t.Shift)
+		}
+		maxKeys = max(maxKeys, n)
+	}
+	dataset, err := store.NewDataset(maxKeys, store.WithSizeBounds(1, 1024))
 	if err != nil {
 		return err
 	}
@@ -92,9 +103,9 @@ func run() error {
 		Duration:     *duration,
 		PeakRate:     *rate,
 		KVPerRequest: *kv,
-		Keys:         *keys,
-		ZipfS:        *zipf,
 		Seed:         *seed,
+		Tenants:      specs,
+		ShiftFrac:    *shiftAt,
 	}
 	switch {
 	case *traceCSV != "":
@@ -133,78 +144,11 @@ func run() error {
 
 	fmt.Printf("# sent=%d errors=%d achieved_rate=%.1f req/s\n",
 		report.Sent, report.Errors, report.AchievedRate)
-	fmt.Println("second hitrate p95_ms requests")
-	for _, st := range report.Series {
-		if st.Requests == 0 {
-			continue
+	if *tenants != "" {
+		fmt.Println("tenant requests hitrate")
+		for _, o := range report.Tenants {
+			fmt.Printf("%s %d %.3f\n", o.Name, o.Requests, o.HitRate())
 		}
-		fmt.Printf("%d %.3f %.3f %d\n",
-			int(st.At/time.Second), st.HitRate(), st.P95.Seconds()*1000, st.Requests)
-	}
-	return nil
-}
-
-// runTenants is the multi-tenant mode: the spec string becomes a
-// loadgen.TenantConfig, the simulated database is sized to the largest
-// (post-shift) tenant keyspace, and per-tenant hit rates are reported at
-// the end alongside the usual per-second aggregate series.
-func runTenants(cl *client.Cluster, spec string, rate float64, duration time.Duration,
-	kv int, dbCapacity float64, dbBase time.Duration, seed int64, shiftAt float64) error {
-	specs, err := parseTenants(spec)
-	if err != nil {
-		return err
-	}
-	var maxKeys uint64 = 1
-	for _, t := range specs {
-		n := t.Keys
-		if t.Shift > 1 {
-			n = uint64(float64(t.Keys) * t.Shift)
-		}
-		if n > maxKeys {
-			maxKeys = n
-		}
-	}
-	dataset, err := store.NewDataset(maxKeys, store.WithSizeBounds(1, 1024))
-	if err != nil {
-		return err
-	}
-	db, err := store.NewDB(dataset, store.LatencyModel{
-		Base:     dbBase,
-		Capacity: dbCapacity,
-		Max:      2 * time.Second,
-	})
-	if err != nil {
-		return err
-	}
-	handler, err := webtier.New(cl, db, webtier.WithRealSleep())
-	if err != nil {
-		return err
-	}
-
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-
-	report, err := loadgen.RunTenants(ctx, loadgen.TenantConfig{
-		Duration:     duration,
-		Rate:         rate,
-		KVPerRequest: kv,
-		Seed:         seed,
-		Tenants:      specs,
-		ShiftFrac:    shiftAt,
-	}, loadgen.HandlerFunc(
-		func(keys []string) (time.Duration, int, int, error) {
-			res, err := handler.Handle(keys)
-			return res.RT, res.Hits, res.Misses, err
-		}))
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("# sent=%d errors=%d achieved_rate=%.1f req/s\n",
-		report.Sent, report.Errors, report.AchievedRate)
-	fmt.Println("tenant requests hitrate")
-	for _, o := range report.Tenants {
-		fmt.Printf("%s %d %.3f\n", o.Name, o.Requests, o.HitRate())
 	}
 	fmt.Println("second hitrate p95_ms requests")
 	for _, st := range report.Series {

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -41,7 +40,7 @@ func run() error {
 
 	fmt.Printf("replaying %s (%v compressed to %v, 10-node tier, ETC 10→9 then 9→10)\n",
 		tr.Name, tr.Duration(), cfg.Duration)
-	res, err := experiments.RunComparison(cfg, []policy.Kind{policy.Baseline, policy.ElMem})
+	res, err := experiments.RunComparison(cfg, []sim.Policy{sim.Baseline, sim.ElMem})
 	if err != nil {
 		return err
 	}
@@ -69,7 +68,7 @@ func run() error {
 		fmt.Printf("\naction %d (%d→%d at %v):\n", i+1, a.FromNodes, a.ToNodes, a.DecisionAt.Round(time.Second))
 		fmt.Printf("  baseline: peak %v, mean P95 %v\n", bd.PeakRT.Round(time.Microsecond), bd.MeanP95.Round(time.Microsecond))
 		fmt.Printf("  elmem:    peak %v, mean P95 %v\n", ed.PeakRT.Round(time.Microsecond), ed.MeanP95.Round(time.Microsecond))
-		if reductions := res.ReductionPercent[policy.ElMem]; i < len(reductions) {
+		if reductions := res.ReductionPercent[sim.ElMem]; i < len(reductions) {
 			fmt.Printf("  post-scaling degradation reduction: %.1f%% (paper headline: ≈90%%)\n", reductions[i])
 		}
 	}

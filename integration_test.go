@@ -54,7 +54,7 @@ func TestFullStackScaleInUnderLoad(t *testing.T) {
 		Duration:     2 * time.Second,
 		PeakRate:     400,
 		KVPerRequest: 10,
-		Keys:         keys,
+		Tenants:      []loadgen.TenantSpec{{Keys: keys, Share: 1}},
 		Seed:         1,
 	}, loadgen.HandlerFunc(func(ks []string) (time.Duration, int, int, error) {
 		res, err := handler.Handle(ks)
@@ -77,7 +77,7 @@ func TestFullStackScaleInUnderLoad(t *testing.T) {
 			Duration:     4 * time.Second,
 			PeakRate:     300,
 			KVPerRequest: 10,
-			Keys:         keys,
+			Tenants:      []loadgen.TenantSpec{{Keys: keys, Share: 1}},
 			Seed:         2,
 		}, loadgen.HandlerFunc(func(ks []string) (time.Duration, int, int, error) {
 			res, err := handler.Handle(ks)
@@ -123,7 +123,7 @@ func TestFullStackScaleInUnderLoad(t *testing.T) {
 		Duration:     time.Second,
 		PeakRate:     300,
 		KVPerRequest: 10,
-		Keys:         keys,
+		Tenants:      []loadgen.TenantSpec{{Keys: keys, Share: 1}},
 		Seed:         3,
 	}, loadgen.HandlerFunc(func(ks []string) (time.Duration, int, int, error) {
 		res, err := handler.Handle(ks)

@@ -44,15 +44,13 @@ func AutoScale(name trace.Name, fast bool) (*AutoScaleResult, error) {
 	// The planning r_DB is set so p_min is attainable on the sampling
 	// window (cold-start misses bound the observable hit rate) and spans
 	// hold-at-peak → shrink-at-trough across the trace's demand range.
-	kvPeak := cfg.PeakRate * float64(cfg.KVPerRequest)
+	kvPeak := cfg.PeakRate * sim.KVPerRequest
 	cfg.AutoScale = &autoscaler.Config{
 		DBCapacity:   kvPeak / 2,
 		ItemsPerNode: int(cfg.Keys / 10),
 		MinNodes:     2,
 		MaxNodes:     cfg.Nodes + 4,
 	}
-	cfg.AutoScalePeriod = 30 * time.Second
-
 	res, err := sim.Run(cfg)
 	if err != nil {
 		return nil, err

@@ -2,7 +2,9 @@
 // paper's evaluation (Section V). Each experiment returns a structured
 // result plus a Render method that prints the same rows/series the paper
 // reports; cmd/elmem-bench is the CLI front end and bench_test.go wraps
-// each experiment in a testing.B benchmark.
+// each experiment in a testing.B benchmark. The comparison figures (2, 6
+// and 8) replay ComparisonConfig's simulation under the sim.Policy values
+// they compare; ComparisonConfig's fast flag is elmem-bench's -fast.
 //
 // Absolute numbers differ from the paper — the substrate is a calibrated
 // simulator, not the authors' OpenStack testbed — but the shapes (who
@@ -16,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -29,7 +30,7 @@ const RestoreThreshold = 5 * time.Millisecond
 // statistics per scaling action.
 type PolicyRun struct {
 	// Policy names the migration strategy.
-	Policy policy.Kind
+	Policy sim.Policy
 	// Series is the per-second hit rate / P95 sequence.
 	Series []metrics.SecondStat
 	// Actions lists the executed scaling actions.
@@ -48,20 +49,42 @@ type ComparisonResult struct {
 	Runs []PolicyRun
 	// ReductionPercent[p][i] is policy p's post-scaling degradation
 	// reduction versus baseline for action i.
-	ReductionPercent map[policy.Kind][]float64
+	ReductionPercent map[sim.Policy][]float64
+}
+
+// ComparisonConfig is the simulation the comparison figures (2, 6 and 8)
+// replay over one trace. fast shrinks it ~4x for a quick pass.
+func ComparisonConfig(name trace.Name, fast bool) (sim.Config, error) {
+	tr, err := trace.Generate(name, trace.Options{})
+	if err != nil {
+		return sim.Config{}, err
+	}
+	cfg := sim.DefaultConfig(tr)
+	if name == trace.NLANR {
+		cfg.Nodes = 8
+	}
+	if fast {
+		cfg.Duration = 2 * time.Minute
+		cfg.Warmup = 90 * time.Second
+		cfg.PeakRate = 300
+		cfg.Keys = 40_000
+		cfg.DBModel.Capacity = 120
+		cfg.MigrationDelay = 8 * time.Second
+	}
+	return cfg, nil
 }
 
 // RunComparison executes the given policies over one trace with identical
 // seeds and computes per-action degradation reductions versus the first
 // policy (the baseline).
-func RunComparison(cfg sim.Config, kinds []policy.Kind) (*ComparisonResult, error) {
+func RunComparison(cfg sim.Config, kinds []sim.Policy) (*ComparisonResult, error) {
 	if len(kinds) == 0 {
 		return nil, fmt.Errorf("experiments: no policies to compare")
 	}
 	out := &ComparisonResult{
 		Trace:            cfg.Trace.Name,
 		Config:           cfg,
-		ReductionPercent: make(map[policy.Kind][]float64),
+		ReductionPercent: make(map[sim.Policy][]float64),
 	}
 	for _, kind := range kinds {
 		c := cfg

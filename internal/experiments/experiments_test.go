@@ -4,40 +4,31 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// fastConfig shrinks a comparison for test speed.
+// fastConfig is the -fast comparison, for test speed.
 func fastConfig(t *testing.T, name trace.Name) sim.Config {
 	t.Helper()
-	tr, err := trace.Generate(name, trace.Options{})
+	cfg, err := ComparisonConfig(name, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sim.DefaultConfig(tr)
-	cfg.Duration = 2 * time.Minute
-	cfg.Warmup = 90 * time.Second
-	cfg.PeakRate = 300
-	cfg.Keys = 40_000
-	cfg.DBModel.Capacity = 120
-	cfg.MigrationDelay = 8 * time.Second
 	return cfg
 }
 
 func TestRunComparisonBaselineVsElMem(t *testing.T) {
 	cfg := fastConfig(t, trace.SYS)
-	res, err := RunComparison(cfg, []policy.Kind{policy.Baseline, policy.ElMem})
+	res, err := RunComparison(cfg, []sim.Policy{sim.Baseline, sim.ElMem})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Runs) != 2 {
 		t.Fatalf("runs = %d", len(res.Runs))
 	}
-	reductions := res.ReductionPercent[policy.ElMem]
+	reductions := res.ReductionPercent[sim.ElMem]
 	if len(reductions) == 0 {
 		t.Fatal("no reductions computed")
 	}
@@ -117,25 +108,6 @@ func TestNodeChoiceSmall(t *testing.T) {
 func TestNodeChoiceValidation(t *testing.T) {
 	if _, err := NodeChoice(NodeChoiceConfig{Nodes: 1}); err == nil {
 		t.Fatal("want error for one node")
-	}
-}
-
-func TestNodeChoiceUnweightedAblation(t *testing.T) {
-	cfg := NodeChoiceConfig{
-		Nodes:      4,
-		NodePages:  2,
-		Keys:       60_000,
-		Accesses:   120_000,
-		ZipfS:      0.99,
-		Seed:       5,
-		Unweighted: true,
-	}
-	scores, err := nodeChoiceScores(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scores) != 4 {
-		t.Fatalf("scores = %d", len(scores))
 	}
 }
 

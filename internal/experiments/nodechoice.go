@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/agent"
@@ -30,9 +29,6 @@ type NodeChoiceConfig struct {
 	ZipfS float64
 	// Seed drives the workload.
 	Seed int64
-	// Unweighted disables the w_b page weighting in scoring (the scoring
-	// ablation of DESIGN.md §5).
-	Unweighted bool
 }
 
 // DefaultNodeChoiceConfig mirrors the paper's 10→9 sweep at simulator
@@ -194,37 +190,11 @@ func nodeChoiceScores(cfg NodeChoiceConfig) ([]core.NodeScore, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Unweighted {
-		return unweightedScores(reg, members)
-	}
 	m, err := core.NewMaster(core.RegistryDirectory{Registry: reg}, members, core.WithClock(clk.Now))
 	if err != nil {
 		return nil, err
 	}
 	return m.ScoreNodes(context.Background())
-}
-
-// unweightedScores ranks nodes by the plain average of their per-slab
-// median timestamps, ignoring w_b — the scoring ablation.
-func unweightedScores(reg *agent.Registry, members []string) ([]core.NodeScore, error) {
-	var scores []core.NodeScore
-	for _, node := range members {
-		a, err := reg.Get(node)
-		if err != nil {
-			return nil, err
-		}
-		rep := a.Score(context.Background())
-		var sum float64
-		for _, ts := range rep.Medians {
-			sum += float64(ts)
-		}
-		if len(rep.Medians) > 0 {
-			sum /= float64(len(rep.Medians))
-		}
-		scores = append(scores, core.NodeScore{Node: node, Score: sum, Items: rep.Items})
-	}
-	sort.Slice(scores, func(i, j int) bool { return scores[i].Score < scores[j].Score })
-	return scores, nil
 }
 
 // nodeChoiceTrial rebuilds the tier and retires the named node.

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,8 +17,8 @@ func validConfig() Config {
 		Duration:     300 * time.Millisecond,
 		PeakRate:     500,
 		KVPerRequest: 5,
-		Keys:         1000,
 		Seed:         1,
+		Tenants:      []TenantSpec{{Keys: 1000, Share: 1}},
 	}
 }
 
@@ -29,7 +30,7 @@ func TestConfigValidation(t *testing.T) {
 		{name: "zero duration", mutate: func(c *Config) { c.Duration = 0 }},
 		{name: "zero rate", mutate: func(c *Config) { c.PeakRate = 0 }},
 		{name: "zero kv", mutate: func(c *Config) { c.KVPerRequest = 0 }},
-		{name: "zero keys", mutate: func(c *Config) { c.Keys = 0 }},
+		{name: "zero keys", mutate: func(c *Config) { c.Tenants[0].Keys = 0 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -54,9 +55,15 @@ func TestNilHandler(t *testing.T) {
 func TestRunDrivesHandler(t *testing.T) {
 	var count atomic.Uint64
 	var keyLens sync.Map
+	var prefixed atomic.Bool
 	h := HandlerFunc(func(keys []string) (time.Duration, int, int, error) {
 		count.Add(1)
 		keyLens.Store(len(keys), true)
+		for _, k := range keys {
+			if strings.Contains(k, "/") {
+				prefixed.Store(true)
+			}
+		}
 		return 2 * time.Millisecond, len(keys) - 1, 1, nil
 	})
 	report, err := Run(context.Background(), validConfig(), h)
@@ -68,6 +75,12 @@ func TestRunDrivesHandler(t *testing.T) {
 	}
 	if _, ok := keyLens.Load(5); !ok {
 		t.Fatal("handler did not receive 5-key batches")
+	}
+	if prefixed.Load() {
+		t.Fatal("a lone unnamed tenant's keys carry a prefix")
+	}
+	if len(report.Tenants) != 1 || report.Tenants[0].Requests != report.Sent {
+		t.Fatalf("tenant outcomes = %+v, want one covering all %d requests", report.Tenants, report.Sent)
 	}
 	if report.Errors != 0 {
 		t.Fatalf("errors = %d", report.Errors)

@@ -10,10 +10,10 @@ import (
 	"time"
 )
 
-func validTenantConfig() TenantConfig {
-	return TenantConfig{
+func validTenantConfig() Config {
+	return Config{
 		Duration:     250 * time.Millisecond,
-		Rate:         400,
+		PeakRate:     400,
 		KVPerRequest: 4,
 		Seed:         1,
 		Tenants: []TenantSpec{
@@ -29,26 +29,26 @@ func TestTenantConfigValidation(t *testing.T) {
 	})
 	tests := []struct {
 		name   string
-		mutate func(*TenantConfig)
+		mutate func(*Config)
 	}{
-		{name: "zero duration", mutate: func(c *TenantConfig) { c.Duration = 0 }},
-		{name: "zero rate", mutate: func(c *TenantConfig) { c.Rate = 0 }},
-		{name: "zero kv", mutate: func(c *TenantConfig) { c.KVPerRequest = 0 }},
-		{name: "no tenants", mutate: func(c *TenantConfig) { c.Tenants = nil }},
-		{name: "unnamed tenant", mutate: func(c *TenantConfig) { c.Tenants[0].Name = "" }},
-		{name: "zero keys", mutate: func(c *TenantConfig) { c.Tenants[0].Keys = 0 }},
-		{name: "zero share", mutate: func(c *TenantConfig) { c.Tenants[1].Share = 0 }},
+		{name: "zero duration", mutate: func(c *Config) { c.Duration = 0 }},
+		{name: "zero rate", mutate: func(c *Config) { c.PeakRate = 0 }},
+		{name: "zero kv", mutate: func(c *Config) { c.KVPerRequest = 0 }},
+		{name: "no tenants", mutate: func(c *Config) { c.Tenants = nil }},
+		{name: "unnamed tenant", mutate: func(c *Config) { c.Tenants[0].Name = "" }},
+		{name: "zero keys", mutate: func(c *Config) { c.Tenants[0].Keys = 0 }},
+		{name: "zero share", mutate: func(c *Config) { c.Tenants[1].Share = 0 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := validTenantConfig()
 			tt.mutate(&cfg)
-			if _, err := RunTenants(context.Background(), cfg, h); !errors.Is(err, ErrBadConfig) {
+			if _, err := Run(context.Background(), cfg, h); !errors.Is(err, ErrBadConfig) {
 				t.Fatalf("err = %v, want ErrBadConfig", err)
 			}
 		})
 	}
-	if _, err := RunTenants(context.Background(), validTenantConfig(), nil); !errors.Is(err, ErrBadConfig) {
+	if _, err := Run(context.Background(), validTenantConfig(), nil); !errors.Is(err, ErrBadConfig) {
 		t.Fatal("want ErrBadConfig for nil handler")
 	}
 }
@@ -71,7 +71,7 @@ func TestRunTenantsRoutesByShareAndPrefix(t *testing.T) {
 		}
 		return time.Millisecond, len(keys), 0, nil
 	})
-	rep, err := RunTenants(context.Background(), validTenantConfig(), h)
+	rep, err := Run(context.Background(), validTenantConfig(), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestRunTenantsShiftExpandsKeyspace(t *testing.T) {
 		}
 		return time.Millisecond, len(keys), 0, nil
 	})
-	if _, err := RunTenants(context.Background(), cfg, h); err != nil {
+	if _, err := Run(context.Background(), cfg, h); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()

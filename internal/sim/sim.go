@@ -5,10 +5,10 @@
 // migration policies, and recording the per-second hit-rate and 95%ile-RT
 // series of Figures 2, 6, and 8.
 //
-// Everything real is reused — the caches are cache.Cache instances, the
-// migration runs the actual Agent/Master code paths, the policies are the
-// real implementations — only the transport and the passage of time are
-// simulated. All randomness is seeded; runs are deterministic.
+// Everything real is reused — the caches are cache.Cache instances and
+// every migration runs the actual Agent/Master code paths — only the
+// transport and the passage of time are simulated. All randomness is
+// seeded; runs are deterministic.
 package sim
 
 import (
@@ -26,7 +26,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hashring"
 	"repro/internal/metrics"
-	"repro/internal/policy"
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -34,6 +33,23 @@ import (
 
 // ErrBadConfig reports invalid simulation parameters.
 var ErrBadConfig = errors.New("sim: invalid configuration")
+
+// The workload and tier constants every run shares.
+const (
+	// KVPerRequest is the multi-get size per web request (paper: ~10).
+	KVPerRequest = 10
+	// maxValueSize bounds value sizes in bytes. A small bound means few
+	// slab classes, which matters at the simulator's scaled-down node
+	// sizes: every populated class needs at least one 1 MiB page per
+	// node, where a real 4 GB node has 4096 pages covering every class.
+	maxValueSize = 128
+	// zipfS is the key-popularity skew.
+	zipfS = 0.99
+	// cacheHitLatency is one KV fetch from Memcached.
+	cacheHitLatency = 500 * time.Microsecond
+	// autoScalePeriod is the AutoScaler decision interval.
+	autoScalePeriod = 30 * time.Second
+)
 
 // Config parameterizes one simulation run.
 type Config struct {
@@ -46,7 +62,7 @@ type Config struct {
 	// the caches; it is not recorded.
 	Warmup time.Duration
 	// Policy selects the migration strategy.
-	Policy policy.Kind
+	Policy Policy
 	// Nodes is the initial Memcached tier size; it must match the trace's
 	// first action FromNodes to reproduce the paper's figures.
 	Nodes int
@@ -54,21 +70,9 @@ type Config struct {
 	NodePages int
 	// Keys is the dataset size.
 	Keys uint64
-	// MaxValueSize bounds value sizes in bytes (default 128). Smaller
-	// bounds mean fewer slab classes, which matters at the simulator's
-	// scaled-down node sizes: every populated class needs at least one
-	// 1 MiB page per node, where a real 4 GB node has 4096 pages covering
-	// every class.
-	MaxValueSize int
-	// ZipfS is the key-popularity skew.
-	ZipfS float64
 	// PeakRate is the web-request arrival rate (req/s) at normalized
 	// demand 1.0.
 	PeakRate float64
-	// KVPerRequest is the multi-get size per web request (paper: ~10).
-	KVPerRequest int
-	// CacheHitLatency is one KV fetch from Memcached.
-	CacheHitLatency time.Duration
 	// DBModel is the database latency/capacity model (r_DB knee).
 	DBModel store.LatencyModel
 	// MigrationDelay is ElMem/Naive's pre-scaling migration window and
@@ -77,10 +81,9 @@ type Config struct {
 	// Seed drives all randomness.
 	Seed int64
 	// AutoScale, when set, derives scaling actions from the stack-distance
-	// AutoScaler instead of the trace's scripted actions.
+	// AutoScaler, every autoScalePeriod, instead of the trace's scripted
+	// actions.
 	AutoScale *autoscaler.Config
-	// AutoScalePeriod is the AutoScaler decision interval (default 60s).
-	AutoScalePeriod time.Duration
 }
 
 // DefaultConfig returns the calibrated small-scale configuration used by
@@ -88,18 +91,14 @@ type Config struct {
 // paper's testbed scaled down ~20x so a full trace replays in seconds.
 func DefaultConfig(tr *trace.Trace) Config {
 	return Config{
-		Trace:           tr,
-		Duration:        8 * time.Minute,
-		Warmup:          3 * time.Minute,
-		Policy:          policy.ElMem,
-		Nodes:           10,
-		NodePages:       4,
-		Keys:            120_000,
-		MaxValueSize:    128,
-		ZipfS:           0.99,
-		PeakRate:        1200,
-		KVPerRequest:    10,
-		CacheHitLatency: 500 * time.Microsecond,
+		Trace:     tr,
+		Duration:  8 * time.Minute,
+		Warmup:    3 * time.Minute,
+		Policy:    ElMem,
+		Nodes:     10,
+		NodePages: 4,
+		Keys:      120_000,
+		PeakRate:  1200,
 		DBModel: store.LatencyModel{
 			Base:     1200 * time.Microsecond,
 			Capacity: 450,
@@ -122,17 +121,13 @@ func (c Config) validate() error {
 		return fmt.Errorf("%w: empty keyspace", ErrBadConfig)
 	case c.PeakRate <= 0:
 		return fmt.Errorf("%w: PeakRate %v", ErrBadConfig, c.PeakRate)
-	case c.KVPerRequest < 1:
-		return fmt.Errorf("%w: KVPerRequest %d", ErrBadConfig, c.KVPerRequest)
-	case c.CacheHitLatency <= 0:
-		return fmt.Errorf("%w: CacheHitLatency %v", ErrBadConfig, c.CacheHitLatency)
 	case c.Duration <= 0:
 		return fmt.Errorf("%w: Duration %v", ErrBadConfig, c.Duration)
 	}
 	if err := c.DBModel.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	if c.Policy < policy.Baseline || c.Policy > policy.ElMem {
+	if c.Policy < Baseline || c.Policy > ElMem {
 		return fmt.Errorf("%w: policy %d", ErrBadConfig, int(c.Policy))
 	}
 	return nil
@@ -157,7 +152,7 @@ type ExecutedAction struct {
 // Result is one run's output.
 type Result struct {
 	// Policy echoes the migration policy.
-	Policy policy.Kind
+	Policy Policy
 	// Series is the per-second hit rate and 95%ile RT (Figures 2/6/8).
 	Series []metrics.SecondStat
 	// Actions lists the executed scaling actions.
@@ -214,10 +209,14 @@ type simulation struct {
 	members []string
 	ring    *hashring.Ring
 
-	db        *store.DB
-	gen       *workload.Generator
-	recorder  *metrics.Recorder
-	secondary *policy.Secondary // CacheScale transition state
+	db       *store.DB
+	gen      *workload.Generator
+	recorder *metrics.Recorder
+
+	// CacheScale's secondary: the retired nodes' caches, which serve
+	// primary misses until the secondary-expire event drops them.
+	secondaryRing  *hashring.Ring
+	secondaryNodes map[string]*cache.Cache
 
 	scaler      *autoscaler.AutoScaler
 	kvSinceTick uint64
@@ -231,12 +230,10 @@ type simulation struct {
 
 // pendingEvent is a scheduled non-arrival event.
 type pendingEvent struct {
-	at   time.Time
-	kind string // "decide", "execute", "secondary-expire", "autoscale"
-	// decide payload:
-	action trace.ScalingAction
-	// execute payload:
-	exec func() error
+	at     time.Time
+	kind   string              // "decide", "execute", "secondary-expire", "autoscale"
+	action trace.ScalingAction // decide payload
+	exec   func() error        // execute payload
 }
 
 // Run executes one simulation.
@@ -258,29 +255,11 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	s.members = s.reg.Nodes()
-	ring, err := hashring.New(s.members)
-	if err != nil {
+	if err := s.setMembers(s.reg.Nodes()); err != nil {
 		return nil, err
 	}
-	s.ring = ring
 
-	master, err := core.NewMaster(
-		core.RegistryDirectory{Registry: s.reg},
-		s.members,
-		core.WithClock(s.clk.Now),
-		core.WithWorkerLimit(1), // see vclock: one worker keeps runs reproducible
-	)
-	if err != nil {
-		return nil, err
-	}
-	s.master = master
-
-	maxVal := cfg.MaxValueSize
-	if maxVal <= 0 {
-		maxVal = 128
-	}
-	dataset, err := store.NewDataset(cfg.Keys, store.WithSizeBounds(1, maxVal))
+	dataset, err := store.NewDataset(cfg.Keys, store.WithSizeBounds(1, maxValueSize))
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +269,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	s.db = db
 
-	gen, err := workload.NewGenerator(s.rng, cfg.Keys, workload.WithZipfS(cfg.ZipfS))
+	gen, err := workload.NewGenerator(s.rng, cfg.Keys, workload.WithZipfS(zipfS))
 	if err != nil {
 		return nil, err
 	}
@@ -346,11 +325,7 @@ func (s *simulation) newNode() (string, error) {
 // cfg.Duration) into decision events, or schedules AutoScaler ticks.
 func (s *simulation) scheduleActions() {
 	if s.scaler != nil {
-		period := s.cfg.AutoScalePeriod
-		if period <= 0 {
-			period = time.Minute
-		}
-		for at := s.start.Add(period); at.Before(s.start.Add(s.cfg.Duration)); at = at.Add(period) {
+		for at := s.start.Add(autoScalePeriod); at.Before(s.start.Add(s.cfg.Duration)); at = at.Add(autoScalePeriod) {
 			s.pending = append(s.pending, pendingEvent{at: at, kind: "autoscale"})
 		}
 		return
@@ -420,13 +395,13 @@ func (s *simulation) processRequest(now time.Time) {
 		hits   int
 		misses int
 	)
-	for i := 0; i < s.cfg.KVPerRequest; i++ {
+	for i := 0; i < KVPerRequest; i++ {
 		req := s.gen.Next()
 		if s.scaler != nil {
 			s.scaler.Record(req.Key)
 		}
 		s.kvSinceTick++
-		lat, hit := s.fetchKV(req, now)
+		lat, hit := s.fetchKV(req)
 		total += lat
 		if hit {
 			hits++
@@ -434,14 +409,14 @@ func (s *simulation) processRequest(now time.Time) {
 			misses++
 		}
 	}
-	rt := total / time.Duration(s.cfg.KVPerRequest)
+	rt := total / KVPerRequest
 	if !now.Before(s.start) {
 		s.recorder.RecordRequest(now, rt, hits, misses)
 	}
 }
 
 // fetchKV resolves one KV get against the tier.
-func (s *simulation) fetchKV(req workload.Request, now time.Time) (time.Duration, bool) {
+func (s *simulation) fetchKV(req workload.Request) (time.Duration, bool) {
 	owner, err := s.ring.Get(req.Key)
 	if err != nil {
 		return s.dbFetch(req)
@@ -451,15 +426,13 @@ func (s *simulation) fetchKV(req workload.Request, now time.Time) (time.Duration
 		return s.dbFetch(req)
 	}
 	if _, err := ag.Cache().Get(req.Key); err == nil {
-		return s.cfg.CacheHitLatency, true
+		return cacheHitLatency, true
 	}
 
 	// Primary miss: CacheScale consults the secondary during transition.
-	if s.secondary.Active(now) {
-		if value, ok := s.secondary.Lookup(s.reg, req.Key, now); ok {
-			_ = ag.Cache().Set(req.Key, value)
-			return 2 * s.cfg.CacheHitLatency, true
-		}
+	if value, ok := s.secondaryTake(req.Key); ok {
+		_ = ag.Cache().Set(req.Key, value)
+		return 2 * cacheHitLatency, true
 	}
 
 	lat, _ := s.dbFetch(req)
@@ -467,7 +440,50 @@ func (s *simulation) fetchKV(req workload.Request, now time.Time) (time.Duration
 	if err == nil {
 		_ = ag.Cache().Set(req.Key, value)
 	}
-	return s.cfg.CacheHitLatency + lat, false
+	return cacheHitLatency + lat, false
+}
+
+// armSecondary makes the retiring nodes' caches CacheScale's secondary
+// until the given time. It reads them from the registry, so it runs
+// before retire drops the nodes.
+func (s *simulation) armSecondary(retiring []string, until time.Time) error {
+	ring, err := hashring.New(retiring)
+	if err != nil {
+		return err
+	}
+	nodes := make(map[string]*cache.Cache, len(retiring))
+	for _, node := range retiring {
+		ag, err := s.reg.Get(node)
+		if err != nil {
+			return err
+		}
+		nodes[node] = ag.Cache()
+	}
+	s.secondaryRing, s.secondaryNodes = ring, nodes
+	s.schedule(pendingEvent{at: until, kind: "secondary-expire"})
+	return nil
+}
+
+// secondaryTake tries a primary miss in CacheScale's secondary. A hit
+// leaves the secondary node, and the caller sets it on the primary: the
+// demand-driven migration of CacheScale. The secondary-expire event fires
+// before any request at or after the deadline, so an armed secondary is a
+// live one.
+func (s *simulation) secondaryTake(key string) ([]byte, bool) {
+	if s.secondaryRing == nil {
+		return nil, false
+	}
+	owner, err := s.secondaryRing.Get(key)
+	if err != nil {
+		return nil, false
+	}
+	c := s.secondaryNodes[owner]
+	value, ok := c.Peek(key)
+	if !ok {
+		return nil, false
+	}
+	_ = c.Delete(key)
+	return value, true
 }
 
 // dbFetch reads a key from the database tier at the modeled latency.
@@ -488,12 +504,7 @@ func (s *simulation) handleEvent(ev pendingEvent) error {
 	case "execute":
 		return ev.exec()
 	case "secondary-expire":
-		if s.secondary != nil {
-			for _, node := range s.secondary.Nodes {
-				s.reg.Deregister(node)
-			}
-			s.secondary = nil
-		}
+		s.secondaryRing, s.secondaryNodes = nil, nil
 		return nil
 	case "autoscale":
 		return s.autoscaleTick()
@@ -521,184 +532,125 @@ func (s *simulation) decide(a trace.ScalingAction) error {
 	return s.decideScaleOut(target - current)
 }
 
-// decideScaleIn executes the policy-specific scale-in path.
+// decideScaleIn retires x nodes. Baseline and ElMem choose them by score
+// (Q2), Naive and CacheScale at random. Baseline then flips at once, and
+// CacheScale flips at once behind a secondary; ElMem and Naive migrate
+// MigrationDelay later and then flip.
 func (s *simulation) decideScaleIn(x int) error {
 	now := s.clk.t
-	decisionAt := now.Sub(s.start)
 	current := len(s.members)
 	if x >= current {
 		return fmt.Errorf("%w: scale in %d of %d", ErrBadConfig, x, current)
 	}
 
-	switch s.cfg.Policy {
-	case policy.Baseline:
-		// Same node choice as ElMem (Q2), no migration (Q3): flip now and
-		// drop the retiring nodes cold.
-		retiring, err := s.master.SelectRetiring(context.Background(), x)
-		if err != nil {
+	var retiring []string
+	if s.cfg.Policy == Baseline || s.cfg.Policy == ElMem {
+		var err error
+		if retiring, err = s.master.SelectRetiring(context.Background(), x); err != nil {
 			return err
 		}
-		retained := subtract(s.members, retiring)
-		s.flipMembership(retained)
-		for _, node := range retiring {
-			s.reg.Deregister(node)
-		}
-		s.result.Actions = append(s.result.Actions, ExecutedAction{
-			DecisionAt: decisionAt,
-			ExecutedAt: decisionAt,
-			FromNodes:  current,
-			ToNodes:    current - x,
-			Retiring:   retiring,
-		})
-		return nil
-
-	case policy.ElMem:
-		retiring, err := s.master.SelectRetiring(context.Background(), x)
-		if err != nil {
-			return err
-		}
-		s.schedule(pendingEvent{
-			at:   now.Add(s.cfg.MigrationDelay),
-			kind: "execute",
-			exec: func() error {
-				report, err := s.master.ScaleInNodes(context.Background(), retiring)
-				if err != nil {
-					return err
-				}
-				s.route(report.Members)
-				s.result.Actions = append(s.result.Actions, ExecutedAction{
-					DecisionAt:    decisionAt,
-					ExecutedAt:    s.clk.t.Sub(s.start),
-					FromNodes:     current,
-					ToNodes:       current - x,
-					Retiring:      retiring,
-					ItemsMigrated: report.ItemsMigrated,
-				})
-				for _, node := range retiring {
-					s.reg.Deregister(node)
-				}
-				return nil
-			},
-		})
-		return nil
-
-	case policy.Naive:
-		retiring, err := policy.PickRandomRetiring(s.rng, s.members, x)
-		if err != nil {
-			return err
-		}
-		fraction := float64(current-x) / float64(current)
-		s.schedule(pendingEvent{
-			at:   now.Add(s.cfg.MigrationDelay),
-			kind: "execute",
-			exec: func() error {
-				retained := subtract(s.members, retiring)
-				round := uint64(s.clk.Now().UnixNano())
-				moved, err := policy.NaiveScaleIn(context.Background(), s.reg, round, retiring, retained, fraction)
-				if err != nil {
-					return err
-				}
-				s.flipMembership(retained)
-				s.result.Actions = append(s.result.Actions, ExecutedAction{
-					DecisionAt:    decisionAt,
-					ExecutedAt:    s.clk.t.Sub(s.start),
-					FromNodes:     current,
-					ToNodes:       current - x,
-					Retiring:      retiring,
-					ItemsMigrated: moved,
-				})
-				for _, node := range retiring {
-					s.reg.Deregister(node)
-				}
-				return nil
-			},
-		})
-		return nil
-
-	case policy.CacheScale:
-		retiring, err := policy.PickRandomRetiring(s.rng, s.members, x)
-		if err != nil {
-			return err
-		}
-		retained := subtract(s.members, retiring)
-		sec, err := policy.NewSecondary(retiring, now.Add(s.cfg.MigrationDelay))
-		if err != nil {
-			return err
-		}
-		s.secondary = sec
-		s.flipMembership(retained)
-		s.schedule(pendingEvent{at: sec.Deadline, kind: "secondary-expire"})
-		s.result.Actions = append(s.result.Actions, ExecutedAction{
-			DecisionAt: decisionAt,
-			ExecutedAt: decisionAt,
-			FromNodes:  current,
-			ToNodes:    current - x,
-			Retiring:   retiring,
-		})
-		return nil
+	} else {
+		retiring = pickRandomRetiring(s.rng, s.members, x)
 	}
-	return fmt.Errorf("%w: policy %v", ErrBadConfig, s.cfg.Policy)
+	action := ExecutedAction{
+		DecisionAt: now.Sub(s.start),
+		ExecutedAt: now.Sub(s.start),
+		FromNodes:  current,
+		ToNodes:    current - x,
+		Retiring:   retiring,
+	}
+
+	switch s.cfg.Policy {
+	case Baseline:
+		return s.retire(action)
+	case CacheScale:
+		if err := s.armSecondary(retiring, now.Add(s.cfg.MigrationDelay)); err != nil {
+			return err
+		}
+		return s.retire(action)
+	}
+	fraction := float64(current-x) / float64(current)
+	s.schedule(pendingEvent{
+		at:   now.Add(s.cfg.MigrationDelay),
+		kind: "execute",
+		exec: func() error {
+			var err error
+			if s.cfg.Policy == ElMem {
+				var report *core.ScaleReport
+				if report, err = s.master.ScaleInNodes(context.Background(), retiring); err == nil {
+					action.ItemsMigrated = report.ItemsMigrated
+				}
+			} else {
+				round := uint64(s.clk.Now().UnixNano())
+				action.ItemsMigrated, err = naiveScaleIn(context.Background(), s.reg, round,
+					retiring, subtract(s.members, retiring), fraction)
+			}
+			if err != nil {
+				return err
+			}
+			action.ExecutedAt = s.clk.t.Sub(s.start)
+			return s.retire(action)
+		},
+	})
+	return nil
 }
 
-// decideScaleOut executes the policy-specific scale-out path.
+// retire ends a scale-in: requests route to the nodes left, the retiring
+// nodes leave the registry, and the action is recorded.
+func (s *simulation) retire(a ExecutedAction) error {
+	if err := s.setMembers(subtract(s.members, a.Retiring)); err != nil {
+		return err
+	}
+	for _, node := range a.Retiring {
+		s.reg.Deregister(node)
+	}
+	s.result.Actions = append(s.result.Actions, a)
+	return nil
+}
+
+// decideScaleOut adds x cold nodes. ElMem migrates to them
+// MigrationDelay later and then flips; the other policies flip at once.
 func (s *simulation) decideScaleOut(x int) error {
 	now := s.clk.t
-	decisionAt := now.Sub(s.start)
 	current := len(s.members)
-
-	added := make([]string, 0, x)
+	action := ExecutedAction{
+		DecisionAt: now.Sub(s.start),
+		ExecutedAt: now.Sub(s.start),
+		FromNodes:  current,
+		ToNodes:    current + x,
+	}
 	for i := 0; i < x; i++ {
 		name, err := s.newNode()
 		if err != nil {
 			return err
 		}
-		added = append(added, name)
+		action.Added = append(action.Added, name)
 	}
 
-	if s.cfg.Policy == policy.ElMem {
-		s.schedule(pendingEvent{
-			at:   now.Add(s.cfg.MigrationDelay),
-			kind: "execute",
-			exec: func() error {
-				report, err := s.master.ScaleOut(context.Background(), added)
-				if err != nil {
-					return err
-				}
-				s.route(report.Members)
-				s.result.Actions = append(s.result.Actions, ExecutedAction{
-					DecisionAt:    decisionAt,
-					ExecutedAt:    s.clk.t.Sub(s.start),
-					FromNodes:     current,
-					ToNodes:       current + x,
-					Added:         added,
-					ItemsMigrated: report.ItemsMigrated,
-				})
-				return nil
-			},
-		})
-		return nil
+	if s.cfg.Policy != ElMem {
+		s.result.Actions = append(s.result.Actions, action)
+		return s.setMembers(append(append([]string(nil), s.members...), action.Added...))
 	}
-
-	// Baseline / Naive / CacheScale: cold scale-out, immediate flip.
-	full := append(append([]string(nil), s.members...), added...)
-	s.flipMembership(full)
-	s.result.Actions = append(s.result.Actions, ExecutedAction{
-		DecisionAt: decisionAt,
-		ExecutedAt: decisionAt,
-		FromNodes:  current,
-		ToNodes:    current + x,
-		Added:      added,
+	s.schedule(pendingEvent{
+		at:   now.Add(s.cfg.MigrationDelay),
+		kind: "execute",
+		exec: func() error {
+			report, err := s.master.ScaleOut(context.Background(), action.Added)
+			if err != nil {
+				return err
+			}
+			action.ItemsMigrated = report.ItemsMigrated
+			action.ExecutedAt = s.clk.t.Sub(s.start)
+			s.result.Actions = append(s.result.Actions, action)
+			return s.setMembers(report.Members)
+		},
 	})
 	return nil
 }
 
 // autoscaleTick runs one AutoScaler decision (Section III-B closed loop).
 func (s *simulation) autoscaleTick() error {
-	period := s.cfg.AutoScalePeriod
-	if period <= 0 {
-		period = time.Minute
-	}
-	kvRate := float64(s.kvSinceTick) / period.Seconds()
+	kvRate := float64(s.kvSinceTick) / autoScalePeriod.Seconds()
 	s.kvSinceTick = 0
 	d, err := s.scaler.Decide(kvRate, len(s.members))
 	if err != nil && !errors.Is(err, autoscaler.ErrInfeasible) {
@@ -711,27 +663,16 @@ func (s *simulation) autoscaleTick() error {
 	return s.decide(trace.ScalingAction{FromNodes: len(s.members), ToNodes: d.TargetNodes})
 }
 
-// flipMembership applies a membership change outside the Master's flow
-// (ElMem's actions run through the Master, which keeps its own).
-func (s *simulation) flipMembership(members []string) {
+// setMembers points request routing and the Master at members, so later
+// actions score the right node set. An ElMem action has already flipped
+// its Master's membership; the simulation is single-threaded, so no
+// request is served before routing follows.
+func (s *simulation) setMembers(members []string) error {
 	sort.Strings(members)
-	s.route(members)
-	s.syncMaster(members)
-}
-
-// route points request routing at members. ElMem's exec closures call it
-// with the Master's report once the action returns: the simulation is
-// single-threaded, so no request is served in between.
-func (s *simulation) route(members []string) {
-	s.members = append([]string(nil), members...)
-	if r, err := hashring.New(members); err == nil {
-		s.ring = r
+	ring, err := hashring.New(members)
+	if err != nil {
+		return err
 	}
-}
-
-// syncMaster rebuilds the Master over the new membership so later actions
-// score the right node set. (Naive/CacheScale bypass the Master's flip.)
-func (s *simulation) syncMaster(members []string) {
 	master, err := core.NewMaster(
 		core.RegistryDirectory{Registry: s.reg},
 		members,
@@ -739,9 +680,10 @@ func (s *simulation) syncMaster(members []string) {
 		core.WithWorkerLimit(1), // see vclock: one worker keeps runs reproducible
 	)
 	if err != nil {
-		return
+		return err
 	}
-	s.master = master
+	s.members, s.ring, s.master = append([]string(nil), members...), ring, master
+	return nil
 }
 
 // subtract returns members minus drop, preserving order.

@@ -8,13 +8,12 @@ import (
 
 	"repro/internal/autoscaler"
 	"repro/internal/metrics"
-	"repro/internal/policy"
 	"repro/internal/trace"
 )
 
 // quickConfig returns a fast configuration for unit tests: short duration,
 // modest rates.
-func quickConfig(t *testing.T, name trace.Name, kind policy.Kind) Config {
+func quickConfig(t *testing.T, name trace.Name, kind Policy) Config {
 	t.Helper()
 	tr, err := trace.Generate(name, trace.Options{Step: time.Second})
 	if err != nil {
@@ -47,8 +46,6 @@ func TestConfigValidation(t *testing.T) {
 		{name: "zero pages", mutate: func(c *Config) { c.NodePages = 0 }},
 		{name: "empty keyspace", mutate: func(c *Config) { c.Keys = 0 }},
 		{name: "zero rate", mutate: func(c *Config) { c.PeakRate = 0 }},
-		{name: "zero kv", mutate: func(c *Config) { c.KVPerRequest = 0 }},
-		{name: "zero hit latency", mutate: func(c *Config) { c.CacheHitLatency = 0 }},
 		{name: "zero duration", mutate: func(c *Config) { c.Duration = 0 }},
 		{name: "bad db model", mutate: func(c *Config) { c.DBModel.Capacity = 0 }},
 		{name: "bad policy", mutate: func(c *Config) { c.Policy = 0 }},
@@ -65,7 +62,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestRunProducesSeries(t *testing.T) {
-	cfg := quickConfig(t, trace.SYS, policy.Baseline)
+	cfg := quickConfig(t, trace.SYS, Baseline)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +88,7 @@ func TestRunProducesSeries(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	cfg := quickConfig(t, trace.SYS, policy.ElMem)
+	cfg := quickConfig(t, trace.SYS, ElMem)
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +145,7 @@ func TestFullSizeRunDeterministic(t *testing.T) {
 }
 
 func TestWarmupFillsCaches(t *testing.T) {
-	cfg := quickConfig(t, trace.SYS, policy.Baseline)
+	cfg := quickConfig(t, trace.SYS, Baseline)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +158,7 @@ func TestWarmupFillsCaches(t *testing.T) {
 }
 
 func TestElMemMigratesItems(t *testing.T) {
-	cfg := quickConfig(t, trace.SYS, policy.ElMem)
+	cfg := quickConfig(t, trace.SYS, ElMem)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +178,7 @@ func TestElMemMigratesItems(t *testing.T) {
 }
 
 func TestBaselineFlipsImmediately(t *testing.T) {
-	cfg := quickConfig(t, trace.SYS, policy.Baseline)
+	cfg := quickConfig(t, trace.SYS, Baseline)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +199,7 @@ func TestHeadlineElMemBeatsBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("headline comparison runs full traces")
 	}
-	degradation := func(kind policy.Kind) metrics.Degradation {
+	degradation := func(kind Policy) metrics.Degradation {
 		cfg := quickConfig(t, trace.SYS, kind)
 		res, err := Run(cfg)
 		if err != nil {
@@ -212,8 +209,8 @@ func TestHeadlineElMemBeatsBaseline(t *testing.T) {
 		event := time.Duration(float64(cfg.Duration) * 30.0 / 70.0)
 		return metrics.AnalyzeDegradation(res.Series, event, cfg.Duration-event, 20*time.Millisecond)
 	}
-	base := degradation(policy.Baseline)
-	elmem := degradation(policy.ElMem)
+	base := degradation(Baseline)
+	elmem := degradation(ElMem)
 	if base.PeakRT == 0 {
 		t.Fatal("baseline shows no degradation — simulation too easy")
 	}
@@ -229,7 +226,7 @@ func TestHeadlineElMemBeatsBaseline(t *testing.T) {
 }
 
 func TestCacheScaleSecondaryServesDuringTransition(t *testing.T) {
-	cfg := quickConfig(t, trace.SYS, policy.CacheScale)
+	cfg := quickConfig(t, trace.SYS, CacheScale)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +240,7 @@ func TestCacheScaleSecondaryServesDuringTransition(t *testing.T) {
 }
 
 func TestNaivePolicyRuns(t *testing.T) {
-	cfg := quickConfig(t, trace.SYS, policy.Naive)
+	cfg := quickConfig(t, trace.SYS, Naive)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +252,7 @@ func TestNaivePolicyRuns(t *testing.T) {
 
 func TestScaleOutPath(t *testing.T) {
 	// NLANR scales 8 → 9 (out) then 9 → 8 (in).
-	cfg := quickConfig(t, trace.NLANR, policy.ElMem)
+	cfg := quickConfig(t, trace.NLANR, ElMem)
 	cfg.Nodes = 8
 	res, err := Run(cfg)
 	if err != nil {
@@ -277,7 +274,7 @@ func TestScaleOutPath(t *testing.T) {
 }
 
 func TestScaleOutBaselineCold(t *testing.T) {
-	cfg := quickConfig(t, trace.NLANR, policy.Baseline)
+	cfg := quickConfig(t, trace.NLANR, Baseline)
 	cfg.Nodes = 8
 	res, err := Run(cfg)
 	if err != nil {
@@ -290,7 +287,7 @@ func TestScaleOutBaselineCold(t *testing.T) {
 }
 
 func TestAutoScaleClosedLoop(t *testing.T) {
-	cfg := quickConfig(t, trace.SYS, policy.ElMem)
+	cfg := quickConfig(t, trace.SYS, ElMem)
 	// r_DB here is the AutoScaler's planning constant, set so p_min is
 	// attainable on a 30-second sampling window (whose cold-start misses
 	// bound the observable hit rate): at the pre-drop ~4000 KV/s this
@@ -302,7 +299,6 @@ func TestAutoScaleClosedLoop(t *testing.T) {
 		MinNodes:     2,
 		MaxNodes:     12,
 	}
-	cfg.AutoScalePeriod = 30 * time.Second
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +313,7 @@ func TestAutoScaleClosedLoop(t *testing.T) {
 }
 
 func TestHitRateDropsAfterBaselineScaleIn(t *testing.T) {
-	cfg := quickConfig(t, trace.SYS, policy.Baseline)
+	cfg := quickConfig(t, trace.SYS, Baseline)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
