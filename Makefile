@@ -93,7 +93,7 @@ chaos:
 
 ## fuzz: time-boxed native fuzzing of the decoders that read bytes off a
 ## socket or a file — the memcached request parser, the client-side reply
-## reader, the migration frame decoder, the JSON control-op decoder and the
+## reader, the agent frame decoder, the server's call-frame dispatch and the
 ## snapshot reader — and of the arena chunk layout (every item field reads
 ## back, the expiry tail never overlaps the key or the value)
 fuzz:

@@ -76,7 +76,7 @@ func run() error {
 		return err
 	}
 
-	master, err := core.NewMaster(agentrpc.Directory{Book: book}, members)
+	master, err := core.NewMaster(book, members)
 	if err != nil {
 		return err
 	}

@@ -80,7 +80,7 @@ func run() error {
 	}
 	defer cl.Close()
 
-	master, err := core.NewMaster(agentrpc.Directory{Book: book}, members)
+	master, err := core.NewMaster(book, members)
 	if err != nil {
 		return err
 	}

@@ -2,10 +2,11 @@
 // Agent commands (scoring, migration phases, release) and Agent → Agent
 // pushes (metadata offers, data imports). The paper pipes metadata and
 // data between nodes over ssh (Section III-D1); we use persistent TCP
-// connections, newline-delimited JSON for the control ops and binary
-// frames (frame.go) for the phase-1 metadata offers and the phase-3 import
-// streams, which preserves the phase structure while staying
-// dependency-free.
+// connections that speak one protocol, the versioned binary frames of
+// frame.go: control calls and their replies, the phase-1 metadata offers
+// and the phase-3 import streams. That preserves the phase structure
+// while staying dependency-free, and every reply carries a status that
+// keeps the agent's sentinel errors intact across the wire.
 //
 // The same wire protocol serves both directions: the Server exposes a
 // node's *agent.Agent, the Client implements core.MasterAgent and
@@ -22,7 +23,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -33,24 +33,24 @@ import (
 	"repro/internal/taskgroup"
 )
 
-// Op names one RPC operation.
-type Op string
+// op names one control call.
+type op string
 
-// The control-plane operations.
+// The control calls.
 const (
-	OpScore        Op = "score"
-	OpSendMetadata Op = "send_metadata"
-	OpComputeTakes Op = "compute_takes"
-	OpSendData     Op = "send_data"
-	OpRelease      Op = "release"
+	opScore        op = "score"
+	opSendMetadata op = "send_metadata"
+	opComputeTakes op = "compute_takes"
+	opSendData     op = "send_data"
+	opRelease      op = "release"
 )
 
-// ErrRemote wraps an error string returned by the remote agent.
+// ErrRemote marks an error the remote agent reported.
 var ErrRemote = errors.New("agentrpc: remote error")
 
-// request is one wire frame from caller to agent.
+// request is a call frame's body.
 type request struct {
-	Op Op `json:"op"`
+	Op op `json:"op"`
 
 	// TimeoutMS carries the caller's remaining context deadline so the
 	// remote agent bounds its own work; 0 means no deadline.
@@ -65,11 +65,8 @@ type request struct {
 	Takes  map[int]int `json:"takes,omitempty"`
 }
 
-// response is one wire frame back.
+// response is a successful reply frame's body.
 type response struct {
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
-
 	Score *agent.ScoreReport `json:"score,omitempty"`
 	Takes agent.Takes        `json:"takes,omitempty"`
 	Stats *agent.SendStats   `json:"stats,omitempty"`
@@ -151,13 +148,10 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn multiplexes both wire protocols on one connection: binary
-// frames start with the magic byte 0xEB (which can never begin a JSON
-// value), everything else is a newline-delimited JSON request. Import
-// batches are handed to a per-connection applier goroutine so
-// BatchImport overlaps the network read of the next frame; any non-batch
-// traffic first drains the applier (barrier) to keep request/response
-// ordering intact.
+// serveConn reads one frame after another off the connection. Import
+// batches are handed to a per-connection applier goroutine so BatchImport
+// overlaps the network read of the next frame; any other frame first
+// drains the applier (barrier) to keep request/response ordering intact.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -174,46 +168,14 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer imp.stopApplier()
 	var offer offerDecoder
 	for {
-		first, err := br.Peek(1)
+		typ, payload, err := readFrame(br)
 		if err != nil {
-			return
-		}
-		if first[0] == frameMagic {
-			typ, payload, err := readFrame(br)
-			if err != nil {
+			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				s.log.Printf("agentrpc: bad frame: %v", err)
-				return
 			}
-			if !s.serveFrame(&imp, &offer, bw, &wmu, typ, payload) {
-				return
-			}
-			continue
-		}
-		imp.barrier()
-		line, err := br.ReadBytes('\n')
-		if err != nil {
 			return
 		}
-		var req request
-		if err := json.Unmarshal(line, &req); err != nil {
-			s.log.Printf("agentrpc: bad request: %v", err)
-			return
-		}
-		resp := s.dispatch(&req)
-		data, err := json.Marshal(resp)
-		if err != nil {
-			return
-		}
-		wmu.Lock()
-		_, werr := bw.Write(data)
-		if werr == nil {
-			werr = bw.WriteByte('\n')
-		}
-		if werr == nil {
-			werr = bw.Flush()
-		}
-		wmu.Unlock()
-		if werr != nil {
+		if !s.serveFrame(&imp, &offer, bw, &wmu, typ, payload) {
 			return
 		}
 	}
@@ -222,6 +184,18 @@ func (s *Server) serveConn(conn net.Conn) {
 // serveFrame handles one binary frame; false tears the connection down.
 func (s *Server) serveFrame(imp *importApplier, offer *offerDecoder, bw *bufio.Writer, wmu *sync.Mutex, typ byte, payload []byte) bool {
 	switch typ {
+	case ftCall:
+		imp.barrier()
+		resp, err := s.dispatch(payload)
+		putBuf(payload)
+		var body []byte
+		if err == nil {
+			body, err = json.Marshal(resp)
+		}
+		reply := append(appendStatus(getBuf(), err), body...)
+		werr := writeFrameLocked(wmu, bw, ftReply, reply)
+		putBuf(reply)
+		return werr == nil
 	case ftOfferMeta:
 		final, derr := offer.frame(payload)
 		putBuf(payload) // the decoded stamps are copies
@@ -229,30 +203,25 @@ func (s *Server) serveFrame(imp *importApplier, offer *offerDecoder, bw *bufio.W
 			return true
 		}
 		imp.barrier()
-		remoteErr := ""
-		if derr != nil {
-			remoteErr = derr.Error()
-		} else if err := s.agent.OfferMetadata(context.Background(), offer.from, offer.round, offer.lists); err != nil {
-			remoteErr = err.Error()
+		err := derr
+		if err == nil {
+			err = s.agent.OfferMetadata(context.Background(), offer.from, offer.round, offer.lists)
 		}
 		*offer = offerDecoder{}
-		ack := appendOfferAck(getBuf(), remoteErr)
-		err := writeFrameLocked(wmu, bw, ftOfferAck, ack)
+		ack := appendStatus(getBuf(), err)
+		err = writeFrameLocked(wmu, bw, ftOfferAck, ack)
 		putBuf(ack)
 		return err == nil && derr == nil
 	case ftImportOpen:
 		imp.barrier()
 		from, round, fp, _, derr := decodeImportOpen(payload)
 		putBuf(payload)
-		ack := getBuf()
-		if derr != nil {
-			ack = appendOpenAck(ack, 0, derr.Error())
-		} else if hw, err := s.agent.ImportOpen(from, round, fp); err != nil {
-			ack = appendOpenAck(ack, 0, err.Error())
-		} else {
-			ack = appendOpenAck(ack, hw, "")
+		hw, err := uint64(0), derr
+		if err == nil {
+			hw, err = s.agent.ImportOpen(from, round, fp)
 		}
-		err := writeFrameLocked(wmu, bw, ftOpenAck, ack)
+		ack := appendOpenAck(getBuf(), hw, err)
+		err = writeFrameLocked(wmu, bw, ftOpenAck, ack)
 		putBuf(ack)
 		return err == nil && derr == nil
 	case ftImportBatch:
@@ -336,12 +305,7 @@ func (ia *importApplier) run() {
 			continue
 		}
 		hw, n, err := ia.agent.ImportFrame(j.from, j.round, j.seq, j.pairs)
-		ack := getBuf()
-		if err != nil {
-			ack = appendBatchAck(ack, j.seq, hw, n, err.Error())
-		} else {
-			ack = appendBatchAck(ack, j.seq, hw, n, "")
-		}
+		ack := appendBatchAck(getBuf(), j.seq, hw, n, err)
 		// A failed ack write means the connection is dying; the reader
 		// will notice on its next read, so just keep draining.
 		_ = writeFrameLocked(ia.wmu, ia.bw, ftBatchAck, ack)
@@ -350,7 +314,12 @@ func (ia *importApplier) run() {
 	}
 }
 
-func (s *Server) dispatch(req *request) *response {
+// dispatch decodes one call body and runs it on the agent.
+func (s *Server) dispatch(body []byte) (*response, error) {
+	var req request
+	if err := json.Unmarshal(body, &req); err != nil {
+		return nil, fmt.Errorf("agentrpc: bad call: %w", err)
+	}
 	// Rebuild the caller's deadline from the wire so the agent's own loops
 	// (per-target pushes, per-batch transfers) stop when the Master's phase
 	// budget is spent, even though TCP cannot carry a live cancel signal.
@@ -360,40 +329,29 @@ func (s *Server) dispatch(req *request) *response {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
+	var resp response
+	var err error
 	switch req.Op {
-	case OpScore:
+	case opScore:
 		rep := s.agent.Score(ctx)
-		return &response{OK: true, Score: &rep}
-	case OpSendMetadata:
-		if err := s.agent.SendMetadata(ctx, req.Round, req.Retained); err != nil {
-			return errResponse(err)
-		}
-		return &response{OK: true}
-	case OpComputeTakes:
-		takes, err := s.agent.ComputeTakes(ctx, req.Round)
-		if err != nil {
-			return errResponse(err)
-		}
-		return &response{OK: true, Takes: takes}
-	case OpSendData:
-		stats, err := s.agent.SendData(ctx, req.Round, req.Target, req.Takes)
-		if err != nil {
-			return errResponse(err)
-		}
-		return &response{OK: true, Stats: &stats}
-	case OpRelease:
-		n, err := s.agent.Release(ctx, req.Retained)
-		if err != nil {
-			return errResponse(err)
-		}
-		return &response{OK: true, Released: n}
+		resp.Score = &rep
+	case opSendMetadata:
+		err = s.agent.SendMetadata(ctx, req.Round, req.Retained)
+	case opComputeTakes:
+		resp.Takes, err = s.agent.ComputeTakes(ctx, req.Round)
+	case opSendData:
+		var stats agent.SendStats
+		stats, err = s.agent.SendData(ctx, req.Round, req.Target, req.Takes)
+		resp.Stats = &stats
+	case opRelease:
+		resp.Released, err = s.agent.Release(ctx, req.Retained)
 	default:
-		return &response{Error: fmt.Sprintf("unknown op %q", req.Op)}
+		err = fmt.Errorf("agentrpc: unknown op %q", req.Op)
 	}
-}
-
-func errResponse(err error) *response {
-	return &response{Error: err.Error()}
+	if err != nil {
+		return nil, err
+	}
+	return &resp, nil
 }
 
 // Client talks to one remote Agent. It implements core.MasterAgent and
@@ -440,25 +398,23 @@ func (c *Client) ensureConnLocked() error {
 	return nil
 }
 
-// call performs one serialized RPC round trip. The context's deadline is
-// propagated on the wire (TimeoutMS) and applied to the connection; live
-// cancellation closes the connection so a blocked read aborts immediately.
-// Transport failures come back retryable; errors the remote agent itself
-// reported are marked taskgroup.Permanent, because the operation executed
-// and failed deterministically.
-func (c *Client) call(ctx context.Context, req *request) (*response, error) {
+// exchange performs one serialized round trip on the persistent
+// connection: write sends the request frames, and one frame of type
+// wantType answers them; decode, when non-nil, reads the body that
+// follows a success status. The context's deadline is applied to the
+// connection; live cancellation closes it so a blocked read aborts
+// immediately. Transport failures come back retryable and drop the
+// connection; errors the remote agent itself reported are marked
+// taskgroup.Permanent, because the operation executed and failed
+// deterministically.
+func (c *Client) exchange(ctx context.Context, what string, wantType byte, write func() error, decode func(body []byte) error) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.ensureConnLocked(); err != nil {
-		return nil, err
-	}
-	if deadline, ok := ctx.Deadline(); ok {
-		if remaining := time.Until(deadline); remaining > 0 {
-			req.TimeoutMS = int64(remaining / time.Millisecond)
-		}
+		return err
 	}
 	stop := c.armLocked(ctx)
 	defer func() {
@@ -466,36 +422,57 @@ func (c *Client) call(ctx context.Context, req *request) (*response, error) {
 			c.dropLocked()
 		}
 	}()
-	data, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("agentrpc: encode: %w", err)
-	}
-	data = append(data, '\n')
-	if _, err = c.bw.Write(data); err == nil {
-		err = c.bw.Flush()
-	}
-	if err != nil {
+	fail := func(err error) error {
 		c.dropLocked()
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
+			return ctxErr
 		}
-		return nil, fmt.Errorf("agentrpc: send to %s: %w", c.addr, err)
+		return fmt.Errorf("agentrpc: %s %s: %w", what, c.addr, err)
 	}
-	line, err := c.br.ReadBytes('\n')
+	if err := write(); err != nil {
+		return fail(err)
+	}
+	typ, payload, err := readFrame(c.br)
 	if err != nil {
-		c.dropLocked()
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, fmt.Errorf("agentrpc: recv from %s: %w", c.addr, err)
+		return fail(err)
 	}
+	defer putBuf(payload)
+	if typ != wantType {
+		return fail(fmt.Errorf("unexpected frame type %d", typ))
+	}
+	body, remote, err := splitStatus(payload)
+	if err == nil && remote == nil && decode != nil {
+		err = decode(body)
+	}
+	if err != nil {
+		return fail(err)
+	}
+	return taskgroup.Permanent(remote)
+}
+
+// call runs one control op. The remaining context deadline rides the wire
+// (TimeoutMS, rounded up to whole milliseconds, so a live deadline never
+// reads as none) for the remote agent to bound its own work.
+func (c *Client) call(ctx context.Context, req *request) (*response, error) {
 	var resp response
-	if err := json.Unmarshal(line, &resp); err != nil {
-		c.dropLocked()
-		return nil, fmt.Errorf("agentrpc: recv from %s: %w", c.addr, err)
-	}
-	if !resp.OK {
-		return nil, taskgroup.Permanent(fmt.Errorf("%w: %s", ErrRemote, resp.Error))
+	err := c.exchange(ctx, "call "+string(req.Op)+" to", ftReply, func() error {
+		if deadline, ok := ctx.Deadline(); ok {
+			remaining := time.Until(deadline)
+			if remaining <= 0 {
+				return context.DeadlineExceeded
+			}
+			req.TimeoutMS = int64((remaining + time.Millisecond - 1) / time.Millisecond)
+		}
+		data, err := json.Marshal(req)
+		if err != nil {
+			return err
+		}
+		return writeFrame(c.bw, ftCall, data)
+	}, func(body []byte) error {
+		return json.Unmarshal(body, &resp)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &resp, nil
 }
@@ -521,7 +498,7 @@ func (c *Client) dropLocked() {
 
 // Score implements core.MasterAgent.
 func (c *Client) Score(ctx context.Context) agent.ScoreReport {
-	resp, err := c.call(ctx, &request{Op: OpScore})
+	resp, err := c.call(ctx, &request{Op: opScore})
 	if err != nil || resp.Score == nil {
 		return agent.ScoreReport{Node: c.node}
 	}
@@ -530,31 +507,22 @@ func (c *Client) Score(ctx context.Context) agent.ScoreReport {
 
 // SendMetadata implements core.MasterAgent.
 func (c *Client) SendMetadata(ctx context.Context, round uint64, retained []string) error {
-	_, err := c.call(ctx, &request{Op: OpSendMetadata, Round: round, Retained: retained})
+	_, err := c.call(ctx, &request{Op: opSendMetadata, Round: round, Retained: retained})
 	return err
 }
 
 // ComputeTakes implements core.MasterAgent.
 func (c *Client) ComputeTakes(ctx context.Context, round uint64) (agent.Takes, error) {
-	resp, err := c.call(ctx, &request{Op: OpComputeTakes, Round: round})
+	resp, err := c.call(ctx, &request{Op: opComputeTakes, Round: round})
 	if err != nil {
-		// Map the remote no-metadata condition back onto the sentinel so
-		// the Master's errors.Is handling works across the wire.
-		if errors.Is(err, ErrRemote) && containsNoMetadata(err) {
-			return nil, agent.ErrNoMetadata
-		}
 		return nil, err
 	}
 	return resp.Takes, nil
 }
 
-func containsNoMetadata(err error) bool {
-	return err != nil && strings.Contains(err.Error(), agent.ErrNoMetadata.Error())
-}
-
 // SendData implements core.MasterAgent.
 func (c *Client) SendData(ctx context.Context, round uint64, target string, takes map[int]int) (agent.SendStats, error) {
-	resp, err := c.call(ctx, &request{Op: OpSendData, Round: round, Target: target, Takes: takes})
+	resp, err := c.call(ctx, &request{Op: opSendData, Round: round, Target: target, Takes: takes})
 	if err != nil {
 		return agent.SendStats{}, err
 	}
@@ -566,7 +534,7 @@ func (c *Client) SendData(ctx context.Context, round uint64, target string, take
 
 // Release implements core.MasterAgent.
 func (c *Client) Release(ctx context.Context, members []string) (int, error) {
-	resp, err := c.call(ctx, &request{Op: OpRelease, Retained: members})
+	resp, err := c.call(ctx, &request{Op: opRelease, Retained: members})
 	if err != nil {
 		return 0, err
 	}
@@ -575,7 +543,7 @@ func (c *Client) Release(ctx context.Context, members []string) (int, error) {
 
 // OfferMetadata implements agent.Peer: the lists go out as offerMeta
 // frames and the receiver answers the final one with an offerAck. Like a
-// JSON call, a transport failure is retryable and an error the remote
+// control call, a transport failure is retryable and an error the remote
 // agent reported is taskgroup.Permanent.
 func (c *Client) OfferMetadata(ctx context.Context, from string, round uint64, lists map[int]fusecache.List) error {
 	return c.offer(ctx, from, round, lists, maxFramePayload)
@@ -584,49 +552,11 @@ func (c *Client) OfferMetadata(ctx context.Context, from string, round uint64, l
 // offer is OfferMetadata with the frame size cap as a parameter, so tests
 // can force an offer across several frames.
 func (c *Client) offer(ctx context.Context, from string, round uint64, lists map[int]fusecache.List, maxPayload int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.ensureConnLocked(); err != nil {
-		return err
-	}
-	stop := c.armLocked(ctx)
-	defer func() {
-		if !stop() {
-			c.dropLocked()
-		}
-	}()
-	fail := func(err error) error {
-		c.dropLocked()
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return ctxErr
-		}
-		return fmt.Errorf("agentrpc: offer metadata to %s: %w", c.addr, err)
-	}
-	err := offerFrames(from, round, lists, maxPayload, func(payload []byte) error {
-		return writeFrame(c.bw, ftOfferMeta, payload)
-	})
-	if err != nil {
-		return fail(err)
-	}
-	typ, payload, err := readFrame(c.br)
-	if err != nil {
-		return fail(err)
-	}
-	remoteErr, err := decodeOfferAck(payload)
-	putBuf(payload)
-	if err == nil && typ != ftOfferAck {
-		err = fmt.Errorf("unexpected frame type %d", typ)
-	}
-	if err != nil {
-		return fail(err)
-	}
-	if remoteErr != "" {
-		return taskgroup.Permanent(fmt.Errorf("%w: %s", ErrRemote, remoteErr))
-	}
-	return nil
+	return c.exchange(ctx, "offer metadata to", ftOfferAck, func() error {
+		return offerFrames(from, round, lists, maxPayload, func(payload []byte) error {
+			return writeFrame(c.bw, ftOfferMeta, payload)
+		})
+	}, nil)
 }
 
 // OpenImport implements agent.Peer: it opens a windowed binary import
@@ -677,13 +607,13 @@ func (c *Client) OpenImport(ctx context.Context, from string, round, fingerprint
 		putBuf(payload)
 		return nil, fail(fmt.Errorf("agentrpc: open import to %s: unexpected frame type %d", c.addr, typ))
 	}
-	hw, remoteErr, derr := decodeOpenAck(payload)
+	hw, remote, derr := decodeOpenAck(payload)
 	putBuf(payload)
 	if derr != nil {
 		return nil, fail(fmt.Errorf("agentrpc: open import to %s: %w", c.addr, derr))
 	}
-	if remoteErr != "" {
-		return nil, fail(fmt.Errorf("%w: %s", ErrRemote, remoteErr))
+	if remote != nil {
+		return nil, fail(remote)
 	}
 	opened = true
 	return &importSession{c: c, stop: stop, from: from, round: round, window: window, hw: hw, wire: wire}, nil
@@ -749,14 +679,14 @@ func (s *importSession) readAck() error {
 		putBuf(payload)
 		return fmt.Errorf("agentrpc: unexpected frame type %d awaiting ack", typ)
 	}
-	_, hw, imported, remoteErr, derr := decodeBatchAck(payload)
+	_, hw, imported, remote, derr := decodeBatchAck(payload)
 	putBuf(payload)
 	if derr != nil {
 		return fmt.Errorf("agentrpc: recv ack from %s: %w", s.c.addr, derr)
 	}
 	s.outstanding--
-	if remoteErr != "" {
-		return fmt.Errorf("%w: %s", ErrRemote, remoteErr)
+	if remote != nil {
+		return remote
 	}
 	s.hw = hw
 	s.imported += imported
@@ -870,8 +800,8 @@ func (b *AddressBook) Peer(node string) (agent.Peer, error) {
 	return b.client(node)
 }
 
-// Agent implements core.Directory (returns a core.MasterAgent).
-func (b *AddressBook) Agent(node string) (*Client, error) {
+// Agent implements core.Directory.
+func (b *AddressBook) Agent(node string) (core.MasterAgent, error) {
 	return b.client(node)
 }
 
@@ -889,21 +819,8 @@ func (b *AddressBook) Close() {
 	}
 }
 
-var _ agent.Transport = (*AddressBook)(nil)
-
-// Directory adapts an AddressBook to core.Directory, giving the Master
-// TCP reach to every agent.
-type Directory struct {
-	// Book is the backing address book.
-	Book *AddressBook
-}
-
-// Agent implements core.Directory.
-func (d Directory) Agent(node string) (core.MasterAgent, error) {
-	return d.Book.Agent(node)
-}
-
 var (
-	_ core.Directory   = Directory{}
+	_ agent.Transport  = (*AddressBook)(nil)
+	_ core.Directory   = (*AddressBook)(nil)
 	_ core.MasterAgent = (*Client)(nil)
 )

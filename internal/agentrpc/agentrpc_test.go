@@ -12,6 +12,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/hashring"
+	"repro/internal/taskgroup"
 )
 
 type testClock struct {
@@ -145,18 +146,34 @@ func TestThreePhaseMigrationOverTCP(t *testing.T) {
 	}
 }
 
-func TestComputeTakesNoMetadataSentinelOverTCP(t *testing.T) {
+// TestAgentSentinelsCrossTCP: each agent sentinel error an op returns
+// keeps its identity through a TCP round trip, as ErrRemote marked
+// permanent, so the Master branches on it the same whatever the transport.
+func TestAgentSentinelsCrossTCP(t *testing.T) {
+	ctx := context.Background()
 	book := NewAddressBook()
 	defer book.Close()
 	clk := newTestClock()
-	startNode(t, book, "n1", 1, clk)
+	populate(t, startNode(t, book, "n1", 1, clk).agent, 50)
 	cl, err := book.Agent("n1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.ComputeTakes(context.Background(), 1); !errors.Is(err, agent.ErrNoMetadata) {
-		t.Fatalf("err = %v, want agent.ErrNoMetadata across the wire", err)
+	check := func(what string, err, want error) {
+		t.Helper()
+		if !errors.Is(err, want) || !errors.Is(err, ErrRemote) || !taskgroup.IsPermanent(err) {
+			t.Errorf("%s: err = %v, want a permanent ErrRemote that is %v", what, err, want)
+		}
 	}
+	_, err = cl.ComputeTakes(ctx, 1)
+	check("ComputeTakes without offers", err, agent.ErrNoMetadata)
+	_, err = cl.SendData(ctx, 1, "n2", map[int]int{0: 1})
+	check("SendData without picks", err, agent.ErrNoPicks)
+	// Every item routes to the one retained node, which no book knows.
+	err = cl.SendMetadata(ctx, 2, []string{"ghost"})
+	check("SendMetadata to an unregistered peer", err, agent.ErrUnknownPeer)
+	_, err = cl.ComputeTakes(ctx, 1)
+	check("ComputeTakes of an older round", err, agent.ErrStaleRound)
 }
 
 // TestHashSplitOverTCP runs the scale-out hash split (Section III-D4)
@@ -170,7 +187,7 @@ func TestHashSplitOverTCP(t *testing.T) {
 	n1 := startNode(t, book, "new1", 2, clk)
 	populate(t, e1.agent, 300)
 
-	m, err := core.NewMaster(Directory{Book: book}, []string{"e1"}, core.WithClock(clk.Now))
+	m, err := core.NewMaster(book, []string{"e1"}, core.WithClock(clk.Now))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +231,7 @@ func TestMasterOverTCP(t *testing.T) {
 		}
 	}
 
-	m, err := core.NewMaster(Directory{Book: book}, names, core.WithClock(clk.Now))
+	m, err := core.NewMaster(book, names, core.WithClock(clk.Now))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,30 +1,34 @@
 package agentrpc
 
-// Binary framing for the migration's bulk traffic: the phase-1 metadata
-// offers and the phase-3 import streams. JSON stays on the wire for the
-// low-volume control ops (score, send-metadata, takes, send-data, split),
-// but bulk movement would pay ~33% base64 inflation plus per-record
-// marshalling there, so offers and imports are length-prefixed binary
-// frames:
+// The agent wire: every message on an agent connection is one
+// length-prefixed binary frame:
 //
-//	frame = magic(0xEB) version(2) type(1) payloadLen(u32 BE) payload
+//	frame = magic(0xEB) version(4) type(1) payloadLen(u32 BE) payload
 //
-// 0xEB can never start a JSON value, so the server peeks one byte and
-// dispatches either protocol on the same connection. Pairs inside a batch
-// frame are cache.AppendPair records — the layout snapshot files share;
-// version 3 added the offer's round to version 2's pair expiry, and other
-// versions are refused. Frame payload buffers are pooled (sync.Pool)
-// on both sides, and decoded values alias the frame buffer (BatchImport
-// copies into slab chunks), so a steady-state stream allocates only keys.
+// A peer of another version is refused by readFrame, with no fallback:
+// version 2 added pair expiry, 3 the offer's round, and 4 made the
+// control calls frames and gave every reply one status. Frame payload
+// buffers are pooled (sync.Pool) on both sides, and decoded values alias
+// the frame buffer (BatchImport copies into slab chunks), so a
+// steady-state import stream allocates only keys.
 //
 // Frame types:
 //
+//	call        c→s  JSON request: op, deadline, round and op arguments
+//	reply       s→c  status, JSON response
 //	importOpen  c→s  from, round, fingerprint, window
-//	openAck     s→c  status, highWater | error
+//	openAck     s→c  status, highWater
 //	importBatch c→s  from, round, seq, pairs (coldest-first)
-//	batchAck    s→c  status, seq, highWater, imported | error
+//	batchAck    s→c  status, seq, highWater, imported
 //	offerMeta   c→s  from, round, final, classes (u32), per class: classID, count (u32), stamps
-//	offerAck    s→c  status | error
+//	offerAck    s→c  status
+//
+// Every reply and ack starts with a status byte: 0 is success and the
+// body follows; any other byte is an error code (statusErrs) followed by
+// the error text, so an agent sentinel keeps its identity across TCP.
+// Control calls are low-volume and keep JSON bodies; the bulk traffic is
+// binary. Pairs inside a batch frame are cache.AppendPair records, the
+// layout snapshot files share.
 //
 // A stream is (from, round), the round naming the scaling action. Acks
 // carry the receiver's applied-sequence high-water mark, which is what
@@ -48,13 +52,14 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/agent"
 	"repro/internal/cache"
 	"repro/internal/fusecache"
 )
 
 const (
 	frameMagic     = 0xEB
-	frameVersion   = 3
+	frameVersion   = 4
 	frameHeaderLen = 7 // magic + version + type + u32 payload length
 
 	// maxFramePayload is a sanity cap protecting both sides from a
@@ -84,9 +89,73 @@ const (
 	ftBatchAck
 	ftOfferMeta
 	ftOfferAck
+	ftCall
+	ftReply
 )
 
 var errFrameTruncated = errors.New("agentrpc: truncated frame payload")
+
+// statusOK opens every successful reply and ack; any other status byte is
+// an error code, followed by the error text. statusOther is an error that
+// is none of the sentinels in statusErrs.
+const (
+	statusOK    = 0
+	statusOther = 1
+)
+
+// statusErrs maps an error code to the agent sentinel it carries.
+var statusErrs = [...]error{
+	2: agent.ErrUnknownPeer,
+	3: agent.ErrNoMetadata,
+	4: agent.ErrNoPicks,
+	5: agent.ErrStaleRound,
+}
+
+// remoteError is an error the remote agent reported. It is ErrRemote and,
+// by its code, the agent sentinel the remote error wrapped.
+type remoteError struct {
+	code byte
+	msg  string
+}
+
+func (e *remoteError) Error() string { return ErrRemote.Error() + ": " + e.msg }
+
+func (e *remoteError) Is(target error) bool {
+	return target == ErrRemote || (target != nil && target == statusErrs[e.code])
+}
+
+// appendStatus appends err's status: statusOK for nil, else its code and
+// text.
+func appendStatus(b []byte, err error) []byte {
+	if err == nil {
+		return append(b, statusOK)
+	}
+	code := byte(statusOther)
+	for c, sentinel := range statusErrs {
+		if sentinel != nil && errors.Is(err, sentinel) {
+			code = byte(c)
+			break
+		}
+	}
+	return append(append(b, code), err.Error()...)
+}
+
+// splitStatus splits a reply or ack payload's status off: on success it
+// returns the body that follows, else the remote error. err reports a
+// payload that carries no valid status.
+func splitStatus(payload []byte) (body []byte, remote, err error) {
+	if len(payload) == 0 {
+		return nil, nil, errFrameTruncated
+	}
+	code := payload[0]
+	switch {
+	case code == statusOK:
+		return payload[1:], nil, nil
+	case int(code) >= len(statusErrs):
+		return nil, nil, fmt.Errorf("agentrpc: unknown status %d", code)
+	}
+	return nil, &remoteError{code: code, msg: string(payload[1:])}, nil
+}
 
 // bufPool recycles frame payload buffers across encodes and decodes.
 var bufPool = sync.Pool{
@@ -224,60 +293,49 @@ func decodeImportOpen(payload []byte) (from string, round, fp uint64, window int
 
 // --- openAck / batchAck ---
 
-func appendOpenAck(b []byte, highWater uint64, remoteErr string) []byte {
-	if remoteErr != "" {
-		b = append(b, 0)
-		return append(b, remoteErr...)
+func appendOpenAck(b []byte, highWater uint64, err error) []byte {
+	if b = appendStatus(b, err); err != nil {
+		return b
 	}
-	b = append(b, 1)
 	return binary.AppendUvarint(b, highWater)
 }
 
-func decodeOpenAck(payload []byte) (highWater uint64, remoteErr string, err error) {
-	c := cursor{payload}
-	status, err := c.take(1)
-	if err != nil {
-		return 0, "", err
+func decodeOpenAck(payload []byte) (highWater uint64, remote, err error) {
+	body, remote, err := splitStatus(payload)
+	if err != nil || remote != nil {
+		return 0, remote, err
 	}
-	if status[0] == 0 {
-		return 0, string(c.b), nil
-	}
-	hw, err := c.uvarint()
-	return hw, "", err
+	c := cursor{body}
+	highWater, err = c.uvarint()
+	return highWater, nil, err
 }
 
-func appendBatchAck(b []byte, seq, highWater uint64, imported int, remoteErr string) []byte {
-	if remoteErr != "" {
-		b = append(b, 0)
-		b = binary.AppendUvarint(b, seq)
-		return append(b, remoteErr...)
+func appendBatchAck(b []byte, seq, highWater uint64, imported int, err error) []byte {
+	if b = appendStatus(b, err); err != nil {
+		return b
 	}
-	b = append(b, 1)
 	b = binary.AppendUvarint(b, seq)
 	b = binary.AppendUvarint(b, highWater)
 	return binary.AppendUvarint(b, uint64(imported))
 }
 
-func decodeBatchAck(payload []byte) (seq, highWater uint64, imported int, remoteErr string, err error) {
-	c := cursor{payload}
-	status, err := c.take(1)
-	if err != nil {
-		return 0, 0, 0, "", err
+func decodeBatchAck(payload []byte) (seq, highWater uint64, imported int, remote, err error) {
+	body, remote, err := splitStatus(payload)
+	if err != nil || remote != nil {
+		return 0, 0, 0, remote, err
 	}
+	c := cursor{body}
 	if seq, err = c.uvarint(); err != nil {
-		return 0, 0, 0, "", err
-	}
-	if status[0] == 0 {
-		return seq, 0, 0, string(c.b), nil
+		return 0, 0, 0, nil, err
 	}
 	if highWater, err = c.uvarint(); err != nil {
-		return 0, 0, 0, "", err
+		return 0, 0, 0, nil, err
 	}
 	n, err := c.uvarint()
 	if err != nil {
-		return 0, 0, 0, "", err
+		return 0, 0, 0, nil, err
 	}
-	return seq, highWater, int(n), "", nil
+	return seq, highWater, int(n), nil, nil
 }
 
 // --- importBatch ---
@@ -476,24 +534,4 @@ func (d *offerDecoder) frame(payload []byte) (final bool, err error) {
 		return false, fmt.Errorf("agentrpc: %d stray bytes after the offer's classes", len(c.b))
 	}
 	return head[0] == 1, nil
-}
-
-func appendOfferAck(b []byte, remoteErr string) []byte {
-	if remoteErr != "" {
-		b = append(b, 0)
-		return append(b, remoteErr...)
-	}
-	return append(b, 1)
-}
-
-func decodeOfferAck(payload []byte) (remoteErr string, err error) {
-	c := cursor{payload}
-	status, err := c.take(1)
-	if err != nil {
-		return "", err
-	}
-	if status[0] == 0 {
-		return string(c.b), nil
-	}
-	return "", nil
 }

@@ -1,7 +1,7 @@
 package agentrpc
 
 // Unit tests for the binary frame codec: header round trips, payload
-// encodings, the zero-time sentinel, offers split across frames, and
+// encodings, reply statuses, the zero-time sentinel, offers split across frames, and
 // rejection of truncated, corrupt, hostile or old-version input at every
 // decode boundary.
 
@@ -17,8 +17,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/cache"
 	"repro/internal/fusecache"
+	"repro/internal/taskgroup"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -50,6 +52,7 @@ var corruptHeaders = map[string][]byte{
 	"bad magic":    {0x7B, frameVersion, ftImportOpen, 0, 0, 0, 0},
 	"bad version":  {frameMagic, 99, ftImportOpen, 0, 0, 0, 0},
 	"version 1":    {frameMagic, 1, ftImportOpen, 0, 0, 0, 0},
+	"version 3":    {frameMagic, 3, ftCall, 0, 0, 0, 0},
 	"huge payload": {frameMagic, frameVersion, ftImportOpen, 0xFF, 0xFF, 0xFF, 0xFF},
 	"truncated":    {frameMagic, frameVersion, ftImportOpen, 0, 0, 0, 5, 'a', 'b'},
 }
@@ -60,11 +63,13 @@ func TestReadFrameRejectsCorruptHeaders(t *testing.T) {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
-	// Version 1 pairs carry no expiry: such a frame is refused outright, not
-	// mis-decoded.
-	_, _, err := readFrame(bytes.NewReader(corruptHeaders["version 1"]))
-	if err == nil || !strings.Contains(err.Error(), "unsupported frame version 1") {
-		t.Fatalf("version-1 frame: err = %v, want unsupported frame version", err)
+	// Version 1 pairs carry no expiry, and a version-3 peer sends no call
+	// frames: such frames are refused outright, not mis-decoded.
+	for _, v := range []string{"1", "3"} {
+		_, _, err := readFrame(bytes.NewReader(corruptHeaders["version "+v]))
+		if err == nil || !strings.Contains(err.Error(), "unsupported frame version "+v) {
+			t.Fatalf("version-%s frame: err = %v, want unsupported frame version", v, err)
+		}
 	}
 }
 
@@ -86,37 +91,36 @@ func TestImportOpenRoundTrip(t *testing.T) {
 }
 
 func TestAckRoundTrips(t *testing.T) {
-	b := appendOpenAck(getBuf(), 42, "")
-	hw, remoteErr, err := decodeOpenAck(b)
-	if err != nil || remoteErr != "" || hw != 42 {
-		t.Fatalf("open ack = (%d, %q, %v)", hw, remoteErr, err)
+	b := appendOpenAck(getBuf(), 42, nil)
+	hw, remote, err := decodeOpenAck(b)
+	if err != nil || remote != nil || hw != 42 {
+		t.Fatalf("open ack = (%d, %v, %v)", hw, remote, err)
 	}
 	putBuf(b)
 
-	b = appendOpenAck(getBuf(), 0, "kaboom")
-	if _, remoteErr, err := decodeOpenAck(b); err != nil || remoteErr != "kaboom" {
-		t.Fatalf("open error ack = (%q, %v)", remoteErr, err)
+	b = appendOpenAck(getBuf(), 0, errors.New("kaboom"))
+	if _, remote, err := decodeOpenAck(b); err != nil || remote == nil || remote.Error() != "agentrpc: remote error: kaboom" {
+		t.Fatalf("open error ack = (%v, %v)", remote, err)
 	}
 	putBuf(b)
 
-	b = appendBatchAck(getBuf(), 9, 9, 128, "")
-	seq, hw, imported, remoteErr, err := decodeBatchAck(b)
-	if err != nil || remoteErr != "" || seq != 9 || hw != 9 || imported != 128 {
-		t.Fatalf("batch ack = (%d, %d, %d, %q, %v)", seq, hw, imported, remoteErr, err)
+	b = appendBatchAck(getBuf(), 9, 9, 128, nil)
+	seq, hw, imported, remote, err := decodeBatchAck(b)
+	if err != nil || remote != nil || seq != 9 || hw != 9 || imported != 128 {
+		t.Fatalf("batch ack = (%d, %d, %d, %v, %v)", seq, hw, imported, remote, err)
 	}
 	putBuf(b)
 
-	b = appendBatchAck(getBuf(), 3, 0, 0, "gap")
-	seq, _, _, remoteErr, err = decodeBatchAck(b)
-	if err != nil || seq != 3 || remoteErr != "gap" {
-		t.Fatalf("batch error ack = (%d, %q, %v)", seq, remoteErr, err)
+	b = appendBatchAck(getBuf(), 3, 0, 0, agent.ErrStaleRound)
+	if _, _, _, remote, err = decodeBatchAck(b); err != nil || !errors.Is(remote, agent.ErrStaleRound) {
+		t.Fatalf("batch error ack = (%v, %v)", remote, err)
 	}
 	putBuf(b)
 
 	if _, _, err := decodeOpenAck(nil); err == nil {
 		t.Fatal("empty open ack decoded")
 	}
-	if _, _, _, _, err := decodeBatchAck([]byte{1}); err == nil {
+	if _, _, _, _, err := decodeBatchAck([]byte{statusOK}); err == nil {
 		t.Fatal("truncated batch ack decoded")
 	}
 }
@@ -340,14 +344,48 @@ func TestOfferDecoderRefusesHostileInput(t *testing.T) {
 	}
 }
 
-func TestOfferAckRoundTrip(t *testing.T) {
-	for _, remote := range []string{"", "agent: metadata offer without sender"} {
-		got, err := decodeOfferAck(appendOfferAck(nil, remote))
-		if err != nil || got != remote {
-			t.Fatalf("offer ack %q decoded to %q, %v", remote, got, err)
+// TestStatusRoundTrip: the status every reply and ack opens with carries
+// success, or an error whose text survives and which is ErrRemote and the
+// agent sentinel it wrapped, also when that error is relayed a second hop.
+func TestStatusRoundTrip(t *testing.T) {
+	body, remote, err := splitStatus(append(appendStatus(nil, nil), "body"...))
+	if err != nil || remote != nil || string(body) != "body" {
+		t.Fatalf("success status split to (%q, %v, %v)", body, remote, err)
+	}
+	sentinels := []error{nil}
+	for _, s := range statusErrs {
+		if s != nil {
+			sentinels = append(sentinels, s)
 		}
 	}
-	if _, err := decodeOfferAck(nil); err == nil {
-		t.Fatal("empty offer ack decoded")
+	if len(sentinels) != 5 {
+		t.Fatalf("status table holds %d sentinels, want the agent's 4", len(sentinels)-1)
+	}
+	for _, want := range sentinels {
+		sent := errors.New("agent: refused")
+		if want != nil {
+			sent = taskgroup.Permanent(fmt.Errorf("op: %w: %q", want, "detail"))
+		}
+		for hop := 1; hop <= 2; hop++ {
+			_, remote, err := splitStatus(appendStatus(nil, sent))
+			if err != nil || remote == nil {
+				t.Fatalf("%v, hop %d: split to (%v, %v)", want, hop, remote, err)
+			}
+			if remote.Error() != ErrRemote.Error()+": "+sent.Error() || !errors.Is(remote, ErrRemote) {
+				t.Fatalf("%v, hop %d: remote error %q", want, hop, remote)
+			}
+			for _, s := range sentinels[1:] {
+				if errors.Is(remote, s) != (s == want) {
+					t.Fatalf("%v, hop %d: errors.Is(%v) = %v", want, hop, s, s != want)
+				}
+			}
+			sent = remote
+		}
+	}
+	if _, _, err := splitStatus(nil); err == nil {
+		t.Fatal("empty status decoded")
+	}
+	if _, _, err := splitStatus([]byte{byte(len(statusErrs))}); err == nil {
+		t.Fatal("unknown status code decoded")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -22,7 +23,10 @@ import (
 //     decoded values stay inside that payload (pairs alias it; an offer
 //     never decodes more stamps than it has bytes);
 //   - whatever decodes re-encodes to a frame that decodes to the same
-//     fields (encode∘decode is the identity on valid inputs).
+//     fields (encode∘decode is the identity on valid inputs); a call or
+//     reply body re-encodes to a fixed point;
+//   - an error status re-encodes, as a relaying agent would send it on,
+//     to the same code with the remote error's text.
 //
 // Run `go test -fuzz FuzzDecodeFrame ./internal/agentrpc` (or `make fuzz`)
 // to explore beyond the seeds.
@@ -40,10 +44,10 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Key: "beta"},
 	})
 	f.Add(frame(ftImportOpen, appendImportOpen(nil, "node-a", 7, 0xDEADBEEF, 16)))
-	f.Add(frame(ftOpenAck, appendOpenAck(nil, 42, "")))
-	f.Add(frame(ftOpenAck, appendOpenAck(nil, 0, "kaboom")))
-	f.Add(frame(ftBatchAck, appendBatchAck(nil, 9, 9, 128, "")))
-	f.Add(frame(ftBatchAck, appendBatchAck(nil, 3, 0, 0, "gap")))
+	f.Add(frame(ftOpenAck, appendOpenAck(nil, 42, nil)))
+	f.Add(frame(ftOpenAck, appendOpenAck(nil, 0, errors.New("kaboom"))))
+	f.Add(frame(ftBatchAck, appendBatchAck(nil, 9, 9, 128, nil)))
+	f.Add(frame(ftBatchAck, appendBatchAck(nil, 3, 0, 0, errors.New("gap"))))
 	for cut := 0; cut <= len(batch); cut++ {
 		// Every truncation of the batch payload behind an honest header: the
 		// payload decoder must notice. The last one is the intact frame.
@@ -65,11 +69,32 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, p := range offers[1:4] {
 		f.Add(frame(ftOfferMeta, p)) // frames of a split offer
 	}
-	f.Add(frame(ftOfferAck, appendOfferAck(nil, "")))
-	f.Add(frame(ftOfferAck, appendOfferAck(nil, "no sender")))
+	f.Add(frame(ftOfferAck, appendStatus(nil, nil)))
+	f.Add(frame(ftOfferAck, appendStatus(nil, errors.New("no sender"))))
 	for _, raw := range corruptHeaders {
 		f.Add(raw)
 	}
+	for _, req := range callSeeds {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame(ftCall, body))
+	}
+	rep := agent.ScoreReport{Node: "n1", Items: 3, Medians: map[int]int64{0: 7}}
+	for _, resp := range []response{{Score: &rep}, {Takes: agent.Takes{"s": {0: 2}}}, {Stats: &agent.SendStats{Pairs: 4}}, {Released: 2}} {
+		body, err := json.Marshal(resp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame(ftReply, append(appendStatus(nil, nil), body...)))
+	}
+	for _, s := range statusErrs {
+		if s != nil {
+			f.Add(frame(ftReply, appendStatus(nil, fmt.Errorf("op: %w", s))))
+		}
+	}
+	f.Add(frame(ftReply, appendStatus(nil, errors.New("other"))))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
@@ -93,26 +118,26 @@ func FuzzDecodeFrame(f *testing.F) {
 					from, round, fp, window, from2, round2, fp2, window2, err)
 			}
 		case ftOpenAck:
-			hw, remoteErr, err := decodeOpenAck(payload)
-			if err != nil || (remoteErr == "" && payload[0] == 0) {
-				// Undecodable, or an error ack with no message: the encoder
-				// cannot produce one (the server's errors always carry text).
+			hw, remote, err := decodeOpenAck(payload)
+			if err != nil {
 				return
 			}
-			hw2, remoteErr2, err := decodeOpenAck(appendOpenAck(nil, hw, remoteErr))
-			if err != nil || hw2 != hw || remoteErr2 != remoteErr {
-				t.Fatalf("openAck round trip: (%d %q) → (%d %q, %v)", hw, remoteErr, hw2, remoteErr2, err)
+			hw2, remote2, err := decodeOpenAck(appendOpenAck(nil, hw, remote))
+			if err != nil || hw2 != hw {
+				t.Fatalf("openAck round trip: %d → (%d, %v)", hw, hw2, err)
 			}
+			checkRelayed(t, remote, remote2)
 		case ftBatchAck:
-			seq, hw, imported, remoteErr, err := decodeBatchAck(payload)
-			if err != nil || (remoteErr == "" && payload[0] == 0) {
-				return // as for openAck
+			seq, hw, imported, remote, err := decodeBatchAck(payload)
+			if err != nil {
+				return
 			}
-			seq2, hw2, imported2, remoteErr2, err := decodeBatchAck(appendBatchAck(nil, seq, hw, imported, remoteErr))
-			if err != nil || seq2 != seq || hw2 != hw || imported2 != imported || remoteErr2 != remoteErr {
-				t.Fatalf("batchAck round trip: (%d %d %d %q) → (%d %d %d %q, %v)",
-					seq, hw, imported, remoteErr, seq2, hw2, imported2, remoteErr2, err)
+			seq2, hw2, imported2, remote2, err := decodeBatchAck(appendBatchAck(nil, seq, hw, imported, remote))
+			if err != nil || seq2 != seq || hw2 != hw || imported2 != imported {
+				t.Fatalf("batchAck round trip: (%d %d %d) → (%d %d %d, %v)",
+					seq, hw, imported, seq2, hw2, imported2, err)
 			}
+			checkRelayed(t, remote, remote2)
 		case ftImportBatch:
 			from, round, seq, pairs, err := decodeImportBatch(payload)
 			if err != nil {
@@ -152,49 +177,94 @@ func FuzzDecodeFrame(f *testing.F) {
 					t.Fatalf("offer round trip (cap %d) diverged (err %v):\n%v\n%v", maxPayload, err, d.lists, d2.lists)
 				}
 			}
-		case ftOfferAck:
-			remoteErr, err := decodeOfferAck(payload)
-			if err != nil || (remoteErr == "" && payload[0] == 0) {
-				return // as for openAck
+		case ftOfferAck, ftReply:
+			body, remote, err := splitStatus(payload)
+			if err != nil {
+				return
 			}
-			if remoteErr2, err := decodeOfferAck(appendOfferAck(nil, remoteErr)); err != nil || remoteErr2 != remoteErr {
-				t.Fatalf("offerAck round trip: %q → %q, %v", remoteErr, remoteErr2, err)
+			_, remote2, err := splitStatus(appendStatus(nil, remote))
+			if err != nil {
+				t.Fatalf("status round trip: %v", err)
+			}
+			checkRelayed(t, remote, remote2)
+			var resp response
+			if typ == ftReply && remote == nil && json.Unmarshal(body, &resp) == nil {
+				checkFixedPoint(t, &resp, new(response))
+			}
+		case ftCall:
+			var req request
+			if json.Unmarshal(payload, &req) == nil {
+				checkFixedPoint(t, &req, new(request))
 			}
 		}
 	})
 }
 
-// FuzzDispatch feeds arbitrary request lines through the JSON control-op
-// path the server runs on every non-frame line — json.Unmarshal, then
-// dispatch — against a small in-process agent holding a few items. The
-// contract: nothing panics, and every response is either OK or carries an
-// error, never both or neither, and marshals for the reply.
+// checkRelayed checks a decoded status against its re-encoding: success
+// stays success, and an error keeps its code and carries the decoded
+// error's text.
+func checkRelayed(t *testing.T, remote, remote2 error) {
+	t.Helper()
+	if remote == nil || remote2 == nil {
+		if remote != remote2 {
+			t.Fatalf("status round trip: %v → %v", remote, remote2)
+		}
+		return
+	}
+	r, r2 := remote.(*remoteError), remote2.(*remoteError)
+	if r2.code != r.code || r2.msg != r.Error() {
+		t.Fatalf("status round trip: (%d %q) → (%d %q)", r.code, r.Error(), r2.code, r2.msg)
+	}
+}
+
+// checkFixedPoint checks that v, decoded from a body, re-encodes to a body
+// that decodes and encodes to itself.
+func checkFixedPoint(t *testing.T, v, fresh any) {
+	t.Helper()
+	body, err := json.Marshal(v)
+	if err != nil {
+		t.Fatalf("decoded body does not marshal: %v", err)
+	}
+	if err := json.Unmarshal(body, fresh); err != nil {
+		t.Fatalf("re-encoded body %s does not decode: %v", body, err)
+	}
+	body2, err := json.Marshal(fresh)
+	if err != nil || !bytes.Equal(body2, body) {
+		t.Fatalf("body round trip: %s → %s, %v", body, body2, err)
+	}
+}
+
+// callSeeds is a call of every op, and one of no op (also seeds
+// FuzzDecodeFrame).
+var callSeeds = []request{
+	{Op: opScore},
+	{Op: opSendMetadata, Round: 5, Retained: []string{"peer"}, TimeoutMS: 50},
+	{Op: opComputeTakes, Round: 5},
+	{Op: opSendData, Round: 5, Target: "peer", Takes: map[int]int{0: 3, 5: -1}},
+	{Op: opRelease, Retained: []string{"node", "peer"}},
+	{Op: "no_such_op"},
+}
+
+// FuzzDispatch feeds arbitrary call-frame bodies through the path the
+// server runs on every call frame — dispatch's decode, then the op —
+// against a small in-process agent holding a few items. The contract:
+// nothing panics, every call comes back as a response or as an error,
+// never both or neither, and a response marshals for the reply.
 //
 // Run `go test -fuzz FuzzDispatch ./internal/agentrpc` (or `make fuzz`) to
 // explore beyond the seeds.
 func FuzzDispatch(f *testing.F) {
-	for _, req := range []request{
-		{Op: OpScore},
-		{Op: OpSendMetadata, Round: 5, Retained: []string{"peer"}, TimeoutMS: 50},
-		{Op: OpComputeTakes, Round: 5},
-		{Op: OpSendData, Round: 5, Target: "peer", Takes: map[int]int{0: 3, 5: -1}},
-		{Op: OpRelease, Retained: []string{"node", "peer"}},
-		{Op: "no_such_op"},
-	} {
-		line, err := json.Marshal(req)
+	for _, req := range callSeeds {
+		body, err := json.Marshal(req)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(line)
+		f.Add(body)
 	}
 	f.Add([]byte(`{"op":"release","retained":[]}`))
 	f.Add([]byte(`{"op":"send_data","round":18446744073709551615,"takes":{"-7":9223372036854775807}}`))
 
-	f.Fuzz(func(t *testing.T, line []byte) {
-		var req request
-		if err := json.Unmarshal(line, &req); err != nil {
-			return // the server drops a connection that sends this
-		}
+	f.Fuzz(func(t *testing.T, body []byte) {
 		c, err := cache.New(cache.PageSize)
 		if err != nil {
 			t.Fatal(err)
@@ -210,12 +280,12 @@ func FuzzDispatch(f *testing.F) {
 			t.Fatal(err)
 		}
 		reg.Register(a)
-		resp := (&Server{agent: a}).dispatch(&req)
-		if resp.OK == (resp.Error != "") {
-			t.Fatalf("op %q: response OK=%v with error %q", req.Op, resp.OK, resp.Error)
+		resp, err := (&Server{agent: a}).dispatch(body)
+		if (resp == nil) == (err == nil) {
+			t.Fatalf("call %q: response %+v with error %v", body, resp, err)
 		}
 		if _, err := json.Marshal(resp); err != nil {
-			t.Fatalf("op %q: response does not marshal: %v", req.Op, err)
+			t.Fatalf("call %q: response does not marshal: %v", body, err)
 		}
 	})
 }

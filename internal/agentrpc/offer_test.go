@@ -74,7 +74,7 @@ func TestOfferSplitAcrossFramesOverTCP(t *testing.T) {
 	clk := newTestClock()
 	recv := startNode(t, book, "recv", 1, clk)
 	populate(t, recv.agent, 6000) // a full page: FuseCache must choose
-	cl, err := book.Agent("recv")
+	cl, err := book.client("recv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestOfferRemoteRefusalIsPermanent(t *testing.T) {
 	defer book.Close()
 	clk := newTestClock()
 	n := startNode(t, book, "n1", 1, clk)
-	cl, err := book.Agent("n1")
+	cl, err := book.client("n1")
 	if err != nil {
 		t.Fatal(err)
 	}

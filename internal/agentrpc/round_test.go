@@ -43,10 +43,10 @@ func (a takesAgent) ComputeTakes(ctx context.Context, round uint64) (agent.Takes
 }
 
 // TestFreshMasterIgnoresAbandonedRoundOverTCP: two fresh Masters over
-// agentrpc.Directory, as two elmem-master processes are. The first is
+// one AddressBook, as two elmem-master processes are. The first is
 // cancelled right after phase 1, leaving its offers on the receivers; the
 // second retires another node, and no receiver's takes name the first
-// Master's sender. The round reaches the agents in the JSON requests and
+// Master's sender. The round reaches the agents in the call frames and
 // in the offerMeta frames.
 func TestFreshMasterIgnoresAbandonedRoundOverTCP(t *testing.T) {
 	book := NewAddressBook()
@@ -59,7 +59,7 @@ func TestFreshMasterIgnoresAbandonedRoundOverTCP(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	first, err := core.NewMaster(Directory{Book: book}, members, core.WithClock(clk.Now),
+	first, err := core.NewMaster(book, members, core.WithClock(clk.Now),
 		core.WithPhaseHook(func(phase string) {
 			if phase == "metadata" {
 				cancel()
@@ -73,7 +73,7 @@ func TestFreshMasterIgnoresAbandonedRoundOverTCP(t *testing.T) {
 		t.Fatalf("premise: err = %v, aborted in %q; want a phase-2 cancellation", err, report.Aborted)
 	}
 
-	dir := &takesDirectory{inner: Directory{Book: book}, named: make(map[string]bool)}
+	dir := &takesDirectory{inner: book, named: make(map[string]bool)}
 	second, err := core.NewMaster(dir, members, core.WithClock(clk.Now))
 	if err != nil {
 		t.Fatal(err)

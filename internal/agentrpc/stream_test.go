@@ -2,14 +2,13 @@ package agentrpc
 
 // Integration tests for the binary streaming data plane over real TCP:
 // windowed pipelined import end-to-end, the retryable failure against a
-// server that does not speak frames, TTL carriage, ack-based resume across
+// server that does not serve import frames, TTL carriage, ack-based resume across
 // a severed connection, and
 // concurrent streams from several senders (the -race target for this
 // package).
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -85,8 +84,9 @@ func TestStreamImportOverTCP(t *testing.T) {
 	if stats.WireBytes <= stats.BytesMoved {
 		t.Fatalf("wire bytes %d should exceed payload bytes %d (framing overhead)", stats.WireBytes, stats.BytesMoved)
 	}
-	// Binary framing beats the JSON line protocol's ~33% base64 inflation:
-	// with 256-byte values the overhead over raw key+value stays under 20%.
+	// Binary pair records beat the retired JSON data plane's ~33% base64
+	// inflation: with 256-byte values the overhead over raw key+value stays
+	// under 20%.
 	if float64(stats.WireBytes) > 1.2*float64(stats.BytesMoved) {
 		t.Fatalf("wire overhead %.1f%%, want < 20%%",
 			100*float64(stats.WireBytes-stats.BytesMoved)/float64(stats.BytesMoved))
@@ -166,51 +166,12 @@ func TestStreamCarriesTTLOverTCP(t *testing.T) {
 	}
 }
 
-// nonFramingServer speaks only the newline-delimited JSON control protocol
-// (it answers `score`) and, like any peer that does not know this frame
-// version, drops the connection on bytes it cannot parse. accepted counts
-// the connections it has seen.
-func nonFramingServer(t *testing.T, a *agent.Agent, accepted *atomic.Int32) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			accepted.Add(1)
-			go func(conn net.Conn) {
-				defer conn.Close()
-				dec, enc := json.NewDecoder(conn), json.NewEncoder(conn)
-				for {
-					var req request
-					if err := dec.Decode(&req); err != nil {
-						return // 0xEB is not JSON: hang up
-					}
-					resp := response{Error: fmt.Sprintf("unsupported op %q", req.Op)}
-					if req.Op == OpScore {
-						rep := a.Score(context.Background())
-						resp = response{OK: true, Score: &rep}
-					}
-					if err := enc.Encode(&resp); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return ln.Addr().String()
-}
-
 // TestOpenImportAgainstNonFramingServerFails: there is one data plane and
-// no downgrade. A peer that cannot answer the open frame is an ordinary
-// transport failure — retryable, not Permanent, nothing applied — and the
-// client recovers by redialling, not by pinning itself to another protocol.
+// no downgrade. A peer that serves control calls (here only `score`) but
+// hangs up on the import frames cannot answer the open frame: that is an
+// ordinary transport failure — retryable, not Permanent, nothing applied —
+// and the client recovers by redialling, not by pinning itself to another
+// protocol.
 func TestOpenImportAgainstNonFramingServerFails(t *testing.T) {
 	clk := newTestClock()
 	recvCache, err := cache.New(4*cache.PageSize, cache.WithClock(clk.Now))
@@ -221,8 +182,14 @@ func TestOpenImportAgainstNonFramingServerFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var accepted atomic.Int32
-	cl := NewClient("recv", nonFramingServer(t, recv, &accepted))
+	f := serveFake(t, func(req *request) (*response, error) {
+		if req.Op != opScore {
+			return nil, fmt.Errorf("unsupported op %q", req.Op)
+		}
+		rep := recv.Score(context.Background())
+		return &response{Score: &rep}, nil
+	})
+	cl := NewClient("recv", f.addr)
 	defer cl.Close()
 	sender := newStreamSender(t, "sender", cl, clk, agent.WithTransferBatchSize(32))
 	populate(t, sender, 200)
@@ -238,18 +205,18 @@ func TestOpenImportAgainstNonFramingServerFails(t *testing.T) {
 		}
 		// Each attempt dials afresh: the failed connection was dropped, and
 		// nothing sticky short-circuits the retry.
-		if got := accepted.Load(); int(got) != attempt {
+		if got := f.accepted.Load(); int(got) != attempt {
 			t.Fatalf("attempt %d: server saw %d connections", attempt, got)
 		}
 	}
 	if got := recv.Cache().Len(); got != 0 {
 		t.Fatalf("receiver holds %d pairs after failed opens, want none", got)
 	}
-	// Control ops still work: the client redials and speaks JSON as ever.
+	// Control calls still work: the client redials.
 	if rep := cl.Score(context.Background()); rep.Node != "recv" {
 		t.Fatalf("score after failed opens = %+v", rep)
 	}
-	if got := accepted.Load(); got != 3 {
+	if got := f.accepted.Load(); got != 3 {
 		t.Fatalf("server saw %d connections, want 3 (two failed opens + one redial)", got)
 	}
 }

@@ -142,7 +142,7 @@ func StartLocal(cfg Config) (*Cluster, error) {
 	sort.Strings(members)
 
 	master, err := core.NewMaster(
-		agentrpc.Directory{Book: c.book},
+		c.book,
 		members,
 		core.WithNodeStopper(c.stopNode),
 	)

@@ -107,12 +107,12 @@ func overheadPopulated(book *agentrpc.AddressBook, members []string, ring *hashr
 		})
 	}
 	for node, pairs := range perNode {
-		cl, err := book.Agent(node)
+		peer, err := book.Peer(node)
 		if err != nil {
 			return nil, err
 		}
 		// pairs are in insertion (coldest-first) order, as a session expects.
-		sess, err := cl.OpenImport(context.Background(), "seed", 1, 0, 1)
+		sess, err := peer.OpenImport(context.Background(), "seed", 1, 0, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +124,7 @@ func overheadPopulated(book *agentrpc.AddressBook, members []string, ring *hashr
 		}
 	}
 
-	master, err := core.NewMaster(agentrpc.Directory{Book: book}, members)
+	master, err := core.NewMaster(book, members)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@
 //     delay, and one-way partitions.
 //   - byte layer (conn.go): a TCP proxy applies connection resets, partial writes, per-chunk delays, reply
 //     swallowing, and slow-node throttling to real wire traffic — the
-//     memcached data path and the agentrpc JSON frames.
+//     memcached data path and the agentrpc frames.
 package faultnet
 
 import (
