@@ -30,6 +30,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/agentrpc"
 	"repro/internal/cache"
+	"repro/internal/clock"
 	"repro/internal/debugsrv"
 	"repro/internal/hashring"
 	"repro/internal/hotkey"
@@ -79,11 +80,7 @@ func run() error {
 	logger := log.New(os.Stderr, "elmem-node ", log.LstdFlags)
 	var cacheOpts []cache.Option
 	if *clockSkew != 0 {
-		mono := cache.NewMonotonicClock()
-		skew := *clockSkew
-		cacheOpts = append(cacheOpts, cache.WithClock(func() time.Time {
-			return mono().Add(skew)
-		}))
+		cacheOpts = append(cacheOpts, cache.WithClock(clock.NewMonotonic(*clockSkew)))
 	}
 	if *tenantsFlag != "" {
 		// A tenant is named by its key prefix: "<name>/key", the shape

@@ -6,33 +6,19 @@ import (
 	"fmt"
 	"maps"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/clock"
 	"repro/internal/fusecache"
 	"repro/internal/hashring"
 )
 
-// testClock hands out strictly increasing timestamps.
-type testClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
+// newTestClock hands out strictly increasing timestamps, 1µs apart.
+func newTestClock() *clock.Fake { return clock.NewFake(time.Unix(1_700_000_000, 0), time.Microsecond) }
 
-func newTestClock() *testClock {
-	return &testClock{t: time.Unix(1_700_000_000, 0)}
-}
-
-func (c *testClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(time.Microsecond)
-	return c.t
-}
-
-func newNode(t *testing.T, reg *Registry, name string, pages int, clk *testClock) *Agent {
+func newNode(t *testing.T, reg *Registry, name string, pages int, clk *clock.Fake) *Agent {
 	t.Helper()
 	c, err := cache.New(int64(pages)*cache.PageSize, cache.WithClock(clk.Now))
 	if err != nil {
@@ -137,9 +123,7 @@ func TestScoreSkipsExpired(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	clk.mu.Lock()
-	clk.t = deadline.Add(time.Minute)
-	clk.mu.Unlock()
+	clk.Set(deadline.Add(time.Minute))
 	if rep := a.Score(context.Background()); len(rep.Medians) != 0 {
 		t.Fatalf("medians %v reported for a class holding only expired items", rep.Medians)
 	}

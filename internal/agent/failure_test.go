@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/clock"
 	"repro/internal/fusecache"
 )
 
@@ -76,7 +77,7 @@ func (s hookSession) Send(ctx context.Context, seq uint64, pairs []cache.KV) err
 
 // newFlakyNode builds an agent whose outbound transport is flaky while it
 // remains reachable by peers through the registry.
-func newFlakyNode(t *testing.T, reg *Registry, name string, clk *testClock, ft *flakyTransport) *Agent {
+func newFlakyNode(t *testing.T, reg *Registry, name string, clk *clock.Fake, ft *flakyTransport) *Agent {
 	t.Helper()
 	c, err := cache.New(2*cache.PageSize, cache.WithClock(clk.Now))
 	if err != nil {

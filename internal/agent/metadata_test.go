@@ -15,19 +15,13 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/clock"
 	"repro/internal/fusecache"
 	"repro/internal/hashring"
 )
 
-// advance jumps the clock forward by d.
-func (c *testClock) advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(d)
-}
-
 // newShardedNode is newNode with an explicit shard count.
-func newShardedNode(t *testing.T, reg *Registry, name string, pages, shards int, clk *testClock) *Agent {
+func newShardedNode(t *testing.T, reg *Registry, name string, pages, shards int, clk *clock.Fake) *Agent {
 	t.Helper()
 	c, err := cache.New(int64(pages)*cache.PageSize, cache.WithClock(clk.Now), cache.WithShards(shards))
 	if err != nil {
@@ -45,7 +39,7 @@ func newShardedNode(t *testing.T, reg *Registry, name string, pages, shards int,
 // every tenth expires before the test reads it back, and every seventh
 // write also re-reads an older key, so MRU order departs from insertion
 // order. Sets the pool cannot place are skipped.
-func fillMixed(t *testing.T, rng *rand.Rand, a *Agent, clk *testClock, n int) {
+func fillMixed(t *testing.T, rng *rand.Rand, a *Agent, clk *clock.Fake, n int) {
 	t.Helper()
 	sizes := []int{8, 100, 300, 900, 3000}
 	for i := 0; i < n; i++ {
@@ -172,7 +166,7 @@ func TestSendMetadataMatchesDumpOracle(t *testing.T) {
 			fillMixed(t, rng, a, clk, 1500+rng.Intn(1500))
 			a.SetOwnedFilter(owned)
 		}
-		clk.advance(time.Minute) // the SetExpiring items are now dead
+		clk.Advance(time.Minute) // the SetExpiring items are now dead
 
 		want := make(map[string]map[string]map[int]fusecache.List) // receiver → sender → class
 		for _, s := range senders {

@@ -10,24 +10,14 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/cache"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/hashring"
 	"repro/internal/taskgroup"
 )
 
-type testClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newTestClock() *testClock { return &testClock{t: time.Unix(1_700_000_000, 0)} }
-
-func (c *testClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(time.Microsecond)
-	return c.t
-}
+// newTestClock hands out strictly increasing timestamps, 1µs apart.
+func newTestClock() *clock.Fake { return clock.NewFake(time.Unix(1_700_000_000, 0), time.Microsecond) }
 
 // rpcNode is one TCP-served agent for tests.
 type rpcNode struct {
@@ -37,7 +27,7 @@ type rpcNode struct {
 
 // startNode spins up an agent whose peer transport is the shared book,
 // served over TCP, and registers it in the book.
-func startNode(t *testing.T, book *AddressBook, name string, pages int, clk *testClock) *rpcNode {
+func startNode(t *testing.T, book *AddressBook, name string, pages int, clk *clock.Fake) *rpcNode {
 	t.Helper()
 	c, err := cache.New(int64(pages)*cache.PageSize, cache.WithClock(clk.Now))
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"reflect"
 	"testing"
@@ -48,8 +49,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frame(ftOpenAck, appendOpenAck(nil, 0, errors.New("kaboom"))))
 	f.Add(frame(ftBatchAck, appendBatchAck(nil, 9, 9, 128, nil)))
 	f.Add(frame(ftBatchAck, appendBatchAck(nil, 3, 0, 0, errors.New("gap"))))
-	for cut := 0; cut <= len(batch); cut++ {
-		// Every truncation of the batch payload behind an honest header: the
+	for _, cut := range seedCuts(len(batch)) {
+		// Truncations of the batch payload behind an honest header: the
 		// payload decoder must notice. The last one is the intact frame.
 		f.Add(frame(ftImportBatch, batch[:cut]))
 	}
@@ -62,8 +63,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	for cut := 0; cut <= len(offers[0]); cut++ {
-		// The intact one-frame offer and every truncation of it.
+	for _, cut := range seedCuts(len(offers[0])) {
+		// Truncations of the one-frame offer, the last one intact.
 		f.Add(frame(ftOfferMeta, offers[0][:cut]))
 	}
 	for _, p := range offers[1:4] {
@@ -198,6 +199,23 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// seedCuts lists the points at which to cut an n-byte payload for seeds.
+// A plain test run takes every cut, 0 through n, so each truncation is
+// checked deterministically. A fuzzing run takes a few: the engine runs
+// every seed for baseline coverage before it mutates, and every cut of the
+// batch and the offer (~3.7k seeds) outlasts a short -fuzztime such as
+// make fuzz FUZZTIME=5s.
+func seedCuts(n int) []int {
+	if fz := flag.Lookup("test.fuzz"); fz != nil && fz.Value.String() != "" {
+		return []int{0, 1, n / 2, n - 1, n}
+	}
+	cuts := make([]int, n+1)
+	for i := range cuts {
+		cuts[i] = i
+	}
+	return cuts
 }
 
 // checkRelayed checks a decoded status against its re-encoding: success

@@ -37,9 +37,7 @@ func TestOfferWireBytesPerItem(t *testing.T) {
 		if err := sender.Cache().Set(fmt.Sprintf("send-key-%06d", i), []byte("value")); err != nil {
 			t.Fatal(err)
 		}
-		clk.mu.Lock()
-		clk.t = clk.t.Add(time.Duration(rng.Int63n(int64(100 * time.Microsecond))))
-		clk.mu.Unlock()
+		clk.Advance(time.Duration(rng.Int63n(int64(100 * time.Microsecond))))
 	}
 	if n := sender.Cache().Len(); n != items {
 		t.Fatalf("sender holds %d items, want %d", n, items)

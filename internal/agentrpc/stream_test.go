@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/cache"
+	"repro/internal/clock"
 	"repro/internal/taskgroup"
 )
 
@@ -28,7 +29,7 @@ type clientTransport struct{ cl *Client }
 func (t clientTransport) Peer(string) (agent.Peer, error) { return t.cl, nil }
 
 // newStreamSender builds a sender agent whose pushes go through cl.
-func newStreamSender(t *testing.T, name string, cl *Client, clk *testClock, opts ...agent.Option) *agent.Agent {
+func newStreamSender(t *testing.T, name string, cl *Client, clk *clock.Fake, opts ...agent.Option) *agent.Agent {
 	t.Helper()
 	c, err := cache.New(4*cache.PageSize, cache.WithClock(clk.Now))
 	if err != nil {
@@ -155,9 +156,7 @@ func TestStreamCarriesTTLOverTCP(t *testing.T) {
 		t.Fatalf("receiver's expiry for the plain item = %v (present %v), want none", exp, ok)
 	}
 
-	clk.mu.Lock()
-	clk.t = deadline.Add(time.Second)
-	clk.mu.Unlock()
+	clk.Set(deadline.Add(time.Second))
 	if _, err := rc.Get("mortal"); !errors.Is(err, cache.ErrNotFound) {
 		t.Fatalf("TTL'd item after its deadline: err = %v, want ErrNotFound", err)
 	}

@@ -155,9 +155,10 @@ type clockOption struct{ now func() time.Time }
 
 func (o clockOption) apply(opts *cacheOptions) { opts.now = o.now }
 
-// WithClock injects the time source used for MRU timestamps. The simulator
-// passes its virtual clock; the default is a monotonic clock (see
-// NewMonotonicClock) so recency ordering survives wall-clock steps.
+// WithClock injects the time source used for MRU timestamps and expiry
+// checks. The simulator passes its virtual clock; the default is a
+// monotonic clock (like clock.NewMonotonic) so recency ordering survives
+// wall-clock steps.
 func WithClock(now func() time.Time) Option { return clockOption{now: now} }
 
 type shardsOption int
@@ -253,6 +254,10 @@ func (c *Cache) classPagesAt(slot int) *classPages { return (*c.pageSets.Load())
 
 // nowNano reads the clock as a stored-timestamp nanosecond count.
 func (c *Cache) nowNano() int64 { return c.nanos() }
+
+// Now reads the cache's clock, which stamps recency and checks expiry: a
+// TTL turned into an expiry for this cache must count from here.
+func (c *Cache) Now() time.Time { return fromNano(c.nanos()) }
 
 // resolveTenant maps a key to its tenant: when prefix mode is on, the key's
 // "name<delim>" prefix is looked up in the registry. Unknown prefixes and

@@ -8,34 +8,19 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
-// fakeClock is a manually advanced time source for deterministic MRU
-// timestamps.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
+// testEpoch is where the tests' fake clocks start.
+var testEpoch = time.Unix(1_700_000_000, 0)
 
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Unix(1_700_000_000, 0)}
-}
+// newFakeClock is a clock that ticks 1µs per read, so MRU stamps are
+// deterministic and strictly ordered.
+func newFakeClock() *clock.Fake { return clock.NewFake(testEpoch, time.Microsecond) }
 
-func (f *fakeClock) Now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.t = f.t.Add(time.Microsecond)
-	return f.t
-}
-
-// Advance jumps the clock forward by d.
-func (f *fakeClock) Advance(d time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.t = f.t.Add(d)
-}
-
-func newTestCache(t *testing.T, pages int) (*Cache, *fakeClock) {
+// newTestCache builds a cache on newFakeClock.
+func newTestCache(t *testing.T, pages int) (*Cache, *clock.Fake) {
 	t.Helper()
 	clk := newFakeClock()
 	c, err := New(int64(pages)*PageSize, WithClock(clk.Now))
@@ -531,4 +516,21 @@ func (c *Cache) classForItem(keyLen, valueLen int) (classID, chunkSize int, err 
 		return 0, 0, &ValueTooLargeError{Need: need}
 	}
 	return id, c.classes[id], nil
+}
+
+// TestCacheDefaultClockMonotonic: a cache built without WithClock stamps
+// entries with non-decreasing timestamps.
+func TestCacheDefaultClockMonotonic(t *testing.T) {
+	c, err := New(PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := c.nowNano()
+	for i := 0; i < 1000; i++ {
+		cur := c.nowNano()
+		if cur < prev {
+			t.Fatalf("cache clock went backwards: %v -> %v", prev, cur)
+		}
+		prev = cur
+	}
 }

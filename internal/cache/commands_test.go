@@ -4,10 +4,12 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // expiryCache builds a cache plus a clock whose time the test controls.
-func expiryCache(t *testing.T) (*Cache, *fakeClock) {
+func expiryCache(t *testing.T) (*Cache, *clock.Fake) {
 	t.Helper()
 	return newTestCache(t, 2)
 }
@@ -21,9 +23,7 @@ func TestSetExpiringAndLazyExpiry(t *testing.T) {
 	if _, err := c.Get("k"); err != nil {
 		t.Fatal("item expired early")
 	}
-	clk.mu.Lock()
-	clk.t = deadline.Add(time.Second)
-	clk.mu.Unlock()
+	clk.Set(deadline.Add(time.Second))
 	if _, err := c.Get("k"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound after expiry", err)
 	}
@@ -42,9 +42,7 @@ func TestExpiredItemInvisibleToPeekAndContains(t *testing.T) {
 	if err := c.SetExpiring("k", []byte("v"), deadline); err != nil {
 		t.Fatal(err)
 	}
-	clk.mu.Lock()
-	clk.t = deadline.Add(time.Hour)
-	clk.mu.Unlock()
+	clk.Set(deadline.Add(time.Hour))
 	if _, ok := c.Peek("k"); ok {
 		t.Fatal("Peek saw an expired item")
 	}
@@ -62,9 +60,7 @@ func TestExpiredItemsExcludedFromDumpAndFetch(t *testing.T) {
 	if err := c.SetExpiring("dead", []byte("v"), deadline); err != nil {
 		t.Fatal(err)
 	}
-	clk.mu.Lock()
-	clk.t = deadline.Add(time.Minute)
-	clk.mu.Unlock()
+	clk.Set(deadline.Add(time.Minute))
 
 	metas, err := c.DumpClass(0, nil)
 	if err != nil {
@@ -88,9 +84,7 @@ func TestPlainSetClearsExpiry(t *testing.T) {
 	if err := c.Set("k", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	clk.mu.Lock()
-	clk.t = deadline.Add(time.Hour)
-	clk.mu.Unlock()
+	clk.Set(deadline.Add(time.Hour))
 	if _, err := c.Get("k"); err != nil {
 		t.Fatal("plain Set should have cleared the expiry")
 	}
@@ -107,9 +101,7 @@ func TestCrawlExpired(t *testing.T) {
 	if err := c.Set("keep", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	clk.mu.Lock()
-	clk.t = deadline.Add(time.Minute)
-	clk.mu.Unlock()
+	clk.Set(deadline.Add(time.Minute))
 	if got := c.CrawlExpired(); got != 3 {
 		t.Fatalf("crawler reclaimed %d, want 3", got)
 	}
@@ -141,9 +133,7 @@ func TestAddSucceedsAfterExpiry(t *testing.T) {
 	if err := c.SetExpiring("k", []byte("old"), deadline); err != nil {
 		t.Fatal(err)
 	}
-	clk.mu.Lock()
-	clk.t = deadline.Add(time.Minute)
-	clk.mu.Unlock()
+	clk.Set(deadline.Add(time.Minute))
 	if err := c.Add("k", []byte("new"), time.Time{}); err != nil {
 		t.Fatalf("add after expiry failed: %v", err)
 	}
@@ -251,9 +241,7 @@ func TestAppendPreservesExpiry(t *testing.T) {
 	if err := c.Append("k", []byte("b")); err != nil {
 		t.Fatal(err)
 	}
-	clk.mu.Lock()
-	clk.t = deadline.Add(time.Second)
-	clk.mu.Unlock()
+	clk.Set(deadline.Add(time.Second))
 	if c.Contains("k") {
 		t.Fatal("append dropped the expiry")
 	}
@@ -312,9 +300,7 @@ func TestTouchExpiry(t *testing.T) {
 	if err := c.TouchExpiry("k", d2); err != nil {
 		t.Fatal(err)
 	}
-	clk.mu.Lock()
-	clk.t = d1.Add(time.Minute) // past the original deadline
-	clk.mu.Unlock()
+	clk.Set(d1.Add(time.Minute)) // past the original deadline
 	if !c.Contains("k") {
 		t.Fatal("touch did not extend the expiry")
 	}
@@ -440,9 +426,7 @@ func TestStatsCountExpirations(t *testing.T) {
 	if err := c.SetExpiring("k", []byte("v"), deadline); err != nil {
 		t.Fatal(err)
 	}
-	clk.mu.Lock()
-	clk.t = deadline.Add(time.Minute)
-	clk.mu.Unlock()
+	clk.Set(deadline.Add(time.Minute))
 	_, _ = c.Get("k")
 	if st := c.Stats(); st.Expirations != 1 {
 		t.Fatalf("Stats.Expirations = %d, want 1", st.Expirations)

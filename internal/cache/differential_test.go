@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // Differential sweep: the arena engine vs a map-of-copies oracle. The
@@ -18,13 +20,6 @@ import (
 // says so, making expiry deterministic and the whole run replayable from
 // its seed.
 
-// holdClock is a manually stepped time source: Now never auto-advances, so
-// the cache and the oracle always evaluate expiry against the same instant.
-type holdClock struct{ t time.Time }
-
-func (h *holdClock) Now() time.Time          { return h.t }
-func (h *holdClock) advance(d time.Duration) { h.t = h.t.Add(d) }
-
 // oracleItem is the model's copy of one item.
 type oracleItem struct {
 	value  []byte
@@ -34,7 +29,7 @@ type oracleItem struct {
 
 type oracle struct {
 	m   map[string]*oracleItem
-	clk *holdClock
+	clk *clock.Fake
 }
 
 func (o *oracle) live(key string) *oracleItem {
@@ -42,7 +37,7 @@ func (o *oracle) live(key string) *oracleItem {
 	if !ok {
 		return nil
 	}
-	if !it.expire.IsZero() && !o.clk.t.Before(it.expire) {
+	if !it.expire.IsZero() && !o.clk.Now().Before(it.expire) {
 		delete(o.m, key) // model mirrors lazy expiry
 		return nil
 	}
@@ -71,7 +66,7 @@ func TestDifferentialSweep(t *testing.T) {
 		keySpace = 500
 		maxVal   = 700
 	)
-	clk := &holdClock{t: time.Unix(1_700_000_000, 0)}
+	clk := clock.NewFake(testEpoch, 0)
 	c, err := New(64*PageSize, WithClock(clk.Now), WithShards(4))
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +81,7 @@ func TestDifferentialSweep(t *testing.T) {
 		return v
 	}
 	someTTL := func() time.Time {
-		return clk.t.Add(time.Duration(rng.Intn(40)+1) * time.Millisecond)
+		return clk.Now().Add(time.Duration(rng.Intn(40)+1) * time.Millisecond)
 	}
 	ttl := func() time.Time {
 		if rng.Intn(3) == 0 {
@@ -113,7 +108,7 @@ func TestDifferentialSweep(t *testing.T) {
 		}
 		if err != nil {
 			t.Fatalf("op %d: get %q missed, oracle has it (expire %v, now %v): %v",
-				op, k, want.expire, clk.t, err)
+				op, k, want.expire, clk.Now(), err)
 		}
 		if !bytes.Equal(got, want.value) || flags != want.flags {
 			t.Fatalf("op %d: get %q = (%d bytes, flags %d), oracle (%d bytes, flags %d)",
@@ -282,7 +277,7 @@ func TestDifferentialSweep(t *testing.T) {
 				o.set(k, v, 0, exp)
 			}
 		case r < 96: // advance time (expires things lazily on both sides)
-			clk.advance(time.Duration(rng.Intn(10)+1) * time.Millisecond)
+			clk.Advance(time.Duration(rng.Intn(10)+1) * time.Millisecond)
 		case r < 98: // crawler sweep
 			c.CrawlExpired()
 			for k := range o.m {
@@ -401,7 +396,7 @@ func TestDifferentialSweep(t *testing.T) {
 // structural invariants survive the churn.
 func TestDifferentialSweepTinyBudget(t *testing.T) {
 	const ops = 30_000
-	clk := &holdClock{t: time.Unix(1_700_000_000, 0)}
+	clk := clock.NewFake(testEpoch, 0)
 	c, err := New(PageSize, WithClock(clk.Now))
 	if err != nil {
 		t.Fatal(err)
@@ -421,7 +416,7 @@ func TestDifferentialSweepTinyBudget(t *testing.T) {
 			rng.Read(v)
 			exp := time.Time{}
 			if rng.Intn(4) == 0 {
-				exp = clk.t.Add(time.Duration(rng.Intn(20)+1) * time.Millisecond)
+				exp = clk.Now().Add(time.Duration(rng.Intn(20)+1) * time.Millisecond)
 			}
 			if err := c.SetExpiringFlags(k, v, uint32(op), exp); err != nil {
 				if errors.Is(err, ErrOutOfMemory) {
@@ -448,7 +443,7 @@ func TestDifferentialSweepTinyBudget(t *testing.T) {
 				delete(o.m, k)
 			}
 		default:
-			clk.advance(time.Duration(rng.Intn(5)+1) * time.Millisecond)
+			clk.Advance(time.Duration(rng.Intn(5)+1) * time.Millisecond)
 		}
 	}
 	if st := c.Stats(); st.Evictions == 0 {

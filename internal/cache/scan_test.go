@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/hashring"
 )
 
@@ -378,8 +379,7 @@ func TestSortHotFirstMatchesStableSort(t *testing.T) {
 // after the default tenant's; and a cache restored from a snapshot, whose
 // chunks lie elsewhere, dumps the class in the same order.
 func TestExportsBreakTiesByKeyHash(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	held := func() time.Time { return now }
+	held := clock.NewFake(testEpoch, 0).Now
 	c, err := New(8*PageSize, WithClock(held), WithTenantPrefix('/'))
 	if err != nil {
 		t.Fatal(err)

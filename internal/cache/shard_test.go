@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // newShardedCache builds a cache with an explicit stripe count so the
 // cross-shard merge paths are exercised regardless of the adaptive default.
-func newShardedCache(t *testing.T, pages, shards int) (*Cache, *fakeClock) {
+func newShardedCache(t *testing.T, pages, shards int) (*Cache, *clock.Fake) {
 	t.Helper()
 	clk := newFakeClock()
 	c, err := New(int64(pages)*PageSize, WithClock(clk.Now), WithShards(shards))
@@ -288,9 +290,7 @@ func TestSetBytesStoresAndExpires(t *testing.T) {
 		t.Fatalf("Len = %d, want 33", c.Len())
 	}
 	// A byte-keyed write must honor expiry like SetExpiring.
-	clk.mu.Lock()
-	clk.t = deadline.Add(time.Second)
-	clk.mu.Unlock()
+	clk.Set(deadline.Add(time.Second))
 	if c.Contains("expiring") {
 		t.Fatal("SetBytes item survived its expiry")
 	}
@@ -358,9 +358,7 @@ func TestShardedFlushAllAndCrawl(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	clk.mu.Lock()
-	clk.t = deadline.Add(time.Second)
-	clk.mu.Unlock()
+	clk.Set(deadline.Add(time.Second))
 	if got := c.CrawlExpired(); got != 100 {
 		t.Fatalf("crawler reclaimed %d, want 100", got)
 	}

@@ -16,6 +16,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // stateFingerprint renders a cache's full observable state — every class's
@@ -58,7 +60,7 @@ func liveCount(t *testing.T, c *Cache) int {
 
 // populateSeeded fills a cache with a seeded op mix: sets with flags and a
 // TTL tail, overwrites, deletes, and touch-gets that shuffle MRU order.
-func populateSeeded(t *testing.T, c *Cache, clk *holdClock, seed int64, ops int) {
+func populateSeeded(t *testing.T, c *Cache, clk *clock.Fake, seed int64, ops int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < ops; i++ {
@@ -69,7 +71,7 @@ func populateSeeded(t *testing.T, c *Cache, clk *holdClock, seed int64, ops int)
 			rng.Read(val)
 			var expire time.Time
 			if rng.Intn(5) == 0 {
-				expire = clk.t.Add(time.Duration(1+rng.Intn(120)) * time.Second)
+				expire = clk.Now().Add(time.Duration(1+rng.Intn(120)) * time.Second)
 			}
 			if err := c.SetExpiringFlags(key, val, uint32(rng.Uint32()), expire); err != nil {
 				t.Fatalf("set %q: %v", key, err)
@@ -80,7 +82,7 @@ func populateSeeded(t *testing.T, c *Cache, clk *holdClock, seed int64, ops int)
 			_ = c.Delete(key)
 		}
 		if rng.Intn(50) == 0 {
-			clk.advance(time.Second)
+			clk.Advance(time.Second)
 		}
 	}
 }
@@ -89,7 +91,7 @@ func TestSnapshotRoundTripDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			clk := &holdClock{t: time.Unix(1_700_000_000, 0)}
+			clk := clock.NewFake(testEpoch, 0)
 			src, err := New(64*PageSize, WithClock(clk.Now), WithShards(4))
 			if err != nil {
 				t.Fatal(err)
@@ -131,7 +133,7 @@ func TestSnapshotRoundTripDifferential(t *testing.T) {
 // the restored cache reproduces the source's structural MRU list order per
 // shard — not just the timestamp-sorted dump, which would mask inversions.
 func TestSnapshotMRUOrderPreserved(t *testing.T) {
-	clk := &holdClock{t: time.Unix(1_700_000_000, 0)}
+	clk := clock.NewFake(testEpoch, 0)
 	src, err := New(8*PageSize, WithClock(clk.Now), WithShards(2))
 	if err != nil {
 		t.Fatal(err)
@@ -140,14 +142,14 @@ func TestSnapshotMRUOrderPreserved(t *testing.T) {
 		if err := src.Set("mru-"+strconv.Itoa(i), []byte("v"+strconv.Itoa(i))); err != nil {
 			t.Fatal(err)
 		}
-		clk.advance(time.Millisecond)
+		clk.Advance(time.Millisecond)
 	}
 	// Re-touch a scattered subset so list order differs from insert order.
 	for i := 0; i < 200; i += 7 {
 		if _, err := src.Get("mru-" + strconv.Itoa(i)); err != nil {
 			t.Fatal(err)
 		}
-		clk.advance(time.Millisecond)
+		clk.Advance(time.Millisecond)
 	}
 
 	var buf bytes.Buffer
@@ -191,21 +193,21 @@ func TestSnapshotMRUOrderPreserved(t *testing.T) {
 // TestSnapshotExcludesExpired: items past their deadline at dump time must
 // not be written, and TTLs of live items must survive the round trip.
 func TestSnapshotExcludesExpired(t *testing.T) {
-	clk := &holdClock{t: time.Unix(1_700_000_000, 0)}
+	clk := clock.NewFake(testEpoch, 0)
 	src, err := New(4*PageSize, WithClock(clk.Now))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.SetExpiring("dead", []byte("x"), clk.t.Add(time.Second)); err != nil {
+	if err := src.SetExpiring("dead", []byte("x"), clk.Now().Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.SetExpiring("live-ttl", []byte("y"), clk.t.Add(time.Hour)); err != nil {
+	if err := src.SetExpiring("live-ttl", []byte("y"), clk.Now().Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
 	if err := src.Set("live-forever", []byte("z")); err != nil {
 		t.Fatal(err)
 	}
-	clk.advance(2 * time.Second) // "dead" is now expired but still resident
+	clk.Advance(2 * time.Second) // "dead" is now expired but still resident
 
 	var buf bytes.Buffer
 	wrote, err := src.WriteSnapshot(&buf)
@@ -230,7 +232,7 @@ func TestSnapshotExcludesExpired(t *testing.T) {
 		t.Fatalf("live-ttl: %q, %v", v, err)
 	}
 	// The restored TTL must still fire.
-	clk.advance(2 * time.Hour)
+	clk.Advance(2 * time.Hour)
 	if _, err := dst.Get("live-ttl"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("restored TTL did not fire: err=%v", err)
 	}
@@ -244,7 +246,7 @@ func TestSnapshotExcludesExpired(t *testing.T) {
 // ErrSnapshotCorrupt, leave the cache empty, and keep it fully usable —
 // never panic, never half-populate.
 func TestSnapshotCorruptRestoresCold(t *testing.T) {
-	clk := &holdClock{t: time.Unix(1_700_000_000, 0)}
+	clk := clock.NewFake(testEpoch, 0)
 	src, err := New(32*PageSize, WithClock(clk.Now), WithShards(2))
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +313,7 @@ func TestSnapshotCorruptRestoresCold(t *testing.T) {
 // write, restore-then-remove, and the missing-file cold start.
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	clk := &holdClock{t: time.Unix(1_700_000_000, 0)}
+	clk := clock.NewFake(testEpoch, 0)
 	src, err := New(32*PageSize, WithClock(clk.Now), WithShards(2))
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +372,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 // memory budget must keep the hottest items and drop only the coldest —
 // the warm restart equivalent of FuseCache's hot-data preference.
 func TestSnapshotRestoreSmallerBudget(t *testing.T) {
-	clk := &holdClock{t: time.Unix(1_700_000_000, 0)}
+	clk := clock.NewFake(testEpoch, 0)
 	src, err := New(32*PageSize, WithClock(clk.Now), WithShards(1))
 	if err != nil {
 		t.Fatal(err)
@@ -381,7 +383,7 @@ func TestSnapshotRestoreSmallerBudget(t *testing.T) {
 		if err := src.Set(fmt.Sprintf("budget-%04d", i), val); err != nil {
 			t.Fatal(err)
 		}
-		clk.advance(time.Millisecond)
+		clk.Advance(time.Millisecond)
 	}
 
 	var buf bytes.Buffer
@@ -509,8 +511,8 @@ func TestSnapshotKeyLengthCap(t *testing.T) {
 // byte-for-byte one of the pairs the file decodes to — and the arena never
 // holds more pages than the budget.
 func FuzzRestoreSnapshot(f *testing.F) {
-	now := time.Unix(1_700_000_000, 0)
-	src, err := New(32*PageSize, WithClock(func() time.Time { return now }), WithShards(2))
+	now := testEpoch
+	src, err := New(32*PageSize, WithClock(clock.NewFake(now, 0).Now), WithShards(2))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // newTenantCache builds a '/'-prefix cache: "name/rest" keys route to the
@@ -290,14 +292,14 @@ func TestStealPageSemantics(t *testing.T) {
 // in place (lazy expiry on the read path) is debited from its tenant's
 // resident items/bytes immediately and counted as that tenant's expiration.
 func TestTenantLazyExpiryAccounting(t *testing.T) {
-	clk := &holdClock{t: time.Unix(1_700_000_000, 0)}
+	clk := clock.NewFake(testEpoch, 0)
 	c, err := New(8*PageSize, WithClock(clk.Now), WithTenantPrefix('/'))
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, _ := c.RegisterTenant("ephem", TenantConfig{})
 
-	if err := c.SetExpiringFlags("ephem/dies", bytes.Repeat([]byte("v"), 100), 0, clk.t.Add(time.Millisecond)); err != nil {
+	if err := c.SetExpiringFlags("ephem/dies", bytes.Repeat([]byte("v"), 100), 0, clk.Now().Add(time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Set("ephem/lives", []byte("keep")); err != nil {
@@ -310,7 +312,7 @@ func TestTenantLazyExpiryAccounting(t *testing.T) {
 	}
 	bytesBefore := st.Bytes
 
-	clk.advance(10 * time.Millisecond)
+	clk.Advance(10 * time.Millisecond)
 	if _, err := c.Get("ephem/dies"); err == nil {
 		t.Fatal("expired item still served")
 	}
@@ -328,10 +330,10 @@ func TestTenantLazyExpiryAccounting(t *testing.T) {
 		t.Fatalf("expired get counted as %d misses, want 1", st.Misses)
 	}
 	// The crawler path debits identically.
-	if err := c.SetExpiringFlags("ephem/dies2", []byte("x"), 0, clk.t.Add(time.Millisecond)); err != nil {
+	if err := c.SetExpiringFlags("ephem/dies2", []byte("x"), 0, clk.Now().Add(time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	clk.advance(10 * time.Millisecond)
+	clk.Advance(10 * time.Millisecond)
 	c.CrawlExpired()
 	st = statsOf(t, c, a)
 	if st.Items != 1 || st.Expirations != 2 {
@@ -463,7 +465,7 @@ func TestTenantDifferential(t *testing.T) {
 		keySpace = 300
 		maxVal   = 300
 	)
-	clk := &holdClock{t: time.Unix(1_700_000_000, 0)}
+	clk := clock.NewFake(testEpoch, 0)
 	plain, err := New(96*PageSize, WithClock(clk.Now), WithShards(2))
 	if err != nil {
 		t.Fatal(err)
@@ -487,7 +489,7 @@ func TestTenantDifferential(t *testing.T) {
 		if !ok {
 			return nil
 		}
-		if !it.expire.IsZero() && !clk.t.Before(it.expire) {
+		if !it.expire.IsZero() && !clk.Now().Before(it.expire) {
 			delete(o, k)
 			return nil
 		}
@@ -505,7 +507,7 @@ func TestTenantDifferential(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			return time.Time{}
 		}
-		return clk.t.Add(time.Duration(rng.Intn(40)+1) * time.Millisecond)
+		return clk.Now().Add(time.Duration(rng.Intn(40)+1) * time.Millisecond)
 	}
 
 	for op := 0; op < ops; op++ {
@@ -574,7 +576,7 @@ func TestTenantDifferential(t *testing.T) {
 				}
 			}
 		case r < 95: // advance time
-			clk.advance(time.Duration(rng.Intn(10)+1) * time.Millisecond)
+			clk.Advance(time.Duration(rng.Intn(10)+1) * time.Millisecond)
 		default: // crawler on both caches; prune the oracles
 			plain.CrawlExpired()
 			tenanted.CrawlExpired()

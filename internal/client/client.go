@@ -383,7 +383,7 @@ func (c *Cluster) Set(key string, value []byte) error {
 // owners, so reads stay consistent whichever side serves them; both
 // stores must succeed.
 func (c *Cluster) SetContext(ctx context.Context, key string, value []byte) error {
-	return c.writeLegs(key, func(node string) error { return c.setOn(ctx, node, key, value) })
+	return c.writeLegs(key, func(node string) error { return c.setOn(ctx, node, key, value, 0) })
 }
 
 // writeLegs applies a write to every node of the key's write plan under
@@ -422,9 +422,10 @@ func (c *Cluster) moot(t *hashring.Table, key, node string) bool {
 	return err == nil && primary != node && second != node
 }
 
-func (c *Cluster) setOn(ctx context.Context, node, key string, value []byte) error {
+// setOn stores the value on one node with a memcached exptime.
+func (c *Cluster) setOn(ctx context.Context, node, key string, value []byte, exptime int64) error {
 	return c.withConnCtx(ctx, node, func(conn *poolConn) error {
-		conn.wbuf = memproto.AppendSet(conn.wbuf[:0], key, 0, 0, value, false)
+		conn.wbuf = memproto.AppendSet(conn.wbuf[:0], key, 0, exptime, value, false)
 		if err := conn.write(conn.wbuf); err != nil {
 			return err
 		}

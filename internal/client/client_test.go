@@ -13,12 +13,12 @@ import (
 )
 
 // testCluster spins up n real TCP nodes and a client over them.
-func testCluster(t *testing.T, n int) (*Cluster, []*server.Server) {
+func testCluster(t *testing.T, n int, opts ...cache.Option) (*Cluster, []*server.Server) {
 	t.Helper()
 	servers := make([]*server.Server, n)
 	members := make([]string, n)
 	for i := 0; i < n; i++ {
-		c, err := cache.New(2 * cache.PageSize)
+		c, err := cache.New(2*cache.PageSize, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}

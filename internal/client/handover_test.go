@@ -87,6 +87,35 @@ func TestHandoverForwardOnMiss(t *testing.T) {
 	}
 }
 
+// TestSetTTLDuringHandover: mid-handover a SetTTL reaches the incoming
+// owner, which reads go to first, so it replaces a copy migrated there
+// before the write.
+func TestSetTTLDuringHandover(t *testing.T) {
+	cl, _ := testCluster(t, 4)
+	settled := cl.table.Load()
+	members := settled.Members()
+	inFlight, _, err := settled.BeginHandover(members[:len(members)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := movingKey(t, inFlight)
+	incoming, _, err := inFlight.ReadPlan(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.setOn(context.Background(), incoming, key, []byte("migrated"), 0); err != nil {
+		t.Fatal(err)
+	}
+
+	cl.OwnershipChanged(inFlight)
+	if err := cl.SetTTL(key, []byte("fresh"), 3600); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := cl.Get(key); err != nil || !ok || string(v) != "fresh" {
+		t.Fatalf("Get after SetTTL = %q, %v, %v", v, ok, err)
+	}
+}
+
 // TestStaleOwnershipIgnored: announcements are version-ordered; replaying
 // an older table must not regress routing.
 func TestStaleOwnershipIgnored(t *testing.T) {

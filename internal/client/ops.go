@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -10,7 +11,8 @@ import (
 
 // This file adds the rest of the memcached command set to the cluster
 // client: TTL stores, conditional stores, value edits, counters, and
-// touch. Each op routes to the key's owner under the current ring.
+// touch. SetTTL is a set and follows Set's write plan; each other op
+// routes to the key's owner under the current ring.
 
 var (
 	// ErrNotStored reports a failed conditional store (add/replace/
@@ -58,9 +60,12 @@ func (c *Cluster) storageOp(verb, key string, exptime int64, value []byte, casTo
 }
 
 // SetTTL stores the value with a memcached exptime (0 = never, ≤30 days =
-// relative seconds, larger = absolute Unix time).
+// relative seconds, larger = absolute Unix time). Mid-handover it is
+// dual-applied like Set, so a read through either owner sees it.
 func (c *Cluster) SetTTL(key string, value []byte, exptime int64) error {
-	return c.storageOp("set", key, exptime, value, 0)
+	return c.writeLegs(key, func(node string) error {
+		return c.setOn(context.Background(), node, key, value, exptime)
+	})
 }
 
 // Add stores only if the key is absent.

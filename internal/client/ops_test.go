@@ -4,6 +4,9 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/cache"
+	"repro/internal/clock"
 )
 
 func TestAddReplaceThroughCluster(t *testing.T) {
@@ -97,14 +100,15 @@ func TestIncrDecrThroughCluster(t *testing.T) {
 }
 
 func TestSetTTLAndTouchThroughCluster(t *testing.T) {
-	cl, _ := testCluster(t, 2)
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0), 0)
+	cl, _ := testCluster(t, 2, cache.WithClock(clk.Now))
 	if err := cl.SetTTL("k", []byte("v"), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.Touch("k", 3600); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(1200 * time.Millisecond)
+	clk.Advance(1200 * time.Millisecond)
 	if _, ok, err := cl.Get("k"); err != nil || !ok {
 		t.Fatalf("touched key expired: %v, %v", ok, err)
 	}
@@ -114,11 +118,12 @@ func TestSetTTLAndTouchThroughCluster(t *testing.T) {
 }
 
 func TestSetTTLExpires(t *testing.T) {
-	cl, _ := testCluster(t, 1)
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0), 0)
+	cl, _ := testCluster(t, 1, cache.WithClock(clk.Now))
 	if err := cl.SetTTL("k", []byte("v"), 1); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(1200 * time.Millisecond)
+	clk.Advance(1200 * time.Millisecond)
 	if _, ok, err := cl.Get("k"); err != nil || ok {
 		t.Fatalf("key survived its TTL: %v, %v", ok, err)
 	}

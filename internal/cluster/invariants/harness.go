@@ -31,11 +31,11 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/agent"
 	"repro/internal/cache"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/faultnet"
 	"repro/internal/hashring"
@@ -109,11 +109,8 @@ func Run(cfg Config) (*Result, error) {
 
 	// Logical clock: one tick per observation, shared by caches and
 	// Master, so timestamps depend on operation order alone.
-	var tick atomic.Int64
 	base := time.Unix(1_700_000_000, 0)
-	clock := func() time.Time {
-		return base.Add(time.Duration(tick.Add(1)) * time.Millisecond)
-	}
+	clk := clock.NewFake(base, time.Millisecond)
 
 	netw := faultnet.New(cfg.Seed)
 	netw.SetEnabled(false) // staging is always fault-free
@@ -126,7 +123,7 @@ func Run(cfg Config) (*Result, error) {
 	caches := make(map[string]*cache.Cache, cfg.Nodes+1)
 	agents := make(map[string]*agent.Agent, cfg.Nodes+1)
 	addNode := func(name string) error {
-		c, err := cache.New(cacheBytes, cache.WithClock(clock))
+		c, err := cache.New(cacheBytes, cache.WithClock(clk.Now))
 		if err != nil {
 			return fmt.Errorf("cache %s: %w", name, err)
 		}
@@ -235,7 +232,7 @@ func Run(cfg Config) (*Result, error) {
 	live := newLiveStage(caches, base)
 	dir := faultnet.WrapDirectory(netw, "master", core.RegistryDirectory{Registry: reg})
 	m, err := core.NewMaster(dir, names,
-		core.WithClock(clock),
+		core.WithClock(clk.Now),
 		core.WithWorkerLimit(1),
 		core.WithRetry(taskgroup.Backoff{
 			Attempts: 6, Delay: 200 * time.Microsecond, MaxDelay: time.Millisecond, Factor: 2,

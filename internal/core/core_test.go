@@ -5,35 +5,22 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/agent"
 	"repro/internal/cache"
+	"repro/internal/clock"
 	"repro/internal/hashring"
 )
 
-type testClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newTestClock() *testClock {
-	return &testClock{t: time.Unix(1_700_000_000, 0)}
-}
-
-func (c *testClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(time.Microsecond)
-	return c.t
-}
+// newTestClock hands out strictly increasing timestamps, 1µs apart.
+func newTestClock() *clock.Fake { return clock.NewFake(time.Unix(1_700_000_000, 0), time.Microsecond) }
 
 // cluster bundles an in-process node fleet for Master tests.
 type cluster struct {
 	reg *agent.Registry
-	clk *testClock
+	clk *clock.Fake
 }
 
 func newCluster(t *testing.T, names []string, pages int) *cluster {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math/rand"
 	"net"
 	"os"
 	"os/exec"
@@ -62,26 +63,39 @@ func moduleRoot() (string, error) {
 	}
 }
 
-// FreePorts reserves n distinct TCP ports by binding and releasing them.
-// The window between release and the spawned binary's bind is a benign
-// race on a quiet test host.
+// FreePorts picks n distinct TCP ports from 20000 up to the kernel's
+// ephemeral range, each checked free with a bind. The kernel gives no such
+// port to an outgoing connection, so none is taken between the pick and
+// the spawned binary's bind. The walk starts at random to spread out runs.
 func FreePorts(n int) ([]int, error) {
+	const minPort = 20000
+	low, _ := ephemeralRange()
+	span := low - minPort
 	ports := make([]int, 0, n)
-	listeners := make([]net.Listener, 0, n)
-	defer func() {
-		for _, ln := range listeners {
+	for i, start := 0, rand.Intn(max(span, 1)); i < span && len(ports) < n; i++ {
+		port := minPort + (start+i)%span
+		if ln, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", port)); err == nil {
 			ln.Close()
+			ports = append(ports, port)
 		}
-	}()
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		listeners = append(listeners, ln)
-		ports = append(ports, ln.Addr().(*net.TCPAddr).Port)
+	}
+	if len(ports) < n {
+		return nil, fmt.Errorf("e2eharness: %d of %d free ports in [%d, %d)", len(ports), n, minPort, low)
 	}
 	return ports, nil
+}
+
+// ephemeralRange reads the ports the kernel assigns to outgoing
+// connections and port-0 binds, or Linux's default where it cannot.
+func ephemeralRange() (low, high int) {
+	b, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range")
+	if err == nil {
+		_, err = fmt.Sscan(string(b), &low, &high)
+	}
+	if err != nil {
+		return 32768, 60999
+	}
+	return low, high
 }
 
 // failure is the sentinel T.Fatalf panics with; the runner recovers it.

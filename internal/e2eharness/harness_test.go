@@ -57,7 +57,7 @@ func TestProbesAgainstLiveServer(t *testing.T) {
 		t.Fatalf("ready probe: %v", err)
 	}
 
-	if reply, err := RawSet(s.Addr(), "probe", []byte("payload")); err != nil || reply != "STORED" {
+	if reply, err := RawSet(s.Addr(), "probe", []byte("payload"), 0); err != nil || reply != "STORED" {
 		t.Fatalf("RawSet: %q, %v", reply, err)
 	}
 	got, hit, err := RawGet(s.Addr(), "probe")
@@ -105,12 +105,16 @@ func TestFreePortsDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	low, high := ephemeralRange()
 	seen := make(map[int]bool)
 	for _, p := range ports {
 		if seen[p] {
 			t.Fatalf("duplicate port %d in %v", p, ports)
 		}
 		seen[p] = true
+		if p >= low && p <= high {
+			t.Fatalf("port %d lies in the ephemeral range %d-%d", p, low, high)
+		}
 	}
 }
 

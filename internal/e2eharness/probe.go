@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/agent"
+	"repro/internal/memproto"
 )
 
 // WaitMemcachedReady polls addr with `version` round trips until the
@@ -86,103 +87,46 @@ func PollUntil(timeout time.Duration, cond func() bool) bool {
 
 // Stats runs a raw `stats` round trip against a node's memcached port
 // and returns the STAT pairs.
-func Stats(addr string) (map[string]string, error) {
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
-	if _, err := conn.Write([]byte("stats\r\n")); err != nil {
-		return nil, err
-	}
-	out := make(map[string]string)
-	br := bufio.NewReader(conn)
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			return nil, err
-		}
-		line = strings.TrimRight(line, "\r\n")
-		if line == "END" {
-			return out, nil
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 3 && fields[0] == "STAT" {
-			out[fields[1]] = fields[2]
-		}
-	}
+func Stats(addr string) (stats map[string]string, err error) {
+	err = exchange(addr, 2*time.Second, []byte("stats\r\n"), func(rr *memproto.ReplyReader) error {
+		stats, err = rr.ReadStats()
+		return err
+	})
+	return stats, err
 }
 
-// RawGet fetches one key over a bare memcached connection, returning the
-// value and whether it was a hit. A fresh connection per call keeps it
-// independent of client-side routing — the probe reads exactly one node.
-func RawGet(addr, key string) ([]byte, bool, error) {
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
-	if err != nil {
-		return nil, false, err
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
-	if _, err := fmt.Fprintf(conn, "get %s\r\n", key); err != nil {
-		return nil, false, err
-	}
-	br := bufio.NewReader(conn)
-	line, err := br.ReadString('\n')
-	if err != nil {
-		return nil, false, err
-	}
-	if strings.HasPrefix(line, "END") {
-		return nil, false, nil
-	}
-	var rkey string
-	var flags, size int
-	if _, err := fmt.Sscanf(line, "VALUE %s %d %d", &rkey, &flags, &size); err != nil {
-		return nil, false, fmt.Errorf("get %s: bad reply %q", key, line)
-	}
-	val := make([]byte, size+2)
-	if _, err := readFull(br, val); err != nil {
-		return nil, false, err
-	}
-	if _, err := br.ReadString('\n'); err != nil { // END
-		return nil, false, err
-	}
-	return val[:size], true, nil
+// RawGet fetches one key, returning the value and whether it was a hit.
+func RawGet(addr, key string) (value []byte, hit bool, err error) {
+	err = exchange(addr, 2*time.Second, []byte("get "+key+"\r\n"), func(rr *memproto.ReplyReader) error {
+		values, err := rr.ReadValues()
+		value, hit = values[key]
+		return err
+	})
+	return value, hit, err
 }
 
-// RawSet stores one key over a bare memcached connection and returns
-// the server's reply line ("STORED", "SERVER_ERROR ...", ...).
-func RawSet(addr, key string, val []byte) (string, error) {
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
-	if err != nil {
-		return "", err
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if _, err := fmt.Fprintf(conn, "set %s 0 0 %d\r\n", key, len(val)); err != nil {
-		return "", err
-	}
-	if _, err := conn.Write(val); err != nil {
-		return "", err
-	}
-	if _, err := conn.Write([]byte("\r\n")); err != nil {
-		return "", err
-	}
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimRight(line, "\r\n"), nil
+// RawSet stores one key with a memcached exptime and returns the reply
+// line ("STORED", "NOT_STORED", ...); an error reply comes back as err.
+func RawSet(addr, key string, val []byte, exptime int64) (reply string, err error) {
+	err = exchange(addr, 10*time.Second, memproto.AppendSet(nil, key, 0, exptime, val, false), func(rr *memproto.ReplyReader) error {
+		reply, err = rr.ReadSimple()
+		return err
+	})
+	return reply, err
 }
 
-func readFull(br *bufio.Reader, p []byte) (int, error) {
-	n := 0
-	for n < len(p) {
-		m, err := br.Read(p[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
+// exchange writes req to a node over a fresh connection and hands the
+// reply to read. A fresh connection keeps a probe independent of
+// client-side routing: it reads exactly one node.
+func exchange(addr string, timeout time.Duration, req []byte, read func(*memproto.ReplyReader) error) error {
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		return err
 	}
-	return n, nil
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(timeout))
+	if _, err := conn.Write(req); err != nil {
+		return err
+	}
+	return read(memproto.NewReplyReader(conn))
 }

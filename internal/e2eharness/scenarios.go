@@ -394,6 +394,18 @@ func scenarioClockSkew(t *T) {
 			"-memory-mb", "64", "-clock-skew", skews[i])
 	}
 
+	// A relative exptime counts on the node's own clock, so an hour-long
+	// item lives on every node whatever its skew.
+	for _, sp := range specs {
+		key := "skew-ttl-" + sp.Name()
+		if reply, err := RawSet(sp.Addr, key, []byte("ttl"), 3600); err != nil || reply != "STORED" {
+			t.Fatalf("set with exptime 3600 on %s: reply=%q err=%v", sp.Name(), reply, err)
+		}
+		if _, hit, err := RawGet(sp.Addr, key); err != nil || !hit {
+			t.Fatalf("%s lost an item stored with exptime 3600: hit=%v err=%v", sp.Name(), hit, err)
+		}
+	}
+
 	oracle := NewOracle(t.Seed)
 	cl := newClusterClient(t, membersOf(specs))
 	if err := oracle.Populate(cl, "skew", 3000, 64, 512); err != nil {
@@ -436,8 +448,8 @@ func scenarioLargePayloadSweep(t *T) {
 	}
 	addr := specs[0].Addr
 
-	// The slab ceiling: one page minus the chunk header and the key. RawSet
-	// stores with exptime 0, so the item carries no expiry tail.
+	// The slab ceiling: one page minus the chunk header and the key. Stored
+	// with exptime 0, the item carries no expiry tail.
 	const key = "sweep-payload"
 	maxVal := cache.PageSize - cache.ItemOverhead - len(key)
 	sizes := []int{1, 1 << 10, 16 << 10, 100_000, 512 << 10, maxVal}
@@ -445,7 +457,7 @@ func scenarioLargePayloadSweep(t *T) {
 	for _, size := range sizes {
 		val := make([]byte, size)
 		rng.Read(val)
-		if reply, err := RawSet(addr, key, val); err != nil || reply != "STORED" {
+		if reply, err := RawSet(addr, key, val, 0); err != nil || reply != "STORED" {
 			t.Fatalf("set %dB: reply=%q err=%v", size, reply, err)
 		}
 		got, hit, err := RawGet(addr, key)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/cache"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/hashring"
 	"repro/internal/workload"
@@ -117,9 +118,9 @@ func NodeChoice(cfg NodeChoiceConfig) (*NodeChoiceResult, error) {
 
 // buildHeatedTier constructs the deterministic tier state shared by every
 // trial: keys distributed by the ring, heated with a Zipf access stream.
-func buildHeatedTier(cfg NodeChoiceConfig) (*agent.Registry, []string, *vtime, error) {
+func buildHeatedTier(cfg NodeChoiceConfig) (*agent.Registry, []string, *clock.Fake, error) {
 	reg := agent.NewRegistry()
-	clk := &vtime{t: time.Unix(1_700_000_000, 0)}
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0), 0)
 	var members []string
 	for i := 0; i < cfg.Nodes; i++ {
 		name := fmt.Sprintf("node-%02d", i)
@@ -174,7 +175,7 @@ func buildHeatedTier(cfg NodeChoiceConfig) (*agent.Registry, []string, *vtime, e
 		if err != nil {
 			continue
 		}
-		clk.advance(time.Microsecond)
+		clk.Advance(time.Microsecond)
 		if _, err := a.Cache().Get(req.Key); err != nil {
 			value := make([]byte, req.ValueSize)
 			_ = a.Cache().Set(req.Key, value)
@@ -223,12 +224,3 @@ func (r *NodeChoiceResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "coldest=%d random_mean=%.0f worst=%d random_overhead=%.1f%% worst_overhead=%.1f%%\n",
 		r.Coldest, r.RandomMean, r.Worst, r.RandomOverheadPercent, r.WorstOverheadPercent)
 }
-
-// vtime is a tiny advancing clock for tier construction.
-type vtime struct {
-	t time.Time
-}
-
-func (v *vtime) Now() time.Time { return v.t }
-
-func (v *vtime) advance(d time.Duration) { v.t = v.t.Add(d) }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/clock"
 )
 
 func TestAddReplaceOverTCP(t *testing.T) {
@@ -124,7 +125,8 @@ func TestIncrDecrOverTCP(t *testing.T) {
 }
 
 func TestTTLExpiryOverTCP(t *testing.T) {
-	s := newTestServer(t)
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0), 0)
+	s := newTestServer(t, cache.WithClock(clk.Now))
 	rc := dialRaw(t, s.Addr())
 	// 1-second relative expiry.
 	rc.send(t, "set k 0 1 2\r\nvv\r\n")
@@ -136,7 +138,7 @@ func TestTTLExpiryOverTCP(t *testing.T) {
 	if err != nil || len(values) != 1 {
 		t.Fatalf("pre-expiry get = %v, %v", values, err)
 	}
-	time.Sleep(1200 * time.Millisecond)
+	clk.Advance(1200 * time.Millisecond)
 	rc.send(t, "get k\r\n")
 	values, err = rc.reply.ReadValues()
 	if err != nil {
@@ -157,7 +159,8 @@ func TestTTLExpiryOverTCP(t *testing.T) {
 }
 
 func TestTouchExtendsTTLOverTCP(t *testing.T) {
-	s := newTestServer(t)
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0), 0)
+	s := newTestServer(t, cache.WithClock(clk.Now))
 	rc := dialRaw(t, s.Addr())
 	rc.send(t, "set k 0 1 1\r\nx\r\n")
 	if _, err := rc.reply.ReadSimple(); err != nil {
@@ -167,11 +170,34 @@ func TestTouchExtendsTTLOverTCP(t *testing.T) {
 	if line, _ := rc.reply.ReadSimple(); line != "TOUCHED" {
 		t.Fatalf("touch reply = %q", line)
 	}
-	time.Sleep(1200 * time.Millisecond)
+	clk.Advance(1200 * time.Millisecond)
 	rc.send(t, "get k\r\n")
 	values, err := rc.reply.ReadValues()
 	if err != nil || len(values) != 1 {
 		t.Fatalf("touched key expired anyway: %v, %v", values, err)
+	}
+}
+
+// TestTTLOnSkewedCacheClock: a relative exptime counts on the served
+// cache's clock, not the machine's, so a TTL lives as long on a node whose
+// clock runs 90 minutes ahead of or behind wall time as on any other.
+func TestTTLOnSkewedCacheClock(t *testing.T) {
+	for _, skew := range []time.Duration{90 * time.Minute, -90 * time.Minute} {
+		clk := clock.NewFake(time.Now().Add(skew), 0)
+		rc := dialRaw(t, newTestServer(t, cache.WithClock(clk.Now)).Addr())
+		rc.send(t, "set k 0 60 1\r\nx\r\n")
+		if line, _ := rc.reply.ReadSimple(); line != "STORED" {
+			t.Fatalf("skew %v: set reply = %q", skew, line)
+		}
+		rc.send(t, "get k\r\n")
+		if values, err := rc.reply.ReadValues(); err != nil || len(values) != 1 {
+			t.Fatalf("skew %v: get before the TTL = %v, %v", skew, values, err)
+		}
+		clk.Advance(61 * time.Second)
+		rc.send(t, "get k\r\n")
+		if values, err := rc.reply.ReadValues(); err != nil || len(values) != 0 {
+			t.Fatalf("skew %v: get after the TTL = %v, %v", skew, values, err)
+		}
 	}
 }
 
@@ -193,23 +219,28 @@ func TestNegativeExptimeExpiresImmediately(t *testing.T) {
 }
 
 func TestExpiryFromExptime(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	if got := expiryFromExptime(0, now); !got.IsZero() {
+	never := func() time.Time {
+		t.Fatal("exptime 0 read the clock")
+		return time.Time{}
+	}
+	if got := expiryFromExptime(0, never); !got.IsZero() {
 		t.Fatalf("exptime 0 = %v, want never", got)
 	}
-	if got := expiryFromExptime(60, now); !got.Equal(now.Add(time.Minute)) {
+	now := time.Unix(1_700_000_000, 0)
+	clk := clock.NewFake(now, 0)
+	if got := expiryFromExptime(60, clk.Now); !got.Equal(now.Add(time.Minute)) {
 		t.Fatalf("relative exptime = %v", got)
 	}
 	abs := now.Add(90 * 24 * time.Hour).Unix()
-	if got := expiryFromExptime(abs, now); !got.Equal(time.Unix(abs, 0)) {
+	if got := expiryFromExptime(abs, clk.Now); !got.Equal(time.Unix(abs, 0)) {
 		t.Fatalf("absolute exptime = %v", got)
 	}
-	if got := expiryFromExptime(-1, now); !got.Before(now) {
+	if got := expiryFromExptime(-1, clk.Now); !got.Before(now) {
 		t.Fatalf("negative exptime = %v, want already expired", got)
 	}
 	// The 30-day boundary is relative; one past it is absolute.
 	boundary := int64(relativeExptimeLimit)
-	if got := expiryFromExptime(boundary, now); !got.Equal(now.Add(time.Duration(boundary) * time.Second)) {
+	if got := expiryFromExptime(boundary, clk.Now); !got.Equal(now.Add(time.Duration(boundary) * time.Second)) {
 		t.Fatal("boundary must be relative")
 	}
 }

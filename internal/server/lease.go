@@ -59,9 +59,6 @@ type leaseTable struct {
 }
 
 func newLeaseTable(ttl time.Duration, max int, now func() time.Time, count *atomic.Int64) *leaseTable {
-	if now == nil {
-		now = time.Now
-	}
 	return &leaseTable{
 		entries: make(map[string]leaseEntry),
 		ttl:     ttl,
@@ -153,9 +150,6 @@ type gutterPool struct {
 }
 
 func newGutterPool(ttl time.Duration, maxItems, maxBytes int, now func() time.Time, count *atomic.Int64) *gutterPool {
-	if now == nil {
-		now = time.Now
-	}
 	return &gutterPool{
 		items:    make(map[string]gutterEntry),
 		maxItems: maxItems,

@@ -7,26 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/hashring"
 )
-
-// fakeClock is a hand-advanced time source for lease/gutter TTL tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (f *fakeClock) now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.t
-}
-
-func (f *fakeClock) advance(d time.Duration) {
-	f.mu.Lock()
-	f.t = f.t.Add(d)
-	f.mu.Unlock()
-}
 
 func TestLeaseGrantTakeOverWire(t *testing.T) {
 	s := newTestServer(t)
@@ -94,9 +77,9 @@ func TestLeaseInvalidatedByWrite(t *testing.T) {
 }
 
 func TestLeaseTokenExpiry(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewFake(time.Unix(1000, 0), 0)
 	var count atomic.Int64
-	lt := newLeaseTable(2*time.Second, 16, clk.now, &count)
+	lt := newLeaseTable(2*time.Second, 16, clk.Now, &count)
 
 	tok := lt.grant([]byte("k"))
 	if tok == 0 {
@@ -106,7 +89,7 @@ func TestLeaseTokenExpiry(t *testing.T) {
 	if got := lt.grant([]byte("k")); got != 0 {
 		t.Fatalf("concurrent grant = %d, want 0", got)
 	}
-	clk.advance(3 * time.Second)
+	clk.Advance(3 * time.Second)
 	// Expired: the take is rejected (fill right forfeit)...
 	if lt.take([]byte("k"), tok) {
 		t.Fatal("take succeeded on expired lease")
@@ -125,9 +108,9 @@ func TestLeaseTokenExpiry(t *testing.T) {
 }
 
 func TestLeaseTableBound(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewFake(time.Unix(1000, 0), 0)
 	var count atomic.Int64
-	lt := newLeaseTable(2*time.Second, 4, clk.now, &count)
+	lt := newLeaseTable(2*time.Second, 4, clk.Now, &count)
 
 	for i := 0; i < 4; i++ {
 		if tok := lt.grant([]byte(fmt.Sprintf("k%d", i))); tok == 0 {
@@ -139,7 +122,7 @@ func TestLeaseTableBound(t *testing.T) {
 		t.Fatalf("over-cap grant = %d, want 0", tok)
 	}
 	// Once the old leases expire the sweep frees room.
-	clk.advance(3 * time.Second)
+	clk.Advance(3 * time.Second)
 	if tok := lt.grant([]byte("k4")); tok == 0 {
 		t.Fatal("grant after sweep returned 0")
 	}
@@ -149,9 +132,9 @@ func TestLeaseTableBound(t *testing.T) {
 }
 
 func TestGutterEvictionBounds(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewFake(time.Unix(1000, 0), 0)
 	var count atomic.Int64
-	g := newGutterPool(10*time.Second, 3, 1<<20, clk.now, &count)
+	g := newGutterPool(10*time.Second, 3, 1<<20, clk.Now, &count)
 
 	for i := 0; i < 5; i++ {
 		g.set([]byte(fmt.Sprintf("k%d", i)), []byte("v"), 0)
@@ -172,7 +155,7 @@ func TestGutterEvictionBounds(t *testing.T) {
 
 	// Byte cap: a second pool bounded by bytes, not items.
 	var count2 atomic.Int64
-	g2 := newGutterPool(10*time.Second, 100, 10, clk.now, &count2)
+	g2 := newGutterPool(10*time.Second, 100, 10, clk.Now, &count2)
 	g2.set([]byte("a"), []byte("12345678"), 0)
 	g2.set([]byte("b"), []byte("12345678"), 0) // 16 bytes > cap: evicts a
 	if _, _, ok := g2.get([]byte("a"), nil); ok {
@@ -183,7 +166,7 @@ func TestGutterEvictionBounds(t *testing.T) {
 	}
 
 	// TTL: entries age out on read.
-	clk.advance(11 * time.Second)
+	clk.Advance(11 * time.Second)
 	if _, _, ok := g2.get([]byte("b"), nil); ok {
 		t.Fatal("b served after TTL")
 	}

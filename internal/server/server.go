@@ -146,8 +146,8 @@ func Listen(addr string, c *cache.Cache, opts ...Option) (*Server, error) {
 		conns:       make(map[net.Conn]struct{}),
 		stopCrawler: make(chan struct{}),
 	}
-	s.leases = newLeaseTable(defaultLeaseTTL, defaultLeaseMax, nil, &s.leaseCount)
-	s.gutter = newGutterPool(defaultGutterTTL, defaultGutterItems, defaultGutterBytes, nil, &s.gutterCount)
+	s.leases = newLeaseTable(defaultLeaseTTL, defaultLeaseMax, c.Now, &s.leaseCount)
+	s.gutter = newGutterPool(defaultGutterTTL, defaultGutterItems, defaultGutterBytes, c.Now, &s.gutterCount)
 	s.wg.Add(1)
 	go s.acceptLoop()
 	if o.crawlInterval > 0 {
@@ -435,15 +435,17 @@ func (s *Server) serveConn(conn net.Conn) {
 // below it are relative seconds, larger values are absolute Unix times.
 const relativeExptimeLimit = 60 * 60 * 24 * 30
 
-// expiryFromExptime converts a protocol exptime to an absolute deadline.
-func expiryFromExptime(exptime int64, now time.Time) time.Time {
+// expiryFromExptime converts a protocol exptime to an absolute deadline on
+// the clock now, the served cache's, which checks it. Exptime 0 reads no
+// clock.
+func expiryFromExptime(exptime int64, now func() time.Time) time.Time {
 	switch {
 	case exptime == 0:
 		return time.Time{}
 	case exptime < 0:
-		return now.Add(-time.Second) // already expired, memcached-style
+		return now().Add(-time.Second) // already expired, memcached-style
 	case exptime <= relativeExptimeLimit:
-		return now.Add(time.Duration(exptime) * time.Second)
+		return now().Add(time.Duration(exptime) * time.Second)
 	default:
 		return time.Unix(exptime, 0)
 	}
@@ -544,7 +546,7 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 		if s.leaseCount.Load() != 0 {
 			s.leases.invalidate(req.Keys[0])
 		}
-		expiry := expiryFromExptime(req.Exptime, time.Now())
+		expiry := expiryFromExptime(req.Exptime, s.cache.Now)
 		err := s.cache.SetBytes(req.Keys[0], req.Value, req.Flags, expiry)
 		if hot := s.hot.Load(); hot != nil {
 			if st.hotOps++; st.hotOps&hot.SampleMask() == 0 {
@@ -566,7 +568,7 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 		if s.leaseCount.Load() != 0 {
 			s.leases.invalidate(req.Keys[0])
 		}
-		expiry := expiryFromExptime(req.Exptime, time.Now())
+		expiry := expiryFromExptime(req.Exptime, s.cache.Now)
 		var err error
 		if req.Command == memproto.CmdAdd {
 			err = s.cache.AddFlags(string(req.Keys[0]), req.Value, req.Flags, expiry)
@@ -615,7 +617,7 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 		if s.leaseCount.Load() != 0 {
 			s.leases.invalidate(req.Keys[0])
 		}
-		expiry := expiryFromExptime(req.Exptime, time.Now())
+		expiry := expiryFromExptime(req.Exptime, s.cache.Now)
 		err := s.cache.CompareAndSwapFlags(string(req.Keys[0]), req.Value, req.Flags,
 			expiry, req.CAS)
 		if hot := s.hot.Load(); hot != nil {
@@ -690,7 +692,7 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 		return rw.Deleted()
 
 	case memproto.CmdTouch:
-		expiry := expiryFromExptime(req.Exptime, time.Now())
+		expiry := expiryFromExptime(req.Exptime, s.cache.Now)
 		err := s.cache.TouchExpiry(string(req.Keys[0]), expiry)
 		if hot := s.hot.Load(); hot != nil && err == nil {
 			hot.OnTouch(req.Keys[0], expiry)
@@ -765,7 +767,7 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 			}
 			return rw.Stored()
 		}
-		expiry := expiryFromExptime(req.Exptime, time.Now())
+		expiry := expiryFromExptime(req.Exptime, s.cache.Now)
 		err := s.cache.SetBytes(key, req.Value, req.Flags, expiry)
 		if hot := s.hot.Load(); hot != nil && err == nil {
 			hot.OnWrite(key, req.Value, req.Flags, expiry)
@@ -941,7 +943,7 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 		// Replica push from a home node: store the copy and mark it
 		// replica-held so migration treats it as non-owned.
 		err := s.cache.SetBytes(req.Keys[0], req.Value, req.Flags,
-			expiryFromExptime(req.Exptime, time.Now()))
+			expiryFromExptime(req.Exptime, s.cache.Now))
 		if err == nil {
 			if hot := s.hot.Load(); hot != nil {
 				hot.MarkReplica(req.Keys[0])
@@ -974,7 +976,7 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 	case memproto.CmdHKTouch:
 		touched := false
 		if hot := s.hot.Load(); hot == nil || hot.HeldAsReplica(string(req.Keys[0])) {
-			expiry := expiryFromExptime(req.Exptime, time.Now())
+			expiry := expiryFromExptime(req.Exptime, s.cache.Now)
 			touched = s.cache.TouchExpiry(string(req.Keys[0]), expiry) == nil
 		}
 		if req.NoReply {

@@ -13,9 +13,10 @@ import (
 	"repro/internal/memproto"
 )
 
-func newTestServer(t *testing.T) *Server {
+// newTestServer serves a 4-page cache built with opts.
+func newTestServer(t *testing.T, opts ...cache.Option) *Server {
 	t.Helper()
-	c, err := cache.New(4 * cache.PageSize)
+	c, err := cache.New(4*cache.PageSize, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,30 +6,19 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/agent"
 	"repro/internal/cache"
+	"repro/internal/clock"
 	"repro/internal/hashring"
 )
 
-type testClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
+// newTestClock hands out strictly increasing timestamps, 1µs apart.
+func newTestClock() *clock.Fake { return clock.NewFake(time.Unix(1_700_000_000, 0), time.Microsecond) }
 
-func newTestClock() *testClock { return &testClock{t: time.Unix(1_700_000_000, 0)} }
-
-func (c *testClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(time.Microsecond)
-	return c.t
-}
-
-func addTestNode(t *testing.T, reg *agent.Registry, name string, pages int, clk *testClock) *agent.Agent {
+func addTestNode(t *testing.T, reg *agent.Registry, name string, pages int, clk *clock.Fake) *agent.Agent {
 	t.Helper()
 	cc, err := cache.New(int64(pages)*cache.PageSize, cache.WithClock(clk.Now))
 	if err != nil {

@@ -17,12 +17,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/agent"
 	"repro/internal/autoscaler"
 	"repro/internal/cache"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/hashring"
 	"repro/internal/metrics"
@@ -165,44 +165,19 @@ type Result struct {
 	FinalMembers []string
 }
 
-// vclock is the virtual time source all components share. Every read
-// advances it one nanosecond, so the order of reads decides the MRU stamps
-// items get. The sim's Masters therefore run their phases with one worker:
-// concurrent phase goroutines would read the clock in scheduler order and
-// make a run irreproducible. Time is virtual, so one worker costs only wall
-// time. The mutex stays: phase operations still run on taskgroup
-// goroutines, one at a time.
-type vclock struct {
-	mu sync.Mutex
-	t  time.Time
-	// seq breaks MRU-timestamp ties between KV touches at one instant.
-	seq int64
-}
-
-func (v *vclock) Now() time.Time {
-	// Each observation nudges time forward one nanosecond so MRU
-	// timestamps are strictly ordered within a node, like a real clock's
-	// monotonic reads.
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.seq++
-	return v.t.Add(time.Duration(v.seq))
-}
-
-func (v *vclock) set(t time.Time) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if t.After(v.t) {
-		v.t = t
-		v.seq = 0
-	}
-}
-
 // simulation holds one run's live state.
 type simulation struct {
 	cfg Config
 	rng *rand.Rand
-	clk *vclock
+
+	// clk is the virtual clock all components share. It ticks one
+	// nanosecond per read, so MRU stamps are strictly ordered within a
+	// node and the order of reads decides the stamps items get. The sim's
+	// Masters therefore run their phases with one worker: concurrent phase
+	// goroutines would read the clock in scheduler order and make a run
+	// irreproducible. Time is virtual, so one worker costs only wall time.
+	clk *clock.Fake
+	now time.Time // the virtual instant being handled: clk's base
 
 	reg     *agent.Registry
 	master  *core.Master
@@ -241,10 +216,12 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	epoch := time.Unix(1_700_000_000, 0)
 	s := &simulation{
 		cfg: cfg,
 		rng: rand.New(rand.NewSource(cfg.Seed)),
-		clk: &vclock{t: time.Unix(1_700_000_000, 0)},
+		clk: clock.NewFake(epoch, time.Nanosecond),
+		now: epoch,
 		reg: agent.NewRegistry(),
 	}
 	s.result.Policy = cfg.Policy
@@ -283,7 +260,7 @@ func Run(cfg Config) (*Result, error) {
 		s.scaler = sc
 	}
 
-	s.start = s.clk.t.Add(cfg.Warmup)
+	s.start = s.now.Add(cfg.Warmup)
 	s.recorder = metrics.NewRecorder(s.start)
 	s.scheduleActions()
 	if err := s.loop(); err != nil {
@@ -342,7 +319,7 @@ func (s *simulation) scheduleActions() {
 // events until warmup+duration elapse.
 func (s *simulation) loop() error {
 	end := s.start.Add(s.cfg.Duration)
-	now := s.clk.t
+	now := s.now
 	for now.Before(end) {
 		rate := s.currentRate(now)
 		gap := time.Duration(s.rng.ExpFloat64() / rate * float64(time.Second))
@@ -355,7 +332,7 @@ func (s *simulation) loop() error {
 		for len(s.pending) > 0 && !s.pending[0].at.After(next) {
 			ev := s.pending[0]
 			s.pending = s.pending[1:]
-			s.clk.set(ev.at)
+			s.advance(ev.at)
 			if err := s.handleEvent(ev); err != nil {
 				return err
 			}
@@ -364,10 +341,19 @@ func (s *simulation) loop() error {
 			break
 		}
 		now = next
-		s.clk.set(now)
+		s.advance(now)
 		s.processRequest(now)
 	}
 	return nil
+}
+
+// advance moves virtual time forward to t, never back, and restarts the
+// clock's per-read ticks there.
+func (s *simulation) advance(t time.Time) {
+	if t.After(s.now) {
+		s.now = t
+	}
+	s.clk.Set(t)
 }
 
 // currentRate maps virtual time to the web-request arrival rate.
@@ -537,7 +523,7 @@ func (s *simulation) decide(a trace.ScalingAction) error {
 // CacheScale flips at once behind a secondary; ElMem and Naive migrate
 // MigrationDelay later and then flip.
 func (s *simulation) decideScaleIn(x int) error {
-	now := s.clk.t
+	now := s.now
 	current := len(s.members)
 	if x >= current {
 		return fmt.Errorf("%w: scale in %d of %d", ErrBadConfig, x, current)
@@ -588,7 +574,7 @@ func (s *simulation) decideScaleIn(x int) error {
 			if err != nil {
 				return err
 			}
-			action.ExecutedAt = s.clk.t.Sub(s.start)
+			action.ExecutedAt = s.now.Sub(s.start)
 			return s.retire(action)
 		},
 	})
@@ -611,7 +597,7 @@ func (s *simulation) retire(a ExecutedAction) error {
 // decideScaleOut adds x cold nodes. ElMem migrates to them
 // MigrationDelay later and then flips; the other policies flip at once.
 func (s *simulation) decideScaleOut(x int) error {
-	now := s.clk.t
+	now := s.now
 	current := len(s.members)
 	action := ExecutedAction{
 		DecisionAt: now.Sub(s.start),
@@ -640,7 +626,7 @@ func (s *simulation) decideScaleOut(x int) error {
 				return err
 			}
 			action.ItemsMigrated = report.ItemsMigrated
-			action.ExecutedAt = s.clk.t.Sub(s.start)
+			action.ExecutedAt = s.now.Sub(s.start)
 			s.result.Actions = append(s.result.Actions, action)
 			return s.setMembers(report.Members)
 		},
@@ -677,7 +663,7 @@ func (s *simulation) setMembers(members []string) error {
 		core.RegistryDirectory{Registry: s.reg},
 		members,
 		core.WithClock(s.clk.Now),
-		core.WithWorkerLimit(1), // see vclock: one worker keeps runs reproducible
+		core.WithWorkerLimit(1), // see clk: one worker keeps runs reproducible
 	)
 	if err != nil {
 		return err

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/workload"
 )
 
@@ -171,31 +172,13 @@ func TestLatencyModelKnee(t *testing.T) {
 	}
 }
 
-// manualClock advances only when told, for rate-window tests.
-type manualClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *manualClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *manualClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(d)
-}
-
-func newTestDB(t *testing.T, capacity float64) (*DB, *manualClock) {
+func newTestDB(t *testing.T, capacity float64) (*DB, *clock.Fake) {
 	t.Helper()
 	d, err := NewDataset(10000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := &manualClock{t: time.Unix(1_700_000_000, 0)}
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0), 0)
 	db, err := NewDB(d, LatencyModel{
 		Base:     time.Millisecond,
 		Capacity: capacity,
