@@ -29,6 +29,7 @@ var apiAllowlist = map[string]string{
 	"internal/cache.Cache.ShardCount":          "safety probe: per-shard stats cover every stripe",
 	"internal/core.Master.ListenerCounts":      "safety probe: a retired node's listeners are unsubscribed",
 	"internal/autoscaler.Config.DecideTenants": "multi-tenant sizing, wired in by ROADMAP item 4",
+	"internal/cache.MultiItem.ValueIn":         "GetMultiInto's value accessor: benchmark/ still times GetMultiInto until its row moves to GetFunc (ROADMAP item 18)",
 
 	// Cache and client methods that mirror memcached commands.
 	"internal/cache.Cache.SetExpiring":   "memcached mirror: set with an exptime",

@@ -25,8 +25,9 @@ import (
 // Unlock of a shard whose owner is the Cache, which keeps the pool's
 // arenaMem reachable for the whole access; and (b) no arena byte escapes a
 // call: every read API copies out (Get, GetWithCAS, Peek*, GetMultiInto,
-// GetInto, TopMeta, AppendPicks, DumpClass, snapshots). A slice of the
-// arena held past its Cache faults; TestArenaReadsOutliveCache pins (b).
+// GetInto, TopMeta, AppendPicks, DumpClass, snapshots), and GetFunc shows
+// a value to its callback only under the shard lock. A slice of the arena
+// held past its Cache faults; TestArenaReadsOutliveCache pins (b).
 //
 // Items are addressed by a packed itemRef (page index, chunk index)
 // instead of a pointer. MRU lists chain refs through prev/next fields in

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -199,5 +200,48 @@ func TestCacheOwnsValueBuffers(t *testing.T) {
 	copy(got, "overwrit")
 	if again, _ := c.Peek("k"); string(again) != "original" {
 		t.Fatalf("returned value aliases cache buffer: %q", again)
+	}
+}
+
+// TestGetFuncOrderAndStop: GetFunc calls back for hits only, in key order,
+// with the flags and CAS token GetWithCAS reads; a callback that returns
+// false ends the walk after its key, and only the keys walked count as
+// hits or misses.
+func TestGetFuncOrderAndStop(t *testing.T) {
+	c, err := New(2 * PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range []string{"a", "b", "c"} {
+		if err := c.SetBytes([]byte(k), []byte("v"+k), uint32(i+1), time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, _, casA, err := c.GetWithCAS("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.Stats()
+	keys := [][]byte{[]byte("b"), []byte("missing"), []byte("a"), []byte("c")}
+	var got []string
+	var gotCAS uint64
+	n := c.GetFunc(keys, func(i int, flags uint32, casToken uint64, value []byte) bool {
+		got = append(got, fmt.Sprintf("%d:%s:%d", i, value, flags))
+		if string(keys[i]) == "a" {
+			gotCAS = casToken
+			return false
+		}
+		return true
+	})
+	if want := []string{"0:vb:2", "2:va:1"}; n != 3 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("GetFunc walked %d keys calling back %v, want 3 and %v", n, got, want)
+	}
+	if gotCAS != casA {
+		t.Fatalf("CAS = %d, GetWithCAS = %d", gotCAS, casA)
+	}
+	after := c.Stats()
+	if after.Hits-before.Hits != 2 || after.Misses-before.Misses != 1 {
+		t.Fatalf("counted %d hits and %d misses, want 2 and 1",
+			after.Hits-before.Hits, after.Misses-before.Misses)
 	}
 }

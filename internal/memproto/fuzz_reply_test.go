@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzReplyReader drives every ReplyReader decode over arbitrary bytes, as
@@ -363,6 +364,11 @@ func FuzzReplyReader(f *testing.F) {
 	f.Add([]byte("VALUE k\v0 0 1\r\nx\r\nEND\r\n"))
 	f.Add([]byte("VALUE k 0 1\r\nxyEND\r\n"))
 	f.Add([]byte("END\r\r\n"))
+	// The read buffer's edges: a VALUE body past it (decoded through the
+	// copy fallback) and one whose CRLF ends exactly at its last byte.
+	for _, in := range bufferEdgeReplies() {
+		f.Add(in)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, d := range replyDecoders {
@@ -406,6 +412,63 @@ func TestReplyReaderOverlongLine(t *testing.T) {
 			_, err := d.got(NewReplyReader(strings.NewReader(input)), len(input))
 			if !errors.Is(err, ErrProtocol) {
 				t.Errorf("%s on a %d-byte line: %v, want ErrProtocol", d.name, len(input), err)
+			}
+		}
+	}
+}
+
+// bufferEdgeReplies are get replies whose VALUE bodies sit at the read
+// buffer's edges: one ending exactly at the buffer's last byte, one whose
+// value and CRLF fill the whole buffer, one just past it and one well past
+// it (both through the copy fallback).
+func bufferEdgeReplies() [][]byte {
+	block := func(size int) string {
+		return fmt.Sprintf("VALUE k 3 %d\r\n%s\r\n", size, bytes.Repeat([]byte{'v'}, size))
+	}
+	// The header is 17 bytes for every 5-digit size.
+	endsAtBufferEnd := block(replyBufSize-17-2) + "END\r\n"
+	return [][]byte{
+		[]byte(endsAtBufferEnd),
+		[]byte(block(replyBufSize-2) + "END\r\n"),
+		[]byte(block(replyBufSize-1) + block(1) + "END\r\n"),
+		[]byte(block(3*replyBufSize) + block(0) + "END\r\n"),
+	}
+}
+
+// TestReplyReaderInPlaceAcrossReads decodes replies whose VALUE bodies
+// straddle reads of every size — one byte at a time, half of each read —
+// and checks every decode, the in-place views included, against the
+// reference decoder's copies.
+func TestReplyReaderInPlaceAcrossReads(t *testing.T) {
+	var wire bytes.Buffer
+	w := NewReplyWriter(&wire)
+	for i, size := range []int{0, 1, 100, 4096, replyBufSize / 2, replyBufSize - 40} {
+		_ = w.Value([]byte(fmt.Sprintf("k%d", i)), uint32(i), bytes.Repeat([]byte{byte('a' + i)}, size))
+	}
+	_ = w.End()
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	replies := append(bufferEdgeReplies(), wire.Bytes())
+	readers := []struct {
+		name string
+		wrap func(io.Reader) io.Reader
+	}{
+		{"whole", func(r io.Reader) io.Reader { return r }},
+		{"one-byte", iotest.OneByteReader},
+		{"half", iotest.HalfReader},
+	}
+	for i, in := range replies {
+		for _, d := range replyDecoders {
+			want, wantErr := d.want(&refReader{r: bufio.NewReader(bytes.NewReader(in))})
+			for _, rd := range readers {
+				got, err := d.got(NewReplyReader(rd.wrap(bytes.NewReader(in))), len(in))
+				if (err == nil) != (wantErr == nil) {
+					t.Fatalf("reply %d, %s, %s reads: error %v, reference %v", i, d.name, rd.name, err, wantErr)
+				}
+				if err == nil && !reflect.DeepEqual(got, want) {
+					t.Fatalf("reply %d, %s, %s reads: decoded blocks differ from the reference", i, d.name, rd.name)
+				}
 			}
 		}
 	}

@@ -12,19 +12,24 @@ import (
 // client side.
 var ErrServer = errors.New("memproto: server reported error")
 
-// replyBufSize is the ReplyReader's read buffer; no reply line (VALUE,
+// replyBufSize is the ReplyReader's read buffer. 64 KiB takes a whole
+// 16 × 8-key multi-get batch of ETC-sized values (about 46 KB) in one
+// read, and VALUE bodies up to it decode in place. No reply line (VALUE,
 // STAT, HK …) legitimately comes near it, so a longer one is a protocol
 // error rather than something to buffer without bound.
-const replyBufSize = 16 << 10
+const replyBufSize = 64 << 10
 
-// ReplyReader parses server responses on the client side.
+// ReplyReader parses server responses on the client side. A VALUE body
+// that fits the read buffer together with its CRLF is returned as a view
+// of that buffer; a larger one is copied into a scratch. Either way the
+// value is valid until the next read.
 type ReplyReader struct {
 	r   *bufio.Reader
 	key []byte // key scratch: the line buffer is recycled by the value read
-	val []byte // value scratch reused across blocks
+	val []byte // scratch for values larger than the read buffer
 }
 
-// NewReplyReader wraps a reader.
+// NewReplyReader wraps a reader with a 64 KiB read buffer.
 func NewReplyReader(r io.Reader) *ReplyReader {
 	return &ReplyReader{r: bufio.NewReaderSize(r, replyBufSize)}
 }
@@ -64,9 +69,10 @@ func errorFromLine(line []byte) error {
 }
 
 // ReadValue reads the next VALUE block of a get/gets response; more is
-// false once END was consumed instead. key and value alias scratch buffers
-// reused by the next read: copy them to retain them. This is the
-// allocation-free decode the cluster client's gets run on.
+// false once END was consumed instead. key aliases a scratch and value the
+// read buffer (or, past its size, a scratch); both are reused by the next
+// read: copy them to retain them. This is the allocation-free decode the
+// cluster client's gets run on.
 func (rr *ReplyReader) ReadValue() (key, value []byte, flags uint32, casToken uint64, more bool, err error) {
 	line, err := rr.readLine()
 	if err != nil {
@@ -90,14 +96,24 @@ func (rr *ReplyReader) ReadValue() (key, value []byte, flags uint32, casToken ui
 	return rr.key, value, flags, casToken, true, nil
 }
 
-// readBody reads a block's value and its trailing CRLF into the scratch.
+// readBody reads a block's value and its trailing CRLF: in place when they
+// fit the read buffer, else into the scratch.
 func (rr *ReplyReader) readBody(size int) ([]byte, error) {
 	need := size + 2
-	if cap(rr.val) < need {
-		rr.val = make([]byte, need)
+	var body []byte
+	var err error
+	if need <= replyBufSize {
+		if body, err = rr.r.Peek(need); err == nil {
+			_, _ = rr.r.Discard(need) // the view stays valid until the next read
+		}
+	} else {
+		if cap(rr.val) < need {
+			rr.val = make([]byte, need)
+		}
+		body = rr.val[:need]
+		_, err = io.ReadFull(rr.r, body)
 	}
-	body := rr.val[:need]
-	if _, err := io.ReadFull(rr.r, body); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("%w: short value: %v", ErrProtocol, err)
 	}
 	if body[size] != '\r' || body[size+1] != '\n' {
@@ -120,8 +136,8 @@ func (rr *ReplyReader) expectEnd(after string) error {
 
 // ReadValuesFunc consumes a get/gets response — zero or more VALUE blocks
 // followed by END — invoking fn for each block in arrival order. The value
-// slice aliases a scratch buffer reused across blocks: copy it to retain
-// it past fn's return.
+// slice aliases the read buffer or a scratch, both reused across blocks:
+// copy it to retain it past fn's return.
 func (rr *ReplyReader) ReadValuesFunc(fn func(key string, flags uint32, value []byte, casToken uint64) error) error {
 	for {
 		key, value, flags, casToken, more, err := rr.ReadValue()

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/hotkey"
+	"repro/internal/memproto"
 )
 
 // TestPipelinedMixedCommands writes dozens of mixed commands — noreply
@@ -183,7 +184,7 @@ type hotPathHarness struct {
 }
 
 func newHotPathHarness(t testing.TB, opts ...cache.Option) *hotPathHarness {
-	c, err := cache.New(4*cache.PageSize, opts...)
+	c, err := cache.New(16*cache.PageSize, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,8 @@ func newHotPathHarness(t testing.TB, opts ...cache.Option) *hotPathHarness {
 	return h
 }
 
-// serve parses and handles every request in payload.
+// serve parses and handles every request in payload, then flushes the
+// replies as serveConn does once the input has drained.
 func (h *hotPathHarness) serve(t testing.TB, payload []byte) {
 	h.r.Reset(payload)
 	h.st.parser.Reset(h.r)
@@ -216,6 +218,27 @@ func (h *hotPathHarness) serve(t testing.TB, payload []byte) {
 			t.Fatalf("handle: %v", err)
 		}
 	}
+	if err := h.st.rw.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+}
+
+// pipelinedBatch is the "pipelined multi-get" case: 16 gets of 8 keys in
+// one payload, as pipelined_multiget sends them, over values from 1 B to
+// past the reply buffer's cap. sets stores the keys, under prefix.
+func pipelinedBatch(prefix string) (sets, batch []byte) {
+	sizes := []int{1, 64, 700, 3000, 8192, 20000, 60000, memproto.MaxReplyBuffer + 4096}
+	for i, size := range sizes {
+		sets = fmt.Appendf(sets, "set %sbatch%d 0 0 %d\r\n%s\r\n", prefix, i, size, bytes.Repeat([]byte{'x'}, size))
+	}
+	for g := 0; g < 16; g++ {
+		batch = append(batch, "get"...)
+		for k := range sizes {
+			batch = fmt.Appendf(batch, " %sbatch%d", prefix, (g+k)%len(sizes))
+		}
+		batch = append(batch, "\r\n"...)
+	}
+	return sets, batch
 }
 
 // TestHotPathAllocs is the alloc-regression gate wired into `make check`:
@@ -227,6 +250,8 @@ func TestHotPathAllocs(t *testing.T) {
 	getReq := []byte("get hot\r\n")
 	getsReq := []byte("gets hot\r\n")
 	multiReq := []byte("get hot hot hot miss\r\n")
+	batchSets, batchReq := pipelinedBatch("")
+	h.serve(t, batchSets)
 
 	// Warmup: insert the key and grow every scratch to steady-state shape.
 	for i := 0; i < 3; i++ {
@@ -234,6 +259,7 @@ func TestHotPathAllocs(t *testing.T) {
 		h.serve(t, getReq)
 		h.serve(t, getsReq)
 		h.serve(t, multiReq)
+		h.serve(t, batchReq)
 	}
 
 	for _, tc := range []struct {
@@ -245,6 +271,7 @@ func TestHotPathAllocs(t *testing.T) {
 		{"get", getReq, 0},
 		{"gets", getsReq, 0},
 		{"multi-get", multiReq, 0},
+		{"pipelined multi-get", batchReq, 0},
 	} {
 		if n := testing.AllocsPerRun(200, func() { h.serve(t, tc.payload) }); n > tc.max {
 			t.Errorf("%s: %.1f allocs/op, want <= %.0f", tc.name, n, tc.max)
@@ -268,13 +295,16 @@ func TestHotPathAllocsWithTenancy(t *testing.T) {
 	getReq := []byte("get acme/hot\r\n")
 	getsReq := []byte("gets acme/hot\r\n")
 	multiReq := []byte("get acme/hot acme/hot acme/hot acme/miss\r\n")
+	batchSets, batchReq := pipelinedBatch("acme/")
+	h.serve(t, batchSets)
 	for i := 0; i < 3; i++ {
 		h.serve(t, setReq)
 		h.serve(t, getReq)
 		h.serve(t, getsReq)
 		h.serve(t, multiReq)
+		h.serve(t, batchReq)
 	}
-	if st := h.s.cache.TenantStats()[id]; st.Items != 1 || st.Hits == 0 {
+	if st := h.s.cache.TenantStats()[id]; st.Items != 9 || st.Hits == 0 {
 		t.Fatalf("acme/hot not served from tenant acme: %+v", st)
 	}
 
@@ -286,6 +316,7 @@ func TestHotPathAllocsWithTenancy(t *testing.T) {
 		{"get", getReq},
 		{"gets", getsReq},
 		{"multi-get", multiReq},
+		{"pipelined multi-get", batchReq},
 	} {
 		if n := testing.AllocsPerRun(200, func() { h.serve(t, tc.payload) }); n > 0 {
 			t.Errorf("%s with tenancy: %.1f allocs/op, want 0", tc.name, n)
@@ -309,14 +340,17 @@ func TestHotPathAllocsWithSketch(t *testing.T) {
 	getReq := []byte("get hot\r\n")
 	getsReq := []byte("gets hot\r\n")
 	multiReq := []byte("get hot hot hot miss\r\n")
+	batchSets, batchReq := pipelinedBatch("")
+	h.serve(t, batchSets)
 
-	// Warmup runs past one full sampling period so both keys are admitted
+	// Warmup runs past one full sampling period so every key is admitted
 	// into the sketch before counting begins.
 	for i := 0; i < 16; i++ {
 		h.serve(t, setReq)
 		h.serve(t, getReq)
 		h.serve(t, getsReq)
 		h.serve(t, multiReq)
+		h.serve(t, batchReq)
 	}
 
 	for _, tc := range []struct {
@@ -327,6 +361,7 @@ func TestHotPathAllocsWithSketch(t *testing.T) {
 		{"get", getReq},
 		{"gets", getsReq},
 		{"multi-get", multiReq},
+		{"pipelined multi-get", batchReq},
 	} {
 		if n := testing.AllocsPerRun(200, func() { h.serve(t, tc.payload) }); n > 0 {
 			t.Errorf("%s with sketch: %.1f allocs/op, want 0", tc.name, n)
