@@ -71,7 +71,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 }
 
 // BenchmarkServerMultiGet measures a 16-key `get` request per round trip —
-// the path the server serves through one cache.GetMultiInto call.
+// the path the server serves through one cache.GetFunc walk.
 func BenchmarkServerMultiGet(b *testing.B) {
 	const (
 		nkeys = 1024

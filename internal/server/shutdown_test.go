@@ -104,6 +104,94 @@ func TestShutdownPipelinedClientSeesEOF(t *testing.T) {
 	}
 }
 
+// TestShutdownStreamingClientSeesEOF: a client that keeps pipelining sets
+// while Shutdown runs, so its receive queue is never empty at a flush
+// boundary, is still closed at the second boundary after the drain, with
+// FIN: Shutdown returns long before the drain timeout, and the client reads
+// whole replies and a clean EOF.
+func TestShutdownStreamingClientSeesEOF(t *testing.T) {
+	s := newShutdownServer(t)
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	handshake(t, conn, bufio.NewReader(conn))
+
+	var chunk bytes.Buffer
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&chunk, "set stream-key-%03d 0 0 5\r\nhello\r\n", i)
+	}
+	stop, writerDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := conn.Write(chunk.Bytes()); err != nil {
+				return
+			}
+		}
+	}()
+
+	const reply = "STORED\r\n"
+	var (
+		buf      = make([]byte, 64<<10)
+		partial  int // bytes of a reply split across reads
+		replies  int
+		shutdown chan time.Duration // how long Shutdown took, once started
+	)
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for {
+		n, err := conn.Read(buf)
+		for _, b := range buf[:n] {
+			if b != reply[partial] {
+				t.Fatalf("reply %d: byte %q, want %q", replies, b, reply[partial])
+			}
+			if partial++; partial == len(reply) {
+				partial, replies = 0, replies+1
+			}
+		}
+		if err != nil {
+			if errors.Is(err, syscall.ECONNRESET) {
+				t.Fatalf("streaming client saw connection reset after %d replies", replies)
+			}
+			if err != io.EOF {
+				t.Fatalf("want clean EOF after %d replies, got %v", replies, err)
+			}
+			break
+		}
+		// Shut down once the stream is flowing.
+		if replies >= 5000 && shutdown == nil {
+			shutdown = make(chan time.Duration, 1)
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), defaultDrainTimeout)
+				defer cancel()
+				start := time.Now()
+				if err := s.Shutdown(ctx); err != nil {
+					t.Errorf("shutdown: %v", err)
+				}
+				shutdown <- time.Since(start)
+			}()
+		}
+	}
+	close(stop)
+	<-writerDone
+	_ = conn.(*net.TCPConn).CloseWrite()
+	if partial != 0 {
+		t.Fatalf("torn reply at EOF after %d replies", replies)
+	}
+	if shutdown == nil {
+		t.Fatalf("the stream ended after %d replies, before the drain", replies)
+	}
+	if elapsed := <-shutdown; elapsed > defaultDrainTimeout/2 {
+		t.Fatalf("shutdown of a streaming client took %v", elapsed)
+	}
+}
+
 // TestShutdownIdleClientSeesEOF: a connection sitting in a blocked read
 // with nothing in flight is woken by the drain deadline and closed with
 // FIN, and Shutdown returns without waiting for the client to hang up.
