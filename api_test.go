@@ -31,14 +31,9 @@ var apiAllowlist = map[string]string{
 	"internal/autoscaler.Config.DecideTenants": "multi-tenant sizing, wired in by ROADMAP item 4",
 	"internal/cache.MultiItem.ValueIn":         "GetMultiInto's value accessor: benchmark/ still times GetMultiInto until its row moves to GetFunc (ROADMAP item 18)",
 
-	// Cache and client methods that mirror memcached commands.
-	"internal/cache.Cache.SetExpiring":   "memcached mirror: set with an exptime",
-	"internal/cache.Cache.GetWithCAS":    "memcached mirror: gets",
-	"internal/cache.Cache.Replace":       "memcached mirror: replace",
+	// Client methods that mirror memcached commands.
 	"internal/client.Cluster.SetTTL":     "memcached mirror: set with an exptime",
-	"internal/client.Cluster.Replace":    "memcached mirror: replace",
 	"internal/client.Cluster.GetWithCAS": "memcached mirror: gets",
-	"internal/client.Cluster.Touch":      "memcached mirror: touch",
 
 	// Methods the standard library calls through an interface.
 	"internal/fusecache.headHeap.Less":         "heap.Interface",

@@ -184,7 +184,7 @@ func run() error {
 		}
 		rep.OwnershipChanged(table)
 		srv.SetHotKeys(rep)
-		ag.SetOwnedFilter(rep.OwnedFilter())
+		ag.SetOwnedFilter(rep.IsOwned)
 		rep.Start()
 		defer rep.Stop()
 		logger.Printf("hot-key replication on: %d members, R=%d, top-%d, threshold %.3f (stats: hotkey_*)",

@@ -119,7 +119,7 @@ func TestScoreSkipsExpired(t *testing.T) {
 	a := newNode(t, reg, "n1", 1, clk)
 	deadline := clk.Now().Add(time.Second)
 	for i := 0; i < 4; i++ {
-		if err := a.Cache().SetExpiring(fmt.Sprintf("dying-%d", i), []byte("val"), deadline); err != nil {
+		if err := a.Cache().SetBytes([]byte(fmt.Sprintf("dying-%d", i)), []byte("val"), 0, deadline); err != nil {
 			t.Fatal(err)
 		}
 	}

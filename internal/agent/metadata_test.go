@@ -47,7 +47,7 @@ func fillMixed(t *testing.T, rng *rand.Rand, a *Agent, clk *clock.Fake, n int) {
 		val := make([]byte, sizes[rng.Intn(len(sizes))])
 		var err error
 		if i%10 == 0 {
-			err = a.Cache().SetExpiring(key, val, clk.Now().Add(time.Second))
+			err = a.Cache().SetBytes([]byte(key), val, 0, clk.Now().Add(time.Second))
 		} else {
 			err = a.Cache().Set(key, val)
 		}
@@ -166,7 +166,7 @@ func TestSendMetadataMatchesDumpOracle(t *testing.T) {
 			fillMixed(t, rng, a, clk, 1500+rng.Intn(1500))
 			a.SetOwnedFilter(owned)
 		}
-		clk.Advance(time.Minute) // the SetExpiring items are now dead
+		clk.Advance(time.Minute) // the expiring items are now dead
 
 		want := make(map[string]map[string]map[int]fusecache.List) // receiver → sender → class
 		for _, s := range senders {

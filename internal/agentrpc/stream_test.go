@@ -126,7 +126,7 @@ func TestStreamCarriesTTLOverTCP(t *testing.T) {
 	defer cl.Close()
 	sender := newStreamSender(t, "sender", cl, clk)
 	deadline := clk.Now().Add(time.Minute)
-	if err := sender.Cache().SetExpiring("mortal", []byte("v"), deadline); err != nil {
+	if err := sender.Cache().SetBytes([]byte("mortal"), []byte("v"), 0, deadline); err != nil {
 		t.Fatal(err)
 	}
 	if err := sender.Cache().Set("immortal", []byte("v")); err != nil {

@@ -24,10 +24,10 @@ import (
 // safe because (a) every arena access happens between sh.mu.Lock and
 // Unlock of a shard whose owner is the Cache, which keeps the pool's
 // arenaMem reachable for the whole access; and (b) no arena byte escapes a
-// call: every read API copies out (Get, GetWithCAS, Peek*, GetMultiInto,
-// GetInto, TopMeta, AppendPicks, DumpClass, snapshots), and GetFunc shows
-// a value to its callback only under the shard lock. A slice of the arena
-// held past its Cache faults; TestArenaReadsOutliveCache pins (b).
+// call: every read API copies out (Get, GetInto, Peek*, GetMultiInto,
+// TopMeta, AppendPicks, DumpClass, snapshots), and GetFunc shows a value
+// to its callback only under the shard lock. A slice of the arena held
+// past its Cache faults; TestArenaReadsOutliveCache pins (b).
 //
 // Items are addressed by a packed itemRef (page index, chunk index)
 // instead of a pointer. MRU lists chain refs through prev/next fields in

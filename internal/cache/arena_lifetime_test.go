@@ -68,7 +68,7 @@ func readEveryAPI(t *testing.T) []aliasCheck {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := c.SetExpiringFlags(lifetimeKey(i), lifetimeValue(i), uint32(i), time.Time{}); err != nil {
+		if err := c.SetBytes([]byte(lifetimeKey(i)), lifetimeValue(i), uint32(i), time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,7 +84,7 @@ func readEveryAPI(t *testing.T) []aliasCheck {
 			t.Fatal(err)
 		}
 		add("Get", func() bool { return bytes.Equal(v, want(i)) })
-		g, flags, _, err := c.GetWithCAS(key)
+		g, flags, _, err := getWithCAS(c, key)
 		if err != nil {
 			t.Fatal(err)
 		}

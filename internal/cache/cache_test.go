@@ -336,18 +336,18 @@ func TestKeyLengthCapOnEveryStorePath(t *testing.T) {
 	}{
 		{"Set", func(c *Cache, key string) error { return c.Set(key, v) }, "v"},
 		{"SetBytes", func(c *Cache, key string) error { return c.SetBytes([]byte(key), v, 0, time.Time{}) }, "v"},
-		{"Add", func(c *Cache, key string) error { return c.Add(key, v, time.Time{}) }, "v"},
+		{"Add", func(c *Cache, key string) error { return c.Add([]byte(key), v, 0, time.Time{}) }, "v"},
 		{"Replace", func(c *Cache, key string) error {
 			_ = c.Set(key, []byte("old"))
-			return c.Replace(key, v, time.Time{})
+			return c.Replace([]byte(key), v, 0, time.Time{})
 		}, "v"},
 		{"Append", func(c *Cache, key string) error {
 			_ = c.Set(key, v)
-			return c.Append(key, []byte("w"))
+			return c.Append([]byte(key), []byte("w"))
 		}, "vw"},
 		{"Prepend", func(c *Cache, key string) error {
 			_ = c.Set(key, v)
-			return c.Prepend(key, []byte("w"))
+			return c.Prepend([]byte(key), []byte("w"))
 		}, "wv"},
 		{"BatchImport", func(c *Cache, key string) error {
 			_, err := c.BatchImport([]KV{{Key: key, Value: v}}, false)

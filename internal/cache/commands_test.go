@@ -14,10 +14,20 @@ func expiryCache(t *testing.T) (*Cache, *clock.Fake) {
 	return newTestCache(t, 2)
 }
 
+// getWithCAS reads key through GetInto, as memcached's gets: a copy of the
+// value, its flags and CAS token, or ErrNotFound.
+func getWithCAS(c *Cache, key string) (value []byte, flags uint32, casToken uint64, err error) {
+	value, flags, casToken, hit := c.GetInto([]byte(key), nil)
+	if !hit {
+		return nil, 0, 0, ErrNotFound
+	}
+	return value, flags, casToken, nil
+}
+
 func TestSetExpiringAndLazyExpiry(t *testing.T) {
 	c, clk := expiryCache(t)
 	deadline := clk.Now().Add(time.Minute)
-	if err := c.SetExpiring("k", []byte("v"), deadline); err != nil {
+	if err := c.SetBytes([]byte("k"), []byte("v"), 0, deadline); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Get("k"); err != nil {
@@ -39,7 +49,7 @@ func TestSetExpiringAndLazyExpiry(t *testing.T) {
 func TestExpiredItemInvisibleToPeekAndContains(t *testing.T) {
 	c, clk := expiryCache(t)
 	deadline := clk.Now().Add(time.Second)
-	if err := c.SetExpiring("k", []byte("v"), deadline); err != nil {
+	if err := c.SetBytes([]byte("k"), []byte("v"), 0, deadline); err != nil {
 		t.Fatal(err)
 	}
 	clk.Set(deadline.Add(time.Hour))
@@ -57,7 +67,7 @@ func TestExpiredItemsExcludedFromDumpAndFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := clk.Now().Add(time.Second)
-	if err := c.SetExpiring("dead", []byte("v"), deadline); err != nil {
+	if err := c.SetBytes([]byte("dead"), []byte("v"), 0, deadline); err != nil {
 		t.Fatal(err)
 	}
 	clk.Set(deadline.Add(time.Minute))
@@ -78,7 +88,7 @@ func TestExpiredItemsExcludedFromDumpAndFetch(t *testing.T) {
 func TestPlainSetClearsExpiry(t *testing.T) {
 	c, clk := expiryCache(t)
 	deadline := clk.Now().Add(time.Second)
-	if err := c.SetExpiring("k", []byte("v1"), deadline); err != nil {
+	if err := c.SetBytes([]byte("k"), []byte("v1"), 0, deadline); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Set("k", []byte("v2")); err != nil {
@@ -94,7 +104,7 @@ func TestCrawlExpired(t *testing.T) {
 	c, clk := expiryCache(t)
 	deadline := clk.Now().Add(time.Second)
 	for _, k := range []string{"a", "b", "c"} {
-		if err := c.SetExpiring(k, []byte("v"), deadline); err != nil {
+		if err := c.SetBytes([]byte(k), []byte("v"), 0, deadline); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,10 +125,10 @@ func TestCrawlExpired(t *testing.T) {
 
 func TestAdd(t *testing.T) {
 	c, _ := expiryCache(t)
-	if err := c.Add("k", []byte("v1"), time.Time{}); err != nil {
+	if err := c.Add([]byte("k"), []byte("v1"), 0, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Add("k", []byte("v2"), time.Time{}); !errors.Is(err, ErrNotStored) {
+	if err := c.Add([]byte("k"), []byte("v2"), 0, time.Time{}); !errors.Is(err, ErrNotStored) {
 		t.Fatalf("err = %v, want ErrNotStored for existing key", err)
 	}
 	got, _ := c.Peek("k")
@@ -130,24 +140,24 @@ func TestAdd(t *testing.T) {
 func TestAddSucceedsAfterExpiry(t *testing.T) {
 	c, clk := expiryCache(t)
 	deadline := clk.Now().Add(time.Second)
-	if err := c.SetExpiring("k", []byte("old"), deadline); err != nil {
+	if err := c.SetBytes([]byte("k"), []byte("old"), 0, deadline); err != nil {
 		t.Fatal(err)
 	}
 	clk.Set(deadline.Add(time.Minute))
-	if err := c.Add("k", []byte("new"), time.Time{}); err != nil {
+	if err := c.Add([]byte("k"), []byte("new"), 0, time.Time{}); err != nil {
 		t.Fatalf("add after expiry failed: %v", err)
 	}
 }
 
 func TestReplace(t *testing.T) {
 	c, _ := expiryCache(t)
-	if err := c.Replace("k", []byte("v"), time.Time{}); !errors.Is(err, ErrNotStored) {
+	if err := c.Replace([]byte("k"), []byte("v"), 0, time.Time{}); !errors.Is(err, ErrNotStored) {
 		t.Fatalf("err = %v, want ErrNotStored for missing key", err)
 	}
 	if err := c.Set("k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Replace("k", []byte("v2"), time.Time{}); err != nil {
+	if err := c.Replace([]byte("k"), []byte("v2"), 0, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := c.Peek("k")
@@ -161,22 +171,22 @@ func TestGetWithCASAndCompareAndSwap(t *testing.T) {
 	if err := c.Set("k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	_, _, token, err := c.GetWithCAS("k")
+	_, _, token, err := getWithCAS(c, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CompareAndSwap("k", []byte("v2"), time.Time{}, token); err != nil {
+	if err := c.CompareAndSwap([]byte("k"), []byte("v2"), 0, time.Time{}, token); err != nil {
 		t.Fatal(err)
 	}
 	// The old token is now stale.
-	if err := c.CompareAndSwap("k", []byte("v3"), time.Time{}, token); !errors.Is(err, ErrExists) {
+	if err := c.CompareAndSwap([]byte("k"), []byte("v3"), 0, time.Time{}, token); !errors.Is(err, ErrExists) {
 		t.Fatalf("err = %v, want ErrExists for stale token", err)
 	}
 	got, _ := c.Peek("k")
 	if string(got) != "v2" {
 		t.Fatalf("value = %q", got)
 	}
-	if err := c.CompareAndSwap("missing", []byte("v"), time.Time{}, 1); !errors.Is(err, ErrNotFound) {
+	if err := c.CompareAndSwap([]byte("missing"), []byte("v"), 0, time.Time{}, 1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 }
@@ -186,14 +196,14 @@ func TestCASTokenChangesOnEverySet(t *testing.T) {
 	if err := c.Set("k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	_, _, t1, err := c.GetWithCAS("k")
+	_, _, t1, err := getWithCAS(c, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Set("k", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	_, _, t2, err := c.GetWithCAS("k")
+	_, _, t2, err := getWithCAS(c, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +214,7 @@ func TestCASTokenChangesOnEverySet(t *testing.T) {
 
 func TestGetWithCASMiss(t *testing.T) {
 	c, _ := expiryCache(t)
-	if _, _, _, err := c.GetWithCAS("missing"); !errors.Is(err, ErrNotFound) {
+	if _, _, _, err := getWithCAS(c, "missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 	if st := c.Stats(); st.Misses != 1 {
@@ -214,16 +224,16 @@ func TestGetWithCASMiss(t *testing.T) {
 
 func TestAppendPrepend(t *testing.T) {
 	c, _ := expiryCache(t)
-	if err := c.Append("k", []byte("x")); !errors.Is(err, ErrNotStored) {
+	if err := c.Append([]byte("k"), []byte("x")); !errors.Is(err, ErrNotStored) {
 		t.Fatalf("append to missing: err = %v, want ErrNotStored", err)
 	}
 	if err := c.Set("k", []byte("mid")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Append("k", []byte("-end")); err != nil {
+	if err := c.Append([]byte("k"), []byte("-end")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Prepend("k", []byte("start-")); err != nil {
+	if err := c.Prepend([]byte("k"), []byte("start-")); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := c.Peek("k")
@@ -235,10 +245,10 @@ func TestAppendPrepend(t *testing.T) {
 func TestAppendPreservesExpiry(t *testing.T) {
 	c, clk := expiryCache(t)
 	deadline := clk.Now().Add(time.Minute)
-	if err := c.SetExpiring("k", []byte("a"), deadline); err != nil {
+	if err := c.SetBytes([]byte("k"), []byte("a"), 0, deadline); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Append("k", []byte("b")); err != nil {
+	if err := c.Append([]byte("k"), []byte("b")); err != nil {
 		t.Fatal(err)
 	}
 	clk.Set(deadline.Add(time.Second))
@@ -252,11 +262,11 @@ func TestIncrDecr(t *testing.T) {
 	if err := c.Set("n", []byte("10")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Incr("n", 5)
+	got, err := c.Incr([]byte("n"), 5)
 	if err != nil || got != 15 {
 		t.Fatalf("Incr = %d, %v; want 15", got, err)
 	}
-	got, err = c.Decr("n", 20)
+	got, err = c.Decr([]byte("n"), 20)
 	if err != nil || got != 0 {
 		t.Fatalf("Decr = %d, %v; want clamp at 0", got, err)
 	}
@@ -268,13 +278,13 @@ func TestIncrDecr(t *testing.T) {
 
 func TestIncrErrors(t *testing.T) {
 	c, _ := expiryCache(t)
-	if _, err := c.Incr("missing", 1); !errors.Is(err, ErrNotFound) {
+	if _, err := c.Incr([]byte("missing"), 1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 	if err := c.Set("s", []byte("not-a-number")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Incr("s", 1); !errors.Is(err, ErrNotNumber) {
+	if _, err := c.Incr([]byte("s"), 1); !errors.Is(err, ErrNotNumber) {
 		t.Fatalf("err = %v, want ErrNotNumber", err)
 	}
 }
@@ -284,7 +294,7 @@ func TestIncrWraps(t *testing.T) {
 	if err := c.Set("n", []byte("18446744073709551615")); err != nil { // max uint64
 		t.Fatal(err)
 	}
-	got, err := c.Incr("n", 1)
+	got, err := c.Incr([]byte("n"), 1)
 	if err != nil || got != 0 {
 		t.Fatalf("Incr at max = %d, %v; memcached wraps to 0", got, err)
 	}
@@ -293,18 +303,18 @@ func TestIncrWraps(t *testing.T) {
 func TestTouchExpiry(t *testing.T) {
 	c, clk := expiryCache(t)
 	d1 := clk.Now().Add(time.Second)
-	if err := c.SetExpiring("k", []byte("v"), d1); err != nil {
+	if err := c.SetBytes([]byte("k"), []byte("v"), 0, d1); err != nil {
 		t.Fatal(err)
 	}
 	d2 := d1.Add(time.Hour)
-	if err := c.TouchExpiry("k", d2); err != nil {
+	if err := c.Touch([]byte("k"), d2); err != nil {
 		t.Fatal(err)
 	}
 	clk.Set(d1.Add(time.Minute)) // past the original deadline
 	if !c.Contains("k") {
 		t.Fatal("touch did not extend the expiry")
 	}
-	if err := c.TouchExpiry("missing", d2); !errors.Is(err, ErrNotFound) {
+	if err := c.Touch([]byte("missing"), d2); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 }
@@ -319,15 +329,15 @@ func TestTouchMovesAcrossTheExpiryTail(t *testing.T) {
 	for i := range value {
 		value[i] = byte(i)
 	}
-	if err := c.SetExpiringFlags("k", value, 7, time.Time{}); err != nil {
+	if err := c.SetBytes([]byte("k"), value, 7, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	_, _, tok, _ := c.GetWithCAS("k")
+	_, _, tok, _ := getWithCAS(c, "k")
 	for _, step := range []struct {
 		expire time.Time
 		class  int
 	}{{clk.Now().Add(time.Hour), 1}, {time.Time{}, 0}} {
-		if err := c.TouchExpiry("k", step.expire); err != nil {
+		if err := c.Touch([]byte("k"), step.expire); err != nil {
 			t.Fatal(err)
 		}
 		for _, sl := range c.Stats().Slabs {
@@ -339,7 +349,7 @@ func TestTouchMovesAcrossTheExpiryTail(t *testing.T) {
 				t.Fatalf("touch to expiry %v: class %d holds %d items, want %d", step.expire, sl.ClassID, sl.Items, want)
 			}
 		}
-		got, flags, cas, err := c.GetWithCAS("k")
+		got, flags, cas, err := getWithCAS(c, "k")
 		if err != nil || string(got) != string(value) || flags != 7 || cas != tok {
 			t.Fatalf("after touch: %d bytes, flags %d, cas %d (want %d), err %v", len(got), flags, cas, tok, err)
 		}
@@ -383,8 +393,8 @@ func TestStoreWithoutChunkDropsItem(t *testing.T) {
 		store func(c *Cache) error
 	}{
 		{"set", func(c *Cache) error { return c.Set("victim", make([]byte, 500)) }},
-		{"append", func(c *Cache) error { return c.Append("victim", make([]byte, 500)) }},
-		{"touch", func(c *Cache) error { return c.TouchExpiry("victim", time.Now().Add(time.Hour)) }},
+		{"append", func(c *Cache) error { return c.Append([]byte("victim"), make([]byte, 500)) }},
+		{"touch", func(c *Cache) error { return c.Touch([]byte("victim"), time.Now().Add(time.Hour)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := fullCacheWith(t, "victim")
@@ -411,7 +421,7 @@ func TestTouchTooLargeDropsItem(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tooBig *ValueTooLargeError
-	if err := c.TouchExpiry("big", time.Now().Add(time.Hour)); !errors.As(err, &tooBig) {
+	if err := c.Touch([]byte("big"), time.Now().Add(time.Hour)); !errors.As(err, &tooBig) {
 		t.Fatalf("touch adding a TTL to a page-sized item: err = %v, want ValueTooLargeError", err)
 	}
 	if c.Contains("big") {
@@ -423,7 +433,7 @@ func TestTouchTooLargeDropsItem(t *testing.T) {
 func TestStatsCountExpirations(t *testing.T) {
 	c, clk := expiryCache(t)
 	deadline := clk.Now().Add(time.Second)
-	if err := c.SetExpiring("k", []byte("v"), deadline); err != nil {
+	if err := c.SetBytes([]byte("k"), []byte("v"), 0, deadline); err != nil {
 		t.Fatal(err)
 	}
 	clk.Set(deadline.Add(time.Minute))
@@ -435,22 +445,22 @@ func TestStatsCountExpirations(t *testing.T) {
 
 func TestCommandsRejectEmptyKeys(t *testing.T) {
 	c, _ := expiryCache(t)
-	if err := c.SetExpiring("", nil, time.Time{}); !errors.Is(err, ErrEmptyKey) {
-		t.Fatal("SetExpiring accepted empty key")
+	if err := c.SetBytes([]byte(""), nil, 0, time.Time{}); !errors.Is(err, ErrEmptyKey) {
+		t.Fatal("SetBytes accepted empty key")
 	}
-	if err := c.Add("", nil, time.Time{}); !errors.Is(err, ErrEmptyKey) {
+	if err := c.Add([]byte(""), nil, 0, time.Time{}); !errors.Is(err, ErrEmptyKey) {
 		t.Fatal("Add accepted empty key")
 	}
-	if err := c.Replace("", nil, time.Time{}); !errors.Is(err, ErrEmptyKey) {
+	if err := c.Replace([]byte(""), nil, 0, time.Time{}); !errors.Is(err, ErrEmptyKey) {
 		t.Fatal("Replace accepted empty key")
 	}
-	if err := c.CompareAndSwap("", nil, time.Time{}, 0); !errors.Is(err, ErrEmptyKey) {
+	if err := c.CompareAndSwap([]byte(""), nil, 0, time.Time{}, 0); !errors.Is(err, ErrEmptyKey) {
 		t.Fatal("CompareAndSwap accepted empty key")
 	}
-	if err := c.Append("", nil); !errors.Is(err, ErrEmptyKey) {
+	if err := c.Append([]byte(""), nil); !errors.Is(err, ErrEmptyKey) {
 		t.Fatal("Append accepted empty key")
 	}
-	if _, err := c.Incr("", 1); !errors.Is(err, ErrEmptyKey) {
+	if _, err := c.Incr([]byte(""), 1); !errors.Is(err, ErrEmptyKey) {
 		t.Fatal("Incr accepted empty key")
 	}
 }

@@ -91,14 +91,14 @@ func TestDifferentialSweep(t *testing.T) {
 	}
 	// set stores an item in both the cache and the oracle.
 	set := func(op int, k string, v []byte, fl uint32, exp time.Time) {
-		if err := c.SetExpiringFlags(k, v, fl, exp); err != nil {
+		if err := c.SetBytes([]byte(k), v, fl, exp); err != nil {
 			t.Fatalf("op %d: set %q: %v", op, k, err)
 		}
 		o.set(k, v, fl, exp)
 	}
 
 	checkGet := func(op int, k string) {
-		got, flags, _, err := c.GetWithCAS(k)
+		got, flags, _, err := getWithCAS(c, k)
 		want := o.live(k)
 		if want == nil {
 			if err == nil {
@@ -120,7 +120,7 @@ func TestDifferentialSweep(t *testing.T) {
 		switch r := rng.Intn(106); {
 		case r < 30: // set
 			k, v, fl, exp := key(), val(), rng.Uint32(), ttl()
-			if err := c.SetExpiringFlags(k, v, fl, exp); err != nil {
+			if err := c.SetBytes([]byte(k), v, fl, exp); err != nil {
 				t.Fatalf("op %d: set %q: %v", op, k, err)
 			}
 			o.set(k, v, fl, exp)
@@ -141,7 +141,7 @@ func TestDifferentialSweep(t *testing.T) {
 			}
 		case r < 68: // touch
 			k, exp := key(), ttl()
-			err := c.TouchExpiry(k, exp)
+			err := c.Touch([]byte(k), exp)
 			if want := o.live(k); want == nil {
 				if !errors.Is(err, ErrNotFound) {
 					t.Fatalf("op %d: touch dead %q: err = %v", op, k, err)
@@ -154,7 +154,7 @@ func TestDifferentialSweep(t *testing.T) {
 			}
 		case r < 73: // add
 			k, v, fl, exp := key(), val(), rng.Uint32(), ttl()
-			err := c.AddFlags(k, v, fl, exp)
+			err := c.Add([]byte(k), v, fl, exp)
 			if want := o.live(k); want == nil {
 				if err != nil {
 					t.Fatalf("op %d: add absent %q: %v", op, k, err)
@@ -165,7 +165,7 @@ func TestDifferentialSweep(t *testing.T) {
 			}
 		case r < 78: // replace
 			k, v, fl, exp := key(), val(), rng.Uint32(), ttl()
-			err := c.ReplaceFlags(k, v, fl, exp)
+			err := c.Replace([]byte(k), v, fl, exp)
 			if want := o.live(k); want != nil {
 				if err != nil {
 					t.Fatalf("op %d: replace present %q: %v", op, k, err)
@@ -178,7 +178,7 @@ func TestDifferentialSweep(t *testing.T) {
 			k, data := key(), val()
 			var err error
 			if rng.Intn(2) == 0 {
-				err = c.Append(k, data)
+				err = c.Append([]byte(k), data)
 				if want := o.live(k); want != nil {
 					if err != nil {
 						t.Fatalf("op %d: append %q: %v", op, k, err)
@@ -188,7 +188,7 @@ func TestDifferentialSweep(t *testing.T) {
 					t.Fatalf("op %d: append absent %q: err = %v", op, k, err)
 				}
 			} else {
-				err = c.Prepend(k, data)
+				err = c.Prepend([]byte(k), data)
 				if want := o.live(k); want != nil {
 					if err != nil {
 						t.Fatalf("op %d: prepend %q: %v", op, k, err)
@@ -213,9 +213,9 @@ func TestDifferentialSweep(t *testing.T) {
 			var err error
 			decr := rng.Intn(2) == 0
 			if decr {
-				got, err = c.Decr(k, delta)
+				got, err = c.Decr([]byte(k), delta)
 			} else {
-				got, err = c.Incr(k, delta)
+				got, err = c.Incr([]byte(k), delta)
 			}
 			want := o.live(k)
 			if want == nil {
@@ -249,7 +249,7 @@ func TestDifferentialSweep(t *testing.T) {
 			want.value = []byte(strconv.FormatUint(wantN, 10))
 		case r < 92: // gets + cas: a fresh token must win, a stale one must lose
 			k := key()
-			_, _, tok, err := c.GetWithCAS(k)
+			_, _, tok, err := getWithCAS(c, k)
 			if o.live(k) == nil {
 				if err == nil {
 					t.Fatalf("op %d: gets %q hit, oracle dead", op, k)
@@ -267,11 +267,11 @@ func TestDifferentialSweep(t *testing.T) {
 					t.Fatalf("op %d: interposing set: %v", op, err)
 				}
 				o.set(k, v2, 0, time.Time{})
-				if err := c.CompareAndSwap(k, v, exp, tok); !errors.Is(err, ErrExists) {
+				if err := c.CompareAndSwap([]byte(k), v, 0, exp, tok); !errors.Is(err, ErrExists) {
 					t.Fatalf("op %d: stale cas %q: err = %v, want ErrExists", op, k, err)
 				}
 			} else {
-				if err := c.CompareAndSwap(k, v, exp, tok); err != nil {
+				if err := c.CompareAndSwap([]byte(k), v, 0, exp, tok); err != nil {
 					t.Fatalf("op %d: fresh cas %q: %v", op, k, err)
 				}
 				o.set(k, v, 0, exp)
@@ -319,17 +319,17 @@ func TestDifferentialSweep(t *testing.T) {
 				}
 				set(op, k, v, rng.Uint32(), time.Time{})
 			}
-			_, _, tok, err := c.GetWithCAS(k)
+			_, _, tok, err := getWithCAS(c, k)
 			if err != nil {
 				t.Fatalf("op %d: gets %q before touch: %v", op, k, err)
 			}
 			exp := someTTL()
-			if err := c.TouchExpiry(k, exp); err != nil {
+			if err := c.Touch([]byte(k), exp); err != nil {
 				t.Fatalf("op %d: touch %q adding a TTL: %v", op, k, err)
 			}
 			o.live(k).expire = exp
 			checkGet(op, k)
-			if _, _, after, _ := c.GetWithCAS(k); after != tok {
+			if _, _, after, _ := getWithCAS(c, k); after != tok {
 				t.Fatalf("op %d: touch %q changed the CAS token %d → %d", op, k, tok, after)
 			}
 		case r < 104: // a set that drops a TTL
@@ -347,7 +347,7 @@ func TestDifferentialSweep(t *testing.T) {
 				seed := rng.Uint64() % 100000
 				set(op, k, []byte(strconv.FormatUint(seed, 10)), 0, someTTL())
 				delta := rng.Uint64() % 1000
-				got, err := c.Incr(k, delta)
+				got, err := c.Incr([]byte(k), delta)
 				if err != nil || got != seed+delta {
 					t.Fatalf("op %d: incr TTL'd %q = %d, %v; oracle %d", op, k, got, err, seed+delta)
 				}
@@ -356,7 +356,7 @@ func TestDifferentialSweep(t *testing.T) {
 			} else {
 				k, data := key(), val()
 				set(op, k, val(), rng.Uint32(), someTTL())
-				if err := c.Append(k, data); err != nil {
+				if err := c.Append([]byte(k), data); err != nil {
 					t.Fatalf("op %d: append to TTL'd %q: %v", op, k, err)
 				}
 				want := o.live(k)
@@ -418,7 +418,7 @@ func TestDifferentialSweepTinyBudget(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				exp = clk.Now().Add(time.Duration(rng.Intn(20)+1) * time.Millisecond)
 			}
-			if err := c.SetExpiringFlags(k, v, uint32(op), exp); err != nil {
+			if err := c.SetBytes([]byte(k), v, uint32(op), exp); err != nil {
 				if errors.Is(err, ErrOutOfMemory) {
 					continue // set failed whole: a class with nothing to evict
 				}
@@ -426,7 +426,7 @@ func TestDifferentialSweepTinyBudget(t *testing.T) {
 			}
 			o.set(k, v, uint32(op), exp)
 		case 5, 6, 7, 8:
-			got, flags, _, err := c.GetWithCAS(k)
+			got, flags, _, err := getWithCAS(c, k)
 			want := o.live(k)
 			if err == nil {
 				// A hit must match the oracle exactly: stale or corrupt

@@ -376,7 +376,7 @@ func TestRouteStampsMatchesDumpClass(t *testing.T) {
 		key := fmt.Sprintf("key-%04d", i)
 		var err error
 		if i%10 == 0 {
-			err = c.SetExpiring(key, []byte("val"), clk.Now().Add(time.Second))
+			err = c.SetBytes([]byte(key), []byte("val"), 0, clk.Now().Add(time.Second))
 		} else {
 			err = c.Set(key, []byte("val"))
 		}

@@ -15,10 +15,10 @@ func TestFlagsRoundTripStoresAndReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetExpiringFlags("k", []byte("v"), 42, time.Time{}); err != nil {
+	if err := c.SetBytes([]byte("k"), []byte("v"), 42, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, flags, _, err := c.GetWithCAS("k"); err != nil || flags != 42 {
+	if _, flags, _, err := getWithCAS(c, "k"); err != nil || flags != 42 {
 		t.Fatalf("GetWithCAS flags = %d, %v; want 42", flags, err)
 	}
 	if _, flags, _, hit := c.GetInto([]byte("k"), nil); !hit || flags != 42 {
@@ -51,16 +51,16 @@ func TestFlagsPreservedByEditsAndArith(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetExpiringFlags("n", []byte("10"), 9, time.Time{}); err != nil {
+	if err := c.SetBytes([]byte("n"), []byte("10"), 9, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Incr("n", 5); err != nil {
+	if _, err := c.Incr([]byte("n"), 5); err != nil {
 		t.Fatal(err)
 	}
 	if _, flags, _, _ := c.GetInto([]byte("n"), nil); flags != 9 {
 		t.Fatalf("flags after incr = %d, want 9", flags)
 	}
-	if err := c.Append("n", []byte("7")); err != nil {
+	if err := c.Append([]byte("n"), []byte("7")); err != nil {
 		t.Fatal(err)
 	}
 	if _, flags, _, _ := c.GetInto([]byte("n"), nil); flags != 9 {
@@ -164,7 +164,7 @@ func TestGetMultiIntoOrderAndReuse(t *testing.T) {
 		t.Fatalf("items[2] = %+v value %q", items[2], items[2].ValueIn(arena))
 	}
 	// CAS tokens must match the single-key gets path.
-	_, _, cas, err := c.GetWithCAS("a")
+	_, _, cas, err := getWithCAS(c, "a")
 	if err != nil || items[2].CAS != cas {
 		t.Fatalf("CAS = %d, GetWithCAS = %d (%v)", items[2].CAS, cas, err)
 	}
@@ -217,7 +217,7 @@ func TestGetFuncOrderAndStop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, _, casA, err := c.GetWithCAS("a")
+	_, _, casA, err := getWithCAS(c, "a")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func TestPicksMatchTopMetaWhenQuiescent(t *testing.T) {
 		key := fmt.Sprintf("key-%05d", i)
 		val := bytes.Repeat([]byte{byte(i)}, sizes[i%len(sizes)])
 		if i%11 == 0 {
-			err = c.SetExpiring(key, val, clk.Now().Add(time.Second))
+			err = c.SetBytes([]byte(key), val, 0, clk.Now().Add(time.Second))
 		} else {
 			err = c.Set(key, val)
 		}
@@ -117,7 +117,7 @@ func TestPicksGoneSinceSelectionDoNotShip(t *testing.T) {
 		key := fmt.Sprintf("k%03d", i)
 		var err error
 		if i == 7 || i == 8 {
-			err = c.SetExpiring(key, val, clk.Now().Add(time.Second))
+			err = c.SetBytes([]byte(key), val, 0, clk.Now().Add(time.Second))
 		} else {
 			err = c.Set(key, val)
 		}
@@ -318,7 +318,7 @@ func TestDropIfAndCrawlExpiredScan(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("k%04d", i)
 		if i%4 == 0 {
-			err = c.SetExpiring(key, make([]byte, 50+i%300), clk.Now().Add(time.Second))
+			err = c.SetBytes([]byte(key), make([]byte, 50+i%300), 0, clk.Now().Add(time.Second))
 		} else {
 			err = c.Set(key, make([]byte, 50+i%300))
 		}

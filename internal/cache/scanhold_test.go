@@ -34,7 +34,7 @@ func TestScanPageHoldUnderOneMillisecond(t *testing.T) {
 	for i := 0; i < items; i++ {
 		key := fmt.Sprintf("k%07d", i)
 		if i%50 == 0 {
-			err = c.SetExpiring(key, val, clk.Now().Add(time.Second))
+			err = c.SetBytes([]byte(key), val, 0, clk.Now().Add(time.Second))
 		} else {
 			err = c.Set(key, val)
 		}

@@ -255,7 +255,7 @@ func TestGetMultiHitsMissesAndPromotion(t *testing.T) {
 		t.Fatalf("stats after GetMultiInto = %d hits / %d misses, want 3/2", st.Hits, st.Misses)
 	}
 	// CAS tokens must match the single-key gets path.
-	_, _, cas, err := c.GetWithCAS("key-11")
+	_, _, cas, err := getWithCAS(c, "key-11")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestSetBytesStoresAndExpires(t *testing.T) {
 	if c.Len() != 33 {
 		t.Fatalf("Len = %d, want 33", c.Len())
 	}
-	// A byte-keyed write must honor expiry like SetExpiring.
+	// A byte-keyed write must honor its expiry.
 	clk.Set(deadline.Add(time.Second))
 	if c.Contains("expiring") {
 		t.Fatal("SetBytes item survived its expiry")
@@ -354,7 +354,7 @@ func TestShardedFlushAllAndCrawl(t *testing.T) {
 	c, clk := newShardedCache(t, 64, 8)
 	deadline := clk.Now().Add(time.Minute)
 	for i := 0; i < 100; i++ {
-		if err := c.SetExpiring(fmt.Sprintf("key-%03d", i), []byte("v"), deadline); err != nil {
+		if err := c.SetBytes([]byte(fmt.Sprintf("key-%03d", i)), []byte("v"), 0, deadline); err != nil {
 			t.Fatal(err)
 		}
 	}

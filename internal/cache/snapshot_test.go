@@ -73,7 +73,7 @@ func populateSeeded(t *testing.T, c *Cache, clk *clock.Fake, seed int64, ops int
 			if rng.Intn(5) == 0 {
 				expire = clk.Now().Add(time.Duration(1+rng.Intn(120)) * time.Second)
 			}
-			if err := c.SetExpiringFlags(key, val, uint32(rng.Uint32()), expire); err != nil {
+			if err := c.SetBytes([]byte(key), val, uint32(rng.Uint32()), expire); err != nil {
 				t.Fatalf("set %q: %v", key, err)
 			}
 		case op < 8: // get re-hoists MRU position
@@ -198,10 +198,10 @@ func TestSnapshotExcludesExpired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.SetExpiring("dead", []byte("x"), clk.Now().Add(time.Second)); err != nil {
+	if err := src.SetBytes([]byte("dead"), []byte("x"), 0, clk.Now().Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.SetExpiring("live-ttl", []byte("y"), clk.Now().Add(time.Hour)); err != nil {
+	if err := src.SetBytes([]byte("live-ttl"), []byte("y"), 0, clk.Now().Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
 	if err := src.Set("live-forever", []byte("z")); err != nil {
@@ -523,7 +523,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		if i%3 == 0 {
 			expire = now.Add(time.Hour)
 		}
-		if err := src.SetExpiringFlags("s"+strconv.Itoa(i), bytes.Repeat([]byte{byte(i)}, 1+i*i*4), uint32(i), expire); err != nil {
+		if err := src.SetBytes([]byte("s"+strconv.Itoa(i)), bytes.Repeat([]byte{byte(i)}, 1+i*i*4), uint32(i), expire); err != nil {
 			f.Fatal(err)
 		}
 	}

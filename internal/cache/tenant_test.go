@@ -299,7 +299,7 @@ func TestTenantLazyExpiryAccounting(t *testing.T) {
 	}
 	a, _ := c.RegisterTenant("ephem", TenantConfig{})
 
-	if err := c.SetExpiringFlags("ephem/dies", bytes.Repeat([]byte("v"), 100), 0, clk.Now().Add(time.Millisecond)); err != nil {
+	if err := c.SetBytes([]byte("ephem/dies"), bytes.Repeat([]byte("v"), 100), 0, clk.Now().Add(time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Set("ephem/lives", []byte("keep")); err != nil {
@@ -330,7 +330,7 @@ func TestTenantLazyExpiryAccounting(t *testing.T) {
 		t.Fatalf("expired get counted as %d misses, want 1", st.Misses)
 	}
 	// The crawler path debits identically.
-	if err := c.SetExpiringFlags("ephem/dies2", []byte("x"), 0, clk.Now().Add(time.Millisecond)); err != nil {
+	if err := c.SetBytes([]byte("ephem/dies2"), []byte("x"), 0, clk.Now().Add(time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(10 * time.Millisecond)
@@ -514,16 +514,16 @@ func TestTenantDifferential(t *testing.T) {
 		switch r := rng.Intn(100); {
 		case r < 35: // default-namespace set, mirrored on both caches
 			k, v, fl, exp := key(), val(), rng.Uint32(), ttl()
-			if err := plain.SetExpiringFlags(k, v, fl, exp); err != nil {
+			if err := plain.SetBytes([]byte(k), v, fl, exp); err != nil {
 				t.Fatalf("op %d: plain set: %v", op, err)
 			}
-			if err := tenanted.SetExpiringFlags(k, v, fl, exp); err != nil {
+			if err := tenanted.SetBytes([]byte(k), v, fl, exp); err != nil {
 				t.Fatalf("op %d: tenanted set: %v", op, err)
 			}
 		case r < 55: // default-namespace get, results must match exactly
 			k := key()
-			pv, pf, _, perr := plain.GetWithCAS(k)
-			tv, tf, _, terr := tenanted.GetWithCAS(k)
+			pv, pf, _, perr := getWithCAS(plain, k)
+			tv, tf, _, terr := getWithCAS(tenanted, k)
 			if (perr == nil) != (terr == nil) {
 				t.Fatalf("op %d: get %q diverged: plain err=%v, tenanted err=%v", op, k, perr, terr)
 			}
@@ -543,7 +543,7 @@ func TestTenantDifferential(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0: // string-keyed set
 				v, exp := val(), ttl()
-				if err := tenanted.SetExpiringFlags(k, v, 0, exp); err != nil {
+				if err := tenanted.SetBytes([]byte(k), v, 0, exp); err != nil {
 					t.Fatalf("op %d: prefixed set: %v", op, err)
 				}
 				o[k] = &oracleItem{value: append([]byte(nil), v...), expire: exp}

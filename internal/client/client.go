@@ -157,8 +157,16 @@ func (c *Cluster) prunePools(members []string) {
 
 // Owner reports which member authoritatively owns the key: the outgoing
 // owner until the table settles, the incoming owner after.
-// Conditional ops (cas/add/replace/counters/touch) route here so their
-// read-modify-write semantics stay anchored to one node per table.
+// Conditional ops (cas/add/replace/append/prepend/counters/touch) route
+// here so their read-modify-write semantics stay anchored to one node per
+// table.
+//
+// Known gap (ROADMAP item 17): mid-handover a read of a key that changes
+// owner goes to the incoming owner first (Table.ReadPlan), while these ops
+// go to the outgoing one. An acked incr is then invisible to a read that
+// hits the migrated copy on the incoming owner, and the outgoing owner's
+// release drops it. The server-side write fence of item 17 is where this
+// is to be fixed.
 func (c *Cluster) Owner(key string) (string, error) {
 	if c.closed.Load() {
 		return "", ErrClosed
@@ -426,17 +434,8 @@ func (c *Cluster) moot(t *hashring.Table, key, node string) bool {
 func (c *Cluster) setOn(ctx context.Context, node, key string, value []byte, exptime int64) error {
 	return c.withConnCtx(ctx, node, func(conn *poolConn) error {
 		conn.wbuf = memproto.AppendSet(conn.wbuf[:0], key, 0, exptime, value, false)
-		if err := conn.write(conn.wbuf); err != nil {
-			return err
-		}
-		line, err := conn.reply.ReadSimple()
-		if err != nil {
-			return err
-		}
-		if line != "STORED" {
-			return fmt.Errorf("client: set %q: unexpected reply %q", key, line)
-		}
-		return nil
+		_, err := conn.exchange("set", key, "STORED")
+		return err
 	})
 }
 
@@ -460,27 +459,15 @@ func (c *Cluster) DeleteContext(ctx context.Context, key string) (bool, error) {
 }
 
 func (c *Cluster) deleteOn(ctx context.Context, node, key string) (bool, error) {
-	deleted := false
 	err := c.withConnCtx(ctx, node, func(conn *poolConn) error {
 		conn.wbuf = memproto.AppendDelete(conn.wbuf[:0], key, false)
-		if err := conn.write(conn.wbuf); err != nil {
-			return err
-		}
-		line, err := conn.reply.ReadSimple()
-		if err != nil {
-			return err
-		}
-		switch line {
-		case "DELETED":
-			deleted = true
-			return nil
-		case "NOT_FOUND":
-			return nil
-		default:
-			return fmt.Errorf("client: delete %q: unexpected reply %q", key, line)
-		}
+		_, err := conn.exchange("delete", key, "DELETED")
+		return err
 	})
-	return deleted, err
+	if errors.Is(err, ErrNotFound) {
+		return false, nil
+	}
+	return err == nil, err
 }
 
 // StatsAll gathers stats from every member.
@@ -489,7 +476,8 @@ func (c *Cluster) StatsAll() (map[string]map[string]string, error) {
 	for _, member := range c.Members() {
 		var stats map[string]string
 		err := c.withConn(member, func(conn *poolConn) error {
-			if err := conn.write([]byte("stats\r\n")); err != nil {
+			conn.wbuf = memproto.AppendLine(conn.wbuf[:0], "stats")
+			if err := conn.write(conn.wbuf); err != nil {
 				return err
 			}
 			var err error
@@ -540,7 +528,7 @@ func (c *Cluster) getOn(ctx context.Context, node, key string) (value []byte, fl
 // copy per hit.
 func (c *Cluster) getFromNode(ctx context.Context, addr string, keys []string, emit func(key string, flags uint32, value []byte)) error {
 	return c.withConnCtx(ctx, addr, func(conn *poolConn) error {
-		conn.wbuf = memproto.AppendGet(conn.wbuf[:0], keys)
+		conn.wbuf = memproto.AppendLine(conn.wbuf[:0], "get", keys...)
 		if err := conn.write(conn.wbuf); err != nil {
 			return err
 		}
@@ -563,7 +551,7 @@ func (c *Cluster) getFromNode(ctx context.Context, addr string, keys []string, e
 }
 
 // withConn runs fn with a pooled connection to addr, discarding the
-// connection on error.
+// connection when the exchange fails.
 func (c *Cluster) withConn(addr string, fn func(*poolConn) error) error {
 	return c.withConnCtx(context.Background(), addr, fn)
 }
@@ -571,7 +559,8 @@ func (c *Cluster) withConn(addr string, fn func(*poolConn) error) error {
 // withConnCtx is withConn under a context. The connection deadline — the
 // tighter of the op timeout and ctx's deadline — is armed once per
 // exchange; every checkout re-arms it, so nothing clears it on the way
-// back. A context that can be cancelled additionally gets a watcher that
+// back. A refusal (see refused) is a whole reply, so its connection goes
+// back to the pool. A context that can be cancelled additionally gets a watcher that
 // closes the connection, so a blocked exchange aborts immediately;
 // context.Background and friends skip it.
 func (c *Cluster) withConnCtx(ctx context.Context, addr string, fn func(*poolConn) error) error {
@@ -599,7 +588,7 @@ func (c *Cluster) withConnCtx(ctx context.Context, addr string, fn func(*poolCon
 		stop = context.AfterFunc(ctx, func() { _ = conn.nc.Close() })
 	}
 	err = fn(conn)
-	if !stop() || err != nil {
+	if !stop() || err != nil && !refused(err) {
 		_ = conn.nc.Close()
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return ctxErr
@@ -607,7 +596,7 @@ func (c *Cluster) withConnCtx(ctx context.Context, addr string, fn func(*poolCon
 		return err
 	}
 	p.put(conn)
-	return nil
+	return err
 }
 
 // pool returns (creating if needed) the pool for addr.

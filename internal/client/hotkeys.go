@@ -21,7 +21,8 @@ func (c *Cluster) RefreshHotKeys(ctx context.Context) error {
 	for _, m := range c.Members() {
 		var entries []memproto.HotKeyTableEntry
 		err := c.withConnCtx(ctx, m, func(conn *poolConn) error {
-			if err := conn.write([]byte("hotkeys\r\n")); err != nil {
+			conn.wbuf = memproto.AppendLine(conn.wbuf[:0], "hotkeys")
+			if err := conn.write(conn.wbuf); err != nil {
 				return err
 			}
 			var err error

@@ -86,22 +86,13 @@ func (c *Cluster) leaseGetOn(ctx context.Context, node, key string) (value []byt
 // leaseSetOn issues one lset on node, mapping NOT_STORED to
 // ErrLeaseRejected.
 func (c *Cluster) leaseSetOn(ctx context.Context, node, key string, value []byte, flags uint32, token uint64) error {
-	return c.withConnCtx(ctx, node, func(conn *poolConn) error {
+	err := c.withConnCtx(ctx, node, func(conn *poolConn) error {
 		conn.wbuf = memproto.AppendLeaseSet(conn.wbuf[:0], key, flags, 0, value, token, false)
-		if err := conn.write(conn.wbuf); err != nil {
-			return err
-		}
-		line, err := conn.reply.ReadSimple()
-		if err != nil {
-			return err
-		}
-		switch line {
-		case "STORED":
-			return nil
-		case "NOT_STORED":
-			return fmt.Errorf("lset %q: %w", key, ErrLeaseRejected)
-		default:
-			return fmt.Errorf("client: lset %q: unexpected reply %q", key, line)
-		}
+		_, err := conn.exchange("lset", key, "STORED")
+		return err
 	})
+	if errors.Is(err, ErrNotStored) {
+		return fmt.Errorf("lset %q: %w", key, ErrLeaseRejected)
+	}
+	return err
 }

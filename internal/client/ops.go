@@ -24,39 +24,76 @@ var (
 	ErrNotFound = errors.New("client: not found")
 )
 
-// storageOp issues one storage-family command and maps the reply.
-func (c *Cluster) storageOp(verb, key string, exptime int64, value []byte, casToken uint64) error {
+// replyErr maps the single-line reply to verb on key: nil for the line
+// that acks the op, ErrNotStored, ErrCASConflict or ErrNotFound for
+// memcached's refusals, and an error naming any other line. The ack of
+// incr and decr is the new value, which they ask for with numberAck.
+func replyErr(verb, key, ack, line string) error {
+	acked := line == ack
+	if ack == numberAck {
+		_, err := strconv.ParseUint(line, 10, 64)
+		acked = err == nil
+	}
+	switch {
+	case acked:
+		return nil
+	case line == "NOT_STORED":
+		return fmt.Errorf("%s %q: %w", verb, key, ErrNotStored)
+	case line == "EXISTS":
+		return fmt.Errorf("%s %q: %w", verb, key, ErrCASConflict)
+	case line == "NOT_FOUND":
+		return fmt.Errorf("%s %q: %w", verb, key, ErrNotFound)
+	}
+	return fmt.Errorf("client: %s %q: unexpected reply %q", verb, key, line)
+}
+
+// numberAck is the ack of incr and decr: a decimal number.
+const numberAck = ""
+
+// refused reports whether err is one of memcached's refusals, which
+// replyErr maps from a complete reply line.
+func refused(err error) bool {
+	return errors.Is(err, ErrNotStored) || errors.Is(err, ErrCASConflict) || errors.Is(err, ErrNotFound)
+}
+
+// exchange writes the request encoded in conn.wbuf, reads its single-line
+// reply and maps it with replyErr.
+func (conn *poolConn) exchange(verb, key, ack string) (string, error) {
+	if err := conn.write(conn.wbuf); err != nil {
+		return "", err
+	}
+	line, err := conn.reply.ReadSimple()
+	if err != nil {
+		return "", err
+	}
+	return line, replyErr(verb, key, ack, line)
+}
+
+// ownerOp runs one single-line exchange with the key's owner: encode
+// appends the request to the connection's buffer, and the reply maps
+// through replyErr. It returns the reply line.
+func (c *Cluster) ownerOp(verb, key, ack string, encode func(dst []byte) []byte) (string, error) {
 	owner, err := c.Owner(key)
 	if err != nil {
-		return err
+		return "", err
 	}
-	return c.withConn(owner, func(conn *poolConn) error {
-		var header string
-		if verb == "cas" {
-			header = fmt.Sprintf("cas %s 0 %d %d %d\r\n", key, exptime, len(value), casToken)
-		} else {
-			header = fmt.Sprintf("%s %s 0 %d %d\r\n", verb, key, exptime, len(value))
-		}
-		if err := conn.write(append(append([]byte(header), value...), '\r', '\n')); err != nil {
-			return err
-		}
-		line, err := conn.reply.ReadSimple()
-		if err != nil {
-			return err
-		}
-		switch line {
-		case "STORED":
-			return nil
-		case "NOT_STORED":
-			return fmt.Errorf("%s %q: %w", verb, key, ErrNotStored)
-		case "EXISTS":
-			return fmt.Errorf("cas %q: %w", key, ErrCASConflict)
-		case "NOT_FOUND":
-			return fmt.Errorf("%s %q: %w", verb, key, ErrNotFound)
-		default:
-			return fmt.Errorf("client: %s %q: unexpected reply %q", verb, key, line)
-		}
+	var line string
+	err = c.withConn(owner, func(conn *poolConn) error {
+		conn.wbuf = encode(conn.wbuf[:0])
+		var err error
+		line, err = conn.exchange(verb, key, ack)
+		return err
 	})
+	return line, err
+}
+
+// storageOp issues one storage-family command on the key's owner; cas
+// passes its token in extra.
+func (c *Cluster) storageOp(verb, key string, exptime int64, value []byte, extra ...uint64) error {
+	_, err := c.ownerOp(verb, key, "STORED", func(dst []byte) []byte {
+		return memproto.AppendStore(dst, verb, key, 0, exptime, value, false, extra...)
+	})
+	return err
 }
 
 // SetTTL stores the value with a memcached exptime (0 = never, ≤30 days =
@@ -70,22 +107,22 @@ func (c *Cluster) SetTTL(key string, value []byte, exptime int64) error {
 
 // Add stores only if the key is absent.
 func (c *Cluster) Add(key string, value []byte, exptime int64) error {
-	return c.storageOp("add", key, exptime, value, 0)
+	return c.storageOp("add", key, exptime, value)
 }
 
 // Replace stores only if the key is present.
 func (c *Cluster) Replace(key string, value []byte, exptime int64) error {
-	return c.storageOp("replace", key, exptime, value, 0)
+	return c.storageOp("replace", key, exptime, value)
 }
 
 // Append concatenates data after the existing value.
 func (c *Cluster) Append(key string, data []byte) error {
-	return c.storageOp("append", key, 0, data, 0)
+	return c.storageOp("append", key, 0, data)
 }
 
 // Prepend concatenates data before the existing value.
 func (c *Cluster) Prepend(key string, data []byte) error {
-	return c.storageOp("prepend", key, 0, data, 0)
+	return c.storageOp("prepend", key, 0, data)
 }
 
 // CompareAndSwap stores only if the item's CAS token still matches.
@@ -95,56 +132,32 @@ func (c *Cluster) CompareAndSwap(key string, value []byte, exptime int64, casTok
 
 // GetWithCAS fetches one key with its CAS token. A miss returns
 // (zero ValueCAS, false, nil).
-func (c *Cluster) GetWithCAS(key string) (memproto.ValueCAS, bool, error) {
+func (c *Cluster) GetWithCAS(key string) (entry memproto.ValueCAS, found bool, err error) {
 	owner, err := c.Owner(key)
 	if err != nil {
-		return memproto.ValueCAS{}, false, err
+		return entry, false, err
 	}
-	var (
-		entry memproto.ValueCAS
-		found bool
-	)
 	err = c.withConn(owner, func(conn *poolConn) error {
-		if err := conn.write([]byte("gets " + key + "\r\n")); err != nil {
+		conn.wbuf = memproto.AppendLine(conn.wbuf[:0], "gets", key)
+		if err := conn.write(conn.wbuf); err != nil {
 			return err
 		}
 		values, err := conn.reply.ReadValuesCAS()
-		if err != nil {
-			return err
-		}
 		entry, found = values[key]
-		return nil
+		return err
 	})
 	return entry, found, err
 }
 
 // arithOp issues incr/decr and parses the numeric reply.
 func (c *Cluster) arithOp(verb, key string, delta uint64) (uint64, error) {
-	owner, err := c.Owner(key)
+	line, err := c.ownerOp(verb, key, numberAck, func(dst []byte) []byte {
+		return memproto.AppendArith(dst, verb, key, delta, false)
+	})
 	if err != nil {
 		return 0, err
 	}
-	var out uint64
-	err = c.withConn(owner, func(conn *poolConn) error {
-		cmd := fmt.Sprintf("%s %s %d\r\n", verb, key, delta)
-		if err := conn.write([]byte(cmd)); err != nil {
-			return err
-		}
-		line, err := conn.reply.ReadSimple()
-		if err != nil {
-			return err
-		}
-		if line == "NOT_FOUND" {
-			return fmt.Errorf("%s %q: %w", verb, key, ErrNotFound)
-		}
-		v, err := strconv.ParseUint(line, 10, 64)
-		if err != nil {
-			return fmt.Errorf("client: %s %q: unexpected reply %q", verb, key, line)
-		}
-		out = v
-		return nil
-	})
-	return out, err
+	return strconv.ParseUint(line, 10, 64)
 }
 
 // Incr adds delta to a numeric value, returning the new value.
@@ -159,45 +172,19 @@ func (c *Cluster) Decr(key string, delta uint64) (uint64, error) {
 
 // Touch updates a key's expiry without fetching it.
 func (c *Cluster) Touch(key string, exptime int64) error {
-	owner, err := c.Owner(key)
-	if err != nil {
-		return err
-	}
-	return c.withConn(owner, func(conn *poolConn) error {
-		cmd := fmt.Sprintf("touch %s %d\r\n", key, exptime)
-		if err := conn.write([]byte(cmd)); err != nil {
-			return err
-		}
-		line, err := conn.reply.ReadSimple()
-		if err != nil {
-			return err
-		}
-		switch line {
-		case "TOUCHED":
-			return nil
-		case "NOT_FOUND":
-			return fmt.Errorf("touch %q: %w", key, ErrNotFound)
-		default:
-			return fmt.Errorf("client: touch %q: unexpected reply %q", key, line)
-		}
+	_, err := c.ownerOp("touch", key, "TOUCHED", func(dst []byte) []byte {
+		return memproto.AppendTouch(dst, key, exptime, false)
 	})
+	return err
 }
 
 // FlushAll drops every item on every member.
 func (c *Cluster) FlushAll() error {
 	for _, member := range c.Members() {
 		err := c.withConn(member, func(conn *poolConn) error {
-			if err := conn.write([]byte("flush_all\r\n")); err != nil {
-				return err
-			}
-			line, err := conn.reply.ReadSimple()
-			if err != nil {
-				return err
-			}
-			if line != "OK" {
-				return fmt.Errorf("client: flush_all on %s: unexpected reply %q", member, line)
-			}
-			return nil
+			conn.wbuf = memproto.AppendLine(conn.wbuf[:0], "flush_all")
+			_, err := conn.exchange("flush_all", member, "OK")
+			return err
 		})
 		if err != nil {
 			return err

@@ -149,3 +149,45 @@ func TestFlushAllThroughCluster(t *testing.T) {
 func keyName(i int) string {
 	return "flush-key-" + string(rune('a'+i%26)) + string(rune('0'+i/26))
 }
+
+// TestRefusalKeepsPooledConnection: a refusal — add of a resident key, cas
+// with a stale token, incr or delete of a missing key, a rejected lease
+// fill — is a whole reply, so the connection that carried it goes back to
+// its pool instead of being closed and redialed.
+func TestRefusalKeepsPooledConnection(t *testing.T) {
+	cl, servers := testCluster(t, 1)
+	if err := cl.Set("k", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	p, err := cl.pool(servers[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled := func() *poolConn {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if len(p.idle) != 1 {
+			t.Fatalf("%d idle connections, want 1", len(p.idle))
+		}
+		return p.idle[0]
+	}
+	conn := pooled()
+	for _, op := range []struct {
+		name string
+		run  func() error
+		want error
+	}{
+		{"add", func() error { return cl.Add("k", []byte("2"), 0) }, ErrNotStored},
+		{"cas", func() error { return cl.CompareAndSwap("k", []byte("2"), 0, 1<<40) }, ErrCASConflict},
+		{"incr", func() error { _, err := cl.Incr("missing", 1); return err }, ErrNotFound},
+		{"delete", func() error { _, err := cl.Delete("missing"); return err }, nil},
+		{"lset", func() error { return cl.LeaseSet("k", []byte("2"), 1<<40) }, ErrLeaseRejected},
+	} {
+		if err := op.run(); !errors.Is(err, op.want) {
+			t.Fatalf("%s: err = %v, want %v", op.name, err, op.want)
+		}
+		if got := pooled(); got != conn {
+			t.Fatalf("%s: the refusal closed the pooled connection", op.name)
+		}
+	}
+}

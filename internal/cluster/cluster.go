@@ -200,7 +200,7 @@ func (c *Cluster) startNode() (*node, error) {
 		n.hot = hotkey.New(name, cc, n.pusher, *c.cfg.HotKeys)
 		n.hot.Start()
 		srv.SetHotKeys(n.hot)
-		ag.SetOwnedFilter(n.hot.OwnedFilter())
+		ag.SetOwnedFilter(n.hot.IsOwned)
 	}
 	if c.master != nil {
 		// Scale-out path: the initial StartLocal loop runs before the

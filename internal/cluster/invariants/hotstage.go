@@ -146,7 +146,7 @@ func (hs *hotStage) addNode(name string, c *cache.Cache, ag *agent.Agent) {
 	rep := hotkey.New(name, c, hs.pusher, hotkey.Config{Replicas: 2})
 	rep.OwnershipChanged(hs.table)
 	hs.pusher.Register(name, hotkey.LocalNode{Store: c, Rep: rep})
-	ag.SetOwnedFilter(rep.OwnedFilter())
+	ag.SetOwnedFilter(rep.IsOwned)
 	hs.reps[name] = rep
 }
 
@@ -156,7 +156,7 @@ func (hs *hotStage) owned(name string) func(string) bool {
 		return nil
 	}
 	if rep := hs.reps[name]; rep != nil {
-		return rep.OwnedFilter()
+		return rep.IsOwned
 	}
 	return nil
 }

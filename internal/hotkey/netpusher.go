@@ -10,7 +10,7 @@ import (
 )
 
 // NetPusher delivers push operations over the memcached wire protocol
-// (hkput/hkdel/hktouch) to replica nodes, which in the cluster are
+// (hkput/hkdel) to replica nodes, which in the cluster are
 // addressed by their listen address. It keeps one lazily-dialed connection
 // per target and drops it on any error, redialing on the next push.
 type NetPusher struct {
@@ -50,8 +50,6 @@ func (p *NetPusher) Push(node string, op PushOp) error {
 		payload = memproto.FormatHKPut(op.Key, op.Flags, exptimeOf(op.Expiry), op.Value, false)
 	case OpDel:
 		payload = memproto.FormatHKDel(op.Key, false)
-	case OpTouch:
-		payload = memproto.FormatHKTouch(op.Key, exptimeOf(op.Expiry), false)
 	default:
 		return fmt.Errorf("hotkey: unknown push op %d", op.Op)
 	}
@@ -81,7 +79,7 @@ func (p *NetPusher) do(pc *pushConn, payload []byte) error {
 		return err
 	}
 	// Every push kind answers with a single line (STORED, DELETED,
-	// NOT_FOUND, TOUCHED); any of them means the stream is in sync.
+	// NOT_FOUND); any of them means the stream is in sync.
 	_, err := pc.rr.ReadSimple()
 	return err
 }

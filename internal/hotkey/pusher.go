@@ -9,15 +9,15 @@ import (
 // Op is the kind of a replica push.
 type Op uint8
 
-// The push kinds: store/refresh a replica copy, drop it, refresh its TTL.
+// The push kinds: store or refresh a replica copy, or drop it.
 const (
 	OpPut Op = iota + 1
 	OpDel
-	OpTouch
 )
 
-// PushOp is one home→replica maintenance operation. Value is only set for
-// OpPut; Expiry's zero value means "never expires" for OpPut/OpTouch.
+// PushOp is one home→replica maintenance operation. Value, Flags and
+// Expiry are only set for OpPut; Expiry's zero value means "never
+// expires".
 type PushOp struct {
 	Op     Op
 	Key    string
@@ -28,7 +28,7 @@ type PushOp struct {
 
 // Pusher delivers push operations to a replica node. Implementations:
 // LocalPusher (in-process, used by tests and the chaos harness) and
-// NetPusher (the hkput/hkdel/hktouch wire commands).
+// NetPusher (the hkput/hkdel wire commands).
 type Pusher interface {
 	Push(node string, op PushOp) error
 }
@@ -38,7 +38,6 @@ type Pusher interface {
 type LocalStore interface {
 	SetBytes(key, value []byte, flags uint32, expiresAt time.Time) error
 	Delete(key string) error
-	TouchExpiry(key string, expiresAt time.Time) error
 }
 
 // LocalNode is one LocalPusher target: the node's store and (optionally)
@@ -71,7 +70,7 @@ func (p *LocalPusher) Register(name string, node LocalNode) {
 
 // Push implements Pusher with the same semantics as the wire commands:
 // a put stores the copy and marks it replica-held, a delete drops the copy
-// only while it is still marked, a touch refreshes a marked copy's TTL.
+// only while it is still marked.
 func (p *LocalPusher) Push(node string, op PushOp) error {
 	p.mu.RLock()
 	n, ok := p.nodes[node]
@@ -91,11 +90,6 @@ func (p *LocalPusher) Push(node string, op PushOp) error {
 	case OpDel:
 		if n.Rep == nil || n.Rep.DropReplica([]byte(op.Key)) {
 			_ = n.Store.Delete(op.Key)
-		}
-		return nil
-	case OpTouch:
-		if n.Rep == nil || n.Rep.HeldAsReplica(op.Key) {
-			_ = n.Store.TouchExpiry(op.Key, op.Expiry)
 		}
 		return nil
 	default:

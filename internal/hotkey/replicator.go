@@ -188,49 +188,17 @@ func (r *Replicator) ObserveWrite(key []byte) {
 	r.det.RecordSampled(key)
 }
 
-// OnWrite fans a successful home write out to the key's replicas. It is a
-// no-op (one atomic load) unless this node has promoted keys.
-func (r *Replicator) OnWrite(key, value []byte, flags uint32, expiry time.Time) {
+// AfterWrite brings the key's replicas to the home's state after a client
+// write, whatever its outcome: an OpPut of the current value, flags and
+// expiry, or an OpDel when the home holds nothing, since a write that
+// failed may have dropped the home's copy. It is a no-op (one atomic load)
+// unless this node has promoted keys.
+func (r *Replicator) AfterWrite(key []byte) {
 	reps := r.replicasOf(key)
 	if reps == nil {
 		return
 	}
-	r.pushAll(reps, PushOp{
-		Op:     OpPut,
-		Key:    string(key),
-		Value:  append([]byte(nil), value...),
-		Flags:  flags,
-		Expiry: expiry,
-	})
-}
-
-// OnMutate re-pushes the key's current home value to its replicas after an
-// in-place mutation (incr/decr/append/prepend) whose result bytes the
-// caller does not have on hand.
-func (r *Replicator) OnMutate(key []byte) {
-	reps := r.replicasOf(key)
-	if reps == nil {
-		return
-	}
-	r.syncReplicas(string(key), reps)
-}
-
-// OnDelete fans a home delete out to the key's replicas.
-func (r *Replicator) OnDelete(key []byte) {
-	reps := r.replicasOf(key)
-	if reps == nil {
-		return
-	}
-	r.pushAll(reps, PushOp{Op: OpDel, Key: string(key)})
-}
-
-// OnTouch fans a home TTL refresh out to the key's replicas.
-func (r *Replicator) OnTouch(key []byte, expiry time.Time) {
-	reps := r.replicasOf(key)
-	if reps == nil {
-		return
-	}
-	r.pushAll(reps, PushOp{Op: OpTouch, Key: string(key), Expiry: expiry})
+	r.syncReplicas(string(key), reps, true)
 }
 
 // replicasOf returns a copy of the replica set when key is promoted here,
@@ -281,14 +249,6 @@ func (r *Replicator) DropReplica(key []byte) bool {
 	return held
 }
 
-// HeldAsReplica reports whether key is currently marked replica-held.
-func (r *Replicator) HeldAsReplica(key string) bool {
-	r.mu.RLock()
-	_, held := r.replicaHeld[key]
-	r.mu.RUnlock()
-	return held
-}
-
 // IsOwned reports whether key counts as owned by this node for migration
 // purposes: everything except replica-held copies. Agents install it as
 // their owned-filter so replicated items are never double-shipped.
@@ -301,9 +261,6 @@ func (r *Replicator) IsOwned(key string) bool {
 	r.mu.RUnlock()
 	return !held
 }
-
-// OwnedFilter returns IsOwned as a free function for Agent.SetOwnedFilter.
-func (r *Replicator) OwnedFilter() func(string) bool { return r.IsOwned }
 
 // OwnershipChanged implements core.OwnershipListener. Only a settled table
 // newer than the last one seen acts; an in-flight or stale one changes
@@ -406,7 +363,7 @@ func (r *Replicator) Promote(key string) error {
 	r.mu.Unlock()
 	r.promotions.Add(1)
 	r.version.Add(1)
-	r.syncReplicas(key, reps)
+	r.syncReplicas(key, reps, false)
 	return nil
 }
 
@@ -490,7 +447,7 @@ func (r *Replicator) Tick() {
 		r.version.Add(1)
 	}
 	for _, key := range resync {
-		r.syncReplicas(key, r.replicasOf([]byte(key)))
+		r.syncReplicas(key, r.replicasOf([]byte(key)), false)
 	}
 	for _, d := range demote {
 		r.pushAll(d.replicas, PushOp{Op: OpDel, Key: d.key})
@@ -498,13 +455,19 @@ func (r *Replicator) Tick() {
 }
 
 // syncReplicas pushes the current home value of key to every replica.
-func (r *Replicator) syncReplicas(key string, replicas []string) {
+// When the home holds none it pushes an OpDel if drop is set, and nothing
+// otherwise: a promotion of a key not resident yet waits for its first
+// write.
+func (r *Replicator) syncReplicas(key string, replicas []string, drop bool) {
 	if r.store == nil || len(replicas) == 0 {
 		return
 	}
 	value, flags, expiry, ok := r.store.PeekFull(key)
 	if !ok {
-		return // nothing resident yet; the next write will propagate
+		if drop {
+			r.pushAll(replicas, PushOp{Op: OpDel, Key: key})
+		}
+		return
 	}
 	r.pushAll(replicas, PushOp{Op: OpPut, Key: key, Value: value, Flags: flags, Expiry: expiry})
 }

@@ -1,6 +1,7 @@
 package hotkey
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -134,11 +135,8 @@ func TestTickPromotesAndPushes(t *testing.T) {
 	if !ok || string(v) != "v1" || flags != 7 {
 		t.Fatalf("replica copy on %s = %q/%d/%v, want v1/7/true", replica, v, flags, ok)
 	}
-	if !tr.reps[replica].HeldAsReplica(key) {
-		t.Fatalf("replica %s did not mark %q held", replica, key)
-	}
 	if tr.reps[replica].IsOwned(key) {
-		t.Fatalf("replica-held %q must be non-owned for migration", key)
+		t.Fatalf("replica %s did not mark %q held: replica-held keys are non-owned for migration", replica, key)
 	}
 	version, entries := repA.Table()
 	if version == 0 || len(entries) != 1 || entries[0].Key != key {
@@ -161,16 +159,22 @@ func TestWriteDeleteFanOut(t *testing.T) {
 	if err := repA.Promote(key); err != nil {
 		t.Fatalf("Promote: %v", err)
 	}
-	repA.OnWrite([]byte(key), []byte("v2"), 3, time.Time{})
-	if v, _, _, ok := tr.caches[replica].PeekFull(key); !ok || string(v) != "v2" {
-		t.Fatalf("replica copy after write = %q/%v, want v2", v, ok)
+	if err := tr.caches["a"].SetBytes([]byte(key), []byte("v2"), 3, time.Time{}); err != nil {
+		t.Fatalf("home write: %v", err)
+	}
+	repA.AfterWrite([]byte(key))
+	if v, flags, _, ok := tr.caches[replica].PeekFull(key); !ok || string(v) != "v2" || flags != 3 {
+		t.Fatalf("replica copy after write = %q/%d/%v, want v2/3", v, flags, ok)
 	}
 
-	repA.OnDelete([]byte(key))
+	if err := tr.caches["a"].Delete(key); err != nil {
+		t.Fatalf("home delete: %v", err)
+	}
+	repA.AfterWrite([]byte(key))
 	if _, _, _, ok := tr.caches[replica].PeekFull(key); ok {
 		t.Fatalf("replica copy survived delete fan-out")
 	}
-	if tr.reps[replica].HeldAsReplica(key) {
+	if !tr.reps[replica].IsOwned(key) {
 		t.Fatalf("replica mark survived delete fan-out")
 	}
 }
@@ -411,10 +415,11 @@ func TestMarkReplicaSkipsOwnedKeys(t *testing.T) {
 	}
 }
 
-// TestReplicaTouchOnFullCacheDropsCopy: a pushed touch that gives a replica
-// copy a TTL, on a replica whose cache has no chunk for the copy's new
-// class, leaves no copy behind: one kept under no expiry would be served
-// after the deadline its home set.
+// TestReplicaTouchOnFullCacheDropsCopy: a touch that gives a promoted key
+// a TTL reaches its replica as a put of the copy under that TTL. On a
+// replica whose cache has no chunk for the copy's new class, it leaves no
+// copy behind: one kept under no expiry would be served after the deadline
+// its home set.
 func TestReplicaTouchOnFullCacheDropsCopy(t *testing.T) {
 	cc, err := cache.New(cache.PageSize, cache.WithShards(1))
 	if err != nil {
@@ -435,8 +440,8 @@ func TestReplicaTouchOnFullCacheDropsCopy(t *testing.T) {
 			t.Fatalf("fill: %v", err)
 		}
 	}
-	if err := pusher.Push("r", PushOp{Op: OpTouch, Key: key, Expiry: time.Now().Add(time.Hour)}); err != nil {
-		t.Fatalf("Push touch: %v", err)
+	if err := pusher.Push("r", PushOp{Op: OpPut, Key: key, Value: fill, Expiry: time.Now().Add(time.Hour)}); err != nil && !errors.Is(err, cache.ErrOutOfMemory) {
+		t.Fatalf("Push touched copy: %v", err)
 	}
 	if v, _, exp, ok := cc.PeekFull(key); ok {
 		t.Fatalf("replica still serves %d bytes under expiry %v after a touch it could not apply", len(v), exp)

@@ -8,11 +8,12 @@ import "strconv"
 // without allocating; Format* is the same encoder over a fresh buffer, for
 // one-off callers.
 
-// appendStore appends a storage-shaped request:
+// AppendStore appends a storage request:
 // "<verb> <key> <flags> <exptime> <bytes>[ <extra>...][ noreply]\r\n<value>\r\n".
-// extra carries the numeric fields some verbs put after the byte count
-// (the lease token of lset).
-func appendStore(dst []byte, verb, key string, flags uint32, exptime int64, value []byte, noreply bool, extra ...uint64) []byte {
+// It serves every storage verb: set, add, replace, append and prepend
+// carry no extra field, cas and lset carry their token after the byte
+// count.
+func AppendStore(dst []byte, verb, key string, flags uint32, exptime int64, value []byte, noreply bool, extra ...uint64) []byte {
 	dst = append(dst, verb...)
 	dst = append(dst, ' ')
 	dst = append(dst, key...)
@@ -38,23 +39,29 @@ func appendStore(dst []byte, verb, key string, flags uint32, exptime int64, valu
 // so Format* allocates once.
 func storeLen(key string, value []byte) int { return len(key) + len(value) + 80 }
 
-// appendKeyLine appends "<verb> <key>[ noreply]\r\n".
-func appendKeyLine(dst []byte, verb, key string, noreply bool) []byte {
+// appendKeyLine appends "<verb> <key>[ <arg>][ noreply]\r\n", where arg
+// is the number incr, decr and touch carry.
+func appendKeyLine(dst []byte, verb, key string, noreply bool, arg ...byte) []byte {
 	dst = append(dst, verb...)
 	dst = append(dst, ' ')
 	dst = append(dst, key...)
+	if len(arg) > 0 {
+		dst = append(dst, ' ')
+		dst = append(dst, arg...)
+	}
 	if noreply {
 		dst = append(dst, " noreply"...)
 	}
 	return append(dst, "\r\n"...)
 }
 
-// AppendGet appends a (multi-)get request line.
-func AppendGet(dst []byte, keys []string) []byte {
-	dst = append(dst, "get"...)
-	for _, k := range keys {
+// AppendLine appends "<verb>[ <arg>...]\r\n": a (multi-)get or gets, or
+// a command without arguments, such as stats, flush_all or hotkeys.
+func AppendLine(dst []byte, verb string, args ...string) []byte {
+	dst = append(dst, verb...)
+	for _, a := range args {
 		dst = append(dst, ' ')
-		dst = append(dst, k...)
+		dst = append(dst, a...)
 	}
 	return append(dst, "\r\n"...)
 }
@@ -65,12 +72,12 @@ func FormatGet(keys []string) []byte {
 	for _, k := range keys {
 		n += 1 + len(k)
 	}
-	return AppendGet(make([]byte, 0, n), keys)
+	return AppendLine(make([]byte, 0, n), "get", keys...)
 }
 
 // AppendSet appends a set request header + payload.
 func AppendSet(dst []byte, key string, flags uint32, exptime int64, value []byte, noreply bool) []byte {
-	return appendStore(dst, "set", key, flags, exptime, value, noreply)
+	return AppendStore(dst, "set", key, flags, exptime, value, noreply)
 }
 
 // FormatSet renders a set request header + payload.
@@ -83,6 +90,18 @@ func AppendDelete(dst []byte, key string, noreply bool) []byte {
 	return appendKeyLine(dst, "delete", key, noreply)
 }
 
+// AppendArith appends an incr or decr request line.
+func AppendArith(dst []byte, verb, key string, delta uint64, noreply bool) []byte {
+	var num [20]byte
+	return appendKeyLine(dst, verb, key, noreply, strconv.AppendUint(num[:0], delta, 10)...)
+}
+
+// AppendTouch appends a touch request line.
+func AppendTouch(dst []byte, key string, exptime int64, noreply bool) []byte {
+	var num [20]byte
+	return appendKeyLine(dst, "touch", key, noreply, strconv.AppendInt(num[:0], exptime, 10)...)
+}
+
 // AppendLeaseGet appends an lget request line.
 func AppendLeaseGet(dst []byte, key string) []byte {
 	return appendKeyLine(dst, "lget", key, false)
@@ -91,26 +110,15 @@ func AppendLeaseGet(dst []byte, key string) []byte {
 // AppendLeaseSet appends an lset request header + payload: a fill gated by
 // the lease token handed out by the miss.
 func AppendLeaseSet(dst []byte, key string, flags uint32, exptime int64, value []byte, token uint64, noreply bool) []byte {
-	return appendStore(dst, "lset", key, flags, exptime, value, noreply, token)
+	return AppendStore(dst, "lset", key, flags, exptime, value, noreply, token)
 }
 
 // FormatHKPut renders a replica value push.
 func FormatHKPut(key string, flags uint32, exptime int64, value []byte, noreply bool) []byte {
-	return appendStore(make([]byte, 0, storeLen(key, value)), "hkput", key, flags, exptime, value, noreply)
+	return AppendStore(make([]byte, 0, storeLen(key, value)), "hkput", key, flags, exptime, value, noreply)
 }
 
 // FormatHKDel renders a replica invalidation.
 func FormatHKDel(key string, noreply bool) []byte {
 	return appendKeyLine(nil, "hkdel", key, noreply)
-}
-
-// FormatHKTouch renders a replica TTL refresh.
-func FormatHKTouch(key string, exptime int64, noreply bool) []byte {
-	dst := append([]byte("hktouch "), key...)
-	dst = append(dst, ' ')
-	dst = strconv.AppendInt(dst, exptime, 10)
-	if noreply {
-		dst = append(dst, " noreply"...)
-	}
-	return append(dst, "\r\n"...)
 }

@@ -1,7 +1,11 @@
-// Package memproto implements the Memcached ASCII protocol subset the
-// ElMem testbed uses (Section II-A): get (multi-key), set, delete, touch,
-// stats, flush_all, version, and quit. It provides a parser and response
-// writers shared by the node server and the client library.
+// Package memproto implements the Memcached ASCII protocol the ElMem
+// testbed speaks (Section II-A): memcached's retrieval and storage
+// commands (get and gets, multi-key; set, add, replace, append, prepend,
+// cas, incr, decr, delete, touch), stats, flush_all, version and quit,
+// plus the node's own extensions: lget/lset (lease-gated fills), hotkeys
+// (the hot-key table poll) and hkput/hkdel (home→replica pushes). It
+// provides the request parser and reply writer the node server uses, and
+// the request encoders and reply reader the clients use.
 //
 // The parser is built for the serving hot path: it performs zero heap
 // allocations per request in steady state. One Request struct is reused
@@ -42,7 +46,6 @@ const (
 	CmdHotKeys  // hot-key table poll
 	CmdHKPut    // home→replica value push (storage-shaped)
 	CmdHKDel    // home→replica invalidation
-	CmdHKTouch  // home→replica TTL refresh
 	CmdLeaseGet // lease get: a miss hands out a fill token
 	CmdLeaseSet // lease set: a fill accepted only with a valid token
 )
@@ -184,7 +187,7 @@ func (p *Parser) Next() (*Request, error) {
 	case "delete":
 		return p.parseDelete(args, CmdDelete)
 	case "touch":
-		return p.parseTouch(args, CmdTouch)
+		return p.parseTouch(args)
 	case "hotkeys":
 		req.Command = CmdHotKeys
 		return req, nil
@@ -192,8 +195,6 @@ func (p *Parser) Next() (*Request, error) {
 		return p.parseStore(args, CmdHKPut)
 	case "hkdel":
 		return p.parseDelete(args, CmdHKDel)
-	case "hktouch":
-		return p.parseTouch(args, CmdHKTouch)
 	case "lget":
 		if len(args) != 1 {
 			return nil, fmt.Errorf("%w: lget requires exactly one key", ErrProtocol)
@@ -459,7 +460,7 @@ func (p *Parser) parseDelete(args [][]byte, cmd Command) (*Request, error) {
 	return req, nil
 }
 
-func (p *Parser) parseTouch(args [][]byte, cmd Command) (*Request, error) {
+func (p *Parser) parseTouch(args [][]byte) (*Request, error) {
 	if len(args) < 2 || len(args) > 3 {
 		return nil, fmt.Errorf("%w: touch requires key and exptime", ErrProtocol)
 	}
@@ -471,7 +472,7 @@ func (p *Parser) parseTouch(args [][]byte, cmd Command) (*Request, error) {
 		return nil, fmt.Errorf("%w: bad exptime", ErrProtocol)
 	}
 	req := &p.req
-	req.Command = cmd
+	req.Command = CmdTouch
 	req.Keys = append(req.Keys, args[0])
 	req.Exptime = exptime
 	req.NoReply = hasNoReply(args[2:])

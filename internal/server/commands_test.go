@@ -267,7 +267,7 @@ func TestExpiryCrawlerReclaimsInBackground(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = s.Close() })
 
-	if err := c.SetExpiring("k", []byte("v"), time.Now().Add(200*time.Millisecond)); err != nil {
+	if err := c.SetBytes([]byte("k"), []byte("v"), 0, time.Now().Add(200*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(3 * time.Second)

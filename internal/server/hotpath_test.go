@@ -243,7 +243,8 @@ func pipelinedBatch(prefix string) (sets, batch []byte) {
 
 // TestHotPathAllocs is the alloc-regression gate wired into `make check`:
 // after warmup, serving single-key get and set performs ZERO heap
-// allocations per request.
+// allocations per request, and so do replace, touch, add, incr and a cas
+// hit.
 func TestHotPathAllocs(t *testing.T) {
 	h := newHotPathHarness(t)
 	setReq := []byte("set hot 11 0 5\r\nhello\r\n")
@@ -252,6 +253,7 @@ func TestHotPathAllocs(t *testing.T) {
 	multiReq := []byte("get hot hot hot miss\r\n")
 	batchSets, batchReq := pipelinedBatch("")
 	h.serve(t, batchSets)
+	h.serve(t, []byte("set ctr 0 0 1\r\n0\r\nset tail 0 0 1\r\nx\r\n"))
 
 	// Warmup: insert the key and grow every scratch to steady-state shape.
 	for i := 0; i < 3; i++ {
@@ -272,10 +274,38 @@ func TestHotPathAllocs(t *testing.T) {
 		{"gets", getsReq, 0},
 		{"multi-get", multiReq, 0},
 		{"pipelined multi-get", batchReq, 0},
+		// Every client write goes through set's path and passes the
+		// parser's key through to the cache. Two allocate once: append
+		// builds the new value, and delete's cache call takes a string
+		// key.
+		{"replace", []byte("replace hot 11 0 5\r\nhello\r\n"), 0},
+		{"touch", []byte("touch hot 0\r\n"), 0},
+		{"add existing", []byte("add hot 11 0 5\r\nhello\r\n"), 0},
+		{"append", []byte("append tail 0 0 1\r\nx\r\n"), 1},
+		{"incr", []byte("incr ctr 1\r\n"), 0},
+		{"delete", []byte("set gone 0 0 1\r\nx\r\ndelete gone\r\n"), 1},
 	} {
-		if n := testing.AllocsPerRun(200, func() { h.serve(t, tc.payload) }); n > tc.max {
+		n := testing.AllocsPerRun(200, func() { h.serve(t, tc.payload) })
+		t.Logf("%s: %.1f allocs/op (budget %.0f)", tc.name, n, tc.max)
+		if n > tc.max {
 			t.Errorf("%s: %.1f allocs/op, want <= %.0f", tc.name, n, tc.max)
 		}
+	}
+
+	// A cas hit: each request carries the token the previous one left,
+	// the newest the cache issued once hot is stored last.
+	h.serve(t, setReq)
+	_, _, token, _ := h.s.cache.GetInto([]byte("hot"), nil)
+	cas := make([][]byte, 202)
+	for i := range cas {
+		cas[i] = fmt.Appendf(nil, "cas hot 11 0 5 %d\r\nhello\r\n", token+uint64(i))
+	}
+	next := 0
+	if n := testing.AllocsPerRun(200, func() { h.serve(t, cas[next]); next++ }); n > 0 {
+		t.Errorf("cas hit: %.1f allocs/op, want 0", n)
+	}
+	if _, _, got, _ := h.s.cache.GetInto([]byte("hot"), nil); got != token+uint64(next) {
+		t.Errorf("after %d cas requests the token is %d, want %d: not every cas hit", next, got, token+uint64(next))
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -63,8 +64,10 @@ type Server struct {
 
 	// draining flips when Shutdown begins: each connection finishes the
 	// pipelined requests it has already buffered, flushes, and closes
-	// cleanly instead of being torn down mid-reply.
+	// cleanly instead of being torn down mid-reply. drainBy, written
+	// before draining flips, is when the drain force-closes what is left.
 	draining atomic.Bool
+	drainBy  time.Time
 
 	// Wire counters, exposed through `stats` like memcached's
 	// curr_connections / total_connections / bytes_read / bytes_written.
@@ -207,6 +210,10 @@ func (s *Server) Close() error {
 // connections when the caller's context carries no earlier deadline.
 const defaultDrainTimeout = 5 * time.Second
 
+// drainIdleGrace is how long the drain waits on a connection it found
+// idle, for request bytes the client sent before the drain began.
+const drainIdleGrace = 20 * time.Millisecond
+
 // drainDiscardTimeout bounds the post-drain read that absorbs request
 // bytes a client may still have in flight when its connection closes.
 const drainDiscardTimeout = 250 * time.Millisecond
@@ -233,20 +240,21 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 
+	s.drainBy = time.Now().Add(defaultDrainTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(s.drainBy) {
+		s.drainBy = d
+	}
 	s.draining.Store(true)
 	close(s.stopCrawler)
 	err := s.ln.Close()
 
 	// A draining connection exits at its next flush boundary, or once the
-	// requests of its last read are answered; one blocked
-	// in Read with nothing in flight needs a deadline to wake up and
-	// observe the drain.
-	deadline := time.Now().Add(defaultDrainTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
+	// requests of its last read are answered. A read deadline in the past
+	// wakes every read at once: an idle connection then closes, and one
+	// part-way through a request reads on until drainBy (see
+	// countingReader).
 	for _, c := range conns {
-		_ = c.SetReadDeadline(deadline)
+		_ = c.SetReadDeadline(time.Now())
 	}
 
 	done := make(chan struct{})
@@ -269,10 +277,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // drainClose gives conn the graceful goodbye: half-close the write side
 // so the client sees FIN after the final reply, then absorb whatever the
-// client was still sending (bounded) before the full close.
-func drainClose(conn net.Conn) {
+// client was still sending (bounded) before the full close. A connection
+// the drain found idle was sending nothing, so it closes at once.
+func drainClose(conn net.Conn, idle bool) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		_ = tc.CloseWrite()
+	}
+	if idle {
+		return
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(drainDiscardTimeout))
 	_, _ = io.Copy(io.Discard, conn)
@@ -307,28 +319,59 @@ func (s *Server) dropConn(conn net.Conn) {
 }
 
 // countingReader forwards reads to the connection, adding byte counts to
-// the owning server's counter. The indirections are repointed on every
-// pool checkout so the pooled state can move between servers.
+// the serving server's counter. It is repointed on every pool checkout so
+// the pooled state can move between servers.
 //
 // Once the server drains, the first read that sees it is the connection's
 // last: every later one reports io.EOF, so the parser answers the whole
 // requests it holds and stops, even for a client that never pauses long
-// enough to leave a flush boundary.
+// enough to leave a flush boundary. The drain wakes a blocked read with a
+// deadline in the past, and drainRead decides how long a read may still
+// wait.
 type countingReader struct {
-	r        io.Reader
-	n        *atomic.Uint64
-	draining *atomic.Bool
-	last     bool // a read has seen the drain
+	conn    net.Conn
+	s       *Server
+	last    bool // a read has seen the drain
+	idle    bool // no byte of the next request has been read
+	idleEOF bool // the drain found the connection idle
 }
 
-func (cr *countingReader) Read(p []byte) (int, error) {
+func (cr *countingReader) Read(p []byte) (n int, err error) {
 	if cr.last {
 		return 0, io.EOF
 	}
-	cr.last = cr.draining.Load()
-	n, err := cr.r.Read(p)
-	cr.n.Add(uint64(n))
+	cr.last = cr.s.draining.Load()
+	if cr.last && cr.idle {
+		n, err = cr.drainRead(p)
+	} else if n, err = cr.conn.Read(p); n == 0 && errors.Is(err, os.ErrDeadlineExceeded) && cr.s.draining.Load() {
+		n, err = cr.drainRead(p) // the drain woke this read
+	}
+	cr.idle = cr.idle && n == 0
+	cr.s.bytesRead.Add(uint64(n))
 	return n, err
+}
+
+// drainRead reads once the drain has begun. A connection part-way through
+// a request reads on until the drain's deadline. One at a request boundary
+// waits only drainIdleGrace, for request bytes the client sent before the
+// drain began, and ends if none come. Input is checked with inputPending
+// around that wait because a read whose deadline has passed returns
+// without looking at the socket.
+func (cr *countingReader) drainRead(p []byte) (int, error) {
+	if cr.idle && !inputPending(cr.conn) {
+		_ = cr.conn.SetReadDeadline(time.Now().Add(drainIdleGrace))
+		n, err := cr.conn.Read(p)
+		if n > 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+			_ = cr.conn.SetReadDeadline(cr.s.drainBy)
+			return n, err
+		}
+		if !inputPending(cr.conn) {
+			cr.idleEOF = true
+			return 0, io.EOF
+		}
+	}
+	_ = cr.conn.SetReadDeadline(cr.s.drainBy)
+	return cr.conn.Read(p)
 }
 
 // countingWriter is countingReader's write-side twin.
@@ -376,18 +419,10 @@ var connStatePool = sync.Pool{
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(conn)
-	// Runs before dropConn's Close on every exit path during a drain, so
-	// even a connection leaving through the read-deadline or quit paths
-	// ends with FIN, not RST.
-	defer func() {
-		if s.draining.Load() {
-			drainClose(conn)
-		}
-	}()
 	s.connsTotal.Add(1)
 
 	st := connStatePool.Get().(*connState)
-	st.in = countingReader{r: conn, n: &s.bytesRead, draining: &s.draining}
+	st.in = countingReader{conn: conn, s: s}
 	st.out = countingWriter{w: conn, n: &s.bytesWritten}
 	st.parser.Reset(&st.in)
 	st.rw.Reset(&st.out)
@@ -396,9 +431,18 @@ func (s *Server) serveConn(conn net.Conn) {
 		st.out = countingWriter{}
 		connStatePool.Put(st)
 	}()
+	// Runs before dropConn's Close on every exit path during a drain, so
+	// even a connection leaving through the read-deadline or quit paths
+	// ends with FIN, not RST.
+	defer func() {
+		if s.draining.Load() {
+			drainClose(conn, st.in.idleEOF)
+		}
+	}()
 
 	parser, rw := st.parser, st.rw
 	for {
+		st.in.idle = parser.Buffered() == 0
 		req, err := parser.Next()
 		if err != nil {
 			if memproto.IsRecoverable(err) {
@@ -436,11 +480,12 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			// Drain boundary: every request this connection had queued is
 			// answered and flushed — the earliest moment it can close
-			// without cutting a reply in half. Request bytes already in
-			// the socket's receive queue reached the node before this
-			// check: the connection takes them in its last read (see
-			// countingReader), answers them and closes.
-			if s.draining.Load() && (st.in.last || !inputPending(conn)) {
+			// without cutting a reply in half. One whose last read has
+			// already seen the drain closes here; any other makes that
+			// last read first (see countingReader), so request bytes the
+			// client sent before the drain began are answered, not
+			// dropped, even if they are still on their way.
+			if s.draining.Load() && st.in.last {
 				return
 			}
 		}
@@ -524,10 +569,10 @@ func (s *Server) getKeys(st *connState, keys [][]byte, withCAS, gutter bool) (in
 	return hits, nil
 }
 
-// handle executes one request and renders its response into st.rw. The
-// get/set arms are the zero-allocation hot path: byte-slice keys straight
-// from the parser, values rendered straight into the reply buffer. The rarer commands
-// convert keys to strings and go through the convenience cache API.
+// handle executes one request and renders its response into st.rw. Keys
+// are byte slices straight from the parser: the get arm renders values
+// straight into the reply buffer, and every client write goes through
+// write, so both serve without allocating.
 func (s *Server) handle(req *memproto.Request, st *connState) error {
 	rw := st.rw
 	switch req.Command {
@@ -538,171 +583,15 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 		}
 		return rw.End()
 
-	case memproto.CmdSet:
-		if s.leaseCount.Load() != 0 {
+	case memproto.CmdSet, memproto.CmdAdd, memproto.CmdReplace, memproto.CmdAppend,
+		memproto.CmdPrepend, memproto.CmdCas, memproto.CmdIncr, memproto.CmdDecr,
+		memproto.CmdDelete, memproto.CmdTouch:
+		// A write revokes the key's outstanding fill lease, so a fill read
+		// before it cannot land over it. A touch leaves the value alone.
+		if req.Command != memproto.CmdTouch && s.leaseCount.Load() != 0 {
 			s.leases.invalidate(req.Keys[0])
 		}
-		expiry := expiryFromExptime(req.Exptime, s.cache.Now)
-		err := s.cache.SetBytes(req.Keys[0], req.Value, req.Flags, expiry)
-		if hot := s.hot.Load(); hot != nil {
-			if st.hotOps++; st.hotOps&hot.SampleMask() == 0 {
-				hot.ObserveWrite(req.Keys[0])
-			}
-			if err == nil {
-				hot.OnWrite(req.Keys[0], req.Value, req.Flags, expiry)
-			}
-		}
-		if req.NoReply {
-			return nil
-		}
-		if err != nil {
-			return rw.ServerError(err.Error())
-		}
-		return rw.Stored()
-
-	case memproto.CmdAdd, memproto.CmdReplace:
-		if s.leaseCount.Load() != 0 {
-			s.leases.invalidate(req.Keys[0])
-		}
-		expiry := expiryFromExptime(req.Exptime, s.cache.Now)
-		var err error
-		if req.Command == memproto.CmdAdd {
-			err = s.cache.AddFlags(string(req.Keys[0]), req.Value, req.Flags, expiry)
-		} else {
-			err = s.cache.ReplaceFlags(string(req.Keys[0]), req.Value, req.Flags, expiry)
-		}
-		if hot := s.hot.Load(); hot != nil && err == nil {
-			hot.OnWrite(req.Keys[0], req.Value, req.Flags, expiry)
-		}
-		if req.NoReply {
-			return nil
-		}
-		if errors.Is(err, cache.ErrNotStored) {
-			return rw.NotStored()
-		}
-		if err != nil {
-			return rw.ServerError(err.Error())
-		}
-		return rw.Stored()
-
-	case memproto.CmdAppend, memproto.CmdPrepend:
-		if s.leaseCount.Load() != 0 {
-			s.leases.invalidate(req.Keys[0])
-		}
-		var err error
-		if req.Command == memproto.CmdAppend {
-			err = s.cache.Append(string(req.Keys[0]), req.Value)
-		} else {
-			err = s.cache.Prepend(string(req.Keys[0]), req.Value)
-		}
-		if hot := s.hot.Load(); hot != nil && err == nil {
-			hot.OnMutate(req.Keys[0])
-		}
-		if req.NoReply {
-			return nil
-		}
-		if errors.Is(err, cache.ErrNotStored) {
-			return rw.NotStored()
-		}
-		if err != nil {
-			return rw.ServerError(err.Error())
-		}
-		return rw.Stored()
-
-	case memproto.CmdCas:
-		if s.leaseCount.Load() != 0 {
-			s.leases.invalidate(req.Keys[0])
-		}
-		expiry := expiryFromExptime(req.Exptime, s.cache.Now)
-		err := s.cache.CompareAndSwapFlags(string(req.Keys[0]), req.Value, req.Flags,
-			expiry, req.CAS)
-		if hot := s.hot.Load(); hot != nil {
-			if st.hotOps++; st.hotOps&hot.SampleMask() == 0 {
-				hot.ObserveWrite(req.Keys[0])
-			}
-			if err == nil {
-				hot.OnWrite(req.Keys[0], req.Value, req.Flags, expiry)
-			}
-		}
-		if req.NoReply {
-			return nil
-		}
-		switch {
-		case err == nil:
-			return rw.Stored()
-		case errors.Is(err, cache.ErrExists):
-			return rw.Exists()
-		case errors.Is(err, cache.ErrNotFound):
-			return rw.NotFound()
-		default:
-			return rw.ServerError(err.Error())
-		}
-
-	case memproto.CmdIncr, memproto.CmdDecr:
-		if s.leaseCount.Load() != 0 {
-			s.leases.invalidate(req.Keys[0])
-		}
-		var (
-			v   uint64
-			err error
-		)
-		if req.Command == memproto.CmdIncr {
-			v, err = s.cache.Incr(string(req.Keys[0]), req.Delta)
-		} else {
-			v, err = s.cache.Decr(string(req.Keys[0]), req.Delta)
-		}
-		if hot := s.hot.Load(); hot != nil && err == nil {
-			hot.OnMutate(req.Keys[0])
-		}
-		if req.NoReply {
-			return nil
-		}
-		switch {
-		case err == nil:
-			return rw.Number(v)
-		case errors.Is(err, cache.ErrNotFound):
-			return rw.NotFound()
-		case errors.Is(err, cache.ErrNotNumber):
-			return rw.ClientError("cannot increment or decrement non-numeric value")
-		default:
-			return rw.ServerError(err.Error())
-		}
-
-	case memproto.CmdDelete:
-		if s.leaseCount.Load() != 0 {
-			s.leases.invalidate(req.Keys[0])
-		}
-		err := s.cache.Delete(string(req.Keys[0]))
-		if hot := s.hot.Load(); hot != nil && err == nil {
-			hot.OnDelete(req.Keys[0])
-		}
-		if req.NoReply {
-			return nil
-		}
-		if errors.Is(err, cache.ErrNotFound) {
-			return rw.NotFound()
-		}
-		if err != nil {
-			return rw.ServerError(err.Error())
-		}
-		return rw.Deleted()
-
-	case memproto.CmdTouch:
-		expiry := expiryFromExptime(req.Exptime, s.cache.Now)
-		err := s.cache.TouchExpiry(string(req.Keys[0]), expiry)
-		if hot := s.hot.Load(); hot != nil && err == nil {
-			hot.OnTouch(req.Keys[0], expiry)
-		}
-		if req.NoReply {
-			return nil
-		}
-		if errors.Is(err, cache.ErrNotFound) {
-			return rw.NotFound()
-		}
-		if err != nil {
-			return rw.ServerError(err.Error())
-		}
-		return rw.Touched()
+		return s.write(req, st)
 
 	case memproto.CmdLeaseGet:
 		// Lease get: a hit behaves like get; a miss hands out a fill token
@@ -750,18 +639,7 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 			}
 			return rw.Stored()
 		}
-		expiry := expiryFromExptime(req.Exptime, s.cache.Now)
-		err := s.cache.SetBytes(key, req.Value, req.Flags, expiry)
-		if hot := s.hot.Load(); hot != nil && err == nil {
-			hot.OnWrite(key, req.Value, req.Flags, expiry)
-		}
-		if req.NoReply {
-			return nil
-		}
-		if err != nil {
-			return rw.ServerError(err.Error())
-		}
-		return rw.Stored()
+		return s.write(req, st)
 
 	case memproto.CmdStats:
 		st := s.cache.Stats()
@@ -927,10 +805,8 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 		// replica-held so migration treats it as non-owned.
 		err := s.cache.SetBytes(req.Keys[0], req.Value, req.Flags,
 			expiryFromExptime(req.Exptime, s.cache.Now))
-		if err == nil {
-			if hot := s.hot.Load(); hot != nil {
-				hot.MarkReplica(req.Keys[0])
-			}
+		if hot := s.hot.Load(); hot != nil && err == nil {
+			hot.MarkReplica(req.Keys[0])
 		}
 		if req.NoReply {
 			return nil
@@ -956,20 +832,6 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 		}
 		return rw.NotFound()
 
-	case memproto.CmdHKTouch:
-		touched := false
-		if hot := s.hot.Load(); hot == nil || hot.HeldAsReplica(string(req.Keys[0])) {
-			expiry := expiryFromExptime(req.Exptime, s.cache.Now)
-			touched = s.cache.TouchExpiry(string(req.Keys[0]), expiry) == nil
-		}
-		if req.NoReply {
-			return nil
-		}
-		if touched {
-			return rw.Touched()
-		}
-		return rw.NotFound()
-
 	case memproto.CmdFlushAll:
 		s.cache.FlushAll()
 		if req.NoReply {
@@ -983,4 +845,70 @@ func (s *Server) handle(req *memproto.Request, st *connState) error {
 	default:
 		return rw.Error()
 	}
+}
+
+// write is the one path a client write takes into the node, after its
+// command's gate: the exptime becomes a deadline on the cache's clock, the
+// command's cache call runs, the hot-key detector samples the key and the
+// key's replicas are brought to the home's state whatever the outcome, and
+// the outcome becomes the reply.
+func (s *Server) write(req *memproto.Request, st *connState) error {
+	key := req.Keys[0]
+	expiry := expiryFromExptime(req.Exptime, s.cache.Now)
+	var (
+		n   uint64
+		err error
+	)
+	switch req.Command {
+	case memproto.CmdAdd:
+		err = s.cache.Add(key, req.Value, req.Flags, expiry)
+	case memproto.CmdReplace:
+		err = s.cache.Replace(key, req.Value, req.Flags, expiry)
+	case memproto.CmdAppend:
+		err = s.cache.Append(key, req.Value)
+	case memproto.CmdPrepend:
+		err = s.cache.Prepend(key, req.Value)
+	case memproto.CmdCas:
+		err = s.cache.CompareAndSwap(key, req.Value, req.Flags, expiry, req.CAS)
+	case memproto.CmdIncr:
+		n, err = s.cache.Incr(key, req.Delta)
+	case memproto.CmdDecr:
+		n, err = s.cache.Decr(key, req.Delta)
+	case memproto.CmdDelete:
+		err = s.cache.Delete(string(key))
+	case memproto.CmdTouch:
+		err = s.cache.Touch(key, expiry)
+	default: // set and a lease fill
+		err = s.cache.SetBytes(key, req.Value, req.Flags, expiry)
+	}
+	if hot := s.hot.Load(); hot != nil {
+		if st.hotOps++; st.hotOps&hot.SampleMask() == 0 {
+			hot.ObserveWrite(key)
+		}
+		hot.AfterWrite(key)
+	}
+	rw := st.rw
+	switch {
+	case req.NoReply:
+		return nil
+	case err == nil:
+		switch req.Command {
+		case memproto.CmdIncr, memproto.CmdDecr:
+			return rw.Number(n)
+		case memproto.CmdDelete:
+			return rw.Deleted()
+		case memproto.CmdTouch:
+			return rw.Touched()
+		}
+		return rw.Stored()
+	case errors.Is(err, cache.ErrNotStored):
+		return rw.NotStored()
+	case errors.Is(err, cache.ErrExists):
+		return rw.Exists()
+	case errors.Is(err, cache.ErrNotFound):
+		return rw.NotFound()
+	case errors.Is(err, cache.ErrNotNumber):
+		return rw.ClientError("cannot increment or decrement non-numeric value")
+	}
+	return rw.ServerError(err.Error())
 }

@@ -193,8 +193,9 @@ func TestShutdownStreamingClientSeesEOF(t *testing.T) {
 }
 
 // TestShutdownIdleClientSeesEOF: a connection sitting in a blocked read
-// with nothing in flight is woken by the drain deadline and closed with
-// FIN, and Shutdown returns without waiting for the client to hang up.
+// with nothing in flight is woken at once and closed with FIN, and
+// Shutdown returns without waiting for the client to hang up or for the
+// drain timeout.
 func TestShutdownIdleClientSeesEOF(t *testing.T) {
 	s := newShutdownServer(t)
 	conn, err := net.Dial("tcp", s.Addr())
@@ -211,13 +212,61 @@ func TestShutdownIdleClientSeesEOF(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	if elapsed := time.Since(start); elapsed > 4*time.Second {
+	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
 		t.Fatalf("shutdown of an idle connection took %v", elapsed)
 	}
 
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := br.ReadByte(); err != io.EOF {
 		t.Fatalf("idle client: want EOF, got %v", err)
+	}
+}
+
+// TestShutdownMidRequestClientSeesStored: a client part-way through a set
+// body when the drain starts may finish sending it: the set is answered,
+// and then the connection closes with FIN.
+func TestShutdownMidRequestClientSeesStored(t *testing.T) {
+	s := newShutdownServer(t)
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	handshake(t, conn, br)
+
+	if _, err := conn.Write([]byte("set mid 0 0 10\r\nhello")); err != nil {
+		t.Fatal(err)
+	}
+	// The drain starts once the server has read the request so far and
+	// waits in a read for the rest of its body.
+	for s.bytesRead.Load() < uint64(len("version\r\nset mid 0 0 10\r\nhello")) {
+		time.Sleep(time.Millisecond)
+	}
+	shutdownErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		shutdownErr <- s.Shutdown(ctx)
+	}()
+	// Let the drain wake the connection's read before the body completes.
+	time.Sleep(100 * time.Millisecond)
+	if _, err := conn.Write([]byte("world\r\n")); err != nil {
+		t.Fatal(err)
+	}
+
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if line, err := br.ReadString('\n'); err != nil || line != "STORED\r\n" {
+		t.Fatalf("mid-request client: reply %q, %v; want STORED", line, err)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("mid-request client: want EOF after the reply, got %v", err)
+	}
+	if err := <-shutdownErr; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if v, ok := s.Cache().Peek("mid"); !ok || string(v) != "helloworld" {
+		t.Fatalf("drained set stored %q, %v", v, ok)
 	}
 }
 
